@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from .expr import Const, Expr, Var, ZERO, ONE
@@ -77,6 +76,8 @@ class BChart:
 
     def sample(self, count: int, seed: int, on_z: bool = False) -> np.ndarray:
         """Deterministic low-discrepancy points in the box; optionally on Z."""
+        from scipy.stats import qmc  # most of the CLI's import time; few commands sample
+
         eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
         with warnings.catch_warnings():
             # balance warning for non power-of-two budgets is irrelevant here
@@ -416,8 +417,15 @@ class PoissonBivector:
         return acc
 
     def bracket_value(self, F: Expr, G: Expr, point) -> float:
+        """{F, G} at one point from float gradients; `bracket` gives the tree."""
         env = point if isinstance(point, Mapping) else dict(zip(self.names, point))
-        return ex.evaluate(self.bracket(F, G), {k: float(v) for k, v in env.items()})
+        env = {k: float(v) for k, v in env.items()}
+        dF = ex.grad(F, self.names, env)
+        dG = ex.grad(G, self.names, env)
+        total = 0.0
+        for (i, j), p in self.entries.items():
+            total += ex.evaluate(p, env) * (dF[i] * dG[j] - dF[j] * dG[i])
+        return total
 
     def jacobiator(self, F: Expr, G: Expr, H: Expr) -> Expr:
         return (self.bracket(self.bracket(F, G), H)

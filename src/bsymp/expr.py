@@ -8,6 +8,12 @@ folds constant subtrees and absorbs 0/1 identities, so two mathematically
 equal expressions usually remain different trees.  Tests should compare
 values, not trees.
 
+Two kinds of derivative: `diff` builds the exact derivative tree, for
+identities whose claim is the tree itself (d∘d = 0, bracket tables,
+Jacobiators, Hamiltonian vector fields); `grad` gives the float gradient
+at one point by reverse mode over the DAG (one forward sweep shared with
+`evaluate`, then one adjoint sweep), for values such as a point bracket.
+
 Grammar (EBNF), also the canonical serialization used in config files::
 
     expr    = term { ("+" | "-") term } ;
@@ -34,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
-    "Environment", "parse", "evaluate", "eval_exact", "diff", "subs",
+    "Environment", "parse", "evaluate", "grad", "eval_exact", "diff", "subs",
     "free_vars", "to_str", "compile_exprs", "as_expr",
     "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
     "ZERO", "ONE",
@@ -489,53 +495,142 @@ def to_str(e: Expr) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(e: Expr, env: Environment) -> float:
-    """Float evaluation; raises UnboundVariableError / DomainError."""
-    memo: dict[Expr, float] = {}
+_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
-    def go(n: Expr) -> float:
-        v = memo.get(n)
-        if v is not None:
-            return v
-        if isinstance(n, Const):
-            v = float(n.value)
-        elif isinstance(n, Var):
+
+def _forward(e: Expr, env: Environment) -> dict[Expr, float]:
+    """One iterative sweep: the value of every node reachable from e.
+
+    Shared nodes are evaluated once.  The dict is filled in evaluation
+    order, children before parents, which is the order the adjoint sweep of
+    `grad` walks backwards.  A node whose operands are not ready goes back
+    on the stack under them, first operand on top; a quotient waits for its
+    denominator alone and checks it before its numerator is touched, so the
+    first error raised is the one a recursive evaluation would hit.
+    """
+    val: dict[Expr, float] = {}
+    ready = val.get
+    stack = [e]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        n = pop()
+        if n in val:
+            continue
+        t = type(n)
+        if t is Mul or t is Add or t is Sub:
+            a = ready(n.a)
+            b = ready(n.b)
+            if a is None or b is None:
+                push(n)
+                if b is None:
+                    push(n.b)
+                if a is None:
+                    push(n.a)
+                continue
+            if t is Mul:
+                v = a * b
+            elif t is Add:
+                v = a + b
+            else:
+                v = a - b
+        elif t is Var:
             try:
                 v = float(env[n.name])
             except KeyError:
                 raise UnboundVariableError(f"unknown name {n.name!r}") from None
-        elif isinstance(n, Add):
-            v = go(n.a) + go(n.b)
-        elif isinstance(n, Sub):
-            v = go(n.a) - go(n.b)
-        elif isinstance(n, Mul):
-            v = go(n.a) * go(n.b)
-        elif isinstance(n, Div):
-            den = go(n.b)
-            if den == 0.0:
+        elif t is Const:
+            # float(Fraction) rounds numerator / denominator too, but slower
+            v = n.value.numerator / n.value.denominator
+        elif t is Div:
+            b = ready(n.b)
+            if b is None:
+                push(n)
+                push(n.b)
+                continue
+            if b == 0.0:
                 raise DomainError("division by zero")
-            v = go(n.a) / den
-        elif isinstance(n, Pow):
-            base = go(n.base)
+            a = ready(n.a)
+            if a is None:
+                push(n)
+                push(n.a)
+                continue
+            v = a / b
+        elif t is Pow:
+            base = ready(n.base)
+            if base is None:
+                push(n)
+                push(n.base)
+                continue
             if base == 0.0 and n.n < 0:
                 raise DomainError("zero to a negative power")
             v = base ** n.n
         else:
-            arg = go(n.arg)
+            arg = ready(n.arg)
+            if arg is None:
+                push(n)
+                push(n.arg)
+                continue
             if n.name == "log":
                 if arg <= 0.0:
                     raise DomainError("log of a non-positive value")
                 v = math.log(arg)
-            elif n.name == "sin":
-                v = math.sin(arg)
-            elif n.name == "cos":
-                v = math.cos(arg)
             else:
-                v = math.exp(arg)
-        memo[n] = v
-        return v
+                v = _UNARY[n.name](arg)
+        val[n] = v
+    return val
 
-    return go(e)
+
+def evaluate(e: Expr, env: Environment) -> float:
+    """Float evaluation; raises UnboundVariableError / DomainError."""
+    return _forward(e, env)[e]
+
+
+def grad(e: Expr, names: Sequence[str], env: Environment) -> list[float]:
+    """Partial derivatives of e at a point, ordered like `names`.
+
+    Reverse mode: the forward sweep of `evaluate`, then one adjoint sweep
+    over the same nodes in reverse order.  Values and errors match
+    `evaluate` (every derivative rule is defined wherever its node is).
+    Variables outside `names` are constants but must still be bound.
+    """
+    val = _forward(e, env)
+    adj: dict[Expr, float] = {e: 1.0}
+    out = dict.fromkeys(names, 0.0)
+    for n in reversed(val):
+        g = adj[n]
+        t = type(n)
+        if t is Mul:
+            adj[n.a] = adj.get(n.a, 0.0) + g * val[n.b]
+            adj[n.b] = adj.get(n.b, 0.0) + g * val[n.a]
+        elif t is Add:
+            adj[n.a] = adj.get(n.a, 0.0) + g
+            adj[n.b] = adj.get(n.b, 0.0) + g
+        elif t is Sub:
+            adj[n.a] = adj.get(n.a, 0.0) + g
+            adj[n.b] = adj.get(n.b, 0.0) - g
+        elif t is Var:
+            if n.name in out:
+                out[n.name] += g
+        elif t is Div:
+            den = val[n.b]
+            adj[n.a] = adj.get(n.a, 0.0) + g / den
+            adj[n.b] = adj.get(n.b, 0.0) - g * val[n] / den
+        elif t is Pow:
+            k = n.n
+            adj[n.base] = adj.get(n.base, 0.0) + g * (k * val[n.base] ** (k - 1))
+        elif t is Fun:
+            arg = val[n.arg]
+            if n.name == "sin":
+                d = math.cos(arg)
+            elif n.name == "cos":
+                d = -math.sin(arg)
+            elif n.name == "exp":
+                d = val[n]
+            else:
+                d = 1.0 / arg
+            adj[n.arg] = adj.get(n.arg, 0.0) + g * d
+    return [out[nm] for nm in names]
 
 
 def eval_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:

@@ -218,8 +218,22 @@ class DualVector:
 
 
 def lie_poisson(L: LieAlgebra, F: Expr, G: Expr, mu: Sequence[float]) -> float:
-    """Minus Lie-Poisson bracket of F, G (exprs in mu_<label>) at a point."""
-    return ex.evaluate(lie_poisson_sym(L, F, G), dict(zip(dual_names(L), mu)))
+    """Minus Lie-Poisson bracket of F, G (exprs in mu_<label>) at a point.
+
+    Float gradients at mu; `lie_poisson_sym` builds the same sum as a tree.
+    """
+    names = dual_names(L)
+    if len(mu) < len(names):
+        raise ex.UnboundVariableError(f"unknown name {names[len(mu)]!r}")
+    env = {nm: float(v) for nm, v in zip(names, mu)}
+    dF = ex.grad(F, names, env)
+    dG = ex.grad(G, names, env)
+    total = 0.0
+    for (i, j), row in L.constants.items():
+        for k, c in enumerate(row):
+            if c:
+                total += float(-c) * env[names[k]] * dF[i] * dG[j]
+    return total
 
 
 def lie_poisson_sym(L: LieAlgebra, F: Expr, G: Expr) -> Expr:

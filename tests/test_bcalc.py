@@ -420,3 +420,26 @@ def test_bracket_value_matches_table():
     P = invert_to_poisson(bdarboux_model(1))
     v = P.bracket_value(ex.Var("x1"), ex.Var("y1"), {"x1": 2.0, "y1": -0.3})
     assert abs(v + 0.3) < 1e-15
+
+
+def test_bracket_value_matches_symbolic_bracket_on_galilean():
+    # the point bracket (float gradients) against the evaluated bracket tree,
+    # with the canonical b-symplectic structure of the galilean cotangent
+    # chart; every third point lies on the hypersurface s = 0
+    from bsymp import blift, lie
+    cot = blift.LiftedAction(lie.builtin("galilean")).cot
+    P = invert_to_poisson(blift.canonical_bsymplectic(cot))
+    names = P.names
+    s = cot.chart.defining_name
+    rng = random.Random(113)
+    for t in range(30):
+        F = random_poly(names, rng, terms=5, degree=3) * ex.sin(ex.Var(rng.choice(names)))
+        G = random_poly(names, rng, terms=5, degree=3) / (ex.Var(rng.choice(names)) ** 2 + 1)
+        pt = {nm: rng.uniform(-1.5, 1.5) for nm in names}
+        if t % 3 == 0:
+            pt[s] = 0.0
+        want = ex.evaluate(P.bracket(F, G), pt)
+        got = P.bracket_value(F, G, pt)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, got, want)
+        if pt[s] == 0.0:
+            assert P.bracket_value(ex.Var(s), G, pt) == 0.0

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bsymp import expr
 from bsymp.expr import (
-    Const, Var, parse, evaluate, eval_exact, diff, subs, free_vars, to_str,
-    compile_exprs, ExprSyntaxError, DomainError, UnboundVariableError,
+    Const, Var, parse, evaluate, grad, eval_exact, diff, subs, free_vars,
+    to_str, compile_exprs, ExprSyntaxError, DomainError, UnboundVariableError,
 )
 
 
@@ -288,6 +288,100 @@ def test_compiled_domain_error():
     f = compile_exprs([parse("1/x")], ("x",))
     with pytest.raises(DomainError):
         f([0.0])
+
+
+# ---------------------------------------------------------------------------
+# reverse-mode gradients
+# ---------------------------------------------------------------------------
+
+def random_dag(rng, size):
+    """Random DAG over VARS with shared subtrees.
+
+    Each new node takes its operands from the nodes built so far (the first
+    from the latest few, so the result is deep), so most subtrees are
+    reached along several paths.  Covers Div, negative powers and all four
+    functions; retries when folding hits a zero denominator.
+    """
+    pool = [Var(v) for v in VARS] + [Const(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)))]
+    while len(pool) < size + 4:
+        a, b = rng.choice(pool[-6:]), rng.choice(pool)
+        op = rng.randrange(10)
+        try:
+            if op == 0:
+                n = a + b
+            elif op == 1:
+                n = a - b
+            elif op <= 3:
+                n = a * b
+            elif op == 4:
+                n = a / b
+            elif op == 5:
+                n = a ** rng.choice((-2, -1, 2, 3))
+            else:
+                n = expr.fun(("sin", "cos", "exp", "log")[op - 6], a)
+        except DomainError:
+            continue
+        pool.append(n)
+    return pool[-1]
+
+
+def test_grad_matches_symbolic_derivative_on_shared_dags():
+    # reverse mode sums the chain rule in another order than the evaluated
+    # derivative tree, so agreement is relative to max(1, |derivative|):
+    # exactly-zero derivatives such as d(y/y)/dy evaluate to rounding noise
+    import random
+    rng = random.Random(5)
+    checked = 0
+    while checked < 500:
+        e = random_dag(rng, rng.randrange(4, 30))
+        env = {v: rng.uniform(-2.0, 2.0) for v in VARS}
+        try:
+            evaluate(e, env)
+            want = [evaluate(diff(e, v), env) for v in VARS]
+        except (DomainError, OverflowError):
+            continue
+        if not all(math.isfinite(w) and abs(w) < 1e8 for w in want):
+            continue
+        got = grad(e, VARS, env)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (to_str(e), env)
+        checked += 1
+
+
+def test_grad_treats_other_names_as_constants():
+    e = parse("x*y + sin(y)*z")
+    env = {"x": 0.5, "y": -1.25, "z": 2.0}
+    assert grad(e, ["x"], env) == [-1.25]
+    assert grad(e, ["z", "w", "x"], env) == [math.sin(-1.25), 0.0, -1.25]
+    assert grad(parse("3"), ["x"], {}) == [0.0]
+
+
+@pytest.mark.parametrize("text,env,error", [
+    ("x + q", {"x": 1.0}, UnboundVariableError),
+    ("1/(x - y)", {"x": 0.5, "y": 0.5}, DomainError),
+    ("log(x)", {"x": 0.0}, DomainError),
+    ("log(x*y)", {"x": -1.0, "y": 2.0}, DomainError),
+    ("x^-1 + y", {"x": 0.0, "y": 1.0}, DomainError),
+    ("log(x)/(y - 1)", {"x": -1.0, "y": 1.0}, DomainError),
+    ("log(x)/y + q", {"x": -1.0, "y": 1.0}, DomainError),
+])
+def test_grad_errors_match_evaluate(text, env, error):
+    e = parse(text)
+    with pytest.raises(error) as from_evaluate:
+        evaluate(e, env)
+    with pytest.raises(error) as from_grad:
+        grad(e, ["x", "y"], env)
+    assert str(from_grad.value) == str(from_evaluate.value)
+
+
+def test_evaluate_and_grad_do_not_recurse():
+    e = Var("x")
+    for k in range(1, 5001):
+        e = e * Var("y") + Const(Fraction(1, k))
+    env = {"x": 0.5, "y": 0.999}
+    want = 0.5 * 0.999 ** 5000 + sum(0.999 ** (5000 - k) / k for k in range(1, 5001))
+    assert evaluate(e, env) == pytest.approx(want, rel=1e-12)
+    assert grad(e, ["x"], env) == [pytest.approx(0.999 ** 5000, rel=1e-12)]
 
 
 # ---------------------------------------------------------------------------

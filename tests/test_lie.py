@@ -378,6 +378,23 @@ def test_lie_poisson_antisymmetry():
         assert abs(lie.lie_poisson(L, F, G, mu) + lie.lie_poisson(L, G, F, mu)) < 1e-10
 
 
+def test_lie_poisson_matches_symbolic_tree():
+    # the point bracket (float gradients) against the evaluated tree of
+    # lie_poisson_sym, which the Lie-Poisson-Jacobi section keeps
+    L = lie.builtin("galilean").group.algebra
+    rng = random.Random(23)
+    names = lie.dual_names(L)
+    for _ in range(20):
+        F = random_quadratic(names, rng) * ex.sin(ex.Var(rng.choice(names)))
+        G = random_quadratic(names, rng)
+        mu = [rng.uniform(-2, 2) for _ in range(L.dim)]
+        want = ex.evaluate(lie.lie_poisson_sym(L, F, G), dict(zip(names, mu)))
+        got = lie.lie_poisson(L, F, G, mu)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    with pytest.raises(ex.UnboundVariableError):
+        lie.lie_poisson(L, F, G, mu[:-1])
+
+
 def random_quadratic(names, rng):
     terms = []
     for _ in range(4):

@@ -1,8 +1,11 @@
 """Suite runner: section coverage, option overrides, determinism."""
 
+import math
 from fractions import Fraction
 
-from bsymp import lie, verify
+import pytest
+
+from bsymp import cli, lie, verify
 
 
 def small(**kw):
@@ -69,3 +72,21 @@ def test_failing_section_is_named():
     assert not rep.passed
     assert "lie: Jacobi" in rep.failing()
     assert any(line.startswith("FAIL | lie: Jacobi") for line in rep.lines())
+
+
+@pytest.mark.parametrize("group,seed", [
+    ("se2", 107), ("heisenberg_q(2)", 103), ("galilean", 106)])
+def test_energy_drift_shrinks_start_until_horizon_holds(group, seed):
+    # a phi*p term in H escapes in finite time and each halving of x0 only
+    # doubles the exit time: these seeds need more than six halvings
+    resid, tol = verify._sec_energy_drift(lie.builtin(group),
+                                          verify.VerifyOptions(seed=seed))
+    assert math.isfinite(resid) and resid <= tol
+
+
+def test_energy_drift_fails_cleanly_when_halvings_run_out(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_ENERGY_DRIFT_HALVINGS", 0)
+    assert cli.main(["verify", "--group", "se2", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL | dynamics: energy-drift | residual: inf" in out
+    assert out.rstrip().endswith("result: fail: dynamics: energy-drift")

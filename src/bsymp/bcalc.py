@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -104,9 +105,16 @@ class BVectorField:
         if len(self.comps) != self.chart.dim:
             raise ValueError("component count must match chart dimension")
 
+    @cached_property
+    def _compiled(self):
+        return ex.compile_exprs(self.comps, self.chart.names)
+
     def at(self, point) -> np.ndarray:
+        """All components at a point, from one compiled call cached on the field."""
         env = self.chart.env(point)
-        return np.array([ex.evaluate(c, env) for c in self.comps])
+        if len(env) < self.chart.dim:
+            raise ex.UnboundVariableError(f"unknown name {self.chart.names[len(env)]!r}")
+        return np.array(self._compiled(list(env.values())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,15 @@ Jacobiators, Hamiltonian vector fields); `grad` gives the float gradient
 at one point by reverse mode over the DAG (one forward sweep shared with
 `evaluate`, then one adjoint sweep), for values such as a point bracket.
 
+Every node caches its set of free variable names the first time it is
+asked for (one iterative walk that fills the sets of all its
+descendants too; nodes are immutable, so the set never changes, and
+equal sets are interned to one object).  `diff` uses it to skip work:
+the derivative of an expression without the variable is `ZERO` at once,
+and the walk never enters a subtree without it.  That is the tree the
+full walk builds, whose derivatives of variable-free subtrees fold to
+value-0 constants anyway.
+
 Grammar (EBNF), also the canonical serialization used in config files::
 
     expr    = term { ("+" | "-") term } ;
@@ -79,6 +88,8 @@ class DomainError(EvalError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Expr:
+    _fv = None  # free variable names, filled in by `free_vars`
+
     def __add__(self, other):
         return add(self, as_expr(other))
 
@@ -678,16 +689,19 @@ def eval_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to the named variable."""
+    if var not in free_vars(e):
+        return ZERO
     memo: dict[Expr, Expr] = {}
 
     def go(n: Expr) -> Expr:
+        # every node below e already has its free-variable set
+        if var not in n._fv:
+            return ZERO
         d = memo.get(n)
         if d is not None:
             return d
-        if isinstance(n, Const):
-            d = ZERO
-        elif isinstance(n, Var):
-            d = ONE if n.name == var else ZERO
+        if isinstance(n, Var):
+            d = ONE
         elif isinstance(n, Add):
             d = add(go(n.a), go(n.b))
         elif isinstance(n, Sub):
@@ -744,25 +758,53 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return go(e)
 
 
+_NO_VARS: frozenset[str] = frozenset()
+_VAR_SETS: dict[frozenset[str], frozenset[str]] = {_NO_VARS: _NO_VARS}
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    seen: set[Expr] = set()
-    names: set[str] = set()
+    """Names of the variables in e, cached on e and on every node below it."""
+    fv = e._fv
+    if fv is not None:
+        return fv
+    setfv = object.__setattr__
+    intern = _VAR_SETS.setdefault
     stack = [e]
     while stack:
-        n = stack.pop()
-        if n in seen:
+        n = stack[-1]
+        if n._fv is not None:
+            stack.pop()
             continue
-        seen.add(n)
-        if isinstance(n, Var):
-            names.add(n.name)
-        elif isinstance(n, (Add, Sub, Mul, Div)):
-            stack.append(n.a)
-            stack.append(n.b)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, Fun):
-            stack.append(n.arg)
-    return frozenset(names)
+        t = type(n)
+        if t is Const:
+            fv = _NO_VARS
+        elif t is Var:
+            fv = frozenset((n.name,))
+            fv = intern(fv, fv)
+        elif t is Pow or t is Fun:
+            arg = n.base if t is Pow else n.arg
+            fv = arg._fv
+            if fv is None:
+                stack.append(arg)
+                continue
+        else:
+            fa, fb = n.a._fv, n.b._fv
+            if fa is None or fb is None:
+                if fb is None:
+                    stack.append(n.b)
+                if fa is None:
+                    stack.append(n.a)
+                continue
+            if fb <= fa:
+                fv = fa
+            elif fa <= fb:
+                fv = fb
+            else:
+                fv = fa | fb
+                fv = intern(fv, fv)
+        setfv(n, "_fv", fv)
+        stack.pop()
+    return e._fv
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +861,10 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
     def wrapped(x):
         try:
             return raw(x)
-        except ZeroDivisionError:
-            raise DomainError("division by zero") from None
+        except ZeroDivisionError as err:
+            # float ** negative int raises it too; name it as `evaluate` does
+            raise DomainError("zero to a negative power" if "negative power" in str(err)
+                              else "division by zero") from None
 
     return wrapped
 

@@ -37,7 +37,8 @@ from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
     "LieAlgebra", "MatrixGroup", "BLieGroupPair", "DualVector",
-    "structure_constants_from_matrices", "SpanError", "builtin",
+    "structure_constants_from_matrices", "SpanError", "TrivializationError",
+    "builtin",
     "bracket", "group_mul", "group_inv", "group_exp", "group_log",
     "adjoint", "coadjoint_star", "lie_poisson", "dual_names",
     "param_distance",
@@ -48,6 +49,10 @@ FrMatrix = tuple[tuple[Fraction, ...], ...]
 
 class SpanError(ValueError):
     """A commutator left the span of the declared basis."""
+
+
+class TrivializationError(ValueError):
+    """A pair's splitting map does not invert its embedding."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +89,27 @@ def _basis_pinv(basis: Sequence[FrMatrix]) -> list[list[Fraction]]:
     return [[bt[i][a] for i in range(m * m)] for a in range(d)]
 
 
+def _nonzero(M) -> list[tuple[int, int, object]]:
+    """(row, column, value) of the nonzero entries of a square matrix."""
+    return [(r, c, v) for r, row in enumerate(M) for c, v in enumerate(row) if v]
+
+
 def _expand_in_basis(M, basis: Sequence[FrMatrix], pinv: list[list[Fraction]], tol: float = 1e-10):
     """Coefficients of M in the basis; raises SpanError on a real residual.
 
     Works uniformly for Fraction matrices (exact residual) and float arrays.
+    Zero entries of M, zero pinv weights and zero coefficients are skipped:
+    the sums of what is left are the same exact values.
     """
-    d = len(basis)
     m = len(basis[0])
-    flat = [M[r][c] for r in range(m) for c in range(m)]
-    coeffs = [sum(pinv[a][i] * flat[i] for i in range(m * m)) for a in range(d)]
-    resid = 0.0
-    for r in range(m):
-        for c in range(m):
-            back = sum(coeffs[a] * basis[a][r][c] for a in range(d))
-            resid = max(resid, abs(float(M[r][c] - back)))
+    flat = [(r * m + c, v) for r, c, v in _nonzero(M)]
+    coeffs = [sum((row[i] * v for i, v in flat if row[i]), Fraction(0)) for row in pinv]
+    back = [[0] * m for _ in range(m)]
+    for ca, Ba in zip(coeffs, basis):
+        if ca:
+            for r, c, v in _nonzero(Ba):
+                back[r][c] += ca * v
+    resid = max(abs(float(M[r][c] - back[r][c])) for r in range(m) for c in range(m))
     if resid > tol:
         raise SpanError(f"matrix not in basis span (residual {resid:.3e})")
     return coeffs
@@ -182,17 +194,20 @@ def structure_constants_from_matrices(basis: Sequence) -> LieAlgebra:
     d = len(mats)
     m = len(mats[0])
     pinv = _basis_pinv(mats)
+    nonzero = [_nonzero(M) for M in mats]
     constants: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
-            comm = tuple(
-                tuple(
-                    sum(mats[i][r][t] * mats[j][t][c] - mats[j][r][t] * mats[i][t][c]
-                        for t in range(m))
-                    for c in range(m))
-                for r in range(m))
+            # E_i E_j - E_j E_i over the nonzero entries only
+            comm = [[Fraction(0)] * m for _ in range(m)]
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                B = mats[b]
+                for r, t, v in nonzero[a]:
+                    for c, w in enumerate(B[t]):
+                        if w:
+                            comm[r][c] += sign * v * w
             coeffs = _expand_in_basis(comm, mats, pinv)
             if any(v != 0 for v in coeffs):
                 constants[(i, j)] = tuple(coeffs)
@@ -580,7 +595,8 @@ def _check_pair(pair: BLieGroupPair):
     names = [*pair.h_names, pair.phi_name]
     env = {n: 0.37 + 0.11 * i for i, n in enumerate(names)}
     for e, n in zip([*back[0], back[1]], names):
-        assert abs(ex.evaluate(e, env) - env[n]) < 1e-12, "trivialization not invertible"
+        if not abs(ex.evaluate(e, env) - env[n]) < 1e-12:
+            raise TrivializationError("trivialization not invertible")
     return pair
 
 

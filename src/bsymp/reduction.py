@@ -38,6 +38,10 @@ from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
 from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names, group_mul
 
 
+class SplittingError(ValueError):
+    """A connection failed to split a covector into annihilator plus momenta."""
+
+
 # ---------------------------------------------------------------------------
 # infinitesimal action
 
@@ -48,15 +52,8 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     Components are b-frame components on the split chart; the transverse
     slot is structurally zero because left translation fixes phi.
     """
-    act = _action(pair)
-    Z = act._cache.get("zeta_fn")
-    if Z is None:
-        rows = act.zeta_exprs()
-        flat = [e for row in rows for e in row]
-        Z = ex.compile_exprs(flat, list(pair.h_names))
-        act._cache["zeta_fn"] = Z
     m = len(pair.h_names)
-    vals = Z([float(v) for v in g[:m]])
+    vals = _zeta_matrix_fn(pair)([float(v) for v in g[:m]])
     out = np.zeros(m + 1)
     for a in range(m):
         xa = float(X[a])
@@ -66,16 +63,25 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     return out
 
 
-_ACTIONS: dict[tuple[int, str], LiftedAction] = {}
-
-
 def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
-    key = (id(pair), mode)
-    act = _ACTIONS.get(key)
+    """The pair's lifted action in one mode, built once and kept on the pair."""
+    key = ("lifted_action", mode)
+    act = pair._cache.get(key)
     if act is None:
         act = LiftedAction(pair, mode=mode)
-        _ACTIONS[key] = act
+        pair._cache[key] = act
     return act
+
+
+def _zeta_matrix_fn(pair: BLieGroupPair):
+    act = _action(pair)
+    f = act._cache.get("zeta_mat_fn")
+    if f is None:
+        rows = act.zeta_exprs()
+        flat = [e for row in rows for e in row]
+        f = ex.compile_exprs(flat, list(pair.h_names))
+        act._cache["zeta_mat_fn"] = f
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +217,9 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
         Jf = ex.compile_exprs(flat + list(moved),
                               ["h__" + n for n in names] + names)
         theta._cache["hmul_jac"] = Jf
-    adm = adjoint_matrix_sym(H, [Var(n) for n in pair.h_names])
     Adf = theta._cache.get("ad_fn")
     if Adf is None:
+        adm = adjoint_matrix_sym(H, [Var(n) for n in pair.h_names])
         Adf = ex.compile_exprs([adm[b][a] for b in range(m) for a in range(m)],
                                list(pair.h_names))
         theta._cache["ad_fn"] = Adf
@@ -285,17 +291,6 @@ class CoupledPoint:
     mu: tuple[float, ...]
 
 
-def _zeta_matrix_fn(pair: BLieGroupPair):
-    act = _action(pair)
-    f = act._cache.get("zeta_mat_fn")
-    if f is None:
-        rows = act.zeta_exprs()
-        flat = [e for row in rows for e in row]
-        f = ex.compile_exprs(flat, list(pair.h_names))
-        act._cache["zeta_mat_fn"] = f
-    return f
-
-
 def psi_theta(theta: Connection, point: Sequence[float],
               alpha: Sequence[float]) -> CoupledPoint:
     """Split a covector (frame coefficients) into annihilator plus momenta."""
@@ -310,7 +305,7 @@ def psi_theta(theta: Connection, point: Sequence[float],
             for j in range(n)]
     for j in range(m):
         if abs(beta[j]) > 1e-9 * (1.0 + max(abs(float(x)) for x in alpha)):
-            raise AssertionError("annihilator part kept a vertical leg")
+            raise SplittingError("annihilator part kept a vertical leg")
     return CoupledPoint(AnnihilatorElement(tuple(float(x) for x in point), beta[m]),
                         tuple(mu))
 

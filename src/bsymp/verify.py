@@ -260,6 +260,8 @@ def _sec_moment_hamilton(pair, opts):
     m = len(pair.h_names)
     rng = random.Random(opts.seed * 17 + 5)
     mus = act.moment_exprs()
+    frame = [bcalc.BVectorField(ch, [ONE if q == j else ZERO for q in range(ch.dim)])
+             for j in range(ch.dim)]
     worst = 0.0
     for _ in range(_count(opts, 100) // 4):
         X = [rng.uniform(-1, 1) for _ in range(m)]
@@ -273,9 +275,7 @@ def _sec_moment_hamilton(pair, opts):
             if t % 2 == 0:
                 x[m] = 0.0
             for j in range(ch.dim):
-                W = bcalc.BVectorField(
-                    ch, [ONE if q == j else ZERO for q in range(ch.dim)])
-                lhs = bcalc.pair(om, [Xs, W], x)
+                lhs = bcalc.pair(om, [Xs, frame[j]], x)
                 rhs = ex.evaluate(dmu.coeff((j,)), ch.env(x))
                 worst = max(worst, abs(lhs - rhs))
     return worst, _tol(opts, 1e-8)
@@ -300,17 +300,24 @@ def _sec_moment_equivariance(pair, opts):
 
 
 def _connection_cases(pair):
-    m = len(pair.h_names)
-    phi = pair.phi_name
-    xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
-    xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
-    return [
-        (red.make_connection(pair), None, None),
-        (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
-         xi1, ex.parse(f"1 + {phi}^2")),
-        (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
-         xi2, ex.parse(f"cos({phi})") * Var(phi)),
-    ]
+    """(connection, xi, dphi-leg scale) for the default and two deformed
+    connections, built and axiom-checked once per pair and kept on it, so
+    the four reduction sections share their compiled functions and forms."""
+    cases = pair._cache.get("verify_connection_cases")
+    if cases is None:
+        m = len(pair.h_names)
+        phi = pair.phi_name
+        xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
+        xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
+        cases = (
+            (red.make_connection(pair), None, None),
+            (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
+             xi1, ex.parse(f"1 + {phi}^2")),
+            (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
+             xi2, ex.parse(f"cos({phi})") * Var(phi)),
+        )
+        pair._cache["verify_connection_cases"] = cases
+    return cases
 
 
 def _sec_connection_axioms(pair, opts):

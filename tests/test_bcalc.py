@@ -190,6 +190,38 @@ def test_pair_alternating():
         assert abs(pair(omega, [v1, v1], pt)) < 1e-12
 
 
+def test_compiled_field_matches_componentwise_evaluate():
+    rng = random.Random(107)
+    chart = make_chart(4, defining=1)
+    for _ in range(30):
+        v = BVectorField(chart, tuple(random_poly(chart.names, rng, 3, 3) / (ex.Var("z3") - 2)
+                                      for _ in range(4)))
+        for _ in range(3):
+            pt = [rng.uniform(-1, 1) for _ in range(4)]
+            env = chart.env(pt)
+            want = [ex.evaluate(c, env) for c in v.comps]
+            assert list(v.at(pt)) == want
+            assert list(v.at(env)) == want
+    assert v._compiled is v._compiled  # compiled once per field
+    with pytest.raises(ex.UnboundVariableError, match="'z4'"):
+        v.at([0.1] * 3)
+
+
+@pytest.mark.parametrize("comps,point", [
+    (("1/z1", "z2"), [0.0, 0.5]),
+    (("z1", "log(z2)"), [0.3, -1.0]),
+    (("z2^-2", "1"), [0.3, 0.0]),
+])
+def test_compiled_field_raises_evaluate_domain_error(comps, point):
+    v = BVectorField(make_chart(2), tuple(ex.parse(c) for c in comps))
+    env = v.chart.env(point)
+    with pytest.raises(ex.DomainError) as from_evaluate:
+        [ex.evaluate(c, env) for c in v.comps]
+    with pytest.raises(ex.DomainError) as from_field:
+        v.at(point)
+    assert str(from_field.value) == str(from_evaluate.value)
+
+
 def test_pair_arity_error():
     w = bdarboux_model(1)
     v = BVectorField(w.chart, (ex.ONE, ex.ZERO))

@@ -294,15 +294,15 @@ def test_compiled_domain_error():
 # reverse-mode gradients
 # ---------------------------------------------------------------------------
 
-def random_dag(rng, size):
-    """Random DAG over VARS with shared subtrees.
+def random_dag(rng, size, names=VARS):
+    """Random DAG over the given variables with shared subtrees.
 
     Each new node takes its operands from the nodes built so far (the first
     from the latest few, so the result is deep), so most subtrees are
     reached along several paths.  Covers Div, negative powers and all four
     functions; retries when folding hits a zero denominator.
     """
-    pool = [Var(v) for v in VARS] + [Const(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)))]
+    pool = [Var(v) for v in names] + [Const(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)))]
     while len(pool) < size + 4:
         a, b = rng.choice(pool[-6:]), rng.choice(pool)
         op = rng.randrange(10)
@@ -403,3 +403,91 @@ def test_substitution_folds_constants():
 
 def test_free_vars():
     assert free_vars(parse("x*sin(y) + 3")) == {"x", "y"}
+
+
+def test_free_vars_are_cached_and_interned():
+    e = parse("x*sin(y) + 3*x")
+    s = free_vars(e)
+    assert free_vars(e) is s
+    assert free_vars(parse("sin(y)*x")) is s
+    assert free_vars(e.b) == {"x"}  # filled in for the nodes below e too
+    assert free_vars(parse("3/4")) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# variable-aware diff against the full walk
+# ---------------------------------------------------------------------------
+
+def full_walk_diff(e, var):
+    """Reference: differentiate every node, whether or not var occurs in it."""
+    memo = {}
+
+    def go(n):
+        d = memo.get(n)
+        if d is not None:
+            return d
+        if isinstance(n, Const):
+            d = expr.ZERO
+        elif isinstance(n, Var):
+            d = expr.ONE if n.name == var else expr.ZERO
+        elif isinstance(n, expr.Add):
+            d = go(n.a) + go(n.b)
+        elif isinstance(n, expr.Sub):
+            d = go(n.a) - go(n.b)
+        elif isinstance(n, expr.Mul):
+            d = go(n.a) * n.b + n.a * go(n.b)
+        elif isinstance(n, expr.Div):
+            d = (go(n.a) * n.b - n.a * go(n.b)) / n.b ** 2
+        elif isinstance(n, expr.Pow):
+            d = Const(Fraction(n.n)) * n.base ** (n.n - 1) * go(n.base)
+        else:
+            da = go(n.arg)
+            if n.name == "sin":
+                d = expr.fun("cos", n.arg) * da
+            elif n.name == "cos":
+                d = Const(Fraction(-1)) * (expr.fun("sin", n.arg) * da)
+            elif n.name == "exp":
+                d = n * da
+            else:
+                d = da / n.arg
+        memo[n] = d
+        return d
+
+    return go(e)
+
+
+def test_diff_matches_full_walk_on_shared_dags():
+    # the DAGs draw on a random subset of VARS, so each variable is
+    # sometimes absent from the whole expression and often from subtrees
+    import random
+    rng = random.Random(11)
+    absent = present = 0
+    for k in range(600):
+        used = rng.sample(VARS, rng.randrange(1, len(VARS) + 1))
+        e = random_dag(rng, rng.randrange(4, 30), used)
+        env = {v: rng.uniform(-2.0, 2.0) for v in VARS}
+        for v in (*VARS, "w"):
+            got, want = diff(e, v), full_walk_diff(e, v)
+            assert to_str(got) == to_str(want), (to_str(e), v)
+            if v in free_vars(e):
+                present += 1
+            else:
+                absent += 1
+                assert got is expr.ZERO
+            try:
+                value = evaluate(want, env)
+            except (DomainError, OverflowError) as err:
+                with pytest.raises(type(err)):
+                    evaluate(got, env)
+                continue
+            assert evaluate(got, env) == value or (math.isnan(value)
+                                                  and math.isnan(evaluate(got, env)))
+    assert absent > 500 and present > 500
+
+
+def test_free_vars_of_deep_chain_do_not_recurse():
+    e = Var("x")
+    for k in range(1, 5001):
+        e = e * Var("y") + Const(Fraction(1, k))
+    assert free_vars(e) == {"x", "y"}
+    assert diff(e, "z") is expr.ZERO

@@ -57,6 +57,35 @@ def test_oracle_span_error():
         lie.structure_constants_from_matrices([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
 
 
+def dense_structure_constants(basis):
+    """Reference: every product and weight, zeros included."""
+    mats = [tuple(tuple(Fraction(v) for v in row) for row in M) for M in basis]
+    d, m = len(mats), len(mats[0])
+    pinv = lie._basis_pinv(mats)
+    constants = {}
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            flat = [sum(mats[i][r][t] * mats[j][t][c] - mats[j][r][t] * mats[i][t][c]
+                        for t in range(m))
+                    for r in range(m) for c in range(m)]
+            coeffs = [sum(pinv[a][q] * flat[q] for q in range(m * m)) for a in range(d)]
+            if any(v != 0 for v in coeffs):
+                constants[(i, j)] = tuple(coeffs)
+    return constants
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_sparse_structure_constants_equal_dense(name):
+    pair = lie.builtin(name)
+    for G in (pair.group, pair.h_group):
+        got = lie.structure_constants_from_matrices(G.basis()).constants
+        want = dense_structure_constants(G.basis())
+        assert got == want
+        assert all(type(v) is Fraction for row in got.values() for v in row)
+
+
 def test_antisymmetry_defect_catches_corruption():
     L = lie.builtin("se2").group.algebra
     bad = dict(L.constants)
@@ -324,6 +353,18 @@ def test_trivialization_roundtrip(name):
         k, phi = pair.triv(g)
         back = pair.triv_inv(k, phi)
         assert np.max(np.abs(back - g)) < 1e-12
+
+
+def test_check_pair_rejects_non_inverse_trivialization():
+    good = lie.builtin("se2")
+    bad = lie.BLieGroupPair(
+        name="se2-bad", group=good.group, phi_index=2,
+        triv_fn=lambda p: ([2 * p[0], p[1]], p[2]),
+        triv_inv_fn=good.triv_inv_fn)
+    with pytest.raises(lie.TrivializationError, match="trivialization not invertible"):
+        lie._check_pair(bad)
+    assert issubclass(lie.TrivializationError, ValueError)
+    assert lie._check_pair(good) is good
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

@@ -243,6 +243,26 @@ def test_psi_theta_on_annihilator_and_momenta():
         assert max(abs(a - b) for a, b in zip(cp2.mu, mu)) < 1e-12
 
 
+def test_psi_theta_rejects_a_form_that_is_not_a_connection():
+    # doubling theta breaks theta(zeta_a) = e_a, so the split keeps a k-leg
+    pair = lie.builtin("heisenberg_q(1)")
+    theta = red.make_connection(pair)
+    bad = red.Connection(pair=pair, mode=theta.mode,
+                         forms=tuple(f.scaled(2) for f in theta.forms), tag="doubled")
+    with pytest.raises(red.SplittingError, match="annihilator part kept a vertical leg"):
+        red.psi_theta(bad, [0.2, -0.4, 0.5], [0.3, 0.6, 0.8])
+    assert issubclass(red.SplittingError, ValueError)
+
+
+def test_lifted_action_lives_on_the_pair():
+    pair = lie._se2()
+    act = red._action(pair)
+    assert red._action(pair) is act
+    assert pair._cache[("lifted_action", "b")] is act
+    assert red._action(pair, "classical") is not act
+    assert not hasattr(red, "_ACTIONS")
+
+
 def test_psi_theta_round_trip():
     for name in GROUPS:
         pair = lie.builtin(name)

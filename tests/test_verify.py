@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bsymp import cli, lie, verify
+from bsymp import reduction as red
 
 
 def small(**kw):
@@ -55,6 +56,23 @@ def test_report_text_is_deterministic():
     for line in a.splitlines()[3:-1]:
         assert line.startswith(("ok | ", "FAIL | "))
         assert "residual: " in line and "tolerance: " in line
+
+
+def test_rerun_on_one_pair_reuses_its_connections(monkeypatch):
+    built = []
+    make = red.make_connection
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("deformation"))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(red, "make_connection", counted)
+    pair = lie._se2()  # a fresh pair, not the shared built-in
+    a = verify.run_suite(pair, small()).text()
+    b = verify.run_suite(pair, small()).text()
+    assert a == b
+    assert a.endswith("result: pass")
+    assert len(built) == 3
 
 
 def test_failing_section_is_named():

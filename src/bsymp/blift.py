@@ -15,20 +15,20 @@ Jacobians are exact expression calculus, no finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Const, Expr, Var, ZERO, ONE
-from .bcalc import BChart, BForm, BVectorField, b_d
+from .expr import Const, Expr, Var, ZERO
+from .bcalc import BChart, BForm, BVectorField, PoissonBivector, b_d, invert_to_poisson
 from .lie import BLieGroupPair
 
 __all__ = [
     "BCotangentChart", "LiftedAction", "liouville", "canonical_bsymplectic",
-    "cotangent_lift", "moment", "trivialized_base_chart",
+    "trivialized_base_chart",
 ]
 
 
@@ -47,17 +47,13 @@ class BCotangentChart:
     def fiber_names(self) -> tuple[str, ...]:
         return tuple("p_" + n for n in self.base.names)
 
-    @property
+    @cached_property
     def chart(self) -> BChart:
-        ch = getattr(self, "_chart", None)
-        if ch is None:
-            ch = BChart(
-                names=self.base.names + self.fiber_names,
-                defining=self.base.defining,
-                box=self.base.box + (self.fiber_box,) * self.n,
-            )
-            object.__setattr__(self, "_chart", ch)
-        return ch
+        return BChart(
+            names=self.base.names + self.fiber_names,
+            defining=self.base.defining,
+            box=self.base.box + (self.fiber_box,) * self.n,
+        )
 
     def split(self, point) -> tuple[np.ndarray, np.ndarray]:
         pt = np.asarray(point, dtype=float)
@@ -95,23 +91,22 @@ class LiftedAction:
     rescaled frame); 'classical' runs the identical formulas on the plain
     frame.  The translation fixes phi, so the two modes share all Jacobian
     data and differ only in which chart the forms live on.
+
+    The action owns what it derives: the generator, fiber and moment
+    expressions, their compiled maps and the upstairs Poisson structure
+    are cached properties, each built on first use.
     """
 
     pair: BLieGroupPair
     mode: str = "b"
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("b", "classical"):
             raise ValueError("mode must be 'b' or 'classical'")
 
-    @property
+    @cached_property
     def cot(self) -> BCotangentChart:
-        c = self._cache.get("cot")
-        if c is None:
-            c = BCotangentChart(trivialized_base_chart(self.pair, self.mode))
-            self._cache["cot"] = c
-        return c
+        return BCotangentChart(trivialized_base_chart(self.pair, self.mode))
 
     @property
     def h_dim(self) -> int:
@@ -127,11 +122,7 @@ class LiftedAction:
 
     def translation_exprs(self) -> list[Expr]:
         """m_H(h, k) as expressions in h__* and the base names."""
-        got = self._cache.get("translation")
-        if got is None:
-            got = self.pair.h_group.mul_fn(self._h_vars(), self._k_vars())
-            self._cache["translation"] = got
-        return got
+        return self.pair.h_group.mul_fn(self._h_vars(), self._k_vars())
 
     def jacobian_exprs(self) -> list[list[Expr]]:
         """J[j][i] = d m_H(h^-1, k')_j / d k'_i in h__* and the base names.
@@ -139,72 +130,59 @@ class LiftedAction:
         This is the derivative of the inverse translation at the moved
         point, the transpose of which carries momenta forward.
         """
-        got = self._cache.get("jacobian")
-        if got is None:
-            H = self.pair.h_group
-            kp = self._k_vars()
-            hinv = H.inv_fn(self._h_vars())
-            back = H.mul_fn(hinv, kp)
-            got = [[ex.diff(back[j], n) for n in self.pair.h_names] for j in range(self.h_dim)]
-            self._cache["jacobian"] = got
-        return got
+        H = self.pair.h_group
+        kp = self._k_vars()
+        back = H.mul_fn(H.inv_fn(self._h_vars()), kp)
+        return [[ex.diff(back[j], n) for n in self.pair.h_names] for j in range(self.h_dim)]
 
+    @cached_property
     def zeta_exprs(self) -> list[list[Expr]]:
         """zeta[a][j]: frame components of the generator of basis direction a.
 
         d/dq_a m_H(q, k)_j at q = 0 - exact, and independent of the curve
         chosen through the identity.
         """
-        got = self._cache.get("zeta")
-        if got is None:
-            H = self.pair.h_group
-            qn = ["q__" + n for n in self.pair.h_names]
-            q = [Var(n) for n in qn]
-            moved = H.mul_fn(q, self._k_vars())
-            zero = {n: ZERO for n in qn}
-            got = [[ex.subs(ex.diff(moved[j], qn[a]), zero) for j in range(self.h_dim)]
-                   for a in range(self.h_dim)]
-            self._cache["zeta"] = got
-        return got
+        H = self.pair.h_group
+        qn = ["q__" + n for n in self.pair.h_names]
+        moved = H.mul_fn([Var(n) for n in qn], self._k_vars())
+        zero = {n: ZERO for n in qn}
+        return [[ex.subs(ex.diff(moved[j], qn[a]), zero) for j in range(self.h_dim)]
+                for a in range(self.h_dim)]
 
+    @cached_property
     def xsharp_fiber_exprs(self) -> list[list[Expr]]:
         """fiber[a][i]: d/dt momenta of the lift along basis direction a.
 
         Differentiates the momentum transport J(q, m_H(q,k))^T p in q at
         q = 0, the infinitesimal version of the lifted action on fibers.
         """
-        got = self._cache.get("xsharp_fiber")
-        if got is None:
-            H = self.pair.h_group
-            names = self.pair.h_names
-            qn = ["q__" + n for n in names]
-            q = [Var(n) for n in qn]
-            kv = self._k_vars()
-            moved = H.mul_fn(q, kv)
-            back = H.mul_fn(H.inv_fn(q), [Var("kk__" + n) for n in names])
-            # A(q, k')_{j,i} then composed with k' = m_H(q, k)
-            zero_q = {n: ZERO for n in qn}
-            fiber = []
-            for a in range(self.h_dim):
-                row = []
-                for i in range(self.h_dim):
-                    acc = ZERO
-                    for j in range(self.h_dim):
-                        A_ji = ex.diff(back[j], "kk__" + names[i])
-                        A_comp = ex.subs(A_ji, {"kk__" + n: m for n, m in zip(names, moved)})
-                        dA = ex.subs(ex.diff(A_comp, qn[a]), zero_q)
-                        if not (isinstance(dA, Const) and dA.value == 0):
-                            acc = acc + Var(self.cot.fiber_names[j]) * dA
-                    row.append(acc)
-                fiber.append(row)
-            self._cache["xsharp_fiber"] = fiber
-            got = fiber
-        return got
+        H = self.pair.h_group
+        names = self.pair.h_names
+        qn = ["q__" + n for n in names]
+        q = [Var(n) for n in qn]
+        moved = H.mul_fn(q, self._k_vars())
+        back = H.mul_fn(H.inv_fn(q), [Var("kk__" + n) for n in names])
+        # A(q, k')_{j,i} then composed with k' = m_H(q, k)
+        zero_q = {n: ZERO for n in qn}
+        fiber = []
+        for a in range(self.h_dim):
+            row = []
+            for i in range(self.h_dim):
+                acc = ZERO
+                for j in range(self.h_dim):
+                    A_ji = ex.diff(back[j], "kk__" + names[i])
+                    A_comp = ex.subs(A_ji, {"kk__" + n: m for n, m in zip(names, moved)})
+                    dA = ex.subs(ex.diff(A_comp, qn[a]), zero_q)
+                    if not (isinstance(dA, Const) and dA.value == 0):
+                        acc = acc + Var(self.cot.fiber_names[j]) * dA
+                row.append(acc)
+            fiber.append(row)
+        return fiber
 
     def xsharp(self, X: Sequence[float]) -> BVectorField:
         """Fundamental field of the lifted action on the cotangent chart."""
-        zeta = self.zeta_exprs()
-        fiber = self.xsharp_fiber_exprs()
+        zeta = self.zeta_exprs
+        fiber = self.xsharp_fiber_exprs
         m = self.h_dim
         comps = []
         for j in range(m):
@@ -223,21 +201,17 @@ class LiftedAction:
         comps.append(ZERO)  # p_phi is inert
         return BVectorField(self.cot.chart, tuple(comps))
 
+    @cached_property
     def moment_exprs(self) -> list[Expr]:
         """mu_a = sum_j p_j zeta[a][j](k): smooth momentum of each basis direction."""
-        got = self._cache.get("moment")
-        if got is None:
-            zeta = self.zeta_exprs()
-            got = []
-            for a in range(self.h_dim):
-                acc = ZERO
-                for j in range(self.h_dim):
-                    z = zeta[a][j]
-                    if not (isinstance(z, Const) and z.value == 0):
-                        acc = acc + Var(self.cot.fiber_names[j]) * z
-                got.append(acc)
-            self._cache["moment"] = got
-        return got
+        out = []
+        for zrow in self.zeta_exprs:
+            acc = ZERO
+            for j, z in enumerate(zrow):
+                if not (isinstance(z, Const) and z.value == 0):
+                    acc = acc + Var(self.cot.fiber_names[j]) * z
+            out.append(acc)
+        return out
 
     def lift_exprs(self) -> list[Expr]:
         """All components of the lifted map in h__* and the chart names.
@@ -245,35 +219,42 @@ class LiftedAction:
         Order matches the cotangent chart: moved base, phi, transported
         momenta, p_phi (phi and its momentum ride along unchanged).
         """
-        got = self._cache.get("lift_exprs")
-        if got is None:
-            names = self.pair.h_names
-            m = self.h_dim
-            moved = self.translation_exprs()
-            J = self.jacobian_exprs()
-            moved_sub = {n: mv for n, mv in zip(names, moved)}
-            p_new = []
-            for i in range(m):
-                acc = ZERO
-                for j in range(m):
-                    Jji = ex.subs(J[j][i], moved_sub)
-                    if not (isinstance(Jji, Const) and Jji.value == 0):
-                        acc = acc + Jji * Var(self.cot.fiber_names[j])
-                p_new.append(acc)
-            got = [*moved, Var(self.pair.phi_name), *p_new,
-                   Var(self.cot.fiber_names[m])]
-            self._cache["lift_exprs"] = got
-        return got
+        names = self.pair.h_names
+        m = self.h_dim
+        moved = self.translation_exprs()
+        J = self.jacobian_exprs()
+        moved_sub = {n: mv for n, mv in zip(names, moved)}
+        p_new = []
+        for i in range(m):
+            acc = ZERO
+            for j in range(m):
+                Jji = ex.subs(J[j][i], moved_sub)
+                if not (isinstance(Jji, Const) and Jji.value == 0):
+                    acc = acc + Jji * Var(self.cot.fiber_names[j])
+            p_new.append(acc)
+        return [*moved, Var(self.pair.phi_name), *p_new, Var(self.cot.fiber_names[m])]
 
-    # -- numeric maps -------------------------------------------------------
+    # -- compiled maps and derived structures --------------------------------
 
+    @cached_property
     def _lift_compiled(self):
-        f = self._cache.get("lift")
-        if f is None:
-            args = ["h__" + n for n in self.pair.h_names] + list(self.cot.chart.names)
-            f = ex.compile_exprs(self.lift_exprs(), args)
-            self._cache["lift"] = f
-        return f
+        args = ["h__" + n for n in self.pair.h_names] + list(self.cot.chart.names)
+        return ex.compile_exprs(self.lift_exprs(), args)
+
+    @cached_property
+    def zeta_compiled(self):
+        """k -> zeta[a][j] flattened row-major: every generator at a base point."""
+        return ex.compile_exprs([e for row in self.zeta_exprs for e in row],
+                                list(self.pair.h_names))
+
+    @cached_property
+    def _moment_compiled(self):
+        return ex.compile_exprs(self.moment_exprs, list(self.cot.chart.names))
+
+    @cached_property
+    def upstairs_poisson(self) -> PoissonBivector:
+        """The Poisson bivector inverse to the canonical form on the cotangent chart."""
+        return invert_to_poisson(canonical_bsymplectic(self.cot))
 
     def act(self, h: Sequence[float], point: Sequence[float]) -> np.ndarray:
         """Cotangent lift of translation by h applied to (base, momenta).
@@ -282,32 +263,14 @@ class LiftedAction:
         which for the rotation-fraction parametrization happens at the
         composition singularity.
         """
-        f = self._lift_compiled()
-        out = f([*map(float, h), *map(float, point)])
+        out = self._lift_compiled([*map(float, h), *map(float, point)])
         if not all(math.isfinite(v) for v in out):
             raise ex.DomainError("translated point leaves the chart")
         return np.array(out)
 
     def moment(self, point: Sequence[float], X: Sequence[float]) -> float:
-        f = self._cache.get("moment_fn")
-        if f is None:
-            f = ex.compile_exprs(self.moment_exprs(), list(self.cot.chart.names))
-            self._cache["moment_fn"] = f
-        mu = f(list(map(float, point)))
+        mu = self._moment_compiled(list(map(float, point)))
         return float(sum(float(x) * m for x, m in zip(X, mu)))
 
     def moment_vector(self, point: Sequence[float]) -> np.ndarray:
-        f = self._cache.get("moment_fn")
-        if f is None:
-            f = ex.compile_exprs(self.moment_exprs(), list(self.cot.chart.names))
-            self._cache["moment_fn"] = f
-        return np.array(f(list(map(float, point))))
-
-
-def cotangent_lift(action: LiftedAction, h: Sequence[float],
-                   point: Sequence[float]) -> np.ndarray:
-    return action.act(h, point)
-
-
-def moment(action: LiftedAction, point: Sequence[float], X: Sequence[float]) -> float:
-    return action.moment(point, X)
+        return np.array(self._moment_compiled(list(map(float, point))))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import bsymp.expr as ex
-from bsymp.expr import Var
 from bsymp import dynamics as dyn, lie, reduction as red, verify
 
 ENV_OUT_DIR = "BSYMP_OUT_DIR"
@@ -84,9 +84,23 @@ def _fraction(v) -> Fraction:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad rational {v!r}") from e
-    if isinstance(v, float) and v == int(v):
+    if isinstance(v, float) and v.is_integer():
         return Fraction(int(v))
     raise ConfigError(f"not a rational number: {v!r}")
+
+
+def _number(key: str, value, integer: bool = False):
+    """A numeric config value: a finite JSON number, an integer if asked.
+
+    Every numeric key and flag is read through here, so a malformed value
+    is a ConfigError naming its key, never a traceback or a silent cast.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value if integer else float(value)
 
 
 def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
@@ -149,7 +163,7 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(name, str):
             raise ConfigError("group.builtin must be a string")
         if "n" in group:
-            name = f"{name}({int(group['n'])})"
+            name = f"{name}({_number('group.n', group['n'], integer=True)})"
         cfg.builtin = name
     elif isinstance(group, dict):
         cfg.algebra, cfg.basis = _algebra_from_config(group)
@@ -163,29 +177,36 @@ def load_config(path: str | None) -> RunConfig:
         missing = {"xi", "scale"} - set(conn)
         if missing:
             raise ConfigError(f"connection needs keys {sorted(missing)}")
-        cfg.connection = conn
+        if not isinstance(conn["xi"], list):
+            raise ConfigError("connection.xi must be a list")
+        xi = [_number(f"connection.xi[{i}]", v) for i, v in enumerate(conn["xi"])]
+        cfg.connection = {**conn, "xi": xi}
 
-    seed = data.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    cfg.seed = seed
+    cfg.seed = _number("seed", data.get("seed", 42), integer=True)
 
     vopts = data.get("verify", {})
     if not isinstance(vopts, dict):
         raise ConfigError("verify options must be an object")
     if "samples" in vopts:
-        cfg.samples = int(vopts["samples"])
+        cfg.samples = _number("verify.samples", vopts["samples"], integer=True)
         if cfg.samples <= 0:
             raise ConfigError("verify.samples must be positive")
     if "tolerance" in vopts:
-        cfg.tolerance = float(vopts["tolerance"])
+        cfg.tolerance = _number("verify.tolerance", vopts["tolerance"])
         if cfg.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+            raise ConfigError("verify.tolerance must be positive")
 
     flow = data.get("flow", {})
     if not isinstance(flow, dict):
         raise ConfigError("flow options must be an object")
-    cfg.flow = flow
+    cfg.flow = dict(flow)
+    for key in ("dt", "T"):
+        if key in flow:
+            cfg.flow[key] = _number(f"flow.{key}", flow[key])
+    if "x0" in flow:
+        if not isinstance(flow["x0"], list):
+            raise ConfigError("flow.x0 must be a list")
+        cfg.flow["x0"] = [_number(f"flow.x0[{i}]", v) for i, v in enumerate(flow["x0"])]
 
     out_dir = os.environ.get(ENV_OUT_DIR, data.get("out_dir", "."))
     if not isinstance(out_dir, str):
@@ -200,11 +221,11 @@ def _connection(cfg: RunConfig):
         return red.make_connection(pair)
     spec = cfg.connection
     xi = spec["xi"]
-    if not (isinstance(xi, list) and len(xi) == len(pair.h_names)):
+    if len(xi) != len(pair.h_names):
         raise ConfigError("connection.xi must match the subgroup dimension")
     try:
         return red.make_connection(
-            pair, deformation=([float(v) for v in xi], str(spec["scale"]),
+            pair, deformation=(xi, str(spec["scale"]),
                                bool(spec.get("b_leg", False))))
     except (ValueError, ex.ExprSyntaxError) as e:
         raise ConfigError(f"bad connection: {e}") from e
@@ -259,13 +280,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                                 tolerance=cfg.tolerance)
     rep = verify.run_suite(cfg.subject(), opts)
     if cfg.builtin is None and cfg.basis is not None:
-        redone = lie.structure_constants_from_matrices(cfg.basis)
-        worst = Fraction(0)
-        for i in range(cfg.algebra.dim):
-            for j in range(cfg.algebra.dim):
-                a, b = cfg.algebra.c(i, j), redone.c(i, j)
-                worst = max([worst] + [abs(x - y) for x, y in zip(a, b)])
-        extra = verify.SectionResult("lie: commutator-match", float(worst), 0.0)
+        worst = verify.commutator_defect(cfg.algebra, cfg.basis)
+        extra = verify.SectionResult("lie: commutator-match", worst, 0.0)
         rep = verify.VerifyReport(rep.subject, rep.seed,
                                   rep.sections + (extra,))
     print(rep.text())
@@ -305,10 +321,10 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     if bad:
         raise ConfigError(f"hamiltonian uses unknown coordinates {sorted(bad)}")
     x0 = fl.get("x0", [0.0] * m + [1.0, 0.0])
-    if not (isinstance(x0, list) and len(x0) == len(names)):
+    if len(x0) != len(names):
         raise ConfigError(f"flow.x0 must list {len(names)} values")
-    dt = float(fl.get("dt", 1e-3))
-    T = float(fl.get("T", 1.0))
+    dt = fl.get("dt", 1e-3)
+    T = fl.get("T", 1.0)
     method = str(fl.get("method", "rk4"))
     casimirs = []
     for label, text in dict(fl.get("casimirs", {})).items():
@@ -318,7 +334,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
             raise ConfigError(f"bad casimir {label!r}: {e}") from e
     vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
     try:
-        tr = dyn.integrate(vf, [float(v) for v in x0], dt, T, method=method,
+        tr = dyn.integrate(vf, x0, dt, T, method=method,
                            casimirs=[e for _, e in casimirs],
                            substitution=bool(fl.get("substitution", False)))
     except ValueError as e:
@@ -389,9 +405,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError("tolerance must be positive")
-            cfg.tolerance = args.tolerance
+            cfg.tolerance = _number("--tolerance", args.tolerance)
+            if cfg.tolerance <= 0:
+                raise ConfigError("--tolerance must be positive")
         if args.group is not None:
             cfg.builtin = args.group
             cfg.algebra = None

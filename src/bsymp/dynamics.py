@@ -16,7 +16,8 @@ the sign frozen; it is never switched on silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,17 +48,14 @@ class VectorField:
     components: tuple[Expr, ...]
     hamiltonian: Expr | None = None
     phi_slot: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @cached_property
     def compiled(self):
-        f = self._cache.get("fn")
-        if f is None:
-            f = ex.compile_exprs(list(self.components), list(self.names))
-            self._cache["fn"] = f
-        return f
+        """All components as one compiled function of the coordinates."""
+        return ex.compile_exprs(list(self.components), list(self.names))
 
     def __call__(self, x: Sequence[float]) -> list[float]:
-        return self.compiled()(list(map(float, x)))
+        return self.compiled(list(map(float, x)))
 
 
 def hamiltonian_vf(P: PoissonBivector, H: Expr,
@@ -127,7 +125,7 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
         raise ValueError("T must be at least dt")
     if method not in ("rk4", "midpoint"):
         raise ValueError("method must be 'rk4' or 'midpoint'")
-    f = vf.compiled()
+    f = vf.compiled
     n = len(vf.names)
     x = [float(v) for v in x0]
     if len(x) != n:

@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,10 +37,10 @@ from . import expr as ex
 from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
-    "LieAlgebra", "MatrixGroup", "BLieGroupPair", "DualVector",
+    "LieAlgebra", "MatrixGroup", "BLieGroupPair",
     "structure_constants_from_matrices", "SpanError", "TrivializationError",
     "builtin",
-    "bracket", "group_mul", "group_inv", "group_exp", "group_log",
+    "group_mul", "group_inv", "group_exp", "group_log",
     "adjoint", "coadjoint_star", "lie_poisson", "dual_names",
     "param_distance",
 ]
@@ -215,21 +216,8 @@ def structure_constants_from_matrices(basis: Sequence) -> LieAlgebra:
     return LieAlgebra(labels=labels, constants=constants)
 
 
-def bracket(L: LieAlgebra, X: Sequence, Y: Sequence):
-    return L.bracket(X, Y)
-
-
 def dual_names(L: LieAlgebra) -> tuple[str, ...]:
     return tuple("mu_" + lab for lab in L.labels)
-
-
-@dataclass(frozen=True)
-class DualVector:
-    algebra: LieAlgebra
-    coeffs: tuple[float, ...]
-
-    def pair(self, X: Sequence[float]) -> float:
-        return float(sum(m * x for m, x in zip(self.coeffs, X)))
 
 
 def lie_poisson(L: LieAlgebra, F: Expr, G: Expr, mu: Sequence[float]) -> float:
@@ -276,6 +264,10 @@ class MatrixGroup:
     both symbolically and (through compilation) numerically.  `wrap` lists
     per-parameter compactifications applied by numeric group operations:
     None, "angle" (wrap to (-pi, pi]) or "mod1" (wrap to [0, 1)).
+
+    The exact basis, the algebra and the compiled maps (chart, product,
+    inverse, translation Jacobian, adjoint) are cached properties: each is
+    built once per group, on first use.
     """
 
     name: str
@@ -287,7 +279,6 @@ class MatrixGroup:
     params_from_matrix: Callable = field(repr=False)
     wrap: tuple = ()
     box: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -298,63 +289,63 @@ class MatrixGroup:
         return [Var(n) for n in self.param_names]
 
     def chart(self, params: Sequence[float]) -> np.ndarray:
-        f = self._compiled("chart")
         m = self.matrix_dim
-        return np.array(f(list(map(float, params)))).reshape(m, m)
+        return np.array(self._chart_compiled(list(map(float, params)))).reshape(m, m)
 
-    @property
+    @cached_property
     def matrix_dim(self) -> int:
         return len(self.chart_fn(self.param_vars))
 
-    def _compiled(self, which: str):
-        f = self._cache.get(which)
-        if f is None:
-            p = self.param_vars
-            if which == "chart":
-                rows = self.chart_fn(p)
-                exprs = [e for row in rows for e in row]
-                f = ex.compile_exprs(exprs, self.param_names)
-            elif which == "inv":
-                f = ex.compile_exprs(self.inv_fn(p), self.param_names)
-            elif which == "mul":
-                qn = ["q__" + n for n in self.param_names]
-                q = [Var(n) for n in qn]
-                f = ex.compile_exprs(self.mul_fn(p, q), list(self.param_names) + qn)
-            self._cache[which] = f
-        return f
+    @cached_property
+    def _chart_compiled(self):
+        return ex.compile_exprs([e for row in self.chart_fn(self.param_vars) for e in row],
+                                self.param_names)
 
+    @cached_property
+    def _inv_compiled(self):
+        return ex.compile_exprs(self.inv_fn(self.param_vars), self.param_names)
+
+    @cached_property
+    def _mul_compiled(self):
+        qn = ["q__" + n for n in self.param_names]
+        return ex.compile_exprs(self.mul_fn(self.param_vars, [Var(n) for n in qn]),
+                                list(self.param_names) + qn)
+
+    @cached_property
+    def translation_jacobian_compiled(self):
+        """(h, k) -> d m(h, k)_j / d k_i (row-major in j, i), then m(h, k).
+
+        Left translation by h and its Jacobian, with h named h__<param>.
+        """
+        names = list(self.param_names)
+        moved = self.mul_fn([Var("h__" + n) for n in names], self.param_vars)
+        flat = [ex.diff(moved[j], names[i]) for j in range(self.dim) for i in range(self.dim)]
+        return ex.compile_exprs(flat + list(moved), ["h__" + n for n in names] + names)
+
+    @cached_property
+    def adjoint_compiled(self):
+        """params -> [Ad_g]^b_a, row-major in b, a (see adjoint_matrix_sym)."""
+        mat = adjoint_matrix_sym(self, self.param_vars)
+        return ex.compile_exprs([e for row in mat for e in row], self.param_names)
+
+    @cached_property
     def basis(self) -> list[FrMatrix]:
         """E_a = d(chart)/d(param_a) at 0, exact."""
-        mats = self._cache.get("basis")
-        if mats is None:
-            rows = self.chart_fn(self.param_vars)
-            origin = {n: Fraction(0) for n in self.param_names}
-            mats = []
-            for nm in self.param_names:
-                mat = tuple(
-                    tuple(ex.eval_exact(ex.subs(ex.diff(e, nm),
-                                                {k: ZERO for k in self.param_names}), origin)
-                          for e in row)
-                    for row in rows)
-                mats.append(mat)
-            self._cache["basis"] = mats
-        return mats
+        rows = self.chart_fn(self.param_vars)
+        origin = {n: Fraction(0) for n in self.param_names}
+        zero = {k: ZERO for k in self.param_names}
+        return [tuple(tuple(ex.eval_exact(ex.subs(ex.diff(e, nm), zero), origin) for e in row)
+                      for row in rows)
+                for nm in self.param_names]
 
-    @property
+    @cached_property
     def algebra(self) -> LieAlgebra:
-        L = self._cache.get("algebra")
-        if L is None:
-            L = structure_constants_from_matrices(self.basis())
-            L = LieAlgebra(labels=self.labels, constants=L.constants)
-            self._cache["algebra"] = L
-        return L
+        L = structure_constants_from_matrices(self.basis)
+        return LieAlgebra(labels=self.labels, constants=L.constants)
 
+    @cached_property
     def basis_pinv(self) -> list[list[Fraction]]:
-        p = self._cache.get("pinv")
-        if p is None:
-            p = _basis_pinv(self.basis())
-            self._cache["pinv"] = p
-        return p
+        return _basis_pinv(self.basis)
 
     def wrap_params(self, params: np.ndarray) -> np.ndarray:
         out = np.array(params, dtype=float)
@@ -381,18 +372,16 @@ def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> fl
 
 
 def group_mul(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
-    f = G._compiled("mul")
-    return G.wrap_params(np.array(f(list(map(float, p)) + list(map(float, q)))))
+    return G.wrap_params(np.array(G._mul_compiled(list(map(float, p)) + list(map(float, q)))))
 
 
 def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
-    f = G._compiled("inv")
-    return G.wrap_params(np.array(f(list(map(float, p)))))
+    return G.wrap_params(np.array(G._inv_compiled(list(map(float, p)))))
 
 
 def group_exp(G: MatrixGroup, X: Sequence[float]) -> np.ndarray:
     """Parameters of exp(sum X_a E_a); finite series when nilpotent."""
-    basis = G.basis()
+    basis = G.basis
     m = G.matrix_dim
     M = np.zeros((m, m))
     for a, coef in enumerate(X):
@@ -426,8 +415,8 @@ def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr
     """[Ad_g]^b_a with Ad_g e_a = sum_b [Ad]_{b,a} e_b, entries as expressions."""
     chart = G.chart_fn(list(params))
     chart_inv = G.chart_fn(G.inv_fn(list(params)))
-    basis = G.basis()
-    pinv = G.basis_pinv()
+    basis = G.basis
+    pinv = G.basis_pinv
     m = G.matrix_dim
     d = G.dim
     cols = []
@@ -446,24 +435,15 @@ def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr
     return [[cols[a][b] for a in range(d)] for b in range(d)]  # [b][a]
 
 
-def _adjoint_compiled(G: MatrixGroup):
-    f = G._cache.get("ad")
-    if f is None:
-        mat = adjoint_matrix_sym(G, G.param_vars)
-        f = ex.compile_exprs([e for row in mat for e in row], G.param_names)
-        G._cache["ad"] = f
-    return f
-
-
 def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarray:
     """Ad_g X by matrix conjugation, re-expanded in the basis (checked)."""
     chart = G.chart(g)
     chart_inv = G.chart(group_inv(G, g))
     m = G.matrix_dim
-    basis = [np.array([[float(v) for v in row] for row in B]) for B in G.basis()]
+    basis = [np.array([[float(v) for v in row] for row in B]) for B in G.basis]
     Xm = sum(float(c) * B for c, B in zip(X, basis))
     conj = chart @ Xm @ chart_inv
-    pinv = G.basis_pinv()
+    pinv = G.basis_pinv
     flat = conj.reshape(-1)
     coeffs = np.array([sum(float(w) * flat[i] for i, w in enumerate(row) if w) for row in pinv])
     back = sum(c * B for c, B in zip(coeffs, basis))
@@ -475,10 +455,10 @@ def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarra
 
 def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> np.ndarray:
     """<Ad*_g mu, X> = <mu, Ad_{g^-1} X>."""
-    f = _adjoint_compiled(G)
     ginv = group_inv(G, g)
     d = G.dim
-    ad = np.array(f(list(map(float, ginv)))).reshape(d, d)  # [b][a] of Ad_{g^-1}
+    # [b][a] of Ad_{g^-1}
+    ad = np.array(G.adjoint_compiled(list(map(float, ginv)))).reshape(d, d)
     return np.array([sum(mu[b] * ad[b][a] for b in range(d)) for a in range(d)])
 
 
@@ -516,7 +496,16 @@ class BLieGroupPair:
     triv_fn: Callable = field(repr=False)       # params -> (h_params, phi)
     triv_inv_fn: Callable = field(repr=False)   # (h_params, phi) -> params
     quotient: str = "line (R^1)"
+    # per-pair objects that take a key (the lifted action of each mode,
+    # verify's connection cases); fixed derived objects are cached properties
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def memo(self, key, build: Callable):
+        """The per-pair object under key, made by build() on first use."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+        return got
 
     @property
     def h_indices(self) -> tuple[int, ...]:
@@ -534,53 +523,48 @@ class BLieGroupPair:
     def h_labels(self) -> tuple[str, ...]:
         return tuple(self.group.labels[i] for i in self.h_indices)
 
+    @cached_property
+    def _triv_compiled(self):
+        hp, phi = self.triv_fn(self.group.param_vars)
+        return ex.compile_exprs([*hp, phi], self.group.param_names)
+
+    @cached_property
+    def _triv_inv_compiled(self):
+        kv = [Var(n) for n in self.h_names]
+        return ex.compile_exprs(self.triv_inv_fn(kv, Var(self.phi_name)),
+                                [*self.h_names, self.phi_name])
+
     def triv(self, params: Sequence[float]) -> tuple[np.ndarray, float]:
-        f = self._cache.get("triv_num")
-        if f is None:
-            G = self.group
-            hp, phi = self.triv_fn(G.param_vars)
-            f = ex.compile_exprs([*hp, phi], G.param_names)
-            self._cache["triv_num"] = f
-        out = f(list(map(float, params)))
+        out = self._triv_compiled(list(map(float, params)))
         return np.array(out[:-1]), out[-1]
 
     def triv_inv(self, k: Sequence[float], phi: float) -> np.ndarray:
-        f = self._cache.get("triv_inv_num")
-        if f is None:
-            kv = [Var(n) for n in self.h_names]
-            f = ex.compile_exprs(self.triv_inv_fn(kv, Var(self.phi_name)),
-                                 [*self.h_names, self.phi_name])
-            self._cache["triv_inv_num"] = f
-        return np.array(f([*map(float, k), float(phi)]))
+        return np.array(self._triv_inv_compiled([*map(float, k), float(phi)]))
 
-    @property
+    @cached_property
     def h_group(self) -> MatrixGroup:
-        H = self._cache.get("h_group")
-        if H is None:
-            G = self.group
-            embed = lambda k: self.triv_inv_fn(list(k), ZERO)
-            hi = self.h_indices
-            pi = self.phi_index
+        G = self.group
+        embed = lambda k: self.triv_inv_fn(list(k), ZERO)
+        hi = self.h_indices
+        pi = self.phi_index
 
-            def h_pfm(M):
-                p = G.params_from_matrix(M)
-                if abs(p[pi]) > 1e-9:
-                    raise ValueError("matrix is not in the subgroup")
-                return np.array([p[i] for i in hi])
+        def h_pfm(M):
+            p = G.params_from_matrix(M)
+            if abs(p[pi]) > 1e-9:
+                raise ValueError("matrix is not in the subgroup")
+            return np.array([p[i] for i in hi])
 
-            H = MatrixGroup(
-                name=self.name + ".H",
-                param_names=self.h_names,
-                labels=self.h_labels,
-                chart_fn=lambda k: G.chart_fn(embed(k)),
-                mul_fn=lambda p, q: self.triv_fn(G.mul_fn(embed(p), embed(q)))[0],
-                inv_fn=lambda p: self.triv_fn(G.inv_fn(embed(p)))[0],
-                params_from_matrix=h_pfm,
-                wrap=tuple(G.wrap[i] for i in hi),
-                box=tuple(G.box[i] for i in hi),
-            )
-            self._cache["h_group"] = H
-        return H
+        return MatrixGroup(
+            name=self.name + ".H",
+            param_names=self.h_names,
+            labels=self.h_labels,
+            chart_fn=lambda k: G.chart_fn(embed(k)),
+            mul_fn=lambda p, q: self.triv_fn(G.mul_fn(embed(p), embed(q)))[0],
+            inv_fn=lambda p: self.triv_fn(G.inv_fn(embed(p)))[0],
+            params_from_matrix=h_pfm,
+            wrap=tuple(G.wrap[i] for i in hi),
+            box=tuple(G.box[i] for i in hi),
+        )
 
     @property
     def h_algebra(self) -> LieAlgebra:

@@ -23,19 +23,18 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Const, Expr, Var, ONE, ZERO
-from .bcalc import BChart, BForm, BVectorField, PoissonBivector, b_d
-from .bcalc import pair as form_pair
-from .bcalc import invert_to_poisson
+from .bcalc import BChart, BForm, PoissonBivector, b_d
 from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
-from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names, group_mul
+from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names
 
 
 class SplittingError(ValueError):
@@ -53,7 +52,7 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     slot is structurally zero because left translation fixes phi.
     """
     m = len(pair.h_names)
-    vals = _zeta_matrix_fn(pair)([float(v) for v in g[:m]])
+    vals = _action(pair).zeta_compiled([float(v) for v in g[:m]])
     out = np.zeros(m + 1)
     for a in range(m):
         xa = float(X[a])
@@ -65,23 +64,7 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
 
 def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
     """The pair's lifted action in one mode, built once and kept on the pair."""
-    key = ("lifted_action", mode)
-    act = pair._cache.get(key)
-    if act is None:
-        act = LiftedAction(pair, mode=mode)
-        pair._cache[key] = act
-    return act
-
-
-def _zeta_matrix_fn(pair: BLieGroupPair):
-    act = _action(pair)
-    f = act._cache.get("zeta_mat_fn")
-    if f is None:
-        rows = act.zeta_exprs()
-        flat = [e for row in rows for e in row]
-        f = ex.compile_exprs(flat, list(pair.h_names))
-        act._cache["zeta_mat_fn"] = f
-    return f
+    return pair.memo(("lifted_action", mode), lambda: LiftedAction(pair, mode=mode))
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +73,16 @@ def _zeta_matrix_fn(pair: BLieGroupPair):
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """Algebra-valued 1-form on the split chart, one BForm per generator."""
+    """Algebra-valued 1-form on the split chart, one BForm per generator.
+
+    Its compiled coefficients and its compiled coupling map (see the
+    coupling identity below) are cached properties, built on first use.
+    """
 
     pair: BLieGroupPair
     mode: str
     forms: tuple[BForm, ...]
     tag: str
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def chart(self) -> BChart:
@@ -106,22 +92,17 @@ class Connection:
     def h_dim(self) -> int:
         return len(self.pair.h_names)
 
-    def _theta_fn(self):
-        f = self._cache.get("theta_fn")
-        if f is None:
-            ch = self.chart
-            flat = []
-            for form in self.forms:
-                for j in range(len(ch.names)):
-                    flat.append(form.coeff((j,)))
-            f = ex.compile_exprs(flat, list(ch.names))
-            self._cache["theta_fn"] = f
-        return f
+    @cached_property
+    def _theta_compiled(self):
+        """point -> theta^a_j row-major: every coefficient in one call."""
+        names = self.chart.names
+        flat = [form.coeff((j,)) for form in self.forms for j in range(len(names))]
+        return ex.compile_exprs(flat, list(names))
 
     def theta(self, point: Sequence[float], v: Sequence[float]) -> np.ndarray:
         """Apply theta to a b-tangent vector given in frame components."""
         n = len(self.chart.names)
-        vals = self._theta_fn()([float(x) for x in point])
+        vals = self._theta_compiled([float(x) for x in point])
         out = np.zeros(self.h_dim)
         for a in range(self.h_dim):
             out[a] = sum(vals[a * n + j] * float(v[j]) for j in range(n))
@@ -131,6 +112,39 @@ class Connection:
         """The dphi-leg coefficients t_a, zero for the default connection."""
         m = self.h_dim
         return [form.coeff((m,)) for form in self.forms]
+
+    @cached_property
+    def _coupling_compiled(self):
+        """(psi and its Jacobian, the target form's coefficients, their keys,
+        the canonical form, chart dimension) for coupling_identity_residual."""
+        act = _action(self.pair, self.mode)
+        cch = act.cot.chart
+        names = list(cch.names)
+        n = len(names)
+        d = cch.defining
+        psi = psi_map_exprs(self)
+        # exact frame-to-frame Jacobian; psi fixes phi so the singular
+        # slot transports with ratio one
+        jac = {}
+        for i in range(n):
+            for j in range(n):
+                if i == d:
+                    e = ONE if j == d else ZERO
+                else:
+                    e = ex.diff(psi[i], names[j])
+                    if j == d and d is not None:
+                        e = e * Var(names[d])
+                if not (isinstance(e, Const) and e.value == 0):
+                    jac[(i, j)] = e
+        rhs = coupling_rhs_form(self)
+        rkeys = sorted(rhs.coeffs)
+        jkeys = sorted(jac)
+        body = [psi[i] for i in range(n)]
+        body += [jac[k] for k in jkeys]
+        fn = ex.compile_exprs(body, names)
+        rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys], list(rhs.chart.names))
+        omega = canonical_bsymplectic(act.cot)
+        return fn, rfn, jkeys, rkeys, omega, n
 
 
 def _default_theta_exprs(pair: BLieGroupPair) -> list[list[Expr]]:
@@ -202,27 +216,11 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
     import random
 
     pair = theta.pair
-    act = _action(pair, theta.mode)
     H = pair.h_group
+    Jf = H.translation_jacobian_compiled
+    Adf = H.adjoint_compiled
     m = theta.h_dim
     rng = random.Random(seed)
-
-    Jf = theta._cache.get("hmul_jac")
-    if Jf is None:
-        names = list(pair.h_names)
-        hv = [Var("h__" + n) for n in names]
-        kv = [Var(n) for n in names]
-        moved = H.mul_fn(hv, kv)
-        flat = [ex.diff(moved[j], names[i]) for j in range(m) for i in range(m)]
-        Jf = ex.compile_exprs(flat + list(moved),
-                              ["h__" + n for n in names] + names)
-        theta._cache["hmul_jac"] = Jf
-    Adf = theta._cache.get("ad_fn")
-    if Adf is None:
-        adm = adjoint_matrix_sym(H, [Var(n) for n in pair.h_names])
-        Adf = ex.compile_exprs([adm[b][a] for b in range(m) for a in range(m)],
-                               list(pair.h_names))
-        theta._cache["ad_fn"] = Adf
 
     worst = 0.0
     for t in range(samples):
@@ -296,10 +294,9 @@ def psi_theta(theta: Connection, point: Sequence[float],
     """Split a covector (frame coefficients) into annihilator plus momenta."""
     pair = theta.pair
     m = theta.h_dim
-    zf = _zeta_matrix_fn(pair)
-    zv = zf([float(x) for x in point[:m]])
+    zv = _action(pair).zeta_compiled([float(x) for x in point[:m]])
     mu = [sum(float(alpha[j]) * zv[a * m + j] for j in range(m)) for a in range(m)]
-    tvals = theta._theta_fn()([float(x) for x in point])
+    tvals = theta._theta_compiled([float(x) for x in point])
     n = m + 1
     beta = [float(alpha[j]) - sum(mu[a] * tvals[a * n + j] for a in range(m))
             for j in range(n)]
@@ -314,7 +311,7 @@ def psi_theta_inverse(theta: Connection, cp: CoupledPoint) -> np.ndarray:
     point = cp.element.base
     m = theta.h_dim
     n = m + 1
-    tvals = theta._theta_fn()([float(x) for x in point])
+    tvals = theta._theta_compiled([float(x) for x in point])
     alpha = cp.element.covector(m)
     for a in range(m):
         for j in range(n):
@@ -344,114 +341,59 @@ def lambda_theta(theta: Connection, cp: CoupledPoint,
 
 def coupled_chart(theta: Connection) -> BChart:
     """Chart (k, phi, mu_a, p) that psi_theta maps the cotangent chart onto."""
-    got = theta._cache.get("coupled_chart")
-    if got is None:
-        pair = theta.pair
-        base = theta.chart
-        mu_names = tuple(dual_names(pair.h_algebra))
-        names = base.names + mu_names + ("p",)
-        box = base.box + tuple((-1.5, 1.5) for _ in range(len(mu_names) + 1))
-        got = BChart(names, base.defining, box)
-        theta._cache["coupled_chart"] = got
-    return got
+    base = theta.chart
+    mu_names = tuple(dual_names(theta.pair.h_algebra))
+    names = base.names + mu_names + ("p",)
+    box = base.box + tuple((-1.5, 1.5) for _ in range(len(mu_names) + 1))
+    return BChart(names, base.defining, box)
 
 
 def psi_map_exprs(theta: Connection) -> list[Expr]:
     """psi_theta as a chart map from the cotangent chart to the coupled one."""
-    got = theta._cache.get("psi_exprs")
-    if got is None:
-        pair = theta.pair
-        act = _action(pair, theta.mode)
-        m = theta.h_dim
-        cn = act.cot.chart.names
-        zrows = act.zeta_exprs()
-        mu = []
-        for a in range(m):
-            acc = ZERO
-            for j in range(m):
-                zij = zrows[a][j]
-                if isinstance(zij, Const) and zij.value == 0:
-                    continue
-                acc = acc + Var(cn[m + 1 + j]) * zij
-            mu.append(acc)
-        tlegs = theta.phi_slot_exprs()
-        p0 = Var(cn[2 * m + 1])
-        for a in range(m):
-            ta = tlegs[a]
-            if isinstance(ta, Const) and ta.value == 0:
+    act = _action(theta.pair, theta.mode)
+    m = theta.h_dim
+    cn = act.cot.chart.names
+    mu = []
+    for zrow in act.zeta_exprs:
+        acc = ZERO
+        for j, zij in enumerate(zrow):
+            if isinstance(zij, Const) and zij.value == 0:
                 continue
-            p0 = p0 - mu[a] * ta
-        got = [Var(n) for n in cn[: m + 1]] + mu + [p0]
-        theta._cache["psi_exprs"] = got
-    return got
+            acc = acc + Var(cn[m + 1 + j]) * zij
+        mu.append(acc)
+    p0 = Var(cn[2 * m + 1])
+    for a, ta in enumerate(theta.phi_slot_exprs()):
+        if isinstance(ta, Const) and ta.value == 0:
+            continue
+        p0 = p0 - mu[a] * ta
+    return [Var(n) for n in cn[: m + 1]] + mu + [p0]
 
 
 def coupling_rhs_form(theta: Connection) -> BForm:
     """The target 2-form: pulled-back reduced form minus d(lambda_theta)."""
-    got = theta._cache.get("rhs_form")
-    if got is None:
-        ch = coupled_chart(theta)
-        m = theta.h_dim
-        lam_coeffs = {}
-        for j in range(m + 1):
-            acc = ZERO
-            for a in range(m):
-                taj = theta.forms[a].coeff((j,))
-                if isinstance(taj, Const) and taj.value == 0:
-                    continue
-                acc = acc + Var(ch.names[m + 1 + a]) * taj
-            if not (isinstance(acc, Const) and acc.value == 0):
-                lam_coeffs[(j,)] = acc
-        dlam = b_d(BForm(ch, 1, lam_coeffs))
-        coeffs = {k: ex.sub(ZERO, c) for k, c in dlam.coeffs.items()}
-        key = (m, 2 * m + 1)
-        coeffs[key] = coeffs.get(key, ZERO) + ONE
-        got = BForm(ch, 2, coeffs)
-        theta._cache["rhs_form"] = got
-    return got
-
-
-def _coupling_compiled(theta: Connection):
-    f = theta._cache.get("coupling_fn")
-    if f is None:
-        pair = theta.pair
-        act = _action(pair, theta.mode)
-        cch = act.cot.chart
-        names = list(cch.names)
-        n = len(names)
-        d = cch.defining
-        psi = psi_map_exprs(theta)
-        # exact frame-to-frame Jacobian; psi fixes phi so the singular
-        # slot transports with ratio one
-        jac = {}
-        for i in range(n):
-            for j in range(n):
-                if i == d:
-                    e = ONE if j == d else ZERO
-                else:
-                    e = ex.diff(psi[i], names[j])
-                    if j == d and d is not None:
-                        e = e * Var(names[d])
-                if not (isinstance(e, Const) and e.value == 0):
-                    jac[(i, j)] = e
-        rhs = coupling_rhs_form(theta)
-        rkeys = sorted(rhs.coeffs)
-        jkeys = sorted(jac)
-        body = [psi[i] for i in range(n)]
-        body += [jac[k] for k in jkeys]
-        fn = ex.compile_exprs(body, names)
-        rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys],
-                               list(coupled_chart(theta).names))
-        omega = canonical_bsymplectic(act.cot)
-        f = (fn, rfn, jkeys, rkeys, omega, n)
-        theta._cache["coupling_fn"] = f
-    return f
+    ch = coupled_chart(theta)
+    m = theta.h_dim
+    lam_coeffs = {}
+    for j in range(m + 1):
+        acc = ZERO
+        for a in range(m):
+            taj = theta.forms[a].coeff((j,))
+            if isinstance(taj, Const) and taj.value == 0:
+                continue
+            acc = acc + Var(ch.names[m + 1 + a]) * taj
+        if not (isinstance(acc, Const) and acc.value == 0):
+            lam_coeffs[(j,)] = acc
+    dlam = b_d(BForm(ch, 1, lam_coeffs))
+    coeffs = {k: ex.sub(ZERO, c) for k, c in dlam.coeffs.items()}
+    key = (m, 2 * m + 1)
+    coeffs[key] = coeffs.get(key, ZERO) + ONE
+    return BForm(ch, 2, coeffs)
 
 
 def coupling_identity_residual(theta: Connection, point: Sequence[float],
                                v: Sequence[float], w: Sequence[float]) -> float:
     """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point."""
-    fn, rfn, jkeys, rkeys, omega, n = _coupling_compiled(theta)
+    fn, rfn, jkeys, rkeys, omega, n = theta._coupling_compiled
     pt = [float(x) for x in point]
     vals = fn(pt)
     image = vals[:n]
@@ -526,24 +468,19 @@ def reduced_poisson(pair: BLieGroupPair, theta: Connection | None = None) -> Red
 
 def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> list[Expr]:
     """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits."""
-    act = _action(pair, mode)
-    got = act._cache.get("invariant_mu")
-    if got is None:
-        m = len(pair.h_names)
-        cn = act.cot.chart.names
-        adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
-        mus = act.moment_exprs()
-        got = []
-        for b in range(m):
-            acc = ZERO
-            for a in range(m):
-                entry = adm[a][b]
-                if isinstance(entry, Const) and entry.value == 0:
-                    continue
-                acc = acc + mus[a] * entry
-            got.append(acc)
-        act._cache["invariant_mu"] = got
-    return got
+    m = len(pair.h_names)
+    adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
+    mus = _action(pair, mode).moment_exprs
+    out = []
+    for b in range(m):
+        acc = ZERO
+        for a in range(m):
+            entry = adm[a][b]
+            if isinstance(entry, Const) and entry.value == 0:
+                continue
+            acc = acc + mus[a] * entry
+        out.append(acc)
+    return out
 
 
 def transverse_momentum_expr(theta: Connection) -> Expr:
@@ -582,9 +519,4 @@ def reduced_bracket_via_invariants(pair: BLieGroupPair, F: Expr, G: Expr,
     if worst > 1e-8 * scale:
         raise ValueError(f"inputs are not orbit-invariant, residual {worst:.3e}")
 
-    key = "upstairs_poisson"
-    up = act._cache.get(key)
-    if up is None:
-        up = invert_to_poisson(canonical_bsymplectic(act.cot))
-        act._cache[key] = up
-    return up.bracket_value(F, G, [float(x) for x in point])
+    return act.upstairs_poisson.bracket_value(F, G, [float(x) for x in point])

@@ -8,6 +8,10 @@ the same configuration produce the same bytes.
 
 Groups given only by structure constants (no matrix chart) run the algebra
 sections and skip everything that needs the group or its cotangent side.
+
+The sections of one pair share its lifted action and its three checked
+connections, both kept on the pair, so a rerun on the same pair builds
+neither again.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -128,16 +132,20 @@ ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
 # group-level sections
 
 
-def _sec_commutator_match(pair, opts):
-    G = pair.group
-    redone = lie.structure_constants_from_matrices(G.basis())
+def commutator_defect(L: lie.LieAlgebra, basis) -> float:
+    """Largest |c^k_ij| difference between L and the constants recomputed
+    from the commutators of basis matrices; exact, so a match is 0."""
+    redone = lie.structure_constants_from_matrices(basis)
     worst = Fraction(0)
-    n = G.dim
-    for i in range(n):
-        for j in range(n):
-            a, b = G.algebra.c(i, j), redone.c(i, j)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            a, b = L.c(i, j), redone.c(i, j)
             worst = max([worst] + [abs(x - y) for x, y in zip(a, b)])
-    return float(worst), 0.0
+    return float(worst)
+
+
+def _sec_commutator_match(pair, opts):
+    return commutator_defect(pair.group.algebra, pair.group.basis), 0.0
 
 
 def _rational_point(rng, names, defining):
@@ -151,7 +159,7 @@ def _rational_point(rng, names, defining):
 
 
 def _sec_d_squared(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     ch = act.cot.chart
     rng = random.Random(opts.seed * 7 + 2)
     names = list(ch.names)
@@ -185,7 +193,7 @@ def _rat_poly(rng, names):
 
 
 def _sec_log_derivative(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     ch = act.cot.chart
     rng = random.Random(opts.seed * 11 + 3)
     d = ch.defining
@@ -218,7 +226,7 @@ def _sec_normal_form_model(pair, opts):
 
 
 def _sec_canonical_layout(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     om = blift.canonical_bsymplectic(act.cot)
     n = act.cot.n
     bad = 0.0
@@ -236,7 +244,7 @@ def _sec_canonical_layout(pair, opts):
 
 
 def _sec_action_law(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     H = pair.h_group
     names = act.cot.chart.names
     rng = random.Random(opts.seed * 13 + 4)
@@ -254,12 +262,12 @@ def _sec_action_law(pair, opts):
 
 
 def _sec_moment_hamilton(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     ch = act.cot.chart
     om = blift.canonical_bsymplectic(act.cot)
     m = len(pair.h_names)
     rng = random.Random(opts.seed * 17 + 5)
-    mus = act.moment_exprs()
+    mus = act.moment_exprs
     frame = [bcalc.BVectorField(ch, [ONE if q == j else ZERO for q in range(ch.dim)])
              for j in range(ch.dim)]
     worst = 0.0
@@ -282,7 +290,7 @@ def _sec_moment_hamilton(pair, opts):
 
 
 def _sec_moment_equivariance(pair, opts):
-    act = blift.LiftedAction(pair)
+    act = red._action(pair)
     H = pair.h_group
     names = act.cot.chart.names
     m = len(pair.h_names)
@@ -292,8 +300,8 @@ def _sec_moment_equivariance(pair, opts):
         h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
         x = [rng.uniform(-0.6, 0.6) for _ in names]
         moved = act.act(h, x)
-        lhs = np.array([blift.moment(act, moved, e) for e in np.eye(m)])
-        mu = [blift.moment(act, x, e) for e in np.eye(m)]
+        lhs = np.array([act.moment(moved, e) for e in np.eye(m)])
+        mu = [act.moment(x, e) for e in np.eye(m)]
         rhs = lie.coadjoint_star(H, h, mu)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst, _tol(opts, 1e-9)
@@ -303,21 +311,21 @@ def _connection_cases(pair):
     """(connection, xi, dphi-leg scale) for the default and two deformed
     connections, built and axiom-checked once per pair and kept on it, so
     the four reduction sections share their compiled functions and forms."""
-    cases = pair._cache.get("verify_connection_cases")
-    if cases is None:
-        m = len(pair.h_names)
-        phi = pair.phi_name
-        xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
-        xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
-        cases = (
-            (red.make_connection(pair), None, None),
-            (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
-             xi1, ex.parse(f"1 + {phi}^2")),
-            (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
-             xi2, ex.parse(f"cos({phi})") * Var(phi)),
-        )
-        pair._cache["verify_connection_cases"] = cases
-    return cases
+    return pair.memo("verify_connection_cases", lambda: _build_connection_cases(pair))
+
+
+def _build_connection_cases(pair):
+    m = len(pair.h_names)
+    phi = pair.phi_name
+    xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
+    xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
+    return (
+        (red.make_connection(pair), None, None),
+        (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
+         xi1, ex.parse(f"1 + {phi}^2")),
+        (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
+         xi2, ex.parse(f"cos({phi})") * Var(phi)),
+    )
 
 
 def _sec_connection_axioms(pair, opts):

@@ -118,6 +118,26 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, data, key", [
+    (["verify"], {"verify": {"samples": "abc"}}, "verify.samples"),
+    (["verify"], {"verify": {"samples": 1.5}}, "verify.samples"),
+    (["verify"], {"verify": {"tolerance": "x"}}, "verify.tolerance"),
+    (["verify"], {"verify": {"tolerance": math.nan}}, "verify.tolerance"),
+    (["verify", "--tolerance", "nan"], {}, "--tolerance"),
+    (["verify"], {"seed": True}, "seed"),
+    (["describe"], {"group": {"builtin": "heisenberg_q", "n": "x"}}, "group.n"),
+    (["flow"], {"flow": {"dt": "abc"}}, "flow.dt"),
+    (["flow"], {"flow": {"x0": [0.0, 0.0, math.nan, 0.0]}}, "flow.x0[2]"),
+    (["reduce"], {"connection": {"xi": ["a", 0], "scale": "1"}}, "connection.xi[0]"),
+    (["describe"], {"group": {"labels": ["X", "Y"],
+                              "constants": [[0, 1, 0, math.inf]]}}, "not a rational"),
+])
+def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
+    cfg = write_config(tmp_path, data)
+    assert cli.main([*argv, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

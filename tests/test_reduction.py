@@ -515,7 +515,7 @@ def test_via_invariants_moment_pullbacks_abelian():
     # abelian subgroup: the momenta are invariant and their brackets vanish
     pair = lie.builtin("heisenberg_q(1)")
     act = red._action(pair)
-    mus = act.moment_exprs()
+    mus = act.moment_exprs
     rng = random.Random(101)
     for _ in range(6):
         x = [rng.uniform(-0.8, 0.8) for _ in act.cot.chart.names]

@@ -1,0 +1,52 @@
+"""Tooling guards: exported names, and the benchmark scripts that reach into bsymp.
+
+The tracer and the node counter under bench/ find their targets by name.
+A renamed function or member would silently drop its span or its count,
+so these tests run both scripts the way the benchmark does.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import bsymp
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_exported_name_resolves():
+    exporting = 0
+    for info in pkgutil.iter_modules(bsymp.__path__):
+        mod = importlib.import_module("bsymp." + info.name)
+        names = getattr(mod, "__all__", ())
+        assert [n for n in names if not hasattr(mod, n)] == [], info.name
+        exporting += bool(names)
+    assert exporting >= 4
+
+
+def _run_script(args, cwd):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_tracer_finds_every_target(tmp_path):
+    spans = tmp_path / "spans.json"
+    res = _run_script([ROOT / "bench" / "tracer.py", spans, "describe", "--group", "se2"],
+                      tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(spans.read_text())["missing"] == []
+
+
+def test_node_counter_prints_four_counts(tmp_path):
+    res = _run_script([ROOT / "bench" / "nodes.py"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    counts = json.loads(res.stdout)
+    assert sorted(counts) == ["adjoint_galilean", "coupling_galilean",
+                              "lift_galilean", "nu_galilean"]
+    assert all(type(v) is int and v > 0 for v in counts.values())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsymp import cli, lie, verify
+from bsymp import blift, cli, lie, verify
 from bsymp import reduction as red
 
 
@@ -66,13 +66,22 @@ def test_rerun_on_one_pair_reuses_its_connections(monkeypatch):
         built.append(kwargs.get("deformation"))
         return make(*args, **kwargs)
 
+    actions = []
+    init = blift.LiftedAction.__init__
+
+    def init_counted(self, *args, **kwargs):
+        actions.append(self)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(red, "make_connection", counted)
+    monkeypatch.setattr(blift.LiftedAction, "__init__", init_counted)
     pair = lie._se2()  # a fresh pair, not the shared built-in
     a = verify.run_suite(pair, small()).text()
+    assert (len(actions), len(built)) == (1, 3)
     b = verify.run_suite(pair, small()).text()
+    assert (len(actions), len(built)) == (1, 3)  # the rerun builds nothing
     assert a == b
     assert a.endswith("result: pass")
-    assert len(built) == 3
 
 
 def test_failing_section_is_named():

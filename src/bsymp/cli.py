@@ -132,7 +132,12 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     if "basis" in spec:
         raw = spec["basis"]
         if not isinstance(raw, list) or len(raw) != n:
-            raise ConfigError("basis must list one matrix per label")
+            raise ConfigError("group.basis must list one matrix per label")
+        m = len(raw[0]) if isinstance(raw[0], list) else 0
+        for M in raw:
+            if not (isinstance(M, list) and len(M) == m > 0
+                    and all(isinstance(r, list) and len(r) == m for r in M)):
+                raise ConfigError(f"group.basis must hold square matrices of one size, got {M!r}")
         basis = [tuple(tuple(_fraction(v) for v in r) for r in M) for M in raw]
     return alg, basis
 
@@ -207,6 +212,9 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(flow["x0"], list):
             raise ConfigError("flow.x0 must be a list")
         cfg.flow["x0"] = [_number(f"flow.x0[{i}]", v) for i, v in enumerate(flow["x0"])]
+    if not isinstance(flow.get("casimirs", {}), dict):
+        raise ConfigError(f"flow.casimirs must be an object of label: expression, "
+                          f"got {flow['casimirs']!r}")
 
     out_dir = os.environ.get(ENV_OUT_DIR, data.get("out_dir", "."))
     if not isinstance(out_dir, str):
@@ -232,9 +240,18 @@ def _connection(cfg: RunConfig):
 
 
 def _out_path(args, command: str, cfg: RunConfig) -> str:
+    """The output file, checked before any work: a file in an existing directory."""
     if args.out is not None:
-        return args.out
-    return os.path.join(cfg.out_dir, _DEFAULT_NAMES[command])
+        key, path = "--out", args.out
+    else:
+        key = ENV_OUT_DIR if ENV_OUT_DIR in os.environ else "out_dir"
+        path = os.path.join(cfg.out_dir, _DEFAULT_NAMES[command])
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{key}: no such directory {folder!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{key}: {path!r} is a directory")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +295,23 @@ def cmd_describe(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     opts = verify.VerifyOptions(seed=cfg.seed, samples=cfg.samples,
                                 tolerance=cfg.tolerance)
-    rep = verify.run_suite(cfg.subject(), opts)
+    extra = ()
     if cfg.builtin is None and cfg.basis is not None:
-        worst = verify.commutator_defect(cfg.algebra, cfg.basis)
-        extra = verify.SectionResult("lie: commutator-match", worst, 0.0)
-        rep = verify.VerifyReport(rep.subject, rep.seed,
-                                  rep.sections + (extra,))
+        try:
+            worst = verify.commutator_defect(cfg.algebra, cfg.basis)
+        except ValueError as e:
+            raise ConfigError(f"group.basis: {e}") from e
+        extra = (verify.SectionResult("lie: commutator-match", worst, 0.0),)
+    rep = verify.run_suite(cfg.subject(), opts)
+    if extra:
+        rep = verify.VerifyReport(rep.subject, rep.seed, rep.sections + extra)
     print(rep.text())
     return 0 if rep.passed else 1
 
 
 def cmd_reduce(cfg: RunConfig, args) -> int:
     pair = cfg.pair
+    path = _out_path(args, "reduce", cfg)
     theta = _connection(cfg)
     rp = red.reduced_poisson(pair, theta)
     names = rp.coordinates
@@ -299,7 +321,6 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
         for j in range(i + 1, len(names)):
             e = rp.bivector.entry(i, j)
             buf.write(f"{names[i]},{names[j]},{ex.to_str(e)}\n")
-    path = _out_path(args, "reduce", cfg)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
     print(f"coordinates: {','.join(names)}")
@@ -309,6 +330,7 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
 
 def cmd_flow(cfg: RunConfig, args) -> int:
     pair = cfg.pair
+    path = _out_path(args, "flow", cfg)
     rp = red.reduced_poisson(pair)
     names = rp.coordinates
     m = len(names) - 2
@@ -327,7 +349,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     T = fl.get("T", 1.0)
     method = str(fl.get("method", "rk4"))
     casimirs = []
-    for label, text in dict(fl.get("casimirs", {})).items():
+    for label, text in fl.get("casimirs", {}).items():
         try:
             casimirs.append((str(label), ex.parse(str(text))))
         except ex.ExprSyntaxError as e:
@@ -342,7 +364,6 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     except dyn.ChartExitError as e:
         print(f"flow left the chart: {e}", file=sys.stderr)
         return 1
-    path = _out_path(args, "flow", cfg)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         dyn.write_csv(tr, vf, fh, casimirs=casimirs)
     rep = dyn.leaf_report(rp.bivector, tr, phi_slot=m)
@@ -356,6 +377,7 @@ def cmd_bracket_table(cfg: RunConfig, args) -> int:
         alg = cfg.pair.group.algebra
     else:
         alg = cfg.algebra
+    path = _out_path(args, "bracket-table", cfg)
     buf = io.StringIO()
     buf.write("i,j," + ",".join(alg.labels) + "\n")
     for i in range(alg.dim):
@@ -363,7 +385,6 @@ def cmd_bracket_table(cfg: RunConfig, args) -> int:
             row = alg.c(i, j)
             buf.write(f"{alg.labels[i]},{alg.labels[j]},"
                       + ",".join(str(v) for v in row) + "\n")
-    path = _out_path(args, "bracket-table", cfg)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
     print(f"wrote: {path}")

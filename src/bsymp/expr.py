@@ -14,14 +14,27 @@ Jacobiators, Hamiltonian vector fields); `grad` gives the float gradient
 at one point by reverse mode over the DAG (one forward sweep shared with
 `evaluate`, then one adjoint sweep), for values such as a point bracket.
 
+Expressions are DAGs: a shared subtree is one node.  Every pass over
+them (`evaluate`, `grad`, `eval_exact`, `diff`, `subs`, `free_vars`,
+`compile_exprs`) is a loop over one iterative walk, `_postorder`, which
+lists each reachable node once with its operands before it, the left
+operand first except that a quotient lists its denominator before its
+numerator.  A pass fills one dict in that order, so the depth of an
+expression costs no recursion.  Errors follow the walk: `evaluate`,
+`grad`, `eval_exact` and a compiled function all raise the error of the
+first node of the walk that fails.  Printing (`to_str`) and `parse`
+still recurse, so they are bounded by the interpreter's recursion limit:
+printing expands shared subtrees, and a memo of rendered strings would
+hold every intermediate string.
+
 Every node caches its set of free variable names the first time it is
-asked for (one iterative walk that fills the sets of all its
-descendants too; nodes are immutable, so the set never changes, and
-equal sets are interned to one object).  `diff` uses it to skip work:
-the derivative of an expression without the variable is `ZERO` at once,
-and the walk never enters a subtree without it.  That is the tree the
-full walk builds, whose derivatives of variable-free subtrees fold to
-value-0 constants anyway.
+asked for (the walk fills the sets of all its descendants too; nodes
+are immutable, so the set never changes, and equal sets are interned to
+one object).  `diff` uses it to skip work: the derivative of an
+expression without the variable is `ZERO` at once, and the walk never
+enters a subtree without it.  That is the tree the full walk builds,
+whose derivatives of variable-free subtrees fold to value-0 constants
+anyway.
 
 Grammar (EBNF), also the canonical serialization used in config files::
 
@@ -45,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
@@ -56,7 +69,6 @@ __all__ = [
 ]
 
 Environment = Mapping[str, float]
-Number = Union[int, Fraction, float]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log")
 
@@ -503,85 +515,99 @@ def to_str(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the walk shared by every DAG pass
+# ---------------------------------------------------------------------------
+
+def _postorder(roots: Iterable[Expr], enter: Callable[[Expr], bool] | None = None) -> list[Expr]:
+    """Every node reachable from roots, once, operands before the node.
+
+    The one walk of the module.  Roots are walked in order; a node lists
+    its left operand before its right one, except that a quotient lists its
+    denominator before its numerator.  A node for which `enter(node)` is
+    false is neither listed nor entered.  Iterative: a `None` on the stack
+    marks that the node below it is finished, so depth costs no recursion.
+    """
+    order: list[Expr] = []
+    emit = order.append
+    seen: set[Expr] = set()
+    mark = seen.add
+    stack = list(roots)
+    stack.reverse()
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        n = pop()
+        if n is None:
+            emit(pop())
+            continue
+        if n in seen or (enter is not None and not enter(n)):
+            continue
+        mark(n)
+        t = type(n)
+        if t is Const or t is Var:
+            emit(n)
+            continue
+        push(n)
+        push(None)
+        if t is Div:
+            push(n.a)
+            push(n.b)
+        elif t is Pow:
+            push(n.base)
+        elif t is Fun:
+            push(n.arg)
+        else:
+            push(n.b)
+            push(n.a)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 _UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
-def _forward(e: Expr, env: Environment) -> dict[Expr, float]:
-    """One iterative sweep: the value of every node reachable from e.
+def _forward(e: Expr, env: Mapping, exact: bool = False) -> dict:
+    """The value of every node reachable from e, filled in walk order.
 
-    Shared nodes are evaluated once.  The dict is filled in evaluation
-    order, children before parents, which is the order the adjoint sweep of
-    `grad` walks backwards.  A node whose operands are not ready goes back
-    on the stack under them, first operand on top; a quotient waits for its
-    denominator alone and checks it before its numerator is touched, so the
-    first error raised is the one a recursive evaluation would hit.
+    Floats, or exact Fractions when `exact` (a transcendental node is then
+    an EvalError).  The adjoint sweep of `grad` walks the dict backwards.
+    The first node of the walk that fails raises.
     """
-    val: dict[Expr, float] = {}
-    ready = val.get
-    stack = [e]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        n = pop()
-        if n in val:
-            continue
+    val = {}
+    for n in _postorder((e,)):
         t = type(n)
-        if t is Mul or t is Add or t is Sub:
-            a = ready(n.a)
-            b = ready(n.b)
-            if a is None or b is None:
-                push(n)
-                if b is None:
-                    push(n.b)
-                if a is None:
-                    push(n.a)
-                continue
-            if t is Mul:
-                v = a * b
-            elif t is Add:
-                v = a + b
-            else:
-                v = a - b
+        if t is Mul:
+            v = val[n.a] * val[n.b]
+        elif t is Add:
+            v = val[n.a] + val[n.b]
+        elif t is Sub:
+            v = val[n.a] - val[n.b]
         elif t is Var:
             try:
-                v = float(env[n.name])
+                x = env[n.name]
             except KeyError:
                 raise UnboundVariableError(f"unknown name {n.name!r}") from None
+            v = Fraction(x) if exact else float(x)
         elif t is Const:
             # float(Fraction) rounds numerator / denominator too, but slower
-            v = n.value.numerator / n.value.denominator
+            v = n.value if exact else n.value.numerator / n.value.denominator
         elif t is Div:
-            b = ready(n.b)
-            if b is None:
-                push(n)
-                push(n.b)
-                continue
+            b = val[n.b]
             if b == 0.0:
                 raise DomainError("division by zero")
-            a = ready(n.a)
-            if a is None:
-                push(n)
-                push(n.a)
-                continue
-            v = a / b
+            v = val[n.a] / b
         elif t is Pow:
-            base = ready(n.base)
-            if base is None:
-                push(n)
-                push(n.base)
-                continue
+            base = val[n.base]
             if base == 0.0 and n.n < 0:
                 raise DomainError("zero to a negative power")
             v = base ** n.n
+        elif exact:
+            raise EvalError(f"{n.name} has no exact rational value")
         else:
-            arg = ready(n.arg)
-            if arg is None:
-                push(n)
-                push(n.arg)
-                continue
+            arg = val[n.arg]
             if n.name == "log":
                 if arg <= 0.0:
                     raise DomainError("log of a non-positive value")
@@ -646,41 +672,7 @@ def grad(e: Expr, names: Sequence[str], env: Environment) -> list[float]:
 
 def eval_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Exact rational evaluation; raises EvalError on transcendental nodes."""
-    memo: dict[Expr, Fraction] = {}
-
-    def go(n: Expr) -> Fraction:
-        v = memo.get(n)
-        if v is not None:
-            return v
-        if isinstance(n, Const):
-            v = n.value
-        elif isinstance(n, Var):
-            try:
-                v = Fraction(env[n.name])
-            except KeyError:
-                raise UnboundVariableError(f"unknown name {n.name!r}") from None
-        elif isinstance(n, Add):
-            v = go(n.a) + go(n.b)
-        elif isinstance(n, Sub):
-            v = go(n.a) - go(n.b)
-        elif isinstance(n, Mul):
-            v = go(n.a) * go(n.b)
-        elif isinstance(n, Div):
-            den = go(n.b)
-            if den == 0:
-                raise DomainError("division by zero")
-            v = go(n.a) / den
-        elif isinstance(n, Pow):
-            base = go(n.base)
-            if base == 0 and n.n < 0:
-                raise DomainError("zero to a negative power")
-            v = base ** n.n
-        else:
-            raise EvalError(f"{n.name} has no exact rational value")
-        memo[n] = v
-        return v
-
-    return go(e)
+    return _forward(e, env, exact=True)[e]
 
 
 # ---------------------------------------------------------------------------
@@ -691,71 +683,61 @@ def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to the named variable."""
     if var not in free_vars(e):
         return ZERO
-    memo: dict[Expr, Expr] = {}
-
-    def go(n: Expr) -> Expr:
-        # every node below e already has its free-variable set
-        if var not in n._fv:
-            return ZERO
-        d = memo.get(n)
-        if d is not None:
-            return d
-        if isinstance(n, Var):
-            d = ONE
-        elif isinstance(n, Add):
-            d = add(go(n.a), go(n.b))
-        elif isinstance(n, Sub):
-            d = sub(go(n.a), go(n.b))
-        elif isinstance(n, Mul):
-            d = add(mul(go(n.a), n.b), mul(n.a, go(n.b)))
-        elif isinstance(n, Div):
-            d = div(sub(mul(go(n.a), n.b), mul(n.a, go(n.b))), pow_(n.b, 2))
-        elif isinstance(n, Pow):
-            d = mul(mul(Const(Fraction(n.n)), pow_(n.base, n.n - 1)), go(n.base))
+    # every node below e now has its free-variable set; a subtree without
+    # var is never entered and its derivative is ZERO
+    d: dict[Expr, Expr] = {}
+    dof = d.get
+    for n in _postorder((e,), lambda n: var in n._fv):
+        t = type(n)
+        if t is Var:
+            r = ONE
+        elif t is Add:
+            r = add(dof(n.a, ZERO), dof(n.b, ZERO))
+        elif t is Sub:
+            r = sub(dof(n.a, ZERO), dof(n.b, ZERO))
+        elif t is Mul:
+            r = add(mul(dof(n.a, ZERO), n.b), mul(n.a, dof(n.b, ZERO)))
+        elif t is Div:
+            r = div(sub(mul(dof(n.a, ZERO), n.b), mul(n.a, dof(n.b, ZERO))), pow_(n.b, 2))
+        elif t is Pow:
+            r = mul(mul(Const(Fraction(n.n)), pow_(n.base, n.n - 1)), d[n.base])
         else:
-            da = go(n.arg)
+            da = d[n.arg]
             if n.name == "sin":
-                d = mul(fun("cos", n.arg), da)
+                r = mul(fun("cos", n.arg), da)
             elif n.name == "cos":
-                d = mul(Const(Fraction(-1)), mul(fun("sin", n.arg), da))
+                r = mul(Const(Fraction(-1)), mul(fun("sin", n.arg), da))
             elif n.name == "exp":
-                d = mul(n, da)
+                r = mul(n, da)
             else:  # log
-                d = div(da, n.arg)
-        memo[n] = d
-        return d
-
-    return go(e)
+                r = div(da, n.arg)
+        d[n] = r
+    return d[e]
 
 
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Substitute expressions for variables, refolding constants."""
-    memo: dict[Expr, Expr] = {}
-
-    def go(n: Expr) -> Expr:
-        r = memo.get(n)
-        if r is not None:
-            return r
-        if isinstance(n, Const):
-            r = n
-        elif isinstance(n, Var):
-            r = mapping.get(n.name, n)
-        elif isinstance(n, Add):
-            r = add(go(n.a), go(n.b))
-        elif isinstance(n, Sub):
-            r = sub(go(n.a), go(n.b))
-        elif isinstance(n, Mul):
-            r = mul(go(n.a), go(n.b))
-        elif isinstance(n, Div):
-            r = div(go(n.a), go(n.b))
-        elif isinstance(n, Pow):
-            r = pow_(go(n.base), n.n)
+    r: dict[Expr, Expr] = {}
+    for n in _postorder((e,)):
+        t = type(n)
+        if t is Const:
+            v = n
+        elif t is Var:
+            v = mapping.get(n.name, n)
+        elif t is Add:
+            v = add(r[n.a], r[n.b])
+        elif t is Sub:
+            v = sub(r[n.a], r[n.b])
+        elif t is Mul:
+            v = mul(r[n.a], r[n.b])
+        elif t is Div:
+            v = div(r[n.a], r[n.b])
+        elif t is Pow:
+            v = pow_(r[n.base], n.n)
         else:
-            r = fun(n.name, go(n.arg))
-        memo[n] = r
-        return r
-
-    return go(e)
+            v = fun(n.name, r[n.arg])
+        r[n] = v
+    return r[e]
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -764,37 +746,23 @@ _VAR_SETS: dict[frozenset[str], frozenset[str]] = {_NO_VARS: _NO_VARS}
 
 def free_vars(e: Expr) -> frozenset[str]:
     """Names of the variables in e, cached on e and on every node below it."""
-    fv = e._fv
-    if fv is not None:
-        return fv
+    if e._fv is not None:
+        return e._fv
     setfv = object.__setattr__
     intern = _VAR_SETS.setdefault
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if n._fv is not None:
-            stack.pop()
-            continue
+    for n in _postorder((e,), lambda n: n._fv is None):
         t = type(n)
         if t is Const:
             fv = _NO_VARS
         elif t is Var:
             fv = frozenset((n.name,))
             fv = intern(fv, fv)
-        elif t is Pow or t is Fun:
-            arg = n.base if t is Pow else n.arg
-            fv = arg._fv
-            if fv is None:
-                stack.append(arg)
-                continue
+        elif t is Pow:
+            fv = n.base._fv
+        elif t is Fun:
+            fv = n.arg._fv
         else:
             fa, fb = n.a._fv, n.b._fv
-            if fa is None or fb is None:
-                if fb is None:
-                    stack.append(n.b)
-                if fa is None:
-                    stack.append(n.a)
-                continue
             if fb <= fa:
                 fv = fa
             elif fa <= fb:
@@ -803,7 +771,6 @@ def free_vars(e: Expr) -> frozenset[str]:
                 fv = fa | fb
                 fv = intern(fv, fv)
         setfv(n, "_fv", fv)
-        stack.pop()
     return e._fv
 
 
@@ -821,38 +788,31 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
     index = {name: i for i, name in enumerate(names)}
     lines: list[str] = []
     ids: dict[Expr, str] = {}
-    counter = [0]
-
-    def go(n: Expr) -> str:
-        t = ids.get(n)
-        if t is not None:
-            return t
-        if isinstance(n, Const):
-            t = repr(float(n.value))
-        elif isinstance(n, Var):
+    for n in _postorder(exprs):
+        t = type(n)
+        if t is Const:
+            ids[n] = repr(float(n.value))
+            continue
+        if t is Var:
             if n.name not in index:
                 raise UnboundVariableError(f"unknown name {n.name!r}")
-            t = f"x[{index[n.name]}]"
+            ids[n] = f"x[{index[n.name]}]"
+            continue
+        if t is Add:
+            rhs = f"{ids[n.a]} + {ids[n.b]}"
+        elif t is Sub:
+            rhs = f"{ids[n.a]} - {ids[n.b]}"
+        elif t is Mul:
+            rhs = f"{ids[n.a]} * {ids[n.b]}"
+        elif t is Div:
+            rhs = f"{ids[n.a]} / {ids[n.b]}"
+        elif t is Pow:
+            rhs = f"{ids[n.base]} ** {n.n}"
         else:
-            if isinstance(n, Add):
-                rhs = f"{go(n.a)} + {go(n.b)}"
-            elif isinstance(n, Sub):
-                rhs = f"{go(n.a)} - {go(n.b)}"
-            elif isinstance(n, Mul):
-                rhs = f"{go(n.a)} * {go(n.b)}"
-            elif isinstance(n, Div):
-                rhs = f"{go(n.a)} / {go(n.b)}"
-            elif isinstance(n, Pow):
-                rhs = f"{go(n.base)} ** {n.n}"
-            else:
-                rhs = f"_{n.name}({go(n.arg)})"
-            t = f"t{counter[0]}"
-            counter[0] += 1
-            lines.append(f"    {t} = {rhs}")
-        ids[n] = t
-        return t
-
-    results = [go(e) for e in exprs]
+            rhs = f"_{n.name}({ids[n.arg]})"
+        ids[n] = name = f"t{len(lines)}"
+        lines.append(f"    {name} = {rhs}")
+    results = [ids[e] for e in exprs]
     src = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
     ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": _checked_log}
     exec(compile(src, "<bsymp-compiled>", "exec"), ns)

@@ -85,7 +85,10 @@ def _basis_pinv(basis: Sequence[FrMatrix]) -> list[list[Fraction]]:
     m = len(basis[0])
     cols = [[basis[a][r][c] for r in range(m) for c in range(m)] for a in range(d)]
     gram = [[sum(cols[a][i] * cols[b][i] for i in range(m * m)) for b in range(d)] for a in range(d)]
-    bt = _fr_solve(gram, [[cols[a][i] for a in range(d)] for i in range(m * m)])
+    try:
+        bt = _fr_solve(gram, [[cols[a][i] for a in range(d)] for i in range(m * m)])
+    except ValueError:
+        raise ValueError("basis matrices are linearly dependent") from None
     # bt[i] is the coefficient vector mapping unit entry i; transpose to rows
     return [[bt[i][a] for i in range(m * m)] for a in range(d)]
 

@@ -131,6 +131,13 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["reduce"], {"connection": {"xi": ["a", 0], "scale": "1"}}, "connection.xi[0]"),
     (["describe"], {"group": {"labels": ["X", "Y"],
                               "constants": [[0, 1, 0, math.inf]]}}, "not a rational"),
+    (["flow"], {"flow": {"casimirs": ["mu_P1"]}}, "flow.casimirs"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
+                            "basis": [[[1]], [[2]]]}}, "group.basis"),
+    (["reduce"], {"out_dir": "no-such-dir/below"}, "out_dir"),
+    (["flow"], {"out_dir": "no-such-dir/below"}, "out_dir"),
+    (["bracket-table"], {"out_dir": "no-such-dir/below"}, "out_dir"),
+    (["reduce", "--out", "."], {}, "--out"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
@@ -267,6 +274,18 @@ def test_flow_bad_hamiltonian_exits_2(tmp_path, capsys):
     cfg3 = write_config(tmp_path, {"flow": {"x0": [1.0]}}, "c3.json")
     assert cli.main(["flow", "--config", cfg3]) == 2
     capsys.readouterr()
+
+
+def test_flow_of_a_long_hamiltonian_sum(tmp_path, capsys):
+    # 1500 terms parse to an Add chain 1500 deep: no pass may recurse on it
+    H = " + ".join(f"{k}/1000000*p^2" for k in range(1, 1501)) + " + mu_P1"
+    cfg = write_config(tmp_path, {"flow": {"hamiltonian": H, "dt": 0.01, "T": 0.1}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "t,mu_P1,mu_P2,phi,p,H"
+    assert len(lines) == 1 + 11
 
 
 def test_flow_chart_exit_returns_1(tmp_path, capsys):

@@ -372,6 +372,16 @@ def test_grad_errors_match_evaluate(text, env, error):
     with pytest.raises(error) as from_grad:
         grad(e, ["x", "y"], env)
     assert str(from_grad.value) == str(from_evaluate.value)
+    # a compiled function binds its names when it is built, so an unbound
+    # name fails there; any other error is raised by the first failing node
+    if error is UnboundVariableError:
+        with pytest.raises(error) as from_compiled:
+            compile_exprs([e], list(env))
+    else:
+        names = sorted(free_vars(e))
+        with pytest.raises(error) as from_compiled:
+            compile_exprs([e], names)([env.get(n, 1.0) for n in names])
+    assert str(from_compiled.value) == str(from_evaluate.value)
 
 
 def test_evaluate_and_grad_do_not_recurse():
@@ -491,3 +501,13 @@ def test_free_vars_of_deep_chain_do_not_recurse():
         e = e * Var("y") + Const(Fraction(1, k))
     assert free_vars(e) == {"x", "y"}
     assert diff(e, "z") is expr.ZERO
+    env = {"x": 0.5, "y": 0.999}
+    want = evaluate(e, env)
+    assert evaluate(diff(e, "x"), env) == pytest.approx(0.999 ** 5000, rel=1e-12)
+    assert evaluate(diff(e, "y"), env) == pytest.approx(grad(e, ["y"], env)[0], rel=1e-12)
+    assert evaluate(subs(e, {"x": Var("u")}), {"u": 0.5, "y": 0.999}) == want
+    assert compile_exprs([e, diff(e, "y")], ["x", "y"])([0.5, 0.999]) == \
+        [want, pytest.approx(grad(e, ["y"], env)[0], rel=1e-12)]
+    harmonic = sum(Fraction(1, k) for k in range(1, 5001))
+    assert eval_exact(e, {"x": Fraction(1, 2), "y": Fraction(1)}) == Fraction(1, 2) + harmonic
+    assert eval_exact(subs(e, {"y": expr.ONE}), {"x": Fraction(0)}) == harmonic

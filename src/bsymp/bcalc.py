@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -137,14 +137,6 @@ class BForm:
     def coeff(self, idx: tuple[int, ...]) -> Expr:
         return self.coeffs.get(idx, ZERO)
 
-    def alpha_part(self) -> dict[tuple[int, ...], Expr]:
-        d = self.chart.defining
-        return {i: c for i, c in self.coeffs.items() if d in i}
-
-    def beta_part(self) -> dict[tuple[int, ...], Expr]:
-        d = self.chart.defining
-        return {i: c for i, c in self.coeffs.items() if d not in i}
-
     def __add__(self, other: "BForm") -> "BForm":
         if other.chart is not self.chart or other.degree != self.degree:
             raise ValueError("can only add forms of one degree on one chart")
@@ -163,7 +155,7 @@ class BForm:
 
 
 def _prune(coeffs: dict) -> dict:
-    return {i: c for i, c in coeffs.items() if not (isinstance(c, Const) and c.value == 0)}
+    return {i: c for i, c in coeffs.items() if not ex.is_zero(c)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +245,7 @@ def b_d(omega: BForm) -> BForm:
             if j in idx:
                 continue
             dc = ex.diff(c, ch.names[j])
-            if isinstance(dc, Const) and dc.value == 0:
+            if ex.is_zero(dc):
                 continue
             term = ch.scale(j) * dc
             pos = sum(1 for i in idx if i < j)
@@ -272,7 +264,7 @@ def d_bfunction(u: BFunction) -> BForm:
         coeff = ch.scale(j) * dg
         if j == ch.defining:
             coeff = coeff + Const(Fraction(u.c))
-        if not (isinstance(coeff, Const) and coeff.value == 0):
+        if not ex.is_zero(coeff):
             out[(j,)] = coeff
     return BForm(ch, 1, out)
 
@@ -419,10 +411,8 @@ class PoissonBivector:
     def bracket(self, F: Expr, G: Expr) -> Expr:
         dF = [ex.diff(F, n) for n in self.names]
         dG = [ex.diff(G, n) for n in self.names]
-        acc = ZERO
-        for (i, j), p in self.entries.items():
-            acc = acc + p * (dF[i] * dG[j] - dF[j] * dG[i])
-        return acc
+        return ex.dot(self.entries.values(),
+                      [dF[i] * dG[j] - dF[j] * dG[i] for i, j in self.entries])
 
     def bracket_value(self, F: Expr, G: Expr, point) -> float:
         """{F, G} at one point from float gradients; `bracket` gives the tree."""
@@ -463,7 +453,7 @@ def _laplace_det(M: list[list[Expr]]) -> Expr:
         acc = ZERO
         for s, c in enumerate(cols):
             entry = M[r][c]
-            if isinstance(entry, Const) and entry.value == 0:
+            if ex.is_zero(entry):
                 continue
             rest = cols[:s] + cols[s + 1:]
             term = entry * go(r + 1, rest)
@@ -506,7 +496,7 @@ def invert_to_poisson(omega: BForm, samples: int = 8, seed: int = 3) -> PoissonB
     for i in range(n):
         for j in range(i + 1, n):
             e = get(i, j)
-            if isinstance(e, Const) and e.value == 0:
+            if ex.is_zero(e):
                 continue
             e = ch.scale(i) * ch.scale(j) * e
             entries[(i, j)] = e

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import Const, Expr, Var, ZERO
+from .expr import Expr, Var, ZERO
 from .bcalc import BChart, BForm, BVectorField, PoissonBivector, b_d, invert_to_poisson
 from .lie import BLieGroupPair
 
@@ -158,60 +158,38 @@ class LiftedAction:
         """
         H = self.pair.h_group
         names = self.pair.h_names
+        m = self.h_dim
         qn = ["q__" + n for n in names]
         q = [Var(n) for n in qn]
         moved = H.mul_fn(q, self._k_vars())
         back = H.mul_fn(H.inv_fn(q), [Var("kk__" + n) for n in names])
-        # A(q, k')_{j,i} then composed with k' = m_H(q, k)
+        # A(q, k')[i][j] = d back_j / d k'_i, then composed with k' = m_H(q, k)
+        compose = {"kk__" + n: mv for n, mv in zip(names, moved)}
+        A = [[ex.subs(ex.diff(back[j], "kk__" + names[i]), compose) for j in range(m)]
+             for i in range(m)]
         zero_q = {n: ZERO for n in qn}
-        fiber = []
-        for a in range(self.h_dim):
-            row = []
-            for i in range(self.h_dim):
-                acc = ZERO
-                for j in range(self.h_dim):
-                    A_ji = ex.diff(back[j], "kk__" + names[i])
-                    A_comp = ex.subs(A_ji, {"kk__" + n: m for n, m in zip(names, moved)})
-                    dA = ex.subs(ex.diff(A_comp, qn[a]), zero_q)
-                    if not (isinstance(dA, Const) and dA.value == 0):
-                        acc = acc + Var(self.cot.fiber_names[j]) * dA
-                row.append(acc)
-            fiber.append(row)
-        return fiber
+        return [[ex.dot(map(Var, self.cot.fiber_names[:m]),
+                        [ex.subs(ex.diff(Aij, qn[a]), zero_q) for Aij in A[i]])
+                 for i in range(m)]
+                for a in range(m)]
 
     def xsharp(self, X: Sequence[float]) -> BVectorField:
         """Fundamental field of the lifted action on the cotangent chart."""
+        m = self.h_dim
+        x = [float(X[a]) for a in range(m)]
         zeta = self.zeta_exprs
         fiber = self.xsharp_fiber_exprs
-        m = self.h_dim
-        comps = []
-        for j in range(m):
-            acc = ZERO
-            for a in range(m):
-                if X[a]:
-                    acc = acc + ex.as_expr(float(X[a])) * zeta[a][j]
-            comps.append(acc)
+        comps = [ex.dot(x, [zeta[a][j] for a in range(m)]) for j in range(m)]
         comps.append(ZERO)  # phi direction: translation fixes phi
-        for i in range(m):
-            acc = ZERO
-            for a in range(m):
-                if X[a]:
-                    acc = acc + ex.as_expr(float(X[a])) * fiber[a][i]
-            comps.append(acc)
+        comps += [ex.dot(x, [fiber[a][i] for a in range(m)]) for i in range(m)]
         comps.append(ZERO)  # p_phi is inert
         return BVectorField(self.cot.chart, tuple(comps))
 
     @cached_property
     def moment_exprs(self) -> list[Expr]:
         """mu_a = sum_j p_j zeta[a][j](k): smooth momentum of each basis direction."""
-        out = []
-        for zrow in self.zeta_exprs:
-            acc = ZERO
-            for j, z in enumerate(zrow):
-                if not (isinstance(z, Const) and z.value == 0):
-                    acc = acc + Var(self.cot.fiber_names[j]) * z
-            out.append(acc)
-        return out
+        return [ex.dot(map(Var, self.cot.fiber_names[:self.h_dim]), zrow)
+                for zrow in self.zeta_exprs]
 
     def lift_exprs(self) -> list[Expr]:
         """All components of the lifted map in h__* and the chart names.
@@ -224,14 +202,9 @@ class LiftedAction:
         moved = self.translation_exprs()
         J = self.jacobian_exprs()
         moved_sub = {n: mv for n, mv in zip(names, moved)}
-        p_new = []
-        for i in range(m):
-            acc = ZERO
-            for j in range(m):
-                Jji = ex.subs(J[j][i], moved_sub)
-                if not (isinstance(Jji, Const) and Jji.value == 0):
-                    acc = acc + Jji * Var(self.cot.fiber_names[j])
-            p_new.append(acc)
+        p_new = [ex.dot([ex.subs(J[j][i], moved_sub) for j in range(m)],
+                        map(Var, self.cot.fiber_names[:m]))
+                 for i in range(m)]
         return [*moved, Var(self.pair.phi_name), *p_new, Var(self.cot.fiber_names[m])]
 
     # -- compiled maps and derived structures --------------------------------

@@ -103,6 +103,18 @@ def _number(key: str, value, integer: bool = False):
     return value if integer else float(value)
 
 
+_FLOW_KEYS = {"hamiltonian", "x0", "dt", "T", "method", "substitution", "casimirs"}
+_VERIFY_KEYS = {"samples", "tolerance"}
+_CONNECTION_KEYS = {"xi", "scale", "b_leg"}
+
+
+def _check_keys(section: str, options: dict, known: set[str]) -> None:
+    """Reject a key inside a config section that no command reads."""
+    extra = sorted(set(options) - known)
+    if extra:
+        raise ConfigError(f"{section}.{extra[0]}: unknown key; {section} takes {sorted(known)}")
+
+
 def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     labels = spec.get("labels")
     if not isinstance(labels, list) or not labels or \
@@ -179,6 +191,7 @@ def load_config(path: str | None) -> RunConfig:
     if conn != "default":
         if not isinstance(conn, dict):
             raise ConfigError("connection must be 'default' or an object")
+        _check_keys("connection", conn, _CONNECTION_KEYS)
         missing = {"xi", "scale"} - set(conn)
         if missing:
             raise ConfigError(f"connection needs keys {sorted(missing)}")
@@ -192,6 +205,7 @@ def load_config(path: str | None) -> RunConfig:
     vopts = data.get("verify", {})
     if not isinstance(vopts, dict):
         raise ConfigError("verify options must be an object")
+    _check_keys("verify", vopts, _VERIFY_KEYS)
     if "samples" in vopts:
         cfg.samples = _number("verify.samples", vopts["samples"], integer=True)
         if cfg.samples <= 0:
@@ -204,6 +218,7 @@ def load_config(path: str | None) -> RunConfig:
     flow = data.get("flow", {})
     if not isinstance(flow, dict):
         raise ConfigError("flow options must be an object")
+    _check_keys("flow", flow, _FLOW_KEYS)
     cfg.flow = dict(flow)
     for key in ("dt", "T"):
         if key in flow:
@@ -335,25 +350,19 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     names = rp.coordinates
     m = len(names) - 2
     fl = dict(cfg.flow)
-    try:
-        H = ex.parse(str(fl.get("hamiltonian", "p")))
-    except ex.ExprSyntaxError as e:
-        raise ConfigError(f"bad flow hamiltonian: {e}") from e
-    bad = ex.free_vars(H) - set(names)
-    if bad:
-        raise ConfigError(f"hamiltonian uses unknown coordinates {sorted(bad)}")
     x0 = fl.get("x0", [0.0] * m + [1.0, 0.0])
     if len(x0) != len(names):
         raise ConfigError(f"flow.x0 must list {len(names)} values")
     dt = fl.get("dt", 1e-3)
     T = fl.get("T", 1.0)
+    try:
+        dyn.step_count(dt, T)
+    except ValueError as e:
+        raise ConfigError(f"flow.{e}") from e
     method = str(fl.get("method", "rk4"))
-    casimirs = []
-    for label, text in fl.get("casimirs", {}).items():
-        try:
-            casimirs.append((str(label), ex.parse(str(text))))
-        except ex.ExprSyntaxError as e:
-            raise ConfigError(f"bad casimir {label!r}: {e}") from e
+    H = _coordinate_expr("flow.hamiltonian", fl.get("hamiltonian", "p"), names)
+    casimirs = [(str(label), _coordinate_expr(f"flow.casimirs.{label}", text, names))
+                for label, text in fl.get("casimirs", {}).items()]
     vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
     try:
         tr = dyn.integrate(vf, x0, dt, T, method=method,
@@ -370,6 +379,18 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     print("\n".join(rep.lines()))
     print(f"wrote: {path}")
     return 0
+
+
+def _coordinate_expr(key: str, text, names) -> ex.Expr:
+    """A flow expression over the reduced coordinates; errors name the key."""
+    try:
+        e = ex.parse(str(text))
+    except ex.ExprSyntaxError as err:
+        raise ConfigError(f"{key}: {err}") from err
+    bad = ex.free_vars(e) - set(names)
+    if bad:
+        raise ConfigError(f"{key} uses unknown coordinates {sorted(bad)}")
+    return e
 
 
 def cmd_bracket_table(cfg: RunConfig, args) -> int:

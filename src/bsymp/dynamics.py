@@ -107,6 +107,20 @@ def _check_box(x, box, names, t):
                 f"at t={t:.6g}", t)
 
 
+MAX_STEPS = 10**6  # every row is kept in memory
+
+
+def step_count(dt: float, T: float) -> int:
+    """round(T/dt), the number of fixed steps over [0, T], at most MAX_STEPS."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if T < dt:
+        raise ValueError("T must be at least dt")
+    if T / dt > MAX_STEPS:
+        raise ValueError(f"T is more than {MAX_STEPS} steps of dt")
+    return int(round(T / dt))
+
+
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
               method: str = "rk4", box=None,
               casimirs: Sequence[Expr] = (),
@@ -119,10 +133,7 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     slice component of the field is a product with phi, so every stage
     contributes 0.0 exactly.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < dt:
-        raise ValueError("T must be at least dt")
+    steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
         raise ValueError("method must be 'rk4' or 'midpoint'")
     f = vf.compiled
@@ -155,7 +166,6 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
         y[m] = sgn * math.exp(state[m])
         return y
 
-    steps = int(round(T / dt))
     state = list(x)
     if sub:
         state[m] = math.log(abs(x[m]))
@@ -229,7 +239,7 @@ def _structural_casimir_slots(P: PoissonBivector) -> list[int]:
     # their value is constant along every Hamiltonian flow
     alive = set()
     for (i, j), e in P.entries.items():
-        if not (isinstance(e, ex.Const) and e.value == 0):
+        if not ex.is_zero(e):
             alive.add(i)
             alive.add(j)
     return [k for k in range(len(P.names)) if k not in alive]

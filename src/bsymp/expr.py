@@ -22,10 +22,21 @@ operand first except that a quotient lists its denominator before its
 numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
 `grad`, `eval_exact` and a compiled function all raise the error of the
-first node of the walk that fails.  Printing (`to_str`) and `parse`
-still recurse, so they are bounded by the interpreter's recursion limit:
-printing expands shared subtrees, and a memo of rendered strings would
-hold every intermediate string.
+first node of the walk that fails.  Printing (`to_str`) still recurses,
+so it is bounded by the interpreter's recursion limit: printing expands
+shared subtrees, and a memo of rendered strings would hold every
+intermediate string.  `parse` recurses too, but rejects input nested
+deeper than 100 levels of parentheses, function calls and unary minus
+signs with an ExprSyntaxError.
+
+Structural zeros and linear combinations have one owner each.
+`is_zero(e)` is true exactly for a constant 0, the only zero the
+constructors know; `x - x` is not one.  `dot(xs, ys)` builds
+`x0*y0 + x1*y1 + ...` by folding `add` and `mul` from `ZERO`, so a zero
+term drops out and an all-zero or empty sum is a constant 0.  The other
+modules build their linear combinations with `dot` and test structural
+zeros with `is_zero`, so normalizing the core later changes both
+decisions in one place.
 
 Every node caches its set of free variable names the first time it is
 asked for (the walk fills the sets of all its descendants too; nodes
@@ -63,7 +74,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "Environment", "parse", "evaluate", "grad", "eval_exact", "diff", "subs",
-    "free_vars", "to_str", "compile_exprs", "as_expr",
+    "free_vars", "to_str", "compile_exprs", "as_expr", "is_zero", "dot",
     "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
     "ZERO", "ONE",
 ]
@@ -212,6 +223,14 @@ def _is_const(e: Expr, v=None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def is_zero(e: Expr) -> bool:
+    """True exactly for a constant 0, the structural zero the constructors absorb.
+
+    `x - x` is not one: there is no simplification, so it is not a constant.
+    """
+    return isinstance(e, Const) and e.value == 0
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
@@ -257,6 +276,19 @@ def div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1):
         return a
     return Div(a, b)
+
+
+def dot(xs: Iterable, ys: Iterable) -> Expr:
+    """x0*y0 + x1*y1 + ..., folded left from ZERO through `add` and `mul`.
+
+    Operands go through `as_expr` and keep their order in each product;
+    the two sequences must have one length.  A zero term drops out, since
+    `mul` and `add` absorb it.
+    """
+    acc = ZERO
+    for x, y in zip(xs, ys, strict=True):
+        acc = add(acc, mul(as_expr(x), as_expr(y)))
+    return acc
 
 
 def pow_(base: Expr, n: int) -> Expr:
@@ -320,6 +352,7 @@ class _Tokenizer:
         self.tokens: list[tuple[str, str, int, int]] = []
         self._scan()
         self.i = 0
+        self.depth = 0  # nesting levels open, bounded by _MAX_DEPTH
 
     def _advance(self, n: int):
         for ch in self.text[self.pos:self.pos + n]:
@@ -372,13 +405,33 @@ class _Tokenizer:
         return tok
 
 
+# levels of parentheses, function calls and unary minus signs open at
+# once; the recursive descent spends up to six frames per level
+_MAX_DEPTH = 100
+
+
 def parse(text: str) -> Expr:
-    """Parse the grammar above; raises ExprSyntaxError with line/column."""
+    """Parse the grammar above; raises ExprSyntaxError with line/column.
+
+    Nesting is bounded by _MAX_DEPTH levels of parentheses, function calls
+    and unary minus signs, so a deep input is a syntax error, not a
+    RecursionError.
+    """
     tz = _Tokenizer(text)
     e = _parse_expr(tz)
     kind, val, line, col = tz.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {val!r} after expression", line, col)
+    return e
+
+
+def _nested(tz: _Tokenizer, parse_inner, line: int, col: int) -> Expr:
+    """parse_inner(tz) one nesting level down, the level opened at (line, col)."""
+    if tz.depth == _MAX_DEPTH:
+        raise ExprSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", line, col)
+    tz.depth += 1
+    e = parse_inner(tz)
+    tz.depth -= 1
     return e
 
 
@@ -410,10 +463,10 @@ def _parse_term(tz: _Tokenizer) -> Expr:
 
 
 def _parse_factor(tz: _Tokenizer) -> Expr:
-    kind, val, _, _ = tz.peek()
+    kind, val, line, col = tz.peek()
     if kind == "op" and val == "-":
         tz.next()
-        return mul(Const(Fraction(-1)), _parse_factor(tz))
+        return mul(Const(Fraction(-1)), _nested(tz, _parse_factor, line, col))
     return _parse_power(tz)
 
 
@@ -450,7 +503,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
             if val not in _FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {val!r}", line, col)
             tz.next()
-            arg = _parse_expr(tz)
+            arg = _nested(tz, _parse_expr, line, col)
             k2, v2, l2, c2 = tz.next()
             if not (k2 == "op" and v2 == ")"):
                 raise ExprSyntaxError("expected ')'", l2, c2)
@@ -460,7 +513,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
                 raise ExprSyntaxError(str(err), line, col) from None
         return Var(val)
     if kind == "op" and val == "(":
-        e = _parse_expr(tz)
+        e = _nested(tz, _parse_expr, line, col)
         k2, v2, l2, c2 = tz.next()
         if not (k2 == "op" and v2 == ")"):
             raise ExprSyntaxError("expected ')'", l2, c2)

@@ -427,14 +427,7 @@ def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr
         Ea = [[Const(v) for v in row] for row in basis[a]]
         conj = _emat_mul(_emat_mul(chart, Ea), chart_inv)
         flat = [conj[r][c] for r in range(m) for c in range(m)]
-        col = []
-        for b in range(d):
-            acc = ZERO
-            for i, w in enumerate(pinv[b]):
-                if w:
-                    acc = acc + Const(w) * flat[i]
-            col.append(acc)
-        cols.append(col)
+        cols.append([ex.dot(pinv[b], flat) for b in range(d)])
     return [[cols[a][b] for a in range(d)] for b in range(d)]  # [b][a]
 
 
@@ -467,16 +460,7 @@ def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> n
 
 def _emat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(m):
-            acc = ZERO
-            for t in range(k):
-                acc = acc + A[r][t] * B[t][c]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[ex.dot(A[r], [B[t][c] for t in range(k)]) for c in range(m)] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +632,12 @@ def _heisenberg_q(n: int) -> BLieGroupPair:
     def mul(p, q):
         a, b, c = p[:n], p[n:2 * n], p[2 * n]
         ap, bp, cp = q[:n], q[n:2 * n], q[2 * n]
-        dot = ZERO
-        for i in range(n):
-            dot = dot + a[i] * bp[i]
-        return [*(x + y for x, y in zip(a, ap)), *(x + y for x, y in zip(b, bp)), c + cp + dot]
+        return [*(x + y for x, y in zip(a, ap)), *(x + y for x, y in zip(b, bp)),
+                c + cp + ex.dot(a, bp)]
 
     def inv(p):
         a, b, c = p[:n], p[n:2 * n], p[2 * n]
-        dot = ZERO
-        for i in range(n):
-            dot = dot + a[i] * b[i]
-        return [*(-x for x in a), *(-x for x in b), -c + dot]
+        return [*(-x for x in a), *(-x for x in b), -c + ex.dot(a, b)]
 
     def pfm(M):
         return np.array([*M[0, 1:n + 1], *M[1:n + 1, n + 1], M[0, n + 1]])
@@ -731,8 +710,8 @@ def _galilean() -> BLieGroupPair:
         u, v, a, s = split(p)
         up, vp, ap, sp = split(q)
         R = _cayley_rotation(u)
-        Rv = [sum((R[r][c] * vp[c] for c in range(3)), ZERO) for r in range(3)]
-        Ra = [sum((R[r][c] * ap[c] for c in range(3)), ZERO) for r in range(3)]
+        Rv = [ex.dot(R[r], vp) for r in range(3)]
+        Ra = [ex.dot(R[r], ap) for r in range(3)]
         return [*_cayley_compose(u, up),
                 *(Rv[r] + v[r] for r in range(3)),
                 *(Ra[r] + sp * v[r] + a[r] for r in range(3)),
@@ -742,9 +721,9 @@ def _galilean() -> BLieGroupPair:
         u, v, a, s = split(p)
         R = _cayley_rotation(u)  # R(-u) = R(u)^T
         Rt = [[R[c][r] for c in range(3)] for r in range(3)]
-        Rtv = [sum((Rt[r][c] * v[c] for c in range(3)), ZERO) for r in range(3)]
+        Rtv = [ex.dot(Rt[r], v) for r in range(3)]
         sva = [s * v[r] - a[r] for r in range(3)]
-        Rtsva = [sum((Rt[r][c] * sva[c] for c in range(3)), ZERO) for r in range(3)]
+        Rtsva = [ex.dot(Rt[r], sva) for r in range(3)]
         return [*(-u[i] for i in range(3)), *(-Rtv[r] for r in range(3)), *Rtsva, -s]
 
     def pfm(M):

@@ -134,7 +134,7 @@ class Connection:
                     e = ex.diff(psi[i], names[j])
                     if j == d and d is not None:
                         e = e * Var(names[d])
-                if not (isinstance(e, Const) and e.value == 0):
+                if not ex.is_zero(e):
                     jac[(i, j)] = e
         rhs = coupling_rhs_form(self)
         rkeys = sorted(rhs.coeffs)
@@ -178,8 +178,7 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
     ch = trivialized_base_chart(pair, mode=mode)
     m = len(pair.h_names)
     rows = _default_theta_exprs(pair)
-    coeffs = [{(j,): rows[a][j] for j in range(m)
-               if not (isinstance(rows[a][j], Const) and rows[a][j].value == 0)}
+    coeffs = [{(j,): rows[a][j] for j in range(m) if not ex.is_zero(rows[a][j])}
               for a in range(m)]
     tag = "default"
     if deformation is not None:
@@ -190,17 +189,11 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
             c = ex.parse(c)
         adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
         for a in range(m):
-            leg = ZERO
-            for b in range(m):
-                xb = ex.as_expr(xi[b])
-                if isinstance(xb, Const) and xb.value == 0:
-                    continue
-                leg = leg + adm[a][b] * xb
-            leg = leg * c
+            leg = ex.dot(adm[a], xi) * c
             if mode == "b" and not b_flag:
                 # a smooth dphi leg on the b chart picks up one phi factor
                 leg = leg * Var(pair.phi_name)
-            if not (isinstance(leg, Const) and leg.value == 0):
+            if not ex.is_zero(leg):
                 coeffs[a][(m,)] = leg
         tag = "deformed-b" if b_flag else "deformed-smooth"
     forms = tuple(BForm(ch, 1, c) for c in coeffs)
@@ -353,18 +346,9 @@ def psi_map_exprs(theta: Connection) -> list[Expr]:
     act = _action(theta.pair, theta.mode)
     m = theta.h_dim
     cn = act.cot.chart.names
-    mu = []
-    for zrow in act.zeta_exprs:
-        acc = ZERO
-        for j, zij in enumerate(zrow):
-            if isinstance(zij, Const) and zij.value == 0:
-                continue
-            acc = acc + Var(cn[m + 1 + j]) * zij
-        mu.append(acc)
+    mu = [ex.dot(map(Var, cn[m + 1:2 * m + 1]), zrow) for zrow in act.zeta_exprs]
     p0 = Var(cn[2 * m + 1])
     for a, ta in enumerate(theta.phi_slot_exprs()):
-        if isinstance(ta, Const) and ta.value == 0:
-            continue
         p0 = p0 - mu[a] * ta
     return [Var(n) for n in cn[: m + 1]] + mu + [p0]
 
@@ -375,13 +359,8 @@ def coupling_rhs_form(theta: Connection) -> BForm:
     m = theta.h_dim
     lam_coeffs = {}
     for j in range(m + 1):
-        acc = ZERO
-        for a in range(m):
-            taj = theta.forms[a].coeff((j,))
-            if isinstance(taj, Const) and taj.value == 0:
-                continue
-            acc = acc + Var(ch.names[m + 1 + a]) * taj
-        if not (isinstance(acc, Const) and acc.value == 0):
+        acc = ex.dot(map(Var, ch.names[m + 1:2 * m + 1]), [f.coeff((j,)) for f in theta.forms])
+        if not ex.is_zero(acc):
             lam_coeffs[(j,)] = acc
     dlam = b_d(BForm(ch, 1, lam_coeffs))
     coeffs = {k: ex.sub(ZERO, c) for k, c in dlam.coeffs.items()}
@@ -459,7 +438,7 @@ def reduced_poisson(pair: BLieGroupPair, theta: Connection | None = None) -> Red
             for k, ck in enumerate(alg.c(i, j)):
                 if ck:
                     acc = acc - Const(Fraction(ck)) * Var(names[k])
-            if not (isinstance(acc, Const) and acc.value == 0):
+            if not ex.is_zero(acc):
                 entries[(i, j)] = acc
     entries[(m, m + 1)] = Var(pair.phi_name) if mode == "b" else ONE
     return ReducedPoisson(pair=pair, mode=mode,
@@ -471,16 +450,7 @@ def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> list[Expr]:
     m = len(pair.h_names)
     adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
     mus = _action(pair, mode).moment_exprs
-    out = []
-    for b in range(m):
-        acc = ZERO
-        for a in range(m):
-            entry = adm[a][b]
-            if isinstance(entry, Const) and entry.value == 0:
-                continue
-            acc = acc + mus[a] * entry
-        out.append(acc)
-    return out
+    return [ex.dot(mus, [row[b] for row in adm]) for b in range(m)]
 
 
 def transverse_momentum_expr(theta: Connection) -> Expr:

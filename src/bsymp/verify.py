@@ -235,7 +235,7 @@ def _sec_canonical_layout(pair, opts):
         expect_one = (j == i + n)
         if expect_one and not (isinstance(c, Const) and c.value == 1):
             bad = 1.0
-        if not expect_one and not (isinstance(c, Const) and c.value == 0):
+        if not expect_one and not ex.is_zero(c):
             bad = 1.0
     rep = bcalc.is_b_symplectic(om, samples=48, seed=opts.seed + 1)
     if not rep.verdict:
@@ -274,9 +274,7 @@ def _sec_moment_hamilton(pair, opts):
     for _ in range(_count(opts, 100) // 4):
         X = [rng.uniform(-1, 1) for _ in range(m)]
         Xs = act.xsharp(X)
-        muX = ZERO
-        for a in range(m):
-            muX = muX + ex.as_expr(X[a]) * mus[a]
+        muX = ex.dot(X, mus)
         dmu = bcalc.b_d(bcalc.BForm(ch, 0, {(): muX}))
         for t in range(4):
             x = [rng.uniform(-0.7, 0.7) for _ in ch.names]
@@ -392,9 +390,7 @@ def _sec_connection_independence(pair, opts):
         if xi is None:
             tau = {}
         else:
-            shift = ZERO
-            for b in range(m):
-                shift = shift + ex.as_expr(xi[b]) * Var(rnames[b])
+            shift = ex.dot(xi, map(Var, rnames[:m]))
             tau = {rnames[m + 1]: Var(rnames[m + 1]) - scale * shift}
         for _ in range(n):
             F = _poly(rng, list(rnames))

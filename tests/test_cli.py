@@ -138,6 +138,18 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"out_dir": "no-such-dir/below"}, "out_dir"),
     (["bracket-table"], {"out_dir": "no-such-dir/below"}, "out_dir"),
     (["reduce", "--out", "."], {}, "--out"),
+    (["flow"], {"flow": {"casimirs": {"c": "q_7"}}}, "flow.casimirs.c"),
+    (["flow"], {"flow": {"casimirs": {"c": "mu_P1 +"}}}, "flow.casimirs.c"),
+    (["flow"], {"flow": {"hamiltonian": "p +"}}, "flow.hamiltonian"),
+    (["flow"], {"flow": {"hamiltonian": "q_7"}}, "flow.hamiltonian"),
+    (["flow"], {"flow": {"hamiltonian": "(" * 400 + "p" + ")" * 400}}, "flow.hamiltonian"),
+    (["flow"], {"flow": {"hamilton": "p"}}, "flow.hamilton"),
+    (["verify"], {"verify": {"sample": 5}}, "verify.sample"),
+    (["reduce"], {"connection": {"xi": [0, 0], "scale": "1", "bleg": True}},
+     "connection.bleg"),
+    (["flow"], {"flow": {"T": 1e4, "dt": 1e-3}}, "flow.T"),
+    (["flow"], {"flow": {"T": 1e300, "dt": 1e-300}}, "flow.T"),
+    (["flow"], {"flow": {"dt": 0}}, "flow.dt"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)

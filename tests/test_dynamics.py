@@ -215,6 +215,11 @@ def test_argument_validation():
     bare = dyn.VectorField(names=("x",), components=(Var("x"),))
     with pytest.raises(ValueError):
         dyn.integrate(bare, [1.0], 0.1, 1.0, substitution=True)
+    # the step cap is checked before the first step, so these cost nothing
+    assert dyn.step_count(1.0, float(dyn.MAX_STEPS)) == dyn.MAX_STEPS
+    for dt, T in ((1.0, dyn.MAX_STEPS + 1.0), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="steps"):
+            dyn.integrate(vf, [0, 0, 1, 0], dt, T)
 
 
 # ---------------------------------------------------------------------------

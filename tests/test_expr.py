@@ -191,6 +191,11 @@ def test_constant_folding():
     ("x ^ y", 1, 5),
     ("1 @ 2", 1, 3),
     ("x +\n* y", 2, 1),
+    # nesting is bounded: the level past 100 is the error, not a RecursionError
+    ("(" * 400 + "x" + ")" * 400, 1, 101),
+    ("-" * 1000 + "x", 1, 101),
+    ("sin(" * 101 + "x" + ")" * 101, 1, 401),
+    ("-(" * 51 + "x" + ")" * 51, 1, 101),
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ExprSyntaxError) as info:
@@ -511,3 +516,49 @@ def test_free_vars_of_deep_chain_do_not_recurse():
     harmonic = sum(Fraction(1, k) for k in range(1, 5001))
     assert eval_exact(e, {"x": Fraction(1, 2), "y": Fraction(1)}) == Fraction(1, 2) + harmonic
     assert eval_exact(subs(e, {"y": expr.ONE}), {"x": Fraction(0)}) == harmonic
+
+
+# ---------------------------------------------------------------------------
+# structural zeros and linear combinations
+# ---------------------------------------------------------------------------
+
+def test_dot_with_zero_coefficients_prints_as_the_skipped_sum():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    full = expr.dot([0, 2, Fraction(0), "1/2"], [x, y, z, x * z])
+    assert to_str(full) == to_str(expr.dot([2, "1/2"], [y, x * z])) == "2*y + 1/2*(x*z)"
+    assert to_str(expr.dot([x, y, z], [expr.ZERO, Const(Fraction(3)), expr.ZERO])) == "y*3"
+
+
+def test_dot_of_nothing_or_of_zeros_is_zero():
+    assert expr.dot([], []) is expr.ZERO
+    zero = expr.dot([0, 0.0, expr.ZERO], [Var("x"), Const(Fraction(5)), Var("y")])
+    assert expr.is_zero(zero) and to_str(zero) == "0"
+
+
+def test_dot_keeps_operand_order_and_folds_left():
+    a, b, c, d = (Var(n) for n in "abcd")
+    e = expr.dot([a, c], [b, d])
+    assert to_str(e) == "a*b + c*d"
+    assert isinstance(e, expr.Add) and e.a.a is a and e.a.b is b and e.b.a is c
+    assert to_str(expr.dot([b, d], [a, c])) == "b*a + d*c"
+    assert to_str(expr.dot([a, b, c], [1, 1, 1])) == "a + b + c"
+    with pytest.raises(ValueError):
+        expr.dot([1, 2], [a])
+
+
+def test_is_zero_only_for_constant_zero():
+    x = Var("x")
+    assert expr.is_zero(expr.ZERO) and expr.is_zero(Const(Fraction(0)))
+    assert expr.is_zero(parse("0*x")) and expr.is_zero(parse("3 - 3"))
+    assert not expr.is_zero(x - x)
+    assert not expr.is_zero(expr.ONE) and not expr.is_zero(x)
+    assert evaluate(x - x, {"x": 2.0}) == 0.0
+
+
+def test_parse_accepts_nesting_at_the_bound():
+    assert to_str(parse("(" * 100 + "x" + ")" * 100)) == "x"
+    assert evaluate(parse("-" * 100 + "x"), {"x": 2.0}) == 2.0
+    assert to_str(parse("sin(" * 100 + "x" + ")" * 100)).count("sin(") == 100
+    # nesting is what is open at once, not what the whole text contains
+    flat = " + ".join(["(-(x))"] * 300)
+    assert evaluate(parse(flat), {"x": 1.0}) == -300.0

@@ -28,7 +28,7 @@ mus = [ex.Var("mu_P1"), ex.Var("mu_P2")]
 for phi0 in (0.5, -0.5, 0.0):
     x0 = [0.4, -0.2, phi0, 0.3]
     traj = dyn.integrate(vf, x0, dt=1e-3, T=3.0, casimirs=mus)
-    rep = dyn.leaf_report(rp.bivector, traj, phi_slot=2)
+    rep = dyn.leaf_report(rp.bivector, traj)
     phi_final = traj.final[2]
     print(f"start phi = {phi0:+.2f}:")
     print(f"  final phi = {phi_final:+.6f}, sign constant: {rep.sign_constant}")

@@ -227,6 +227,10 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(flow["x0"], list):
             raise ConfigError("flow.x0 must be a list")
         cfg.flow["x0"] = [_number(f"flow.x0[{i}]", v) for i, v in enumerate(flow["x0"])]
+    if flow.get("method", "rk4") not in ("rk4", "midpoint"):
+        raise ConfigError(f"flow.method must be 'rk4' or 'midpoint', got {flow['method']!r}")
+    if not isinstance(flow.get("substitution", False), bool):
+        raise ConfigError(f"flow.substitution must be true or false, got {flow['substitution']!r}")
     if not isinstance(flow.get("casimirs", {}), dict):
         raise ConfigError(f"flow.casimirs must be an object of label: expression, "
                           f"got {flow['casimirs']!r}")
@@ -359,23 +363,23 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         dyn.step_count(dt, T)
     except ValueError as e:
         raise ConfigError(f"flow.{e}") from e
-    method = str(fl.get("method", "rk4"))
     H = _coordinate_expr("flow.hamiltonian", fl.get("hamiltonian", "p"), names)
     casimirs = [(str(label), _coordinate_expr(f"flow.casimirs.{label}", text, names))
                 for label, text in fl.get("casimirs", {}).items()]
     vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
     try:
-        tr = dyn.integrate(vf, x0, dt, T, method=method,
+        tr = dyn.integrate(vf, x0, dt, T, method=fl.get("method", "rk4"),
                            casimirs=[e for _, e in casimirs],
-                           substitution=bool(fl.get("substitution", False)))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+                           substitution=fl.get("substitution", False))
+    except dyn.InvariantError as e:
+        key = "flow.hamiltonian" if e.index == 0 else f"flow.casimirs.{casimirs[e.index - 1][0]}"
+        raise ConfigError(f"{key} {e}") from e
     except dyn.ChartExitError as e:
         print(f"flow left the chart: {e}", file=sys.stderr)
         return 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        dyn.write_csv(tr, vf, fh, casimirs=casimirs)
-    rep = dyn.leaf_report(rp.bivector, tr, phi_slot=m)
+        dyn.write_csv(tr, fh, [label for label, _ in casimirs])
+    rep = dyn.leaf_report(rp.bivector, tr)
     print("\n".join(rep.lines()))
     print(f"wrote: {path}")
     return 0

@@ -11,6 +11,12 @@ default, so convergence-order measurements mean what they say.  Runs that
 should respect the multiplicative character of the transverse coordinate
 exactly can opt into a substitution that integrates u = log|phi| and keeps
 the sign frozen; it is never switched on silently.
+
+`integrate` owns every per-row value of a flow.  It compiles H and the
+Casimirs into one function next to the field and evaluates it once per
+accepted row, into arrays sized for the whole run.  The drifts are taken
+from those values, and the CSV's H and Casimir columns are those values:
+`write_csv` and `leaf_report` only read the trajectory.
 """
 
 from __future__ import annotations
@@ -33,6 +39,14 @@ class ChartExitError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+
+class InvariantError(ValueError):
+    """H or a Casimir failed on a row; `index` is 0 for H, i + 1 for casimirs[i]."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -74,19 +88,19 @@ def hamiltonian_vf(P: PoissonBivector, H: Expr,
 
 @dataclass
 class Trajectory:
-    """Fixed-step integration output plus conservation diagnostics."""
+    """Fixed-step integration output: a state row per step and, in the same
+    row of `invariants`, H there (0.0 without a Hamiltonian), then each Casimir."""
 
     dt: float
     times: np.ndarray
+    names: tuple[str, ...]
     rows: np.ndarray
+    invariants: np.ndarray
     method: str
+    phi_slot: int | None = None
     energy_drift: float | None = None
     casimir_drifts: tuple[float, ...] = ()
     phi_floor: float | None = None
-
-    def __post_init__(self):
-        assert self.rows.ndim == 2 and len(self.times) == len(self.rows)
-        assert np.all(np.diff(self.times) > 0)
 
     @property
     def final(self) -> np.ndarray:
@@ -105,6 +119,20 @@ def _check_box(x, box, names, t):
             raise ChartExitError(
                 f"{names[i]}={x[i]:.6g} left [{lo:.6g}, {hi:.6g}] "
                 f"at t={t:.6g}", t)
+
+
+def _invariants_at(g, exprs, names, x, t):
+    """g(x); on failure, an InvariantError naming the first expression that fails."""
+    try:
+        return g(x)
+    except (OverflowError, ex.DomainError):
+        point = dict(zip(names, x))
+        for i, e in enumerate(exprs):
+            try:
+                ex.evaluate(e, point)
+            except (OverflowError, ex.DomainError) as err:
+                raise InvariantError(f"cannot be evaluated at t={t:.6g}: {err}", i) from err
+        raise
 
 
 MAX_STEPS = 10**6  # every row is kept in memory
@@ -141,6 +169,8 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     x = [float(v) for v in x0]
     if len(x) != n:
         raise ValueError("x0 does not match the chart dimension")
+    invariants = [ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
+    g = ex.compile_exprs(invariants, list(vf.names))
     m = vf.phi_slot
     sub = False
     if substitution:
@@ -150,27 +180,28 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
             sub = True
             sgn = math.copysign(1.0, x[m])
 
-    def rhs(state):
-        if not sub:
-            return f(state)
-        y = list(state)
-        y[m] = sgn * math.exp(state[m])
-        v = f(y)
-        v[m] = v[m] / y[m]
-        return v
-
     def to_chart(state):
         if not sub:
-            return list(state)
+            return state
         y = list(state)
         y[m] = sgn * math.exp(state[m])
         return y
 
+    def rhs(state):
+        if not sub:
+            return f(state)
+        y = to_chart(state)
+        v = f(y)
+        v[m] = v[m] / y[m]
+        return v
+
+    rows = np.empty((steps + 1, n))
+    values = np.empty((steps + 1, len(invariants)))
+    rows[0] = x
+    values[0] = _invariants_at(g, invariants, vf.names, x, 0.0)
     state = list(x)
     if sub:
         state[m] = math.log(abs(x[m]))
-    rows = [x]
-    times = [0.0]
     for k in range(steps):
         t = k * dt
         try:
@@ -190,28 +221,14 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
                 f"field evaluation failed at t={t:.6g}: {exc}", t) from exc
         xt = to_chart(state)
         _check_box(xt, box, vf.names, (k + 1) * dt)
-        rows.append(xt)
-        times.append((k + 1) * dt)
-
-    arr = np.array(rows)
-    tarr = np.array(times)
-    energy = None
-    if vf.hamiltonian is not None:
-        hf = ex.compile_exprs([vf.hamiltonian], list(vf.names))
-        hv = [hf(list(r))[0] for r in rows]
-        energy = max(abs(v - hv[0]) for v in hv)
-    cd = []
-    if casimirs:
-        cf = ex.compile_exprs(list(casimirs), list(vf.names))
-        vals = np.array([cf(list(r)) for r in rows])
-        cd = [float(np.max(np.abs(vals[:, i] - vals[0, i])))
-              for i in range(len(casimirs))]
-    floor = None
-    if m is not None:
-        floor = float(np.min(np.abs(arr[:, m])))
-    return Trajectory(dt=dt, times=tarr, rows=arr, method=method,
-                      energy_drift=energy, casimir_drifts=tuple(cd),
-                      phi_floor=floor)
+        rows[k + 1] = xt
+        values[k + 1] = _invariants_at(g, invariants, vf.names, xt, (k + 1) * dt)
+    drifts = np.max(np.abs(values - values[0]), axis=0).tolist()
+    return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, names=vf.names,
+                      rows=rows, invariants=values, method=method, phi_slot=m,
+                      energy_drift=None if vf.hamiltonian is None else drifts[0],
+                      casimir_drifts=tuple(drifts[1:]),
+                      phi_floor=None if m is None else float(np.min(np.abs(rows[:, m]))))
 
 
 @dataclass(frozen=True)
@@ -245,45 +262,40 @@ def _structural_casimir_slots(P: PoissonBivector) -> list[int]:
     return [k for k in range(len(P.names)) if k not in alive]
 
 
-def leaf_report(P: PoissonBivector, traj: Trajectory,
-                phi_slot: int | None = None) -> LeafReport:
+def leaf_report(P: PoissonBivector, traj: Trajectory) -> LeafReport:
     """Slice and conservation diagnostics for a finished trajectory.
 
     Coordinates whose bivector row is identically zero are linear functions
     with vanishing bracket against everything, so their drift is reported
     as a Casimir drift without the caller naming them.
     """
-    m = phi_slot
+    m = traj.phi_slot
     sign_ok = True
     on_slice = False
-    floor = traj.phi_floor
     if m is not None:
         col = traj.rows[:, m]
         on_slice = bool(np.all(col == 0.0))
         if not on_slice:
             s = np.sign(col)
             sign_ok = bool(np.all(s == s[0]) and s[0] != 0)
-        floor = float(np.min(np.abs(col)))
     drifts = {}
     for k in _structural_casimir_slots(P):
         col = traj.rows[:, k]
         drifts[P.names[k]] = float(np.max(np.abs(col - col[0])))
     return LeafReport(sign_constant=sign_ok, on_slice=on_slice,
                       energy_drift=traj.energy_drift,
-                      casimir_drifts=drifts, phi_floor=floor)
+                      casimir_drifts=drifts, phi_floor=traj.phi_floor)
 
 
-def write_csv(traj: Trajectory, vf: VectorField, fh,
-              casimirs: Sequence[tuple[str, Expr]] = ()) -> None:
-    """One row per step: t, coordinates, H, then any named invariants.
+def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
+    """One row per step: t, coordinates, H, then one column per Casimir label.
 
-    Floats are written with repr, which round-trips IEEE-754 doubles.
+    The H and Casimir columns are the values `integrate` stored, the same
+    ones the drifts are read from.  Floats are written with repr, which
+    round-trips IEEE-754 doubles.
     """
-    labels = list(vf.names) + ["H"] + [k for k, _ in casimirs]
-    fh.write("t," + ",".join(labels) + "\n")
-    hexpr = vf.hamiltonian if vf.hamiltonian is not None else ZERO
-    extra = ex.compile_exprs([hexpr] + [e for _, e in casimirs],
-                             list(vf.names))
-    for t, row in zip(traj.times, traj.rows):
-        vals = [float(t)] + [float(v) for v in row] + extra(list(row))
-        fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    if len(labels) != traj.invariants.shape[1] - 1:
+        raise ValueError("write_csv needs one label per Casimir")
+    fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
+    for t, row, vals in zip(traj.times, traj.rows, traj.invariants):
+        fh.write(",".join(map(repr, [float(t), *row.tolist(), *vals.tolist()])) + "\n")

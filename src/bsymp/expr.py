@@ -22,12 +22,13 @@ operand first except that a quotient lists its denominator before its
 numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
 `grad`, `eval_exact` and a compiled function all raise the error of the
-first node of the walk that fails.  Printing (`to_str`) still recurses,
-so it is bounded by the interpreter's recursion limit: printing expands
-shared subtrees, and a memo of rendered strings would hold every
-intermediate string.  `parse` recurses too, but rejects input nested
-deeper than 100 levels of parentheses, function calls and unary minus
-signs with an ExprSyntaxError.
+first node of the walk that fails.  Printing (`to_str`) walks the tree,
+not the DAG: it prints a shared subtree at every use, since a memo of
+printed strings would hold every intermediate string.  It keeps its
+pending pieces on an explicit stack, so it does not recurse either.
+`parse` recurses, but rejects input nested deeper than 100 levels of
+parentheses, function calls and unary minus signs with an
+ExprSyntaxError.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is true exactly for a constant 0, the only zero the
@@ -528,43 +529,57 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
 _PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 10, 15, 20, 30, 40
 
 
-def _render(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
+_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
+          Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+
+
+def _layout(e: Expr) -> tuple[int, tuple]:
+    """A node's precedence and its pieces in print order: text, or an
+    operand with the precedence it must reach to go unparenthesized."""
+    t = type(e)
+    if t is Var:
+        return _PREC_ATOM, (e.name,)
+    if t is Const:
         v = e.value
+        a = -v if v < 0 else v
+        s = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
         if v < 0:
-            s, _ = _render(Const(-v))
-            return "-" + s, _PREC_NEG
-        return (str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"), \
-            (_PREC_ATOM if v.denominator == 1 else _PREC_MUL)
-    if isinstance(e, Var):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Mul) and _is_const(e.a, -1):
+            return _PREC_NEG, ("-" + s,)
+        return (_PREC_ATOM if a.denominator == 1 else _PREC_MUL), (s,)
+    if t is Mul and _is_const(e.a, -1):
         # after '-', the parser consumes a single power/atom
-        s = _wrap(e.b, _PREC_POW)
-        return "-" + s, _PREC_NEG
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, _PREC_ADD)} + {_wrap(e.b, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, _PREC_ADD)} - {_wrap(e.b, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL)}*{_wrap(e.b, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL)}/{_wrap(e.b, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_POW + 1)}^{e.n}", _PREC_POW
-    if isinstance(e, Fun):
-        s, _ = _render(e.arg)
-        return f"{e.name}({s})", _PREC_ATOM
+        return _PREC_NEG, ("-", (e.b, _PREC_POW))
+    if t in _INFIX:
+        op, prec = _INFIX[t]
+        return prec, ((e.a, prec), op, (e.b, prec + 1))
+    if t is Pow:
+        return _PREC_POW, ((e.base, _PREC_POW + 1), f"^{e.n}")
+    if t is Fun:
+        return _PREC_ATOM, (e.name + "(", (e.arg, 0), ")")
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _wrap(e: Expr, need: int) -> str:
-    s, prec = _render(e)
-    return s if prec >= need else f"({s})"
-
-
 def to_str(e: Expr) -> str:
-    return _render(e)[0]
+    """The canonical serialization, with as few parentheses as parse needs.
+
+    A node's precedence is known before its operands are printed, so the
+    text is emitted left to right from an explicit stack: depth costs no
+    recursion, and the pieces are joined once.  Shared subtrees are
+    printed at every use.
+    """
+    out: list[str] = []
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        n, need = item
+        prec, pieces = _layout(n)
+        if prec < need:
+            pieces = ("(", *pieces, ")")
+        todo += reversed(pieces)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

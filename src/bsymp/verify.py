@@ -480,8 +480,7 @@ def _sec_energy_drift(pair, opts):
                 x0 = [0.5 * v for v in x0]
         else:
             return math.inf, _tol(opts, 1e-6)
-        h0 = ex.evaluate(H, dict(zip(rp.coordinates, x0)))
-        worst = max(worst, tr.energy_drift / (1.0 + abs(h0)))
+        worst = max(worst, tr.energy_drift / (1.0 + abs(float(tr.invariants[0, 0]))))
     return worst, _tol(opts, 1e-6)
 
 

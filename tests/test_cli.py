@@ -10,7 +10,8 @@ import os
 
 import pytest
 
-from bsymp import cli
+import bsymp.expr as ex
+from bsymp import cli, dynamics as dyn
 
 SO3 = {"labels": ["X", "Y", "Z"],
        "constants": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]}
@@ -150,6 +151,13 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"flow": {"T": 1e4, "dt": 1e-3}}, "flow.T"),
     (["flow"], {"flow": {"T": 1e300, "dt": 1e-300}}, "flow.T"),
     (["flow"], {"flow": {"dt": 0}}, "flow.dt"),
+    (["flow"], {"flow": {"method": "euler"}}, "flow.method"),
+    (["flow"], {"flow": {"substitution": "false"}}, "flow.substitution"),
+    (["flow"], {"flow": {"substitution": 1}}, "flow.substitution"),
+    (["flow"], {"flow": {"casimirs": {"c": "log(mu_P1)"}, "x0": [-0.5, 0.0, 1.0, 0.0]}},
+     "flow.casimirs.c"),
+    (["flow"], {"flow": {"hamiltonian": "p + log(mu_P1)", "x0": [-0.5, 0.0, 1.0, 0.0]}},
+     "flow.hamiltonian"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
@@ -298,6 +306,54 @@ def test_flow_of_a_long_hamiltonian_sum(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,mu_P1,mu_P2,phi,p,H"
     assert len(lines) == 1 + 11
+
+
+def test_flow_invariant_failure_names_key_and_time(tmp_path, capsys):
+    # H = phi gives p' = -phi = -1, so log(p) fails once p reaches 0 at t = 0.5
+    cfg = write_config(tmp_path, {"flow": {"hamiltonian": "phi", "x0": [0.0, 0.0, 1.0, 0.5],
+                                           "dt": 0.01, "T": 1.0,
+                                           "casimirs": {"ok": "mu_P1", "lp": "log(p)"}}})
+    assert cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: flow.casimirs.lp cannot be evaluated at t=0.5")
+    assert "log of a non-positive value" in err
+
+
+@pytest.mark.parametrize("extra", [{}, {"method": "midpoint"}, {"substitution": True}])
+def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
+    # one compile for the field, one for [H, *casimirs]; the CSV only reads
+    compiles, trajectories, during_csv = [], [], []
+    compile_exprs, integrate, write_csv = ex.compile_exprs, dyn.integrate, dyn.write_csv
+
+    def counted(exprs, names):
+        compiles.append(len(exprs))
+        return compile_exprs(exprs, names)
+
+    def kept(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    def watched(*args, **kwargs):
+        before = len(compiles)
+        write_csv(*args, **kwargs)
+        during_csv.append(len(compiles) - before)
+
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    monkeypatch.setattr(dyn, "integrate", kept)
+    monkeypatch.setattr(dyn, "write_csv", watched)
+    cfg = write_config(tmp_path, {"flow": {"hamiltonian": "p^2/2 + 0.3*phi*mu_P1 + mu_P2",
+                                           "x0": [0.4, -0.2, 0.5, 0.3], "dt": 0.01, "T": 1.0,
+                                           "casimirs": {"m1": "mu_P1^2"}, **extra}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert compiles == [4, 2] and during_csv == [0]
+    tr, = trajectories
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "t,mu_P1,mu_P2,phi,p,H,m1"
+    got = [[float(v) for v in ln.split(",")[-2:]] for ln in lines[1:]]
+    assert got == tr.invariants.tolist()
+    assert tr.invariants.shape == (101, 2)
 
 
 def test_flow_chart_exit_returns_1(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_argument_validation():
 def test_leaf_report_off_slice():
     rp, vf, m = reduced_field("se2", Var("p"))
     tr = dyn.integrate(vf, [0.3, -0.1, 1.0, 0.2], 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr, phi_slot=m)
+    rep = dyn.leaf_report(rp.bivector, tr)
     assert rep.sign_constant and not rep.on_slice
     assert rep.energy_drift <= 1e-9
     # the dual block of the reduced se2 structure is identically zero, so
@@ -247,7 +247,7 @@ def test_leaf_report_on_slice():
     vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
     x0 = [0.4, -0.2, 0.0, 0.7]
     tr = dyn.integrate(vf, x0, 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr, phi_slot=m)
+    rep = dyn.leaf_report(rp.bivector, tr)
     assert rep.on_slice
     assert set(rep.casimir_drifts) == {"mu_B1", "mu_C"} or \
         set(rep.casimir_drifts) == set(rp.coordinates[:m])
@@ -259,16 +259,16 @@ def test_galilean_report_has_no_structural_casimirs():
     m = len(rp.coordinates) - 2
     vf = dyn.hamiltonian_vf(rp.bivector, Var("p"), phi_slot=m)
     tr = dyn.integrate(vf, [0.1] * m + [0.5, 0.1], 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr, phi_slot=m)
+    rep = dyn.leaf_report(rp.bivector, tr)
     assert rep.casimir_drifts == {}
     assert rep.sign_constant
 
 
 def test_csv_round_trip():
     rp, vf, m = reduced_field("se2", Var("p"))
-    tr = dyn.integrate(vf, [0.1, -0.2, 1.0, 0.3], 0.25, 1.0)
+    tr = dyn.integrate(vf, [0.1, -0.2, 1.0, 0.3], 0.25, 1.0, casimirs=[Var("mu_P1")])
     buf = io.StringIO()
-    dyn.write_csv(tr, vf, buf, casimirs=[("mu_P1", Var("mu_P1"))])
+    dyn.write_csv(tr, buf, ["mu_P1"])
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,mu_P1,mu_P2,phi,p,H,mu_P1"
     assert len(lines) == 1 + len(tr.times)

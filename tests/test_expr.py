@@ -218,6 +218,17 @@ def test_print_parse_round_trip(text):
     assert to_str(parse(canon)) == canon
 
 
+def test_to_str_of_deep_chain_does_not_recurse():
+    e = Var("x")
+    want = "x*y + 1"
+    for k in range(1, 5001):
+        e = e * Var("y") + Const(Fraction(1, k))
+        if k > 1:
+            want = f"({want})*y + 1/{k}"
+    assert to_str(e) == want
+    assert to_str(-e).startswith("-((((") and to_str(expr.Fun("sin", e)) == f"sin({want})"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_print_parse_round_trip_random(seed):

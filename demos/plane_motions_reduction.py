@@ -4,7 +4,7 @@ Walks from the structure constants to the reduced bracket table:
 build the group pair, lift its translation action to the cotangent
 chart, check the moment map numerically, then print the reduced
 Poisson structure and confirm one bracket against the upstairs
-oracle built from invariant functions.
+oracle, through the orbit-invariant coordinates of a connection.
 """
 
 import random
@@ -44,21 +44,18 @@ print(f"moment equivariance residual at a random point: {gap:.2e}")
 # the reduced structure: dual-of-subgroup block plus a transverse pair
 rp = red.reduced_poisson(pair)
 print()
-print("reduced coordinates:", ", ".join(rp.coordinates))
+print("reduced coordinates:", ", ".join(rp.names))
 print("nonzero reduced brackets:")
 for a, b, val in rp.table():
     print(f"  {{{a}, {b}}} = {val}")
 print("(the dual block vanishes: the translation subgroup is abelian)")
 
-# cross-check {phi, p} = phi against the upstairs canonical structure,
-# evaluated on orbit-invariant representatives of phi and p
-m = len(pair.h_names)
-names = act.cot.chart.names
-F = Var(pair.phi_name)
-G = red.transverse_momentum_expr(red.make_connection(pair))
-pt = [rng.uniform(-0.7, 0.7) for _ in names]
-got = red.reduced_bracket_via_invariants(pair, F, G, pt)
-phi_val = pt[m]
+# cross-check {phi, p} = phi against the upstairs canonical structure:
+# the default connection lifts phi and p to orbit-invariant functions
+theta = red.make_connection(pair)
+pt = [rng.uniform(-0.7, 0.7) for _ in act.cot.chart.names]
+got = red.reduced_bracket_via_invariants(theta, Var(pair.phi_name), Var("p"), pt)
+phi_val = pt[len(pair.h_names)]
 print()
 print(f"oracle {{phi, p}} at phi={phi_val:+.4f}: {got:+.6f}"
       f"  (block formula gives {phi_val:+.6f})")

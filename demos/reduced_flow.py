@@ -12,10 +12,10 @@ from bsymp import dynamics as dyn, expr as ex, lie, reduction as red
 
 pair = lie.builtin("se2")
 rp = red.reduced_poisson(pair)
-print("reduced coordinates:", ", ".join(rp.coordinates))
+print("reduced coordinates:", ", ".join(rp.names))
 
 H = ex.parse("p^2/2 + 0.3*phi*mu_P1 + mu_P2")
-vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=2)
+vf = dyn.hamiltonian_vf(rp, H, phi_slot=2)
 print("Hamiltonian:", ex.to_str(H))
 print("equations of motion:")
 for name, comp in zip(vf.names, vf.components):
@@ -28,7 +28,7 @@ mus = [ex.Var("mu_P1"), ex.Var("mu_P2")]
 for phi0 in (0.5, -0.5, 0.0):
     x0 = [0.4, -0.2, phi0, 0.3]
     traj = dyn.integrate(vf, x0, dt=1e-3, T=3.0, casimirs=mus)
-    rep = dyn.leaf_report(rp.bivector, traj)
+    rep = dyn.leaf_report(rp, traj)
     phi_final = traj.final[2]
     print(f"start phi = {phi0:+.2f}:")
     print(f"  final phi = {phi_final:+.6f}, sign constant: {rep.sign_constant}")
@@ -39,7 +39,7 @@ for phi0 in (0.5, -0.5, 0.0):
 # exponential growth: H = p gives dphi/dt = phi, so phi(1) = e * phi(0)
 import math
 
-vf_exp = dyn.hamiltonian_vf(rp.bivector, ex.parse("p"), phi_slot=2)
+vf_exp = dyn.hamiltonian_vf(rp, ex.parse("p"), phi_slot=2)
 x0 = [0.0, 0.0, 1.0, 0.0]
 plain = dyn.integrate(vf_exp, x0, dt=1e-3, T=1.0)
 logged = dyn.integrate(vf_exp, x0, dt=1e-3, T=1.0, substitution=True)

@@ -198,7 +198,13 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(conn["xi"], list):
             raise ConfigError("connection.xi must be a list")
         xi = [_number(f"connection.xi[{i}]", v) for i, v in enumerate(conn["xi"])]
-        cfg.connection = {**conn, "xi": xi}
+        try:
+            scale = ex.parse(str(conn["scale"]))
+        except ex.ExprSyntaxError as e:
+            raise ConfigError(f"connection.scale: {e}") from e
+        if not isinstance(conn.get("b_leg", False), bool):
+            raise ConfigError(f"connection.b_leg must be true or false, got {conn['b_leg']!r}")
+        cfg.connection = {**conn, "xi": xi, "scale": scale}
 
     cfg.seed = _number("seed", data.get("seed", 42), integer=True)
 
@@ -250,11 +256,13 @@ def _connection(cfg: RunConfig):
     xi = spec["xi"]
     if len(xi) != len(pair.h_names):
         raise ConfigError("connection.xi must match the subgroup dimension")
+    extra = ex.free_vars(spec["scale"]) - {pair.phi_name}
+    if extra:
+        raise ConfigError(f"connection.scale may use only {pair.phi_name}, got {sorted(extra)}")
     try:
         return red.make_connection(
-            pair, deformation=(xi, str(spec["scale"]),
-                               bool(spec.get("b_leg", False))))
-    except (ValueError, ex.ExprSyntaxError) as e:
+            pair, deformation=(xi, spec["scale"], spec.get("b_leg", False)))
+    except ValueError as e:
         raise ConfigError(f"bad connection: {e}") from e
 
 
@@ -332,13 +340,13 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
     pair = cfg.pair
     path = _out_path(args, "reduce", cfg)
     theta = _connection(cfg)
-    rp = red.reduced_poisson(pair, theta)
-    names = rp.coordinates
+    rp = red.reduced_poisson(pair, theta.mode)
+    names = rp.names
     buf = io.StringIO()
     buf.write("first,second,bracket\n")
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            e = rp.bivector.entry(i, j)
+            e = rp.entry(i, j)
             buf.write(f"{names[i]},{names[j]},{ex.to_str(e)}\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
@@ -351,7 +359,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     pair = cfg.pair
     path = _out_path(args, "flow", cfg)
     rp = red.reduced_poisson(pair)
-    names = rp.coordinates
+    names = rp.names
     m = len(names) - 2
     fl = dict(cfg.flow)
     x0 = fl.get("x0", [0.0] * m + [1.0, 0.0])
@@ -366,7 +374,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     H = _coordinate_expr("flow.hamiltonian", fl.get("hamiltonian", "p"), names)
     casimirs = [(str(label), _coordinate_expr(f"flow.casimirs.{label}", text, names))
                 for label, text in fl.get("casimirs", {}).items()]
-    vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
+    vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
     try:
         tr = dyn.integrate(vf, x0, dt, T, method=fl.get("method", "rk4"),
                            casimirs=[e for _, e in casimirs],
@@ -379,8 +387,10 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         return 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         dyn.write_csv(tr, fh, [label for label, _ in casimirs])
-    rep = dyn.leaf_report(rp.bivector, tr)
+    rep = dyn.leaf_report(rp, tr)
     print("\n".join(rep.lines()))
+    for (label, _), drift in zip(casimirs, tr.casimir_drifts):
+        print(f"drift[{label}]: {drift!r}")
     print(f"wrote: {path}")
     return 0
 

@@ -19,10 +19,16 @@ Conventions fixed here:
   d/dp (or d/dphi ^ d/dp in classical mode) on the transverse pair.
 * invariant fiber coordinates nu_b = <mu, Ad_k E_b> undo the orbit motion
   of the vertical momenta; they are the pullbacks of the reduced mu_b.
+* a connection owns its reduced chart: `reduced_coordinates` lifts mu_b to
+  nu_b, phi to phi and p to its annihilator coefficient p_theta, and
+  `chart_shift` tau: p -> p - S <xi, mu> takes that chart to the default
+  one.  The theorem reads {F o lift_theta, G o lift_theta} =
+  {F o tau, G o tau}_reduced o lift_default for reduced F and G.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,14 +81,16 @@ def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
 class Connection:
     """Algebra-valued 1-form on the split chart, one BForm per generator.
 
-    Its compiled coefficients and its compiled coupling map (see the
-    coupling identity below) are cached properties, built on first use.
+    Its dphi-frame slot is S * Ad_k xi (xi, S None for the default).  Its
+    compiled maps, reduced coordinates and chart shift are cached on it.
     """
 
     pair: BLieGroupPair
     mode: str
     forms: tuple[BForm, ...]
     tag: str
+    xi: tuple[float, ...] | None = None
+    S: Expr | None = None
 
     @property
     def chart(self) -> BChart:
@@ -112,6 +120,56 @@ class Connection:
         """The dphi-leg coefficients t_a, zero for the default connection."""
         m = self.h_dim
         return [form.coeff((m,)) for form in self.forms]
+
+    @cached_property
+    def _reduction(self):
+        """(reduced coordinates on the cotangent chart, their compiled map),
+        checked constant along the lifted orbits once, on 20 seeded samples."""
+        act = _action(self.pair, self.mode)
+        names = list(act.cot.chart.names)
+        m = self.h_dim
+        nu = invariant_moment_exprs(self.pair, self.mode)
+        p_theta = psi_map_exprs(self)[-1]
+        coords = {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": p_theta}
+        fn = ex.compile_exprs([*nu, Var(self.pair.phi_name), p_theta], names)
+        rng = random.Random(211)
+        scale = 1.0
+        worst = 0.0
+        for t in range(20):
+            x = [rng.uniform(-0.8, 0.8) for _ in names]
+            if self.mode == "b" and t % 4 == 0:
+                x[m] = 0.0
+            h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
+            a, b = fn(x), fn(list(act.act(h, x)))
+            scale = max(scale, *map(abs, a))
+            worst = max(worst, *(abs(u - v) for u, v in zip(a, b)))
+        if worst > 1e-8 * scale:
+            raise ValueError(f"reduced coordinates of the {self.tag} connection are "
+                             f"not orbit-invariant, residual {worst:.3e}")
+        return coords, fn
+
+    @property
+    def reduced_coordinates(self) -> dict[str, Expr]:
+        """mu_b -> nu_b, p -> p_theta as orbit-invariant functions on the
+        cotangent chart; phi, shared by both charts, maps to itself and has
+        no entry.  The first use raises ValueError if one is not invariant."""
+        return self._reduction[0]
+
+    def reduced_point(self, point: Sequence[float]) -> list[float]:
+        """The reduced point (mu, phi, p) of a cotangent-chart point."""
+        return self._reduction[1]([float(x) for x in point])
+
+    @cached_property
+    def chart_shift(self) -> dict[str, Expr]:
+        """tau: p -> p - S <xi, mu>, empty for the default connection.
+
+        F read through this connection is F o tau read through the default
+        one, since p_theta = p_default - S <xi, nu>.
+        """
+        if self.xi is None:
+            return {}
+        mu = map(Var, dual_names(self.pair.h_algebra))
+        return {"p": Var("p") - self.S * ex.dot(self.xi, mu)}
 
     @cached_property
     def _coupling_compiled(self):
@@ -180,24 +238,27 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
     rows = _default_theta_exprs(pair)
     coeffs = [{(j,): rows[a][j] for j in range(m) if not ex.is_zero(rows[a][j])}
               for a in range(m)]
-    tag = "default"
+    tag, xi, S = "default", None, None
     if deformation is not None:
         xi, c, b_flag = deformation
+        xi = tuple(xi)
         if b_flag and mode == "classical":
             raise ValueError("a dphi/phi deformation needs the b chart")
         if isinstance(c, str):
             c = ex.parse(c)
+        # a smooth dphi leg on the b chart picks up one phi factor
+        smooth_on_b = mode == "b" and not b_flag
+        S = c * Var(pair.phi_name) if smooth_on_b else c
         adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
         for a in range(m):
             leg = ex.dot(adm[a], xi) * c
-            if mode == "b" and not b_flag:
-                # a smooth dphi leg on the b chart picks up one phi factor
+            if smooth_on_b:
                 leg = leg * Var(pair.phi_name)
             if not ex.is_zero(leg):
                 coeffs[a][(m,)] = leg
         tag = "deformed-b" if b_flag else "deformed-smooth"
     forms = tuple(BForm(ch, 1, c) for c in coeffs)
-    theta = Connection(pair=pair, mode=mode, forms=forms, tag=tag)
+    theta = Connection(pair=pair, mode=mode, forms=forms, tag=tag, xi=xi, S=S)
     resid = _axiom_residual(theta, samples=40, seed=101)
     if resid > 1e-8:
         raise ValueError(f"connection axioms fail, residual {resid:.3e}")
@@ -206,8 +267,6 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
 
 def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
     """Max residual of the reproducing and equivariance axioms on samples."""
-    import random
-
     pair = theta.pair
     H = pair.h_group
     Jf = H.translation_jacobian_compiled
@@ -395,39 +454,10 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
 # the reduced structure
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedPoisson:
-    """Block bivector on (subgroup dual) x (transverse pair)."""
-
-    pair: BLieGroupPair
-    mode: str
-    bivector: PoissonBivector
-
-    @property
-    def coordinates(self) -> tuple[str, ...]:
-        return self.bivector.names
-
-    def bracket(self, F: Expr, G: Expr) -> Expr:
-        return self.bivector.bracket(F, G)
-
-    def bracket_value(self, F: Expr, G: Expr, point: Sequence[float]) -> float:
-        return self.bivector.bracket_value(F, G, point)
-
-    def table(self):
-        return self.bivector.table()
-
-    def jacobiator(self, F: Expr, G: Expr, K: Expr) -> Expr:
-        return self.bivector.jacobiator(F, G, K)
-
-
-def reduced_poisson(pair: BLieGroupPair, theta: Connection | None = None) -> ReducedPoisson:
-    """The reduced bivector; the connection only witnesses the construction.
-
-    Every connection produces the same block formula, which is what the
-    independence tests check, so the bivector is written down directly
-    from the subgroup constants and the transverse pair.
-    """
-    mode = theta.mode if theta is not None else "b"
+def reduced_poisson(pair: BLieGroupPair, mode: str = "b") -> PoissonBivector:
+    """The block bivector, written down from the subgroup constants: the
+    theorem gives it for every connection, which verify's
+    connection-independence section and an exact Tier-1 test check."""
     alg = pair.h_algebra
     m = len(alg.labels)
     names = tuple(dual_names(alg)) + (pair.phi_name, "p")
@@ -441,52 +471,26 @@ def reduced_poisson(pair: BLieGroupPair, theta: Connection | None = None) -> Red
             if not ex.is_zero(acc):
                 entries[(i, j)] = acc
     entries[(m, m + 1)] = Var(pair.phi_name) if mode == "b" else ONE
-    return ReducedPoisson(pair=pair, mode=mode,
-                          bivector=PoissonBivector(names, entries))
+    return PoissonBivector(names, entries)
 
 
-def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> list[Expr]:
-    """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits."""
-    m = len(pair.h_names)
-    adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
-    mus = _action(pair, mode).moment_exprs
-    return [ex.dot(mus, [row[b] for row in adm]) for b in range(m)]
+def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> tuple[Expr, ...]:
+    """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits;
+    built once per pair and mode, so every connection lifts through them."""
+    def build():
+        adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
+        mus = _action(pair, mode).moment_exprs
+        return tuple(ex.dot(mus, column) for column in zip(*adm))
+
+    return pair.memo(("invariant_moments", mode), build)
 
 
-def transverse_momentum_expr(theta: Connection) -> Expr:
-    """The annihilator coefficient p as a function on the cotangent chart."""
-    return psi_map_exprs(theta)[-1]
-
-
-def reduced_bracket_via_invariants(pair: BLieGroupPair, F: Expr, G: Expr,
-                                   point: Sequence[float], mode: str = "b") -> float:
-    """Bracket of two invariant functions, evaluated with the upstairs
-    canonical structure at the given lift.
-
-    The inputs must be constant along the lifted orbits; that is checked on
-    seeded samples before any value is produced, and it is exactly what
-    makes the value a function of the reduced point alone.
-    """
-    import random
-
-    act = _action(pair, mode)
-    cch = act.cot.chart
-    names = list(cch.names)
-    m = len(pair.h_names)
-    fg = ex.compile_exprs([F, G], names)
-    rng = random.Random(211)
-    scale = 1.0
-    worst = 0.0
-    for t in range(20):
-        x = [rng.uniform(-0.8, 0.8) for _ in names]
-        if mode == "b" and t % 4 == 0:
-            x[m] = 0.0
-        h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
-        a = fg(x)
-        b = fg(list(act.act(h, x)))
-        scale = max(scale, abs(a[0]), abs(a[1]))
-        worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
-    if worst > 1e-8 * scale:
-        raise ValueError(f"inputs are not orbit-invariant, residual {worst:.3e}")
-
-    return act.upstairs_poisson.bracket_value(F, G, [float(x) for x in point])
+def reduced_bracket_via_invariants(theta: Connection, F: Expr, G: Expr,
+                                   point: Sequence[float]) -> float:
+    """{F, G} of reduced F and G, lifted through the connection's checked
+    reduced coordinates and bracketed upstairs at a cotangent-chart point;
+    functions of orbit-invariant coordinates need no check of their own."""
+    lift = theta.reduced_coordinates
+    up = _action(theta.pair, theta.mode).upstairs_poisson
+    return up.bracket_value(ex.subs(F, lift), ex.subs(G, lift),
+                            [float(x) for x in point])

@@ -306,9 +306,9 @@ def _sec_moment_equivariance(pair, opts):
 
 
 def _connection_cases(pair):
-    """(connection, xi, dphi-leg scale) for the default and two deformed
-    connections, built and axiom-checked once per pair and kept on it, so
-    the four reduction sections share their compiled functions and forms."""
+    """The default and two deformed connections, built and axiom-checked once
+    per pair and kept on it, so the four reduction sections share their
+    compiled functions, forms and reduced coordinates."""
     return pair.memo("verify_connection_cases", lambda: _build_connection_cases(pair))
 
 
@@ -318,17 +318,15 @@ def _build_connection_cases(pair):
     xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
     xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
     return (
-        (red.make_connection(pair), None, None),
-        (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
-         xi1, ex.parse(f"1 + {phi}^2")),
-        (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
-         xi2, ex.parse(f"cos({phi})") * Var(phi)),
+        red.make_connection(pair),
+        red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
+        red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
     )
 
 
 def _sec_connection_axioms(pair, opts):
     worst = 0.0
-    for theta, _, _ in _connection_cases(pair):
+    for theta in _connection_cases(pair):
         worst = max(worst, red._axiom_residual(theta, 30, opts.seed + 7))
     return worst, _tol(opts, 1e-9)
 
@@ -337,7 +335,7 @@ def _sec_splitting_roundtrip(pair, opts):
     rng = random.Random(opts.seed * 23 + 8)
     m = len(pair.h_names)
     worst = 0.0
-    for theta, _, _ in _connection_cases(pair):
+    for theta in _connection_cases(pair):
         for _ in range(_count(opts, 40) // 2):
             g = [rng.uniform(-0.6, 0.6) for _ in range(m + 1)]
             v = [rng.uniform(-1, 1) for _ in range(m + 1)]
@@ -358,7 +356,7 @@ def _sec_coupling_identity(pair, opts):
     m = len(pair.h_names)
     n = _count(opts, 200)
     worst = 0.0
-    for theta, _, _ in _connection_cases(pair):
+    for theta in _connection_cases(pair):
         for t in range(n):
             x = [rng.uniform(-0.7, 0.7) for _ in names]
             if t % 2 == 0:
@@ -374,35 +372,23 @@ def _sec_coupling_identity(pair, opts):
 
 def _sec_connection_independence(pair, opts):
     rng = random.Random(opts.seed * 31 + 10)
-    act = red._action(pair)
-    cn = list(act.cot.chart.names)
+    cn = red._action(pair).cot.chart.names
     m = len(pair.h_names)
     rp = red.reduced_poisson(pair)
-    rnames = rp.coordinates
-    nu = red.invariant_moment_exprs(pair)
-    downf = ex.compile_exprs(list(nu), cn)
+    cases = _connection_cases(pair)
     n = _count(opts, 50)
     worst = 0.0
-    for theta, xi, scale in _connection_cases(pair):
-        p0 = red.transverse_momentum_expr(theta)
-        lift_sub = {rnames[b]: nu[b] for b in range(m)}
-        lift_sub[rnames[m + 1]] = p0
-        if xi is None:
-            tau = {}
-        else:
-            shift = ex.dot(xi, map(Var, rnames[:m]))
-            tau = {rnames[m + 1]: Var(rnames[m + 1]) - scale * shift}
+    for theta in cases:
+        tau = theta.chart_shift
         for _ in range(n):
-            F = _poly(rng, list(rnames))
-            G = _poly(rng, list(rnames))
+            F = _poly(rng, rp.names)
+            G = _poly(rng, rp.names)
             x = [rng.uniform(-0.6, 0.6) for _ in cn]
             if rng.random() < 0.4:
                 x[m] = 0.0
-            up = red.reduced_bracket_via_invariants(
-                pair, ex.subs(F, lift_sub), ex.subs(G, lift_sub), x)
-            down_pt = downf(x) + [x[m], x[2 * m + 1]]
+            up = red.reduced_bracket_via_invariants(theta, F, G, x)
             want = rp.bracket_value(ex.subs(F, tau), ex.subs(G, tau),
-                                    down_pt)
+                                    cases[0].reduced_point(x))
             worst = max(worst, abs(up - want))
     return worst, _tol(opts, 1e-8)
 
@@ -410,7 +396,7 @@ def _sec_connection_independence(pair, opts):
 def _sec_reduced_jacobi(pair, opts):
     rng = random.Random(opts.seed * 37 + 11)
     rp = red.reduced_poisson(pair)
-    names = list(rp.coordinates)
+    names = list(rp.names)
     worst = 0.0
     for _ in range(_count(opts, 20)):
         F, G, K = (_poly(rng, names) for _ in range(3))
@@ -422,9 +408,8 @@ def _sec_reduced_jacobi(pair, opts):
 
 def _reduced_flow_field(pair):
     rp = red.reduced_poisson(pair)
-    m = len(rp.coordinates) - 2
-    vf = dyn.hamiltonian_vf(rp.bivector, Var(rp.coordinates[m + 1]),
-                            phi_slot=m)
+    m = len(rp.names) - 2
+    vf = dyn.hamiltonian_vf(rp, Var(rp.names[m + 1]), phi_slot=m)
     return rp, vf, m
 
 
@@ -438,10 +423,10 @@ def _sec_flow_endpoint(pair, opts):
 def _sec_slice_hold(pair, opts):
     rng = random.Random(opts.seed * 41 + 12)
     rp = red.reduced_poisson(pair)
-    m = len(rp.coordinates) - 2
-    H = _poly(rng, list(rp.coordinates))
-    vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
-    x0 = [rng.uniform(-0.5, 0.5) for _ in rp.coordinates]
+    m = len(rp.names) - 2
+    H = _poly(rng, list(rp.names))
+    vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
+    x0 = [rng.uniform(-0.5, 0.5) for _ in rp.names]
     x0[m] = 0.0
     tr = dyn.integrate(vf, x0, 1e-2, 2.0)
     return float(np.max(np.abs(tr.rows[:, m]))), 0.0
@@ -463,12 +448,12 @@ _ENERGY_DRIFT_HALVINGS = 20
 def _sec_energy_drift(pair, opts):
     rng = random.Random(opts.seed * 43 + 13)
     rp = red.reduced_poisson(pair)
-    m = len(rp.coordinates) - 2
+    m = len(rp.names) - 2
     worst = 0.0
     for _ in range(3):
-        H = _poly(rng, list(rp.coordinates))
-        vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
-        x0 = [rng.uniform(-0.6, 0.6) for _ in rp.coordinates]
+        H = _poly(rng, list(rp.names))
+        vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
+        x0 = [rng.uniform(-0.6, 0.6) for _ in rp.names]
         # quadratic terms can drive finite-time escape, and each halving of
         # the start only doubles the exit time; shrink it deterministically
         # until the full horizon stays on the chart, else fail the section

@@ -52,9 +52,9 @@ def test_criterion_1_reduced_table_of_plane_motions(tmp_path, capsys):
     ]
     # and the bivector object carries the same coefficients symbolically
     rp = red.reduced_poisson(lie.builtin("se2"))
-    e = rp.bivector.entry(2, 3)
+    e = rp.entry(2, 3)
     assert isinstance(e, Var) and e.name == "phi"
-    for (i, j), c in rp.bivector.entries.items():
+    for (i, j), c in rp.entries.items():
         if (i, j) != (2, 3):
             assert isinstance(c, Const) and c.value == 0
 
@@ -133,13 +133,13 @@ def test_criterion_7_moment_identity():
 
 def test_criterion_8_reduced_flows():
     rp = red.reduced_poisson(lie.builtin("se2"))
-    m = len(rp.coordinates) - 2
-    vf = dyn.hamiltonian_vf(rp.bivector, Var("p"), phi_slot=m)
+    m = len(rp.names) - 2
+    vf = dyn.hamiltonian_vf(rp, Var("p"), phi_slot=m)
     tr = dyn.integrate(vf, [0.0, 0.0, 1.0, 0.0], 1e-3, 1.0)
     assert abs(tr.final[m] - math.e) <= 1e-6
     # slice start held exactly, off-slice sign frozen
     H = ex.parse("p^2/2 + 0.3*phi*mu_P1 + mu_P2")
-    vf2 = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
+    vf2 = dyn.hamiltonian_vf(rp, H, phi_slot=m)
     tr0 = dyn.integrate(vf2, [0.4, -0.2, 0.0, 0.3], 1e-2, 3.0)
     assert np.all(tr0.rows[:, m] == 0.0)
     for sgn in (1.0, -1.0):

@@ -158,6 +158,11 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
      "flow.casimirs.c"),
     (["flow"], {"flow": {"hamiltonian": "p + log(mu_P1)", "x0": [-0.5, 0.0, 1.0, 0.0]}},
      "flow.hamiltonian"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1", "b_leg": "false"}},
+     "connection.b_leg"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": [1]}}, "connection.scale"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1 +"}}, "connection.scale"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1 + b1"}}, "connection.scale"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
@@ -354,6 +359,31 @@ def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
     got = [[float(v) for v in ln.split(",")[-2:]] for ln in lines[1:]]
     assert got == tr.invariants.tolist()
     assert tr.invariants.shape == (101, 2)
+
+
+def test_flow_prints_configured_casimir_drifts(tmp_path, capsys, monkeypatch):
+    # after the structural lines, one line per flow.casimirs label in config
+    # order; a label equal to a coordinate name keeps both lines
+    trajectories = []
+    integrate = dyn.integrate
+
+    def kept(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(dyn, "integrate", kept)
+    cfg = write_config(tmp_path, {"flow": {"hamiltonian": "p^2/2 + 0.3*phi*mu_P1 + mu_P2",
+                                           "x0": [0.4, -0.2, 0.5, 0.3], "dt": 0.01, "T": 1.0,
+                                           "casimirs": {"w": "mu_P1^2 + p", "mu_P1": "mu_P1"}}})
+    assert cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tr, = trajectories
+    assert tr.casimir_drifts[0] > 0.0
+    assert lines[-3:] == [f"drift[w]: {tr.casimir_drifts[0]!r}",
+                          f"drift[mu_P1]: {tr.casimir_drifts[1]!r}",
+                          f"wrote: {tmp_path / 'f.csv'}"]
+    assert [ln for ln in lines if ln.startswith("drift[mu_P1]: ")] == \
+        ["drift[mu_P1]: 0.0", f"drift[mu_P1]: {tr.casimir_drifts[1]!r}"]
 
 
 def test_flow_chart_exit_returns_1(tmp_path, capsys):

@@ -22,8 +22,8 @@ GROUPS = ["se2", "heisenberg_q(1)", "galilean"]
 
 def reduced_field(name, H):
     rp = red.reduced_poisson(lie.builtin(name))
-    m = len(rp.coordinates) - 2
-    return rp, dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m), m
+    m = len(rp.names) - 2
+    return rp, dyn.hamiltonian_vf(rp, H, phi_slot=m), m
 
 
 def random_quadratic(rng, names):
@@ -59,7 +59,7 @@ def test_field_of_quadratic_keeps_structural_factor():
     H = ex.parse("p^2 / 2")
     rp, vf, m = reduced_field("se2", H)
     # phi-component is phi * p as a product node: tangency is structural
-    f = ex.compile_exprs([vf.components[m]], list(rp.coordinates))
+    f = ex.compile_exprs([vf.components[m]], list(rp.names))
     for p in (0.0, 0.7, -1.3):
         assert f([0.1, 0.2, 0.0, p])[0] == 0.0
         assert abs(f([0.1, 0.2, 2.0, p])[0] - 2.0 * p) < 1e-15
@@ -70,13 +70,13 @@ def test_field_matches_bracket_numerically():
     rng = random.Random(5)
     for name in GROUPS:
         rp = red.reduced_poisson(lie.builtin(name))
-        H = random_quadratic(rng, list(rp.coordinates))
-        vf = dyn.hamiltonian_vf(rp.bivector, H)
+        H = random_quadratic(rng, list(rp.names))
+        vf = dyn.hamiltonian_vf(rp, H)
         for _ in range(5):
-            x = [rng.uniform(-1, 1) for _ in rp.coordinates]
+            x = [rng.uniform(-1, 1) for _ in rp.names]
             vx = vf(x)
-            for i, n in enumerate(rp.coordinates):
-                want = rp.bivector.bracket_value(Var(n), H, x)
+            for i, n in enumerate(rp.names):
+                want = rp.bracket_value(Var(n), H, x)
                 assert abs(vx[i] - want) <= 1e-12
 
 
@@ -118,10 +118,10 @@ def test_slice_hold_is_exact():
     rng = random.Random(9)
     for name in GROUPS:
         rp = red.reduced_poisson(lie.builtin(name))
-        m = len(rp.coordinates) - 2
-        H = random_quadratic(rng, list(rp.coordinates))
-        vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
-        x0 = [rng.uniform(-1, 1) for _ in rp.coordinates]
+        m = len(rp.names) - 2
+        H = random_quadratic(rng, list(rp.names))
+        vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
+        x0 = [rng.uniform(-1, 1) for _ in rp.names]
         x0[m] = 0.0
         tr = dyn.integrate(vf, x0, 1e-2, 2.0)
         assert np.all(tr.rows[:, m] == 0.0), name
@@ -132,11 +132,11 @@ def test_sign_never_flips():
     rng = random.Random(17)
     for name in GROUPS:
         rp = red.reduced_poisson(lie.builtin(name))
-        m = len(rp.coordinates) - 2
+        m = len(rp.names) - 2
         for sgn in (1.0, -1.0):
-            H = random_quadratic(rng, list(rp.coordinates))
-            vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
-            x0 = [rng.uniform(-0.5, 0.5) for _ in rp.coordinates]
+            H = random_quadratic(rng, list(rp.names))
+            vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
+            x0 = [rng.uniform(-0.5, 0.5) for _ in rp.names]
             x0[m] = 0.4 * sgn
             tr = dyn.integrate(vf, x0, 1e-2, 3.0)
             assert np.all(np.sign(tr.rows[:, m]) == sgn), name
@@ -146,12 +146,12 @@ def test_energy_drift_bound():
     rng = random.Random(23)
     for name in GROUPS:
         rp = red.reduced_poisson(lie.builtin(name))
-        m = len(rp.coordinates) - 2
+        m = len(rp.names) - 2
         for _ in range(10):
-            H = random_quadratic(rng, list(rp.coordinates))
-            vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
-            x0 = [rng.uniform(-0.6, 0.6) for _ in rp.coordinates]
-            h0 = ex.evaluate(H, dict(zip(rp.coordinates, x0)))
+            H = random_quadratic(rng, list(rp.names))
+            vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
+            x0 = [rng.uniform(-0.6, 0.6) for _ in rp.names]
+            h0 = ex.evaluate(H, dict(zip(rp.names, x0)))
             tr = dyn.integrate(vf, x0, 1e-3, 10.0)
             assert tr.energy_drift <= 1e-6 * (1.0 + abs(h0)), name
 
@@ -196,7 +196,7 @@ def test_box_exit_reports_time():
 
 
 def test_nonfinite_state_raises():
-    P = red.reduced_poisson(lie.builtin("se2")).bivector
+    P = red.reduced_poisson(lie.builtin("se2"))
     vf = dyn.VectorField(names=("x",), components=(ex.parse("x^2"),))
     with pytest.raises(dyn.ChartExitError):
         dyn.integrate(vf, [1.0], 0.5, 400.0)
@@ -229,7 +229,7 @@ def test_argument_validation():
 def test_leaf_report_off_slice():
     rp, vf, m = reduced_field("se2", Var("p"))
     tr = dyn.integrate(vf, [0.3, -0.1, 1.0, 0.2], 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr)
+    rep = dyn.leaf_report(rp, tr)
     assert rep.sign_constant and not rep.on_slice
     assert rep.energy_drift <= 1e-9
     # the dual block of the reduced se2 structure is identically zero, so
@@ -242,24 +242,24 @@ def test_leaf_report_off_slice():
 def test_leaf_report_on_slice():
     rng = random.Random(31)
     rp = red.reduced_poisson(lie.builtin("heisenberg_q(1)"))
-    m = len(rp.coordinates) - 2
-    H = random_quadratic(rng, list(rp.coordinates))
-    vf = dyn.hamiltonian_vf(rp.bivector, H, phi_slot=m)
+    m = len(rp.names) - 2
+    H = random_quadratic(rng, list(rp.names))
+    vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
     x0 = [0.4, -0.2, 0.0, 0.7]
     tr = dyn.integrate(vf, x0, 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr)
+    rep = dyn.leaf_report(rp, tr)
     assert rep.on_slice
     assert set(rep.casimir_drifts) == {"mu_B1", "mu_C"} or \
-        set(rep.casimir_drifts) == set(rp.coordinates[:m])
+        set(rep.casimir_drifts) == set(rp.names[:m])
     assert all(v == 0.0 for v in rep.casimir_drifts.values())
 
 
 def test_galilean_report_has_no_structural_casimirs():
     rp = red.reduced_poisson(lie.builtin("galilean"))
-    m = len(rp.coordinates) - 2
-    vf = dyn.hamiltonian_vf(rp.bivector, Var("p"), phi_slot=m)
+    m = len(rp.names) - 2
+    vf = dyn.hamiltonian_vf(rp, Var("p"), phi_slot=m)
     tr = dyn.integrate(vf, [0.1] * m + [0.5, 0.1], 1e-2, 1.0)
-    rep = dyn.leaf_report(rp.bivector, tr)
+    rep = dyn.leaf_report(rp, tr)
     assert rep.casimir_drifts == {}
     assert rep.sign_constant
 

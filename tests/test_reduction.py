@@ -7,6 +7,7 @@ cached Jacobians.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,7 +402,7 @@ def test_psi_map_exprs_match_numeric_split():
 def test_reduced_poisson_se2():
     pair = lie.builtin("se2")
     rp = red.reduced_poisson(pair)
-    assert rp.coordinates == ("mu_P1", "mu_P2", "phi", "p")
+    assert rp.names == ("mu_P1", "mu_P2", "phi", "p")
     assert rp.table() == [("phi", "p", "phi")]
 
 
@@ -415,10 +416,10 @@ def test_reduced_poisson_galilean():
     pair = lie.builtin("galilean")
     rp = red.reduced_poisson(pair)
     m = 9
-    names = rp.coordinates
+    names = rp.names
     assert names[m:] == ("s", "p")
     # block structure is exact: no entry couples the dual block to (phi, p)
-    for (i, j) in rp.bivector.entries:
+    for (i, j) in rp.entries:
         assert (i < m and j < m) or (i >= m and j >= m)
     pt = [0.2 * (k + 1) for k in range(m)] + [0.5, -0.3]
     env = dict(zip(names, pt))
@@ -439,8 +440,7 @@ def test_reduced_poisson_galilean():
 def test_reduced_poisson_classical_mode():
     pair = lie.builtin("se2")
     theta = red.make_connection(pair, mode="classical")
-    rp = red.reduced_poisson(pair, theta)
-    assert rp.mode == "classical"
+    rp = red.reduced_poisson(pair, theta.mode)
     assert rp.table() == [("phi", "p", "1")]
 
 
@@ -449,7 +449,7 @@ def test_reduced_jacobiator():
     for name in GROUPS:
         pair = lie.builtin(name)
         rp = red.reduced_poisson(pair)
-        names = rp.coordinates
+        names = rp.names
         for _ in range(12):
             def poly():
                 acc = ZERO
@@ -471,7 +471,7 @@ def test_reduced_block_casimir_on_z():
     for name in GROUPS:
         pair = lie.builtin(name)
         rp = red.reduced_poisson(pair)
-        names = rp.coordinates
+        names = rp.names
         phi = Var(pair.phi_name)
         m = len(names) - 2
         for _ in range(6):
@@ -487,40 +487,65 @@ def test_reduced_block_casimir_on_z():
 
 
 # ---------------------------------------------------------------------------
-# the connection-free oracle and connection independence
+# reduced coordinates, the upstairs oracle and connection independence
+
+
+def test_reduced_coordinates_of_the_default_connection():
+    pair = lie.builtin("se2")
+    theta = red.make_connection(pair)
+    nu = red.invariant_moment_exprs(pair)
+    coords = theta.reduced_coordinates
+    assert list(coords) == ["mu_P1", "mu_P2", "p"]  # phi maps to itself
+    assert coords["mu_P1"] is nu[0] and coords["mu_P2"] is nu[1]
+    assert isinstance(coords["p"], Var) and coords["p"].name == "p_phi"
+    assert theta.chart_shift == {}
+    assert red.make_connection(pair).reduced_coordinates["mu_P1"] is nu[0]
+    x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6]
+    env = dict(zip(red._action(pair).cot.chart.names, x))
+    assert theta.reduced_point(x) == [ex.evaluate(nu[0], env), ex.evaluate(nu[1], env),
+                                      0.3, 0.6]
+
+
+def test_reduced_coordinates_reject_noninvariant_leg():
+    # a constant dphi leg along J1 is not Ad-equivariant, so the p it splits
+    # off moves along the rotation orbits; built without make_connection's
+    # axiom gate, the reduced coordinates must refuse it
+    pair = lie.builtin("galilean")
+    theta = red.make_connection(pair)
+    m = theta.h_dim
+    j1 = pair.h_labels.index("J1")
+    forms = tuple(bcalc.BForm(f.chart, 1, {**f.coeffs, (m,): ONE}) if a == j1 else f
+                  for a, f in enumerate(theta.forms))
+    xi = tuple(1.0 if a == j1 else 0.0 for a in range(m))
+    bad = red.Connection(pair=pair, mode="b", forms=forms, tag="constant-leg", xi=xi, S=ONE)
+    with pytest.raises(ValueError, match="not orbit-invariant"):
+        bad.reduced_coordinates
+    with pytest.raises(ValueError, match="not orbit-invariant"):
+        red.reduced_bracket_via_invariants(bad, Var("mu_J1"), Var("p"), [0.1] * (2 * m + 2))
 
 
 def test_via_invariants_transverse_pair():
     pair = lie.builtin("se2")
-    act = red._action(pair)
-    names = act.cot.chart.names
-    F = Var("phi")
-    G = Var(names[-1])  # transverse momentum upstairs
+    theta = red.make_connection(pair)
+    names = red._action(pair).cot.chart.names
     rng = random.Random(97)
     for _ in range(10):
         x = [rng.uniform(-0.8, 0.8) for _ in names]
-        got = red.reduced_bracket_via_invariants(pair, F, G, x)
+        got = red.reduced_bracket_via_invariants(theta, Var("phi"), Var("p"), x)
         assert abs(got - x[2]) < 1e-12
-        assert red.reduced_bracket_via_invariants(pair, F, F, x) == 0.0
-
-
-def test_via_invariants_rejects_noninvariant():
-    pair = lie.builtin("se2")
-    with pytest.raises(ValueError):
-        red.reduced_bracket_via_invariants(pair, Var("b1"), Var("phi"),
-                                           [0.1] * 6)
+        assert red.reduced_bracket_via_invariants(theta, Var("phi"), Var("phi"), x) == 0.0
 
 
 def test_via_invariants_moment_pullbacks_abelian():
     # abelian subgroup: the momenta are invariant and their brackets vanish
     pair = lie.builtin("heisenberg_q(1)")
-    act = red._action(pair)
-    mus = act.moment_exprs
+    rnames = red.reduced_poisson(pair).names
     rng = random.Random(101)
-    for _ in range(6):
-        x = [rng.uniform(-0.8, 0.8) for _ in act.cot.chart.names]
-        got = red.reduced_bracket_via_invariants(pair, mus[0], mus[1], x)
-        assert abs(got) < 1e-12
+    for theta in connections(pair):
+        for _ in range(6):
+            x = [rng.uniform(-0.8, 0.8) for _ in red._action(pair).cot.chart.names]
+            got = red.reduced_bracket_via_invariants(theta, Var(rnames[0]), Var(rnames[1]), x)
+            assert abs(got) < 1e-12
 
 
 def test_via_invariants_lift_independent():
@@ -528,20 +553,20 @@ def test_via_invariants_lift_independent():
         pair = lie.builtin(name)
         act = red._action(pair)
         m = len(pair.h_names)
-        names = act.cot.chart.names
-        nu = red.invariant_moment_exprs(pair)
-        F = nu[0] * nu[0] + Var(pair.phi_name)
-        G = nu[min(1, m - 1)] + Var(names[-1]) * Var(names[-1])
+        rnames = red.reduced_poisson(pair).names
+        F = Var(rnames[0]) * Var(rnames[0]) + Var(pair.phi_name)
+        G = Var(rnames[min(1, m - 1)]) + Var("p") * Var("p")
         rng = random.Random(103)
-        for t in range(8):
-            x = [rng.uniform(-0.6, 0.6) for _ in names]
-            if t % 2 == 0:
-                x[m] = 0.0
-            h = [rng.uniform(-0.4, 0.4) for _ in range(m)]
-            y = list(act.act(h, x))
-            a = red.reduced_bracket_via_invariants(pair, F, G, x)
-            b = red.reduced_bracket_via_invariants(pair, F, G, y)
-            assert abs(a - b) <= 1e-9, name
+        for theta in connections(pair):
+            for t in range(8):
+                x = [rng.uniform(-0.6, 0.6) for _ in act.cot.chart.names]
+                if t % 2 == 0:
+                    x[m] = 0.0
+                h = [rng.uniform(-0.4, 0.4) for _ in range(m)]
+                y = list(act.act(h, x))
+                a = red.reduced_bracket_via_invariants(theta, F, G, x)
+                b = red.reduced_bracket_via_invariants(theta, F, G, y)
+                assert abs(a - b) <= 1e-9, (name, theta.tag)
 
 
 def random_reduced_poly(rng, names):
@@ -558,75 +583,93 @@ def test_connection_independence():
     """Same reduced structure through every connection and through the oracle.
 
     Each connection identifies the quotient with the block model through its
-    own chart: the transverse momentum it selects differs from the default
-    one by S(t) * <invariant momenta, xi>, with S the scalar leg of the
-    deformation.  Pushing downstairs polynomials up along psi_theta and
-    bracketing upstairs must match the block formula applied after that
-    explicit change of chart; with no deformation the change is the identity.
-    For commutative subgroups the shift Poisson-commutes with everything it
-    touches, so the raw block formula holds in every connection chart at once.
+    own reduced chart: the transverse momentum it selects differs from the
+    default one by S * <invariant momenta, xi>, which its chart_shift undoes.
+    Bracketing reduced polynomials upstairs through a connection's reduced
+    coordinates must match the block formula applied after that shift, at
+    the default connection's reduced point; with no deformation the shift
+    is the identity.
     """
     for name in GROUPS:
         pair = lie.builtin(name)
-        act = red._action(pair)
-        cn = list(act.cot.chart.names)
+        cn = list(red._action(pair).cot.chart.names)
         m = len(pair.h_names)
         rp = red.reduced_poisson(pair)
-        rnames = rp.coordinates
-        nu = red.invariant_moment_exprs(pair)
+        default, *deformed = connections(pair)
         phi = pair.phi_name
-        xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
-        xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
-        cases = [
-            (red.make_connection(pair), None, None),
-            (red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
-             xi1, ex.parse(f"1 + {phi}^2")),
-            (red.make_connection(pair, deformation=(xi2, f"cos({phi})", False)),
-             xi2, ex.parse(f"cos({phi})") * Var(phi)),
-        ]
         pairs = 50 if name != "galilean" else 20
         rng = random.Random(107)
         probes = [[rng.uniform(-0.6, 0.6) for _ in cn] for _ in range(4)]
         probes[0][m] = 0.0
         across = []
-        for theta, xi, scale in cases:
-            p0 = red.transverse_momentum_expr(theta)
-            lift_sub = {rnames[b]: nu[b] for b in range(m)}
-            lift_sub[rnames[m + 1]] = p0
-            if xi is None:
-                tau = {}
-            else:
-                shift = ZERO
-                for b in range(m):
-                    shift = shift + ex.as_expr(xi[b]) * Var(rnames[b])
-                tau = {rnames[m + 1]: Var(rnames[m + 1]) - scale * shift}
-            downf = ex.compile_exprs(list(nu), cn)
+        for theta in (default, *deformed):
+            tau = theta.chart_shift
             worst = 0.0
             for _ in range(pairs):
-                F = random_reduced_poly(rng, rnames)
-                G = random_reduced_poly(rng, rnames)
+                F = random_reduced_poly(rng, rp.names)
+                G = random_reduced_poly(rng, rp.names)
                 x = [rng.uniform(-0.6, 0.6) for _ in cn]
                 if rng.random() < 0.4:
                     x[m] = 0.0
-                Fup = ex.subs(F, lift_sub)
-                Gup = ex.subs(G, lift_sub)
-                up = red.reduced_bracket_via_invariants(pair, Fup, Gup, x)
-                down_pt = downf(x) + [x[m], x[2 * m + 1]]
+                up = red.reduced_bracket_via_invariants(theta, F, G, x)
                 want = rp.bracket_value(ex.subs(F, tau), ex.subs(G, tau),
-                                        down_pt)
+                                        default.reduced_point(x))
                 worst = max(worst, abs(up - want))
             assert worst <= 1e-8, (name, theta.tag)
 
-            # brackets of pushed-forward coordinate functions, sampled at
-            # shared lifts: every connection must report the same values
-            row = [red.reduced_bracket_via_invariants(
-                pair, nu[0], nu[min(1, m - 1)], probes[0])]
+            # brackets of reduced coordinate functions, sampled at shared
+            # lifts: every connection must report the same values
+            mu0, mu1 = Var(rp.names[0]), Var(rp.names[min(1, m - 1)])
+            row = [red.reduced_bracket_via_invariants(theta, mu0, mu1, probes[0])]
             for x in probes:
-                row.append(red.reduced_bracket_via_invariants(
-                    pair, Var(phi), p0, x))
-                row.append(red.reduced_bracket_via_invariants(
-                    pair, nu[0], Var(phi), x))
+                row.append(red.reduced_bracket_via_invariants(theta, Var(phi), Var("p"), x))
+                row.append(red.reduced_bracket_via_invariants(theta, mu0, Var(phi), x))
             across.append(row)
         base = across[0]
         for other in across[1:]:
             assert max(abs(a - b) for a, b in zip(base, other)) <= 1e-8, name
+
+
+def _rational_points(rng, names, phi_slot, count=3):
+    pts = []
+    for t in range(count):
+        pt = {n: Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)) for n in names}
+        if t == 0:
+            pt[names[phi_slot]] = Fraction(0)
+        pts.append(pt)
+    return pts
+
+
+@pytest.mark.parametrize("name", ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"])
+def test_reduction_certificate_is_exact(name):
+    """The reduction theorem on the reduced coordinate functions, exactly.
+
+    For each pair of reduced coordinates, the upstairs bracket of their
+    lifts through a connection equals the reduced bracket of their
+    chart-shifted images, pulled back through the default connection's
+    reduced coordinates.  Both sides are rational functions on the
+    cotangent chart, so the difference must evaluate to exactly 0 at
+    rational points, one of them on phi = 0.  By the Leibniz rule this
+    decides the theorem for every pair of reduced functions.  The
+    cos(phi) connection of `connections` is covered only by the sampled
+    test_connection_independence: eval_exact raises EvalError on cos.
+    """
+    pair = lie.builtin(name)
+    up = red._action(pair).upstairs_poisson
+    rp = red.reduced_poisson(pair)
+    m = len(pair.h_names)
+    xi = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
+    default = red.make_connection(pair)
+    deformed = red.make_connection(
+        pair, deformation=(xi, f"1 + {pair.phi_name}^2", True))
+    pts = _rational_points(random.Random(109), up.names, m)
+    for theta in (default, deformed):
+        for i, a in enumerate(rp.names):
+            for b in rp.names[i + 1:]:
+                lhs = up.bracket(ex.subs(Var(a), theta.reduced_coordinates),
+                                 ex.subs(Var(b), theta.reduced_coordinates))
+                down = rp.bracket(ex.subs(Var(a), theta.chart_shift),
+                                  ex.subs(Var(b), theta.chart_shift))
+                rhs = ex.subs(down, default.reduced_coordinates)
+                for pt in pts:
+                    assert ex.eval_exact(lhs - rhs, pt) == 0, (theta.tag, a, b)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bsymp.expr as ex
 from bsymp import blift, cli, lie, verify
 from bsymp import reduction as red
 
@@ -82,6 +83,29 @@ def test_rerun_on_one_pair_reuses_its_connections(monkeypatch):
     assert (len(actions), len(built)) == (1, 3)  # the rerun builds nothing
     assert a == b
     assert a.endswith("result: pass")
+
+
+def test_connection_independence_compiles_per_connection_not_per_sample(monkeypatch):
+    # each connection compiles its reduced coordinates once; the brackets
+    # themselves compile nothing, so the count does not grow with samples
+    counts = []
+    for samples in (8, 100):
+        pair = lie._se2()  # a fresh pair, nothing compiled for it yet
+        verify._connection_cases(pair)
+        calls = []
+        compile_exprs = ex.compile_exprs
+
+        def counted(exprs, names):
+            calls.append(len(exprs))
+            return compile_exprs(exprs, names)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ex, "compile_exprs", counted)
+            resid, tol = verify._sec_connection_independence(
+                pair, verify.VerifyOptions(seed=1, samples=samples))
+        assert resid <= tol
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
 
 
 def test_failing_section_is_named():

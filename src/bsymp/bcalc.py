@@ -24,7 +24,7 @@ bivector frame matrix transpose(W^-1) (= -W^-1 for antisymmetric W).
 from __future__ import annotations
 
 import math
-import warnings
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -75,23 +75,15 @@ class BChart:
             return {n: float(point[n]) for n in self.names}
         return {n: float(v) for n, v in zip(self.names, point)}
 
-    def sample(self, count: int, seed: int, on_z: bool = False) -> np.ndarray:
-        """Deterministic low-discrepancy points in the box; optionally on Z."""
-        from scipy.stats import qmc  # most of the CLI's import time; few commands sample
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        """`count` seeded uniform points in the box, shape (count, dim).
 
-        eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
-        with warnings.catch_warnings():
-            # balance warning for non power-of-two budgets is irrelevant here
-            warnings.simplefilter("ignore", UserWarning)
-            pts = eng.random(count)
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        pts = lo + pts * (hi - lo)
-        if on_z:
-            if self.defining is None:
-                raise ValueError("chart has no defining coordinate")
-            pts[:, self.defining] = 0.0
-        return pts
+        Drawn from the stdlib `random.Random(seed)`, so any int seed works
+        and the points are the same on every platform and Python version.
+        """
+        rng = random.Random(seed)
+        pts = [[rng.uniform(lo, hi) for lo, hi in self.box] for _ in range(count)]
+        return np.array(pts, dtype=float).reshape(count, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,44 +329,50 @@ def is_b_symplectic(omega: BForm, samples: int = 128, seed: int = 7,
                     threshold: float = 1e-8) -> SymplecticReport:
     """Sampled closedness and nondegeneracy verdict for a degree-2 form.
 
-    Nondegeneracy is checked through the frame matrix, which is smooth, so
-    half the sample budget is spent on the hypersurface itself when the
-    chart has a defining coordinate: that is where rank loss would hide
-    from box sampling.
+    The points are seeded uniform draws (`BChart.sample`), not a
+    low-discrepancy set.  Nondegeneracy is checked through the frame
+    matrix, which is smooth, so when the chart has a defining coordinate a
+    second batch of `samples` points lies on the hypersurface itself: that
+    is where rank loss would hide from box sampling.
     """
     ch = omega.chart
     if omega.degree != 2:
         raise ValueError("verdict is defined for degree-2 forms")
     if ch.dim % 2:
         raise ValueError("chart dimension must be even")
-    d_omega = b_d(omega)
-    pts = ch.sample(samples, seed)
-    batches = [pts]
-    n_on_z = 0
-    if ch.defining is not None:
-        zpts = ch.sample(samples, seed + 1, on_z=True)
-        n_on_z = len(zpts)
-        batches.append(zpts)
-    W = frame_matrix(omega)
-    flatW = [e for row in W for e in row]
-    w_fn = ex.compile_exprs(flatW, ch.names)
-    d_exprs = list(d_omega.coeffs.values())
-    d_fn = ex.compile_exprs(d_exprs, ch.names) if d_exprs else None
+    nn = ch.dim * ch.dim
+    flatW = [e for row in frame_matrix(omega) for e in row]
+    fn = ex.compile_exprs(flatW + list(b_d(omega).coeffs.values()), ch.names)
+    pts, n_on_z = _sample_points(ch, samples, seed)
     closed_residual = 0.0
     min_pf = math.inf
-    for batch in batches:
-        for row in batch:
-            vals = list(map(float, row))
-            if d_fn is not None:
-                closed_residual = max(closed_residual, max(abs(v) for v in d_fn(vals)))
-            Wnum = np.array(w_fn(vals)).reshape(ch.dim, ch.dim)
-            min_pf = min(min_pf, abs(pfaffian(Wnum)))
+    for x in pts:
+        vals = fn(x)
+        closed_residual = max(closed_residual, max(map(abs, vals[nn:]), default=0.0))
+        min_pf = min(min_pf, abs(pfaffian(np.array(vals[:nn]).reshape(ch.dim, ch.dim))))
     verdict = closed_residual <= threshold and min_pf > threshold
     return SymplecticReport(
-        dim=ch.dim, samples=len(pts), on_z_samples=n_on_z,
+        dim=ch.dim, samples=samples, on_z_samples=n_on_z,
         closed_residual=closed_residual, min_pfaffian=min_pf,
         threshold=threshold, verdict=verdict,
     )
+
+
+def _sample_points(ch: BChart, samples: int, seed: int) -> tuple[list[list[float]], int]:
+    """`samples` box points at `seed`, then `samples` on Z at `seed + 1`.
+
+    The second batch is drawn only when the chart has a defining
+    coordinate, whose column it sets to exactly 0.0.  Returns the points
+    and the size of that second batch.
+    """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")  # else any form passes
+    pts = ch.sample(samples, seed)
+    if ch.defining is None:
+        return pts.tolist(), 0
+    zpts = ch.sample(samples, seed + 1)
+    zpts[:, ch.defining] = 0.0
+    return pts.tolist() + zpts.tolist(), samples
 
 
 def bdarboux_model(n: int, box_half: float = 1.5) -> BForm:
@@ -485,7 +483,7 @@ def invert_to_poisson(omega: BForm, samples: int = 8, seed: int = 3) -> PoissonB
         if n > 8:
             raise ValueError("symbolic inversion limited to dimension 8; "
                              "evaluate the frame matrix pointwise instead")
-        _spot_check_nonsingular(omega, samples, seed)
+        _spot_check_nonsingular(ch, W, samples, seed)
         det = _laplace_det(W)
         def get(i, j):
             minor = [[W[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
@@ -513,15 +511,8 @@ def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
         raise ValueError("frame matrix is singular") from None
 
 
-def _spot_check_nonsingular(omega: BForm, samples: int, seed: int):
-    ch = omega.chart
-    W = frame_matrix(omega)
+def _spot_check_nonsingular(ch: BChart, W: list[list[Expr]], samples: int, seed: int):
     w_fn = ex.compile_exprs([e for row in W for e in row], ch.names)
-    batches = [ch.sample(samples, seed)]
-    if ch.defining is not None:
-        batches.append(ch.sample(samples, seed + 1, on_z=True))
-    for batch in batches:
-        for row in batch:
-            Wnum = np.array(w_fn(list(map(float, row)))).reshape(ch.dim, ch.dim)
-            if abs(_det(Wnum)) < 1e-12:
-                raise ValueError("frame matrix is singular at a sample point")
+    for x in _sample_points(ch, samples, seed)[0]:
+        if abs(_det(np.array(w_fn(x)).reshape(ch.dim, ch.dim))) < 1e-12:
+            raise ValueError("frame matrix is singular at a sample point")

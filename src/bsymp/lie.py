@@ -611,9 +611,12 @@ def _se2() -> BLieGroupPair:
     ))
 
 
+HEISENBERG_MAX_N = 16  # cost grows steeply: describe takes seconds at 16, minutes at 40
+
+
 def _heisenberg_q(n: int) -> BLieGroupPair:
-    if n < 1:
-        raise ValueError("heisenberg_q needs n >= 1")
+    if not 1 <= n <= HEISENBERG_MAX_N:
+        raise ValueError(f"heisenberg_q(n) needs 1 <= n <= {HEISENBERG_MAX_N}, got {n}")
     a_names = tuple(f"a{i + 1}" for i in range(n))
     b_names = tuple(f"b{i + 1}" for i in range(n))
     names = (*a_names, *b_names, "c")

@@ -312,6 +312,13 @@ def test_verdict_odd_dimension():
         is_b_symplectic(BForm(ch, 2, {}))
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verdict_needs_samples(samples):
+    degenerate = BForm(bdarboux_model(1).chart, 2, {(0, 1): ex.Var("y1")})
+    with pytest.raises(ValueError, match="samples >= 1"):
+        is_b_symplectic(degenerate, samples=samples)
+
+
 def test_report_text_format():
     rep = is_b_symplectic(bdarboux_model(1))
     lines = rep.text().splitlines()
@@ -325,6 +332,16 @@ def test_report_deterministic():
     a = is_b_symplectic(bdarboux_model(2), samples=64, seed=11)
     b = is_b_symplectic(bdarboux_model(2), samples=64, seed=11)
     assert a.text() == b.text()
+    assert a.on_z_samples == a.samples == 64
+    # the sampler behind it: seeded uniform points inside an uneven box
+    ch = BChart(("u", "v", "w"), 1, ((-1.0, 2.0), (0.5, 0.75), (-3.0, -2.5)))
+    pts = ch.sample(64, 11)
+    assert pts.shape == (64, ch.dim)
+    lo, hi = np.array(ch.box).T
+    assert ((lo <= pts) & (pts <= hi)).all()
+    assert np.array_equal(pts, ch.sample(64, 11))
+    assert not np.array_equal(pts, ch.sample(64, 12))
+    assert ch.sample(5, -1).shape == (5, ch.dim)
 
 
 # ---------------------------------------------------------------------------

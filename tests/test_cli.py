@@ -78,6 +78,16 @@ def test_verify_seed_flag(tmp_path, capsys):
     assert "seed: 7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, data, seed", [
+    (["--seed", "-1"], {}, -1),
+    ([], {"seed": -3}, -3),
+])
+def test_verify_accepts_negative_seeds(tmp_path, argv, data, seed, capsys):
+    cfg = write_config(tmp_path, data)
+    assert cli.main(["verify", "--config", cfg, *argv]) == 0
+    assert f"seed: {seed}" in capsys.readouterr().out
+
+
 def test_corrupted_constants_fail_jacobi(tmp_path, capsys):
     cfg = write_config(tmp_path, {"group": CORRUPT})
     assert cli.main(["verify", "--config", cfg]) == 1
@@ -127,6 +137,11 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["verify", "--tolerance", "nan"], {}, "--tolerance"),
     (["verify"], {"seed": True}, "seed"),
     (["describe"], {"group": {"builtin": "heisenberg_q", "n": "x"}}, "group.n"),
+    (["describe"], {"group": {"builtin": "heisenberg_q", "n": 40}},
+     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
+    (["describe"], {"group": "heisenberg_q(40)"}, "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
+    (["describe", "--group", "heisenberg_q(40)"], {},
+     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
     (["flow"], {"flow": {"dt": "abc"}}, "flow.dt"),
     (["flow"], {"flow": {"x0": [0.0, 0.0, math.nan, 0.0]}}, "flow.x0[2]"),
     (["reduce"], {"connection": {"xi": ["a", 0], "scale": "1"}}, "connection.xi[0]"),

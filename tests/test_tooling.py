@@ -50,3 +50,14 @@ def test_node_counter_prints_four_counts(tmp_path):
     assert sorted(counts) == ["adjoint_galilean", "coupling_galilean",
                               "lift_galilean", "nu_galilean"]
     assert all(type(v) is int and v > 0 for v in counts.values())
+
+
+def test_verify_never_imports_scipy(tmp_path):
+    # importing scipy.stats once doubled the time and peak RSS of a cold se2 verify
+    code = ("import sys\n"
+            "from bsymp import cli\n"
+            "assert cli.main(['verify', '--group', 'se2']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    res = _run_script(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr

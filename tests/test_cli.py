@@ -137,11 +137,6 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["verify", "--tolerance", "nan"], {}, "--tolerance"),
     (["verify"], {"seed": True}, "seed"),
     (["describe"], {"group": {"builtin": "heisenberg_q", "n": "x"}}, "group.n"),
-    (["describe"], {"group": {"builtin": "heisenberg_q", "n": 40}},
-     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
-    (["describe"], {"group": "heisenberg_q(40)"}, "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
-    (["describe", "--group", "heisenberg_q(40)"], {},
-     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
     (["flow"], {"flow": {"dt": "abc"}}, "flow.dt"),
     (["flow"], {"flow": {"x0": [0.0, 0.0, math.nan, 0.0]}}, "flow.x0[2]"),
     (["reduce"], {"connection": {"xi": ["a", 0], "scale": "1"}}, "connection.xi[0]"),
@@ -178,6 +173,11 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": [1]}}, "connection.scale"),
     (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1 +"}}, "connection.scale"),
     (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1 + b1"}}, "connection.scale"),
+    (["describe"], {"group": {"builtin": "heisenberg_q", "n": 40}},
+     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
+    (["describe"], {"group": "heisenberg_q(40)"}, "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
+    (["describe", "--group", "heisenberg_q(40)"], {},
+     "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)

@@ -42,6 +42,19 @@ __all__ = [
 ]
 
 
+def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
+    """Name -> value for a point given as one value per name, in order.
+
+    A short point raises UnboundVariableError naming the first missing
+    coordinate; a long one raises ValueError, so no value is dropped.
+    """
+    if len(point) < len(names):
+        raise ex.UnboundVariableError(f"unknown name {names[len(point)]!r}")
+    if len(point) > len(names):
+        raise ValueError(f"point has {len(point)} values for {len(names)} coordinates")
+    return {n: float(v) for n, v in zip(names, point)}
+
+
 @dataclass(frozen=True, eq=False)
 class BChart:
     """Coordinate names, optional defining-coordinate index, sampling box."""
@@ -73,7 +86,7 @@ class BChart:
     def env(self, point) -> dict[str, float]:
         if isinstance(point, Mapping):
             return {n: float(point[n]) for n in self.names}
-        return {n: float(v) for n, v in zip(self.names, point)}
+        return _sequence_env(self.names, point)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """`count` seeded uniform points in the box, shape (count, dim).
@@ -103,10 +116,7 @@ class BVectorField:
 
     def at(self, point) -> np.ndarray:
         """All components at a point, from one compiled call cached on the field."""
-        env = self.chart.env(point)
-        if len(env) < self.chart.dim:
-            raise ex.UnboundVariableError(f"unknown name {self.chart.names[len(env)]!r}")
-        return np.array(self._compiled(list(env.values())))
+        return np.array(self._compiled(list(self.chart.env(point).values())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +335,10 @@ class SymplecticReport:
         return "\n".join(lines)
 
 
-def is_b_symplectic(omega: BForm, samples: int = 128, seed: int = 7,
-                    threshold: float = 1e-8) -> SymplecticReport:
+_THRESHOLD = 1e-8  # closedness bound and smallest accepted |pfaffian|
+
+
+def is_b_symplectic(omega: BForm, samples: int = 128, seed: int = 7) -> SymplecticReport:
     """Sampled closedness and nondegeneracy verdict for a degree-2 form.
 
     The points are seeded uniform draws (`BChart.sample`), not a
@@ -350,11 +362,11 @@ def is_b_symplectic(omega: BForm, samples: int = 128, seed: int = 7,
         vals = fn(x)
         closed_residual = max(closed_residual, max(map(abs, vals[nn:]), default=0.0))
         min_pf = min(min_pf, abs(pfaffian(np.array(vals[:nn]).reshape(ch.dim, ch.dim))))
-    verdict = closed_residual <= threshold and min_pf > threshold
+    verdict = closed_residual <= _THRESHOLD and min_pf > _THRESHOLD
     return SymplecticReport(
         dim=ch.dim, samples=samples, on_z_samples=n_on_z,
         closed_residual=closed_residual, min_pfaffian=min_pf,
-        threshold=threshold, verdict=verdict,
+        threshold=_THRESHOLD, verdict=verdict,
     )
 
 
@@ -375,14 +387,14 @@ def _sample_points(ch: BChart, samples: int, seed: int) -> tuple[list[list[float
     return pts.tolist() + zpts.tolist(), samples
 
 
-def bdarboux_model(n: int, box_half: float = 1.5) -> BForm:
+def bdarboux_model(n: int) -> BForm:
     """Normal form dx1^dy1/y1 + sum_{i>=2} dxi^dyi on a 2n-chart, defining y1."""
     if n < 1:
         raise ValueError("need n >= 1")
     names = []
     for i in range(1, n + 1):
         names += [f"x{i}", f"y{i}"]
-    ch = BChart(tuple(names), defining=1, box=((-box_half, box_half),) * (2 * n))
+    ch = BChart(tuple(names), defining=1, box=((-1.5, 1.5),) * (2 * n))
     coeffs = {(2 * i, 2 * i + 1): ONE for i in range(n)}
     return BForm(ch, 2, coeffs)
 
@@ -414,8 +426,10 @@ class PoissonBivector:
 
     def bracket_value(self, F: Expr, G: Expr, point) -> float:
         """{F, G} at one point from float gradients; `bracket` gives the tree."""
-        env = point if isinstance(point, Mapping) else dict(zip(self.names, point))
-        env = {k: float(v) for k, v in env.items()}
+        if isinstance(point, Mapping):
+            env = {k: float(v) for k, v in point.items()}
+        else:
+            env = _sequence_env(self.names, point)
         dF = ex.grad(F, self.names, env)
         dG = ex.grad(G, self.names, env)
         total = 0.0
@@ -462,14 +476,15 @@ def _laplace_det(M: list[list[Expr]]) -> Expr:
     return go(0, tuple(range(n)))
 
 
-def invert_to_poisson(omega: BForm, samples: int = 8, seed: int = 3) -> PoissonBivector:
+def invert_to_poisson(omega: BForm) -> PoissonBivector:
     """Bivector of a nondegenerate degree-2 form, over coordinate fields.
 
     The frame matrix is inverted (exactly for constant entries, by
     adjugate/determinant symbolically otherwise) with the bivector frame
     matrix transpose(W^-1); re-expanding the rescaled frame as coordinate
-    fields multiplies the defining row and column by f.  Nonsingularity is
-    spot-checked on samples, including on the hypersurface.
+    fields multiplies the defining row and column by f.  A non-constant
+    frame matrix is spot-checked nonsingular on 8 samples at seed 3, and as
+    many on the hypersurface.
     """
     ch = omega.chart
     n = ch.dim
@@ -483,7 +498,7 @@ def invert_to_poisson(omega: BForm, samples: int = 8, seed: int = 3) -> PoissonB
         if n > 8:
             raise ValueError("symbolic inversion limited to dimension 8; "
                              "evaluate the frame matrix pointwise instead")
-        _spot_check_nonsingular(ch, W, samples, seed)
+        _spot_check_nonsingular(ch, W, samples=8, seed=3)
         det = _laplace_det(W)
         def get(i, j):
             minor = [[W[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
@@ -501,8 +516,26 @@ def invert_to_poisson(omega: BForm, samples: int = 8, seed: int = 3) -> PoissonB
     return PoissonBivector(ch.names, entries)
 
 
+def _fr_solve(A: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve A X = RHS exactly (A square nonsingular); columns in, columns out."""
+    n = len(A)
+    m = len(rhs_cols)
+    aug = [list(A[i]) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system in exact solve")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [[aug[i][n + j] for i in range(n)] for j in range(m)]
+
+
 def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    from .lie import _fr_solve
     n = len(A)
     eye = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
     try:

@@ -8,8 +8,10 @@ with the same defining coordinate.
 
 The lifted action implemented here is the subgroup acting by left
 translation on a trivialized group chart (k, phi) -> (m_H(h, k), phi) and
-on momenta by the transpose Jacobian of the inverse translation.  All
-Jacobians are exact expression calculus, no finite differences.
+on momenta by the transpose Jacobian of the inverse translation.  Its
+fundamental fields are the derivative of that one lifted map in h at the
+identity, and the momentum map pairs the fiber coordinates with their base
+part.  All Jacobians are exact expression calculus, no finite differences.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class BCotangentChart:
     """A base chart plus fiber momenta dual to its rescaled frame."""
 
     base: BChart
-    fiber_box: tuple[float, float] = (-1.5, 1.5)
 
     @property
     def n(self) -> int:
@@ -52,7 +53,7 @@ class BCotangentChart:
         return BChart(
             names=self.base.names + self.fiber_names,
             defining=self.base.defining,
-            box=self.base.box + (self.fiber_box,) * self.n,
+            box=self.base.box + ((-1.5, 1.5),) * self.n,
         )
 
     def split(self, point) -> tuple[np.ndarray, np.ndarray]:
@@ -71,14 +72,13 @@ def canonical_bsymplectic(c: BCotangentChart) -> BForm:
     return b_d(liouville(c)).scaled(-1)
 
 
-def trivialized_base_chart(pair: BLieGroupPair, mode: str = "b",
-                           phi_box: tuple[float, float] = (-1.5, 1.5)) -> BChart:
+def trivialized_base_chart(pair: BLieGroupPair, mode: str = "b") -> BChart:
     """Chart (k_1..k_{n-1}, phi) of the split group chart; phi is defining in b mode."""
     if mode not in ("b", "classical"):
         raise ValueError("mode must be 'b' or 'classical'")
     H = pair.h_group
     names = pair.h_names + (pair.phi_name,)
-    box = H.box + (phi_box,)
+    box = H.box + ((-1.5, 1.5),)
     defining = len(names) - 1 if mode == "b" else None
     return BChart(tuple(names), defining, tuple(box))
 
@@ -92,9 +92,9 @@ class LiftedAction:
     frame.  The translation fixes phi, so the two modes share all Jacobian
     data and differ only in which chart the forms live on.
 
-    The action owns what it derives: the generator, fiber and moment
-    expressions, their compiled maps and the upstairs Poisson structure
-    are cached properties, each built on first use.
+    The action owns what it derives: the generator and moment expressions,
+    their compiled maps and the upstairs Poisson structure are cached
+    properties, each built on first use.
     """
 
     pair: BLieGroupPair
@@ -136,54 +136,28 @@ class LiftedAction:
         return [[ex.diff(back[j], n) for n in self.pair.h_names] for j in range(self.h_dim)]
 
     @cached_property
-    def zeta_exprs(self) -> list[list[Expr]]:
-        """zeta[a][j]: frame components of the generator of basis direction a.
+    def generator_exprs(self) -> list[list[Expr]]:
+        """gen[a][i]: chart component i of the fundamental field of basis
+        direction a, d/dh_a of `lift_exprs` at h = 0.
 
-        d/dq_a m_H(q, k)_j at q = 0 - exact, and independent of the curve
-        chosen through the identity.
+        Exact, and independent of the curve chosen through the identity.
+        The lift fixes phi and p_phi, so those entries are structural zeros.
         """
-        H = self.pair.h_group
-        qn = ["q__" + n for n in self.pair.h_names]
-        moved = H.mul_fn([Var(n) for n in qn], self._k_vars())
-        zero = {n: ZERO for n in qn}
-        return [[ex.subs(ex.diff(moved[j], qn[a]), zero) for j in range(self.h_dim)]
-                for a in range(self.h_dim)]
+        hn = ["h__" + n for n in self.pair.h_names]
+        zero = dict.fromkeys(hn, ZERO)
+        lift = self.lift_exprs()
+        return [[ex.subs(ex.diff(c, a), zero) for c in lift] for a in hn]
 
     @cached_property
-    def xsharp_fiber_exprs(self) -> list[list[Expr]]:
-        """fiber[a][i]: d/dt momenta of the lift along basis direction a.
-
-        Differentiates the momentum transport J(q, m_H(q,k))^T p in q at
-        q = 0, the infinitesimal version of the lifted action on fibers.
-        """
-        H = self.pair.h_group
-        names = self.pair.h_names
-        m = self.h_dim
-        qn = ["q__" + n for n in names]
-        q = [Var(n) for n in qn]
-        moved = H.mul_fn(q, self._k_vars())
-        back = H.mul_fn(H.inv_fn(q), [Var("kk__" + n) for n in names])
-        # A(q, k')[i][j] = d back_j / d k'_i, then composed with k' = m_H(q, k)
-        compose = {"kk__" + n: mv for n, mv in zip(names, moved)}
-        A = [[ex.subs(ex.diff(back[j], "kk__" + names[i]), compose) for j in range(m)]
-             for i in range(m)]
-        zero_q = {n: ZERO for n in qn}
-        return [[ex.dot(map(Var, self.cot.fiber_names[:m]),
-                        [ex.subs(ex.diff(Aij, qn[a]), zero_q) for Aij in A[i]])
-                 for i in range(m)]
-                for a in range(m)]
+    def zeta_exprs(self) -> list[list[Expr]]:
+        """zeta[a][j]: the base part of each generator, in the frame of k."""
+        return [row[:self.h_dim] for row in self.generator_exprs]
 
     def xsharp(self, X: Sequence[float]) -> BVectorField:
         """Fundamental field of the lifted action on the cotangent chart."""
-        m = self.h_dim
-        x = [float(X[a]) for a in range(m)]
-        zeta = self.zeta_exprs
-        fiber = self.xsharp_fiber_exprs
-        comps = [ex.dot(x, [zeta[a][j] for a in range(m)]) for j in range(m)]
-        comps.append(ZERO)  # phi direction: translation fixes phi
-        comps += [ex.dot(x, [fiber[a][i] for a in range(m)]) for i in range(m)]
-        comps.append(ZERO)  # p_phi is inert
-        return BVectorField(self.cot.chart, tuple(comps))
+        x = [float(X[a]) for a in range(self.h_dim)]
+        return BVectorField(self.cot.chart,
+                            tuple(ex.dot(x, col) for col in zip(*self.generator_exprs)))
 
     @cached_property
     def moment_exprs(self) -> list[Expr]:

@@ -11,7 +11,8 @@ Conventions:
     bracket      [X, Y] = XY - YX, c^k_ij exact rationals
     adjoint      Ad_g X = g X g^-1, re-expanded in the basis
     coadjoint    <Ad*_g mu, X> = <mu, Ad_{g^-1} X>
-    lie_poisson  minus convention: {F, G}(mu) = -sum c^k_ij mu_k dF/dmu_i dG/dmu_j
+    lie_poisson  minus convention: {mu_i, mu_j} = -sum_k c^k_ij mu_k, the
+                 `PoissonBivector` LieAlgebra.lie_poisson over mu_<label>
 
 The rotation block of the Galilean chart uses a Cayley parametrization
 (R(u) = I + (4*hat(u) + 2*hat(u)^2)/(4 + |u|^2)) so that the group
@@ -34,6 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
+from .bcalc import PoissonBivector, _fr_solve
 from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
@@ -41,7 +43,7 @@ __all__ = [
     "structure_constants_from_matrices", "SpanError", "TrivializationError",
     "builtin",
     "group_mul", "group_inv", "group_exp", "group_log",
-    "adjoint", "coadjoint_star", "lie_poisson", "dual_names",
+    "adjoint", "coadjoint_star", "dual_names",
     "param_distance",
 ]
 
@@ -59,25 +61,6 @@ class TrivializationError(ValueError):
 # ---------------------------------------------------------------------------
 # exact rational linear algebra
 # ---------------------------------------------------------------------------
-
-def _fr_solve(A: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = RHS exactly (A square nonsingular); columns in, columns out."""
-    n = len(A)
-    m = len(rhs_cols)
-    aug = [list(A[i]) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system in exact solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(m)]
-
 
 def _basis_pinv(basis: Sequence[FrMatrix]) -> list[list[Fraction]]:
     """Exact left inverse of the vectorized basis map (normal equations)."""
@@ -178,6 +161,22 @@ class LieAlgebra:
                     worst = max([worst] + [abs(v) for v in s])
         return worst
 
+    @cached_property
+    def lie_poisson(self) -> PoissonBivector:
+        """The minus Lie-Poisson bivector on the dual, over `dual_names`:
+        {mu_i, mu_j} = -sum_k c^k_ij mu_k."""
+        names = dual_names(self)
+        entries: dict[tuple[int, int], Expr] = {}
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                acc = ZERO
+                for k, ck in enumerate(self.c(i, j)):
+                    if ck:
+                        acc = acc - Const(Fraction(ck)) * Var(names[k])
+                if not ex.is_zero(acc):
+                    entries[(i, j)] = acc
+        return PoissonBivector(names, entries)
+
     def center_indices(self) -> tuple[int, ...]:
         """Basis elements commuting with the whole algebra (exact check)."""
         out = []
@@ -223,36 +222,9 @@ def dual_names(L: LieAlgebra) -> tuple[str, ...]:
     return tuple("mu_" + lab for lab in L.labels)
 
 
-def lie_poisson(L: LieAlgebra, F: Expr, G: Expr, mu: Sequence[float]) -> float:
-    """Minus Lie-Poisson bracket of F, G (exprs in mu_<label>) at a point.
-
-    Float gradients at mu; `lie_poisson_sym` builds the same sum as a tree.
-    """
-    names = dual_names(L)
-    if len(mu) < len(names):
-        raise ex.UnboundVariableError(f"unknown name {names[len(mu)]!r}")
-    env = {nm: float(v) for nm, v in zip(names, mu)}
-    dF = ex.grad(F, names, env)
-    dG = ex.grad(G, names, env)
-    total = 0.0
-    for (i, j), row in L.constants.items():
-        for k, c in enumerate(row):
-            if c:
-                total += float(-c) * env[names[k]] * dF[i] * dG[j]
-    return total
-
-
 def lie_poisson_sym(L: LieAlgebra, F: Expr, G: Expr) -> Expr:
-    names = dual_names(L)
-    dF = [ex.diff(F, nm) for nm in names]
-    dG = [ex.diff(G, nm) for nm in names]
-    acc = ZERO
-    for (i, j), row in L.constants.items():
-        for k, c in enumerate(row):
-            if c:
-                term = Const(-c) * Var(names[k]) * dF[i] * dG[j]
-                acc = acc + term
-    return acc
+    """{F, G} on the dual as a tree; the bench tracer times it by this name."""
+    return L.lie_poisson.bracket(F, G)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ Conventions fixed here:
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
   covector on the dphi/phi (or dphi, classical mode) slot.
-* the reduced bivector is block diagonal: a minus Lie-Poisson block
-  {mu_i, mu_j} = -sum_k c^k_ij mu_k on the subgroup dual plus phi d/dphi ^
-  d/dp (or d/dphi ^ d/dp in classical mode) on the transverse pair.
+* the reduced bivector is block diagonal: the subgroup's minus
+  Lie-Poisson bivector `LieAlgebra.lie_poisson`, {mu_i, mu_j} =
+  -sum_k c^k_ij mu_k, plus phi d/dphi ^ d/dp (or d/dphi ^ d/dp in
+  classical mode) on the transverse pair.
 * invariant fiber coordinates nu_b = <mu, Ad_k E_b> undo the orbit motion
   of the vertical momenta; they are the pullbacks of the reduced mu_b.
 * a connection owns its reduced chart: `reduced_coordinates` lifts mu_b to
@@ -30,14 +31,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Const, Expr, Var, ONE, ZERO
+from .expr import Expr, Var, ONE, ZERO
 from .bcalc import BChart, BForm, PoissonBivector, b_d
 from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
 from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names
@@ -405,11 +405,11 @@ def psi_map_exprs(theta: Connection) -> list[Expr]:
     act = _action(theta.pair, theta.mode)
     m = theta.h_dim
     cn = act.cot.chart.names
-    mu = [ex.dot(map(Var, cn[m + 1:2 * m + 1]), zrow) for zrow in act.zeta_exprs]
+    mu = act.moment_exprs
     p0 = Var(cn[2 * m + 1])
     for a, ta in enumerate(theta.phi_slot_exprs()):
         p0 = p0 - mu[a] * ta
-    return [Var(n) for n in cn[: m + 1]] + mu + [p0]
+    return [*map(Var, cn[: m + 1]), *mu, p0]
 
 
 def coupling_rhs_form(theta: Connection) -> BForm:
@@ -455,23 +455,13 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
 
 
 def reduced_poisson(pair: BLieGroupPair, mode: str = "b") -> PoissonBivector:
-    """The block bivector, written down from the subgroup constants: the
-    theorem gives it for every connection, which verify's
+    """The subgroup's Lie-Poisson bivector plus {phi, p} = phi (1 classical):
+    the theorem gives it for every connection, which verify's
     connection-independence section and an exact Tier-1 test check."""
-    alg = pair.h_algebra
-    m = len(alg.labels)
-    names = tuple(dual_names(alg)) + (pair.phi_name, "p")
-    entries: dict[tuple[int, int], Expr] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc = ZERO
-            for k, ck in enumerate(alg.c(i, j)):
-                if ck:
-                    acc = acc - Const(Fraction(ck)) * Var(names[k])
-            if not ex.is_zero(acc):
-                entries[(i, j)] = acc
-    entries[(m, m + 1)] = Var(pair.phi_name) if mode == "b" else ONE
-    return PoissonBivector(names, entries)
+    lp = pair.h_algebra.lie_poisson
+    m = len(lp.names)
+    entries = {**lp.entries, (m, m + 1): Var(pair.phi_name) if mode == "b" else ONE}
+    return PoissonBivector(lp.names + (pair.phi_name, "p"), entries)
 
 
 def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> tuple[Expr, ...]:

@@ -100,7 +100,7 @@ def test_criterion_5_exact_algebra():
     h = lie.builtin("se2").h_algebra
     assert all(v == 0 for row in h.constants.values() for v in row)
     names = lie.dual_names(h)
-    sym = lie.lie_poisson_sym(h, Var(names[0]), Var(names[1]))
+    sym = h.lie_poisson.bracket(Var(names[0]), Var(names[1]))
     assert isinstance(sym, Const) and sym.value == 0
 
 

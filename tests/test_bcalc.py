@@ -471,6 +471,28 @@ def test_bracket_value_matches_table():
     assert abs(v + 0.3) < 1e-15
 
 
+@pytest.mark.parametrize("point,error,message", [
+    ([2.0], ex.UnboundVariableError, "unknown name 'y1'"),
+    ([], ex.UnboundVariableError, "unknown name 'x1'"),
+    ([2.0, -0.3, 9.9], ValueError, "point has 3 values for 2 coordinates"),
+    (np.array([2.0, -0.3, 0.0, 0.0]), ValueError, "point has 4 values for 2 coordinates"),
+], ids=["short", "empty", "long", "long-array"])
+def test_sequence_point_must_list_one_value_per_coordinate(point, error, message):
+    # a short point names the first missing coordinate; a long one is refused
+    # rather than cut to length, by the bracket, the chart and a field alike
+    P = invert_to_poisson(bdarboux_model(1))
+    x1, y1 = ex.Var("x1"), ex.Var("y1")
+    v = BVectorField(bdarboux_model(1).chart, (y1, x1))
+    for call in (lambda: P.bracket_value(x1, y1, point),
+                 lambda: v.chart.env(point),
+                 lambda: v.at(point)):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+    assert P.bracket_value(x1, y1, [2.0, -0.3]) == P.bracket_value(x1, y1, {"x1": 2.0, "y1": -0.3})
+    assert list(v.at([2.0, -0.3])) == [-0.3, 2.0]
+
+
 def test_bracket_value_matches_symbolic_bracket_on_galilean():
     # the point bracket (float gradients) against the evaluated bracket tree,
     # with the canonical b-symplectic structure of the galilean cotangent

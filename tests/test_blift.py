@@ -546,3 +546,24 @@ def test_xsharp_vanishing_slots():
         for slot in (m, 2 * m + 1):
             c = Xs.comps[slot]
             assert isinstance(c, Const) and c.value == 0
+
+
+@pytest.mark.parametrize("name", ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"])
+def test_xsharp_is_the_derivative_of_the_lift(name):
+    # X# = d/dt act(t X, x) at t = 0, against a central difference of the
+    # compiled lift, on the hypersurface and off it
+    A = make_action(name)
+    ch = A.cot.chart
+    m = A.h_dim
+    rng = random.Random(71)
+    t = 1e-5
+    for k in range(8):
+        X = [rng.uniform(-1, 1) for _ in range(m)]
+        pt = [rng.uniform(-0.7, 0.7) for _ in ch.names]
+        if k % 2 == 0:
+            pt[m] = 0.0
+        plus = A.act([t * a for a in X], pt)
+        minus = A.act([-t * a for a in X], pt)
+        want = (plus - minus) / (2 * t)
+        got = A.xsharp(X).at(pt)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8, k

@@ -404,7 +404,7 @@ def test_subgroup_membership():
 
 def test_lie_poisson_heisenberg_value():
     L = lie.builtin("heisenberg_q(1)").group.algebra
-    v = lie.lie_poisson(L, ex.Var("mu_X1"), ex.Var("mu_Y1"), [0.0, 0.0, 1.0])
+    v = L.lie_poisson.bracket_value(ex.Var("mu_X1"), ex.Var("mu_Y1"), [0.0, 0.0, 1.0])
     assert v == -1.0  # minus convention
 
 
@@ -416,12 +416,13 @@ def test_lie_poisson_antisymmetry():
         F = random_quadratic(names, rng)
         G = random_quadratic(names, rng)
         mu = [rng.uniform(-2, 2) for _ in range(L.dim)]
-        assert abs(lie.lie_poisson(L, F, G, mu) + lie.lie_poisson(L, G, F, mu)) < 1e-10
+        P = L.lie_poisson
+        assert abs(P.bracket_value(F, G, mu) + P.bracket_value(G, F, mu)) < 1e-10
 
 
 def test_lie_poisson_matches_symbolic_tree():
-    # the point bracket (float gradients) against the evaluated tree of
-    # lie_poisson_sym, which the Lie-Poisson-Jacobi section keeps
+    # the point bracket (float gradients) against the evaluated tree of the
+    # same bivector, which the Lie-Poisson-Jacobi section builds
     L = lie.builtin("galilean").group.algebra
     rng = random.Random(23)
     names = lie.dual_names(L)
@@ -429,11 +430,11 @@ def test_lie_poisson_matches_symbolic_tree():
         F = random_quadratic(names, rng) * ex.sin(ex.Var(rng.choice(names)))
         G = random_quadratic(names, rng)
         mu = [rng.uniform(-2, 2) for _ in range(L.dim)]
-        want = ex.evaluate(lie.lie_poisson_sym(L, F, G), dict(zip(names, mu)))
-        got = lie.lie_poisson(L, F, G, mu)
+        want = ex.evaluate(L.lie_poisson.bracket(F, G), dict(zip(names, mu)))
+        got = L.lie_poisson.bracket_value(F, G, mu)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     with pytest.raises(ex.UnboundVariableError):
-        lie.lie_poisson(L, F, G, mu[:-1])
+        L.lie_poisson.bracket_value(F, G, mu[:-1])
 
 
 def random_quadratic(names, rng):
@@ -453,17 +454,18 @@ def random_quadratic(names, rng):
 def test_lie_poisson_jacobi(name):
     # Jacobi identity for the minus bracket on 50 seeded quadratic triples
     L = lie.builtin(name).group.algebra
+    P = L.lie_poisson
     rng = random.Random(21)
     names = lie.dual_names(L)
     for _ in range(50):
         F, G, H = (random_quadratic(names, rng) for _ in range(3))
         mu = [rng.uniform(-1.5, 1.5) for _ in range(L.dim)]
-        fg = lie.lie_poisson_sym(L, F, G)
-        gh = lie.lie_poisson_sym(L, G, H)
-        hf = lie.lie_poisson_sym(L, H, F)
-        total = (lie.lie_poisson(L, fg, H, mu)
-                 + lie.lie_poisson(L, gh, F, mu)
-                 + lie.lie_poisson(L, hf, G, mu))
+        fg = P.bracket(F, G)
+        gh = P.bracket(G, H)
+        hf = P.bracket(H, F)
+        total = (P.bracket_value(fg, H, mu)
+                 + P.bracket_value(gh, F, mu)
+                 + P.bracket_value(hf, G, mu))
         assert abs(total) < 1e-9
 
 
@@ -474,7 +476,7 @@ def test_heisenberg_casimir():
     for _ in range(20):
         F = random_quadratic(names, rng)
         mu = [rng.uniform(-2, 2) for _ in range(3)]
-        assert abs(lie.lie_poisson(L, ex.Var("mu_Z"), F, mu)) < 1e-12
+        assert abs(L.lie_poisson.bracket_value(ex.Var("mu_Z"), F, mu)) < 1e-12
 
 
 def test_dual_names():

@@ -437,6 +437,18 @@ def test_reduced_poisson_galilean():
     assert abs(bv("s", "p") - 0.5) < 1e-12
 
 
+def test_reduced_bracket_refuses_a_point_of_the_wrong_length():
+    # {phi, p} = phi; a fifth value on the 4-coordinate se2 chart used to be
+    # dropped without a word
+    rp = red.reduced_poisson(lie.builtin("se2"))
+    phi, p = Var("phi"), Var("p")
+    assert rp.bracket_value(phi, p, [0.1, 0.2, 0.3, 0.4]) == 0.3
+    with pytest.raises(ValueError, match="point has 5 values for 4 coordinates"):
+        rp.bracket_value(phi, p, [0.1, 0.2, 0.3, 0.4, 9.9])
+    with pytest.raises(ex.UnboundVariableError, match="'p'"):
+        rp.bracket_value(phi, phi, [0.1, 0.2, 0.3])
+
+
 def test_reduced_poisson_classical_mode():
     pair = lie.builtin("se2")
     theta = red.make_connection(pair, mode="classical")

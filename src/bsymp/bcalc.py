@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
-    """Name -> value for a point given as one value per name, in order.
+def sequence_values(names: Sequence[str], point: Sequence) -> list[float]:
+    """A point given as one value per name, in order, as floats.
 
     A short point raises UnboundVariableError naming the first missing
     coordinate; a long one raises ValueError, so no value is dropped.
@@ -52,7 +52,12 @@ def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
         raise ex.UnboundVariableError(f"unknown name {names[len(point)]!r}")
     if len(point) > len(names):
         raise ValueError(f"point has {len(point)} values for {len(names)} coordinates")
-    return {n: float(v) for n, v in zip(names, point)}
+    return [float(v) for v in point]
+
+
+def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
+    """Name -> value for a point given as one value per name (`sequence_values`)."""
+    return dict(zip(names, sequence_values(names, point)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Var, ZERO
-from .bcalc import BChart, BForm, BVectorField, PoissonBivector, b_d, invert_to_poisson
+from .bcalc import (BChart, BForm, BVectorField, PoissonBivector, b_d, invert_to_poisson,
+                    sequence_values)
 from .lie import BLieGroupPair
 
 __all__ = [
@@ -117,8 +118,13 @@ class LiftedAction:
     def _k_vars(self) -> list[Expr]:
         return [Var(n) for n in self.pair.h_names]
 
+    @cached_property
+    def _h_names(self) -> tuple[str, ...]:
+        """The names of h, and of a direction X in its algebra, in the lift."""
+        return tuple("h__" + n for n in self.pair.h_names)
+
     def _h_vars(self) -> list[Expr]:
-        return [Var("h__" + n) for n in self.pair.h_names]
+        return [Var(n) for n in self._h_names]
 
     def translation_exprs(self) -> list[Expr]:
         """m_H(h, k) as expressions in h__* and the base names."""
@@ -143,10 +149,9 @@ class LiftedAction:
         Exact, and independent of the curve chosen through the identity.
         The lift fixes phi and p_phi, so those entries are structural zeros.
         """
-        hn = ["h__" + n for n in self.pair.h_names]
-        zero = dict.fromkeys(hn, ZERO)
+        zero = dict.fromkeys(self._h_names, ZERO)
         lift = self.lift_exprs()
-        return [[ex.subs(ex.diff(c, a), zero) for c in lift] for a in hn]
+        return [[ex.subs(ex.diff(c, a), zero) for c in lift] for a in self._h_names]
 
     @cached_property
     def zeta_exprs(self) -> list[list[Expr]]:
@@ -185,7 +190,7 @@ class LiftedAction:
 
     @cached_property
     def _lift_compiled(self):
-        args = ["h__" + n for n in self.pair.h_names] + list(self.cot.chart.names)
+        args = [*self._h_names, *self.cot.chart.names]
         return ex.compile_exprs(self.lift_exprs(), args)
 
     @cached_property
@@ -210,14 +215,15 @@ class LiftedAction:
         which for the rotation-fraction parametrization happens at the
         composition singularity.
         """
-        out = self._lift_compiled([*map(float, h), *map(float, point)])
+        out = self._lift_compiled([*sequence_values(self._h_names, h),
+                                   *sequence_values(self.cot.chart.names, point)])
         if not all(math.isfinite(v) for v in out):
             raise ex.DomainError("translated point leaves the chart")
         return np.array(out)
 
     def moment(self, point: Sequence[float], X: Sequence[float]) -> float:
-        mu = self._moment_compiled(list(map(float, point)))
-        return float(sum(float(x) * m for x, m in zip(X, mu)))
+        mu = self._moment_compiled(sequence_values(self.cot.chart.names, point))
+        return float(sum(x * m for x, m in zip(sequence_values(self._h_names, X), mu)))
 
     def moment_vector(self, point: Sequence[float]) -> np.ndarray:
-        return np.array(self._moment_compiled(list(map(float, point))))
+        return np.array(self._moment_compiled(sequence_values(self.cot.chart.names, point)))

@@ -12,17 +12,21 @@ should respect the multiplicative character of the transverse coordinate
 exactly can opt into a substitution that integrates u = log|phi| and keeps
 the sign frozen; it is never switched on silently.
 
-`integrate` owns every per-row value of a flow.  It compiles H and the
-Casimirs into one function next to the field and evaluates it once per
-accepted row, into arrays sized for the whole run.  The drifts are taken
-from those values, and the CSV's H and Casimir columns are those values:
-`write_csv` and `leaf_report` only read the trajectory.
+`integrate` runs the whole fixed-step loop in one generated function,
+written with `expr.emit`, the code generator of `compile_exprs`: every
+stage inlines the field, and each accepted row is checked, has H and the
+Casimirs evaluated and goes into arrays sized for the whole run, all in
+that function.  It is cached on the VectorField per method, substitution,
+box and Casimirs, so another dt or start reuses it.  The drifts are taken
+from the stored values, and the CSV's H and Casimir columns are those
+values: `write_csv` and `leaf_report` only read the trajectory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -62,6 +66,7 @@ class VectorField:
     components: tuple[Expr, ...]
     hamiltonian: Expr | None = None
     phi_slot: int | None = None
+    flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def compiled(self):
@@ -121,18 +126,15 @@ def _check_box(x, box, names, t):
                 f"at t={t:.6g}", t)
 
 
-def _invariants_at(g, exprs, names, x, t):
-    """g(x); on failure, an InvariantError naming the first expression that fails."""
-    try:
-        return g(x)
-    except (OverflowError, ex.DomainError):
-        point = dict(zip(names, x))
-        for i, e in enumerate(exprs):
-            try:
-                ex.evaluate(e, point)
-            except (OverflowError, ex.DomainError) as err:
-                raise InvariantError(f"cannot be evaluated at t={t:.6g}: {err}", i) from err
-        raise
+def _raise_invariant_error(exprs, names, x, t, err):
+    """An InvariantError naming the first expression that fails at x; err if none does."""
+    point = dict(zip(names, x))
+    for i, e in enumerate(exprs):
+        try:
+            ex.evaluate(e, point)
+        except (OverflowError, ex.DomainError) as fail:
+            raise InvariantError(f"cannot be evaluated at t={t:.6g}: {fail}", i) from fail
+    raise err
 
 
 MAX_STEPS = 10**6  # every row is kept in memory
@@ -149,6 +151,102 @@ def step_count(dt: float, T: float) -> int:
     return int(round(T / dt))
 
 
+_BIG = sys.float_info.max
+
+
+def _guarded(lines, indent, failure):
+    """lines in a try that returns `failure` on an evaluation error; none if no lines."""
+    if not lines:
+        return []
+    return [f"{indent}try:", *lines, f"{indent}except _ERRORS as err:",
+            f"{indent}    return {failure}"]
+
+
+def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
+                   sub: bool, box):
+    """The whole fixed-step loop as one function, built with `expr.emit`.
+
+    `flow(x, rows, values, steps, dt, sgn)` holds the state in locals
+    s0..s{n-1}.  Each stage inlines the field once; with `sub`, the slot
+    `phi_slot` holds u = log|phi|, the field reads sgn * exp(u) there and
+    its component there is divided by that value.  The stage arithmetic
+    is written as the rk4 and midpoint formulas read, `a + 0.5 * dt * b`
+    and `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
+    0.5 * dt and dt / 6.0 computed once.  Each accepted row is checked
+    finite and inside `box` (bounds as literals), its invariants are
+    evaluated, and both go straight into `rows[k + 1]` and `values[k + 1]`.
+    Returns None when every step is accepted, else (k, where, row, err):
+    the step, "field", "chart" or "invariant", the row (x for row 0,
+    k = -1) and the error caught.
+    """
+    n = len(vf.names)
+    m = vf.phi_slot
+    state = [f"s{i}" for i in range(n)]
+    ind = " " * 12
+    body: list[str] = []
+
+    def stage(j, inputs):
+        env = dict(zip(vf.names, inputs))
+        if sub:
+            body.append(f"{ind}e{j} = sgn * _exp({inputs[m]})")
+            env[vf.names[m]] = f"e{j}"
+        lines, out = ex.emit(vf.components, env, f"f{j}_", ind)
+        body.extend(lines)
+        if sub:
+            body.append(f"{ind}q{j} = {out[m]} / e{j}")
+            out[m] = f"q{j}"
+        return out
+
+    def shifted(j, coef, k):
+        ys = [f"y{j}_{i}" for i in range(n)]
+        body.extend(f"{ind}{y} = {s} + {coef} * {b}" for y, s, b in zip(ys, state, k))
+        return ys
+
+    k1 = stage(1, state)
+    k2 = stage(2, shifted(2, "half", k1))
+    if method == "rk4":
+        k3 = stage(3, shifted(3, "half", k2))
+        k4 = stage(4, shifted(4, "dt", k3))
+        new = [f"{s} + sixth * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+               for s, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+    else:
+        new = [f"{s} + dt * {b}" for s, b in zip(state, k2)]
+    body.append(f"{ind}{', '.join(state)} = {', '.join(new)}")
+
+    row = list(state)
+    if sub:
+        row[m] = "r"
+    # finite exactly when within the largest float, which nan is not
+    ok = [f"{-_BIG!r} <= {r} <= {_BIG!r}" for r in row]
+    if box is not None:
+        ok += [f"{lo!r} <= {r} <= {hi!r}" for r, (lo, hi) in zip(row, box)]
+    g0_lines, g0 = ex.emit(invariants, dict(zip(vf.names, state)), "g", " " * 8)
+    g_lines, g = ex.emit(invariants, dict(zip(vf.names, row)), "g", ind)
+    src = ["def _flow(x, rows, values, steps, dt, sgn):",
+           f"    {', '.join(state)}, = x",
+           *_guarded(g0_lines, "    ", "-1, 'invariant', x, err"),
+           f"    values[0] = ({', '.join(g0)},)"]
+    if sub:
+        src.append(f"    s{m} = _ln(abs(s{m}))")
+    src += ["    half = 0.5 * dt",
+            "    sixth = dt / 6.0",
+            "    for k in range(steps):",
+            *_guarded(body, "        ", "k, 'field', None, err")]
+    if sub:
+        src += ["        try:",
+                f"            r = sgn * _exp(s{m})",
+                "        except OverflowError:",
+                "            r = sgn * inf"]
+    src += [f"        if not ({' and '.join(ok)}):",
+            f"            return k, 'chart', ({', '.join(row)},), None",
+            *_guarded(g_lines, "        ", f"k, 'invariant', ({', '.join(row)},), err"),
+            f"        rows[k + 1] = ({', '.join(row)},)",
+            f"        values[k + 1] = ({', '.join(g)},)",
+            "    return None"]
+    return ex.build("\n".join(src) + "\n", "_flow", _ln=math.log, inf=math.inf,
+                    nan=math.nan, _ERRORS=(OverflowError, ex.DomainError, ZeroDivisionError))
+
+
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
               method: str = "rk4", box=None,
               casimirs: Sequence[Expr] = (),
@@ -160,69 +258,55 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     A start with phi exactly 0 is held at exactly 0 in either mode: the
     slice component of the field is a product with phi, so every stage
     contributes 0.0 exactly.
+
+    The steps run in one generated function (`_generate_flow`), cached on
+    vf by method, substitution, box and casimirs, so another dt or x0
+    reuses it.  A failed field evaluation is a ChartExitError at the start
+    time of its step; a row that is not finite or leaves `box`, a
+    ChartExitError at its own time; a row where H or a Casimir cannot be
+    evaluated, an InvariantError.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
         raise ValueError("method must be 'rk4' or 'midpoint'")
-    f = vf.compiled
     n = len(vf.names)
     x = [float(v) for v in x0]
     if len(x) != n:
         raise ValueError("x0 does not match the chart dimension")
-    invariants = [ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
-    g = ex.compile_exprs(invariants, list(vf.names))
+    if box is not None:
+        box = tuple((float(lo), float(hi)) for lo, hi in box)
+        if len(box) != n:
+            raise ValueError("box does not match the chart dimension")
     m = vf.phi_slot
     sub = False
+    sgn = 1.0
     if substitution:
         if m is None:
             raise ValueError("substitution needs a marked transverse slot")
         if x[m] != 0.0:
             sub = True
             sgn = math.copysign(1.0, x[m])
-
-    def to_chart(state):
-        if not sub:
-            return state
-        y = list(state)
-        y[m] = sgn * math.exp(state[m])
-        return y
-
-    def rhs(state):
-        if not sub:
-            return f(state)
-        y = to_chart(state)
-        v = f(y)
-        v[m] = v[m] / y[m]
-        return v
-
+    invariants = [ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
+    key = (method, sub, box, tuple(casimirs))
+    flow = vf.flows.get(key)
+    if flow is None:
+        flow = vf.flows[key] = _generate_flow(vf, invariants, method, sub, box)
     rows = np.empty((steps + 1, n))
     values = np.empty((steps + 1, len(invariants)))
     rows[0] = x
-    values[0] = _invariants_at(g, invariants, vf.names, x, 0.0)
-    state = list(x)
-    if sub:
-        state[m] = math.log(abs(x[m]))
-    for k in range(steps):
-        t = k * dt
-        try:
-            if method == "rk4":
-                k1 = rhs(state)
-                k2 = rhs([a + 0.5 * dt * b for a, b in zip(state, k1)])
-                k3 = rhs([a + 0.5 * dt * b for a, b in zip(state, k2)])
-                k4 = rhs([a + dt * b for a, b in zip(state, k3)])
-                state = [a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-                         for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
-            else:
-                k1 = rhs(state)
-                k2 = rhs([a + 0.5 * dt * b for a, b in zip(state, k1)])
-                state = [a + dt * b for a, b in zip(state, k2)]
-        except (OverflowError, ex.DomainError) as exc:
-            raise ChartExitError(
-                f"field evaluation failed at t={t:.6g}: {exc}", t) from exc
-        xt = to_chart(state)
-        _check_box(xt, box, vf.names, (k + 1) * dt)
-        rows[k + 1] = xt
-        values[k + 1] = _invariants_at(g, invariants, vf.names, xt, (k + 1) * dt)
+    failure = flow(x, rows, values, steps, dt, sgn)
+    if failure is not None:
+        k, where, row, err = failure
+        if isinstance(err, ZeroDivisionError):
+            err = ex.domain_error(err)
+        if where == "field":
+            raise ChartExitError(f"field evaluation failed at t={k * dt:.6g}: {err}",
+                                 k * dt) from err
+        t = (k + 1) * dt
+        if where == "chart":
+            _check_box(row, box, vf.names, t)
+            raise AssertionError(f"row {k + 1} failed the generated chart check only")
+        _raise_invariant_error(invariants, vf.names, row, t, err)
     drifts = np.max(np.abs(values - values[0]), axis=0).tolist()
     return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, names=vf.names,
                       rows=rows, invariants=values, method=method, phi_slot=m,

@@ -16,7 +16,7 @@ at one point by reverse mode over the DAG (one forward sweep shared with
 
 Expressions are DAGs: a shared subtree is one node.  Every pass over
 them (`evaluate`, `grad`, `eval_exact`, `diff`, `subs`, `free_vars`,
-`compile_exprs`) is a loop over one iterative walk, `_postorder`, which
+`emit`) is a loop over one iterative walk, `_postorder`, which
 lists each reachable node once with its operands before it, the left
 operand first except that a quotient lists its denominator before its
 numerator.  A pass fills one dict in that order, so the depth of an
@@ -29,6 +29,13 @@ pending pieces on an explicit stack, so it does not recurse either.
 `parse` recurses, but rejects input nested deeper than 100 levels of
 parentheses, function calls and unary minus signs with an
 ExprSyntaxError.
+
+`emit` is the one code generator: it writes the walk as straight-line
+Python, one assignment per node, and a node whose right-hand side text
+was already written reuses that temporary, so structurally equal
+subtrees that are distinct nodes are computed once too.
+`compile_exprs` wraps its lines in a function of a coordinate list;
+`dynamics` inlines them into a whole generated integration loop.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is true exactly for a constant 0, the only zero the
@@ -846,25 +853,33 @@ def free_vars(e: Expr) -> frozenset[str]:
 # compilation (fast repeated evaluation; semantics match `evaluate`)
 # ---------------------------------------------------------------------------
 
-def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], list[float]]:
-    """Compile expressions into one function of a coordinate tuple.
+def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
+         indent: str = "    ") -> tuple[list[str], list[str]]:
+    """Straight-line Python computing `exprs`: (assignment lines, id of each).
 
-    The returned callable takes values ordered like `names` and returns a
-    list of floats.  Shared subtrees are evaluated once.  Domain errors
-    surface as DomainError, matching `evaluate`.
+    `inputs` maps a variable name to the source text that reads its value;
+    a variable outside it is an UnboundVariableError.  A constant's id is
+    its float literal, a variable's is its input text, and any other
+    node's is a temporary named `temp` plus a counter, assigned on one line
+    at `indent`.  The lines follow the walk, so the first line that fails
+    is the first node of the walk that fails, as in `evaluate`.  A
+    right-hand side whose text was already emitted reuses that temporary:
+    its operand ids are canonical, so equal text is the same operation on
+    the same values, and the duplicate could only fail where its first
+    copy already did.  The lines run in the namespace `build` gives them.
     """
-    index = {name: i for i, name in enumerate(names)}
     lines: list[str] = []
     ids: dict[Expr, str] = {}
+    temps: dict[str, str] = {}
     for n in _postorder(exprs):
         t = type(n)
         if t is Const:
             ids[n] = repr(float(n.value))
             continue
         if t is Var:
-            if n.name not in index:
+            if n.name not in inputs:
                 raise UnboundVariableError(f"unknown name {n.name!r}")
-            ids[n] = f"x[{index[n.name]}]"
+            ids[n] = inputs[n.name]
             continue
         if t is Add:
             rhs = f"{ids[n.a]} + {ids[n.b]}"
@@ -878,21 +893,53 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
             rhs = f"{ids[n.base]} ** {n.n}"
         else:
             rhs = f"_{n.name}({ids[n.arg]})"
-        ids[n] = name = f"t{len(lines)}"
-        lines.append(f"    {name} = {rhs}")
-    results = [ids[e] for e in exprs]
-    src = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
-    ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": _checked_log}
+        name = temps.get(rhs)
+        if name is None:
+            name = temps[rhs] = f"{temp}{len(temps)}"
+            lines.append(f"{indent}{name} = {rhs}")
+        ids[n] = name
+    return lines, [ids[e] for e in exprs]
+
+
+def build(src: str, name: str, **extra) -> Callable:
+    """The function `name` defined by generated source over `emit`'s lines.
+
+    The source runs in a namespace with the unary functions the lines
+    call, plus `extra`.
+    """
+    ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": _checked_log,
+          **extra}
     exec(compile(src, "<bsymp-compiled>", "exec"), ns)
-    raw = ns["_compiled"]
+    return ns[name]
+
+
+def domain_error(err: ZeroDivisionError) -> DomainError:
+    """The DomainError `evaluate` raises where compiled float code raised err.
+
+    Float `/` by zero and float `**` of zero to a negative power both raise
+    ZeroDivisionError; only the message tells them apart.
+    """
+    return DomainError("zero to a negative power" if "negative power" in str(err)
+                       else "division by zero")
+
+
+def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], list[float]]:
+    """Compile expressions into one function of a coordinate tuple.
+
+    The returned callable takes values ordered like `names` and returns a
+    list of floats.  Shared subtrees, and subtrees of equal text, are
+    evaluated once.  Domain errors surface as DomainError, matching
+    `evaluate`.
+    """
+    lines, results = emit(exprs, {name: f"x[{i}]" for i, name in enumerate(names)}, "t")
+    raw = build("def _compiled(x):\n" + "\n".join(lines)
+                + f"\n    return [{', '.join(results)}]\n", "_compiled")
 
     def wrapped(x):
         try:
             return raw(x)
         except ZeroDivisionError as err:
-            # float ** negative int raises it too; name it as `evaluate` does
-            raise DomainError("zero to a negative power" if "negative power" in str(err)
-                              else "division by zero") from None
+            raise domain_error(err) from None
 
     return wrapped
 

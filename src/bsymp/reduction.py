@@ -38,7 +38,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Var, ONE, ZERO
-from .bcalc import BChart, BForm, PoissonBivector, b_d
+from .bcalc import BChart, BForm, PoissonBivector, b_d, sequence_values
 from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
 from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names
 
@@ -432,21 +432,24 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
                                v: Sequence[float], w: Sequence[float]) -> float:
     """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point."""
     fn, rfn, jkeys, rkeys, omega, n = theta._coupling_compiled
-    pt = [float(x) for x in point]
+    names = omega.chart.names
+    pt = sequence_values(names, point)
+    v = sequence_values(names, v)
+    w = sequence_values(names, w)
     vals = fn(pt)
     image = vals[:n]
     J = {k: x for k, x in zip(jkeys, vals[n:])}
-    pv = [sum(J.get((i, j), 0.0) * float(v[j]) for j in range(n)) for i in range(n)]
-    pw = [sum(J.get((i, j), 0.0) * float(w[j]) for j in range(n)) for i in range(n)]
+    pv = [sum(J.get((i, j), 0.0) * v[j] for j in range(n)) for i in range(n)]
+    pw = [sum(J.get((i, j), 0.0) * w[j] for j in range(n)) for i in range(n)]
     rvals = rfn(image)
     rhs = 0.0
     for k, c in zip(rkeys, rvals):
         i, j = k
         rhs += c * (pv[i] * pw[j] - pv[j] * pw[i])
-    env = {nm: x for nm, x in zip(omega.chart.names, pt)}
+    env = dict(zip(names, pt))
     lhs = 0.0
     for (i, j), c in omega.coeffs.items():
-        lhs += ex.evaluate(c, env) * (float(v[i]) * float(w[j]) - float(v[j]) * float(w[i]))
+        lhs += ex.evaluate(c, env) * (v[i] * w[j] - v[j] * w[i])
     return abs(lhs - rhs)
 
 

@@ -536,6 +536,29 @@ def test_moment_equivariance():
         assert worst <= 1e-9
 
 
+X_SE2 = [0.3, -0.2, 0.5, 0.1, 0.4, -0.6]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda A: A.act([0.5, 0.5], X_SE2 + [9.9]), ValueError,
+     "point has 7 values for 6 coordinates"),
+    (lambda A: A.act([0.5], X_SE2), ex.UnboundVariableError, "unknown name 'h__b2'"),
+    (lambda A: A.moment(X_SE2 + [7.0], [1.0, 0.0]), ValueError,
+     "point has 7 values for 6 coordinates"),
+    (lambda A: A.moment_vector(X_SE2 + [7.0]), ValueError,
+     "point has 7 values for 6 coordinates"),
+], ids=["act-long-point", "act-short-h", "moment-long-point", "moment_vector-long-point"])
+def test_compiled_maps_take_one_value_per_name(call, error, message):
+    # the contract of a sequence point everywhere: a short input names the
+    # first missing value, a long one is refused rather than cut to length
+    A = make_action("se2")
+    with pytest.raises(error) as err:
+        call(A)
+    assert str(err.value) == message
+    assert list(A.act([0.5, 0.5], X_SE2)) == list(A.act((0.5, 0.5), tuple(X_SE2)))
+    assert A.moment(X_SE2, [1.0, 0.0]) == A.moment_vector(X_SE2)[0]
+
+
 def test_xsharp_vanishing_slots():
     # no transverse leg and no momentum leg in the transverse direction
     for name in GROUPS:

@@ -341,24 +341,31 @@ def test_flow_invariant_failure_names_key_and_time(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [{}, {"method": "midpoint"}, {"substitution": True}])
 def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
-    # one compile for the field, one for [H, *casimirs]; the CSV only reads
-    compiles, trajectories, during_csv = [], [], []
-    compile_exprs, integrate, write_csv = ex.compile_exprs, dyn.integrate, dyn.write_csv
+    # one generated function runs the field and [H, *casimirs] for the whole
+    # flow, with no compile_exprs beside it; the CSV only reads
+    compiles, generated, trajectories, during_csv = [], [], [], []
+    compile_exprs, generate = ex.compile_exprs, dyn._generate_flow
+    integrate, write_csv = dyn.integrate, dyn.write_csv
 
     def counted(exprs, names):
         compiles.append(len(exprs))
         return compile_exprs(exprs, names)
+
+    def generated_counted(vf, invariants, *args):
+        generated.append(len(invariants))
+        return generate(vf, invariants, *args)
 
     def kept(*args, **kwargs):
         trajectories.append(integrate(*args, **kwargs))
         return trajectories[-1]
 
     def watched(*args, **kwargs):
-        before = len(compiles)
+        before = len(compiles) + len(generated)
         write_csv(*args, **kwargs)
-        during_csv.append(len(compiles) - before)
+        during_csv.append(len(compiles) + len(generated) - before)
 
     monkeypatch.setattr(ex, "compile_exprs", counted)
+    monkeypatch.setattr(dyn, "_generate_flow", generated_counted)
     monkeypatch.setattr(dyn, "integrate", kept)
     monkeypatch.setattr(dyn, "write_csv", watched)
     cfg = write_config(tmp_path, {"flow": {"hamiltonian": "p^2/2 + 0.3*phi*mu_P1 + mu_P2",
@@ -367,7 +374,7 @@ def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
     out = tmp_path / "f.csv"
     assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert compiles == [4, 2] and during_csv == [0]
+    assert compiles == [] and generated == [2] and during_csv == [0]
     tr, = trajectories
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,mu_P1,mu_P2,phi,p,H,m1"

@@ -15,9 +15,10 @@ import pytest
 
 import bsymp.expr as ex
 from bsymp.expr import Const, Var
-from bsymp import dynamics as dyn, lie, reduction as red
+from bsymp import dynamics as dyn, lie, reduction as red, verify
 
 GROUPS = ["se2", "heisenberg_q(1)", "galilean"]
+BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
 
 
 def reduced_field(name, H):
@@ -179,6 +180,220 @@ def test_casimir_drift_reported():
     tr = dyn.integrate(vf, [0.3, -0.1, 0.8, 0.2], 1e-2, 2.0,
                        casimirs=[Var("mu_P1"), Var("mu_P2")])
     assert tr.casimir_drifts == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the generated loop against a plain reference loop
+
+
+def reference_integrate(vf, x0, dt, T, method="rk4", box=None, casimirs=(),
+                        substitution=False):
+    """Reference for `integrate`: the same fixed-step loop in plain Python,
+    over the compiled field and invariants, stages as list comprehensions."""
+    steps = dyn.step_count(dt, T)
+    f = vf.compiled
+    n = len(vf.names)
+    x = [float(v) for v in x0]
+    invariants = [ex.ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
+    g = ex.compile_exprs(invariants, list(vf.names))
+    m = vf.phi_slot
+    sub = substitution and x[m] != 0.0
+    sgn = math.copysign(1.0, x[m]) if sub else 1.0
+
+    def to_chart(state):
+        if not sub:
+            return state
+        y = list(state)
+        y[m] = sgn * math.exp(state[m])
+        return y
+
+    def rhs(state):
+        if not sub:
+            return f(state)
+        y = to_chart(state)
+        v = f(y)
+        v[m] = v[m] / y[m]
+        return v
+
+    def invariants_at(xt, t):
+        try:
+            return g(xt)
+        except (OverflowError, ex.DomainError):
+            point = dict(zip(vf.names, xt))
+            for i, e in enumerate(invariants):
+                try:
+                    ex.evaluate(e, point)
+                except (OverflowError, ex.DomainError) as err:
+                    raise dyn.InvariantError(f"cannot be evaluated at t={t:.6g}: {err}", i) from err
+            raise
+
+    rows = np.empty((steps + 1, n))
+    values = np.empty((steps + 1, len(invariants)))
+    rows[0] = x
+    values[0] = invariants_at(x, 0.0)
+    state = list(x)
+    if sub:
+        state[m] = math.log(abs(x[m]))
+    for k in range(steps):
+        t = k * dt
+        try:
+            if method == "rk4":
+                k1 = rhs(state)
+                k2 = rhs([a + 0.5 * dt * b for a, b in zip(state, k1)])
+                k3 = rhs([a + 0.5 * dt * b for a, b in zip(state, k2)])
+                k4 = rhs([a + dt * b for a, b in zip(state, k3)])
+                state = [a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+                         for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+            else:
+                k1 = rhs(state)
+                k2 = rhs([a + 0.5 * dt * b for a, b in zip(state, k1)])
+                state = [a + dt * b for a, b in zip(state, k2)]
+        except (OverflowError, ex.DomainError) as exc:
+            raise dyn.ChartExitError(f"field evaluation failed at t={t:.6g}: {exc}", t) from exc
+        xt = to_chart(state)
+        dyn._check_box(xt, box, vf.names, (k + 1) * dt)
+        rows[k + 1] = xt
+        values[k + 1] = invariants_at(xt, (k + 1) * dt)
+    drifts = np.max(np.abs(values - values[0]), axis=0).tolist()
+    return dyn.Trajectory(dt=dt, times=np.arange(steps + 1) * dt, names=vf.names,
+                          rows=rows, invariants=values, method=method, phi_slot=m,
+                          energy_drift=None if vf.hamiltonian is None else drifts[0],
+                          casimir_drifts=tuple(drifts[1:]),
+                          phi_floor=None if m is None else float(np.min(np.abs(rows[:, m]))))
+
+
+def outcome(run, *args, **kwargs):
+    """What a run gives, bit for bit: its arrays' bytes and scalars, or its error."""
+    try:
+        tr = run(*args, **kwargs)
+    except (dyn.ChartExitError, dyn.InvariantError) as err:
+        return (type(err), str(err), getattr(err, "time", None), getattr(err, "index", None),
+                type(err.__cause__), str(err.__cause__))
+    return (tr.times.tobytes(), tr.rows.tobytes(), tr.invariants.tobytes(),
+            tr.energy_drift, tr.casimir_drifts, tr.phi_floor)
+
+
+def assert_same_as_reference(*args, **kwargs):
+    got = outcome(dyn.integrate, *args, **kwargs)
+    assert got == outcome(reference_integrate, *args, **kwargs)
+    return got
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_generated_loop_matches_reference(name):
+    rng = random.Random(sum(map(ord, name)))
+    rp = red.reduced_poisson(lie.builtin(name))
+    names = list(rp.names)
+    m = len(names) - 2
+    vf = dyn.hamiltonian_vf(rp, random_quadratic(rng, names), phi_slot=m)
+    casimirs = [random_quadratic(rng, names), Var(names[0])]
+    x0 = [rng.uniform(-0.5, 0.5) for _ in names]
+    for method in ("rk4", "midpoint"):
+        for phi0, substitution in ((0.4, False), (0.4, True), (-0.3, True), (0.0, False),
+                                   (0.0, True)):
+            x0[m] = phi0
+            for cas in ((), casimirs):
+                got = assert_same_as_reference(vf, x0, 1e-2, 1.5, method=method,
+                                               casimirs=cas, substitution=substitution)
+                assert isinstance(got[0], bytes), (method, phi0, substitution, got)
+
+
+def test_errors_match_reference():
+    x = ("x",)
+    cases = [
+        # float ** overflows: an OverflowError in the field, not an inf
+        (dyn.VectorField(x, (ex.parse("x^2"),)), [1.0], 0.5, 400.0, {}),
+        # a product overflows to inf: the state itself stops being finite
+        (dyn.VectorField(x, (ex.parse("x*10^200"),)), [1.0], 1.0, 5.0, {}),
+        # log leaves its domain in the second stage of a step
+        (dyn.VectorField(x, (ex.parse("log(x)"),)), [0.5], 0.1, 10.0, {}),
+        (dyn.VectorField(x, (ex.parse("log(x)"),)), [0.5], 0.1, 10.0, {"method": "midpoint"}),
+        # a Casimir fails on row 0, and later on
+        (dyn.VectorField(x, (ex.ONE,)), [0.0], 0.1, 1.0, {"casimirs": [ex.parse("log(x)")]}),
+        (dyn.VectorField(x, (ex.ONE,), ex.parse("1/(x - 0.5)")), [0.0], 0.1, 1.0, {}),
+    ]
+    for vf, x0, dt, T, kw in cases:
+        got = assert_same_as_reference(vf, x0, dt, T, **kw)
+        assert got[0] in (dyn.ChartExitError, dyn.InvariantError)
+    rp, vf, m = reduced_field("se2", Var("p"))
+    box = [(-5, 5), (-5, 5), (-2.0, 2.0), (-5, 5)]
+    for substitution in (False, True):
+        got = assert_same_as_reference(vf, [0.0, 0.0, 1.0, 0.0], 1e-3, 2.0, box=box,
+                                       substitution=substitution)
+        # phi(t) = e^t first exceeds 2 on the row after log 2 = 0.6931...
+        assert got[:3] == (dyn.ChartExitError, "phi=2.00171 left [-2, 2] at t=0.694", 694 * 1e-3)
+
+
+def test_invariant_error_names_the_failing_casimir():
+    # H = phi gives p' = -phi = -1, so log(p) fails once p reaches 0 at t = 0.5
+    rp = red.reduced_poisson(lie.builtin("se2"))
+    vf = dyn.hamiltonian_vf(rp, Var("phi"), phi_slot=2)
+    kw = {"casimirs": [Var("mu_P1"), ex.parse("log(p)")]}
+    got = assert_same_as_reference(vf, [0.0, 0.0, 1.0, 0.5], 0.01, 1.0, **kw)
+    assert got[:4] == (dyn.InvariantError,
+                       "cannot be evaluated at t=0.5: log of a non-positive value", None, 2)
+
+
+def test_substitution_underflow_is_a_chart_exit():
+    # phi' = -800 phi: u = log|phi| falls by 80 a step, so exp(u) reaches 0.0 in
+    # the last stage of the step from t = 0.9, and the field is divided by it;
+    # the plain loop let that ZeroDivisionError out bare
+    rp, vf, m = reduced_field("se2", ex.parse("-800*p"))
+    with pytest.raises(ZeroDivisionError):
+        reference_integrate(vf, [0.0, 0.0, 1.0, 0.0], 0.1, 2.0, substitution=True)
+    with pytest.raises(dyn.ChartExitError, match=r"^field evaluation failed at t=0\.9: "
+                       "division by zero$"):
+        dyn.integrate(vf, [0.0, 0.0, 1.0, 0.0], 0.1, 2.0, substitution=True)
+
+
+def test_substitution_overflow_is_a_chart_exit():
+    # phi' = phi z, z' = z^2: u' = z grows so fast that the accepted u of the
+    # first step is past the float range of exp while no stage was; the plain
+    # loop let that OverflowError out bare
+    vf = dyn.VectorField(("phi", "z"), (ex.parse("phi*z"), ex.parse("z^2")), phi_slot=0)
+    with pytest.raises(OverflowError):
+        reference_integrate(vf, [1.0, 50.0], 0.1, 2.0, substitution=True)
+    with pytest.raises(dyn.ChartExitError, match=r"^phi became non-finite at t=0\.1$"):
+        dyn.integrate(vf, [1.0, 50.0], 0.1, 2.0, substitution=True)
+
+
+def test_flow_is_generated_once_per_field_and_options(monkeypatch):
+    generated = []
+    generate = dyn._generate_flow
+
+    def counted(*args):
+        generated.append(args[2:])
+        return generate(*args)
+
+    monkeypatch.setattr(dyn, "_generate_flow", counted)
+    rp, vf, m = reduced_field("se2", ex.parse("p^2/2 + mu_P1"))
+    cas = [Var("mu_P1")]
+    for dt in (0.1, 0.05, 0.01):
+        dyn.integrate(vf, [0.1, 0.2, 1.0, 0.3], dt, 1.0)
+        dyn.integrate(vf, [0.3, 0.1, -0.5, 0.2], dt, 1.0, casimirs=cas, substitution=True)
+    # a slice start runs the plain chart even when substitution is asked for
+    dyn.integrate(vf, [0.1, 0.2, 0.0, 0.3], 0.1, 1.0, substitution=True)
+    dyn.integrate(vf, [0.1, 0.2, 1.0, 0.3], 0.1, 1.0, method="midpoint")
+    assert generated == [("rk4", False, None), ("rk4", True, None), ("midpoint", False, None)]
+
+
+@pytest.mark.parametrize("name,seed", [("se2", 107), ("heisenberg_q(2)", 103),
+                                       ("galilean", 106)])
+def test_energy_drift_halvings_still_pass(monkeypatch, name, seed):
+    # at these seeds a start leaves the chart and the section halves it
+    exits = []
+    integrate = dyn.integrate
+
+    def watched(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except dyn.ChartExitError as err:
+            exits.append(err.time)
+            raise
+
+    monkeypatch.setattr(dyn, "integrate", watched)
+    residual, tol = verify._sec_energy_drift(lie.builtin(name), verify.VerifyOptions(seed=seed))
+    assert exits and residual <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,32 @@ def test_compiled_domain_error():
         f([0.0])
 
 
+def test_equal_text_shares_a_temporary():
+    # x*y is four distinct but structurally equal nodes, and 0.738*x two;
+    # the generated code computes each once and still equals `evaluate` bit
+    # for bit, the error of the first failing node included
+    e = parse("(x*y + sin(x*y)) / (x*y - 1) + log(x*y) - 0.738*x*(1 - 0.738*x)^2")
+    internal = [n for n in expr._postorder([e]) if type(n) not in (Const, Var)]
+    lines, ids = expr.emit([e], {"x": "x[0]", "y": "x[1]"}, "t")
+    assert len(lines) == len(internal) - 4
+    assert sum(ln.endswith("= x[0] * x[1]") for ln in lines) == 1
+    f = compile_exprs([e], ["x", "y"])
+    outcomes = set()
+    for x, y in [(0.5, 3.0), (2.0, 0.5), (0.5, -1.0), (-1.5, 0.25), (1.25, 0.8), (3.0, 0.0)]:
+        env = {"x": x, "y": y}
+        try:
+            want = evaluate(e, env)
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                f([x, y])
+            assert str(got.value) == str(err)
+            outcomes.add(str(err))
+            continue
+        assert f([x, y]) == [want]
+        outcomes.add("value")
+    assert outcomes == {"value", "division by zero", "log of a non-positive value"}
+
+
 # ---------------------------------------------------------------------------
 # reverse-mode gradients
 # ---------------------------------------------------------------------------

@@ -362,6 +362,22 @@ def coupling_worst(theta, n, samples, seed):
     return worst
 
 
+@pytest.mark.parametrize("args,error,message", [
+    (([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 7.0], [1.0] * 6, [0.5] * 6), ValueError,
+     "point has 7 values for 6 coordinates"),
+    (([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1.0] * 5, [0.5] * 6), ex.UnboundVariableError,
+     "unknown name 'p_phi'"),
+    (([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1.0] * 6, [0.5] * 7), ValueError,
+     "point has 7 values for 6 coordinates"),
+], ids=["long-point", "short-v", "long-w"])
+def test_coupling_residual_takes_one_value_per_coordinate(args, error, message):
+    # a long point used to be cut to length, a short v to raise a bare IndexError
+    theta = red.make_connection(lie.builtin("se2"))
+    with pytest.raises(error) as err:
+        red.coupling_identity_residual(theta, *args)
+    assert str(err.value) == message
+
+
 def test_coupling_identity_b_mode():
     for name in GROUPS:
         pair = lie.builtin(name)

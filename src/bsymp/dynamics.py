@@ -244,7 +244,7 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
             f"        values[k + 1] = ({', '.join(g)},)",
             "    return None"]
     return ex.build("\n".join(src) + "\n", "_flow", _ln=math.log, inf=math.inf,
-                    nan=math.nan, _ERRORS=(OverflowError, ex.DomainError, ZeroDivisionError))
+                    nan=math.nan, _ERRORS=(OverflowError, ValueError, ZeroDivisionError))
 
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
@@ -297,7 +297,7 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     failure = flow(x, rows, values, steps, dt, sgn)
     if failure is not None:
         k, where, row, err = failure
-        if isinstance(err, ZeroDivisionError):
+        if isinstance(err, (ZeroDivisionError, ValueError)):
             err = ex.domain_error(err)
         if where == "field":
             raise ChartExitError(f"field evaluation failed at t={k * dt:.6g}: {err}",

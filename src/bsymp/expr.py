@@ -110,7 +110,8 @@ class UnboundVariableError(EvalError):
 
 
 class DomainError(EvalError):
-    """Division by zero, log of a non-positive value, 0 to a negative power."""
+    """Division by zero, log of a non-positive value, 0 to a negative power,
+    sin or cos of an infinite value."""
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +689,10 @@ def _forward(e: Expr, env: Mapping, exact: bool = False) -> dict:
                     raise DomainError("log of a non-positive value")
                 v = math.log(arg)
             else:
-                v = _UNARY[n.name](arg)
+                try:
+                    v = _UNARY[n.name](arg)
+                except ValueError as err:
+                    raise domain_error(err) from None
         val[n] = v
     return val
 
@@ -913,12 +917,18 @@ def build(src: str, name: str, **extra) -> Callable:
     return ns[name]
 
 
-def domain_error(err: ZeroDivisionError) -> DomainError:
-    """The DomainError `evaluate` raises where compiled float code raised err.
+def domain_error(err: ZeroDivisionError | ValueError) -> DomainError:
+    """The DomainError `evaluate` raises where float code raised err.
 
     Float `/` by zero and float `**` of zero to a negative power both raise
-    ZeroDivisionError; only the message tells them apart.
+    ZeroDivisionError; only the message tells them apart.  A bare
+    ValueError can only come from `math.sin` or `math.cos` of ±inf.  A
+    DomainError is returned as it is.
     """
+    if isinstance(err, DomainError):
+        return err
+    if isinstance(err, ValueError):
+        return DomainError("sin or cos of an infinite value")
     return DomainError("zero to a negative power" if "negative power" in str(err)
                        else "division by zero")
 
@@ -938,7 +948,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
     def wrapped(x):
         try:
             return raw(x)
-        except ZeroDivisionError as err:
+        except (ZeroDivisionError, ValueError) as err:
             raise domain_error(err) from None
 
     return wrapped

@@ -240,9 +240,9 @@ class MatrixGroup:
     per-parameter compactifications applied by numeric group operations:
     None, "angle" (wrap to (-pi, pi]) or "mod1" (wrap to [0, 1)).
 
-    The exact basis, the algebra and the compiled maps (chart, product,
-    inverse, translation Jacobian, adjoint) are cached properties: each is
-    built once per group, on first use.
+    The exact basis, the algebra, the symbolic adjoint and the compiled
+    maps (chart, product, inverse, translation Jacobian, adjoint) are
+    cached properties: each is built once per group, on first use.
     """
 
     name: str
@@ -298,10 +298,14 @@ class MatrixGroup:
         return ex.compile_exprs(flat + list(moved), ["h__" + n for n in names] + names)
 
     @cached_property
+    def adjoint_sym(self) -> list[list[Expr]]:
+        """[Ad_g]^b_a over the chart variables (see adjoint_matrix_sym)."""
+        return adjoint_matrix_sym(self, self.param_vars)
+
+    @cached_property
     def adjoint_compiled(self):
-        """params -> [Ad_g]^b_a, row-major in b, a (see adjoint_matrix_sym)."""
-        mat = adjoint_matrix_sym(self, self.param_vars)
-        return ex.compile_exprs([e for row in mat for e in row], self.param_names)
+        """params -> [Ad_g]^b_a, row-major in b, a."""
+        return ex.compile_exprs([e for row in self.adjoint_sym for e in row], self.param_names)
 
     @cached_property
     def basis(self) -> list[FrMatrix]:

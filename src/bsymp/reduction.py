@@ -40,7 +40,7 @@ from . import expr as ex
 from .expr import Expr, Var, ONE, ZERO
 from .bcalc import BChart, BForm, PoissonBivector, b_d, sequence_values
 from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
-from .lie import BLieGroupPair, adjoint_matrix_sym, dual_names
+from .lie import BLieGroupPair, dual_names
 
 
 class SplittingError(ValueError):
@@ -54,18 +54,21 @@ class SplittingError(ValueError):
 def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndarray:
     """Value of the infinitesimal left translation by X at the base point g.
 
-    Components are b-frame components on the split chart; the transverse
-    slot is structurally zero because left translation fixes phi.
+    Components are b-frame components on the split chart, X @ Z(g) for the
+    generator matrix Z; the transverse slot is structurally zero because
+    left translation fixes phi.  g takes one value per chart coordinate and
+    X one per algebra direction (`bcalc.sequence_values`).
     """
-    m = len(pair.h_names)
-    vals = _action(pair).zeta_compiled([float(v) for v in g[:m]])
-    out = np.zeros(m + 1)
-    for a in range(m):
-        xa = float(X[a])
-        if xa:
-            for j in range(m):
-                out[j] += xa * vals[a * m + j]
-    return out
+    act = _action(pair)
+    g = sequence_values(act.cot.base.names, g)
+    X = np.array(sequence_values(act._h_names, X))
+    return np.append(X @ _zeta_matrix(act, g), 0.0)
+
+
+def _zeta_matrix(act: LiftedAction, g: Sequence[float]) -> np.ndarray:
+    """Z(g): row a holds zeta_a's k-frame components at the base point g."""
+    m = act.h_dim
+    return np.array(act.zeta_compiled(g[:m])).reshape(m, m)
 
 
 def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
@@ -107,14 +110,15 @@ class Connection:
         flat = [form.coeff((j,)) for form in self.forms for j in range(len(names))]
         return ex.compile_exprs(flat, list(names))
 
+    def theta_matrix(self, point: Sequence[float]) -> np.ndarray:
+        """Theta(x): row a holds theta^a's frame coefficients at the point."""
+        names = self.chart.names
+        vals = self._theta_compiled(sequence_values(names, point))
+        return np.array(vals).reshape(self.h_dim, len(names))
+
     def theta(self, point: Sequence[float], v: Sequence[float]) -> np.ndarray:
         """Apply theta to a b-tangent vector given in frame components."""
-        n = len(self.chart.names)
-        vals = self._theta_compiled([float(x) for x in point])
-        out = np.zeros(self.h_dim)
-        for a in range(self.h_dim):
-            out[a] = sum(vals[a * n + j] * float(v[j]) for j in range(n))
-        return out
+        return self.theta_matrix(point) @ np.array(sequence_values(self.chart.names, v))
 
     def phi_slot_exprs(self) -> list[Expr]:
         """The dphi-leg coefficients t_a, zero for the default connection."""
@@ -157,7 +161,8 @@ class Connection:
 
     def reduced_point(self, point: Sequence[float]) -> list[float]:
         """The reduced point (mu, phi, p) of a cotangent-chart point."""
-        return self._reduction[1]([float(x) for x in point])
+        names = _action(self.pair, self.mode).cot.chart.names
+        return self._reduction[1](sequence_values(names, point))
 
     @cached_property
     def chart_shift(self) -> dict[str, Expr]:
@@ -173,8 +178,12 @@ class Connection:
 
     @cached_property
     def _coupling_compiled(self):
-        """(psi and its Jacobian, the target form's coefficients, their keys,
-        the canonical form, chart dimension) for coupling_identity_residual."""
+        """What coupling_identity_residual reads, built once per connection:
+        (the cotangent chart names, psi and the nonzero entries of its
+        Jacobian as one compiled map, the target form's coefficients
+        compiled over the coupled chart, the canonical form's constant
+        coefficients, and the row and column index arrays of the Jacobian
+        entries, the target coefficients and the canonical ones)."""
         act = _action(self.pair, self.mode)
         cch = act.cot.chart
         names = list(cch.names)
@@ -201,8 +210,17 @@ class Connection:
         body += [jac[k] for k in jkeys]
         fn = ex.compile_exprs(body, names)
         rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys], list(rhs.chart.names))
-        omega = canonical_bsymplectic(act.cot)
-        return fn, rfn, jkeys, rkeys, omega, n
+        omega = canonical_bsymplectic(act.cot).coeffs
+        okeys = sorted(omega)
+        # the canonical frame matrix is constant: evaluate raises if it is not
+        oc = np.array([ex.evaluate(omega[k], {}) for k in okeys])
+        return (cch.names, fn, rfn, oc,
+                _index_arrays(jkeys), _index_arrays(rkeys), _index_arrays(okeys))
+
+
+def _index_arrays(keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second entries of index pairs, as two index arrays."""
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*keys))
 
 
 def _default_theta_exprs(pair: BLieGroupPair) -> list[list[Expr]]:
@@ -249,7 +267,7 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
         # a smooth dphi leg on the b chart picks up one phi factor
         smooth_on_b = mode == "b" and not b_flag
         S = c * Var(pair.phi_name) if smooth_on_b else c
-        adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
+        adm = pair.h_group.adjoint_sym
         for a in range(m):
             leg = ex.dot(adm[a], xi) * c
             if smooth_on_b:
@@ -309,13 +327,13 @@ def phi_theta(theta: Connection, point: Sequence[float],
               v: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Split a b-tangent vector into (ker theta part, algebra part)."""
     X = theta.theta(point, v)
-    u = np.array([float(x) for x in v]) - zeta(theta.pair, point, X)
+    u = np.array(v, dtype=float) - zeta(theta.pair, point, X)
     return u, X
 
 
 def phi_theta_inverse(theta: Connection, point: Sequence[float],
                       u: Sequence[float], X: Sequence[float]) -> np.ndarray:
-    return np.array([float(x) for x in u]) + zeta(theta.pair, point, X)
+    return np.array(sequence_values(theta.chart.names, u)) + zeta(theta.pair, point, X)
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +361,23 @@ class CoupledPoint:
 
 def psi_theta(theta: Connection, point: Sequence[float],
               alpha: Sequence[float]) -> CoupledPoint:
-    """Split a covector (frame coefficients) into annihilator plus momenta."""
-    pair = theta.pair
+    """Split a covector (frame coefficients) into annihilator plus momenta:
+    mu = Z(k) alpha_k, and alpha - mu Theta(x) must be its dphi leg alone."""
+    act = _action(theta.pair)  # the generators do not depend on the mode
+    point = sequence_values(theta.chart.names, point)
+    alpha = np.array(sequence_values(act.cot.fiber_names, alpha))
     m = theta.h_dim
-    zv = _action(pair).zeta_compiled([float(x) for x in point[:m]])
-    mu = [sum(float(alpha[j]) * zv[a * m + j] for j in range(m)) for a in range(m)]
-    tvals = theta._theta_compiled([float(x) for x in point])
-    n = m + 1
-    beta = [float(alpha[j]) - sum(mu[a] * tvals[a * n + j] for a in range(m))
-            for j in range(n)]
-    for j in range(m):
-        if abs(beta[j]) > 1e-9 * (1.0 + max(abs(float(x)) for x in alpha)):
-            raise SplittingError("annihilator part kept a vertical leg")
-    return CoupledPoint(AnnihilatorElement(tuple(float(x) for x in point), beta[m]),
-                        tuple(mu))
+    mu = _zeta_matrix(act, point) @ alpha[:m]
+    beta = alpha - mu @ theta.theta_matrix(point)
+    if np.max(np.abs(beta[:m])) > 1e-9 * (1.0 + np.max(np.abs(alpha))):
+        raise SplittingError("annihilator part kept a vertical leg")
+    return CoupledPoint(AnnihilatorElement(tuple(point), float(beta[m])),
+                        tuple(mu.tolist()))
 
 
 def psi_theta_inverse(theta: Connection, cp: CoupledPoint) -> np.ndarray:
-    point = cp.element.base
-    m = theta.h_dim
-    n = m + 1
-    tvals = theta._theta_compiled([float(x) for x in point])
-    alpha = cp.element.covector(m)
-    for a in range(m):
-        for j in range(n):
-            alpha[j] += cp.mu[a] * tvals[a * n + j]
-    return alpha
+    return (cp.element.covector(theta.h_dim)
+            + np.array(cp.mu) @ theta.theta_matrix(cp.element.base))
 
 
 def project_annihilator(a: AnnihilatorElement) -> tuple[float, float]:
@@ -430,27 +439,25 @@ def coupling_rhs_form(theta: Connection) -> BForm:
 
 def coupling_identity_residual(theta: Connection, point: Sequence[float],
                                v: Sequence[float], w: Sequence[float]) -> float:
-    """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point."""
-    fn, rfn, jkeys, rkeys, omega, n = theta._coupling_compiled
-    names = omega.chart.names
+    """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point.
+
+    Two compiled calls, then numpy contractions: the Jacobian is scattered
+    into a dense matrix J, and the forms pair J v with J w (rhs) and v
+    with w (omega) over their coefficient index pairs.
+    """
+    names, fn, rfn, oc, (ji, jj), (ri, rk), (oi, ok) = theta._coupling_compiled
+    n = len(names)
     pt = sequence_values(names, point)
-    v = sequence_values(names, v)
-    w = sequence_values(names, w)
+    v = np.array(sequence_values(names, v))
+    w = np.array(sequence_values(names, w))
     vals = fn(pt)
-    image = vals[:n]
-    J = {k: x for k, x in zip(jkeys, vals[n:])}
-    pv = [sum(J.get((i, j), 0.0) * v[j] for j in range(n)) for i in range(n)]
-    pw = [sum(J.get((i, j), 0.0) * w[j] for j in range(n)) for i in range(n)]
-    rvals = rfn(image)
-    rhs = 0.0
-    for k, c in zip(rkeys, rvals):
-        i, j = k
-        rhs += c * (pv[i] * pw[j] - pv[j] * pw[i])
-    env = dict(zip(names, pt))
-    lhs = 0.0
-    for (i, j), c in omega.coeffs.items():
-        lhs += ex.evaluate(c, env) * (v[i] * w[j] - v[j] * w[i])
-    return abs(lhs - rhs)
+    J = np.zeros((n, n))
+    J[ji, jj] = vals[n:]
+    pv = J @ v
+    pw = J @ w
+    rhs = np.array(rfn(vals[:n])) @ (pv[ri] * pw[rk] - pv[rk] * pw[ri])
+    lhs = oc @ (v[oi] * w[ok] - v[ok] * w[oi])
+    return float(abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +478,7 @@ def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> tuple[Expr, 
     """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits;
     built once per pair and mode, so every connection lifts through them."""
     def build():
-        adm = adjoint_matrix_sym(pair.h_group, [Var(n) for n in pair.h_names])
+        adm = pair.h_group.adjoint_sym
         mus = _action(pair, mode).moment_exprs
         return tuple(ex.dot(mus, column) for column in zip(*adm))
 

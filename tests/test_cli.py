@@ -417,6 +417,19 @@ def test_flow_chart_exit_returns_1(tmp_path, capsys):
     assert "left the chart" in capsys.readouterr().err
 
 
+def test_flow_through_sin_of_infinity_leaves_the_chart(tmp_path, capsys):
+    # p overflows within the first step and sin(p) reads the inf; this used
+    # to end in a ValueError traceback instead of a chart exit
+    cfg = write_config(tmp_path, {
+        "group": "se2",
+        "flow": {"hamiltonian": "phi^8*p + sin(p)", "x0": [0, 0, 3, 1], "dt": 1, "T": 50}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "flow left the chart: field evaluation failed at t=0: sin or cos of an infinite value\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bracket-table and output routing
 

@@ -305,6 +305,9 @@ def test_errors_match_reference():
         (dyn.VectorField(x, (ex.parse("x^2"),)), [1.0], 0.5, 400.0, {}),
         # a product overflows to inf: the state itself stops being finite
         (dyn.VectorField(x, (ex.parse("x*10^200"),)), [1.0], 1.0, 5.0, {}),
+        # x*10^200 overflows the second stage to inf, and sin reads it there
+        (dyn.VectorField(("x", "z"), (ex.parse("x*10^200"), ex.parse("sin(x)"))), [1.0, 0.0],
+         1.0, 3.0, {}),
         # log leaves its domain in the second stage of a step
         (dyn.VectorField(x, (ex.parse("log(x)"),)), [0.5], 0.1, 10.0, {}),
         (dyn.VectorField(x, (ex.parse("log(x)"),)), [0.5], 0.1, 10.0, {"method": "midpoint"}),

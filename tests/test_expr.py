@@ -270,6 +270,21 @@ def test_domain_errors(text, env):
         evaluate(parse(text), env)
 
 
+@pytest.mark.parametrize("text,x", [
+    ("sin(x)", math.inf),
+    ("cos(x)", -math.inf),
+    ("1 + sin(x*x)", 1e200),  # x*x overflows to inf before sin
+])
+def test_sin_and_cos_of_infinity_are_domain_errors(text, x):
+    # math.sin and math.cos raise a bare ValueError at inf; evaluate, grad and
+    # compiled code all report it as the same DomainError
+    e = parse(text)
+    for run in (lambda: evaluate(e, {"x": x}), lambda: grad(e, ["x"], {"x": x}),
+                lambda: compile_exprs([e], ["x"])([x])):
+        with pytest.raises(DomainError, match="^sin or cos of an infinite value$"):
+            run()
+
+
 def test_no_implicit_abs_in_log():
     with pytest.raises(DomainError):
         evaluate(parse("log(x)"), {"x": -2.0})

@@ -344,11 +344,14 @@ def test_lambda_theta():
 # coupling identity
 
 
-def coupling_worst(theta, n, samples, seed):
+def coupling_samples(theta, count, seed):
+    """`count` seeded (point, v, w) triples on the cotangent chart; in b
+    mode every other point lies on phi = 0."""
     rng = random.Random(seed)
     m = theta.h_dim
-    worst = 0.0
-    for t in range(samples):
+    n = 2 * m + 2
+    out = []
+    for t in range(count):
         pt = [rng.uniform(-0.9, 0.9) for _ in range(n)]
         if theta.mode == "b":
             if t % 2 == 0:
@@ -358,8 +361,13 @@ def coupling_worst(theta, n, samples, seed):
                 pt[m] = mag if rng.random() < 0.5 else -mag
         v = [rng.uniform(-1, 1) for _ in range(n)]
         w = [rng.uniform(-1, 1) for _ in range(n)]
-        worst = max(worst, red.coupling_identity_residual(theta, pt, v, w))
-    return worst
+        out.append((pt, v, w))
+    return out
+
+
+def coupling_worst(theta, samples, seed):
+    return max(red.coupling_identity_residual(theta, *s)
+               for s in coupling_samples(theta, samples, seed))
 
 
 @pytest.mark.parametrize("args,error,message", [
@@ -378,20 +386,155 @@ def test_coupling_residual_takes_one_value_per_coordinate(args, error, message):
     assert str(err.value) == message
 
 
+G3, X2, V3 = [0.1, 0.2, 0.3], [1.0, 2.0], [0.5, -0.5, 0.25]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda pair, th: red.zeta(pair, G3 + [0.4], X2), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: red.zeta(pair, G3[:2], X2), ex.UnboundVariableError,
+     "unknown name 'phi'"),
+    (lambda pair, th: red.zeta(pair, G3, X2 + [3.0]), ValueError,
+     "point has 3 values for 2 coordinates"),
+    (lambda pair, th: red.zeta(pair, G3, X2[:1]), ex.UnboundVariableError,
+     "unknown name 'h__b2'"),
+    (lambda pair, th: th.theta(G3, V3 + [1.0]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: th.theta(G3[:2], V3), ex.UnboundVariableError,
+     "unknown name 'phi'"),
+    (lambda pair, th: th.theta(G3, V3[:2]), ex.UnboundVariableError,
+     "unknown name 'phi'"),
+    (lambda pair, th: red.phi_theta(th, G3, V3 + [1.0]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: red.phi_theta_inverse(th, G3, V3 + [1.0], X2), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: red.phi_theta_inverse(th, G3, V3, X2[:1]), ex.UnboundVariableError,
+     "unknown name 'h__b2'"),
+    (lambda pair, th: red.psi_theta(th, G3, V3 + [1.0]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: red.psi_theta(th, G3, V3[:2]), ex.UnboundVariableError,
+     "unknown name 'p_phi'"),
+    (lambda pair, th: red.psi_theta(th, G3 + [0.4], V3), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda pair, th: th.reduced_point(G3 + V3 + [1.0]), ValueError,
+     "point has 7 values for 6 coordinates"),
+    (lambda pair, th: th.reduced_point(G3 + V3[:2]), ex.UnboundVariableError,
+     "unknown name 'p_phi'"),
+], ids=["zeta-long-g", "zeta-short-g", "zeta-long-X", "zeta-short-X", "theta-long-v",
+        "theta-short-point", "theta-short-v", "phi_theta-long-v", "phi_theta_inverse-long-u",
+        "phi_theta_inverse-short-X", "psi_theta-long-alpha", "psi_theta-short-alpha",
+        "psi_theta-long-point", "reduced_point-long", "reduced_point-short"])
+def test_connection_point_maps_take_one_value_per_coordinate(call, error, message):
+    # a long input used to be cut to length, a short one to raise a bare IndexError
+    pair = lie.builtin("se2")
+    with pytest.raises(error) as err:
+        call(pair, red.make_connection(pair))
+    assert str(err.value) == message
+
+
 def test_coupling_identity_b_mode():
     for name in GROUPS:
         pair = lie.builtin(name)
-        n = 2 * len(pair.h_names) + 2
         for theta in connections(pair):
-            assert coupling_worst(theta, n, 200, seed=71) <= 1e-8, (name, theta.tag)
+            assert coupling_worst(theta, 200, seed=71) <= 1e-8, (name, theta.tag)
 
 
 def test_coupling_identity_classical_mode():
     for name in ["se2", "heisenberg_q(1)"]:
         pair = lie.builtin(name)
-        n = 2 * len(pair.h_names) + 2
         for theta in connections(pair, mode="classical"):
-            assert coupling_worst(theta, n, 100, seed=73) <= 1e-8, (name, theta.tag)
+            assert coupling_worst(theta, 100, seed=73) <= 1e-8, (name, theta.tag)
+
+
+BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
+
+
+def reference_coupling_compiled(theta, rhs=None):
+    """The coupling maps as the dict-Jacobian residual read them: psi and
+    the sparse frame Jacobian compiled over the cotangent chart, the target
+    form compiled over the coupled chart, and the canonical form."""
+    act = red._action(theta.pair, theta.mode)
+    cch = act.cot.chart
+    names = list(cch.names)
+    n = len(names)
+    d = cch.defining
+    psi = red.psi_map_exprs(theta)
+    jac = {}
+    for i in range(n):
+        for j in range(n):
+            if i == d:
+                e = ONE if j == d else ZERO
+            else:
+                e = ex.diff(psi[i], names[j])
+                if j == d and d is not None:
+                    e = e * Var(names[d])
+            if not ex.is_zero(e):
+                jac[(i, j)] = e
+    rhs = rhs or red.coupling_rhs_form(theta)
+    rkeys = sorted(rhs.coeffs)
+    jkeys = sorted(jac)
+    fn = ex.compile_exprs([*psi, *(jac[k] for k in jkeys)], names)
+    rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys], list(rhs.chart.names))
+    return fn, rfn, jkeys, rkeys, blift.canonical_bsymplectic(act.cot), n
+
+
+def reference_coupling_residual(compiled, point, v, w):
+    """|omega(v, w) - rhs(dpsi v, dpsi w)| by Python sums over the dict
+    Jacobian and `ex.evaluate` of every omega coefficient."""
+    fn, rfn, jkeys, rkeys, omega, n = compiled
+    vals = fn(point)
+    J = dict(zip(jkeys, vals[n:]))
+    pv = [sum(J.get((i, j), 0.0) * v[j] for j in range(n)) for i in range(n)]
+    pw = [sum(J.get((i, j), 0.0) * w[j] for j in range(n)) for i in range(n)]
+    rhs = 0.0
+    for (i, j), c in zip(rkeys, rfn(vals[:n])):
+        rhs += c * (pv[i] * pw[j] - pv[j] * pw[i])
+    env = dict(zip(omega.chart.names, point))
+    lhs = 0.0
+    for (i, j), c in omega.coeffs.items():
+        lhs += ex.evaluate(c, env) * (v[i] * w[j] - v[j] * w[i])
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("mode", ["b", "classical"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_coupling_residual_matches_the_dict_jacobian_reference(name, mode):
+    # the dense contraction agrees with the Python sums it replaced; the
+    # classical chart has no dphi/phi leg, so it has two connections, not three
+    pair = lie.builtin(name)
+    for theta in connections(pair, mode=mode):
+        ref = reference_coupling_compiled(theta)
+        for pt, v, w in coupling_samples(theta, 40, seed=83):
+            got = red.coupling_identity_residual(theta, pt, v, w)
+            want = reference_coupling_residual(ref, pt, v, w)
+            assert abs(got - want) <= 1e-12, (theta.tag, pt)
+            assert got <= 1e-8
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_coupling_residual_sees_a_doubled_target_coefficient(name, monkeypatch):
+    # negative control: doubling the dphi ^ dp coefficient of the target
+    # form breaks the identity, and both implementations report it
+    pair = lie.builtin(name)
+    m = len(pair.h_names)
+    key = (m, 2 * m + 1)
+    rhs_form = red.coupling_rhs_form
+
+    def doubled(theta):
+        rhs = rhs_form(theta)
+        return bcalc.BForm(rhs.chart, 2, {**rhs.coeffs, key: rhs.coeffs[key] * 2})
+
+    monkeypatch.setattr(red, "coupling_rhs_form", doubled)
+    for theta in connections(pair):
+        # a fresh connection, so its coupling maps are built from the doubled form
+        theta = red.Connection(pair=theta.pair, mode=theta.mode, forms=theta.forms,
+                               tag=theta.tag, xi=theta.xi, S=theta.S)
+        ref = reference_coupling_compiled(theta, doubled(theta))
+        samples = coupling_samples(theta, 10, seed=89)
+        got = max(red.coupling_identity_residual(theta, *s) for s in samples)
+        want = max(reference_coupling_residual(ref, *s) for s in samples)
+        assert got > 1e-3 and want > 1e-3, (theta.tag, got, want)
+        assert abs(got - want) <= 1e-12
 
 
 def test_psi_map_exprs_match_numeric_split():

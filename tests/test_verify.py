@@ -1,6 +1,7 @@
 """Suite runner: section coverage, option overrides, determinism."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,46 @@ def test_connection_independence_compiles_per_connection_not_per_sample(monkeypa
         assert resid <= tol
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
+
+
+def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):
+    # the generators and d(mu_a) are compiled together once; each sampled X
+    # only contracts them, so the count does not grow with samples
+    counts = []
+    for samples in (8, 100):
+        pair = lie._se2()  # a fresh pair, nothing compiled for it yet
+        calls = []
+        compile_exprs = ex.compile_exprs
+
+        def counted(exprs, names):
+            calls.append(len(exprs))
+            return compile_exprs(exprs, names)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ex, "compile_exprs", counted)
+            resid, tol = verify._sec_moment_hamilton(
+                pair, verify.VerifyOptions(seed=1, samples=samples))
+        assert resid <= tol
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+def test_suite_builds_one_symbolic_adjoint_per_subgroup(monkeypatch):
+    # the compiled adjoint, the invariant momenta and both deformed
+    # connections read the subgroup's one cached adjoint_sym
+    built = []
+    adjoint = lie.adjoint_matrix_sym
+
+    def counted(G, params):
+        built.append(G)
+        return adjoint(G, params)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("bsymp")]:
+        if getattr(mod, "adjoint_matrix_sym", None) is adjoint:
+            monkeypatch.setattr(mod, "adjoint_matrix_sym", counted)
+    pair = lie._se2()  # a fresh pair, nothing built for it yet
+    assert verify.run_suite(pair, small()).passed
+    assert built == [pair.h_group]
 
 
 def test_failing_section_is_named():

@@ -29,12 +29,12 @@ print()
 # split one covector at a base point and reassemble it
 g = [rng.uniform(-0.7, 0.7) for _ in range(m + 1)]
 alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
-cp = red.psi_theta(theta0, g, alpha)
-back = red.psi_theta_inverse(theta0, cp)
+y = red.psi_theta(theta0, g, alpha)  # the coupled-chart point [k, phi, mu, p]
+back = red.psi_theta_inverse(theta0, y)
 err = max(abs(a - b) for a, b in zip(back, alpha))
 print("split covector:")
-print(f"  subgroup momentum = {[round(v, 4) for v in cp.mu]}")
-print(f"  annihilator coefficient p = {cp.element.p:+.4f}")
+print(f"  subgroup momentum = {y[m + 1:-1].round(4).tolist()}")
+print(f"  annihilator coefficient p = {y[-1]:+.4f}")
 print(f"  round-trip error: {err:.2e}")
 print()
 

@@ -160,7 +160,7 @@ class LiftedAction:
 
     def xsharp(self, X: Sequence[float]) -> BVectorField:
         """Fundamental field of the lifted action on the cotangent chart."""
-        x = [float(X[a]) for a in range(self.h_dim)]
+        x = sequence_values(self._h_names, X)
         return BVectorField(self.cot.chart,
                             tuple(ex.dot(x, col) for col in zip(*self.generator_exprs)))
 
@@ -169,6 +169,12 @@ class LiftedAction:
         """mu_a = sum_j p_j zeta[a][j](k): smooth momentum of each basis direction."""
         return [ex.dot(map(Var, self.cot.fiber_names[:self.h_dim]), zrow)
                 for zrow in self.zeta_exprs]
+
+    @cached_property
+    def moment_differentials(self) -> tuple[BForm, ...]:
+        """b_d(mu_a) for each basis direction a, 1-forms on the cotangent chart."""
+        ch = self.cot.chart
+        return tuple(b_d(BForm(ch, 0, {(): mu})) for mu in self.moment_exprs)
 
     def lift_exprs(self) -> list[Expr]:
         """All components of the lifted map in h__* and the chart names.

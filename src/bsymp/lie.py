@@ -359,24 +359,29 @@ def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
 
 
 def group_exp(G: MatrixGroup, X: Sequence[float]) -> np.ndarray:
-    """Parameters of exp(sum X_a E_a); finite series when nilpotent."""
+    """Parameters of exp(sum X_a E_a), by scaling and squaring (Higham 2005).
+
+    The Taylor series is summed for M / 2^s, with s the least making that
+    1-norm at most 1/2, until a term no longer changes the sum (at once
+    when M is nilpotent), and the sum is squared s times.
+    """
     basis = G.basis
     m = G.matrix_dim
     M = np.zeros((m, m))
     for a, coef in enumerate(X):
         M += float(coef) * np.array([[float(v) for v in row] for row in basis[a]])
+    norm = float(np.max(np.sum(np.abs(M), axis=0)))
+    s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    A = M / 2.0 ** s
     P = np.eye(m)
     S = np.eye(m)
-    nilpotent = False
-    for k in range(1, m + 1):
-        P = P @ M / k
-        S = S + P
-        if np.all(P == 0.0):
-            nilpotent = True
+    for k in range(1, 30):
+        P = P @ A / k
+        if np.array_equal(S + P, S):
             break
-    if not nilpotent:
-        from scipy.linalg import expm
-        S = expm(M)
+        S = S + P
+    for _ in range(s):
+        S = S @ S
     return G.wrap_params(G.params_from_matrix(S))
 
 
@@ -431,7 +436,7 @@ def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> n
     d = G.dim
     # [b][a] of Ad_{g^-1}
     ad = np.array(G.adjoint_compiled(list(map(float, ginv)))).reshape(d, d)
-    return np.array([sum(mu[b] * ad[b][a] for b in range(d)) for a in range(d)])
+    return np.asarray(mu, dtype=float) @ ad
 
 
 def _emat_mul(A, B):

@@ -14,6 +14,12 @@ Conventions fixed here:
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
   covector on the dphi/phi (or dphi, classical mode) slot.
+* psi_theta, the map from the cotangent chart onto the coupled one, is built
+  once, symbolically (`psi_map_exprs`), and compiled once per connection
+  with the nonzero entries of its frame Jacobian, b_d of its components.
+  The point split `psi_theta` and the coupling identity both read that one
+  compiled map; `psi_theta_inverse` rebuilds the covector as the coupling
+  form <mu, theta> plus the transverse leg p.
 * the reduced bivector is block diagonal: the subgroup's minus
   Lie-Poisson bivector `LieAlgebra.lie_poisson`, {mu_i, mu_j} =
   -sum_k c^k_ij mu_k, plus phi d/dphi ^ d/dp (or d/dphi ^ d/dp in
@@ -60,15 +66,10 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     X one per algebra direction (`bcalc.sequence_values`).
     """
     act = _action(pair)
+    m = act.h_dim
     g = sequence_values(act.cot.base.names, g)
     X = np.array(sequence_values(act._h_names, X))
-    return np.append(X @ _zeta_matrix(act, g), 0.0)
-
-
-def _zeta_matrix(act: LiftedAction, g: Sequence[float]) -> np.ndarray:
-    """Z(g): row a holds zeta_a's k-frame components at the base point g."""
-    m = act.h_dim
-    return np.array(act.zeta_compiled(g[:m])).reshape(m, m)
+    return np.append(X @ np.array(act.zeta_compiled(g[:m])).reshape(m, m), 0.0)
 
 
 def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
@@ -177,45 +178,46 @@ class Connection:
         return {"p": Var("p") - self.S * ex.dot(self.xi, mu)}
 
     @cached_property
-    def _coupling_compiled(self):
-        """What coupling_identity_residual reads, built once per connection:
-        (the cotangent chart names, psi and the nonzero entries of its
-        Jacobian as one compiled map, the target form's coefficients
-        compiled over the coupled chart, the canonical form's constant
-        coefficients, and the row and column index arrays of the Jacobian
-        entries, the target coefficients and the canonical ones)."""
+    def _psi_compiled(self):
+        """psi_theta and the nonzero entries of its frame Jacobian as one
+        compiled map over the cotangent chart, built once per connection:
+        (the chart names, the map, the Jacobian's row and column index arrays).
+
+        Row i of the Jacobian is b_d of psi's component i, and the mu rows
+        are the lifted action's cached b_d(mu_a).  psi fixes phi, so the
+        singular slot transports with ratio one: its row is the unit row.
+        """
         act = _action(self.pair, self.mode)
         cch = act.cot.chart
-        names = list(cch.names)
-        n = len(names)
-        d = cch.defining
+        m = self.h_dim
         psi = psi_map_exprs(self)
-        # exact frame-to-frame Jacobian; psi fixes phi so the singular
-        # slot transports with ratio one
-        jac = {}
-        for i in range(n):
-            for j in range(n):
-                if i == d:
-                    e = ONE if j == d else ZERO
-                else:
-                    e = ex.diff(psi[i], names[j])
-                    if j == d and d is not None:
-                        e = e * Var(names[d])
-                if not ex.is_zero(e):
-                    jac[(i, j)] = e
+
+        def row(e):
+            return b_d(BForm(cch, 0, {(): e})).coeffs
+
+        rows = [*map(row, psi[:m + 1]), *(f.coeffs for f in act.moment_differentials),
+                row(psi[-1])]
+        if cch.defining is not None:
+            rows[cch.defining] = {(cch.defining,): ONE}
+        jac = {(i, j): c for i, r in enumerate(rows) for (j,), c in r.items()}
+        jkeys = sorted(jac)
+        fn = ex.compile_exprs([*psi, *(jac[k] for k in jkeys)], list(cch.names))
+        return cch.names, fn, _index_arrays(jkeys)
+
+    @cached_property
+    def _coupling_compiled(self):
+        """The forms coupling_identity_residual pairs, built once per
+        connection: (the target form's coefficients compiled over the
+        coupled chart, the canonical form's constant coefficients, and the
+        index arrays of both)."""
         rhs = coupling_rhs_form(self)
         rkeys = sorted(rhs.coeffs)
-        jkeys = sorted(jac)
-        body = [psi[i] for i in range(n)]
-        body += [jac[k] for k in jkeys]
-        fn = ex.compile_exprs(body, names)
         rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys], list(rhs.chart.names))
-        omega = canonical_bsymplectic(act.cot).coeffs
+        omega = canonical_bsymplectic(_action(self.pair, self.mode).cot).coeffs
         okeys = sorted(omega)
         # the canonical frame matrix is constant: evaluate raises if it is not
         oc = np.array([ex.evaluate(omega[k], {}) for k in okeys])
-        return (cch.names, fn, rfn, oc,
-                _index_arrays(jkeys), _index_arrays(rkeys), _index_arrays(okeys))
+        return rfn, oc, _index_arrays(rkeys), _index_arrays(okeys)
 
 
 def _index_arrays(keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,30 +299,19 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
         g = [rng.uniform(-0.7, 0.7) for _ in range(m + 1)]
         if t % 3 == 0:
             g[m] = 0.0
-        X = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-        zg = zeta(pair, g, X)
-        rep = theta.theta(g, zg)
-        worst = max(worst, max(abs(rep[a] - X[a]) for a in range(m)))
+        X = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
+        rep = theta.theta(g, zeta(pair, g, X))
+        worst = max(worst, float(np.max(np.abs(rep - X))))
 
         h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
-        v = [rng.uniform(-1.0, 1.0) for _ in range(m + 1)]
-        out = Jf([*h, *g[:m]])
-        Jv = [sum(out[j * m + i] * v[i] for i in range(m)) for j in range(m)]
-        moved = list(out[m * m:]) + [g[m]]
-        pushed = [*Jv, v[m]]
+        v = np.array([rng.uniform(-1.0, 1.0) for _ in range(m + 1)])
+        out = np.array(Jf([*h, *g[:m]]))
+        moved = [*out[m * m:], g[m]]
+        pushed = [*(out[:m * m].reshape(m, m) @ v[:m]), v[m]]
         lhs = theta.theta(moved, pushed)
-        ad = Adf(h)
-        tv = theta.theta(g, v)
-        rhs = [sum(ad[b * m + a] * tv[a] for a in range(m)) for b in range(m)]
-        worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
+        rhs = np.array(Adf(h)).reshape(m, m) @ theta.theta(g, v)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def horizontal_projection(theta: Connection, point: Sequence[float],
-                          v: Sequence[float]) -> np.ndarray:
-    """Project v onto the orbit directions: zeta(theta(v)) at the point."""
-    X = theta.theta(point, v)
-    return zeta(theta.pair, point, X)
 
 
 def phi_theta(theta: Connection, point: Sequence[float],
@@ -340,60 +331,30 @@ def phi_theta_inverse(theta: Connection, point: Sequence[float],
 # covector side
 
 
-@dataclass(frozen=True)
-class AnnihilatorElement:
-    """Covector with no vertical leg: p times the transverse coframe slot."""
-
-    base: tuple[float, ...]
-    p: float
-
-    def covector(self, m: int) -> np.ndarray:
-        out = np.zeros(m + 1)
-        out[m] = self.p
-        return out
-
-
-@dataclass(frozen=True)
-class CoupledPoint:
-    element: AnnihilatorElement
-    mu: tuple[float, ...]
-
-
 def psi_theta(theta: Connection, point: Sequence[float],
-              alpha: Sequence[float]) -> CoupledPoint:
-    """Split a covector (frame coefficients) into annihilator plus momenta:
-    mu = Z(k) alpha_k, and alpha - mu Theta(x) must be its dphi leg alone."""
-    act = _action(theta.pair)  # the generators do not depend on the mode
-    point = sequence_values(theta.chart.names, point)
-    alpha = np.array(sequence_values(act.cot.fiber_names, alpha))
+              alpha: Sequence[float]) -> np.ndarray:
+    """Split a covector (frame coefficients) at a base point into the
+    coupled-chart point [k, phi, mu, p], read from the connection's compiled
+    psi_theta; alpha - mu Theta(x) must be its dphi leg alone."""
+    names, fn, _ = theta._psi_compiled
     m = theta.h_dim
-    mu = _zeta_matrix(act, point) @ alpha[:m]
-    beta = alpha - mu @ theta.theta_matrix(point)
+    point = sequence_values(theta.chart.names, point)
+    alpha = sequence_values(names[m + 1:], alpha)
+    y = np.array(fn(point + alpha)[:len(names)])
+    beta = np.array(alpha) - y[m + 1:-1] @ theta.theta_matrix(point)
     if np.max(np.abs(beta[:m])) > 1e-9 * (1.0 + np.max(np.abs(alpha))):
         raise SplittingError("annihilator part kept a vertical leg")
-    return CoupledPoint(AnnihilatorElement(tuple(point), float(beta[m])),
-                        tuple(mu.tolist()))
+    return y
 
 
-def psi_theta_inverse(theta: Connection, cp: CoupledPoint) -> np.ndarray:
-    return (cp.element.covector(theta.h_dim)
-            + np.array(cp.mu) @ theta.theta_matrix(cp.element.base))
-
-
-def project_annihilator(a: AnnihilatorElement) -> tuple[float, float]:
-    """Push p (dphi/phi) at (k, phi) down to p (dphi/phi) at phi."""
-    return (a.base[-1], a.p)
-
-
-def lambda_theta(theta: Connection, cp: CoupledPoint,
-                 w: Sequence[float]) -> float:
-    """Pair mu with theta of the base legs of a tangent vector at (alpha, mu).
-
-    w carries frame components over (k, phi, p); the fiber leg never enters.
-    """
-    base_legs = [float(x) for x in w[: theta.h_dim + 1]]
-    tv = theta.theta(cp.element.base, base_legs)
-    return float(sum(m * t for m, t in zip(cp.mu, tv)))
+def psi_theta_inverse(theta: Connection, y: Sequence[float]) -> np.ndarray:
+    """The covector p e_m + mu Theta(x) of a coupled-chart point [k, phi, mu, p]:
+    the coupling form <mu, theta> plus the transverse leg."""
+    m = theta.h_dim
+    y = sequence_values(coupled_chart(theta).names, y)
+    out = np.array(y[m + 1:-1]) @ theta.theta_matrix(y[:m + 1])
+    out[m] += y[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +383,7 @@ def psi_map_exprs(theta: Connection) -> list[Expr]:
 
 
 def coupling_rhs_form(theta: Connection) -> BForm:
-    """The target 2-form: pulled-back reduced form minus d(lambda_theta)."""
+    """The target 2-form: pulled-back reduced form minus d<mu, theta>."""
     ch = coupled_chart(theta)
     m = theta.h_dim
     lam_coeffs = {}
@@ -445,7 +406,8 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
     into a dense matrix J, and the forms pair J v with J w (rhs) and v
     with w (omega) over their coefficient index pairs.
     """
-    names, fn, rfn, oc, (ji, jj), (ri, rk), (oi, ok) = theta._coupling_compiled
+    names, fn, (ji, jj) = theta._psi_compiled
+    rfn, oc, (ri, rk), (oi, ok) = theta._coupling_compiled
     n = len(names)
     pt = sequence_values(names, point)
     v = np.array(sequence_values(names, v))

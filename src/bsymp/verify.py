@@ -274,9 +274,9 @@ def _sec_moment_hamilton(pair, opts):
     n = ch.dim
     # X# and d<mu, X> are linear in X: one compiled map gives the generator
     # matrix G and the b-differential of each mu_a, and a sample contracts them
-    dmus = [bcalc.b_d(bcalc.BForm(ch, 0, {(): mu})) for mu in act.moment_exprs]
     fn = ex.compile_exprs([*(e for row in act.generator_exprs for e in row),
-                           *(dmu.coeff((j,)) for dmu in dmus for j in range(n))],
+                           *(dmu.coeff((j,)) for dmu in act.moment_differentials
+                             for j in range(n))],
                           list(ch.names))
     rng = random.Random(opts.seed * 17 + 5)
     worst = 0.0
@@ -346,8 +346,7 @@ def _sec_splitting_roundtrip(pair, opts):
             back = red.phi_theta_inverse(theta, g, u, X)
             worst = max(worst, float(np.max(np.abs(back - np.array(v)))))
             alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
-            cp = red.psi_theta(theta, g, alpha)
-            back2 = red.psi_theta_inverse(theta, cp)
+            back2 = red.psi_theta_inverse(theta, red.psi_theta(theta, g, alpha))
             worst = max(worst, float(np.max(np.abs(back2 - np.array(alpha)))))
     return worst, _tol(opts, 1e-12)
 

@@ -547,7 +547,11 @@ X_SE2 = [0.3, -0.2, 0.5, 0.1, 0.4, -0.6]
      "point has 7 values for 6 coordinates"),
     (lambda A: A.moment_vector(X_SE2 + [7.0]), ValueError,
      "point has 7 values for 6 coordinates"),
-], ids=["act-long-point", "act-short-h", "moment-long-point", "moment_vector-long-point"])
+    (lambda A: A.xsharp([1.0, 2.0, 3.0]), ValueError,
+     "point has 3 values for 2 coordinates"),
+    (lambda A: A.xsharp([1.0]), ex.UnboundVariableError, "unknown name 'h__b2'"),
+], ids=["act-long-point", "act-short-h", "moment-long-point", "moment_vector-long-point",
+        "xsharp-long-X", "xsharp-short-X"])
 def test_compiled_maps_take_one_value_per_name(call, error, message):
     # the contract of a sequence point everywhere: a short input names the
     # first missing value, a long one is refused rather than cut to length

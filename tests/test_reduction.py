@@ -157,7 +157,13 @@ def test_malformed_deformation_rejected():
 # projections and splitting maps
 
 
+def vertical_part(theta, g, v):
+    """zeta(theta(v)) at g: v minus its ker-theta part from phi_theta."""
+    return np.array(v) - red.phi_theta(theta, g, v)[0]
+
+
 def test_horizontal_projection_idempotent():
+    # the projection onto the orbit directions, read from phi_theta
     for name in GROUPS:
         pair = lie.builtin(name)
         m = len(pair.h_names)
@@ -165,8 +171,8 @@ def test_horizontal_projection_idempotent():
             rng = random.Random(19)
             for g in base_samples(pair, 34, seed=23):
                 v = [rng.uniform(-1, 1) for _ in range(m + 1)]
-                once = red.horizontal_projection(theta, g, v)
-                twice = red.horizontal_projection(theta, g, once)
+                once = vertical_part(theta, g, v)
+                twice = vertical_part(theta, g, once)
                 assert max(abs(once - twice)) <= 1e-10
 
 
@@ -178,7 +184,7 @@ def test_horizontal_projection_fixes_verticals():
     for g in base_samples(pair, 10, seed=31):
         X = [rng.uniform(-1, 1) for _ in range(m)]
         z = red.zeta(pair, g, X)
-        assert max(abs(red.horizontal_projection(theta, g, z) - z)) < 1e-12
+        assert max(abs(vertical_part(theta, g, z) - z)) < 1e-12
 
 
 def test_phi_theta_splits_and_round_trips():
@@ -233,15 +239,14 @@ def test_psi_theta_on_annihilator_and_momenta():
     for theta in connections(pair):
         g = [0.2, -0.4, 0.5]
         # pure transverse covector: no momenta
-        cp = red.psi_theta(theta, g, [0.0, 0.0, 0.8])
-        assert max(abs(x) for x in cp.mu) < 1e-12
+        y = red.psi_theta(theta, g, [0.0, 0.0, 0.8])
+        assert max(abs(x) for x in y[m + 1:-1]) < 1e-12
         # mu through theta: no annihilator part
         mu = (0.7, -0.3)
-        alpha = red.psi_theta_inverse(theta, red.CoupledPoint(
-            red.AnnihilatorElement(tuple(g), 0.0), mu))
-        cp2 = red.psi_theta(theta, g, alpha)
-        assert abs(cp2.element.p) < 1e-12
-        assert max(abs(a - b) for a, b in zip(cp2.mu, mu)) < 1e-12
+        alpha = red.psi_theta_inverse(theta, [*g, *mu, 0.0])
+        y2 = red.psi_theta(theta, g, alpha)
+        assert abs(y2[-1]) < 1e-12
+        assert max(abs(a - b) for a, b in zip(y2[m + 1:-1], mu)) < 1e-12
 
 
 def test_psi_theta_rejects_a_form_that_is_not_a_connection():
@@ -272,8 +277,7 @@ def test_psi_theta_round_trip():
             rng = random.Random(53)
             for g in base_samples(pair, 25, seed=59):
                 alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
-                cp = red.psi_theta(theta, g, alpha)
-                back = red.psi_theta_inverse(theta, cp)
+                back = red.psi_theta_inverse(theta, red.psi_theta(theta, g, alpha))
                 assert max(abs(back - np.array(alpha))) <= 1e-12
 
 
@@ -295,27 +299,37 @@ def test_psi_theta_equivariance():
                 cp = red.psi_theta(theta, g, alpha)
                 y = act.act(h, list(g) + list(alpha))
                 cp2 = red.psi_theta(theta, list(y[: m + 1]), list(y[m + 1 :]))
-                star = lie.coadjoint_star(H, h, cp.mu)
-                worst = max(worst, max(abs(a - b) for a, b in zip(cp2.mu, star)))
+                star = lie.coadjoint_star(H, h, cp[m + 1:-1])
+                worst = max(worst, max(abs(a - b) for a, b in zip(cp2[m + 1:-1], star)))
                 # the annihilator leg transports trivially
-                worst = max(worst, abs(cp2.element.p - cp.element.p))
+                worst = max(worst, abs(cp2[-1] - cp[-1]))
             assert worst <= 1e-9, (name, theta.tag)
 
 
 def test_project_annihilator():
-    a = red.AnnihilatorElement((0.3, -0.2, 0.7), 1.25)
-    assert red.project_annihilator(a) == (0.7, 1.25)
-    zero = red.AnnihilatorElement((0.1, 0.2, 0.5), 0.0)
-    assert red.project_annihilator(zero)[1] == 0.0
-    # invariance under the lift: same transverse point, same coefficient
+    # the annihilator leg projects to (phi, p): the transverse base
+    # coordinate and the last coupled-chart coordinate, exactly, since the
+    # default connection's p row is p_phi itself
     pair = lie.builtin("se2")
     act = blift.LiftedAction(pair)
     theta = red.make_connection(pair)
+    y = red.psi_theta(theta, [0.3, -0.2, 0.7], [0.0, 0.0, 1.25])
+    assert (y[2], y[-1]) == (0.7, 1.25)
+    zero = red.psi_theta(theta, [0.1, 0.2, 0.5], [0.0, 0.0, 0.0])
+    assert zero[-1] == 0.0
+    # invariance under the lift: same transverse point, same coefficient
     g = [0.3, -0.2, 0.7]
     alpha = [0.0, 0.0, 1.25]
     y = act.act([0.4, -0.1], list(g) + list(alpha))
     cp = red.psi_theta(theta, list(y[:3]), list(y[3:]))
-    assert red.project_annihilator(cp.element) == (0.7, 1.25)
+    assert (cp[2], cp[-1]) == (0.7, 1.25)
+
+
+def lambda_theta(theta, y, w):
+    """<mu, theta(w)> at the coupled-chart point y [k, phi, mu, p]; w carries
+    frame components over (k, phi, p), and the fiber leg never enters."""
+    m = theta.h_dim
+    return float(np.array(y[m + 1:-1]) @ red.phi_theta(theta, y[:m + 1], w[:m + 1])[1])
 
 
 def test_lambda_theta():
@@ -326,18 +340,18 @@ def test_lambda_theta():
     rng = random.Random(67)
     g = [rng.uniform(-0.5, 0.5) for _ in range(m + 1)]
     mu = tuple(rng.uniform(-1, 1) for _ in range(m))
-    cp = red.CoupledPoint(red.AnnihilatorElement(tuple(g), 0.3), mu)
+    y = [*g, *mu, 0.3]
     # no momenta, no value
-    none = red.CoupledPoint(cp.element, tuple([0.0] * m))
-    assert red.lambda_theta(theta, none, [1.0] * (m + 2)) == 0.0
+    none = [*g, *[0.0] * m, 0.3]
+    assert lambda_theta(theta, none, [1.0] * (m + 2)) == 0.0
     # pure fiber direction has no base legs
     wf = [0.0] * (m + 1) + [1.0]
-    assert red.lambda_theta(theta, cp, wf) == 0.0
+    assert lambda_theta(theta, y, wf) == 0.0
     # a vector over zeta^X pays mu(X)
     X = [rng.uniform(-1, 1) for _ in range(m)]
     w = list(red.zeta(pair, g, X)) + [0.0]
     want = sum(a * b for a, b in zip(mu, X))
-    assert abs(red.lambda_theta(theta, cp, w) - want) < 1e-12
+    assert abs(lambda_theta(theta, y, w) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +463,11 @@ def test_coupling_identity_classical_mode():
 BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
 
 
-def reference_coupling_compiled(theta, rhs=None):
-    """The coupling maps as the dict-Jacobian residual read them: psi and
-    the sparse frame Jacobian compiled over the cotangent chart, the target
-    form compiled over the coupled chart, and the canonical form."""
-    act = red._action(theta.pair, theta.mode)
-    cch = act.cot.chart
+def reference_psi_jacobian(theta):
+    """psi and its nonzero frame-Jacobian entries by the hand-written loop:
+    d psi_i / d z_j, times phi in the defining column, and a unit row for
+    the defining slot, which psi fixes."""
+    cch = red._action(theta.pair, theta.mode).cot.chart
     names = list(cch.names)
     n = len(names)
     d = cch.defining
@@ -470,6 +483,17 @@ def reference_coupling_compiled(theta, rhs=None):
                     e = e * Var(names[d])
             if not ex.is_zero(e):
                 jac[(i, j)] = e
+    return psi, jac
+
+
+def reference_coupling_compiled(theta, rhs=None):
+    """The coupling maps as the dict-Jacobian residual read them: psi and
+    the sparse frame Jacobian compiled over the cotangent chart, the target
+    form compiled over the coupled chart, and the canonical form."""
+    act = red._action(theta.pair, theta.mode)
+    names = list(act.cot.chart.names)
+    n = len(names)
+    psi, jac = reference_psi_jacobian(theta)
     rhs = rhs or red.coupling_rhs_form(theta)
     rkeys = sorted(rhs.coeffs)
     jkeys = sorted(jac)
@@ -537,6 +561,17 @@ def test_coupling_residual_sees_a_doubled_target_coefficient(name, monkeypatch):
         assert abs(got - want) <= 1e-12
 
 
+def reference_split(theta, g, alpha):
+    """The hand-written split psi_theta replaced: mu = Z(k) alpha_k, and p
+    the dphi leg of alpha - mu Theta(x), as the point [k, phi, mu, p]."""
+    m = theta.h_dim
+    alpha = np.array(alpha)
+    Z = np.array(red._action(theta.pair).zeta_compiled(g[:m])).reshape(m, m)
+    mu = Z @ alpha[:m]
+    beta = alpha - mu @ theta.theta_matrix(g)
+    return [*g, *mu, beta[m]]
+
+
 def test_psi_map_exprs_match_numeric_split():
     pair = lie.builtin("heisenberg_q(1)")
     m = len(pair.h_names)
@@ -549,9 +584,47 @@ def test_psi_map_exprs_match_numeric_split():
         g = [rng.uniform(-0.8, 0.8) for _ in range(m + 1)]
         alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
         sym = f(g + alpha)
-        cp = red.psi_theta(theta, g, alpha)
-        want = list(g) + list(cp.mu) + [cp.element.p]
+        want = reference_split(theta, g, alpha)
         assert max(abs(a - b) for a, b in zip(sym, want)) < 1e-12
+        assert max(abs(a - b) for a, b in zip(red.psi_theta(theta, g, alpha), want)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["b", "classical"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_psi_jacobian_rows_match_the_hand_loop_exactly(name, mode):
+    # row i of the compiled frame Jacobian is b_d of psi's component i;
+    # it has the hand loop's nonzero entries and evaluates to its values
+    pair = lie.builtin(name)
+    for theta in connections(pair, mode=mode):
+        psi, jac = reference_psi_jacobian(theta)
+        jkeys = sorted(jac)
+        ref = ex.compile_exprs([*psi, *(jac[k] for k in jkeys)],
+                               list(red._action(pair, mode).cot.chart.names))
+        _, fn, (ji, jj) = theta._psi_compiled
+        assert list(zip(ji.tolist(), jj.tolist())) == jkeys
+        for pt, _, _ in coupling_samples(theta, 10, seed=97):
+            assert list(fn(pt)) == list(ref(pt)), (theta.tag, pt)
+
+
+def test_psi_theta_and_coupling_identity_compile_psi_once(monkeypatch):
+    # the point split and the coupling identity read one compiled psi: after
+    # the connection is built, psi is compiled over the cotangent chart once
+    # and the target form over the coupled chart once, however often they run
+    pair = lie.builtin("se2")
+    theta = red.make_connection(pair)
+    compiled = []
+    compile_exprs = ex.compile_exprs
+
+    def counted(exprs, names):
+        compiled.append(tuple(names))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    for _ in range(2):
+        y = red.psi_theta(theta, [0.2, -0.4, 0.5], [0.3, 0.6, 0.8])
+        red.coupling_identity_residual(theta, list(y), [1.0] * 6, [0.5] * 6)
+    assert compiled == [red._action(pair).cot.chart.names,
+                        red.coupled_chart(theta).names]
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,14 @@ def test_node_counter_prints_four_counts(tmp_path):
 
 
 def test_verify_never_imports_scipy(tmp_path):
-    # importing scipy.stats once doubled the time and peak RSS of a cold se2 verify
+    # importing scipy.stats once doubled the time and peak RSS of a cold se2
+    # verify; group_exp on a non-nilpotent algebra once fell back to scipy
     code = ("import sys\n"
-            "from bsymp import cli\n"
+            "from bsymp import cli, lie\n"
             "assert cli.main(['verify', '--group', 'se2']) == 0\n"
+            "for name in ('se2', 'galilean'):\n"
+            "    G = lie.builtin(name).group\n"
+            "    lie.group_exp(G, [0.3] * G.dim)\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n")
     res = _run_script(["-c", code], tmp_path)

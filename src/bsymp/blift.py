@@ -12,6 +12,12 @@ on momenta by the transpose Jacobian of the inverse translation.  Its
 fundamental fields are the derivative of that one lifted map in h at the
 identity, and the momentum map pairs the fiber coordinates with their base
 part.  All Jacobians are exact expression calculus, no finite differences.
+
+The lifted action is also the one owner of the numbers its readers share:
+the compiled lift moves covectors by dL_h^{-T}, which is what a connection's
+equivariance check reads, and `omega_matrix` is the canonical form's
+constant frame matrix, evaluated once, which the coupling identity and the
+moment-Hamilton check contract with.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Var, ZERO
-from .bcalc import (BChart, BForm, BVectorField, PoissonBivector, b_d, invert_to_poisson,
-                    sequence_values)
+from .bcalc import (BChart, BForm, BVectorField, PoissonBivector, b_d, frame_matrix,
+                    invert_to_poisson, sequence_values)
 from .lie import BLieGroupPair
 
 __all__ = [
@@ -94,8 +100,8 @@ class LiftedAction:
     data and differ only in which chart the forms live on.
 
     The action owns what it derives: the generator and moment expressions,
-    their compiled maps and the upstairs Poisson structure are cached
-    properties, each built on first use.
+    their compiled maps, the canonical frame matrix and the upstairs
+    Poisson structure are cached properties, each built on first use.
     """
 
     pair: BLieGroupPair
@@ -208,6 +214,13 @@ class LiftedAction:
     @cached_property
     def _moment_compiled(self):
         return ex.compile_exprs(self.moment_exprs, list(self.cot.chart.names))
+
+    @cached_property
+    def omega_matrix(self) -> np.ndarray:
+        """W_ij = omega(E_i, E_j) of the canonical form, evaluated once;
+        evaluate raises if an entry is not constant."""
+        W = frame_matrix(canonical_bsymplectic(self.cot))
+        return np.array([[ex.evaluate(e, {}) for e in row] for row in W])
 
     @cached_property
     def upstairs_poisson(self) -> PoissonBivector:

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .bcalc import PoissonBivector, _fr_solve
+from .bcalc import PoissonBivector, _fr_solve, sequence_values
 from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
@@ -240,9 +240,11 @@ class MatrixGroup:
     per-parameter compactifications applied by numeric group operations:
     None, "angle" (wrap to (-pi, pi]) or "mod1" (wrap to [0, 1)).
 
-    The exact basis, the algebra, the symbolic adjoint and the compiled
-    maps (chart, product, inverse, translation Jacobian, adjoint) are
-    cached properties: each is built once per group, on first use.
+    The exact basis, the algebra, the symbolic adjoint and Maurer-Cartan
+    rows and the compiled maps (chart, product, inverse, adjoint) are
+    cached properties: each is built once per group, on first use.  The
+    numeric entry points take one value per parameter name, or per basis
+    label for an algebra or dual vector (`bcalc.sequence_values`).
     """
 
     name: str
@@ -265,7 +267,8 @@ class MatrixGroup:
 
     def chart(self, params: Sequence[float]) -> np.ndarray:
         m = self.matrix_dim
-        return np.array(self._chart_compiled(list(map(float, params)))).reshape(m, m)
+        vals = self._chart_compiled(sequence_values(self.param_names, params))
+        return np.array(vals).reshape(m, m)
 
     @cached_property
     def matrix_dim(self) -> int:
@@ -287,20 +290,18 @@ class MatrixGroup:
                                 list(self.param_names) + qn)
 
     @cached_property
-    def translation_jacobian_compiled(self):
-        """(h, k) -> d m(h, k)_j / d k_i (row-major in j, i), then m(h, k).
-
-        Left translation by h and its Jacobian, with h named h__<param>.
-        """
-        names = list(self.param_names)
-        moved = self.mul_fn([Var("h__" + n) for n in names], self.param_vars)
-        flat = [ex.diff(moved[j], names[i]) for j in range(self.dim) for i in range(self.dim)]
-        return ex.compile_exprs(flat + list(moved), ["h__" + n for n in names] + names)
-
-    @cached_property
     def adjoint_sym(self) -> list[list[Expr]]:
         """[Ad_g]^b_a over the chart variables (see adjoint_matrix_sym)."""
         return adjoint_matrix_sym(self, self.param_vars)
+
+    @cached_property
+    def maurer_cartan_sym(self) -> list[list[Expr]]:
+        """Rows of the right Maurer-Cartan form over the chart variables:
+        [a][j] = d(kk k^-1)_a / d kk_j at kk = k, exact."""
+        kk = [Var("kk__" + n) for n in self.param_names]
+        moved = self.mul_fn(kk, self.inv_fn(self.param_vars))
+        back = {v.name: k for v, k in zip(kk, self.param_vars)}
+        return [[ex.subs(ex.diff(e, v.name), back) for v in kk] for e in moved]
 
     @cached_property
     def adjoint_compiled(self):
@@ -340,10 +341,11 @@ def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> fl
     """Max coordinate distance, measured around the seam on circle coordinates."""
     worst = 0.0
     wrap = G.wrap or (None,) * G.dim
+    p, q = sequence_values(G.param_names, p), sequence_values(G.param_names, q)
     for i in range(G.dim):
-        d = abs(float(p[i]) - float(q[i]))
+        d = abs(p[i] - q[i])
         if wrap[i] == "angle":
-            d = abs(math.remainder(float(p[i]) - float(q[i]), 2 * math.pi))
+            d = abs(math.remainder(p[i] - q[i], 2 * math.pi))
         elif wrap[i] == "mod1":
             d = min(d % 1.0, 1.0 - d % 1.0)
         worst = max(worst, d)
@@ -351,11 +353,13 @@ def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> fl
 
 
 def group_mul(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
-    return G.wrap_params(np.array(G._mul_compiled(list(map(float, p)) + list(map(float, q)))))
+    names = G.param_names
+    return G.wrap_params(np.array(G._mul_compiled(sequence_values(names, p)
+                                                  + sequence_values(names, q))))
 
 
 def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
-    return G.wrap_params(np.array(G._inv_compiled(list(map(float, p)))))
+    return G.wrap_params(np.array(G._inv_compiled(sequence_values(G.param_names, p))))
 
 
 def group_exp(G: MatrixGroup, X: Sequence[float]) -> np.ndarray:
@@ -368,8 +372,8 @@ def group_exp(G: MatrixGroup, X: Sequence[float]) -> np.ndarray:
     basis = G.basis
     m = G.matrix_dim
     M = np.zeros((m, m))
-    for a, coef in enumerate(X):
-        M += float(coef) * np.array([[float(v) for v in row] for row in basis[a]])
+    for coef, B in zip(sequence_values(G.labels, X), basis):
+        M += coef * np.array(B, dtype=float)
     norm = float(np.max(np.sum(np.abs(M), axis=0)))
     s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     A = M / 2.0 ** s
@@ -414,29 +418,18 @@ def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr
 
 def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarray:
     """Ad_g X by matrix conjugation, re-expanded in the basis (checked)."""
-    chart = G.chart(g)
-    chart_inv = G.chart(group_inv(G, g))
-    m = G.matrix_dim
-    basis = [np.array([[float(v) for v in row] for row in B]) for B in G.basis]
-    Xm = sum(float(c) * B for c, B in zip(X, basis))
-    conj = chart @ Xm @ chart_inv
-    pinv = G.basis_pinv
-    flat = conj.reshape(-1)
-    coeffs = np.array([sum(float(w) * flat[i] for i, w in enumerate(row) if w) for row in pinv])
-    back = sum(c * B for c, B in zip(coeffs, basis))
-    resid = float(np.max(np.abs(conj - back)))
-    if resid > 1e-10:
-        raise SpanError(f"adjoint image not in basis span (residual {resid:.3e})")
-    return coeffs
+    X = sequence_values(G.labels, X)
+    Xm = sum(c * np.array(B, dtype=float) for c, B in zip(X, G.basis))
+    conj = G.chart(g) @ Xm @ G.chart(group_inv(G, g))
+    return np.array(_expand_in_basis(conj, G.basis, G.basis_pinv), dtype=float)
 
 
 def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> np.ndarray:
     """<Ad*_g mu, X> = <mu, Ad_{g^-1} X>."""
-    ginv = group_inv(G, g)
     d = G.dim
     # [b][a] of Ad_{g^-1}
-    ad = np.array(G.adjoint_compiled(list(map(float, ginv)))).reshape(d, d)
-    return np.asarray(mu, dtype=float) @ ad
+    ad = np.array(G.adjoint_compiled(list(group_inv(G, g)))).reshape(d, d)
+    return np.array(sequence_values(G.labels, mu)) @ ad
 
 
 def _emat_mul(A, B):
@@ -503,11 +496,11 @@ class BLieGroupPair:
                                 [*self.h_names, self.phi_name])
 
     def triv(self, params: Sequence[float]) -> tuple[np.ndarray, float]:
-        out = self._triv_compiled(list(map(float, params)))
+        out = self._triv_compiled(sequence_values(self.group.param_names, params))
         return np.array(out[:-1]), out[-1]
 
     def triv_inv(self, k: Sequence[float], phi: float) -> np.ndarray:
-        return np.array(self._triv_inv_compiled([*map(float, k), float(phi)]))
+        return np.array(self._triv_inv_compiled([*sequence_values(self.h_names, k), float(phi)]))
 
     @cached_property
     def h_group(self) -> MatrixGroup:

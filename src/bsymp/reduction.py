@@ -9,8 +9,13 @@ transforms by Ad under left translation.
 Conventions fixed here:
 
 * the default connection is the right Maurer-Cartan form of the subgroup
-  factor, computed exactly by differentiating kk -> kk * k^{-1} at kk = k;
-  it has no dphi leg, so it kills the transverse frame field.
+  factor, `MatrixGroup.maurer_cartan_sym`, built once per subgroup on the
+  chart of the lifted action's base; it has no dphi leg, so it kills the
+  transverse frame field.
+* a connection compiles three maps and nothing more: theta, psi_theta with
+  its frame Jacobian, and the coupling target.  Its equivariance check
+  moves a covector by the cotangent lift, and its reduced points read
+  psi_theta and the subgroup's compiled Ad.
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
   covector on the dphi/phi (or dphi, classical mode) slot.
@@ -27,7 +32,8 @@ Conventions fixed here:
 * invariant fiber coordinates nu_b = <mu, Ad_k E_b> undo the orbit motion
   of the vertical momenta; they are the pullbacks of the reduced mu_b.
 * a connection owns its reduced chart: `reduced_coordinates` lifts mu_b to
-  nu_b, phi to phi and p to its annihilator coefficient p_theta, and
+  nu_b, phi to phi and p to its annihilator coefficient p_theta, read at a
+  point as psi_theta's (mu Ad_k, phi, p) by `reduced_point`, and
   `chart_shift` tau: p -> p - S <xi, mu> takes that chart to the default
   one.  The theorem reads {F o lift_theta, G o lift_theta} =
   {F o tau, G o tau}_reduced o lift_default for reduced F and G.
@@ -45,7 +51,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr, Var, ONE, ZERO
 from .bcalc import BChart, BForm, PoissonBivector, b_d, sequence_values
-from .blift import LiftedAction, canonical_bsymplectic, trivialized_base_chart
+from .blift import LiftedAction
 from .lie import BLieGroupPair, dual_names
 
 
@@ -127,16 +133,14 @@ class Connection:
         return [form.coeff((m,)) for form in self.forms]
 
     @cached_property
-    def _reduction(self):
-        """(reduced coordinates on the cotangent chart, their compiled map),
-        checked constant along the lifted orbits once, on 20 seeded samples."""
+    def reduced_coordinates(self) -> dict[str, Expr]:
+        """mu_b -> nu_b, p -> p_theta as orbit-invariant functions on the
+        cotangent chart; phi, shared by both charts, maps to itself and has
+        no entry.  The first use checks `reduced_point` constant along the
+        lifted orbits on 20 seeded samples and raises ValueError if not."""
         act = _action(self.pair, self.mode)
-        names = list(act.cot.chart.names)
+        names = act.cot.chart.names
         m = self.h_dim
-        nu = invariant_moment_exprs(self.pair, self.mode)
-        p_theta = psi_map_exprs(self)[-1]
-        coords = {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": p_theta}
-        fn = ex.compile_exprs([*nu, Var(self.pair.phi_name), p_theta], names)
         rng = random.Random(211)
         scale = 1.0
         worst = 0.0
@@ -145,25 +149,23 @@ class Connection:
             if self.mode == "b" and t % 4 == 0:
                 x[m] = 0.0
             h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
-            a, b = fn(x), fn(list(act.act(h, x)))
+            a, b = self.reduced_point(x), self.reduced_point(act.act(h, x))
             scale = max(scale, *map(abs, a))
             worst = max(worst, *(abs(u - v) for u, v in zip(a, b)))
         if worst > 1e-8 * scale:
             raise ValueError(f"reduced coordinates of the {self.tag} connection are "
                              f"not orbit-invariant, residual {worst:.3e}")
-        return coords, fn
-
-    @property
-    def reduced_coordinates(self) -> dict[str, Expr]:
-        """mu_b -> nu_b, p -> p_theta as orbit-invariant functions on the
-        cotangent chart; phi, shared by both charts, maps to itself and has
-        no entry.  The first use raises ValueError if one is not invariant."""
-        return self._reduction[0]
+        nu = invariant_moment_exprs(self.pair, self.mode)
+        return {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": psi_map_exprs(self)[-1]}
 
     def reduced_point(self, point: Sequence[float]) -> list[float]:
-        """The reduced point (mu, phi, p) of a cotangent-chart point."""
-        names = _action(self.pair, self.mode).cot.chart.names
-        return self._reduction[1](sequence_values(names, point))
+        """The reduced point [nu, phi, p] of a cotangent-chart point, read
+        from psi_theta's [k, phi, mu, p] as nu = mu Ad_k."""
+        names, fn, _ = self._psi_compiled
+        m = self.h_dim
+        y = fn(sequence_values(names, point))
+        Ad = np.array(self.pair.h_group.adjoint_compiled(y[:m])).reshape(m, m)
+        return [*(np.array(y[m + 1:2 * m + 1]) @ Ad).tolist(), y[m], y[2 * m + 1]]
 
     @cached_property
     def chart_shift(self) -> dict[str, Expr]:
@@ -206,39 +208,18 @@ class Connection:
 
     @cached_property
     def _coupling_compiled(self):
-        """The forms coupling_identity_residual pairs, built once per
-        connection: (the target form's coefficients compiled over the
-        coupled chart, the canonical form's constant coefficients, and the
-        index arrays of both)."""
+        """The target form coupling_identity_residual pairs, built once per
+        connection: (its coefficients compiled over the coupled chart, and
+        their index arrays)."""
         rhs = coupling_rhs_form(self)
         rkeys = sorted(rhs.coeffs)
         rfn = ex.compile_exprs([rhs.coeffs[k] for k in rkeys], list(rhs.chart.names))
-        omega = canonical_bsymplectic(_action(self.pair, self.mode).cot).coeffs
-        okeys = sorted(omega)
-        # the canonical frame matrix is constant: evaluate raises if it is not
-        oc = np.array([ex.evaluate(omega[k], {}) for k in okeys])
-        return rfn, oc, _index_arrays(rkeys), _index_arrays(okeys)
+        return rfn, _index_arrays(rkeys)
 
 
 def _index_arrays(keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """The first and the second entries of index pairs, as two index arrays."""
     return tuple(np.array(col, dtype=np.intp) for col in zip(*keys))
-
-
-def _default_theta_exprs(pair: BLieGroupPair) -> list[list[Expr]]:
-    H = pair.h_group
-    names = list(pair.h_names)
-    kk = [Var("kk__" + n) for n in names]
-    k = [Var(n) for n in names]
-    moved = H.mul_fn(kk, H.inv_fn(k))
-    back = {"kk__" + n: Var(n) for n in names}
-    rows = []
-    for a in range(len(names)):
-        row = []
-        for j in range(len(names)):
-            row.append(ex.subs(ex.diff(moved[a], "kk__" + names[j]), back))
-        rows.append(row)
-    return rows
 
 
 def make_connection(pair: BLieGroupPair, mode: str = "b",
@@ -251,11 +232,9 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
     because the added leg is horizontal and transforms by Ad; both axioms
     are still re-checked on samples and a residual above 1e-8 is an error.
     """
-    if mode not in ("b", "classical"):
-        raise ValueError("mode must be 'b' or 'classical'")
-    ch = trivialized_base_chart(pair, mode=mode)
+    ch = _action(pair, mode).cot.base  # the lifted action refuses a bad mode
     m = len(pair.h_names)
-    rows = _default_theta_exprs(pair)
+    rows = pair.h_group.maurer_cartan_sym
     coeffs = [{(j,): rows[a][j] for j in range(m) if not ex.is_zero(rows[a][j])}
               for a in range(m)]
     tag, xi, S = "default", None, None
@@ -286,11 +265,15 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
 
 
 def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
-    """Max residual of the reproducing and equivariance axioms on samples."""
+    """Max residual of the reproducing and equivariance axioms on samples.
+
+    Equivariance, Theta(hg) dL_h = Ad_h Theta(g), is read through the
+    cotangent lift: it moves alpha = (c Ad_h) Theta(g) by dL_h^{-T}, so the
+    moved covector must be c Theta(hg).
+    """
     pair = theta.pair
-    H = pair.h_group
-    Jf = H.translation_jacobian_compiled
-    Adf = H.adjoint_compiled
+    act = _action(pair, theta.mode)
+    Adf = pair.h_group.adjoint_compiled
     m = theta.h_dim
     rng = random.Random(seed)
 
@@ -304,13 +287,11 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
         worst = max(worst, float(np.max(np.abs(rep - X))))
 
         h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
-        v = np.array([rng.uniform(-1.0, 1.0) for _ in range(m + 1)])
-        out = np.array(Jf([*h, *g[:m]]))
-        moved = [*out[m * m:], g[m]]
-        pushed = [*(out[:m * m].reshape(m, m) @ v[:m]), v[m]]
-        lhs = theta.theta(moved, pushed)
-        rhs = np.array(Adf(h)).reshape(m, m) @ theta.theta(g, v)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        c = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
+        alpha = (c @ np.array(Adf(h)).reshape(m, m)) @ theta.theta_matrix(g)
+        moved = act.act(h, [*g, *alpha])
+        lhs = c @ theta.theta_matrix(moved[:m + 1])
+        worst = max(worst, float(np.max(np.abs(lhs - moved[m + 1:]))))
     return worst
 
 
@@ -403,11 +384,12 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
     """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point.
 
     Two compiled calls, then numpy contractions: the Jacobian is scattered
-    into a dense matrix J, and the forms pair J v with J w (rhs) and v
-    with w (omega) over their coefficient index pairs.
+    into a dense matrix J, the target form pairs J v with J w over its
+    coefficient index pairs, and omega(v, w) is v W w with the lifted
+    action's constant frame matrix W.
     """
     names, fn, (ji, jj) = theta._psi_compiled
-    rfn, oc, (ri, rk), (oi, ok) = theta._coupling_compiled
+    rfn, (ri, rk) = theta._coupling_compiled
     n = len(names)
     pt = sequence_values(names, point)
     v = np.array(sequence_values(names, v))
@@ -418,7 +400,7 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
     pv = J @ v
     pw = J @ w
     rhs = np.array(rfn(vals[:n])) @ (pv[ri] * pw[rk] - pv[rk] * pw[ri])
-    lhs = oc @ (v[oi] * w[ok] - v[ok] * w[oi])
+    lhs = v @ _action(theta.pair, theta.mode).omega_matrix @ w
     return float(abs(lhs - rhs))
 
 

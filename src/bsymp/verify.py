@@ -267,9 +267,8 @@ def _sec_action_law(pair, opts):
 def _sec_moment_hamilton(pair, opts):
     act = red._action(pair)
     ch = act.cot.chart
-    om = blift.canonical_bsymplectic(act.cot)
     # the canonical frame matrix is constant, so iota_{X#} omega = X#(x) @ W
-    W = np.array([[ex.evaluate(e, {}) for e in row] for row in bcalc.frame_matrix(om)])
+    W = act.omega_matrix
     m = len(pair.h_names)
     n = ch.dim
     # X# and d<mu, X> are linear in X: one compiled map gives the generator

@@ -507,3 +507,50 @@ def test_adjoint_matrix_sym_matches_numeric(name):
 def test_builtin_unknown():
     with pytest.raises(ValueError):
         lie.builtin("so5")
+
+
+# ---------------------------------------------------------------------------
+# the input contract of the numeric entry points
+# ---------------------------------------------------------------------------
+
+G3 = [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda P: P.group.chart(G3 + [0.4]), ValueError, "point has 4 values for 3 coordinates"),
+    (lambda P: P.group.chart(G3[:2]), ex.UnboundVariableError, "unknown name 'phi'"),
+    (lambda P: lie.group_mul(P.group, G3 + [0.4], [0.5, 0.6]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda P: lie.group_mul(P.group, G3, G3[:2]), ex.UnboundVariableError,
+     "unknown name 'phi'"),
+    (lambda P: lie.group_inv(P.group, G3[:2]), ex.UnboundVariableError, "unknown name 'phi'"),
+    (lambda P: lie.group_exp(P.group, [0.3, 0.2]), ex.UnboundVariableError,
+     "unknown name 'J'"),
+    (lambda P: lie.group_exp(P.group, G3 + [0.4]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda P: lie.adjoint(P.group, G3, [1.0, 0.0, 0.0, 5.0]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda P: lie.adjoint(P.group, G3[:2], [1.0, 0.0, 0.0]), ex.UnboundVariableError,
+     "unknown name 'phi'"),
+    (lambda P: lie.coadjoint_star(P.group, G3, [1.0, 2.0, 3.0, 4.0]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda P: lie.param_distance(P.group, G3, G3 + [0.4]), ValueError,
+     "point has 4 values for 3 coordinates"),
+    (lambda P: P.triv(G3 + [0.4]), ValueError, "point has 4 values for 3 coordinates"),
+    (lambda P: P.triv_inv([0.1], 0.3), ex.UnboundVariableError, "unknown name 'b2'"),
+    (lambda P: P.triv_inv(G3, 0.3), ValueError, "point has 3 values for 2 coordinates"),
+], ids=["chart-long", "chart-short", "group_mul-long-p", "group_mul-short-q",
+        "group_inv-short", "group_exp-short-X", "group_exp-long-X", "adjoint-long-X",
+        "adjoint-short-g", "coadjoint_star-long-mu", "param_distance-long-q", "triv-long",
+        "triv_inv-short-k", "triv_inv-long-k"])
+def test_numeric_entry_points_take_one_value_per_name(call, error, message):
+    # a short input names the first missing value; a long one is refused,
+    # not cut to length, padded, or shifted into group_mul's other factor
+    P = lie.builtin("se2")
+    with pytest.raises(error) as err:
+        call(P)
+    assert str(err.value) == message
+    # lists, tuples and arrays of the right length all pass
+    G, q = P.group, [0.4, 0.5, 0.6]
+    assert list(lie.group_mul(G, G3, tuple(q))) == list(lie.group_mul(G, np.array(G3), q))
+    assert list(lie.adjoint(G, tuple(G3), q)) == list(lie.adjoint(G, G3, np.array(q)))

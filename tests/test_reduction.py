@@ -768,6 +768,108 @@ def test_reduced_coordinates_reject_noninvariant_leg():
         red.reduced_bracket_via_invariants(bad, Var("mu_J1"), Var("p"), [0.1] * (2 * m + 2))
 
 
+def reference_reduced_point(theta):
+    """The map reduced_point replaced: nu, phi and p_theta compiled together
+    over the cotangent chart."""
+    pair = theta.pair
+    names = red._action(pair, theta.mode).cot.chart.names
+    nu = red.invariant_moment_exprs(pair, theta.mode)
+    return ex.compile_exprs([*nu, Var(pair.phi_name), red.psi_map_exprs(theta)[-1]],
+                            list(names))
+
+
+@pytest.mark.parametrize("mode", ["b", "classical"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_reduced_point_matches_the_compiled_invariants(name, mode):
+    # psi's (mu Ad_k, phi, p) is the compiled (nu, phi, p_theta)
+    pair = lie.builtin(name)
+    for theta in connections(pair, mode=mode):
+        ref = reference_reduced_point(theta)
+        for pt, _, _ in coupling_samples(theta, 20, seed=109):
+            got, want = theta.reduced_point(pt), ref(pt)
+            assert len(got) == len(want)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (theta.tag, pt)
+
+
+def test_reduced_point_and_coordinates_compile_nothing_after_psi(monkeypatch):
+    # reduced points read the compiled psi and the subgroup's compiled Ad,
+    # and the orbit check moves points by the compiled lift: all are built
+    # once the connection has split a covector
+    pair = lie._se2()  # a fresh pair, nothing compiled for it yet
+    theta = red.make_connection(pair, deformation=([0.3, -0.2], "1 + phi^2", True))
+    red.psi_theta(theta, [0.2, -0.4, 0.5], [0.3, 0.6, 0.8])
+    compiled = []
+    compile_exprs = ex.compile_exprs
+
+    def counted(exprs, names):
+        compiled.append(tuple(names))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6]
+    before = theta.reduced_point(x)
+    assert list(theta.reduced_coordinates) == ["mu_P1", "mu_P2", "p"]
+    assert theta.reduced_point(x) == before
+    assert compiled == []
+
+
+def reference_equivariance_residual(theta, samples, seed):
+    """The pushforward check the lift reading replaced: Theta(hg) dL_h v
+    against Ad_h Theta(g) v, with dL_h the Jacobian of the subgroup law."""
+    pair = theta.pair
+    Jf, m = h_jacobian_fn(pair)
+    Adf = pair.h_group.adjoint_compiled
+    rng = random.Random(seed)
+    worst = 0.0
+    for g in base_samples(pair, samples, seed):
+        h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
+        v = np.array([rng.uniform(-1.0, 1.0) for _ in range(m + 1)])
+        out = np.array(Jf([*h, *g[:m]]))
+        moved = [*out[m * m:], g[m]]
+        pushed = [*(out[:m * m].reshape(m, m) @ v[:m]), v[m]]
+        lhs = theta.theta(moved, pushed)
+        rhs = np.array(Adf(h)).reshape(m, m) @ theta.theta(g, v)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def with_phi_legs(theta, legs, tag):
+    """theta plus a dphi-frame leg on each form, built without
+    make_connection's axiom gate."""
+    m = theta.h_dim
+    forms = tuple(f if ex.is_zero(leg) else bcalc.BForm(f.chart, 1, {**f.coeffs, (m,): leg})
+                  for f, leg in zip(theta.forms, legs))
+    return red.Connection(pair=theta.pair, mode=theta.mode, forms=forms, tag=tag)
+
+
+@pytest.mark.parametrize("mode", ["b", "classical"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_lift_equivariance_agrees_with_the_pushforward_reference(name, mode):
+    pair = lie.builtin(name)
+    for theta in connections(pair, mode=mode):
+        assert red._axiom_residual(theta, 30, seed=7) <= 1e-9, theta.tag
+        assert reference_equivariance_residual(theta, 30, seed=7) <= 1e-9, theta.tag
+
+
+def test_lift_equivariance_refuses_what_the_pushforward_refuses():
+    # an orbit-dependent "1 + b1" leg on se2 and a constant leg along J1 on
+    # galilean break Ad-equivariance: both readings see it, and
+    # make_connection refuses the one it can be asked for
+    se2 = red.make_connection(lie.builtin("se2"))
+    xi = [1.0, 0.0]
+    orbit = with_phi_legs(se2, [ex.dot(row, xi) * ex.parse("1 + b1")
+                                for row in se2.pair.h_group.adjoint_sym], "orbit-leg")
+    gal = red.make_connection(lie.builtin("galilean"))
+    j1 = gal.pair.h_labels.index("J1")
+    const = with_phi_legs(gal, [ONE if a == j1 else ZERO for a in range(gal.h_dim)],
+                          "constant-leg")
+    for bad in (orbit, const):
+        assert red._axiom_residual(bad, 40, seed=101) > 1e-3, bad.tag
+        assert reference_equivariance_residual(bad, 40, seed=101) > 1e-3, bad.tag
+    with pytest.raises(ValueError, match="connection axioms fail"):
+        red.make_connection(se2.pair, deformation=(xi, "1 + b1", True))
+
+
 def test_via_invariants_transverse_pair():
     pair = lie.builtin("se2")
     theta = red.make_connection(pair)

@@ -109,6 +109,28 @@ def test_connection_independence_compiles_per_connection_not_per_sample(monkeypa
     assert counts[0] == counts[1] <= 4
 
 
+def test_galilean_suite_compiles_at_most_18_maps(monkeypatch):
+    # each connection compiles theta, psi with its Jacobian and its coupling
+    # target, nothing more: reduced points read psi and the subgroup's Ad,
+    # equivariance reads the lifted action, and all three connections share
+    # the subgroup's one Maurer-Cartan build
+    pair = lie._galilean()  # a fresh pair, nothing compiled for it yet
+    calls = []
+    compile_exprs = ex.compile_exprs
+
+    def counted(exprs, names):
+        calls.append(len(exprs))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
+    assert len(calls) <= 18
+    mc = pair.h_group.maurer_cartan_sym
+    for theta in verify._connection_cases(pair):
+        assert all(f.coeffs[(j,)] is mc[a][j] for a, f in enumerate(theta.forms)
+                   for j in range(len(mc)) if (j,) in f.coeffs)
+
+
 def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):
     # the generators and d(mu_a) are compiled together once; each sampled X
     # only contracts them, so the count does not grow with samples

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -120,6 +121,9 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     if not isinstance(labels, list) or not labels or \
             not all(isinstance(s, str) for s in labels):
         raise ConfigError("custom group needs a non-empty list of labels")
+    repeated = sorted(s for s, k in Counter(labels).items() if k > 1)
+    if repeated:
+        raise ConfigError(f"group.labels must be distinct, repeated: {repeated}")
     n = len(labels)
     rows = spec.get("constants")
     if not isinstance(rows, list):

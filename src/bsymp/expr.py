@@ -14,12 +14,15 @@ Jacobiators, Hamiltonian vector fields); `grad` gives the float gradient
 at one point by reverse mode over the DAG (one forward sweep shared with
 `evaluate`, then one adjoint sweep), for values such as a point bracket.
 
-Expressions are DAGs: a shared subtree is one node.  Every pass over
-them (`evaluate`, `grad`, `eval_exact`, `diff`, `subs`, `free_vars`,
-`emit`) is a loop over one iterative walk, `_postorder`, which
-lists each reachable node once with its operands before it, the left
-operand first except that a quotient lists its denominator before its
-numerator.  A pass fills one dict in that order, so the depth of an
+Expressions are DAGs of interned nodes (hash-consing, Filliâtre &
+Conchon 2006): a node class returns the live node with the same fields
+from a weak table, so structurally equal subtrees are one immutable node,
+and `ZERO`, `ONE` and `MINUS_ONE` are the only constants with their
+values, tested with `is`.  Every pass over them (`evaluate`, `grad`,
+`eval_exact`, `diff`, `subs`, `emit`) is a loop over one iterative walk,
+`_postorder`, which lists each reachable node once with its operands
+before it, the left operand first except that a quotient lists its
+denominator before its numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
 `grad`, `eval_exact` and a compiled function all raise the error of the
 first node of the walk that fails.  Printing (`to_str`) walks the tree,
@@ -31,14 +34,13 @@ parentheses, function calls and unary minus signs with an
 ExprSyntaxError.
 
 `emit` is the one code generator: it writes the walk as straight-line
-Python, one assignment per node, and a node whose right-hand side text
-was already written reuses that temporary, so structurally equal
-subtrees that are distinct nodes are computed once too.
+Python, one assignment per node, so a structurally equal subtree, being
+one node, is computed once.
 `compile_exprs` wraps its lines in a function of a coordinate list;
 `dynamics` inlines them into a whole generated integration loop.
 
 Structural zeros and linear combinations have one owner each.
-`is_zero(e)` is true exactly for a constant 0, the only zero the
+`is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
 constructors know; `x - x` is not one.  `dot(xs, ys)` builds
 `x0*y0 + x1*y1 + ...` by folding `add` and `mul` from `ZERO`, so a zero
 term drops out and an all-zero or empty sum is a constant 0.  The other
@@ -46,10 +48,9 @@ modules build their linear combinations with `dot` and test structural
 zeros with `is_zero`, so normalizing the core later changes both
 decisions in one place.
 
-Every node caches its set of free variable names the first time it is
-asked for (the walk fills the sets of all its descendants too; nodes
-are immutable, so the set never changes, and equal sets are interned to
-one object).  `diff` uses it to skip work: the derivative of an
+Every node fixes its set of free variable names when it is built, from
+its operands' sets (it shares an operand's set that already holds every
+name), so `free_vars` does no walk.  `diff` uses it to skip work: the derivative of an
 expression without the variable is `ZERO` at once, and the walk never
 enters a subtree without it.  That is the tree the full walk builds,
 whose derivatives of variable-free subtrees fold to value-0 constants
@@ -75,7 +76,7 @@ there is no implicit absolute value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -84,7 +85,7 @@ __all__ = [
     "Environment", "parse", "evaluate", "grad", "eval_exact", "diff", "subs",
     "free_vars", "to_str", "compile_exprs", "as_expr", "is_zero", "dot",
     "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
-    "ZERO", "ONE",
+    "ZERO", "ONE", "MINUS_ONE",
 ]
 
 Environment = Mapping[str, float]
@@ -118,9 +119,35 @@ class DomainError(EvalError):
 # nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
+# every live node by (class, *fields): nodes hash and compare by identity,
+# so an operand is keyed by identity and any other field by value
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NO_VARS: frozenset[str] = frozenset()
+_init = object.__setattr__
+
+
+def _interned(cls, fv: frozenset[str], *fields):
+    """The live `cls` node with these fields, else a new one with free variables fv."""
+    key = (cls, *fields)
+    n = _NODES.get(key)
+    if n is None:
+        n = _NODES[key] = object.__new__(cls)
+        for name, v in zip(cls._fields, fields):
+            _init(n, name, v)
+        _init(n, "_fv", fv)
+    return n
+
+
 class Expr:
-    _fv = None  # free variable names, filled in by `free_vars`
+    """An immutable node: its constructor returns the live node with the
+    same fields if there is one, so structurally equal is identical."""
+
+    __slots__ = ("_fv", "__weakref__")  # _fv: free variable names
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -150,7 +177,7 @@ class Expr:
         return pow_(self, n)
 
     def __neg__(self):
-        return mul(Const(Fraction(-1)), self)
+        return mul(MINUS_ONE, self)
 
     def __str__(self):
         return to_str(self)
@@ -160,54 +187,64 @@ class Expr:
         return s if len(s) <= 120 else s[:117] + "..."
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value):
+        value = value if type(value) is Fraction else Fraction(value)
+        return _interned(cls, _NO_VARS, value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name):
+        return _interned(cls, frozenset((name,)), name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class _Binary(Expr):
+    __slots__ = _fields = ("a", "b")
+
+    def __new__(cls, a, b):
+        fa, fb = a._fv, b._fv
+        fv = fa if fb <= fa else fb if fa <= fb else fa | fb
+        return _interned(cls, fv, a, b)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    n: int
+    __slots__ = _fields = ("base", "n")
+
+    def __new__(cls, base, n):
+        return _interned(cls, base._fv, base, n)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Fun(Expr):
-    name: str  # sin | cos | exp | log
-    arg: Expr
+    __slots__ = _fields = ("name", "arg")  # name: sin | cos | exp | log
+
+    def __new__(cls, name, arg):
+        return _interned(cls, arg._fv, name, arg)
 
 
+# the only nodes with these values
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))
 
 
 def as_expr(x) -> Expr:
@@ -228,47 +265,44 @@ def as_expr(x) -> Expr:
 # smart constructors: constant folding and 0/1 absorption only
 # ---------------------------------------------------------------------------
 
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
 def is_zero(e: Expr) -> bool:
-    """True exactly for a constant 0, the structural zero the constructors absorb.
+    """True exactly for `ZERO`, the one constant 0 and the structural zero
+    the constructors absorb.
 
     `x - x` is not one: there is no simplification, so it is not a constant.
     """
-    return isinstance(e, Const) and e.value == 0
+    return e is ZERO
 
 
 def add(a: Expr, b: Expr) -> Expr:
+    if a is ZERO:
+        return b
+    if b is ZERO:
+        return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    if b is ZERO:
+        return a
+    if a is ZERO:
+        return mul(MINUS_ONE, b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if _is_const(b, 0):
-        return a
-    if _is_const(a, 0):
-        return mul(Const(Fraction(-1)), b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    if a is ZERO or b is ZERO:
+        return ZERO
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
-        return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
     # fold constants through an existing leading constant: c1*(c2*x) -> (c1*c2)*x
     if isinstance(a, Const) and isinstance(b, Mul) and isinstance(b.a, Const):
         return mul(Const(a.value * b.a.value), b.b)
@@ -276,14 +310,14 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
+    if b is ZERO:
         raise DomainError("division by zero constant")
+    if a is ZERO:
+        return ZERO
+    if b is ONE:
+        return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value / b.value)
-    if _is_const(a, 0):
-        return ZERO
-    if _is_const(b, 1):
-        return a
     return Div(a, b)
 
 
@@ -308,25 +342,22 @@ def pow_(base: Expr, n: int) -> Expr:
     if n == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and n < 0:
+        if base is ZERO and n < 0:
             raise DomainError("zero to a negative power")
         return Const(base.value ** n)
     return Pow(base, n)
 
 
-_EXACT_FUN = {("sin", Fraction(0)): Fraction(0),
-              ("cos", Fraction(0)): Fraction(1),
-              ("exp", Fraction(0)): Fraction(1),
-              ("log", Fraction(1)): Fraction(0)}
+_EXACT_FUN = {("sin", ZERO): ZERO, ("cos", ZERO): ONE, ("exp", ZERO): ONE, ("log", ONE): ZERO}
 
 
 def fun(name: str, arg: Expr) -> Expr:
     if name not in _FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")
     if isinstance(arg, Const):
-        exact = _EXACT_FUN.get((name, arg.value))
+        exact = _EXACT_FUN.get((name, arg))
         if exact is not None:
-            return Const(exact)
+            return exact
         if name == "log" and arg.value <= 0:
             raise DomainError("log of a non-positive constant")
     return Fun(name, arg)
@@ -418,13 +449,21 @@ class _Tokenizer:
 # once; the recursive descent spends up to six frames per level
 _MAX_DEPTH = 100
 
+# a constant power is refused once its numerator or denominator must pass
+# this many bits, before it is computed; every float needs fewer
+_MAX_POWER_BITS = 1100
+
 
 def parse(text: str) -> Expr:
     """Parse the grammar above; raises ExprSyntaxError with line/column.
 
     Nesting is bounded by _MAX_DEPTH levels of parentheses, function calls
     and unary minus signs, so a deep input is a syntax error, not a
-    RecursionError.
+    RecursionError.  Constants are bounded too: a literal `int()` refuses,
+    a constant power `c^n` with |n| * (bit length of c's numerator or
+    denominator - 1) >= _MAX_POWER_BITS, whose result would pass that many
+    bits, and a literal or folded constant whose float overflows are each
+    a syntax error at their token.
     """
     tz = _Tokenizer(text)
     e = _parse_expr(tz)
@@ -444,14 +483,31 @@ def _nested(tz: _Tokenizer, parse_inner, line: int, col: int) -> Expr:
     return e
 
 
+def _int(val: str, line: int, col: int) -> int:
+    try:
+        return int(val)
+    except ValueError:  # more digits than int() converts
+        raise ExprSyntaxError("number has too many digits", line, col) from None
+
+
+def _finite(e: Expr, line: int, col: int) -> Expr:
+    """e, unless it is a constant whose float overflows."""
+    if type(e) is Const:
+        try:
+            float(e.value)
+        except OverflowError:
+            raise ExprSyntaxError("constant too large for a float", line, col) from None
+    return e
+
+
 def _parse_expr(tz: _Tokenizer) -> Expr:
     e = _parse_term(tz)
     while True:
-        kind, val, _, _ = tz.peek()
+        kind, val, line, col = tz.peek()
         if kind == "op" and val in "+-":
             tz.next()
             rhs = _parse_term(tz)
-            e = add(e, rhs) if val == "+" else sub(e, rhs)
+            e = _finite(add(e, rhs) if val == "+" else sub(e, rhs), line, col)
         else:
             return e
 
@@ -464,7 +520,7 @@ def _parse_term(tz: _Tokenizer) -> Expr:
             tz.next()
             rhs = _parse_factor(tz)
             try:
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
+                e = _finite(mul(e, rhs) if val == "*" else div(e, rhs), line, col)
             except DomainError as err:
                 raise ExprSyntaxError(str(err), line, col) from None
         else:
@@ -475,7 +531,7 @@ def _parse_factor(tz: _Tokenizer) -> Expr:
     kind, val, line, col = tz.peek()
     if kind == "op" and val == "-":
         tz.next()
-        return mul(Const(Fraction(-1)), _nested(tz, _parse_factor, line, col))
+        return mul(MINUS_ONE, _nested(tz, _parse_factor, line, col))
     return _parse_power(tz)
 
 
@@ -491,8 +547,15 @@ def _parse_power(tz: _Tokenizer) -> Expr:
             kind, val, line, col = tz.next()
         if kind != "num" or "." in val:
             raise ExprSyntaxError("exponent must be an integer", line, col)
+        n = sign * _int(val, line, col)
+        if type(base) is Const:
+            v = base.value
+            bits = max(abs(v.numerator).bit_length(), v.denominator.bit_length()) - 1
+            if abs(n) * bits >= _MAX_POWER_BITS:
+                raise ExprSyntaxError(f"constant power of over {_MAX_POWER_BITS} bits",
+                                      line, col)
         try:
-            return pow_(base, sign * int(val))
+            return _finite(pow_(base, n), line, col)
         except DomainError as err:
             raise ExprSyntaxError(str(err), line, col) from None
     return base
@@ -504,8 +567,10 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
         if "." in val:
             whole, frac = val.split(".")
             denom = 10 ** len(frac)
-            return Const(Fraction(int(whole) * denom + int(frac), denom))
-        return Const(Fraction(int(val)))
+            value = Fraction(_int(whole, line, col) * denom + _int(frac, line, col), denom)
+        else:
+            value = _int(val, line, col)
+        return _finite(Const(value), line, col)
     if kind == "name":
         pk, pv, _, _ = tz.peek()
         if pk == "op" and pv == "(":
@@ -554,7 +619,7 @@ def _layout(e: Expr) -> tuple[int, tuple]:
         if v < 0:
             return _PREC_NEG, ("-" + s,)
         return (_PREC_ATOM if a.denominator == 1 else _PREC_MUL), (s,)
-    if t is Mul and _is_const(e.a, -1):
+    if t is Mul and e.a is MINUS_ONE:
         # after '-', the parser consumes a single power/atom
         return _PREC_NEG, ("-", (e.b, _PREC_POW))
     if t in _INFIX:
@@ -760,10 +825,9 @@ def eval_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to the named variable."""
-    if var not in free_vars(e):
+    if var not in e._fv:
         return ZERO
-    # every node below e now has its free-variable set; a subtree without
-    # var is never entered and its derivative is ZERO
+    # a subtree without var is never entered and its derivative is ZERO
     d: dict[Expr, Expr] = {}
     dof = d.get
     for n in _postorder((e,), lambda n: var in n._fv):
@@ -785,7 +849,7 @@ def diff(e: Expr, var: str) -> Expr:
             if n.name == "sin":
                 r = mul(fun("cos", n.arg), da)
             elif n.name == "cos":
-                r = mul(Const(Fraction(-1)), mul(fun("sin", n.arg), da))
+                r = mul(MINUS_ONE, mul(fun("sin", n.arg), da))
             elif n.name == "exp":
                 r = mul(n, da)
             else:  # log
@@ -819,37 +883,8 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return r[e]
 
 
-_NO_VARS: frozenset[str] = frozenset()
-_VAR_SETS: dict[frozenset[str], frozenset[str]] = {_NO_VARS: _NO_VARS}
-
-
 def free_vars(e: Expr) -> frozenset[str]:
-    """Names of the variables in e, cached on e and on every node below it."""
-    if e._fv is not None:
-        return e._fv
-    setfv = object.__setattr__
-    intern = _VAR_SETS.setdefault
-    for n in _postorder((e,), lambda n: n._fv is None):
-        t = type(n)
-        if t is Const:
-            fv = _NO_VARS
-        elif t is Var:
-            fv = frozenset((n.name,))
-            fv = intern(fv, fv)
-        elif t is Pow:
-            fv = n.base._fv
-        elif t is Fun:
-            fv = n.arg._fv
-        else:
-            fa, fb = n.a._fv, n.b._fv
-            if fb <= fa:
-                fv = fa
-            elif fa <= fb:
-                fv = fb
-            else:
-                fv = fa | fb
-                fv = intern(fv, fv)
-        setfv(n, "_fv", fv)
+    """Names of the variables in e, fixed when e was built."""
     return e._fv
 
 
@@ -865,16 +900,13 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     a variable outside it is an UnboundVariableError.  A constant's id is
     its float literal, a variable's is its input text, and any other
     node's is a temporary named `temp` plus a counter, assigned on one line
-    at `indent`.  The lines follow the walk, so the first line that fails
-    is the first node of the walk that fails, as in `evaluate`.  A
-    right-hand side whose text was already emitted reuses that temporary:
-    its operand ids are canonical, so equal text is the same operation on
-    the same values, and the duplicate could only fail where its first
-    copy already did.  The lines run in the namespace `build` gives them.
+    at `indent`: one line per node of the walk, so a structurally equal
+    subtree, being one node, is computed once.  The lines follow the walk,
+    so the first line that fails is the first node of the walk that fails,
+    as in `evaluate`.  The lines run in the namespace `build` gives them.
     """
     lines: list[str] = []
     ids: dict[Expr, str] = {}
-    temps: dict[str, str] = {}
     for n in _postorder(exprs):
         t = type(n)
         if t is Const:
@@ -897,11 +929,8 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
             rhs = f"{ids[n.base]} ** {n.n}"
         else:
             rhs = f"_{n.name}({ids[n.arg]})"
-        name = temps.get(rhs)
-        if name is None:
-            name = temps[rhs] = f"{temp}{len(temps)}"
-            lines.append(f"{indent}{name} = {rhs}")
-        ids[n] = name
+        name = ids[n] = f"{temp}{len(lines)}"
+        lines.append(f"{indent}{name} = {rhs}")
     return lines, [ids[e] for e in exprs]
 
 
@@ -937,8 +966,8 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
     """Compile expressions into one function of a coordinate tuple.
 
     The returned callable takes values ordered like `names` and returns a
-    list of floats.  Shared subtrees, and subtrees of equal text, are
-    evaluated once.  Domain errors surface as DomainError, matching
+    list of floats.  Each node is evaluated once, so a structurally equal
+    subtree is too.  Domain errors surface as DomainError, matching
     `evaluate`.
     """
     lines, results = emit(exprs, {name: f"x[{i}]" for i, name in enumerate(names)}, "t")

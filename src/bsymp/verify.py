@@ -236,7 +236,7 @@ def _sec_canonical_layout(pair, opts):
     for idx, c in om.coeffs.items():
         i, j = idx
         expect_one = (j == i + n)
-        if expect_one and not (isinstance(c, Const) and c.value == 1):
+        if expect_one and c is not ex.ONE:
             bad = 1.0
         if not expect_one and not ex.is_zero(c):
             bad = 1.0

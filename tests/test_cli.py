@@ -178,6 +178,13 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["describe"], {"group": "heisenberg_q(40)"}, "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
     (["describe", "--group", "heisenberg_q(40)"], {},
      "heisenberg_q(n) needs 1 <= n <= 16, got 40"),
+    (["flow"], {"flow": {"hamiltonian": "p*3^1000"}}, "flow.hamiltonian"),
+    (["flow"], {"flow": {"hamiltonian": "p*(1/3)^30000000"}}, "flow.hamiltonian"),
+    (["flow"], {"flow": {"casimirs": {"c": "mu_P1*" + "9" * 5000}}}, "flow.casimirs.c"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "3^1000"}}, "connection.scale"),
+    (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1" * 5000}}, "connection.scale"),
+    (["verify"], {"group": {"labels": ["X", "X", "Z"], "constants": [[0, 2, 1, 1]]}},
+     "group.labels"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)

@@ -50,6 +50,12 @@ def test_node_counter_prints_four_counts(tmp_path):
     assert sorted(counts) == ["adjoint_galilean", "coupling_galilean",
                               "lift_galilean", "nu_galilean"]
     assert all(type(v) is int and v > 0 for v in counts.values())
+    # structurally equal subtrees are one node, so these are the structural
+    # counts; an identity-only DAG gave 481, 8517, 770 and 707
+    assert counts["adjoint_galilean"] <= 296
+    assert counts["coupling_galilean"] <= 1978
+    assert counts["lift_galilean"] <= 323
+    assert counts["nu_galilean"] <= 467
 
 
 def test_verify_never_imports_scipy(tmp_path):

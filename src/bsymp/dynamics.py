@@ -132,7 +132,7 @@ def _raise_invariant_error(exprs, names, x, t, err):
     for i, e in enumerate(exprs):
         try:
             ex.evaluate(e, point)
-        except (OverflowError, ex.DomainError) as fail:
+        except ex.DomainError as fail:
             raise InvariantError(f"cannot be evaluated at t={t:.6g}: {fail}", i) from fail
     raise err
 
@@ -227,7 +227,7 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
            *_guarded(g0_lines, "    ", "-1, 'invariant', x, err"),
            f"    values[0] = ({', '.join(g0)},)"]
     if sub:
-        src.append(f"    s{m} = _ln(abs(s{m}))")
+        src.append(f"    s{m} = _log(abs(s{m}))")
     src += ["    half = 0.5 * dt",
             "    sixth = dt / 6.0",
             "    for k in range(steps):",
@@ -243,8 +243,8 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
             f"        rows[k + 1] = ({', '.join(row)},)",
             f"        values[k + 1] = ({', '.join(g)},)",
             "    return None"]
-    return ex.build("\n".join(src) + "\n", "_flow", _ln=math.log, inf=math.inf,
-                    nan=math.nan, _ERRORS=(OverflowError, ValueError, ZeroDivisionError))
+    return ex.build("\n".join(src) + "\n", "_flow", inf=math.inf, nan=math.nan,
+                    _ERRORS=(ArithmeticError, ValueError))
 
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
@@ -264,7 +264,8 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     reuses it.  A failed field evaluation is a ChartExitError at the start
     time of its step; a row that is not finite or leaves `box`, a
     ChartExitError at its own time; a row where H or a Casimir cannot be
-    evaluated, an InvariantError.
+    evaluated, an InvariantError.  Each has as its cause the DomainError
+    `expr.evaluate` raises there (`expr.domain_error`), overflow included.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -297,7 +298,7 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     failure = flow(x, rows, values, steps, dt, sgn)
     if failure is not None:
         k, where, row, err = failure
-        if isinstance(err, (ZeroDivisionError, ValueError)):
+        if err is not None:
             err = ex.domain_error(err)
         if where == "field":
             raise ChartExitError(f"field evaluation failed at t={k * dt:.6g}: {err}",

@@ -25,13 +25,15 @@ before it, the left operand first except that a quotient lists its
 denominator before its numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
 `grad`, `eval_exact` and a compiled function all raise the error of the
-first node of the walk that fails.  Printing (`to_str`) walks the tree,
-not the DAG: it prints a shared subtree at every use, since a memo of
-printed strings would hold every intermediate string.  It keeps its
-pending pieces on an explicit stack, so it does not recurse either.
-`parse` recurses, but rejects input nested deeper than 100 levels of
-parentheses, function calls and unary minus signs with an
-ExprSyntaxError.
+first node of the walk that fails, named by one translation,
+`domain_error`, which the flow loop of `dynamics` uses too: a float
+failure, overflow included, is one DomainError wherever it happens.
+Printing (`to_str`) walks the tree, not the DAG: it prints a shared
+subtree at every use, since a memo of printed strings would hold every
+intermediate string.  It keeps its pending pieces on an explicit stack,
+so it does not recurse either.  `parse` recurses, but rejects input
+nested deeper than 100 levels of parentheses, function calls and unary
+minus signs with an ExprSyntaxError.
 
 `emit` is the one code generator: it writes the walk as straight-line
 Python, one assignment per node, so a structurally equal subtree, being
@@ -90,8 +92,6 @@ __all__ = [
 
 Environment = Mapping[str, float]
 
-_FUNCTIONS = ("sin", "cos", "exp", "log")
-
 
 class ExprSyntaxError(ValueError):
     """Parse failure with 1-based line/column position."""
@@ -111,8 +111,17 @@ class UnboundVariableError(EvalError):
 
 
 class DomainError(EvalError):
-    """Division by zero, log of a non-positive value, 0 to a negative power,
-    sin or cos of an infinite value."""
+    """Division by zero, 0 to a negative power, log of a value <= 0, sin or
+    cos of ±inf, or an `exp` or `**` that overflows a float."""
+
+
+def _checked_log(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError("log of a non-positive value")
+    return math.log(x)
+
+
+_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _checked_log}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +361,7 @@ _EXACT_FUN = {("sin", ZERO): ZERO, ("cos", ZERO): ONE, ("exp", ZERO): ONE, ("log
 
 
 def fun(name: str, arg: Expr) -> Expr:
-    if name not in _FUNCTIONS:
+    if name not in _UNARY:
         raise ValueError(f"unknown function {name!r}")
     if isinstance(arg, Const):
         exact = _EXACT_FUN.get((name, arg))
@@ -450,7 +459,9 @@ class _Tokenizer:
 _MAX_DEPTH = 100
 
 # a constant power is refused once its numerator or denominator must pass
-# this many bits, before it is computed; every float needs fewer
+# this many bits, before it is computed; every float needs fewer.  A
+# variable power is refused from this exponent on: it overflows a float for
+# every base of magnitude 2 or more (1/2 or less, if negative)
 _MAX_POWER_BITS = 1100
 
 
@@ -463,7 +474,8 @@ def parse(text: str) -> Expr:
     a constant power `c^n` with |n| * (bit length of c's numerator or
     denominator - 1) >= _MAX_POWER_BITS, whose result would pass that many
     bits, and a literal or folded constant whose float overflows are each
-    a syntax error at their token.
+    a syntax error at their token.  So is any other power with
+    |n| >= _MAX_POWER_BITS, at its exponent.
     """
     tz = _Tokenizer(text)
     e = _parse_expr(tz)
@@ -554,6 +566,9 @@ def _parse_power(tz: _Tokenizer) -> Expr:
             if abs(n) * bits >= _MAX_POWER_BITS:
                 raise ExprSyntaxError(f"constant power of over {_MAX_POWER_BITS} bits",
                                       line, col)
+        elif abs(n) >= _MAX_POWER_BITS:
+            raise ExprSyntaxError(f"exponent of a variable power must be below "
+                                  f"{_MAX_POWER_BITS}", line, col)
         try:
             return _finite(pow_(base, n), line, col)
         except DomainError as err:
@@ -574,7 +589,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
     if kind == "name":
         pk, pv, _, _ = tz.peek()
         if pk == "op" and pv == "(":
-            if val not in _FUNCTIONS:
+            if val not in _UNARY:
                 raise ExprSyntaxError(f"unknown function {val!r}", line, col)
             tz.next()
             arg = _nested(tz, _parse_expr, line, col)
@@ -707,63 +722,52 @@ def _postorder(roots: Iterable[Expr], enter: Callable[[Expr], bool] | None = Non
 # evaluation
 # ---------------------------------------------------------------------------
 
-_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-
-
 def _forward(e: Expr, env: Mapping, exact: bool = False) -> dict:
     """The value of every node reachable from e, filled in walk order.
 
     Floats, or exact Fractions when `exact` (a transcendental node is then
     an EvalError).  The adjoint sweep of `grad` walks the dict backwards.
-    The first node of the walk that fails raises.
+    The first node of the walk that fails raises, as `domain_error` names it.
     """
     val = {}
-    for n in _postorder((e,)):
-        t = type(n)
-        if t is Mul:
-            v = val[n.a] * val[n.b]
-        elif t is Add:
-            v = val[n.a] + val[n.b]
-        elif t is Sub:
-            v = val[n.a] - val[n.b]
-        elif t is Var:
-            try:
-                x = env[n.name]
-            except KeyError:
-                raise UnboundVariableError(f"unknown name {n.name!r}") from None
-            v = Fraction(x) if exact else float(x)
-        elif t is Const:
-            # float(Fraction) rounds numerator / denominator too, but slower
-            v = n.value if exact else n.value.numerator / n.value.denominator
-        elif t is Div:
-            b = val[n.b]
-            if b == 0.0:
-                raise DomainError("division by zero")
-            v = val[n.a] / b
-        elif t is Pow:
-            base = val[n.base]
-            if base == 0.0 and n.n < 0:
-                raise DomainError("zero to a negative power")
-            v = base ** n.n
-        elif exact:
-            raise EvalError(f"{n.name} has no exact rational value")
-        else:
-            arg = val[n.arg]
-            if n.name == "log":
-                if arg <= 0.0:
-                    raise DomainError("log of a non-positive value")
-                v = math.log(arg)
+    try:
+        for n in _postorder((e,)):
+            t = type(n)
+            if t is Mul:
+                v = val[n.a] * val[n.b]
+            elif t is Add:
+                v = val[n.a] + val[n.b]
+            elif t is Sub:
+                v = val[n.a] - val[n.b]
+            elif t is Var:
+                if n.name not in env:
+                    raise UnboundVariableError(f"unknown name {n.name!r}")
+                v = Fraction(env[n.name]) if exact else float(env[n.name])
+            elif t is Const:
+                # float(Fraction) rounds numerator / denominator too, but slower
+                v = n.value if exact else n.value.numerator / n.value.denominator
+            elif t is Div:
+                v = val[n.a] / val[n.b]
+            elif t is Pow:
+                base = val[n.base]
+                if base == 0 and n.n < 0:  # Fraction(0) ** -1 reports Fraction(1, 0)
+                    raise DomainError("zero to a negative power")
+                v = base ** n.n
+            elif exact:
+                raise EvalError(f"{n.name} has no exact rational value")
             else:
-                try:
-                    v = _UNARY[n.name](arg)
-                except ValueError as err:
-                    raise domain_error(err) from None
-        val[n] = v
+                v = _UNARY[n.name](val[n.arg])
+            val[n] = v
+    except (ArithmeticError, ValueError) as err:
+        if type(n) is Var:  # an input that does not convert is no domain failure
+            raise
+        raise domain_error(err) from None
     return val
 
 
 def evaluate(e: Expr, env: Environment) -> float:
-    """Float evaluation; raises UnboundVariableError / DomainError."""
+    """Float evaluation; raises UnboundVariableError, or `domain_error`'s
+    DomainError (overflow included) for the first node that fails."""
     return _forward(e, env)[e]
 
 
@@ -772,45 +776,48 @@ def grad(e: Expr, names: Sequence[str], env: Environment) -> list[float]:
 
     Reverse mode: the forward sweep of `evaluate`, then one adjoint sweep
     over the same nodes in reverse order.  Values and errors match
-    `evaluate` (every derivative rule is defined wherever its node is).
-    Variables outside `names` are constants but must still be bound.
+    `evaluate`, though a power's derivative may overflow where the power
+    did not.  Variables outside `names` are constants but must still be bound.
     """
     val = _forward(e, env)
     adj: dict[Expr, float] = {e: 1.0}
     out = dict.fromkeys(names, 0.0)
-    for n in reversed(val):
-        g = adj[n]
-        t = type(n)
-        if t is Mul:
-            adj[n.a] = adj.get(n.a, 0.0) + g * val[n.b]
-            adj[n.b] = adj.get(n.b, 0.0) + g * val[n.a]
-        elif t is Add:
-            adj[n.a] = adj.get(n.a, 0.0) + g
-            adj[n.b] = adj.get(n.b, 0.0) + g
-        elif t is Sub:
-            adj[n.a] = adj.get(n.a, 0.0) + g
-            adj[n.b] = adj.get(n.b, 0.0) - g
-        elif t is Var:
-            if n.name in out:
-                out[n.name] += g
-        elif t is Div:
-            den = val[n.b]
-            adj[n.a] = adj.get(n.a, 0.0) + g / den
-            adj[n.b] = adj.get(n.b, 0.0) - g * val[n] / den
-        elif t is Pow:
-            k = n.n
-            adj[n.base] = adj.get(n.base, 0.0) + g * (k * val[n.base] ** (k - 1))
-        elif t is Fun:
-            arg = val[n.arg]
-            if n.name == "sin":
-                d = math.cos(arg)
-            elif n.name == "cos":
-                d = -math.sin(arg)
-            elif n.name == "exp":
-                d = val[n]
-            else:
-                d = 1.0 / arg
-            adj[n.arg] = adj.get(n.arg, 0.0) + g * d
+    try:
+        for n in reversed(val):
+            g = adj[n]
+            t = type(n)
+            if t is Mul:
+                adj[n.a] = adj.get(n.a, 0.0) + g * val[n.b]
+                adj[n.b] = adj.get(n.b, 0.0) + g * val[n.a]
+            elif t is Add:
+                adj[n.a] = adj.get(n.a, 0.0) + g
+                adj[n.b] = adj.get(n.b, 0.0) + g
+            elif t is Sub:
+                adj[n.a] = adj.get(n.a, 0.0) + g
+                adj[n.b] = adj.get(n.b, 0.0) - g
+            elif t is Var:
+                if n.name in out:
+                    out[n.name] += g
+            elif t is Div:
+                den = val[n.b]
+                adj[n.a] = adj.get(n.a, 0.0) + g / den
+                adj[n.b] = adj.get(n.b, 0.0) - g * val[n] / den
+            elif t is Pow:
+                k = n.n
+                adj[n.base] = adj.get(n.base, 0.0) + g * (k * val[n.base] ** (k - 1))
+            elif t is Fun:
+                arg = val[n.arg]
+                if n.name == "sin":
+                    d = math.cos(arg)
+                elif n.name == "cos":
+                    d = -math.sin(arg)
+                elif n.name == "exp":
+                    d = val[n]
+                else:
+                    d = 1.0 / arg
+                adj[n.arg] = adj.get(n.arg, 0.0) + g * d
+    except (ArithmeticError, ValueError) as err:
+        raise domain_error(err) from None
     return [out[nm] for nm in names]
 
 
@@ -899,7 +906,8 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     `inputs` maps a variable name to the source text that reads its value;
     a variable outside it is an UnboundVariableError.  A constant's id is
     its float literal, a variable's is its input text, and any other
-    node's is a temporary named `temp` plus a counter, assigned on one line
+    node's, or a constant's past the float range (its line divides and
+    overflows), is a temporary named `temp` plus a counter, assigned on one line
     at `indent`: one line per node of the walk, so a structurally equal
     subtree, being one node, is computed once.  The lines follow the walk,
     so the first line that fails is the first node of the walk that fails,
@@ -910,14 +918,17 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     for n in _postorder(exprs):
         t = type(n)
         if t is Const:
-            ids[n] = repr(float(n.value))
-            continue
-        if t is Var:
+            try:
+                ids[n] = repr(float(n.value))
+                continue
+            except OverflowError:
+                rhs = f"{n.value.numerator} / {n.value.denominator}"
+        elif t is Var:
             if n.name not in inputs:
                 raise UnboundVariableError(f"unknown name {n.name!r}")
             ids[n] = inputs[n.name]
             continue
-        if t is Add:
+        elif t is Add:
             rhs = f"{ids[n.a]} + {ids[n.b]}"
         elif t is Sub:
             rhs = f"{ids[n.a]} - {ids[n.b]}"
@@ -937,29 +948,31 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
 def build(src: str, name: str, **extra) -> Callable:
     """The function `name` defined by generated source over `emit`'s lines.
 
-    The source runs in a namespace with the unary functions the lines
-    call, plus `extra`.
+    The source runs in a namespace with `_UNARY`'s functions, each under
+    its name after an underscore as the lines call it, plus `extra`.
     """
-    ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": _checked_log,
-          **extra}
+    ns = {f"_{f}": fn for f, fn in _UNARY.items()} | extra
     exec(compile(src, "<bsymp-compiled>", "exec"), ns)
     return ns[name]
 
 
-def domain_error(err: ZeroDivisionError | ValueError) -> DomainError:
-    """The DomainError `evaluate` raises where float code raised err.
+def domain_error(err: ArithmeticError | ValueError) -> EvalError:
+    """The error `evaluate` raises where arithmetic raised err; the one
+    translation behind `evaluate`, `grad`, compiled code and the flow loop.
 
-    Float `/` by zero and float `**` of zero to a negative power both raise
-    ZeroDivisionError; only the message tells them apart.  A bare
-    ValueError can only come from `math.sin` or `math.cos` of ±inf.  A
-    DomainError is returned as it is.
+    An EvalError (log's own check, an unbound name) is returned as it is,
+    and an OverflowError of `exp` or float `**` is a DomainError.  Float `/`
+    by zero and `**` of 0 to a negative power both raise ZeroDivisionError,
+    told apart by message.  A bare ValueError comes from sin or cos of ±inf.
     """
-    if isinstance(err, DomainError):
+    if isinstance(err, EvalError):
         return err
-    if isinstance(err, ValueError):
-        return DomainError("sin or cos of an infinite value")
-    return DomainError("zero to a negative power" if "negative power" in str(err)
-                       else "division by zero")
+    if isinstance(err, OverflowError):
+        return DomainError("float overflow")
+    if isinstance(err, ZeroDivisionError):
+        return DomainError("zero to a negative power" if "negative power" in str(err)
+                           else "division by zero")
+    return DomainError("sin or cos of an infinite value")
 
 
 def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], list[float]]:
@@ -967,8 +980,8 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
 
     The returned callable takes values ordered like `names` and returns a
     list of floats.  Each node is evaluated once, so a structurally equal
-    subtree is too.  Domain errors surface as DomainError, matching
-    `evaluate`.
+    subtree is too.  Failures, overflow included, raise `domain_error`'s
+    DomainError for the first node that fails, as `evaluate` does.
     """
     lines, results = emit(exprs, {name: f"x[{i}]" for i, name in enumerate(names)}, "t")
     raw = build("def _compiled(x):\n" + "\n".join(lines)
@@ -977,13 +990,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequ
     def wrapped(x):
         try:
             return raw(x)
-        except (ZeroDivisionError, ValueError) as err:
+        except (ArithmeticError, ValueError) as err:
             raise domain_error(err) from None
 
     return wrapped
-
-
-def _checked_log(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError("log of a non-positive value")
-    return math.log(x)

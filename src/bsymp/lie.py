@@ -177,14 +177,6 @@ class LieAlgebra:
                     entries[(i, j)] = acc
         return PoissonBivector(names, entries)
 
-    def center_indices(self) -> tuple[int, ...]:
-        """Basis elements commuting with the whole algebra (exact check)."""
-        out = []
-        for a in range(self.dim):
-            if all(v == 0 for b in range(self.dim) for v in self.c(a, b)):
-                out.append(a)
-        return tuple(out)
-
 
 def structure_constants_from_matrices(basis: Sequence) -> LieAlgebra:
     """Exact structure constants from commutators of rational basis matrices.
@@ -739,12 +731,12 @@ _BUILTINS = {"se2": _se2, "galilean": _galilean}
 _BUILTIN_CACHE: dict[str, BLieGroupPair] = {}
 
 
-def builtin(name: str, n: int | None = None) -> BLieGroupPair:
-    """Built-in group pairs: se2, galilean, heisenberg_q(n)."""
+def builtin(name: str) -> BLieGroupPair:
+    """Built-in group pairs: se2, galilean, heisenberg_q(n); plain heisenberg_q is n = 1."""
     key = name.strip()
     m = re.fullmatch(r"heisenberg_q\s*(?:\(\s*(\d+)\s*\))?", key)
     if m:
-        nn = int(m.group(1)) if m.group(1) else (n if n is not None else 1)
+        nn = int(m.group(1) or 1)
         key = f"heisenberg_q({nn})"
         if key not in _BUILTIN_CACHE:
             _BUILTIN_CACHE[key] = _heisenberg_q(nn)

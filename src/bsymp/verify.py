@@ -401,6 +401,12 @@ def _sec_reduced_jacobi(pair, opts):
 
 
 def _reduced_flow_field(pair):
+    """The reduced bracket, the H = p field and the slot of phi, kept on the
+    pair so flow-endpoint and order-factor share the field's generated loop."""
+    return pair.memo("verify_flow_field", lambda: _build_flow_field(pair))
+
+
+def _build_flow_field(pair):
     rp = red.reduced_poisson(pair)
     m = len(rp.names) - 2
     vf = dyn.hamiltonian_vf(rp, Var(rp.names[m + 1]), phi_slot=m)

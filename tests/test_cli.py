@@ -185,6 +185,9 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["reduce"], {"connection": {"xi": [0.1, 0.2], "scale": "1" * 5000}}, "connection.scale"),
     (["verify"], {"group": {"labels": ["X", "X", "Z"], "constants": [[0, 2, 1, 1]]}},
      "group.labels"),
+    (["flow"], {"flow": {"hamiltonian": "mu_P1^99999999999"}}, "flow.hamiltonian"),
+    (["reduce"], {"connection": {"xi": [0.3, 0.1], "scale": "exp(2000*phi)"}},
+     "bad connection: float overflow"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
@@ -434,6 +437,18 @@ def test_flow_through_sin_of_infinity_leaves_the_chart(tmp_path, capsys):
     assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "flow left the chart: field evaluation failed at t=0: sin or cos of an infinite value\n")
+    assert not out.exists()
+
+
+def test_flow_whose_field_overflows_mid_run_leaves_the_chart(tmp_path, capsys):
+    # phi' = phi^2 escapes at t = 1/2; the next step's phi^2 overflows a
+    # float, which used to surface as CPython's errno tuple
+    cfg = write_config(tmp_path, {"group": "se2",
+                                  "flow": {"hamiltonian": "phi^2*p", "T": 5.0}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "flow left the chart: field evaluation failed at t=0.501: float overflow\n")
     assert not out.exists()
 
 

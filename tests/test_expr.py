@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bsymp import bcalc, expr
+from bsymp import dynamics as dyn
 from bsymp.expr import (
     Const, Var, parse, evaluate, grad, eval_exact, diff, subs, free_vars,
     to_str, compile_exprs, ExprSyntaxError, DomainError, UnboundVariableError,
@@ -215,8 +216,11 @@ def test_parse_errors_carry_position(text, line, col):
     ("x^" + "9" * 5000, 3, "number has too many digits"),
     ("(1/3)^30000000", 7, "constant power of over 1100 bits"),
     ("2^-1100", 4, "constant power of over 1100 bits"),
+    ("x^99999999999", 3, "exponent of a variable power must be below 1100"),
+    ("sin(x)^-1100", 9, "exponent of a variable power must be below 1100"),
 ], ids=["power", "product", "sum", "literal", "long-literal", "long-decimal",
-        "long-exponent", "huge-power", "negative-power"])
+        "long-exponent", "huge-power", "negative-power", "variable-power",
+        "negative-variable-power"])
 def test_oversized_constants_are_syntax_errors(text, col, message):
     # each is refused at its token, the huge power before it is computed
     start = time.perf_counter()
@@ -426,7 +430,7 @@ def test_grad_matches_symbolic_derivative_on_shared_dags():
         try:
             evaluate(e, env)
             want = [evaluate(diff(e, v), env) for v in VARS]
-        except (DomainError, OverflowError):
+        except DomainError:
             continue
         if not all(math.isfinite(w) and abs(w) < 1e8 for w in want):
             continue
@@ -620,7 +624,7 @@ def test_diff_matches_full_walk_on_shared_dags():
                 assert got is expr.ZERO
             try:
                 value = evaluate(want, env)
-            except (DomainError, OverflowError) as err:
+            except DomainError as err:
                 with pytest.raises(type(err)):
                     evaluate(got, env)
                 continue
@@ -691,3 +695,113 @@ def test_parse_accepts_nesting_at_the_bound():
     # nesting is what is open at once, not what the whole text contains
     flat = " + ".join(["(-(x))"] * 300)
     assert evaluate(parse(flat), {"x": 1.0}) == -300.0
+
+
+# ---------------------------------------------------------------------------
+# one contract for float failures
+# ---------------------------------------------------------------------------
+
+# name: (expression in x, a point where it fails, whether it is rational).
+# None fails at point + 1 or 1/8 below it, and every failure of a row has
+# the message of its point, so a midpoint flow x' = -1 from point + 1 with
+# dt = 1/4 (exact steps) fails after its first step and by t = 1
+FAILURES = {
+    "division-by-zero": ("1/x", 0.0, True),
+    "zero-to-negative-power": ("x^-1", 0.0, True),
+    "log-domain": ("log(x)", 0.0, False),
+    "sin-of-inf": ("sin(10^300*exp(-x))", -19.5, False),
+    "cos-of-inf": ("cos(10^300*exp(-x))", -19.5, False),
+    "exp-overflow": ("exp(-x)", -710.0, False),
+    "power-overflow": ("x^-1024", 0.5, False),
+}
+
+
+ENTRIES = ("evaluate", "grad", "eval_exact", "compiled", "flow-start", "flow-mid-run",
+           "flow-invariant")
+
+
+def _flow_error(vf, x0, **kw):
+    with pytest.raises((dyn.ChartExitError, dyn.InvariantError)) as info:
+        dyn.integrate(vf, x0, 0.25, 2.0, method="midpoint", **kw)
+    return info.value
+
+
+def _run_entry(entry, e, point):
+    """Call one evaluator at the failing point; a flow raises the DomainError
+    it wraps, once its own error is checked."""
+    env = {"x": point}
+    if entry == "evaluate":
+        return evaluate(e, env)
+    if entry == "grad":
+        return grad(e, ["x"], env)
+    if entry == "eval_exact":
+        return eval_exact(e, {"x": Fraction(point)})
+    if entry == "compiled":
+        return compile_exprs([e], ["x"])([point])
+    if entry == "flow-start":
+        err = _flow_error(dyn.VectorField(("x",), (e,)), [point])
+        assert isinstance(err, dyn.ChartExitError) and err.time == 0.0
+        prefix = "field evaluation failed at t=0: "
+    elif entry == "flow-mid-run":
+        err = _flow_error(dyn.VectorField(("x", "y"), (expr.MINUS_ONE, e)), [point + 1, 0.0])
+        assert isinstance(err, dyn.ChartExitError) and 0.0 < err.time <= 1.0
+        prefix = f"field evaluation failed at t={err.time:.6g}: "
+    else:  # flow-invariant: the Casimir fails on a row after the first
+        err = _flow_error(dyn.VectorField(("x",), (expr.MINUS_ONE,)), [point + 1],
+                          casimirs=[e])
+        assert isinstance(err, dyn.InvariantError) and err.index == 1
+        prefix = str(err)[:str(err).index(": ") + 2]
+        assert prefix.startswith("cannot be evaluated at t=") and prefix != \
+            "cannot be evaluated at t=0: "
+    assert str(err) == prefix + str(err.__cause__)
+    raise err.__cause__
+
+
+@pytest.mark.parametrize("failure,entry", [
+    (failure, entry) for failure, (_, _, rational) in FAILURES.items() for entry in ENTRIES
+    if rational or entry != "eval_exact"])  # eval_exact has no value off the rationals
+def test_every_evaluator_raises_the_domain_error_of_evaluate(failure, entry):
+    text, point, _ = FAILURES[failure]
+    e = parse(text)
+    with pytest.raises(DomainError) as want:
+        evaluate(e, {"x": point})
+    with pytest.raises(DomainError) as got:
+        _run_entry(entry, e, point)
+    assert type(got.value) is DomainError
+    assert str(got.value) == str(want.value)
+
+
+def test_a_power_derivative_that_overflows_is_a_domain_error():
+    # x^-2 is 1e240 at 1e-120, but its derivative -2 x^-3 overflows
+    e = parse("x^-2")
+    assert evaluate(e, {"x": 1e-120}) == pytest.approx(1e240)
+    with pytest.raises(DomainError, match="^float overflow$"):
+        grad(e, ["x"], {"x": 1e-120})
+
+
+def test_input_conversion_errors_keep_their_type():
+    # converting a value of env is not a node of the walk failing
+    e = parse("x + 1")
+    for run, bad, error in ((eval_exact, math.nan, ValueError),
+                            (eval_exact, math.inf, OverflowError),
+                            (evaluate, "one", ValueError)):
+        with pytest.raises(error) as info:
+            run(e, {"x": bad})
+        assert not isinstance(info.value, expr.EvalError)
+
+
+def test_a_constant_past_the_float_range_fails_where_it_is_evaluated():
+    # parse bounds its constants, but diff folds 2 * 10^308 out of bounded
+    # ones; a compiled map builds, and when called fails at that constant,
+    # the first node of the walk to fail, as evaluate does; so does a flow
+    e = diff(parse("10^308*x^2"), "x")
+    assert e.a.value == 2 * 10 ** 308
+    env = {"x": 1.0, "y": 0.0}
+    with pytest.raises(DomainError, match="^float overflow$"):
+        evaluate(e, env)
+    f = compile_exprs([e, parse("1/y")], ["x", "y"])
+    with pytest.raises(DomainError, match="^float overflow$"):
+        f([1.0, 0.0])
+    with pytest.raises(dyn.ChartExitError, match="^field evaluation failed at t=0: "
+                       "float overflow$"):
+        dyn.integrate(dyn.VectorField(("x",), (e,)), [1.0], 0.1, 1.0)

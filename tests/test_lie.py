@@ -141,7 +141,6 @@ def test_heisenberg_table():
         Y = basis_vec(L, f"Y{i}")
         assert as_label_dict(L, L.bracket(X, Y)) == {"Z": 1}
     assert as_label_dict(L, L.bracket(basis_vec(L, "X1"), basis_vec(L, "Y2"))) == {}
-    assert L.center_indices() == (L.labels.index("Z"),)
 
 
 def test_galilean_table():

@@ -8,6 +8,7 @@ import pytest
 
 import bsymp.expr as ex
 from bsymp import blift, cli, lie, verify
+from bsymp import dynamics as dyn
 from bsymp import reduction as red
 
 
@@ -129,6 +130,23 @@ def test_galilean_suite_compiles_at_most_18_maps(monkeypatch):
     for theta in verify._connection_cases(pair):
         assert all(f.coeffs[(j,)] is mc[a][j] for a, f in enumerate(theta.forms)
                    for j in range(len(mc)) if (j,) in f.coeffs)
+
+
+def test_galilean_suite_generates_5_flow_loops(monkeypatch):
+    # flow-endpoint and order-factor integrate one H = p field kept on the
+    # pair, so the rk4 loop is generated once for both; slice-hold and the
+    # three energy-drift Hamiltonians are the other four
+    pair = lie._galilean()  # a fresh pair, no flow generated for it yet
+    generated = []
+    generate = dyn._generate_flow
+
+    def counted(*args):
+        generated.append(args[2:])
+        return generate(*args)
+
+    monkeypatch.setattr(dyn, "_generate_flow", counted)
+    assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
+    assert generated == [("rk4", False, None)] * 5
 
 
 def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):

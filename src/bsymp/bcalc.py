@@ -19,6 +19,8 @@ lift/reduction/dynamics layers):
 
 so inverting a frame matrix W of a nondegenerate 2-form yields the
 bivector frame matrix transpose(W^-1) (= -W^-1 for antisymmetric W).
+`invert_to_poisson` takes constant frame matrices only, like that of the
+canonical b-symplectic form, and inverts them exactly.
 """
 
 from __future__ import annotations
@@ -454,70 +456,26 @@ class PoissonBivector:
         return out
 
 
-def _laplace_det(M: list[list[Expr]]) -> Expr:
-    """Exact symbolic determinant, memoized over column subsets."""
-    n = len(M)
-    memo: dict[tuple[int, ...], Expr] = {}
-
-    def go(r: int, cols: tuple[int, ...]) -> Expr:
-        if not cols:
-            return ONE
-        key = cols
-        if r == n - len(cols):
-            got = memo.get(key)
-            if got is not None:
-                return got
-        acc = ZERO
-        for s, c in enumerate(cols):
-            entry = M[r][c]
-            if ex.is_zero(entry):
-                continue
-            rest = cols[:s] + cols[s + 1:]
-            term = entry * go(r + 1, rest)
-            acc = acc + (term if s % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return go(0, tuple(range(n)))
-
-
 def invert_to_poisson(omega: BForm) -> PoissonBivector:
-    """Bivector of a nondegenerate degree-2 form, over coordinate fields.
+    """Bivector of a nondegenerate degree-2 form with a constant frame matrix,
+    over coordinate fields.
 
-    The frame matrix is inverted (exactly for constant entries, by
-    adjugate/determinant symbolically otherwise) with the bivector frame
-    matrix transpose(W^-1); re-expanding the rescaled frame as coordinate
-    fields multiplies the defining row and column by f.  A non-constant
-    frame matrix is spot-checked nonsingular on 8 samples at seed 3, and as
-    many on the hypersurface.
+    The frame matrix is inverted exactly in Fractions, giving the bivector
+    frame matrix transpose(W^-1); re-expanding the rescaled frame as
+    coordinate fields multiplies the defining row and column by f.  A frame
+    matrix with a non-constant entry, or a singular one, is a ValueError.
     """
     ch = omega.chart
-    n = ch.dim
     W = frame_matrix(omega)
-    if all(isinstance(e, Const) for row in W for e in row):
-        A = [[e.value for e in row] for row in W]
-        # _fr_inv returns the columns of W^-1, i.e. P[i][j] = (W^-1)[j][i]
-        P = _fr_inv(A)
-        get = lambda i, j: Const(P[i][j])
-    else:
-        if n > 8:
-            raise ValueError("symbolic inversion limited to dimension 8; "
-                             "evaluate the frame matrix pointwise instead")
-        _spot_check_nonsingular(ch, W, samples=8, seed=3)
-        det = _laplace_det(W)
-        def get(i, j):
-            minor = [[W[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _laplace_det(minor)
-            num = cof if (i + j) % 2 == 0 else -cof
-            return num / det
+    if not all(isinstance(e, Const) for row in W for e in row):
+        raise ValueError("frame matrix is not constant")
+    # _fr_inv returns the columns of W^-1, i.e. P[i][j] = (W^-1)[j][i]
+    P = _fr_inv([[e.value for e in row] for row in W])
     entries: dict[tuple[int, int], Expr] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = get(i, j)
-            if ex.is_zero(e):
-                continue
-            e = ch.scale(i) * ch.scale(j) * e
-            entries[(i, j)] = e
+    for i in range(ch.dim):
+        for j in range(i + 1, ch.dim):
+            if P[i][j]:
+                entries[(i, j)] = ch.scale(i) * ch.scale(j) * Const(P[i][j])
     return PoissonBivector(ch.names, entries)
 
 
@@ -547,10 +505,3 @@ def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
         return _fr_solve([list(map(Fraction, row)) for row in A], eye)
     except ValueError:
         raise ValueError("frame matrix is singular") from None
-
-
-def _spot_check_nonsingular(ch: BChart, W: list[list[Expr]], samples: int, seed: int):
-    w_fn = ex.compile_exprs([e for row in W for e in row], ch.names)
-    for x in _sample_points(ch, samples, seed)[0]:
-        if abs(_det(np.array(w_fn(x)).reshape(ch.dim, ch.dim))) < 1e-12:
-            raise ValueError("frame matrix is singular at a sample point")

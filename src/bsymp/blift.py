@@ -7,11 +7,12 @@ derivative have smooth coefficients and the total space is again a chart
 with the same defining coordinate.
 
 The lifted action implemented here is the subgroup acting by left
-translation on a trivialized group chart (k, phi) -> (m_H(h, k), phi) and
-on momenta by the transpose Jacobian of the inverse translation.  Its
-fundamental fields are the derivative of that one lifted map in h at the
-identity, and the momentum map pairs the fiber coordinates with their base
-part.  All Jacobians are exact expression calculus, no finite differences.
+translation on a trivialized group chart (k, phi) -> (m_H(h, k), phi), phi
+defining (the one chart the package builds), and on momenta by the
+transpose Jacobian of the inverse translation.  Its fundamental fields are
+the derivative of that one lifted map in h at the identity, and the
+momentum map pairs the fiber coordinates with their base part.  All
+Jacobians are exact expression calculus, no finite differences.
 
 The lifted action is also the one owner of the numbers its readers share:
 the compiled lift moves covectors by dL_h^{-T}, which is what a connection's
@@ -79,25 +80,16 @@ def canonical_bsymplectic(c: BCotangentChart) -> BForm:
     return b_d(liouville(c)).scaled(-1)
 
 
-def trivialized_base_chart(pair: BLieGroupPair, mode: str = "b") -> BChart:
-    """Chart (k_1..k_{n-1}, phi) of the split group chart; phi is defining in b mode."""
-    if mode not in ("b", "classical"):
-        raise ValueError("mode must be 'b' or 'classical'")
-    H = pair.h_group
+def trivialized_base_chart(pair: BLieGroupPair) -> BChart:
+    """Chart (k_1..k_{n-1}, phi) of the split group chart, phi defining."""
     names = pair.h_names + (pair.phi_name,)
-    box = H.box + ((-1.5, 1.5),)
-    defining = len(names) - 1 if mode == "b" else None
-    return BChart(tuple(names), defining, tuple(box))
+    return BChart(names, len(names) - 1, pair.h_group.box + ((-1.5, 1.5),))
 
 
 @dataclass(frozen=True, eq=False)
 class LiftedAction:
-    """Left translation by the subgroup, lifted to the cotangent chart.
-
-    mode 'b' treats phi as the defining coordinate (momenta dual to the
-    rescaled frame); 'classical' runs the identical formulas on the plain
-    frame.  The translation fixes phi, so the two modes share all Jacobian
-    data and differ only in which chart the forms live on.
+    """Left translation by the subgroup, lifted to the cotangent chart,
+    whose momenta are dual to the rescaled frame with phi defining.
 
     The action owns what it derives: the generator and moment expressions,
     their compiled maps, the canonical frame matrix and the upstairs
@@ -105,15 +97,10 @@ class LiftedAction:
     """
 
     pair: BLieGroupPair
-    mode: str = "b"
-
-    def __post_init__(self):
-        if self.mode not in ("b", "classical"):
-            raise ValueError("mode must be 'b' or 'classical'")
 
     @cached_property
     def cot(self) -> BCotangentChart:
-        return BCotangentChart(trivialized_base_chart(self.pair, self.mode))
+        return BCotangentChart(trivialized_base_chart(self.pair))
 
     @property
     def h_dim(self) -> int:
@@ -165,7 +152,10 @@ class LiftedAction:
         return [row[:self.h_dim] for row in self.generator_exprs]
 
     def xsharp(self, X: Sequence[float]) -> BVectorField:
-        """Fundamental field of the lifted action on the cotangent chart."""
+        """Fundamental field of the lifted action on the cotangent chart.
+
+        Public API, though the library reads `generator_exprs` directly: the
+        benchmark tracer times it, so it stays until that target changes."""
         x = sequence_values(self._h_names, X)
         return BVectorField(self.cot.chart,
                             tuple(ex.dot(x, col) for col in zip(*self.generator_exprs)))

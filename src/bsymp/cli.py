@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -107,6 +108,10 @@ def _number(key: str, value, integer: bool = False):
 _FLOW_KEYS = {"hamiltonian", "x0", "dt", "T", "method", "substitution", "casimirs"}
 _VERIFY_KEYS = {"samples", "tolerance"}
 _CONNECTION_KEYS = {"xi", "scale", "b_leg"}
+_BUILTIN_KEYS = {"builtin", "n"}
+_CUSTOM_KEYS = {"labels", "constants", "basis"}
+# a flow.casimirs label is a CSV column name: a `name` of the expression grammar
+_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def _check_keys(section: str, options: dict, known: set[str]) -> None:
@@ -180,6 +185,7 @@ def load_config(path: str | None) -> RunConfig:
     if isinstance(group, str):
         cfg.builtin = group
     elif isinstance(group, dict) and "builtin" in group:
+        _check_keys("group", group, _BUILTIN_KEYS)
         name = group["builtin"]
         if not isinstance(name, str):
             raise ConfigError("group.builtin must be a string")
@@ -187,6 +193,7 @@ def load_config(path: str | None) -> RunConfig:
             name = f"{name}({_number('group.n', group['n'], integer=True)})"
         cfg.builtin = name
     elif isinstance(group, dict):
+        _check_keys("group", group, _CUSTOM_KEYS)
         cfg.algebra, cfg.basis = _algebra_from_config(group)
     else:
         raise ConfigError("group must be a name or an object")
@@ -266,6 +273,8 @@ def _connection(cfg: RunConfig):
     try:
         return red.make_connection(
             pair, deformation=(xi, spec["scale"], spec.get("b_leg", False)))
+    except ex.DomainError as e:
+        raise ConfigError(f"connection.scale {e}") from e
     except ValueError as e:
         raise ConfigError(f"bad connection: {e}") from e
 
@@ -343,8 +352,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_reduce(cfg: RunConfig, args) -> int:
     pair = cfg.pair
     path = _out_path(args, "reduce", cfg)
-    theta = _connection(cfg)
-    rp = red.reduced_poisson(pair, theta.mode)
+    _connection(cfg)  # built to refuse a bad config: every connection gives this table
+    rp = red.reduced_poisson(pair)
     names = rp.names
     buf = io.StringIO()
     buf.write("first,second,bracket\n")
@@ -366,6 +375,10 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     names = rp.names
     m = len(names) - 2
     fl = dict(cfg.flow)
+    for label in fl.get("casimirs", {}):
+        if not _LABEL.fullmatch(label) or label in ("t", "H", *names):
+            raise ConfigError(f"flow.casimirs.{label}: a label must be a name other "
+                              f"than t, H and the coordinates {', '.join(names)}")
     x0 = fl.get("x0", [0.0] * m + [1.0, 0.0])
     if len(x0) != len(names):
         raise ConfigError(f"flow.x0 must list {len(names)} values")

@@ -16,8 +16,8 @@ the sign frozen; it is never switched on silently.
 written with `expr.emit`, the code generator of `compile_exprs`: every
 stage inlines the field, and each accepted row is checked, has H and the
 Casimirs evaluated and goes into arrays sized for the whole run, all in
-that function.  It is cached on the VectorField per method, substitution,
-box and Casimirs, so another dt or start reuses it.  The drifts are taken
+that function.  It is cached on the VectorField per method, substitution
+and Casimirs, so another dt or start reuses it.  The drifts are taken
 from the stored values, and the CSV's H and Casimir columns are those
 values: `write_csv` and `leaf_report` only read the trajectory.
 """
@@ -38,7 +38,7 @@ from bsymp.bcalc import PoissonBivector
 
 
 class ChartExitError(RuntimeError):
-    """The state left the admissible box; carries the exit time."""
+    """The field failed or the state stopped being finite; carries the exit time."""
 
     def __init__(self, message: str, time: float):
         super().__init__(message)
@@ -112,18 +112,11 @@ class Trajectory:
         return self.rows[-1]
 
 
-def _check_box(x, box, names, t):
+def _check_box(x, names, t):
     for i, v in enumerate(x):
         if not math.isfinite(v):
             raise ChartExitError(
                 f"{names[i]} became non-finite at t={t:.6g}", t)
-    if box is None:
-        return
-    for i, (lo, hi) in enumerate(box):
-        if not (lo <= x[i] <= hi):
-            raise ChartExitError(
-                f"{names[i]}={x[i]:.6g} left [{lo:.6g}, {hi:.6g}] "
-                f"at t={t:.6g}", t)
 
 
 def _raise_invariant_error(exprs, names, x, t, err):
@@ -163,7 +156,7 @@ def _guarded(lines, indent, failure):
 
 
 def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
-                   sub: bool, box):
+                   sub: bool):
     """The whole fixed-step loop as one function, built with `expr.emit`.
 
     `flow(x, rows, values, steps, dt, sgn)` holds the state in locals
@@ -173,8 +166,8 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     is written as the rk4 and midpoint formulas read, `a + 0.5 * dt * b`
     and `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
     0.5 * dt and dt / 6.0 computed once.  Each accepted row is checked
-    finite and inside `box` (bounds as literals), its invariants are
-    evaluated, and both go straight into `rows[k + 1]` and `values[k + 1]`.
+    finite, its invariants are evaluated, and both go straight into
+    `rows[k + 1]` and `values[k + 1]`.
     Returns None when every step is accepted, else (k, where, row, err):
     the step, "field", "chart" or "invariant", the row (x for row 0,
     k = -1) and the error caught.
@@ -218,8 +211,6 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
         row[m] = "r"
     # finite exactly when within the largest float, which nan is not
     ok = [f"{-_BIG!r} <= {r} <= {_BIG!r}" for r in row]
-    if box is not None:
-        ok += [f"{lo!r} <= {r} <= {hi!r}" for r, (lo, hi) in zip(row, box)]
     g0_lines, g0 = ex.emit(invariants, dict(zip(vf.names, state)), "g", " " * 8)
     g_lines, g = ex.emit(invariants, dict(zip(vf.names, row)), "g", ind)
     src = ["def _flow(x, rows, values, steps, dt, sgn):",
@@ -248,23 +239,21 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
 
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
-              method: str = "rk4", box=None,
-              casimirs: Sequence[Expr] = (),
+              method: str = "rk4", casimirs: Sequence[Expr] = (),
               substitution: bool = False) -> Trajectory:
     """Integrate vf from x0 over [0, T] with a fixed step.
 
     With substitution=True (requires phi_slot and a nonzero start there)
     the transverse slot is advanced as u = log|phi| and the sign is frozen.
-    A start with phi exactly 0 is held at exactly 0 in either mode: the
+    A start with phi exactly 0 is held at exactly 0 with or without it: the
     slice component of the field is a product with phi, so every stage
     contributes 0.0 exactly.
 
     The steps run in one generated function (`_generate_flow`), cached on
-    vf by method, substitution, box and casimirs, so another dt or x0
-    reuses it.  A failed field evaluation is a ChartExitError at the start
-    time of its step; a row that is not finite or leaves `box`, a
-    ChartExitError at its own time; a row where H or a Casimir cannot be
-    evaluated, an InvariantError.  Each has as its cause the DomainError
+    vf by method, substitution and casimirs, so another dt or x0 reuses
+    it.  A failed field evaluation is a ChartExitError at the start time of
+    its step; a row that is not finite, a ChartExitError at its own time;
+    a row where H or a Casimir cannot be evaluated, an InvariantError.  Each has as its cause the DomainError
     `expr.evaluate` raises there (`expr.domain_error`), overflow included.
     """
     steps = step_count(dt, T)
@@ -274,10 +263,6 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     x = [float(v) for v in x0]
     if len(x) != n:
         raise ValueError("x0 does not match the chart dimension")
-    if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != n:
-            raise ValueError("box does not match the chart dimension")
     m = vf.phi_slot
     sub = False
     sgn = 1.0
@@ -288,10 +273,10 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
             sub = True
             sgn = math.copysign(1.0, x[m])
     invariants = [ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
-    key = (method, sub, box, tuple(casimirs))
+    key = (method, sub, tuple(casimirs))
     flow = vf.flows.get(key)
     if flow is None:
-        flow = vf.flows[key] = _generate_flow(vf, invariants, method, sub, box)
+        flow = vf.flows[key] = _generate_flow(vf, invariants, method, sub)
     rows = np.empty((steps + 1, n))
     values = np.empty((steps + 1, len(invariants)))
     rows[0] = x
@@ -305,7 +290,7 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
                                  k * dt) from err
         t = (k + 1) * dt
         if where == "chart":
-            _check_box(row, box, vf.names, t)
+            _check_box(row, vf.names, t)
             raise AssertionError(f"row {k + 1} failed the generated chart check only")
         _raise_invariant_error(invariants, vf.names, row, t, err)
     drifts = np.max(np.abs(values - values[0]), axis=0).tolist()

@@ -449,8 +449,9 @@ class BLieGroupPair:
     triv_fn: Callable = field(repr=False)       # params -> (h_params, phi)
     triv_inv_fn: Callable = field(repr=False)   # (h_params, phi) -> params
     quotient: str = "line (R^1)"
-    # per-pair objects that take a key (the lifted action of each mode,
-    # verify's connection cases); fixed derived objects are cached properties
+    # per-pair objects built in other modules (the lifted action and its
+    # invariant momenta, verify's connection cases and flow field), each
+    # under a string key; objects lie derives itself are cached properties
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def memo(self, key, build: Callable):

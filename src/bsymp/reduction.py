@@ -1,7 +1,8 @@
 """Principal connections on the split group chart and Poisson reduction.
 
 The split chart (k_1..k_m, phi) of a group/subgroup pair puts the subgroup
-orbit directions in the k-legs and the transverse direction in phi.  The
+orbit directions in the k-legs and the transverse direction in phi, the
+defining coordinate of the b-cotangent chart every map here lives on.  The
 vertical bundle is spanned by the infinitesimal left translations zeta_a;
 a connection is an algebra-valued 1-form theta with theta(zeta^X) = X that
 transforms by Ad under left translation.
@@ -18,7 +19,7 @@ Conventions fixed here:
   psi_theta and the subgroup's compiled Ad.
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
-  covector on the dphi/phi (or dphi, classical mode) slot.
+  covector on the dphi/phi slot.
 * psi_theta, the map from the cotangent chart onto the coupled one, is built
   once, symbolically (`psi_map_exprs`), and compiled once per connection
   with the nonzero entries of its frame Jacobian, b_d of its components.
@@ -27,8 +28,7 @@ Conventions fixed here:
   form <mu, theta> plus the transverse leg p.
 * the reduced bivector is block diagonal: the subgroup's minus
   Lie-Poisson bivector `LieAlgebra.lie_poisson`, {mu_i, mu_j} =
-  -sum_k c^k_ij mu_k, plus phi d/dphi ^ d/dp (or d/dphi ^ d/dp in
-  classical mode) on the transverse pair.
+  -sum_k c^k_ij mu_k, plus phi d/dphi ^ d/dp on the transverse pair.
 * invariant fiber coordinates nu_b = <mu, Ad_k E_b> undo the orbit motion
   of the vertical momenta; they are the pullbacks of the reduced mu_b.
 * a connection owns its reduced chart: `reduced_coordinates` lifts mu_b to
@@ -78,9 +78,9 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     return np.append(X @ np.array(act.zeta_compiled(g[:m])).reshape(m, m), 0.0)
 
 
-def _action(pair: BLieGroupPair, mode: str = "b") -> LiftedAction:
-    """The pair's lifted action in one mode, built once and kept on the pair."""
-    return pair.memo(("lifted_action", mode), lambda: LiftedAction(pair, mode=mode))
+def _action(pair: BLieGroupPair) -> LiftedAction:
+    """The pair's lifted action, built once and kept on the pair."""
+    return pair.memo("lifted_action", lambda: LiftedAction(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,6 @@ class Connection:
     """
 
     pair: BLieGroupPair
-    mode: str
     forms: tuple[BForm, ...]
     tag: str
     xi: tuple[float, ...] | None = None
@@ -138,7 +137,7 @@ class Connection:
         cotangent chart; phi, shared by both charts, maps to itself and has
         no entry.  The first use checks `reduced_point` constant along the
         lifted orbits on 20 seeded samples and raises ValueError if not."""
-        act = _action(self.pair, self.mode)
+        act = _action(self.pair)
         names = act.cot.chart.names
         m = self.h_dim
         rng = random.Random(211)
@@ -146,7 +145,7 @@ class Connection:
         worst = 0.0
         for t in range(20):
             x = [rng.uniform(-0.8, 0.8) for _ in names]
-            if self.mode == "b" and t % 4 == 0:
+            if t % 4 == 0:
                 x[m] = 0.0
             h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
             a, b = self.reduced_point(x), self.reduced_point(act.act(h, x))
@@ -155,7 +154,7 @@ class Connection:
         if worst > 1e-8 * scale:
             raise ValueError(f"reduced coordinates of the {self.tag} connection are "
                              f"not orbit-invariant, residual {worst:.3e}")
-        nu = invariant_moment_exprs(self.pair, self.mode)
+        nu = invariant_moment_exprs(self.pair)
         return {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": psi_map_exprs(self)[-1]}
 
     def reduced_point(self, point: Sequence[float]) -> list[float]:
@@ -189,7 +188,7 @@ class Connection:
         are the lifted action's cached b_d(mu_a).  psi fixes phi, so the
         singular slot transports with ratio one: its row is the unit row.
         """
-        act = _action(self.pair, self.mode)
+        act = _action(self.pair)
         cch = act.cot.chart
         m = self.h_dim
         psi = psi_map_exprs(self)
@@ -199,8 +198,7 @@ class Connection:
 
         rows = [*map(row, psi[:m + 1]), *(f.coeffs for f in act.moment_differentials),
                 row(psi[-1])]
-        if cch.defining is not None:
-            rows[cch.defining] = {(cch.defining,): ONE}
+        rows[m] = {(m,): ONE}
         jac = {(i, j): c for i, r in enumerate(rows) for (j,), c in r.items()}
         jkeys = sorted(jac)
         fn = ex.compile_exprs([*psi, *(jac[k] for k in jkeys)], list(cch.names))
@@ -222,17 +220,18 @@ def _index_arrays(keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(col, dtype=np.intp) for col in zip(*keys))
 
 
-def make_connection(pair: BLieGroupPair, mode: str = "b",
-                    deformation: tuple | None = None) -> Connection:
+def make_connection(pair: BLieGroupPair, deformation: tuple | None = None) -> Connection:
     """Build the default connection, optionally deformed along dphi.
 
     deformation = (xi, c, b_flag): xi an algebra coefficient vector, c an
     Expr in phi (or a string to parse), b_flag True for a dphi/phi leg and
     False for a plain dphi leg.  The deformed form stays a connection
     because the added leg is horizontal and transforms by Ad; both axioms
-    are still re-checked on samples and a residual above 1e-8 is an error.
+    are still re-checked on samples and a residual above 1e-8 is an error;
+    a sample where the form cannot be evaluated is a DomainError naming
+    its phi.
     """
-    ch = _action(pair, mode).cot.base  # the lifted action refuses a bad mode
+    ch = _action(pair).cot.base
     m = len(pair.h_names)
     rows = pair.h_group.maurer_cartan_sym
     coeffs = [{(j,): rows[a][j] for j in range(m) if not ex.is_zero(rows[a][j])}
@@ -241,23 +240,20 @@ def make_connection(pair: BLieGroupPair, mode: str = "b",
     if deformation is not None:
         xi, c, b_flag = deformation
         xi = tuple(xi)
-        if b_flag and mode == "classical":
-            raise ValueError("a dphi/phi deformation needs the b chart")
         if isinstance(c, str):
             c = ex.parse(c)
         # a smooth dphi leg on the b chart picks up one phi factor
-        smooth_on_b = mode == "b" and not b_flag
-        S = c * Var(pair.phi_name) if smooth_on_b else c
+        S = c if b_flag else c * Var(pair.phi_name)
         adm = pair.h_group.adjoint_sym
         for a in range(m):
             leg = ex.dot(adm[a], xi) * c
-            if smooth_on_b:
+            if not b_flag:
                 leg = leg * Var(pair.phi_name)
             if not ex.is_zero(leg):
                 coeffs[a][(m,)] = leg
         tag = "deformed-b" if b_flag else "deformed-smooth"
     forms = tuple(BForm(ch, 1, c) for c in coeffs)
-    theta = Connection(pair=pair, mode=mode, forms=forms, tag=tag, xi=xi, S=S)
+    theta = Connection(pair=pair, forms=forms, tag=tag, xi=xi, S=S)
     resid = _axiom_residual(theta, samples=40, seed=101)
     if resid > 1e-8:
         raise ValueError(f"connection axioms fail, residual {resid:.3e}")
@@ -272,7 +268,7 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
     moved covector must be c Theta(hg).
     """
     pair = theta.pair
-    act = _action(pair, theta.mode)
+    act = _action(pair)
     Adf = pair.h_group.adjoint_compiled
     m = theta.h_dim
     rng = random.Random(seed)
@@ -283,15 +279,18 @@ def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
         if t % 3 == 0:
             g[m] = 0.0
         X = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-        rep = theta.theta(g, zeta(pair, g, X))
-        worst = max(worst, float(np.max(np.abs(rep - X))))
-
         h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
         c = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-        alpha = (c @ np.array(Adf(h)).reshape(m, m)) @ theta.theta_matrix(g)
-        moved = act.act(h, [*g, *alpha])
-        lhs = c @ theta.theta_matrix(moved[:m + 1])
-        worst = max(worst, float(np.max(np.abs(lhs - moved[m + 1:]))))
+        try:
+            rep = theta.theta(g, zeta(pair, g, X))
+            alpha = (c @ np.array(Adf(h)).reshape(m, m)) @ theta.theta_matrix(g)
+            moved = act.act(h, [*g, *alpha])
+            lhs = c @ theta.theta_matrix(moved[:m + 1])
+        except ex.DomainError as err:
+            raise ex.DomainError(
+                f"cannot be evaluated at {pair.phi_name}={g[m]:.6g}: {err}") from err
+        worst = max(worst, float(np.max(np.abs(rep - X))),
+                    float(np.max(np.abs(lhs - moved[m + 1:]))))
     return worst
 
 
@@ -353,7 +352,7 @@ def coupled_chart(theta: Connection) -> BChart:
 
 def psi_map_exprs(theta: Connection) -> list[Expr]:
     """psi_theta as a chart map from the cotangent chart to the coupled one."""
-    act = _action(theta.pair, theta.mode)
+    act = _action(theta.pair)
     m = theta.h_dim
     cn = act.cot.chart.names
     mu = act.moment_exprs
@@ -400,7 +399,7 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
     pv = J @ v
     pw = J @ w
     rhs = np.array(rfn(vals[:n])) @ (pv[ri] * pw[rk] - pv[rk] * pw[ri])
-    lhs = v @ _action(theta.pair, theta.mode).omega_matrix @ w
+    lhs = v @ _action(theta.pair).omega_matrix @ w
     return float(abs(lhs - rhs))
 
 
@@ -408,25 +407,25 @@ def coupling_identity_residual(theta: Connection, point: Sequence[float],
 # the reduced structure
 
 
-def reduced_poisson(pair: BLieGroupPair, mode: str = "b") -> PoissonBivector:
-    """The subgroup's Lie-Poisson bivector plus {phi, p} = phi (1 classical):
+def reduced_poisson(pair: BLieGroupPair) -> PoissonBivector:
+    """The subgroup's Lie-Poisson bivector plus {phi, p} = phi:
     the theorem gives it for every connection, which verify's
     connection-independence section and an exact Tier-1 test check."""
     lp = pair.h_algebra.lie_poisson
     m = len(lp.names)
-    entries = {**lp.entries, (m, m + 1): Var(pair.phi_name) if mode == "b" else ONE}
+    entries = {**lp.entries, (m, m + 1): Var(pair.phi_name)}
     return PoissonBivector(lp.names + (pair.phi_name, "p"), entries)
 
 
-def invariant_moment_exprs(pair: BLieGroupPair, mode: str = "b") -> tuple[Expr, ...]:
+def invariant_moment_exprs(pair: BLieGroupPair) -> tuple[Expr, ...]:
     """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits;
-    built once per pair and mode, so every connection lifts through them."""
+    built once per pair, so every connection lifts through them."""
     def build():
         adm = pair.h_group.adjoint_sym
-        mus = _action(pair, mode).moment_exprs
+        mus = _action(pair).moment_exprs
         return tuple(ex.dot(mus, column) for column in zip(*adm))
 
-    return pair.memo(("invariant_moments", mode), build)
+    return pair.memo("invariant_moments", build)
 
 
 def reduced_bracket_via_invariants(theta: Connection, F: Expr, G: Expr,
@@ -435,6 +434,6 @@ def reduced_bracket_via_invariants(theta: Connection, F: Expr, G: Expr,
     reduced coordinates and bracketed upstairs at a cotangent-chart point;
     functions of orbit-invariant coordinates need no check of their own."""
     lift = theta.reduced_coordinates
-    up = _action(theta.pair, theta.mode).upstairs_poisson
+    up = _action(theta.pair).upstairs_poisson
     return up.bracket_value(ex.subs(F, lift), ex.subs(G, lift),
                             [float(x) for x in point])

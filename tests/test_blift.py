@@ -17,8 +17,8 @@ from bsymp import bcalc, blift, lie
 GROUPS = ["se2", "heisenberg_q(1)", "galilean"]
 
 
-def make_action(name, mode="b"):
-    return blift.LiftedAction(lie.builtin(name), mode=mode)
+def make_action(name):
+    return blift.LiftedAction(lie.builtin(name))
 
 
 def chart_env(ch, pt):
@@ -119,13 +119,14 @@ def test_cotangent_chart_layout_heisenberg():
 
 
 def test_trivialized_base_chart_modes():
+    # one chart, phi defining: there is no plain-chart mode to ask for
     pair = lie.builtin("se2")
     b = blift.trivialized_base_chart(pair)
-    assert b.defining == 2
-    s = blift.trivialized_base_chart(pair, mode="classical")
-    assert s.defining is None
-    with pytest.raises(ValueError):
-        blift.trivialized_base_chart(pair, mode="log")
+    assert b.names == ("b1", "b2", "phi") and b.defining == 2
+    with pytest.raises(TypeError):
+        blift.trivialized_base_chart(pair, mode="classical")
+    with pytest.raises(TypeError):
+        blift.LiftedAction(pair, mode="classical")
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,6 @@ def test_canonical_verdict():
         assert rep.closed_residual == 0.0
         assert abs(rep.min_pfaffian) == 1.0
         assert rep.on_z_samples > 0
-
-
-def test_canonical_verdict_classical_mode():
-    A = make_action("se2", mode="classical")
-    assert A.cot.chart.defining is None
-    om = blift.canonical_bsymplectic(A.cot)
-    rep = bcalc.is_b_symplectic(om, samples=32, seed=2)
-    assert rep.verdict is True and rep.on_z_samples == 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,25 +485,6 @@ def test_hamilton_identity_galilean():
         for pt in sample_points(ch, 34, seed=trial + 60, mdef=m):
             worst = max(worst, max(abs(v) for v in f(pt)))
         assert worst <= 1e-8
-
-
-def test_hamilton_identity_classical_mode():
-    A = make_action("se2", mode="classical")
-    ch = A.cot.chart
-    m = A.h_dim
-    om = blift.canonical_bsymplectic(A.cot)
-    mus = A.moment_exprs
-    rng = random.Random(59)
-    X = [0.7, -0.4]
-    Xs = A.xsharp(X)
-    muX = ex.as_expr(X[0]) * mus[0] + ex.as_expr(X[1]) * mus[1]
-    dmu = bcalc.b_d(bcalc.BForm(ch, 0, {(): muX}))
-    for pt in sample_points(ch, 10, seed=61, mdef=None):
-        env = chart_env(ch, pt)
-        for i in range(len(ch.names)):
-            lhs = bcalc.pair(om, [Xs, frame_field(ch, i)], pt)
-            rhs = ex.evaluate(dmu.coeff((i,)), env)
-            assert abs(lhs - rhs) <= 1e-8
 
 
 def test_moment_equivariance():

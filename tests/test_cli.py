@@ -187,7 +187,15 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
      "group.labels"),
     (["flow"], {"flow": {"hamiltonian": "mu_P1^99999999999"}}, "flow.hamiltonian"),
     (["reduce"], {"connection": {"xi": [0.3, 0.1], "scale": "exp(2000*phi)"}},
-     "bad connection: float overflow"),
+     "connection.scale cannot be evaluated at phi=0.659548: float overflow"),
+    (["reduce"], {"connection": {"xi": [0.3, 0.1], "scale": "1/phi"}},
+     "connection.scale cannot be evaluated at phi=0: division by zero"),
+    (["verify"], {"group": {**SO3, "basiss": []}}, "group.basiss"),
+    (["describe"], {"group": {"builtin": "se2", "nn": 2}}, "group.nn"),
+    (["flow"], {"flow": {"casimirs": {"a,b": "mu_P1", "H": "mu_P2"}}}, "flow.casimirs.a,b"),
+    (["flow"], {"flow": {"casimirs": {"H": "mu_P2"}}}, "flow.casimirs.H"),
+    (["flow"], {"flow": {"casimirs": {"t": "mu_P2"}}}, "flow.casimirs.t"),
+    (["flow"], {"flow": {"casimirs": {"phi": "mu_P2"}}}, "flow.casimirs.phi"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
@@ -395,7 +403,7 @@ def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
 
 def test_flow_prints_configured_casimir_drifts(tmp_path, capsys, monkeypatch):
     # after the structural lines, one line per flow.casimirs label in config
-    # order; a label equal to a coordinate name keeps both lines
+    # order; a label may not be a coordinate name, so no two lines share one
     trajectories = []
     integrate = dyn.integrate
 
@@ -406,16 +414,15 @@ def test_flow_prints_configured_casimir_drifts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dyn, "integrate", kept)
     cfg = write_config(tmp_path, {"flow": {"hamiltonian": "p^2/2 + 0.3*phi*mu_P1 + mu_P2",
                                            "x0": [0.4, -0.2, 0.5, 0.3], "dt": 0.01, "T": 1.0,
-                                           "casimirs": {"w": "mu_P1^2 + p", "mu_P1": "mu_P1"}}})
+                                           "casimirs": {"w": "mu_P1^2 + p", "m1": "mu_P1"}}})
     assert cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
     tr, = trajectories
     assert tr.casimir_drifts[0] > 0.0
     assert lines[-3:] == [f"drift[w]: {tr.casimir_drifts[0]!r}",
-                          f"drift[mu_P1]: {tr.casimir_drifts[1]!r}",
+                          f"drift[m1]: {tr.casimir_drifts[1]!r}",
                           f"wrote: {tmp_path / 'f.csv'}"]
-    assert [ln for ln in lines if ln.startswith("drift[mu_P1]: ")] == \
-        ["drift[mu_P1]: 0.0", f"drift[mu_P1]: {tr.casimir_drifts[1]!r}"]
+    assert [ln for ln in lines if ln.startswith("drift[mu_P1]: ")] == ["drift[mu_P1]: 0.0"]
 
 
 def test_flow_chart_exit_returns_1(tmp_path, capsys):

@@ -19,18 +19,14 @@ from bsymp import bcalc, blift, lie, reduction as red
 GROUPS = ["se2", "heisenberg_q(1)", "galilean"]
 
 
-def connections(pair, mode="b"):
+def connections(pair):
     m = len(pair.h_names)
     xi1 = [0.3 if a % 2 == 0 else -0.2 for a in range(m)]
     xi2 = [0.1 if a % 3 == 0 else 0.4 for a in range(m)]
     phi = pair.phi_name
-    out = [red.make_connection(pair, mode=mode)]
-    if mode == "b":
-        out.append(red.make_connection(pair, mode=mode,
-                                       deformation=(xi1, f"1 + {phi}^2", True)))
-    out.append(red.make_connection(pair, mode=mode,
-                                   deformation=(xi2, f"cos({phi})", False)))
-    return out
+    return [red.make_connection(pair),
+            red.make_connection(pair, deformation=(xi1, f"1 + {phi}^2", True)),
+            red.make_connection(pair, deformation=(xi2, f"cos({phi})", False))]
 
 
 def base_samples(pair, count, seed, on_z=True):
@@ -146,11 +142,6 @@ def test_malformed_deformation_rejected():
     # Ad-equivariance, which the construction gate catches
     with pytest.raises(ValueError):
         red.make_connection(pair, deformation=([1.0, 0.0], "1 + b1", True))
-    with pytest.raises(ValueError):
-        red.make_connection(pair, mode="classical",
-                            deformation=([1.0, 0.0], "1", True))
-    with pytest.raises(ValueError):
-        red.make_connection(pair, mode="log")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +244,7 @@ def test_psi_theta_rejects_a_form_that_is_not_a_connection():
     # doubling theta breaks theta(zeta_a) = e_a, so the split keeps a k-leg
     pair = lie.builtin("heisenberg_q(1)")
     theta = red.make_connection(pair)
-    bad = red.Connection(pair=pair, mode=theta.mode,
+    bad = red.Connection(pair=pair,
                          forms=tuple(f.scaled(2) for f in theta.forms), tag="doubled")
     with pytest.raises(red.SplittingError, match="annihilator part kept a vertical leg"):
         red.psi_theta(bad, [0.2, -0.4, 0.5], [0.3, 0.6, 0.8])
@@ -264,8 +255,7 @@ def test_lifted_action_lives_on_the_pair():
     pair = lie._se2()
     act = red._action(pair)
     assert red._action(pair) is act
-    assert pair._cache[("lifted_action", "b")] is act
-    assert red._action(pair, "classical") is not act
+    assert pair._cache["lifted_action"] is act
     assert not hasattr(red, "_ACTIONS")
 
 
@@ -359,20 +349,19 @@ def test_lambda_theta():
 
 
 def coupling_samples(theta, count, seed):
-    """`count` seeded (point, v, w) triples on the cotangent chart; in b
-    mode every other point lies on phi = 0."""
+    """`count` seeded (point, v, w) triples on the cotangent chart; every
+    other point lies on phi = 0."""
     rng = random.Random(seed)
     m = theta.h_dim
     n = 2 * m + 2
     out = []
     for t in range(count):
         pt = [rng.uniform(-0.9, 0.9) for _ in range(n)]
-        if theta.mode == "b":
-            if t % 2 == 0:
-                pt[m] = 0.0
-            else:
-                mag = rng.uniform(0.05, 1.0)
-                pt[m] = mag if rng.random() < 0.5 else -mag
+        if t % 2 == 0:
+            pt[m] = 0.0
+        else:
+            mag = rng.uniform(0.05, 1.0)
+            pt[m] = mag if rng.random() < 0.5 else -mag
         v = [rng.uniform(-1, 1) for _ in range(n)]
         w = [rng.uniform(-1, 1) for _ in range(n)]
         out.append((pt, v, w))
@@ -453,21 +442,16 @@ def test_coupling_identity_b_mode():
             assert coupling_worst(theta, 200, seed=71) <= 1e-8, (name, theta.tag)
 
 
-def test_coupling_identity_classical_mode():
-    for name in ["se2", "heisenberg_q(1)"]:
-        pair = lie.builtin(name)
-        for theta in connections(pair, mode="classical"):
-            assert coupling_worst(theta, 100, seed=73) <= 1e-8, (name, theta.tag)
-
-
 BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
+# every built-in, with ids that end in "-b" for the b-cotangent chart
+ON_B_CHART = pytest.mark.parametrize("name", BUILTINS, ids=lambda name: f"{name}-b")
 
 
 def reference_psi_jacobian(theta):
     """psi and its nonzero frame-Jacobian entries by the hand-written loop:
     d psi_i / d z_j, times phi in the defining column, and a unit row for
     the defining slot, which psi fixes."""
-    cch = red._action(theta.pair, theta.mode).cot.chart
+    cch = red._action(theta.pair).cot.chart
     names = list(cch.names)
     n = len(names)
     d = cch.defining
@@ -479,7 +463,7 @@ def reference_psi_jacobian(theta):
                 e = ONE if j == d else ZERO
             else:
                 e = ex.diff(psi[i], names[j])
-                if j == d and d is not None:
+                if j == d:
                     e = e * Var(names[d])
             if not ex.is_zero(e):
                 jac[(i, j)] = e
@@ -490,7 +474,7 @@ def reference_coupling_compiled(theta, rhs=None):
     """The coupling maps as the dict-Jacobian residual read them: psi and
     the sparse frame Jacobian compiled over the cotangent chart, the target
     form compiled over the coupled chart, and the canonical form."""
-    act = red._action(theta.pair, theta.mode)
+    act = red._action(theta.pair)
     names = list(act.cot.chart.names)
     n = len(names)
     psi, jac = reference_psi_jacobian(theta)
@@ -520,13 +504,11 @@ def reference_coupling_residual(compiled, point, v, w):
     return abs(lhs - rhs)
 
 
-@pytest.mark.parametrize("mode", ["b", "classical"])
-@pytest.mark.parametrize("name", BUILTINS)
-def test_coupling_residual_matches_the_dict_jacobian_reference(name, mode):
-    # the dense contraction agrees with the Python sums it replaced; the
-    # classical chart has no dphi/phi leg, so it has two connections, not three
+@ON_B_CHART
+def test_coupling_residual_matches_the_dict_jacobian_reference(name):
+    # the dense contraction agrees with the Python sums it replaced
     pair = lie.builtin(name)
-    for theta in connections(pair, mode=mode):
+    for theta in connections(pair):
         ref = reference_coupling_compiled(theta)
         for pt, v, w in coupling_samples(theta, 40, seed=83):
             got = red.coupling_identity_residual(theta, pt, v, w)
@@ -551,7 +533,7 @@ def test_coupling_residual_sees_a_doubled_target_coefficient(name, monkeypatch):
     monkeypatch.setattr(red, "coupling_rhs_form", doubled)
     for theta in connections(pair):
         # a fresh connection, so its coupling maps are built from the doubled form
-        theta = red.Connection(pair=theta.pair, mode=theta.mode, forms=theta.forms,
+        theta = red.Connection(pair=theta.pair, forms=theta.forms,
                                tag=theta.tag, xi=theta.xi, S=theta.S)
         ref = reference_coupling_compiled(theta, doubled(theta))
         samples = coupling_samples(theta, 10, seed=89)
@@ -589,17 +571,16 @@ def test_psi_map_exprs_match_numeric_split():
         assert max(abs(a - b) for a, b in zip(red.psi_theta(theta, g, alpha), want)) < 1e-12
 
 
-@pytest.mark.parametrize("mode", ["b", "classical"])
-@pytest.mark.parametrize("name", BUILTINS)
-def test_psi_jacobian_rows_match_the_hand_loop_exactly(name, mode):
+@ON_B_CHART
+def test_psi_jacobian_rows_match_the_hand_loop_exactly(name):
     # row i of the compiled frame Jacobian is b_d of psi's component i;
     # it has the hand loop's nonzero entries and evaluates to its values
     pair = lie.builtin(name)
-    for theta in connections(pair, mode=mode):
+    for theta in connections(pair):
         psi, jac = reference_psi_jacobian(theta)
         jkeys = sorted(jac)
         ref = ex.compile_exprs([*psi, *(jac[k] for k in jkeys)],
-                               list(red._action(pair, mode).cot.chart.names))
+                               list(red._action(pair).cot.chart.names))
         _, fn, (ji, jj) = theta._psi_compiled
         assert list(zip(ji.tolist(), jj.tolist())) == jkeys
         for pt, _, _ in coupling_samples(theta, 10, seed=97):
@@ -681,13 +662,6 @@ def test_reduced_bracket_refuses_a_point_of_the_wrong_length():
         rp.bracket_value(phi, phi, [0.1, 0.2, 0.3])
 
 
-def test_reduced_poisson_classical_mode():
-    pair = lie.builtin("se2")
-    theta = red.make_connection(pair, mode="classical")
-    rp = red.reduced_poisson(pair, theta.mode)
-    assert rp.table() == [("phi", "p", "1")]
-
-
 def test_reduced_jacobiator():
     rng = random.Random(83)
     for name in GROUPS:
@@ -761,7 +735,7 @@ def test_reduced_coordinates_reject_noninvariant_leg():
     forms = tuple(bcalc.BForm(f.chart, 1, {**f.coeffs, (m,): ONE}) if a == j1 else f
                   for a, f in enumerate(theta.forms))
     xi = tuple(1.0 if a == j1 else 0.0 for a in range(m))
-    bad = red.Connection(pair=pair, mode="b", forms=forms, tag="constant-leg", xi=xi, S=ONE)
+    bad = red.Connection(pair=pair, forms=forms, tag="constant-leg", xi=xi, S=ONE)
     with pytest.raises(ValueError, match="not orbit-invariant"):
         bad.reduced_coordinates
     with pytest.raises(ValueError, match="not orbit-invariant"):
@@ -772,18 +746,17 @@ def reference_reduced_point(theta):
     """The map reduced_point replaced: nu, phi and p_theta compiled together
     over the cotangent chart."""
     pair = theta.pair
-    names = red._action(pair, theta.mode).cot.chart.names
-    nu = red.invariant_moment_exprs(pair, theta.mode)
+    names = red._action(pair).cot.chart.names
+    nu = red.invariant_moment_exprs(pair)
     return ex.compile_exprs([*nu, Var(pair.phi_name), red.psi_map_exprs(theta)[-1]],
                             list(names))
 
 
-@pytest.mark.parametrize("mode", ["b", "classical"])
-@pytest.mark.parametrize("name", BUILTINS)
-def test_reduced_point_matches_the_compiled_invariants(name, mode):
+@ON_B_CHART
+def test_reduced_point_matches_the_compiled_invariants(name):
     # psi's (mu Ad_k, phi, p) is the compiled (nu, phi, p_theta)
     pair = lie.builtin(name)
-    for theta in connections(pair, mode=mode):
+    for theta in connections(pair):
         ref = reference_reduced_point(theta)
         for pt, _, _ in coupling_samples(theta, 20, seed=109):
             got, want = theta.reduced_point(pt), ref(pt)
@@ -839,14 +812,13 @@ def with_phi_legs(theta, legs, tag):
     m = theta.h_dim
     forms = tuple(f if ex.is_zero(leg) else bcalc.BForm(f.chart, 1, {**f.coeffs, (m,): leg})
                   for f, leg in zip(theta.forms, legs))
-    return red.Connection(pair=theta.pair, mode=theta.mode, forms=forms, tag=tag)
+    return red.Connection(pair=theta.pair, forms=forms, tag=tag)
 
 
-@pytest.mark.parametrize("mode", ["b", "classical"])
-@pytest.mark.parametrize("name", BUILTINS)
-def test_lift_equivariance_agrees_with_the_pushforward_reference(name, mode):
+@ON_B_CHART
+def test_lift_equivariance_agrees_with_the_pushforward_reference(name):
     pair = lie.builtin(name)
-    for theta in connections(pair, mode=mode):
+    for theta in connections(pair):
         assert red._axiom_residual(theta, 30, seed=7) <= 1e-9, theta.tag
         assert reference_equivariance_residual(theta, 30, seed=7) <= 1e-9, theta.tag
 

@@ -146,7 +146,7 @@ def test_galilean_suite_generates_5_flow_loops(monkeypatch):
 
     monkeypatch.setattr(dyn, "_generate_flow", counted)
     assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
-    assert generated == [("rk4", False, None)] * 5
+    assert generated == [("rk4", False)] * 5
 
 
 def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):

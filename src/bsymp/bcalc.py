@@ -1,16 +1,12 @@
 """Calculus on charts with one marked degenerate coordinate.
 
-A chart carries coordinate names, an optional index of a defining
-coordinate f, and a sampling box.  Vector fields and forms are stored in
-the rescaled frame
+A chart carries coordinate names and the index of its defining
+coordinate f.  Vector fields and forms are stored in the rescaled frame
 
     (f d/df, d/dz_i)        dual coframe (df/f, dz_i)
 
 so every stored coefficient is a smooth expression and evaluation on the
-hypersurface {f = 0} never divides by f.  With no defining coordinate
-(defining=None) the same containers and operators implement ordinary
-smooth calculus: the frame reduces to (d/dz_i) and the rescale factors
-below all become 1.
+hypersurface {f = 0} never divides by f.
 
 Orientation of conventions used package-wide (fixed here, reused by the
 lift/reduction/dynamics layers):
@@ -19,14 +15,19 @@ lift/reduction/dynamics layers):
 
 so inverting a frame matrix W of a nondegenerate 2-form yields the
 bivector frame matrix transpose(W^-1) (= -W^-1 for antisymmetric W).
-`invert_to_poisson` takes constant frame matrices only, like that of the
-canonical b-symplectic form, and inverts them exactly.
+
+The forms whose nondegeneracy the package decides, the canonical form on
+the b-cotangent chart and the b-Darboux model, have a constant frame
+matrix.  `frame_matrix` is its one exact owner: a constant form is closed
+by construction (b_d of a constant coefficient is zero), so
+`is_b_symplectic` decides the claim exactly, by whether that rational
+matrix is invertible, and `invert_to_poisson` inverts the same matrix.
+A non-constant entry is a ValueError for both.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -39,8 +40,8 @@ from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
     "BChart", "BVectorField", "BForm", "BFunction", "PoissonBivector",
-    "SymplecticReport", "pair", "wedge", "b_d", "d_bfunction",
-    "is_b_symplectic", "bdarboux_model", "invert_to_poisson", "pfaffian",
+    "pair", "wedge", "b_d", "d_bfunction", "frame_matrix",
+    "is_b_symplectic", "bdarboux_model", "invert_to_poisson",
 ]
 
 
@@ -64,25 +65,22 @@ def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class BChart:
-    """Coordinate names, optional defining-coordinate index, sampling box."""
+    """Coordinate names and the index of the defining coordinate."""
 
     names: tuple[str, ...]
-    defining: int | None
-    box: tuple[tuple[float, float], ...]
+    defining: int
 
     def __post_init__(self):
-        if self.defining is not None and not 0 <= self.defining < len(self.names):
+        if not 0 <= self.defining < len(self.names):
             raise ValueError("defining index out of range")
-        if len(self.box) != len(self.names):
-            raise ValueError("box size must match coordinate count")
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
     @property
-    def defining_name(self) -> str | None:
-        return None if self.defining is None else self.names[self.defining]
+    def defining_name(self) -> str:
+        return self.names[self.defining]
 
     def scale(self, i: int) -> Expr:
         """Frame rescale factor: f for the defining slot, 1 elsewhere."""
@@ -94,16 +92,6 @@ class BChart:
         if isinstance(point, Mapping):
             return {n: float(point[n]) for n in self.names}
         return _sequence_env(self.names, point)
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """`count` seeded uniform points in the box, shape (count, dim).
-
-        Drawn from the stdlib `random.Random(seed)`, so any int seed works
-        and the points are the same on every platform and Python version.
-        """
-        rng = random.Random(seed)
-        pts = [[rng.uniform(lo, hi) for lo, hi in self.box] for _ in range(count)]
-        return np.array(pts, dtype=float).reshape(count, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +163,6 @@ class BFunction:
     c: Fraction
     smooth: Expr
 
-    def __post_init__(self):
-        if self.chart.defining is None and self.c != 0:
-            raise ValueError("log part needs a defining coordinate")
-
     def value(self, point) -> float:
         env = self.chart.env(point)
         out = ex.evaluate(self.smooth, env)
@@ -244,8 +228,7 @@ def b_d(omega: BForm) -> BForm:
     """Exterior derivative in the rescaled coframe.
 
     d(c e^I) = sum_j s_j (dc/dz_j) e^j ^ e^I with s_j = f on the defining
-    slot, 1 elsewhere; this is d(alpha)^df/f + d(beta) in one rule, and the
-    classical derivative when there is no defining coordinate.
+    slot, 1 elsewhere; this is d(alpha)^df/f + d(beta) in one rule.
     """
     ch = omega.chart
     out: dict[tuple[int, ...], Expr] = {}
@@ -279,119 +262,37 @@ def d_bfunction(u: BFunction) -> BForm:
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy: pfaffian and the verdict report
+# the constant frame matrix: nondegeneracy
 # ---------------------------------------------------------------------------
 
-def pfaffian(A: np.ndarray) -> float:
-    """Pfaffian of an even skew-symmetric matrix (tridiagonal reduction)."""
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if n % 2:
-        return 0.0
-    if n == 0:
-        return 1.0
-    pf = 1.0
-    for k in range(0, n - 1, 2):
-        piv = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if A[piv, k] == 0.0:
-            return 0.0
-        if piv != k + 1:
-            A[[k + 1, piv], :] = A[[piv, k + 1], :]
-            A[:, [k + 1, piv]] = A[:, [piv, k + 1]]
-            pf = -pf
-        pf *= A[k + 1, k]
-        if k + 2 < n:
-            tau = A[k + 2:, k] / A[k + 1, k]
-            A[k + 2:, k + 2:] += np.outer(tau, A[k + 2:, k + 1])
-            A[k + 2:, k + 2:] -= np.outer(A[k + 2:, k + 1], tau)
-    # sign: pf of the direct sum of [[0, a],[-a, 0]] blocks built above is
-    # prod(a), and the elimination assembled A[k+1, k] = -a entries
-    return float(pf * (-1) ** (n // 2))
-
-
-def frame_matrix(omega: BForm) -> list[list[Expr]]:
-    """W_ij = omega(E_i, E_j) as expressions (frame pairing is coefficient lookup)."""
+def frame_matrix(omega: BForm) -> list[list[Fraction]]:
+    """W_ij = omega(E_i, E_j) of a degree-2 form with constant coefficients,
+    exactly; a non-constant coefficient is a ValueError."""
+    if omega.degree != 2:
+        raise ValueError("frame matrix needs a degree-2 form")
     n = omega.chart.dim
-    W = [[ZERO] * n for _ in range(n)]
+    W = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), c in omega.coeffs.items():
-        W[i][j] = c
-        W[j][i] = -c
+        if not isinstance(c, Const):
+            raise ValueError("frame matrix is not constant")
+        W[i][j] = c.value
+        W[j][i] = -c.value
     return W
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
-    dim: int
-    samples: int
-    on_z_samples: int
-    closed_residual: float
-    min_pfaffian: float
-    threshold: float
-    verdict: bool
+def is_b_symplectic(omega: BForm) -> bool:
+    """Whether a 2-form with a constant frame matrix is b-symplectic.
 
-    def text(self) -> str:
-        lines = [
-            f"dim: {self.dim}",
-            f"samples: {self.samples}",
-            f"on_z_samples: {self.on_z_samples}",
-            f"closed_residual: {self.closed_residual!r}",
-            f"min_pfaffian: {self.min_pfaffian!r}",
-            f"threshold: {self.threshold!r}",
-            f"verdict: {'true' if self.verdict else 'false'}",
-        ]
-        return "\n".join(lines)
-
-
-_THRESHOLD = 1e-8  # closedness bound and smallest accepted |pfaffian|
-
-
-def is_b_symplectic(omega: BForm, samples: int = 128, seed: int = 7) -> SymplecticReport:
-    """Sampled closedness and nondegeneracy verdict for a degree-2 form.
-
-    The points are seeded uniform draws (`BChart.sample`), not a
-    low-discrepancy set.  Nondegeneracy is checked through the frame
-    matrix, which is smooth, so when the chart has a defining coordinate a
-    second batch of `samples` points lies on the hypersurface itself: that
-    is where rank loss would hide from box sampling.
+    Such a form is closed by construction, so the verdict is whether its
+    frame matrix is invertible, decided exactly in Fractions; an odd
+    dimension is singular.  A non-constant frame matrix is a ValueError.
     """
-    ch = omega.chart
-    if omega.degree != 2:
-        raise ValueError("verdict is defined for degree-2 forms")
-    if ch.dim % 2:
-        raise ValueError("chart dimension must be even")
-    nn = ch.dim * ch.dim
-    flatW = [e for row in frame_matrix(omega) for e in row]
-    fn = ex.compile_exprs(flatW + list(b_d(omega).coeffs.values()), ch.names)
-    pts, n_on_z = _sample_points(ch, samples, seed)
-    closed_residual = 0.0
-    min_pf = math.inf
-    for x in pts:
-        vals = fn(x)
-        closed_residual = max(closed_residual, max(map(abs, vals[nn:]), default=0.0))
-        min_pf = min(min_pf, abs(pfaffian(np.array(vals[:nn]).reshape(ch.dim, ch.dim))))
-    verdict = closed_residual <= _THRESHOLD and min_pf > _THRESHOLD
-    return SymplecticReport(
-        dim=ch.dim, samples=samples, on_z_samples=n_on_z,
-        closed_residual=closed_residual, min_pfaffian=min_pf,
-        threshold=_THRESHOLD, verdict=verdict,
-    )
-
-
-def _sample_points(ch: BChart, samples: int, seed: int) -> tuple[list[list[float]], int]:
-    """`samples` box points at `seed`, then `samples` on Z at `seed + 1`.
-
-    The second batch is drawn only when the chart has a defining
-    coordinate, whose column it sets to exactly 0.0.  Returns the points
-    and the size of that second batch.
-    """
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")  # else any form passes
-    pts = ch.sample(samples, seed)
-    if ch.defining is None:
-        return pts.tolist(), 0
-    zpts = ch.sample(samples, seed + 1)
-    zpts[:, ch.defining] = 0.0
-    return pts.tolist() + zpts.tolist(), samples
+    W = frame_matrix(omega)
+    try:
+        _fr_inv(W)
+    except ValueError:  # singular: frame_matrix raised before the try
+        return False
+    return True
 
 
 def bdarboux_model(n: int) -> BForm:
@@ -401,7 +302,7 @@ def bdarboux_model(n: int) -> BForm:
     names = []
     for i in range(1, n + 1):
         names += [f"x{i}", f"y{i}"]
-    ch = BChart(tuple(names), defining=1, box=((-1.5, 1.5),) * (2 * n))
+    ch = BChart(tuple(names), defining=1)
     coeffs = {(2 * i, 2 * i + 1): ONE for i in range(n)}
     return BForm(ch, 2, coeffs)
 
@@ -466,11 +367,8 @@ def invert_to_poisson(omega: BForm) -> PoissonBivector:
     matrix with a non-constant entry, or a singular one, is a ValueError.
     """
     ch = omega.chart
-    W = frame_matrix(omega)
-    if not all(isinstance(e, Const) for row in W for e in row):
-        raise ValueError("frame matrix is not constant")
     # _fr_inv returns the columns of W^-1, i.e. P[i][j] = (W^-1)[j][i]
-    P = _fr_inv([[e.value for e in row] for row in W])
+    P = _fr_inv(frame_matrix(omega))
     entries: dict[tuple[int, int], Expr] = {}
     for i in range(ch.dim):
         for j in range(i + 1, ch.dim):
@@ -502,6 +400,6 @@ def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(A)
     eye = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
     try:
-        return _fr_solve([list(map(Fraction, row)) for row in A], eye)
+        return _fr_solve(A, eye)
     except ValueError:
         raise ValueError("frame matrix is singular") from None

@@ -16,9 +16,11 @@ Jacobians are exact expression calculus, no finite differences.
 
 The lifted action is also the one owner of the numbers its readers share:
 the compiled lift moves covectors by dL_h^{-T}, which is what a connection's
-equivariance check reads, and `omega_matrix` is the canonical form's
-constant frame matrix, evaluated once, which the coupling identity and the
-moment-Hamilton check contract with.
+equivariance check reads.  The canonical form `omega` is built once, and
+its one exact frame matrix (`bcalc.frame_matrix`) is read three ways: the
+upstairs Poisson structure inverts it, `omega_matrix` is its float copy,
+which the coupling identity and the moment-Hamilton check contract with,
+and verify's canonical-layout section decides its nondegeneracy.
 """
 
 from __future__ import annotations
@@ -58,11 +60,7 @@ class BCotangentChart:
 
     @cached_property
     def chart(self) -> BChart:
-        return BChart(
-            names=self.base.names + self.fiber_names,
-            defining=self.base.defining,
-            box=self.base.box + ((-1.5, 1.5),) * self.n,
-        )
+        return BChart(self.base.names + self.fiber_names, self.base.defining)
 
     def split(self, point) -> tuple[np.ndarray, np.ndarray]:
         pt = np.asarray(point, dtype=float)
@@ -83,7 +81,7 @@ def canonical_bsymplectic(c: BCotangentChart) -> BForm:
 def trivialized_base_chart(pair: BLieGroupPair) -> BChart:
     """Chart (k_1..k_{n-1}, phi) of the split group chart, phi defining."""
     names = pair.h_names + (pair.phi_name,)
-    return BChart(names, len(names) - 1, pair.h_group.box + ((-1.5, 1.5),))
+    return BChart(names, len(names) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +90,9 @@ class LiftedAction:
     whose momenta are dual to the rescaled frame with phi defining.
 
     The action owns what it derives: the generator and moment expressions,
-    their compiled maps, the canonical frame matrix and the upstairs
-    Poisson structure are cached properties, each built on first use.
+    their compiled maps, the canonical form, its frame matrix and the
+    upstairs Poisson structure are cached properties, each built on first
+    use.
     """
 
     pair: BLieGroupPair
@@ -206,16 +205,19 @@ class LiftedAction:
         return ex.compile_exprs(self.moment_exprs, list(self.cot.chart.names))
 
     @cached_property
+    def omega(self) -> BForm:
+        """The canonical b-symplectic form on the cotangent chart."""
+        return canonical_bsymplectic(self.cot)
+
+    @cached_property
     def omega_matrix(self) -> np.ndarray:
-        """W_ij = omega(E_i, E_j) of the canonical form, evaluated once;
-        evaluate raises if an entry is not constant."""
-        W = frame_matrix(canonical_bsymplectic(self.cot))
-        return np.array([[ex.evaluate(e, {}) for e in row] for row in W])
+        """W_ij = omega(E_i, E_j), the float copy of `frame_matrix(omega)`."""
+        return np.array(frame_matrix(self.omega), dtype=float)
 
     @cached_property
     def upstairs_poisson(self) -> PoissonBivector:
         """The Poisson bivector inverse to the canonical form on the cotangent chart."""
-        return invert_to_poisson(canonical_bsymplectic(self.cot))
+        return invert_to_poisson(self.omega)
 
     def act(self, h: Sequence[float], point: Sequence[float]) -> np.ndarray:
         """Cotangent lift of translation by h applied to (base, momenta).

@@ -24,7 +24,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,8 +109,6 @@ _VERIFY_KEYS = {"samples", "tolerance"}
 _CONNECTION_KEYS = {"xi", "scale", "b_leg"}
 _BUILTIN_KEYS = {"builtin", "n"}
 _CUSTOM_KEYS = {"labels", "constants", "basis"}
-# a flow.casimirs label is a CSV column name: a `name` of the expression grammar
-_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def _check_keys(section: str, options: dict, known: set[str]) -> None:
@@ -376,7 +373,8 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     m = len(names) - 2
     fl = dict(cfg.flow)
     for label in fl.get("casimirs", {}):
-        if not _LABEL.fullmatch(label) or label in ("t", "H", *names):
+        # a label is a CSV column name: a `name` of the expression grammar
+        if not ex.NAME.fullmatch(label) or label in ("t", "H", *names):
             raise ConfigError(f"flow.casimirs.{label}: a label must be a name other "
                               f"than t, H and the coordinates {', '.join(names)}")
     x0 = fl.get("x0", [0.0] * m + [1.0, 0.0])

@@ -69,6 +69,9 @@ Grammar (EBNF), also the canonical serialization used in config files::
     name    = letter { letter | digit | "_" } ;
     number  = digits [ "." digits ] ;
     integer = [ "-" ] digits ;
+    digits  = digit { digit } ;
+    letter  = "A" | ... | "Z" | "a" | ... | "z" ;
+    digit   = "0" | ... | "9" ;
 
 Decimal literals are converted to exact rationals, so `0.25` parses to the
 constant 1/4 and prints back as `1/4`.  log takes its argument as written:
@@ -78,6 +81,7 @@ there is no implicit absolute value.
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -87,7 +91,7 @@ __all__ = [
     "Environment", "parse", "evaluate", "grad", "eval_exact", "diff", "subs",
     "free_vars", "to_str", "compile_exprs", "as_expr", "is_zero", "dot",
     "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
-    "ZERO", "ONE", "MINUS_ONE",
+    "ZERO", "ONE", "MINUS_ONE", "NAME",
 ]
 
 Environment = Mapping[str, float]
@@ -392,6 +396,12 @@ def log(x) -> Expr:
 # parsing
 # ---------------------------------------------------------------------------
 
+# the grammar's `name`, and `number` with an unfinished fraction allowed,
+# which the tokenizer refuses as malformed
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]*)?")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -423,24 +433,14 @@ class _Tokenizer:
             if ch in "+-*/^()":
                 self.tokens.append(("op", ch, line, col))
                 self._advance(1)
-            elif ch.isdigit():
-                j = self.pos
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == ".":
-                    j += 1
-                    if j >= len(text) or not text[j].isdigit():
-                        raise ExprSyntaxError("malformed number", line, col)
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                self.tokens.append(("num", text[self.pos:j], line, col))
-                self._advance(j - self.pos)
-            elif ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[self.pos:j], line, col))
-                self._advance(j - self.pos)
+            elif m := _NUMBER.match(text, self.pos):
+                if m.group().endswith("."):
+                    raise ExprSyntaxError("malformed number", line, col)
+                self.tokens.append(("num", m.group(), line, col))
+                self._advance(m.end() - self.pos)
+            elif m := NAME.match(text, self.pos):
+                self.tokens.append(("name", m.group(), line, col))
+                self._advance(m.end() - self.pos)
             else:
                 raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
         self.tokens.append(("end", "", self.line, self.col))

@@ -345,9 +345,7 @@ def coupled_chart(theta: Connection) -> BChart:
     """Chart (k, phi, mu_a, p) that psi_theta maps the cotangent chart onto."""
     base = theta.chart
     mu_names = tuple(dual_names(theta.pair.h_algebra))
-    names = base.names + mu_names + ("p",)
-    box = base.box + tuple((-1.5, 1.5) for _ in range(len(mu_names) + 1))
-    return BChart(names, base.defining, box)
+    return BChart(base.names + mu_names + ("p",), base.defining)
 
 
 def psi_map_exprs(theta: Connection) -> list[Expr]:

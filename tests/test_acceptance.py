@@ -111,12 +111,15 @@ def test_criterion_6_singular_calculus():
     assert dd == 0.0
     logd, _ = verify._sec_log_derivative(se2, _opts())
     assert logd == 0.0
+    # the b-Darboux models are b-symplectic, exactly closed, and invert
+    # exactly to {x1, y1} = y1, {xi, yi} = 1 (so their Pfaffian is 1 exactly)
     for n in (1, 2, 3):
-        rep = bcalc.is_b_symplectic(bcalc.bdarboux_model(n), samples=64,
-                                    seed=42)
-        assert rep.verdict
-        assert rep.closed_residual == 0.0
-        assert abs(rep.min_pfaffian) == 1.0
+        model = bcalc.bdarboux_model(n)
+        assert bcalc.is_b_symplectic(model) is True
+        assert bcalc.b_d(model).coeffs == {}
+        assert bcalc.invert_to_poisson(model).table() == [
+            ("x1", "y1", "y1"), *((f"x{i}", f"y{i}", "1") for i in range(2, n + 1))]
+    assert verify._sec_normal_form_model(lie.builtin("se2"), _opts())[0] == 0.0
     for name in GROUPS:
         layout, _ = verify._sec_canonical_layout(lie.builtin(name), _opts())
         assert layout == 0.0, name

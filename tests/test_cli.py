@@ -196,6 +196,7 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"flow": {"casimirs": {"H": "mu_P2"}}}, "flow.casimirs.H"),
     (["flow"], {"flow": {"casimirs": {"t": "mu_P2"}}}, "flow.casimirs.t"),
     (["flow"], {"flow": {"casimirs": {"phi": "mu_P2"}}}, "flow.casimirs.phi"),
+    (["flow"], {"flow": {"hamiltonian": "_p"}}, "flow.hamiltonian"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)

@@ -250,7 +250,10 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
         except (OverflowError, ex.DomainError) as exc:
             raise dyn.ChartExitError(f"field evaluation failed at t={t:.6g}: {exc}", t) from exc
         xt = to_chart(state)
-        dyn._check_box(xt, vf.names, (k + 1) * dt)
+        for i, v in enumerate(xt):
+            if not math.isfinite(v):
+                t = (k + 1) * dt
+                raise dyn.ChartExitError(f"{vf.names[i]} became non-finite at t={t:.6g}", t)
         rows[k + 1] = xt
         values[k + 1] = invariants_at(xt, (k + 1) * dt)
     drifts = np.max(np.abs(values - values[0]), axis=0).tolist()

@@ -198,12 +198,33 @@ def test_constant_folding():
     ("-" * 1000 + "x", 1, 101),
     ("sin(" * 101 + "x" + ")" * 101, 1, 401),
     ("-(" * 51 + "x" + ")" * 51, 1, 101),
+    # names and digits are ASCII, as the grammar writes them
+    ("_x", 1, 1),
+    ("é1", 1, 1),
+    ("x²", 1, 2),
+    ("٣", 1, 1),
+    ("1.٣", 1, 1),
+    ("²", 1, 1),
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ExprSyntaxError) as info:
         parse(text)
     assert info.value.line == line
     assert info.value.col == col
+
+
+@pytest.mark.parametrize("text,message", [
+    ("_x", "unexpected character '_'"),
+    ("é1", "unexpected character 'é'"),
+    ("x²", "unexpected character '²'"),
+    ("٣", "unexpected character '٣'"),
+    ("²", "unexpected character '²'"),
+    ("1.٣", "malformed number"),  # as "1.x": the fraction needs a digit
+])
+def test_only_ascii_letters_and_digits_scan(text, message):
+    with pytest.raises(ExprSyntaxError, match=f"^{message} "):
+        parse(text)
+    assert expr.free_vars(parse("x_1*A9 + b_")) == {"x_1", "A9", "b_"}
 
 
 @pytest.mark.parametrize("text,col,message", [
@@ -532,7 +553,7 @@ def test_structurally_equal_expressions_are_one_node():
 
 
 def test_b_d_of_a_coordinate_is_the_one_constant_one():
-    ch = bcalc.BChart(("z1", "z2", "z3"), 0, ((-1.5, 1.5),) * 3)
+    ch = bcalc.BChart(("z1", "z2", "z3"), 0)
     for k in (1, 2):
         assert bcalc.b_d(bcalc.BForm(ch, 0, {(): Var(ch.names[k])})).coeffs == {(k,): expr.ONE}
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import bsymp.expr as ex
-from bsymp import blift, cli, lie, verify
+from bsymp import bcalc, blift, cli, lie, verify
 from bsymp import dynamics as dyn
 from bsymp import reduction as red
 
@@ -110,11 +110,12 @@ def test_connection_independence_compiles_per_connection_not_per_sample(monkeypa
     assert counts[0] == counts[1] <= 4
 
 
-def test_galilean_suite_compiles_at_most_18_maps(monkeypatch):
+def test_galilean_suite_compiles_at_most_16_maps(monkeypatch):
     # each connection compiles theta, psi with its Jacobian and its coupling
     # target, nothing more: reduced points read psi and the subgroup's Ad,
-    # equivariance reads the lifted action, and all three connections share
-    # the subgroup's one Maurer-Cartan build
+    # equivariance reads the lifted action, all three connections share
+    # the subgroup's one Maurer-Cartan build, and the two b-symplectic
+    # verdicts are exact, so they compile nothing
     pair = lie._galilean()  # a fresh pair, nothing compiled for it yet
     calls = []
     compile_exprs = ex.compile_exprs
@@ -125,7 +126,7 @@ def test_galilean_suite_compiles_at_most_18_maps(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_exprs", counted)
     assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
-    assert len(calls) <= 18
+    assert len(calls) <= 16
     mc = pair.h_group.maurer_cartan_sym
     for theta in verify._connection_cases(pair):
         assert all(f.coeffs[(j,)] is mc[a][j] for a, f in enumerate(theta.forms)
@@ -187,6 +188,25 @@ def test_suite_builds_one_symbolic_adjoint_per_subgroup(monkeypatch):
     pair = lie._se2()  # a fresh pair, nothing built for it yet
     assert verify.run_suite(pair, small()).passed
     assert built == [pair.h_group]
+
+
+def test_symplectic_verdicts_read_one_on_a_singular_form(monkeypatch):
+    # both sections decide exactly: 0.0 on the real forms, 1.0 when the form
+    # they read is singular, or, for the model, nondegenerate with another
+    # inverse
+    opts = small()
+    pair = lie._se2()  # a fresh pair, so its action is not shared
+    assert verify._sec_normal_form_model(pair, opts) == (0.0, 1e-9)
+    assert verify._sec_canonical_layout(pair, opts) == (0.0, 0.0)
+    act = red._action(pair)
+    n = act.cot.n
+    act.__dict__["omega"] = bcalc.BForm(act.cot.chart, 2, {(0, n): ex.ONE})
+    assert verify._sec_canonical_layout(pair, opts) == (1.0, 0.0)
+    model = bcalc.bdarboux_model(3)
+    dropped = bcalc.BForm(model.chart, 2, {(0, 1): ex.ONE, (2, 3): ex.ONE})
+    for wrong in (dropped, model.scaled(2)):
+        monkeypatch.setattr(bcalc, "bdarboux_model", lambda n: wrong)
+        assert verify._sec_normal_form_model(pair, opts) == (1.0, 1e-9)
 
 
 def test_failing_section_is_named():

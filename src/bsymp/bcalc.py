@@ -248,17 +248,10 @@ def b_d(omega: BForm) -> BForm:
 
 
 def d_bfunction(u: BFunction) -> BForm:
-    """d(c log|f| + g) = c df/f + dg, a smooth-coefficient 1-form."""
+    """d(c log|f| + g) = c df/f + dg: b_d of the smooth part g, plus c on
+    the defining slot."""
     ch = u.chart
-    out: dict[tuple[int, ...], Expr] = {}
-    for j in range(ch.dim):
-        dg = ex.diff(u.smooth, ch.names[j])
-        coeff = ch.scale(j) * dg
-        if j == ch.defining:
-            coeff = coeff + Const(Fraction(u.c))
-        if not ex.is_zero(coeff):
-            out[(j,)] = coeff
-    return BForm(ch, 1, out)
+    return b_d(BForm(ch, 0, {(): u.smooth})) + BForm(ch, 1, {(ch.defining,): Const(Fraction(u.c))})
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ class RunConfig:
     connection: dict | None = None
     seed: int = 42
     samples: int | None = None
-    tolerance: float | None = None
     flow: dict = field(default_factory=dict)
     out_dir: str = "."
 
@@ -75,19 +74,21 @@ class RunConfig:
         return self.algebra
 
 
-def _fraction(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ConfigError(f"not a rational number: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"bad rational {v!r}") from e
+def _fraction(key: str, v) -> Fraction:
+    """A rational config value: an integer, or a string of the expression
+    grammar that folds to a constant (`"1/2"`, `"-3"`, `"0.25"`).  Both are
+    read by the grammar, which bounds their digits and refuses a constant
+    whose float overflows."""
     if isinstance(v, float) and v.is_integer():
-        return Fraction(int(v))
-    raise ConfigError(f"not a rational number: {v!r}")
+        v = int(v)
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
+        try:
+            c = ex.parse(str(v))
+        except ex.ExprSyntaxError as e:
+            raise ConfigError(f"{key}: {e}") from e
+        if isinstance(c, ex.Const):
+            return c.value
+    raise ConfigError(f"{key} must be an integer or a rational string, got {v!r}")
 
 
 def _number(key: str, value, integer: bool = False):
@@ -99,13 +100,19 @@ def _number(key: str, value, integer: bool = False):
     kind = "an integer" if integer else "a number"
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if integer:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    return value if integer else float(value)
+    return value
 
 
 _FLOW_KEYS = {"hamiltonian", "x0", "dt", "T", "method", "substitution", "casimirs"}
-_VERIFY_KEYS = {"samples", "tolerance"}
+_VERIFY_KEYS = {"samples"}
 _CONNECTION_KEYS = {"xi", "scale", "b_leg"}
 _BUILTIN_KEYS = {"builtin", "n"}
 _CUSTOM_KEYS = {"labels", "constants", "basis"}
@@ -122,23 +129,24 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     labels = spec.get("labels")
     if not isinstance(labels, list) or not labels or \
             not all(isinstance(s, str) for s in labels):
-        raise ConfigError("custom group needs a non-empty list of labels")
+        raise ConfigError("group.labels must be a non-empty list of strings")
     repeated = sorted(s for s, k in Counter(labels).items() if k > 1)
     if repeated:
         raise ConfigError(f"group.labels must be distinct, repeated: {repeated}")
     n = len(labels)
     rows = spec.get("constants")
     if not isinstance(rows, list):
-        raise ConfigError("custom group needs constants: [[i, j, k, value], ...]")
+        raise ConfigError("group.constants must be a list of [i, j, k, value] rows")
     constants: dict[tuple[int, int], list[Fraction]] = {}
-    for row in rows:
+    for r, row in enumerate(rows):
+        key = f"group.constants[{r}]"
         if not (isinstance(row, list) and len(row) == 4):
-            raise ConfigError(f"bad constants row {row!r}")
+            raise ConfigError(f"{key} must be [i, j, k, value], got {row!r}")
         i, j, k, val = row
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < n:
-                raise ConfigError(f"index out of range in {row!r}")
-        constants.setdefault((i, j), [Fraction(0)] * n)[k] += _fraction(val)
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < n:
+                raise ConfigError(f"{key}: index out of range in {row!r}")
+        constants.setdefault((i, j), [Fraction(0)] * n)[k] += _fraction(key, val)
     # fill the unstated orientation so sparse input stays antisymmetric
     for (i, j), rowv in list(constants.items()):
         if (j, i) not in constants:
@@ -156,7 +164,13 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
             if not (isinstance(M, list) and len(M) == m > 0
                     and all(isinstance(r, list) and len(r) == m for r in M)):
                 raise ConfigError(f"group.basis must hold square matrices of one size, got {M!r}")
-        basis = [tuple(tuple(_fraction(v) for v in r) for r in M) for M in raw]
+        basis = [tuple(tuple(_fraction(f"group.basis[{a}][{r}][{c}]", v)
+                             for c, v in enumerate(row)) for r, row in enumerate(M))
+                 for a, M in enumerate(raw)]
+        try:  # linearly independent and closed under commutators
+            lie.structure_constants_from_matrices(basis)
+        except ValueError as e:
+            raise ConfigError(f"group.basis: {e}") from e
     return alg, basis
 
 
@@ -168,7 +182,7 @@ def load_config(path: str | None) -> RunConfig:
                 data = json.load(fh)
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -224,10 +238,6 @@ def load_config(path: str | None) -> RunConfig:
         cfg.samples = _number("verify.samples", vopts["samples"], integer=True)
         if cfg.samples <= 0:
             raise ConfigError("verify.samples must be positive")
-    if "tolerance" in vopts:
-        cfg.tolerance = _number("verify.tolerance", vopts["tolerance"])
-        if cfg.tolerance <= 0:
-            raise ConfigError("verify.tolerance must be positive")
 
     flow = data.get("flow", {})
     if not isinstance(flow, dict):
@@ -330,18 +340,8 @@ def cmd_describe(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    opts = verify.VerifyOptions(seed=cfg.seed, samples=cfg.samples,
-                                tolerance=cfg.tolerance)
-    extra = ()
-    if cfg.builtin is None and cfg.basis is not None:
-        try:
-            worst = verify.commutator_defect(cfg.algebra, cfg.basis)
-        except ValueError as e:
-            raise ConfigError(f"group.basis: {e}") from e
-        extra = (verify.SectionResult("lie: commutator-match", worst, 0.0),)
-    rep = verify.run_suite(cfg.subject(), opts)
-    if extra:
-        rep = verify.VerifyReport(rep.subject, rep.seed, rep.sections + extra)
+    opts = verify.VerifyOptions(seed=cfg.seed, samples=cfg.samples)
+    rep = verify.run_suite(cfg.subject(), opts, cfg.basis)
     print(rep.text())
     return 0 if rep.passed else 1
 
@@ -459,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", metavar="PATH", default=None)
     ap.add_argument("--seed", metavar="N", type=int, default=None)
     ap.add_argument("--out", metavar="PATH", default=None)
-    ap.add_argument("--tolerance", metavar="X", type=float, default=None)
     ap.add_argument("--group", metavar="NAME", default=None,
                     help="built-in group, overrides the config")
     return ap
@@ -475,10 +474,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.tolerance is not None:
-            cfg.tolerance = _number("--tolerance", args.tolerance)
-            if cfg.tolerance <= 0:
-                raise ConfigError("--tolerance must be positive")
         if args.group is not None:
             cfg.builtin = args.group
             cfg.algebra = None

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -81,10 +82,11 @@ def _nonzero(M) -> list[tuple[int, int, object]]:
     return [(r, c, v) for r, row in enumerate(M) for c, v in enumerate(row) if v]
 
 
-def _expand_in_basis(M, basis: Sequence[FrMatrix], pinv: list[list[Fraction]], tol: float = 1e-10):
-    """Coefficients of M in the basis; raises SpanError on a real residual.
+def _expand_in_basis(M, basis: Sequence[FrMatrix], pinv: list[list[Fraction]], tol: float = 0):
+    """Coefficients of M in the basis; raises SpanError on a residual above tol.
 
-    Works uniformly for Fraction matrices (exact residual) and float arrays.
+    Works uniformly for Fraction matrices, whose residual is exact and must
+    be 0, and float arrays, whose callers pass a rounding tolerance.
     Zero entries of M, zero pinv weights and zero coefficients are skipped:
     the sums of what is left are the same exact values.
     """
@@ -96,9 +98,10 @@ def _expand_in_basis(M, basis: Sequence[FrMatrix], pinv: list[list[Fraction]], t
         if ca:
             for r, c, v in _nonzero(Ba):
                 back[r][c] += ca * v
-    resid = max(abs(float(M[r][c] - back[r][c])) for r in range(m) for c in range(m))
+    resid = max(abs(M[r][c] - back[r][c]) for r in range(m) for c in range(m))
     if resid > tol:
-        raise SpanError(f"matrix not in basis span (residual {resid:.3e})")
+        shown = math.inf if resid > sys.float_info.max else float(resid)
+        raise SpanError(f"matrix not in basis span (residual {shown:.3e})")
     return coeffs
 
 
@@ -182,8 +185,8 @@ def structure_constants_from_matrices(basis: Sequence) -> LieAlgebra:
     """Exact structure constants from commutators of rational basis matrices.
 
     This is the reference oracle for every built-in algebra: commutators are
-    computed in exact arithmetic and re-expanded in the basis; any residual
-    above 1e-10 is an error.
+    computed in exact arithmetic and re-expanded in the basis; any nonzero
+    residual is an error.
     """
     mats = [tuple(tuple(Fraction(v) for v in row) for row in M) for M in basis]
     d = len(mats)
@@ -413,7 +416,7 @@ def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarra
     X = sequence_values(G.labels, X)
     Xm = sum(c * np.array(B, dtype=float) for c, B in zip(X, G.basis))
     conj = G.chart(g) @ Xm @ G.chart(group_inv(G, g))
-    return np.array(_expand_in_basis(conj, G.basis, G.basis_pinv), dtype=float)
+    return np.array(_expand_in_basis(conj, G.basis, G.basis_pinv, 1e-10), dtype=float)
 
 
 def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> np.ndarray:

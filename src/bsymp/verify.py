@@ -1,7 +1,8 @@
 """Section-based self-checks behind the command line verify command.
 
 Each section recomputes one family of invariants for a configured group
-and reports a residual against a fixed tolerance.  Exact algebraic checks
+and reports a residual against its tolerance, a literal in the section
+that no option or config key moves.  Exact algebraic checks
 carry tolerance zero; sampled analytic identities carry the tolerances the
 test suite enforces.  The bcalc sections are exact: derivative-squared
 and log-derivative evaluate in rationals, and the two b-symplectic
@@ -11,7 +12,8 @@ keeps its tolerance of 1e-9).  Everything is seeded from one integer, so
 reruns of the same configuration produce the same bytes.
 
 Groups given only by structure constants (no matrix chart) run the algebra
-sections and skip everything that needs the group or its cotangent side.
+sections, and commutator-match when a matrix basis comes with them, and
+skip everything that needs the group or its cotangent side.
 
 The sections of one pair share its lifted action and its three checked
 connections, both kept on the pair, so a rerun on the same pair builds
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -37,8 +40,7 @@ from bsymp import reduction as red
 @dataclass(frozen=True)
 class VerifyOptions:
     seed: int = 42
-    samples: int | None = None      # override for sampled section sizes
-    tolerance: float | None = None  # override for inexact tolerances
+    samples: int | None = None  # override for sampled section sizes
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,6 @@ def _count(opts: VerifyOptions, default: int) -> int:
     return default if opts.samples is None else max(4, opts.samples)
 
 
-def _tol(opts: VerifyOptions, default: float) -> float:
-    return default if opts.tolerance is None else opts.tolerance
-
-
 def _poly(rng, names, terms=3, deg=2):
     acc = ex.as_expr(rng.uniform(-1, 1))
     for _ in range(terms):
@@ -103,29 +101,33 @@ def _poly(rng, names, terms=3, deg=2):
 
 
 def _sec_antisymmetry(L: lie.LieAlgebra, opts):
-    return float(L.antisymmetry_defect()), 0.0
+    return L.antisymmetry_defect(), 0.0
 
 
 def _sec_jacobi(L: lie.LieAlgebra, opts):
-    return float(L.jacobi_defect()), 0.0
+    return L.jacobi_defect(), 0.0
 
 
 def _jacobi_residual(P: bcalc.PoissonBivector, rng, count: int) -> float:
     """Largest |Jacobiator| of `count` random polynomial triples, each
-    evaluated at one random point; the draws come from rng in that order."""
+    evaluated at one random point; the draws come from rng in that order.
+    A Jacobiator past the float range reads inf."""
     names = list(P.names)
     worst = 0.0
     for _ in range(count):
         F, G, K = (_poly(rng, names) for _ in range(3))
         jac = P.jacobiator(F, G, K)
         env = {nm: rng.uniform(-1, 1) for nm in names}
-        worst = max(worst, abs(ex.evaluate(jac, env)))
+        try:
+            worst = max(worst, abs(ex.evaluate(jac, env)))
+        except ex.DomainError:
+            return math.inf
     return worst
 
 
 def _sec_lp_jacobi(L: lie.LieAlgebra, opts):
     rng = random.Random(opts.seed * 5 + 1)
-    return _jacobi_residual(L.lie_poisson, rng, _count(opts, 50)), _tol(opts, 1e-9)
+    return _jacobi_residual(L.lie_poisson, rng, _count(opts, 50)), 1e-9
 
 
 ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
@@ -139,7 +141,7 @@ ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
 # group-level sections
 
 
-def commutator_defect(L: lie.LieAlgebra, basis) -> float:
+def commutator_defect(L: lie.LieAlgebra, basis) -> Fraction:
     """Largest |c^k_ij| difference between L and the constants recomputed
     from the commutators of basis matrices; exact, so a match is 0."""
     redone = lie.structure_constants_from_matrices(basis)
@@ -148,7 +150,7 @@ def commutator_defect(L: lie.LieAlgebra, basis) -> float:
         for j in range(L.dim):
             a, b = L.c(i, j), redone.c(i, j)
             worst = max([worst] + [abs(x - y) for x, y in zip(a, b)])
-    return float(worst)
+    return worst
 
 
 def _sec_commutator_match(pair, opts):
@@ -229,7 +231,7 @@ def _sec_normal_form_model(pair, opts):
     want = {(0, 1): Var(model.chart.defining_name), (2, 3): ex.ONE, (4, 5): ex.ONE}
     exact = (bcalc.is_b_symplectic(model)
              and bcalc.invert_to_poisson(model).entries == want)
-    return float(not exact), _tol(opts, 1e-9)
+    return float(not exact), 1e-9
 
 
 def _sec_canonical_layout(pair, opts):
@@ -256,7 +258,7 @@ def _sec_action_law(pair, opts):
         k_dist = lie.param_distance(H, one[:len(h1)], two[:len(h1)])
         rest = max(abs(a - b) for a, b in zip(one[len(h1):], two[len(h1):]))
         worst = max(worst, k_dist, rest)
-    return worst, _tol(opts, 1e-9)
+    return worst, 1e-9
 
 
 def _sec_moment_hamilton(pair, opts):
@@ -283,7 +285,7 @@ def _sec_moment_hamilton(pair, opts):
             G, dmu = np.array(fn(x)).reshape(2, m, n)
             lhs = (X @ G) @ W
             worst = max(worst, float(np.max(np.abs(lhs - X @ dmu))))
-    return worst, _tol(opts, 1e-8)
+    return worst, 1e-8
 
 
 def _sec_moment_equivariance(pair, opts):
@@ -299,7 +301,7 @@ def _sec_moment_equivariance(pair, opts):
         lhs = act.moment_vector(act.act(h, x))
         rhs = lie.coadjoint_star(H, h, act.moment_vector(x))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, _tol(opts, 1e-9)
+    return worst, 1e-9
 
 
 def _connection_cases(pair):
@@ -325,7 +327,7 @@ def _sec_connection_axioms(pair, opts):
     worst = 0.0
     for theta in _connection_cases(pair):
         worst = max(worst, red._axiom_residual(theta, 30, opts.seed + 7))
-    return worst, _tol(opts, 1e-9)
+    return worst, 1e-9
 
 
 def _sec_splitting_roundtrip(pair, opts):
@@ -342,7 +344,7 @@ def _sec_splitting_roundtrip(pair, opts):
             alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
             back2 = red.psi_theta_inverse(theta, red.psi_theta(theta, g, alpha))
             worst = max(worst, float(np.max(np.abs(back2 - np.array(alpha)))))
-    return worst, _tol(opts, 1e-12)
+    return worst, 1e-12
 
 
 def _sec_coupling_identity(pair, opts):
@@ -363,7 +365,7 @@ def _sec_coupling_identity(pair, opts):
             w = [rng.uniform(-1, 1) for _ in names]
             worst = max(worst,
                         red.coupling_identity_residual(theta, x, v, w))
-    return worst, _tol(opts, 1e-8)
+    return worst, 1e-8
 
 
 def _sec_connection_independence(pair, opts):
@@ -386,13 +388,12 @@ def _sec_connection_independence(pair, opts):
             want = rp.bracket_value(ex.subs(F, tau), ex.subs(G, tau),
                                     cases[0].reduced_point(x))
             worst = max(worst, abs(up - want))
-    return worst, _tol(opts, 1e-8)
+    return worst, 1e-8
 
 
 def _sec_reduced_jacobi(pair, opts):
     rng = random.Random(opts.seed * 37 + 11)
-    return (_jacobi_residual(red.reduced_poisson(pair), rng, _count(opts, 20)),
-            _tol(opts, 1e-9))
+    return _jacobi_residual(red.reduced_poisson(pair), rng, _count(opts, 20)), 1e-9
 
 
 def _reduced_flow_field(pair):
@@ -412,7 +413,7 @@ def _sec_flow_endpoint(pair, opts):
     rp, vf, m = _reduced_flow_field(pair)
     x0 = [0.0] * m + [1.0, 0.0]
     tr = dyn.integrate(vf, x0, 1e-3, 1.0)
-    return abs(tr.final[m] - math.e), _tol(opts, 1e-6)
+    return abs(tr.final[m] - math.e), 1e-6
 
 
 def _sec_slice_hold(pair, opts):
@@ -459,9 +460,9 @@ def _sec_energy_drift(pair, opts):
             except dyn.ChartExitError:
                 x0 = [0.5 * v for v in x0]
         else:
-            return math.inf, _tol(opts, 1e-6)
+            return math.inf, 1e-6
         worst = max(worst, tr.energy_drift / (1.0 + abs(float(tr.invariants[0, 0]))))
-    return worst, _tol(opts, 1e-6)
+    return worst, 1e-6
 
 
 GROUP_SECTIONS: list[tuple[str, Callable]] = [
@@ -485,21 +486,22 @@ GROUP_SECTIONS: list[tuple[str, Callable]] = [
 ]
 
 
-def run_suite(subject, opts: VerifyOptions | None = None) -> VerifyReport:
-    """Run every applicable section for a group pair or a bare algebra."""
+def run_suite(subject, opts: VerifyOptions | None = None, basis=None) -> VerifyReport:
+    """Run every applicable section for a group pair or a bare algebra; a
+    bare algebra's matrix `basis`, if given, adds commutator-match last."""
     opts = opts or VerifyOptions()
-    results = []
     if isinstance(subject, lie.LieAlgebra):
-        label = "algebra(" + ",".join(subject.labels) + ")"
-        for name, fn in ALGEBRA_SECTIONS:
-            resid, tol = fn(subject, opts)
-            results.append(SectionResult(name, float(resid), float(tol)))
-        return VerifyReport(label, opts.seed, tuple(results))
-    pair = subject
-    for name, fn in ALGEBRA_SECTIONS:
-        resid, tol = fn(pair.group.algebra, opts)
-        results.append(SectionResult(name, float(resid), float(tol)))
-    for name, fn in GROUP_SECTIONS:
-        resid, tol = fn(pair, opts)
-        results.append(SectionResult(name, float(resid), float(tol)))
-    return VerifyReport(pair.name, opts.seed, tuple(results))
+        label, algebra, rest = "algebra(" + ",".join(subject.labels) + ")", subject, []
+        if basis is not None:
+            rest = [("lie: commutator-match",
+                     lambda _, o: (commutator_defect(algebra, basis), 0.0))]
+    else:
+        label, algebra, rest = subject.name, subject.group.algebra, GROUP_SECTIONS
+    results = []
+    for name, fn, arg in [*((n, f, algebra) for n, f in ALGEBRA_SECTIONS),
+                          *((n, f, subject) for n, f in rest)]:
+        resid, tol = fn(arg, opts)
+        # an exact residual past the float range reads inf, and fails
+        resid = math.inf if resid > sys.float_info.max else float(resid)
+        results.append(SectionResult(name, resid, float(tol)))
+    return VerifyReport(label, opts.seed, tuple(results))

@@ -141,7 +141,7 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"flow": {"x0": [0.0, 0.0, math.nan, 0.0]}}, "flow.x0[2]"),
     (["reduce"], {"connection": {"xi": ["a", 0], "scale": "1"}}, "connection.xi[0]"),
     (["describe"], {"group": {"labels": ["X", "Y"],
-                              "constants": [[0, 1, 0, math.inf]]}}, "not a rational"),
+                              "constants": [[0, 1, 0, math.inf]]}}, "group.constants[0]"),
     (["flow"], {"flow": {"casimirs": ["mu_P1"]}}, "flow.casimirs"),
     (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
                             "basis": [[[1]], [[2]]]}}, "group.basis"),
@@ -197,11 +197,54 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"flow": {"casimirs": {"t": "mu_P2"}}}, "flow.casimirs.t"),
     (["flow"], {"flow": {"casimirs": {"phi": "mu_P2"}}}, "flow.casimirs.phi"),
     (["flow"], {"flow": {"hamiltonian": "_p"}}, "flow.hamiltonian"),
+    (["describe"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "1e5000"]]}},
+     "group.constants[0]: unexpected 'e5000'"),
+    (["bracket-table"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "1e5000"]]}},
+     "group.constants[0]: unexpected 'e5000'"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "1e5000"]]}},
+     "group.constants[0]: unexpected 'e5000'"),
+    (["describe"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "1e100000000"]]}},
+     "group.constants[0]"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, 10 ** 400]]}},
+     "group.constants[0]: constant too large for a float"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "9" * 5000]]}},
+     "group.constants[0]: number has too many digits"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [[0, 1, 0, "1/2 + x"]]}},
+     "group.constants[0] must be an integer or a rational string"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
+                            "basis": [[[0, 1], [0, 0]], [[0, 0], ["1e400", 0]]]}},
+     "group.basis[1][1][0]"),
+    (["flow"], {"flow": {"dt": 10 ** 400}}, "flow.dt must be finite"),
+    (["reduce"], {"connection": {"xi": [10 ** 400, 0], "scale": "1"}},
+     "connection.xi[0] must be finite"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
+                            "basis": [[[0, 1], [0, 0]], [[0, 0], ["1/100000000000", 0]]]}},
+     "group.basis: matrix not in basis span (residual 1.000e-11)"),
+    (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
+                            "basis": [[[0, 10 ** 300], [0, 0]], [[0, 0], [10 ** 300, 0]]]}},
+     "group.basis: matrix not in basis span (residual inf)"),
+    (["verify"], {"verify": {"tolerance": 1e-8}}, "verify.tolerance: unknown key"),
+    (["describe"], {"group": {"labels": ["X", "Y"], "constants": [[True, 0, 1, "1"]]}},
+     "group.constants[0]: index out of range"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)
     assert cli.main([*argv, "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    err = capsys.readouterr().err
+    if key == "--tolerance":
+        # the flag is gone: argparse refuses it before any config is read
+        assert f"error: unrecognized arguments: {key}" in err
+    else:
+        assert err.startswith(f"config error: {key}")
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.load refuses a 5001-digit integer with a plain ValueError, before
+    # any key is read
+    p = tmp_path / "cfg.json"
+    p.write_text('{"seed": ' + "9" * 5001 + "}")
+    assert cli.main(["verify", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -220,9 +263,11 @@ def test_unknown_command_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_nonpositive_tolerance_flag_exits_2(capsys):
-    assert cli.main(["verify", "--tolerance", "-3"]) == 2
-    capsys.readouterr()
+def test_tolerance_flag_is_refused(capsys):
+    # no flag or config key moves a section's tolerance
+    for value in ("1e-8", "-3"):
+        assert cli.main(["verify", "--tolerance", value]) == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

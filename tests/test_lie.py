@@ -52,9 +52,12 @@ def test_oracle_rational_entries():
 
 
 def test_oracle_span_error():
-    # [E12, E21] = E11 - E22 is outside span{E12, E21}
-    with pytest.raises(lie.SpanError):
-        lie.structure_constants_from_matrices([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    # [E12, c E21] = c (E11 - E22) is outside span{E12, E21}; exact input
+    # has no rounding tolerance, so c = 1e-11 is refused too
+    for c, shown in ((1, "1.000e+00"), (Fraction(1, 10 ** 11), "1.000e-11")):
+        with pytest.raises(lie.SpanError) as err:
+            lie.structure_constants_from_matrices([[[0, 1], [0, 0]], [[0, 0], [c, 0]]])
+        assert str(err.value) == f"matrix not in basis span (residual {shown})"
 
 
 def dense_structure_constants(basis):

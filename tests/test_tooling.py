@@ -1,4 +1,5 @@
-"""Tooling guards: exported names, and the benchmark scripts that reach into bsymp.
+"""Tooling guards: exported names, the README's flag list, and the benchmark
+scripts that reach into bsymp.
 
 The tracer and the node counter under bench/ find their targets by name.
 A renamed function or member would silently drop its span or its count,
@@ -9,11 +10,13 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import bsymp
+from bsymp import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +29,19 @@ def test_every_exported_name_resolves():
         assert [n for n in names if not hasattr(mod, n)] == [], info.name
         exporting += bool(names)
     assert exporting >= 4
+
+
+def test_readme_usage_names_exactly_the_parser_flags():
+    # the usage block under "## Command line" is the flag list readers see;
+    # a flag added to or removed from the parser must change it too
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    parser = cli._build_parser()
+    flags = {opt for action in parser._actions for opt in action.option_strings
+             if opt.startswith("--")} - {"--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags
+    commands = {line.split()[1] for line in usage.strip().splitlines()}
+    assert commands == set(cli._DISPATCH)
 
 
 def _run_script(args, cwd):

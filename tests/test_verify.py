@@ -1,5 +1,6 @@
-"""Suite runner: section coverage, option overrides, determinism."""
+"""Suite runner: section coverage, options, determinism."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -40,15 +41,39 @@ def test_algebra_subject_runs_lie_sections_only():
     assert rep.subject.startswith("algebra(")
 
 
-def test_tolerance_override_applies_to_inexact_sections():
-    rep = verify.run_suite(lie.builtin("se2"),
-                           small(tolerance=1e-300))
-    assert not rep.passed
-    bad = rep.failing()
-    assert "lie: Lie-Poisson-Jacobi" in bad
-    # exact sections keep tolerance zero and still pass
-    exact = {s.name: s for s in rep.sections}["lie: Jacobi"]
-    assert exact.ok and exact.tolerance == 0.0
+def test_options_hold_only_seed_and_samples():
+    # each section's tolerance is a literal: no option moves it
+    assert [f.name for f in dataclasses.fields(verify.VerifyOptions)] == ["seed", "samples"]
+
+
+SO3_BASIS = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+             [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+             [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]
+
+
+def test_custom_basis_appends_commutator_match():
+    so3 = lie.structure_constants_from_matrices(SO3_BASIS)
+    names = ["lie: antisymmetry", "lie: Jacobi", "lie: Lie-Poisson-Jacobi"]
+    assert [s.name for s in verify.run_suite(so3, small()).sections] == names
+    rep = verify.run_suite(so3, small(), SO3_BASIS)
+    assert [s.name for s in rep.sections] == names + ["lie: commutator-match"]
+    assert rep.passed and rep.sections[-1].residual == 0.0
+    # the same matrices, one scaled: the constants no longer match
+    scaled = [SO3_BASIS[0], SO3_BASIS[1], [[2 * v for v in row] for row in SO3_BASIS[2]]]
+    rep = verify.run_suite(so3, small(), scaled)
+    assert rep.failing() == ["lie: commutator-match"]
+
+
+def test_exact_residual_past_the_float_range_fails():
+    # both orientations of [X, Y] stated with one sign: the antisymmetry
+    # defect is 2*c, past the float range, and the sampled Jacobiator
+    # overflows; each reads inf and fails, with no OverflowError
+    c = Fraction(17 * 10 ** 307)
+    alg = lie.LieAlgebra(labels=("X", "Y"),
+                         constants={(0, 1): (c, Fraction(0)), (1, 0): (c, Fraction(0))})
+    rep = verify.run_suite(alg, verify.VerifyOptions(seed=42))
+    assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
+        ("lie: antisymmetry", math.inf), ("lie: Lie-Poisson-Jacobi", math.inf)]
 
 
 def test_report_text_is_deterministic():

@@ -338,10 +338,15 @@ class PoissonBivector:
             total += ex.evaluate(p, env) * (dF[i] * dG[j] - dF[j] * dG[i])
         return total
 
+    def jacobi_terms(self, F: Expr, G: Expr, H: Expr) -> tuple[Expr, Expr, Expr]:
+        """The three cyclic double brackets; `jacobiator` sums them in order."""
+        return (self.bracket(self.bracket(F, G), H),
+                self.bracket(self.bracket(G, H), F),
+                self.bracket(self.bracket(H, F), G))
+
     def jacobiator(self, F: Expr, G: Expr, H: Expr) -> Expr:
-        return (self.bracket(self.bracket(F, G), H)
-                + self.bracket(self.bracket(G, H), F)
-                + self.bracket(self.bracket(H, F), G))
+        t1, t2, t3 = self.jacobi_terms(F, G, H)
+        return t1 + t2 + t3
 
     def table(self) -> list[tuple[str, str, str]]:
         out = []

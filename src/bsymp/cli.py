@@ -55,7 +55,6 @@ class RunConfig:
     basis: list | None = None
     connection: dict | None = None
     seed: int = 42
-    samples: int | None = None
     flow: dict = field(default_factory=dict)
     out_dir: str = "."
 
@@ -112,17 +111,18 @@ def _number(key: str, value, integer: bool = False):
 
 
 _FLOW_KEYS = {"hamiltonian", "x0", "dt", "T", "method", "substitution", "casimirs"}
-_VERIFY_KEYS = {"samples"}
 _CONNECTION_KEYS = {"xi", "scale", "b_leg"}
 _BUILTIN_KEYS = {"builtin", "n"}
 _CUSTOM_KEYS = {"labels", "constants", "basis"}
 
 
-def _check_keys(section: str, options: dict, known: set[str]) -> None:
-    """Reject a key inside a config section that no command reads."""
+def _check_keys(section: str | None, options: dict, known: set[str]) -> None:
+    """Reject a key that no command reads, naming it first: a key of the
+    config root when `section` is None, else a key inside that section."""
     extra = sorted(set(options) - known)
     if extra:
-        raise ConfigError(f"{section}.{extra[0]}: unknown key; {section} takes {sorted(known)}")
+        key = extra[0] if section is None else f"{section}.{extra[0]}"
+        raise ConfigError(f"{key}: unknown key; {section or 'a config'} takes {sorted(known)}")
 
 
 def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
@@ -130,6 +130,11 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     if not isinstance(labels, list) or not labels or \
             not all(isinstance(s, str) for s in labels):
         raise ConfigError("group.labels must be a non-empty list of strings")
+    for i, s in enumerate(labels):
+        # a label is a CSV column and a report field: a `name` of the grammar
+        if not ex.NAME.fullmatch(s):
+            raise ConfigError(f"group.labels[{i}] must be a name (a letter, then letters, "
+                              f"digits or _), got {s!r}")
     repeated = sorted(s for s, k in Counter(labels).items() if k > 1)
     if repeated:
         raise ConfigError(f"group.labels must be distinct, repeated: {repeated}")
@@ -186,10 +191,7 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"group", "connection", "seed", "verify", "flow", "out_dir"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    _check_keys(None, data, {"group", "connection", "seed", "flow", "out_dir"})
 
     cfg = RunConfig()
     group = data.get("group", "se2")
@@ -229,15 +231,6 @@ def load_config(path: str | None) -> RunConfig:
         cfg.connection = {**conn, "xi": xi, "scale": scale}
 
     cfg.seed = _number("seed", data.get("seed", 42), integer=True)
-
-    vopts = data.get("verify", {})
-    if not isinstance(vopts, dict):
-        raise ConfigError("verify options must be an object")
-    _check_keys("verify", vopts, _VERIFY_KEYS)
-    if "samples" in vopts:
-        cfg.samples = _number("verify.samples", vopts["samples"], integer=True)
-        if cfg.samples <= 0:
-            raise ConfigError("verify.samples must be positive")
 
     flow = data.get("flow", {})
     if not isinstance(flow, dict):
@@ -340,8 +333,7 @@ def cmd_describe(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    opts = verify.VerifyOptions(seed=cfg.seed, samples=cfg.samples)
-    rep = verify.run_suite(cfg.subject(), opts, cfg.basis)
+    rep = verify.run_suite(cfg.subject(), cfg.seed, cfg.basis)
     print(rep.text())
     return 0 if rep.passed else 1
 

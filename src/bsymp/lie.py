@@ -412,7 +412,11 @@ def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr
 
 
 def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarray:
-    """Ad_g X by matrix conjugation, re-expanded in the basis (checked)."""
+    """Ad_g X by matrix conjugation, re-expanded in the basis (checked).
+
+    The library reads the compiled symbolic adjoint (`adjoint_compiled`);
+    this direct conjugation is the independent reference it is tested
+    against, and the one caller of `_expand_in_basis`'s float path."""
     X = sequence_values(G.labels, X)
     Xm = sum(c * np.array(B, dtype=float) for c, B in zip(X, G.basis))
     conj = G.chart(g) @ Xm @ G.chart(group_inv(G, g))

@@ -1,8 +1,9 @@
 """Section-based self-checks behind the command line verify command.
 
 Each section recomputes one family of invariants for a configured group
-and reports a residual against its tolerance, a literal in the section
-that no option or config key moves.  Exact algebraic checks
+and reports a residual against its tolerance.  The tolerance and the
+number of draws are literals in the section that no option or config key
+moves; more draws come from more seeds.  Exact algebraic checks
 carry tolerance zero; sampled analytic identities carry the tolerances the
 test suite enforces.  The bcalc sections are exact: derivative-squared
 and log-derivative evaluate in rationals, and the two b-symplectic
@@ -35,12 +36,6 @@ import bsymp.expr as ex
 from bsymp.expr import Const, Expr, Var
 from bsymp import bcalc, dynamics as dyn, lie
 from bsymp import reduction as red
-
-
-@dataclass(frozen=True)
-class VerifyOptions:
-    seed: int = 42
-    samples: int | None = None  # override for sampled section sizes
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,6 @@ class VerifyReport:
         return "\n".join(self.lines())
 
 
-def _count(opts: VerifyOptions, default: int) -> int:
-    return default if opts.samples is None else max(4, opts.samples)
-
-
 def _poly(rng, names, terms=3, deg=2):
     acc = ex.as_expr(rng.uniform(-1, 1))
     for _ in range(terms):
@@ -100,34 +91,38 @@ def _poly(rng, names, terms=3, deg=2):
 # algebra-level sections
 
 
-def _sec_antisymmetry(L: lie.LieAlgebra, opts):
+def _sec_antisymmetry(L: lie.LieAlgebra, seed):
     return L.antisymmetry_defect(), 0.0
 
 
-def _sec_jacobi(L: lie.LieAlgebra, opts):
+def _sec_jacobi(L: lie.LieAlgebra, seed):
     return L.jacobi_defect(), 0.0
 
 
 def _jacobi_residual(P: bcalc.PoissonBivector, rng, count: int) -> float:
-    """Largest |Jacobiator| of `count` random polynomial triples, each
+    """Largest Jacobiator of `count` random polynomial triples, each
     evaluated at one random point; the draws come from rng in that order.
-    A Jacobiator past the float range reads inf."""
+
+    A sample reads |t1 + t2 + t3| / (1 + max|t_i|), the t_i being the three
+    cyclic double brackets summed in `jacobiator`'s order, so rounding in
+    large terms is not read as a defect.  A term past the float range
+    reads inf."""
     names = list(P.names)
     worst = 0.0
     for _ in range(count):
         F, G, K = (_poly(rng, names) for _ in range(3))
-        jac = P.jacobiator(F, G, K)
         env = {nm: rng.uniform(-1, 1) for nm in names}
         try:
-            worst = max(worst, abs(ex.evaluate(jac, env)))
+            t = [ex.evaluate(e, env) for e in P.jacobi_terms(F, G, K)]
         except ex.DomainError:
             return math.inf
+        worst = max(worst, abs(t[0] + t[1] + t[2]) / (1.0 + max(map(abs, t))))
     return worst
 
 
-def _sec_lp_jacobi(L: lie.LieAlgebra, opts):
-    rng = random.Random(opts.seed * 5 + 1)
-    return _jacobi_residual(L.lie_poisson, rng, _count(opts, 50)), 1e-9
+def _sec_lp_jacobi(L: lie.LieAlgebra, seed):
+    rng = random.Random(seed * 5 + 1)
+    return _jacobi_residual(L.lie_poisson, rng, 50), 1e-9
 
 
 ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
@@ -153,7 +148,7 @@ def commutator_defect(L: lie.LieAlgebra, basis) -> Fraction:
     return worst
 
 
-def _sec_commutator_match(pair, opts):
+def _sec_commutator_match(pair, seed):
     return commutator_defect(pair.group.algebra, pair.group.basis), 0.0
 
 
@@ -167,13 +162,13 @@ def _rational_point(rng, names, defining):
     return pt
 
 
-def _sec_d_squared(pair, opts):
+def _sec_d_squared(pair, seed):
     act = red._action(pair)
     ch = act.cot.chart
-    rng = random.Random(opts.seed * 7 + 2)
+    rng = random.Random(seed * 7 + 2)
     names = list(ch.names)
     worst = Fraction(0)
-    for _ in range(_count(opts, 12)):
+    for _ in range(12):
         deg = rng.choice([0, 1, 2])
         if deg == 0:
             coeffs = {(): _rat_poly(rng, names)}
@@ -201,10 +196,10 @@ def _rat_poly(rng, names):
     return acc
 
 
-def _sec_log_derivative(pair, opts):
+def _sec_log_derivative(pair, seed):
     act = red._action(pair)
     ch = act.cot.chart
-    rng = random.Random(opts.seed * 11 + 3)
+    rng = random.Random(seed * 11 + 3)
     d = ch.defining
     names = list(ch.names)
     worst = Fraction(0)
@@ -225,7 +220,7 @@ def _sec_log_derivative(pair, opts):
     return float(worst), 0.0
 
 
-def _sec_normal_form_model(pair, opts):
+def _sec_normal_form_model(pair, seed):
     # b-symplectic, and its inverse is exactly {x1, y1} = y1, {xi, yi} = 1
     model = bcalc.bdarboux_model(3)
     want = {(0, 1): Var(model.chart.defining_name), (2, 3): ex.ONE, (4, 5): ex.ONE}
@@ -234,7 +229,7 @@ def _sec_normal_form_model(pair, opts):
     return float(not exact), 1e-9
 
 
-def _sec_canonical_layout(pair, opts):
+def _sec_canonical_layout(pair, seed):
     # the canonical form is exactly sum_i e^i ^ dp_i over the coframe
     # e = (df/f, dz_i), and b-symplectic
     act = red._action(pair)
@@ -243,13 +238,13 @@ def _sec_canonical_layout(pair, opts):
     return float(not (layout and bcalc.is_b_symplectic(act.omega))), 0.0
 
 
-def _sec_action_law(pair, opts):
+def _sec_action_law(pair, seed):
     act = red._action(pair)
     H = pair.h_group
     names = act.cot.chart.names
-    rng = random.Random(opts.seed * 13 + 4)
+    rng = random.Random(seed * 13 + 4)
     worst = 0.0
-    for _ in range(_count(opts, 100)):
+    for _ in range(100):
         h1 = [rng.uniform(-0.5, 0.5) for _ in range(len(pair.h_names))]
         h2 = [rng.uniform(-0.5, 0.5) for _ in range(len(pair.h_names))]
         x = [rng.uniform(-0.6, 0.6) for _ in names]
@@ -261,7 +256,7 @@ def _sec_action_law(pair, opts):
     return worst, 1e-9
 
 
-def _sec_moment_hamilton(pair, opts):
+def _sec_moment_hamilton(pair, seed):
     act = red._action(pair)
     ch = act.cot.chart
     # the canonical frame matrix is constant, so iota_{X#} omega = X#(x) @ W
@@ -274,9 +269,9 @@ def _sec_moment_hamilton(pair, opts):
                            *(dmu.coeff((j,)) for dmu in act.moment_differentials
                              for j in range(n))],
                           list(ch.names))
-    rng = random.Random(opts.seed * 17 + 5)
+    rng = random.Random(seed * 17 + 5)
     worst = 0.0
-    for _ in range(_count(opts, 100) // 4):
+    for _ in range(25):
         X = np.array([rng.uniform(-1, 1) for _ in range(m)])
         for t in range(4):
             x = [rng.uniform(-0.7, 0.7) for _ in ch.names]
@@ -288,14 +283,14 @@ def _sec_moment_hamilton(pair, opts):
     return worst, 1e-8
 
 
-def _sec_moment_equivariance(pair, opts):
+def _sec_moment_equivariance(pair, seed):
     act = red._action(pair)
     H = pair.h_group
     names = act.cot.chart.names
     m = len(pair.h_names)
-    rng = random.Random(opts.seed * 19 + 6)
+    rng = random.Random(seed * 19 + 6)
     worst = 0.0
-    for _ in range(_count(opts, 100)):
+    for _ in range(100):
         h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
         x = [rng.uniform(-0.6, 0.6) for _ in names]
         lhs = act.moment_vector(act.act(h, x))
@@ -323,19 +318,19 @@ def _build_connection_cases(pair):
     )
 
 
-def _sec_connection_axioms(pair, opts):
+def _sec_connection_axioms(pair, seed):
     worst = 0.0
     for theta in _connection_cases(pair):
-        worst = max(worst, red._axiom_residual(theta, 30, opts.seed + 7))
+        worst = max(worst, red._axiom_residual(theta, 30, seed + 7))
     return worst, 1e-9
 
 
-def _sec_splitting_roundtrip(pair, opts):
-    rng = random.Random(opts.seed * 23 + 8)
+def _sec_splitting_roundtrip(pair, seed):
+    rng = random.Random(seed * 23 + 8)
     m = len(pair.h_names)
     worst = 0.0
     for theta in _connection_cases(pair):
-        for _ in range(_count(opts, 40) // 2):
+        for _ in range(20):
             g = [rng.uniform(-0.6, 0.6) for _ in range(m + 1)]
             v = [rng.uniform(-1, 1) for _ in range(m + 1)]
             u, X = red.phi_theta(theta, g, v)
@@ -347,15 +342,14 @@ def _sec_splitting_roundtrip(pair, opts):
     return worst, 1e-12
 
 
-def _sec_coupling_identity(pair, opts):
-    rng = random.Random(opts.seed * 29 + 9)
+def _sec_coupling_identity(pair, seed):
+    rng = random.Random(seed * 29 + 9)
     act = red._action(pair)
     names = act.cot.chart.names
     m = len(pair.h_names)
-    n = _count(opts, 200)
     worst = 0.0
     for theta in _connection_cases(pair):
-        for t in range(n):
+        for t in range(200):
             x = [rng.uniform(-0.7, 0.7) for _ in names]
             if t % 2 == 0:
                 x[m] = 0.0
@@ -368,17 +362,16 @@ def _sec_coupling_identity(pair, opts):
     return worst, 1e-8
 
 
-def _sec_connection_independence(pair, opts):
-    rng = random.Random(opts.seed * 31 + 10)
+def _sec_connection_independence(pair, seed):
+    rng = random.Random(seed * 31 + 10)
     cn = red._action(pair).cot.chart.names
     m = len(pair.h_names)
     rp = red.reduced_poisson(pair)
     cases = _connection_cases(pair)
-    n = _count(opts, 50)
     worst = 0.0
     for theta in cases:
         tau = theta.chart_shift
-        for _ in range(n):
+        for _ in range(50):
             F = _poly(rng, rp.names)
             G = _poly(rng, rp.names)
             x = [rng.uniform(-0.6, 0.6) for _ in cn]
@@ -391,9 +384,9 @@ def _sec_connection_independence(pair, opts):
     return worst, 1e-8
 
 
-def _sec_reduced_jacobi(pair, opts):
-    rng = random.Random(opts.seed * 37 + 11)
-    return _jacobi_residual(red.reduced_poisson(pair), rng, _count(opts, 20)), 1e-9
+def _sec_reduced_jacobi(pair, seed):
+    rng = random.Random(seed * 37 + 11)
+    return _jacobi_residual(red.reduced_poisson(pair), rng, 20), 1e-9
 
 
 def _reduced_flow_field(pair):
@@ -409,15 +402,15 @@ def _build_flow_field(pair):
     return rp, vf, m
 
 
-def _sec_flow_endpoint(pair, opts):
+def _sec_flow_endpoint(pair, seed):
     rp, vf, m = _reduced_flow_field(pair)
     x0 = [0.0] * m + [1.0, 0.0]
     tr = dyn.integrate(vf, x0, 1e-3, 1.0)
     return abs(tr.final[m] - math.e), 1e-6
 
 
-def _sec_slice_hold(pair, opts):
-    rng = random.Random(opts.seed * 41 + 12)
+def _sec_slice_hold(pair, seed):
+    rng = random.Random(seed * 41 + 12)
     rp = red.reduced_poisson(pair)
     m = len(rp.names) - 2
     H = _poly(rng, list(rp.names))
@@ -428,7 +421,7 @@ def _sec_slice_hold(pair, opts):
     return float(np.max(np.abs(tr.rows[:, m]))), 0.0
 
 
-def _sec_order_factor(pair, opts):
+def _sec_order_factor(pair, seed):
     rp, vf, m = _reduced_flow_field(pair)
     errs = []
     for dt in (0.1, 0.05):
@@ -441,8 +434,8 @@ def _sec_order_factor(pair, opts):
 _ENERGY_DRIFT_HALVINGS = 20
 
 
-def _sec_energy_drift(pair, opts):
-    rng = random.Random(opts.seed * 43 + 13)
+def _sec_energy_drift(pair, seed):
+    rng = random.Random(seed * 43 + 13)
     rp = red.reduced_poisson(pair)
     m = len(rp.names) - 2
     worst = 0.0
@@ -486,22 +479,21 @@ GROUP_SECTIONS: list[tuple[str, Callable]] = [
 ]
 
 
-def run_suite(subject, opts: VerifyOptions | None = None, basis=None) -> VerifyReport:
+def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
     """Run every applicable section for a group pair or a bare algebra; a
     bare algebra's matrix `basis`, if given, adds commutator-match last."""
-    opts = opts or VerifyOptions()
     if isinstance(subject, lie.LieAlgebra):
         label, algebra, rest = "algebra(" + ",".join(subject.labels) + ")", subject, []
         if basis is not None:
             rest = [("lie: commutator-match",
-                     lambda _, o: (commutator_defect(algebra, basis), 0.0))]
+                     lambda _, s: (commutator_defect(algebra, basis), 0.0))]
     else:
         label, algebra, rest = subject.name, subject.group.algebra, GROUP_SECTIONS
     results = []
     for name, fn, arg in [*((n, f, algebra) for n, f in ALGEBRA_SECTIONS),
                           *((n, f, subject) for n, f in rest)]:
-        resid, tol = fn(arg, opts)
+        resid, tol = fn(arg, seed)
         # an exact residual past the float range reads inf, and fails
         resid = math.inf if resid > sys.float_info.max else float(resid)
         results.append(SectionResult(name, resid, float(tol)))
-    return VerifyReport(label, opts.seed, tuple(results))
+    return VerifyReport(label, seed, tuple(results))

@@ -61,7 +61,7 @@ def test_group_flag_overrides_config(tmp_path, capsys):
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"verify": {"samples": 6}})
+    cfg = write_config(tmp_path, {})
     assert cli.main(["verify", "--config", cfg]) == 0
     first = capsys.readouterr().out
     assert "result: pass" in first
@@ -94,6 +94,16 @@ def test_corrupted_constants_fail_jacobi(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL | lie: Jacobi" in out
     assert "result: fail" in out
+
+
+def test_large_constants_pass_lie_poisson_jacobi(tmp_path, capsys):
+    # exact Jacobi holds; the sampled Jacobiator's rounding in terms near
+    # 10^200 is read relative to them, so it does not fail the section
+    big = {"labels": ["X", "Y", "Z"],
+           "constants": [[0, 1, 2, 10 ** 200], [1, 2, 0, 1], [2, 0, 1, 1]]}
+    cfg = write_config(tmp_path, {"group": big})
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert "ok | lie: Lie-Poisson-Jacobi" in capsys.readouterr().out
 
 
 def test_algebra_only_runs_lie_sections(tmp_path, capsys):
@@ -129,11 +139,17 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _under_verify(row: int, data: dict, written: str, key: str = "verify"):
+    """A row that writes a key under `verify`, a root key no config takes:
+    the error names `verify`, and the id names the key the row writes."""
+    return pytest.param(["verify"], data, key, id=f"argv{row}-data{row}-{written}")
+
+
 @pytest.mark.parametrize("argv, data, key", [
-    (["verify"], {"verify": {"samples": "abc"}}, "verify.samples"),
-    (["verify"], {"verify": {"samples": 1.5}}, "verify.samples"),
-    (["verify"], {"verify": {"tolerance": "x"}}, "verify.tolerance"),
-    (["verify"], {"verify": {"tolerance": math.nan}}, "verify.tolerance"),
+    _under_verify(0, {"verify": {"samples": "abc"}}, "verify.samples"),
+    _under_verify(1, {"verify": {"samples": 1.5}}, "verify.samples"),
+    _under_verify(2, {"verify": {"tolerance": "x"}}, "verify.tolerance"),
+    _under_verify(3, {"verify": {"tolerance": math.nan}}, "verify.tolerance"),
     (["verify", "--tolerance", "nan"], {}, "--tolerance"),
     (["verify"], {"seed": True}, "seed"),
     (["describe"], {"group": {"builtin": "heisenberg_q", "n": "x"}}, "group.n"),
@@ -155,7 +171,7 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["flow"], {"flow": {"hamiltonian": "q_7"}}, "flow.hamiltonian"),
     (["flow"], {"flow": {"hamiltonian": "(" * 400 + "p" + ")" * 400}}, "flow.hamiltonian"),
     (["flow"], {"flow": {"hamilton": "p"}}, "flow.hamilton"),
-    (["verify"], {"verify": {"sample": 5}}, "verify.sample"),
+    _under_verify(23, {"verify": {"sample": 5}}, "verify.sample"),
     (["reduce"], {"connection": {"xi": [0, 0], "scale": "1", "bleg": True}},
      "connection.bleg"),
     (["flow"], {"flow": {"T": 1e4, "dt": 1e-3}}, "flow.T"),
@@ -223,9 +239,16 @@ def test_config_errors_exit_2(tmp_path, data, capsys):
     (["verify"], {"group": {"labels": ["X", "Y"], "constants": [],
                             "basis": [[[0, 10 ** 300], [0, 0]], [[0, 0], [10 ** 300, 0]]]}},
      "group.basis: matrix not in basis span (residual inf)"),
-    (["verify"], {"verify": {"tolerance": 1e-8}}, "verify.tolerance: unknown key"),
+    _under_verify(68, {"verify": {"tolerance": 1e-8}}, "verify.tolerance: unknown key",
+                  "verify: unknown key; a config takes"),
     (["describe"], {"group": {"labels": ["X", "Y"], "constants": [[True, 0, 1, "1"]]}},
      "group.constants[0]: index out of range"),
+    (["bracket-table"], {"group": {"labels": ["a,b", "Y"], "constants": []}},
+     "group.labels[0] must be a name"),
+    (["describe"], {"group": {"labels": ["X", ""], "constants": []}},
+     "group.labels[1] must be a name"),
+    (["verify"], {"group": {"labels": ["X", "Y", "Z\nQ"], "constants": []}},
+     "group.labels[2] must be a name"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, argv, data, key, capsys):
     cfg = write_config(tmp_path, data)

@@ -390,7 +390,7 @@ def test_energy_drift_halvings_still_pass(monkeypatch, name, seed):
             raise
 
     monkeypatch.setattr(dyn, "integrate", watched)
-    residual, tol = verify._sec_energy_drift(lie.builtin(name), verify.VerifyOptions(seed=seed))
+    residual, tol = verify._sec_energy_drift(lie.builtin(name), seed)
     assert exits and residual <= tol
 
 

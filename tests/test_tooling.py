@@ -1,5 +1,5 @@
-"""Tooling guards: exported names, the README's flag list, and the benchmark
-scripts that reach into bsymp.
+"""Tooling guards: exported names, the README's flag list and config
+block, and the benchmark scripts that reach into bsymp.
 
 The tracer and the node counter under bench/ find their targets by name.
 A renamed function or member would silently drop its span or its count,
@@ -42,6 +42,18 @@ def test_readme_usage_names_exactly_the_parser_flags():
     assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags
     commands = {line.split()[1] for line in usage.strip().splitlines()}
     assert commands == set(cli._DISPATCH)
+
+
+def test_readme_config_block_loads(tmp_path):
+    # the jsonc block under "### Configuration file" lists every key a
+    # config takes; with its comments stripped it must load as it stands
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(re.sub(r"\s*//[^\n]*", "", block), encoding="utf-8")
+    cfg = cli.load_config(str(path))
+    assert (cfg.builtin, cfg.seed) == ("se2", 42)
+    assert cfg.flow["casimirs"] == {"c1": "mu_P1"}
 
 
 def _run_script(args, cwd):

@@ -1,7 +1,8 @@
-"""Suite runner: section coverage, options, determinism."""
+"""Suite runner: section coverage, signature, determinism."""
 
-import dataclasses
+import inspect
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -13,12 +14,8 @@ from bsymp import dynamics as dyn
 from bsymp import reduction as red
 
 
-def small(**kw):
-    return verify.VerifyOptions(seed=42, samples=kw.pop("samples", 6), **kw)
-
-
 def test_full_suite_sections_and_pass():
-    rep = verify.run_suite(lie.builtin("se2"), small())
+    rep = verify.run_suite(lie.builtin("se2"))
     assert rep.passed
     assert rep.subject == "se2"
     assert rep.seed == 42
@@ -33,7 +30,7 @@ def test_full_suite_sections_and_pass():
 
 def test_algebra_subject_runs_lie_sections_only():
     alg = lie.builtin("se2").h_algebra
-    rep = verify.run_suite(alg, small())
+    rep = verify.run_suite(alg)
     names = [s.name for s in rep.sections]
     assert names == ["lie: antisymmetry", "lie: Jacobi",
                      "lie: Lie-Poisson-Jacobi"]
@@ -41,9 +38,12 @@ def test_algebra_subject_runs_lie_sections_only():
     assert rep.subject.startswith("algebra(")
 
 
-def test_options_hold_only_seed_and_samples():
-    # each section's tolerance is a literal: no option moves it
-    assert [f.name for f in dataclasses.fields(verify.VerifyOptions)] == ["seed", "samples"]
+def test_run_suite_takes_only_subject_seed_and_basis():
+    # each section's tolerance and draw count are literals: no option moves them
+    assert list(inspect.signature(verify.run_suite).parameters) == ["subject", "seed", "basis"]
+    assert not hasattr(verify, "VerifyOptions")
+    for name, fn in verify.ALGEBRA_SECTIONS + verify.GROUP_SECTIONS:
+        assert list(inspect.signature(fn).parameters)[1:] == ["seed"], name
 
 
 SO3_BASIS = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
@@ -54,13 +54,13 @@ SO3_BASIS = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
 def test_custom_basis_appends_commutator_match():
     so3 = lie.structure_constants_from_matrices(SO3_BASIS)
     names = ["lie: antisymmetry", "lie: Jacobi", "lie: Lie-Poisson-Jacobi"]
-    assert [s.name for s in verify.run_suite(so3, small()).sections] == names
-    rep = verify.run_suite(so3, small(), SO3_BASIS)
+    assert [s.name for s in verify.run_suite(so3).sections] == names
+    rep = verify.run_suite(so3, 42, SO3_BASIS)
     assert [s.name for s in rep.sections] == names + ["lie: commutator-match"]
     assert rep.passed and rep.sections[-1].residual == 0.0
     # the same matrices, one scaled: the constants no longer match
     scaled = [SO3_BASIS[0], SO3_BASIS[1], [[2 * v for v in row] for row in SO3_BASIS[2]]]
-    rep = verify.run_suite(so3, small(), scaled)
+    rep = verify.run_suite(so3, 42, scaled)
     assert rep.failing() == ["lie: commutator-match"]
 
 
@@ -71,14 +71,25 @@ def test_exact_residual_past_the_float_range_fails():
     c = Fraction(17 * 10 ** 307)
     alg = lie.LieAlgebra(labels=("X", "Y"),
                          constants={(0, 1): (c, Fraction(0)), (1, 0): (c, Fraction(0))})
-    rep = verify.run_suite(alg, verify.VerifyOptions(seed=42))
+    rep = verify.run_suite(alg, 42)
     assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
         ("lie: antisymmetry", math.inf), ("lie: Lie-Poisson-Jacobi", math.inf)]
 
 
+def test_relative_jacobi_residual_still_fails_a_perturbed_bivector():
+    # a sample reads relative to its largest double bracket; a galilean
+    # Lie-Poisson bivector with one entry scaled by 1 + 1e-6 is no longer
+    # Poisson, and reads above 1e-7 against the tolerance of 1e-9
+    P = lie.builtin("galilean").group.algebra.lie_poisson
+    entries = dict(P.entries)
+    entries[(0, 4)] = ex.as_expr(1 + 1e-6) * entries[(0, 4)]
+    wrong = bcalc.PoissonBivector(P.names, entries)
+    assert verify._jacobi_residual(wrong, random.Random(42 * 5 + 1), 50) > 1e-7
+
+
 def test_report_text_is_deterministic():
-    a = verify.run_suite(lie.builtin("se2"), small()).text()
-    b = verify.run_suite(lie.builtin("se2"), small()).text()
+    a = verify.run_suite(lie.builtin("se2")).text()
+    b = verify.run_suite(lie.builtin("se2")).text()
     assert a == b
     assert a.endswith("result: pass")
     for line in a.splitlines()[3:-1]:
@@ -104,35 +115,30 @@ def test_rerun_on_one_pair_reuses_its_connections(monkeypatch):
     monkeypatch.setattr(red, "make_connection", counted)
     monkeypatch.setattr(blift.LiftedAction, "__init__", init_counted)
     pair = lie._se2()  # a fresh pair, not the shared built-in
-    a = verify.run_suite(pair, small()).text()
+    a = verify.run_suite(pair).text()
     assert (len(actions), len(built)) == (1, 3)
-    b = verify.run_suite(pair, small()).text()
+    b = verify.run_suite(pair).text()
     assert (len(actions), len(built)) == (1, 3)  # the rerun builds nothing
     assert a == b
     assert a.endswith("result: pass")
 
 
 def test_connection_independence_compiles_per_connection_not_per_sample(monkeypatch):
-    # each connection compiles its reduced coordinates once; the brackets
-    # themselves compile nothing, so the count does not grow with samples
-    counts = []
-    for samples in (8, 100):
-        pair = lie._se2()  # a fresh pair, nothing compiled for it yet
-        verify._connection_cases(pair)
-        calls = []
-        compile_exprs = ex.compile_exprs
+    # each connection compiles its reduced coordinates once; the 150
+    # brackets themselves compile nothing
+    pair = lie._se2()  # a fresh pair, nothing compiled for it yet
+    verify._connection_cases(pair)
+    calls = []
+    compile_exprs = ex.compile_exprs
 
-        def counted(exprs, names):
-            calls.append(len(exprs))
-            return compile_exprs(exprs, names)
+    def counted(exprs, names):
+        calls.append(len(exprs))
+        return compile_exprs(exprs, names)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(ex, "compile_exprs", counted)
-            resid, tol = verify._sec_connection_independence(
-                pair, verify.VerifyOptions(seed=1, samples=samples))
-        assert resid <= tol
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 4
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    resid, tol = verify._sec_connection_independence(pair, 1)
+    assert resid <= tol
+    assert len(calls) <= 4
 
 
 def test_galilean_suite_compiles_at_most_16_maps(monkeypatch):
@@ -150,7 +156,7 @@ def test_galilean_suite_compiles_at_most_16_maps(monkeypatch):
         return compile_exprs(exprs, names)
 
     monkeypatch.setattr(ex, "compile_exprs", counted)
-    assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
+    assert verify.run_suite(pair, 1).passed
     assert len(calls) <= 16
     mc = pair.h_group.maurer_cartan_sym
     for theta in verify._connection_cases(pair):
@@ -171,30 +177,25 @@ def test_galilean_suite_generates_5_flow_loops(monkeypatch):
         return generate(*args)
 
     monkeypatch.setattr(dyn, "_generate_flow", counted)
-    assert verify.run_suite(pair, verify.VerifyOptions(seed=1)).passed
+    assert verify.run_suite(pair, 1).passed
     assert generated == [("rk4", False)] * 5
 
 
 def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):
-    # the generators and d(mu_a) are compiled together once; each sampled X
-    # only contracts them, so the count does not grow with samples
-    counts = []
-    for samples in (8, 100):
-        pair = lie._se2()  # a fresh pair, nothing compiled for it yet
-        calls = []
-        compile_exprs = ex.compile_exprs
+    # the generators and d(mu_a) are compiled together once; each of the 25
+    # sampled X only contracts them, where a compile per draw would give 25
+    pair = lie._se2()  # a fresh pair, nothing compiled for it yet
+    calls = []
+    compile_exprs = ex.compile_exprs
 
-        def counted(exprs, names):
-            calls.append(len(exprs))
-            return compile_exprs(exprs, names)
+    def counted(exprs, names):
+        calls.append(len(exprs))
+        return compile_exprs(exprs, names)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(ex, "compile_exprs", counted)
-            resid, tol = verify._sec_moment_hamilton(
-                pair, verify.VerifyOptions(seed=1, samples=samples))
-        assert resid <= tol
-        counts.append(len(calls))
-    assert counts == [1, 1]
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    resid, tol = verify._sec_moment_hamilton(pair, 1)
+    assert resid <= tol
+    assert len(calls) == 1
 
 
 def test_suite_builds_one_symbolic_adjoint_per_subgroup(monkeypatch):
@@ -211,7 +212,7 @@ def test_suite_builds_one_symbolic_adjoint_per_subgroup(monkeypatch):
         if getattr(mod, "adjoint_matrix_sym", None) is adjoint:
             monkeypatch.setattr(mod, "adjoint_matrix_sym", counted)
     pair = lie._se2()  # a fresh pair, nothing built for it yet
-    assert verify.run_suite(pair, small()).passed
+    assert verify.run_suite(pair).passed
     assert built == [pair.h_group]
 
 
@@ -219,19 +220,18 @@ def test_symplectic_verdicts_read_one_on_a_singular_form(monkeypatch):
     # both sections decide exactly: 0.0 on the real forms, 1.0 when the form
     # they read is singular, or, for the model, nondegenerate with another
     # inverse
-    opts = small()
     pair = lie._se2()  # a fresh pair, so its action is not shared
-    assert verify._sec_normal_form_model(pair, opts) == (0.0, 1e-9)
-    assert verify._sec_canonical_layout(pair, opts) == (0.0, 0.0)
+    assert verify._sec_normal_form_model(pair, 42) == (0.0, 1e-9)
+    assert verify._sec_canonical_layout(pair, 42) == (0.0, 0.0)
     act = red._action(pair)
     n = act.cot.n
     act.__dict__["omega"] = bcalc.BForm(act.cot.chart, 2, {(0, n): ex.ONE})
-    assert verify._sec_canonical_layout(pair, opts) == (1.0, 0.0)
+    assert verify._sec_canonical_layout(pair, 42) == (1.0, 0.0)
     model = bcalc.bdarboux_model(3)
     dropped = bcalc.BForm(model.chart, 2, {(0, 1): ex.ONE, (2, 3): ex.ONE})
     for wrong in (dropped, model.scaled(2)):
         monkeypatch.setattr(bcalc, "bdarboux_model", lambda n: wrong)
-        assert verify._sec_normal_form_model(pair, opts) == (1.0, 1e-9)
+        assert verify._sec_normal_form_model(pair, 42) == (1.0, 1e-9)
 
 
 def test_failing_section_is_named():
@@ -245,7 +245,7 @@ def test_failing_section_is_named():
             (2, 0): (Fraction(0), Fraction(1), Fraction(0)),
             (0, 2): (Fraction(0), Fraction(-1), Fraction(0)),
         })
-    rep = verify.run_suite(bad, small())
+    rep = verify.run_suite(bad)
     assert not rep.passed
     assert "lie: Jacobi" in rep.failing()
     assert any(line.startswith("FAIL | lie: Jacobi") for line in rep.lines())
@@ -257,7 +257,7 @@ def test_energy_drift_shrinks_start_until_horizon_holds(group, seed):
     # a phi*p term in H escapes in finite time and each halving of x0 only
     # doubles the exit time: these seeds need more than six halvings
     resid, tol = verify._sec_energy_drift(lie.builtin(group),
-                                          verify.VerifyOptions(seed=seed))
+                                          seed)
     assert math.isfinite(resid) and resid <= tol
 
 

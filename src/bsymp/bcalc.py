@@ -27,6 +27,7 @@ A non-constant entry is a ValueError for both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -338,21 +339,52 @@ class PoissonBivector:
             total += ex.evaluate(p, env) * (dF[i] * dG[j] - dF[j] * dG[i])
         return total
 
-    def jacobi_terms(self, F: Expr, G: Expr, H: Expr) -> tuple[Expr, Expr, Expr]:
-        """The three cyclic double brackets; `jacobiator` sums them in order."""
-        return (self.bracket(self.bracket(F, G), H),
-                self.bracket(self.bracket(G, H), F),
-                self.bracket(self.bracket(H, F), G))
+    def coordinate_jacobi_defect(self) -> Fraction:
+        """Largest |coefficient| of {{x_i, x_j}, x_k} + cyclic over i < j < k.
 
-    def jacobiator(self, F: Expr, G: Expr, H: Expr) -> Expr:
-        t1, t2, t3 = self.jacobi_terms(F, G, H)
-        return t1 + t2 + t3
+        The Jacobiator is the trivector [P, P], so 0 decides that P is
+        Poisson.  Every entry must have `Const` partial derivatives, so it is
+        affine and so is each coordinate Jacobiator, with exact coefficients;
+        any other entry is a ValueError naming it.
+        """
+        names, n = self.names, len(self.names)
+        origin = dict.fromkeys(names, Fraction(0))
+        # P_ij as {m: d_m P_ij, n: P_ij at the origin}, both orders
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), e in self.entries.items():
+            row = {n: ex.eval_exact(e, origin)}
+            for m, nm in enumerate(names):
+                d = ex.diff(e, nm)
+                if not isinstance(d, Const):
+                    raise ValueError(f"entry ({names[i]}, {names[j]}) = {ex.to_str(e)}"
+                                     f" is not affine: its derivative in {nm} is not constant")
+                row[m] = d.value
+            rows[(i, j)] = {m: v for m, v in row.items() if v}
+            rows[(j, i)] = {m: -v for m, v in rows[(i, j)].items()}
+        return _cyclic_defect(rows, n)
 
     def table(self) -> list[tuple[str, str, str]]:
         out = []
         for (i, j), p in sorted(self.entries.items()):
             out.append((self.names[i], self.names[j], ex.to_str(p)))
         return out
+
+
+def _cyclic_defect(rows: Mapping[tuple[int, int], Mapping[int, Fraction]], n: int) -> Fraction:
+    """Largest |coefficient| of sum_l rows[a, b][l] * rows[l, c] over the
+    cyclic orders (a, b, c) of each triple i < j < k < n, exactly: the Jacobi
+    defect when rows[a, b] is [e_a, e_b], the coordinate Jacobiator when it
+    holds the partials of {x_a, x_b}.  A key l >= n, such as a constant
+    term, has no row (l, c) and adds nothing."""
+    worst = Fraction(0)
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, u in rows.get((a, b), {}).items():
+                for m, v in rows.get((l, c), {}).items():
+                    acc[m] = acc.get(m, 0) + u * v
+        worst = max([worst, *map(abs, acc.values())])
+    return worst
 
 
 def invert_to_poisson(omega: BForm) -> PoissonBivector:

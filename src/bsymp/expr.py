@@ -10,9 +10,10 @@ values, not trees.
 
 Two kinds of derivative: `diff` builds the exact derivative tree, for
 identities whose claim is the tree itself (d∘d = 0, bracket tables,
-Jacobiators, Hamiltonian vector fields); `grad` gives the float gradient
-at one point by reverse mode over the DAG (one forward sweep shared with
-`evaluate`, then one adjoint sweep), for values such as a point bracket.
+the constant partials that decide Jacobi, Hamiltonian vector fields);
+`grad` gives the float gradient at one point by reverse mode over the
+DAG (one forward sweep shared with `evaluate`, then one adjoint sweep),
+for values such as a point bracket.
 
 Expressions are DAGs of interned nodes (hash-consing, Filliâtre &
 Conchon 2006): a node class returns the live node with the same fields

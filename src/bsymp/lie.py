@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .bcalc import PoissonBivector, _fr_solve, sequence_values
+from .bcalc import PoissonBivector, _cyclic_defect, _fr_solve, sequence_values
 from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
@@ -124,18 +124,6 @@ class LieAlgebra:
         zero = tuple([Fraction(0)] * self.dim)
         return self.constants.get((i, j), zero)
 
-    def bracket(self, X: Sequence, Y: Sequence):
-        """[X, Y] coefficients; exact when inputs are Fractions."""
-        n = self.dim
-        out = [X[0] * 0 for _ in range(n)]
-        for (i, j), row in self.constants.items():
-            coef = X[i] * Y[j]
-            if coef:
-                for k in range(n):
-                    if row[k]:
-                        out[k] = out[k] + coef * row[k]
-        return out
-
     def antisymmetry_defect(self) -> Fraction:
         worst = Fraction(0)
         for i in range(self.dim):
@@ -149,20 +137,12 @@ class LieAlgebra:
         return worst
 
     def jacobi_defect(self) -> Fraction:
-        """Max |coefficient| of [[e_i,e_j],e_k] + cyclic over all triples; exact."""
-        n = self.dim
-        worst = Fraction(0)
-        basis = [[Fraction(int(a == b)) for a in range(n)] for b in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = [Fraction(0)] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(basis[a], basis[b])
-                        outer = self.bracket(inner, basis[c])
-                        s = [x + y for x, y in zip(s, outer)]
-                    worst = max([worst] + [abs(v) for v in s])
-        return worst
+        """Max |coefficient| of [[e_i,e_j],e_k] + cyclic over all triples; exact.
+
+        [e_a, e_b] is the constants row c(a, b), read with its zeros skipped."""
+        rows = {key: {k: v for k, v in enumerate(row) if v}
+                for key, row in self.constants.items()}
+        return _cyclic_defect(rows, self.dim)
 
     @cached_property
     def lie_poisson(self) -> PoissonBivector:

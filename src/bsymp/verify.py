@@ -5,12 +5,14 @@ and reports a residual against its tolerance.  The tolerance and the
 number of draws are literals in the section that no option or config key
 moves; more draws come from more seeds.  Exact algebraic checks
 carry tolerance zero; sampled analytic identities carry the tolerances the
-test suite enforces.  The bcalc sections are exact: derivative-squared
-and log-derivative evaluate in rationals, and the two b-symplectic
-verdicts, normal-form-model and canonical-layout, decide from an exact
-constant frame matrix and read 0.0, or 1.0 on failure (normal-form-model
-keeps its tolerance of 1e-9).  Everything is seeded from one integer, so
-reruns of the same configuration produce the same bytes.
+test suite enforces.  Lie-Poisson-Jacobi and reduced-Jacobi decide Jacobi
+exactly on coordinate triples and keep their tolerance of 1e-9.  The bcalc
+sections are exact: derivative-squared and log-derivative evaluate in
+rationals, and the two b-symplectic verdicts, normal-form-model and
+canonical-layout, decide from an exact constant frame matrix and read
+0.0, or 1.0 on failure (normal-form-model keeps its tolerance of 1e-9).
+Everything is seeded from one integer, so reruns of the same
+configuration produce the same bytes.
 
 Groups given only by structure constants (no matrix chart) run the algebra
 sections, and commutator-match when a matrix basis comes with them, and
@@ -99,30 +101,8 @@ def _sec_jacobi(L: lie.LieAlgebra, seed):
     return L.jacobi_defect(), 0.0
 
 
-def _jacobi_residual(P: bcalc.PoissonBivector, rng, count: int) -> float:
-    """Largest Jacobiator of `count` random polynomial triples, each
-    evaluated at one random point; the draws come from rng in that order.
-
-    A sample reads |t1 + t2 + t3| / (1 + max|t_i|), the t_i being the three
-    cyclic double brackets summed in `jacobiator`'s order, so rounding in
-    large terms is not read as a defect.  A term past the float range
-    reads inf."""
-    names = list(P.names)
-    worst = 0.0
-    for _ in range(count):
-        F, G, K = (_poly(rng, names) for _ in range(3))
-        env = {nm: rng.uniform(-1, 1) for nm in names}
-        try:
-            t = [ex.evaluate(e, env) for e in P.jacobi_terms(F, G, K)]
-        except ex.DomainError:
-            return math.inf
-        worst = max(worst, abs(t[0] + t[1] + t[2]) / (1.0 + max(map(abs, t))))
-    return worst
-
-
 def _sec_lp_jacobi(L: lie.LieAlgebra, seed):
-    rng = random.Random(seed * 5 + 1)
-    return _jacobi_residual(L.lie_poisson, rng, 50), 1e-9
+    return L.lie_poisson.coordinate_jacobi_defect(), 1e-9
 
 
 ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
@@ -385,8 +365,7 @@ def _sec_connection_independence(pair, seed):
 
 
 def _sec_reduced_jacobi(pair, seed):
-    rng = random.Random(seed * 37 + 11)
-    return _jacobi_residual(red.reduced_poisson(pair), rng, 20), 1e-9
+    return red.reduced_poisson(pair).coordinate_jacobi_defect(), 1e-9
 
 
 def _reduced_flow_field(pair):

@@ -5,6 +5,7 @@ coefficient claimed to vanish is evaluated with rational arithmetic at
 seeded rational points, so equality is exact, not a float tolerance.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,8 +15,8 @@ import pytest
 
 import bsymp.expr as ex
 from bsymp.bcalc import (
-    BChart, BForm, BFunction, BVectorField, pair, wedge, b_d, d_bfunction,
-    bdarboux_model, frame_matrix, invert_to_poisson, is_b_symplectic,
+    BChart, BForm, BFunction, BVectorField, PoissonBivector, pair, wedge, b_d,
+    d_bfunction, bdarboux_model, frame_matrix, invert_to_poisson, is_b_symplectic,
 )
 
 
@@ -333,21 +334,48 @@ def test_invert_singular_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverted_bracket_jacobi(n):
-    P = invert_to_poisson(bdarboux_model(n))
-    rng = random.Random(109)
-    names = P.names
+    # every coordinate Jacobiator of the b-Darboux bivector is exactly 0,
+    # so Jacobi holds for all functions, on Z too
+    assert invert_to_poisson(bdarboux_model(n)).coordinate_jacobi_defect() == 0
 
-    def cubic():
-        return random_poly(names, rng, terms=4, degree=3)
 
-    for _ in range(50):
-        F, G, K = cubic(), cubic(), cubic()
-        jac = P.jacobiator(F, G, K)
-        pt = {nm: rng.uniform(0.05, 2.0) * rng.choice([-1, 1]) for nm in names}
-        scale = 1 + max(abs(P.bracket_value(F, G, pt)),
-                        abs(P.bracket_value(G, K, pt)),
-                        abs(P.bracket_value(K, F, pt)))
-        assert abs(ex.evaluate(jac, pt)) <= 1e-8 * scale
+def reference_coordinate_jacobi_defect(P):
+    """Largest |coefficient| of {{x_i, x_j}, x_k} + cyclic over i < j < k,
+    summed from the symbolic bracket trees; each sum is affine, so its
+    coefficients are its partials and its value at the origin, exactly."""
+    xs = [ex.Var(nm) for nm in P.names]
+    origin = {nm: Fraction(0) for nm in P.names}
+    worst = Fraction(0)
+    for i, j, k in itertools.combinations(range(len(xs)), 3):
+        J = ex.ZERO
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            J = J + P.bracket(P.bracket(xs[a], xs[b]), xs[c])
+        for e in [J] + [ex.diff(J, nm) for nm in P.names]:
+            worst = max(worst, abs(ex.eval_exact(e, origin)))
+    return worst
+
+
+def test_coordinate_jacobi_defect_matches_the_bracket_trees():
+    x, y, z, w = (ex.Var(nm) for nm in "xyzw")
+    poisson = [invert_to_poisson(bdarboux_model(n)) for n in (1, 2, 3)] + [
+        PoissonBivector(("x", "y", "z"), {(0, 1): z, (1, 2): x, (0, 2): -y}),
+        PoissonBivector(("x", "y", "z"), {(0, 1): ex.ONE, (1, 2): x}),
+    ]
+    broken = [
+        PoissonBivector(("x", "y", "z"), {(0, 1): y, (1, 2): x}),
+        PoissonBivector(("x", "y", "z", "w"),
+                        {(0, 1): 2 * z + 1, (1, 2): x / 3 - w, (0, 3): y + 1}),
+    ]
+    for P in poisson:
+        assert P.coordinate_jacobi_defect() == reference_coordinate_jacobi_defect(P) == 0
+    for P in broken:
+        assert P.coordinate_jacobi_defect() == reference_coordinate_jacobi_defect(P) > 0
+
+
+def test_coordinate_jacobi_defect_refuses_a_non_affine_entry():
+    P = PoissonBivector(("x", "y", "z"), {(0, 1): ex.parse("x*y"), (1, 2): ex.Var("x")})
+    with pytest.raises(ValueError, match=r"entry \(x, y\) = x\*y is not affine"):
+        P.coordinate_jacobi_defect()
 
 
 def test_consistency_off_z():

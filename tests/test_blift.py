@@ -235,6 +235,14 @@ def test_canonical_verdict():
         assert A.omega_matrix.tolist() == [[float(e) for e in row] for row in W]
 
 
+@pytest.mark.parametrize("name", ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"])
+def test_upstairs_bivector_is_poisson_exactly(name):
+    # each entry of the inverted canonical bivector is a constant times at
+    # most one factor of f, so its coordinate Jacobiators decide Jacobi
+    P = make_action(name).upstairs_poisson
+    assert P.coordinate_jacobi_defect() == 0
+
+
 # ---------------------------------------------------------------------------
 # the lifted action
 

@@ -97,8 +97,8 @@ def test_corrupted_constants_fail_jacobi(tmp_path, capsys):
 
 
 def test_large_constants_pass_lie_poisson_jacobi(tmp_path, capsys):
-    # exact Jacobi holds; the sampled Jacobiator's rounding in terms near
-    # 10^200 is read relative to them, so it does not fail the section
+    # exact Jacobi holds, and the Lie-Poisson section is exact too: it
+    # reads 0 on the coordinate triples, whatever the size of the constants
     big = {"labels": ["X", "Y", "Z"],
            "constants": [[0, 1, 2, 10 ** 200], [1, 2, 0, 1], [2, 0, 1, 1]]}
     cfg = write_config(tmp_path, {"group": big})

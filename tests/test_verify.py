@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -65,26 +64,37 @@ def test_custom_basis_appends_commutator_match():
 
 
 def test_exact_residual_past_the_float_range_fails():
+    # [X, Y] = cX, [Y, Z] = cY: both the algebra's Jacobi defect and the
+    # Lie-Poisson bivector's coordinate Jacobiator carry c^2, past the float
+    # range; each reads inf and fails, with no OverflowError
+    c, z = Fraction(10 ** 200), Fraction(0)
+    alg = lie.LieAlgebra(labels=("X", "Y", "Z"),
+                         constants={(0, 1): (c, z, z), (1, 0): (-c, z, z),
+                                    (1, 2): (z, c, z), (2, 1): (z, -c, z)})
+    assert alg.jacobi_defect() == c * c
+    rep = verify.run_suite(alg, 42)
+    assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
+        ("lie: Jacobi", math.inf), ("lie: Lie-Poisson-Jacobi", math.inf)]
     # both orientations of [X, Y] stated with one sign: the antisymmetry
-    # defect is 2*c, past the float range, and the sampled Jacobiator
-    # overflows; each reads inf and fails, with no OverflowError
+    # defect is 2*c, past the float range; a 2-dim bivector has no
+    # coordinate triple, so it is Poisson and only antisymmetry fails
     c = Fraction(17 * 10 ** 307)
     alg = lie.LieAlgebra(labels=("X", "Y"),
                          constants={(0, 1): (c, Fraction(0)), (1, 0): (c, Fraction(0))})
     rep = verify.run_suite(alg, 42)
     assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
-        ("lie: antisymmetry", math.inf), ("lie: Lie-Poisson-Jacobi", math.inf)]
+        ("lie: antisymmetry", math.inf)]
 
 
-def test_relative_jacobi_residual_still_fails_a_perturbed_bivector():
-    # a sample reads relative to its largest double bracket; a galilean
-    # Lie-Poisson bivector with one entry scaled by 1 + 1e-6 is no longer
-    # Poisson, and reads above 1e-7 against the tolerance of 1e-9
+def test_coordinate_jacobi_defect_fails_a_perturbed_bivector():
+    # a galilean Lie-Poisson bivector with one entry scaled by 1 + 1e-6 is
+    # no longer Poisson: its exact defect is 1e-6, against the tolerance 1e-9
     P = lie.builtin("galilean").group.algebra.lie_poisson
     entries = dict(P.entries)
-    entries[(0, 4)] = ex.as_expr(1 + 1e-6) * entries[(0, 4)]
+    entries[(0, 4)] = ex.Const(1 + Fraction(1, 10 ** 6)) * entries[(0, 4)]
     wrong = bcalc.PoissonBivector(P.names, entries)
-    assert verify._jacobi_residual(wrong, random.Random(42 * 5 + 1), 50) > 1e-7
+    assert wrong.coordinate_jacobi_defect() == Fraction(1, 10 ** 6)
+    assert P.coordinate_jacobi_defect() == 0
 
 
 def test_report_text_is_deterministic():

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,21 +42,52 @@ from .expr import Const, Expr, Var, ZERO, ONE
 __all__ = [
     "BChart", "BVectorField", "BForm", "BFunction", "PoissonBivector",
     "pair", "wedge", "b_d", "d_bfunction", "frame_matrix",
-    "is_b_symplectic", "bdarboux_model", "invert_to_poisson",
+    "is_b_symplectic", "bdarboux_model", "invert_to_poisson", "poisson_frame_matrix",
 ]
 
 
-def sequence_values(names: Sequence[str], point: Sequence) -> list[float]:
-    """A point given as one value per name, in order, as floats.
+def sequence_values(names: Sequence[str], point: Sequence) -> list[float] | np.ndarray:
+    """A point given as one value per name, in order, as floats; or N points
+    given as the columns of a 2-D array, one row per name, as a float array.
 
     A short point raises UnboundVariableError naming the first missing
     coordinate; a long one raises ValueError, so no value is dropped.
+    Columns are checked the same way by their number of rows.
     """
     if len(point) < len(names):
         raise ex.UnboundVariableError(f"unknown name {names[len(point)]!r}")
     if len(point) > len(names):
         raise ValueError(f"point has {len(point)} values for {len(names)} coordinates")
+    if getattr(point, "ndim", 1) == 2:
+        return np.asarray(point, dtype=float)
     return [float(v) for v in point]
+
+
+def joined(*parts) -> list[float] | np.ndarray:
+    """`sequence_values` results one after another, as one input of a
+    compiled map: the floats of points, or the stacked rows of columns."""
+    if isinstance(parts[0], np.ndarray):
+        return np.vstack(parts)
+    return [v for part in parts for v in part]
+
+
+def columns(samples: Iterable[Sequence]) -> list[np.ndarray]:
+    """Samples drawn as tuples of parts, (a, b, ...) each, as one float array
+    per part whose columns are the samples: the input of a compiled map
+    that reads every sample in one call."""
+    return [np.array(part, dtype=float).T for part in zip(*samples)]
+
+
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v at one point, (a, j) with (j,), or column by column, (a, j, N)
+    with (j, N)."""
+    return np.einsum("aj...,j...->a...", M, v)
+
+
+def vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v M at one point, (a,) with (a, j), or column by column, (a, N) with
+    (a, j, N)."""
+    return np.einsum("a...,aj...->j...", v, M)
 
 
 def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
@@ -387,6 +418,15 @@ def _cyclic_defect(rows: Mapping[tuple[int, int], Mapping[int, Fraction]], n: in
     return worst
 
 
+def poisson_frame_matrix(omega: BForm) -> list[list[Fraction]]:
+    """P = transpose(W^-1) for the constant frame matrix W of a nondegenerate
+    2-form, exactly: the frame matrix of its bivector, so
+    {f, g} = sum_ij b_d(f)_i P_ij b_d(g)_j.  A frame matrix with a
+    non-constant entry, or a singular one, is a ValueError."""
+    # _fr_inv returns the columns of W^-1, i.e. P[i][j] = (W^-1)[j][i]
+    return _fr_inv(frame_matrix(omega))
+
+
 def invert_to_poisson(omega: BForm) -> PoissonBivector:
     """Bivector of a nondegenerate degree-2 form with a constant frame matrix,
     over coordinate fields.
@@ -397,8 +437,7 @@ def invert_to_poisson(omega: BForm) -> PoissonBivector:
     matrix with a non-constant entry, or a singular one, is a ValueError.
     """
     ch = omega.chart
-    # _fr_inv returns the columns of W^-1, i.e. P[i][j] = (W^-1)[j][i]
-    P = _fr_inv(frame_matrix(omega))
+    P = poisson_frame_matrix(omega)
     entries: dict[tuple[int, int], Expr] = {}
     for i in range(ch.dim):
         for j in range(i + 1, ch.dim):

@@ -17,15 +17,16 @@ Jacobians are exact expression calculus, no finite differences.
 The lifted action is also the one owner of the numbers its readers share:
 the compiled lift moves covectors by dL_h^{-T}, which is what a connection's
 equivariance check reads.  The canonical form `omega` is built once, and
-its one exact frame matrix (`bcalc.frame_matrix`) is read three ways: the
-upstairs Poisson structure inverts it, `omega_matrix` is its float copy,
-which the coupling identity and the moment-Hamilton check contract with,
-and verify's canonical-layout section decides its nondegeneracy.
+its one exact frame matrix (`bcalc.frame_matrix`) is read four ways: the
+upstairs Poisson structure inverts it, `poisson_matrix` is the float copy
+of that inverse, which the reduced bracket's chain rule contracts with,
+`omega_matrix` is its float copy, which the coupling identity and the
+moment-Hamilton check contract with, and verify's canonical-layout
+section decides its nondegeneracy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -35,7 +36,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr, Var, ZERO
 from .bcalc import (BChart, BForm, BVectorField, PoissonBivector, b_d, frame_matrix,
-                    invert_to_poisson, sequence_values)
+                    invert_to_poisson, joined, poisson_frame_matrix, sequence_values)
 from .lie import BLieGroupPair
 
 __all__ = [
@@ -215,6 +216,12 @@ class LiftedAction:
         return np.array(frame_matrix(self.omega), dtype=float)
 
     @cached_property
+    def poisson_matrix(self) -> np.ndarray:
+        """P = transpose(W^-1), the float frame matrix of `upstairs_poisson`:
+        {f, g} = b_d(f) P b_d(g) at a point."""
+        return np.array(poisson_frame_matrix(self.omega), dtype=float)
+
+    @cached_property
     def upstairs_poisson(self) -> PoissonBivector:
         """The Poisson bivector inverse to the canonical form on the cotangent chart."""
         return invert_to_poisson(self.omega)
@@ -222,19 +229,22 @@ class LiftedAction:
     def act(self, h: Sequence[float], point: Sequence[float]) -> np.ndarray:
         """Cotangent lift of translation by h applied to (base, momenta).
 
-        Raises DomainError when the translated point falls off the chart,
-        which for the rotation-fraction parametrization happens at the
-        composition singularity.
+        h and point may also hold N samples as columns (`sequence_values`);
+        the moved points are then the columns of the result, from one
+        compiled call.  Raises DomainError when a translated point falls
+        off the chart, which for the rotation-fraction parametrization
+        happens at the composition singularity.
         """
-        out = self._lift_compiled([*sequence_values(self._h_names, h),
-                                   *sequence_values(self.cot.chart.names, point)])
-        if not all(math.isfinite(v) for v in out):
+        out = np.asarray(self._lift_compiled(joined(sequence_values(self._h_names, h),
+                                                    sequence_values(self.cot.chart.names, point))))
+        if not np.isfinite(out).all():
             raise ex.DomainError("translated point leaves the chart")
-        return np.array(out)
+        return out
 
     def moment(self, point: Sequence[float], X: Sequence[float]) -> float:
         mu = self._moment_compiled(sequence_values(self.cot.chart.names, point))
         return float(sum(x * m for x, m in zip(sequence_values(self._h_names, X), mu)))
 
     def moment_vector(self, point: Sequence[float]) -> np.ndarray:
+        """mu at a point, or at N points given as columns."""
         return np.array(self._moment_compiled(sequence_values(self.cot.chart.names, point)))

@@ -38,9 +38,16 @@ minus signs with an ExprSyntaxError.
 
 `emit` is the one code generator: it writes the walk as straight-line
 Python, one assignment per node, so a structurally equal subtree, being
-one node, is computed once.
+one node, is computed once.  A temporary's name is taken again once its
+last reader is written, the outputs' names excepted, so the lines hold
+only as many values at once as the walk needs.
 `compile_exprs` wraps its lines in a function of a coordinate list;
-`dynamics` inlines them into a whole generated integration loop.
+`dynamics` inlines them into a whole generated integration loop.  The
+function compiled from them also reads N points at once, as the columns
+of a 2-D numpy array: the same code object runs on numpy rows, with the
+scalar `math` functions (and `pow`) applied element by element, so a
+column's values are the scalar call's bit for bit.  numpy is imported
+only on the first such call.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
@@ -81,10 +88,12 @@ there is no implicit absolute value.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import weakref
 from fractions import Fraction
+from types import FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -900,6 +909,17 @@ def free_vars(e: Expr) -> frozenset[str]:
 # compilation (fast repeated evaluation; semantics match `evaluate`)
 # ---------------------------------------------------------------------------
 
+def _operands(n: Expr) -> tuple[Expr, ...]:
+    t = type(n)
+    if t is Pow:
+        return (n.base,)
+    if t is Fun:
+        return (n.arg,)
+    if t is Const or t is Var:
+        return ()
+    return (n.a, n.b)
+
+
 def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
          indent: str = "    ") -> tuple[list[str], list[str]]:
     """Straight-line Python computing `exprs`: (assignment lines, id of each).
@@ -912,11 +932,26 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     at `indent`: one line per node of the walk, so a structurally equal
     subtree, being one node, is computed once.  The lines follow the walk,
     so the first line that fails is the first node of the walk that fails,
-    as in `evaluate`.  The lines run in the namespace `build` gives them.
+    as in `evaluate`.  The lines run in the namespace `build` gives them;
+    an integer power is a call `_pow(base, n)`, so that namespace decides
+    how powers round.
+
+    A temporary's name is free again once the line of its last reader is
+    written, and the next temporary takes the most recently freed name; the
+    temporaries of `exprs` themselves are never freed, so their ids hold
+    their values after the last line.  So the lines keep only as many
+    values alive as the walk needs at once, which is what a map evaluated
+    over numpy columns holds in memory.
     """
+    order = _postorder(exprs)
+    last = {o: i for i, n in enumerate(order) for o in _operands(n)}
+    pinned = set(exprs)
     lines: list[str] = []
     ids: dict[Expr, str] = {}
-    for n in _postorder(exprs):
+    freeable: set[Expr] = set()  # temporaries not among the outputs
+    free: list[str] = []
+    fresh = 0
+    for i, n in enumerate(order):
         t = type(n)
         if t is Const:
             try:
@@ -938,11 +973,22 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
         elif t is Div:
             rhs = f"{ids[n.a]} / {ids[n.b]}"
         elif t is Pow:
-            rhs = f"{ids[n.base]} ** {n.n}"
+            rhs = f"_pow({ids[n.base]}, {n.n})"
         else:
             rhs = f"_{n.name}({ids[n.arg]})"
-        name = ids[n] = f"{temp}{len(lines)}"
+        if free:
+            name = free.pop()
+        else:
+            name = f"{temp}{fresh}"
+            fresh += 1
+        ids[n] = name
+        if n not in pinned:
+            freeable.add(n)
         lines.append(f"{indent}{name} = {rhs}")
+        for o in _operands(n):
+            if last[o] == i and o in freeable:
+                freeable.remove(o)  # once, though x * x reads x twice
+                free.append(ids[o])
     return lines, [ids[e] for e in exprs]
 
 
@@ -950,9 +996,10 @@ def build(src: str, name: str, **extra) -> Callable:
     """The function `name` defined by generated source over `emit`'s lines.
 
     The source runs in a namespace with `_UNARY`'s functions, each under
-    its name after an underscore as the lines call it, plus `extra`.
+    its name after an underscore as the lines call it, `_pow` as the
+    builtin `pow`, plus `extra`.
     """
-    ns = {f"_{f}": fn for f, fn in _UNARY.items()} | extra
+    ns = {f"_{f}": fn for f, fn in _UNARY.items()} | {"_pow": pow} | extra
     exec(compile(src, "<bsymp-compiled>", "exec"), ns)
     return ns[name]
 
@@ -965,6 +1012,10 @@ def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     and an OverflowError of `exp` or float `**` is a DomainError.  Float `/`
     by zero and `**` of 0 to a negative power both raise ZeroDivisionError,
     told apart by message.  A bare ValueError comes from sin or cos of ±inf.
+    The other ArithmeticError, numpy's FloatingPointError, is named by its
+    kind ("overflow encountered in multiply" is "float overflow"); the
+    compiled maps never pass one here, since a failed column call is read
+    again one point at a time.
     """
     if isinstance(err, EvalError):
         return err
@@ -973,25 +1024,81 @@ def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     if isinstance(err, ZeroDivisionError):
         return DomainError("zero to a negative power" if "negative power" in str(err)
                            else "division by zero")
-    return DomainError("sin or cos of an infinite value")
+    if isinstance(err, ValueError):
+        return DomainError("sin or cos of an infinite value")
+    return DomainError("float " + str(err).split(" encountered")[0])
 
 
-def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], list[float]]:
-    """Compile expressions into one function of a coordinate tuple.
+@functools.cache
+def _column_namespace() -> dict:
+    """`build`'s namespace for numpy rows: each unary function and `_pow`
+    apply the scalar function element by element, so every value rounds as
+    in the scalar call (numpy's own exp, log and power may not); a float
+    from a constant subexpression is passed straight through."""
+    import numpy as np
 
-    The returned callable takes values ordered like `names` and returns a
-    list of floats.  Each node is evaluated once, so a structurally equal
-    subtree is too.  Failures, overflow included, raise `domain_error`'s
-    DomainError for the first node that fails, as `evaluate` does.
+    def each(fn, nargs):
+        vec = np.frompyfunc(fn, nargs, 1)
+
+        def apply(a, *rest):
+            return fn(a, *rest) if type(a) is float else vec(a, *rest).astype(float)
+        return apply
+
+    return {f"_{f}": each(fn, 1) for f, fn in _UNARY.items()} | {"_pow": each(pow, 2)}
+
+
+def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
+    """Compile expressions into one function of a point or of columns.
+
+    Called with values ordered like `names` (a 1-D numpy array is read as
+    its floats), it returns a list of floats.  Each node is evaluated once,
+    so a structurally equal subtree is too.  Failures, overflow included,
+    raise `domain_error`'s DomainError for the first node that fails, as
+    `evaluate` does.
+
+    Called with a 2-D array of shape (len(names), N), it reads the N columns
+    as N points and returns a (len(exprs), N) float array, a constant
+    output broadcast along its row.  The same code object runs on the rows,
+    with numpy arithmetic and `_column_namespace`'s element-wise functions,
+    so each column is bit for bit the scalar call's value.  The call runs
+    under `np.errstate(all="raise")`; if anything fails, the columns are
+    read again one at a time in order by the scalar call, which raises the
+    first failing column's DomainError, or, where numpy raised but plain
+    floats do not (a `*` overflowing to inf, an underflow), gives the
+    scalar values.
     """
     lines, results = emit(exprs, {name: f"x[{i}]" for i, name in enumerate(names)}, "t")
-    raw = build("def _compiled(x):\n" + "\n".join(lines)
-                + f"\n    return [{', '.join(results)}]\n", "_compiled")
+    src = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
+    del lines  # compile() of a long map sets a verify's peak memory; free them first
+    raw = build(src, "_compiled")
+    by_rows = None
 
-    def wrapped(x):
+    def columns(X):
+        nonlocal by_rows
+        import numpy as np
+        if by_rows is None:
+            by_rows = FunctionType(raw.__code__, _column_namespace())
+        X = np.asarray(X, dtype=float)
+        try:
+            with np.errstate(all="raise"):
+                rows = by_rows(X)
+        except (ArithmeticError, ValueError):
+            points = [compiled(col) for col in X.T.tolist()]
+            return np.array(points, dtype=float).reshape(X.shape[1], len(results)).T
+        out = np.empty((len(rows), X.shape[1]))
+        for i, row in enumerate(rows):
+            out[i] = row
+        return out
+
+    def compiled(x):
+        ndim = getattr(x, "ndim", None)
+        if ndim == 2:
+            return columns(x)
+        if ndim is not None:
+            x = x.tolist()
         try:
             return raw(x)
         except (ArithmeticError, ValueError) as err:
             raise domain_error(err) from None
 
-    return wrapped
+    return compiled

@@ -36,14 +36,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .bcalc import PoissonBivector, _cyclic_defect, _fr_solve, sequence_values
+from .bcalc import PoissonBivector, _cyclic_defect, _fr_solve, joined, sequence_values, vecmat
 from .expr import Const, Expr, Var, ZERO, ONE
 
 __all__ = [
     "LieAlgebra", "MatrixGroup", "BLieGroupPair",
     "structure_constants_from_matrices", "SpanError", "TrivializationError",
     "builtin",
-    "group_mul", "group_inv", "group_exp", "group_log",
+    "group_mul", "group_inv",
     "adjoint", "coadjoint_star", "dual_names",
     "param_distance",
 ]
@@ -303,75 +303,46 @@ class MatrixGroup:
         return _basis_pinv(self.basis)
 
     def wrap_params(self, params: np.ndarray) -> np.ndarray:
+        """params with each compact coordinate wrapped; a row of columns
+        is wrapped element by element."""
         out = np.array(params, dtype=float)
         for i, kind in enumerate(self.wrap):
             if kind == "angle":
-                out[i] = math.remainder(out[i], 2 * math.pi)
+                out[i] = _remainder(out[i], 2 * math.pi)
             elif kind == "mod1":
                 out[i] = out[i] % 1.0
         return out
 
 
-def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> float:
-    """Max coordinate distance, measured around the seam on circle coordinates."""
-    worst = 0.0
-    wrap = G.wrap or (None,) * G.dim
-    p, q = sequence_values(G.param_names, p), sequence_values(G.param_names, q)
-    for i in range(G.dim):
-        d = abs(p[i] - q[i])
-        if wrap[i] == "angle":
-            d = abs(math.remainder(p[i] - q[i], 2 * math.pi))
-        elif wrap[i] == "mod1":
-            d = min(d % 1.0, 1.0 - d % 1.0)
-        worst = max(worst, d)
-    return worst
+# math.remainder (IEEE, the quotient rounded to even) element by element
+_remainder = np.frompyfunc(math.remainder, 2, 1)
+
+
+def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> float | np.ndarray:
+    """Max coordinate distance, measured around the seam on circle
+    coordinates; NaN if a coordinate is NaN.  p and q may also hold N
+    points as columns (`sequence_values`): then one distance per column."""
+    p = np.asarray(sequence_values(G.param_names, p))
+    q = np.asarray(sequence_values(G.param_names, q))
+    d = np.abs(p - q)
+    for i, kind in enumerate(G.wrap):
+        if kind == "angle":
+            d[i] = np.abs(np.asarray(_remainder(p[i] - q[i], 2 * math.pi), dtype=float))
+        elif kind == "mod1":
+            d[i] = np.minimum(d[i] % 1.0, 1.0 - d[i] % 1.0)
+    return np.max(d, axis=0)
 
 
 def group_mul(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
+    """The product's parameters, wrapped; p and q may hold N points as columns."""
     names = G.param_names
-    return G.wrap_params(np.array(G._mul_compiled(sequence_values(names, p)
-                                                  + sequence_values(names, q))))
+    return G.wrap_params(G._mul_compiled(joined(sequence_values(names, p),
+                                                sequence_values(names, q))))
 
 
 def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
-    return G.wrap_params(np.array(G._inv_compiled(sequence_values(G.param_names, p))))
-
-
-def group_exp(G: MatrixGroup, X: Sequence[float]) -> np.ndarray:
-    """Parameters of exp(sum X_a E_a), by scaling and squaring (Higham 2005).
-
-    The Taylor series is summed for M / 2^s, with s the least making that
-    1-norm at most 1/2, until a term no longer changes the sum (at once
-    when M is nilpotent), and the sum is squared s times.
-    """
-    basis = G.basis
-    m = G.matrix_dim
-    M = np.zeros((m, m))
-    for coef, B in zip(sequence_values(G.labels, X), basis):
-        M += coef * np.array(B, dtype=float)
-    norm = float(np.max(np.sum(np.abs(M), axis=0)))
-    s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
-    A = M / 2.0 ** s
-    P = np.eye(m)
-    S = np.eye(m)
-    for k in range(1, 30):
-        P = P @ A / k
-        if np.array_equal(S + P, S):
-            break
-        S = S + P
-    for _ in range(s):
-        S = S @ S
-    return G.wrap_params(G.params_from_matrix(S))
-
-
-def group_log(G: MatrixGroup, M: np.ndarray) -> np.ndarray:
-    """Chart parameters of a matrix near the identity; checks the result."""
-    params = G.params_from_matrix(np.asarray(M, dtype=float))
-    back = G.chart(params)
-    err = float(np.max(np.abs(back - M)))
-    if err > 1e-8:
-        raise ValueError(f"matrix log did not converge in this chart (residual {err:.3e})")
-    return G.wrap_params(params)
+    """The inverse's parameters, wrapped; p may hold N points as columns."""
+    return G.wrap_params(G._inv_compiled(sequence_values(G.param_names, p)))
 
 
 def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr]]:
@@ -404,11 +375,11 @@ def adjoint(G: MatrixGroup, g: Sequence[float], X: Sequence[float]) -> np.ndarra
 
 
 def coadjoint_star(G: MatrixGroup, g: Sequence[float], mu: Sequence[float]) -> np.ndarray:
-    """<Ad*_g mu, X> = <mu, Ad_{g^-1} X>."""
+    """<Ad*_g mu, X> = <mu, Ad_{g^-1} X>; g and mu may hold N points as columns."""
     d = G.dim
     # [b][a] of Ad_{g^-1}
-    ad = np.array(G.adjoint_compiled(list(group_inv(G, g)))).reshape(d, d)
-    return np.array(sequence_values(G.labels, mu)) @ ad
+    ad = np.asarray(G.adjoint_compiled(group_inv(G, g)))
+    return vecmat(np.asarray(sequence_values(G.labels, mu)), ad.reshape(d, d, *ad.shape[1:]))
 
 
 def _emat_mul(A, B):

@@ -14,9 +14,17 @@ Conventions fixed here:
   chart of the lifted action's base; it has no dphi leg, so it kills the
   transverse frame field.
 * a connection compiles three maps and nothing more: theta, psi_theta with
-  its frame Jacobian, and the coupling target.  Its equivariance check
-  moves a covector by the cotangent lift, and its reduced points read
-  psi_theta and the subgroup's compiled Ad.
+  its frame Jacobian, and the coupling target; the pair adds one, the
+  frame coefficients of b_d(nu_b) for the bracket below.  Its equivariance
+  check moves a covector by the cotangent lift, and its reduced points
+  read psi_theta and the subgroup's compiled Ad.
+* every numeric entry point reads one point, or N points given as the
+  columns of a 2-D array (`bcalc.sequence_values`): each compiled map is
+  then called once over all of them (`expr.compile_exprs`), and the
+  contractions are einsums over the trailing sample axis
+  (`bcalc.matvec`, `bcalc.vecmat`).  The axiom and orbit-invariance
+  checks draw every sample first and read them so; a check whose
+  residual is NaN fails.
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
   covector on the dphi/phi slot.
@@ -37,6 +45,11 @@ Conventions fixed here:
   `chart_shift` tau: p -> p - S <xi, mu> takes that chart to the default
   one.  The theorem reads {F o lift_theta, G o lift_theta} =
   {F o tau, G o tau}_reduced o lift_default for reduced F and G.
+* the upstairs side of that theorem is one chain rule: with y the reduced
+  coordinates, {F o y, G o y} = dF(y) B dG(y) and B = J P J^T, P the
+  constant frame matrix of the upstairs bivector and J's rows b_d(y_k)
+  (`Connection.reduced_brackets`); so a reduced F is never substituted
+  into the lifted coordinates.
 """
 
 from __future__ import annotations
@@ -50,7 +63,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Var, ONE, ZERO
-from .bcalc import BChart, BForm, PoissonBivector, b_d, sequence_values
+from .bcalc import (BChart, BForm, PoissonBivector, b_d, columns, joined, matvec,
+                    sequence_values, vecmat)
 from .blift import LiftedAction
 from .lie import BLieGroupPair, dual_names
 
@@ -69,13 +83,16 @@ def zeta(pair: BLieGroupPair, g: Sequence[float], X: Sequence[float]) -> np.ndar
     Components are b-frame components on the split chart, X @ Z(g) for the
     generator matrix Z; the transverse slot is structurally zero because
     left translation fixes phi.  g takes one value per chart coordinate and
-    X one per algebra direction (`bcalc.sequence_values`).
+    X one per algebra direction, or N of each as columns
+    (`bcalc.sequence_values`).
     """
     act = _action(pair)
     m = act.h_dim
     g = sequence_values(act.cot.base.names, g)
-    X = np.array(sequence_values(act._h_names, X))
-    return np.append(X @ np.array(act.zeta_compiled(g[:m])).reshape(m, m), 0.0)
+    X = np.asarray(sequence_values(act._h_names, X))
+    Z = np.asarray(act.zeta_compiled(g[:m]))
+    z = vecmat(X, Z.reshape(m, m, *Z.shape[1:]))
+    return np.concatenate([z, np.zeros((1, *z.shape[1:]))])
 
 
 def _action(pair: BLieGroupPair) -> LiftedAction:
@@ -117,14 +134,16 @@ class Connection:
         return ex.compile_exprs(flat, list(names))
 
     def theta_matrix(self, point: Sequence[float]) -> np.ndarray:
-        """Theta(x): row a holds theta^a's frame coefficients at the point."""
+        """Theta(x): row a holds theta^a's frame coefficients at the point;
+        at N points given as columns, an (h, n, N) array."""
         names = self.chart.names
-        vals = self._theta_compiled(sequence_values(names, point))
-        return np.array(vals).reshape(self.h_dim, len(names))
+        vals = np.asarray(self._theta_compiled(sequence_values(names, point)))
+        return vals.reshape(self.h_dim, len(names), *vals.shape[1:])
 
     def theta(self, point: Sequence[float], v: Sequence[float]) -> np.ndarray:
-        """Apply theta to a b-tangent vector given in frame components."""
-        return self.theta_matrix(point) @ np.array(sequence_values(self.chart.names, v))
+        """Apply theta to a b-tangent vector given in frame components; point
+        and v may hold N samples as columns."""
+        return matvec(self.theta_matrix(point), np.asarray(sequence_values(self.chart.names, v)))
 
     def phi_slot_exprs(self) -> list[Expr]:
         """The dphi-leg coefficients t_a, zero for the default connection."""
@@ -141,30 +160,61 @@ class Connection:
         names = act.cot.chart.names
         m = self.h_dim
         rng = random.Random(211)
-        scale = 1.0
-        worst = 0.0
+        draws = []
         for t in range(20):
             x = [rng.uniform(-0.8, 0.8) for _ in names]
             if t % 4 == 0:
                 x[m] = 0.0
-            h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
-            a, b = self.reduced_point(x), self.reduced_point(act.act(h, x))
-            scale = max(scale, *map(abs, a))
-            worst = max(worst, *(abs(u - v) for u, v in zip(a, b)))
-        if worst > 1e-8 * scale:
+            draws.append((x, [rng.uniform(-0.5, 0.5) for _ in range(m)]))
+        x, h = columns(draws)
+        a, b = self.reduced_point(x), self.reduced_point(act.act(h, x))
+        # np.max keeps a NaN, so a NaN sample fails the check
+        scale = np.max(np.abs(a), initial=1.0)
+        worst = np.max(np.abs(a - b))
+        if not worst <= 1e-8 * scale:
             raise ValueError(f"reduced coordinates of the {self.tag} connection are "
                              f"not orbit-invariant, residual {worst:.3e}")
         nu = invariant_moment_exprs(self.pair)
         return {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": psi_map_exprs(self)[-1]}
 
-    def reduced_point(self, point: Sequence[float]) -> list[float]:
+    def reduced_point(self, point: Sequence[float]) -> list[float] | np.ndarray:
         """The reduced point [nu, phi, p] of a cotangent-chart point, read
-        from psi_theta's [k, phi, mu, p] as nu = mu Ad_k."""
+        from psi_theta's [k, phi, mu, p] as nu = mu Ad_k; at N points given
+        as columns, an (m + 2, N) array."""
         names, fn, _ = self._psi_compiled
+        y = self._reduced(np.asarray(fn(sequence_values(names, point))))
+        return y.tolist() if y.ndim == 1 else y
+
+    def _reduced(self, psi: np.ndarray) -> np.ndarray:
+        """[nu, phi, p] from psi_theta's values [k, phi, mu, p, ...]."""
         m = self.h_dim
-        y = fn(sequence_values(names, point))
-        Ad = np.array(self.pair.h_group.adjoint_compiled(y[:m])).reshape(m, m)
-        return [*(np.array(y[m + 1:2 * m + 1]) @ Ad).tolist(), y[m], y[2 * m + 1]]
+        Ad = np.asarray(self.pair.h_group.adjoint_compiled(psi[:m]))
+        nu = vecmat(psi[m + 1:2 * m + 1], Ad.reshape(m, m, *Ad.shape[1:]))
+        return np.concatenate([nu, psi[m:m + 1], psi[2 * m + 1:2 * m + 2]])
+
+    def reduced_brackets(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """(y, B) at a cotangent-chart point, or at N points given as columns:
+        y the reduced point [nu, phi, p] and B[k, l] = {y_k, y_l} upstairs.
+
+        B = J P J^T, with P the lifted action's constant `poisson_matrix` and
+        J's rows the frame coefficients b_d(y_k): the nu rows from
+        `_invariant_moment_jacobian`, phi's row phi on the defining slot, and
+        p's row the last row of psi_theta's Jacobian.  So {F o y, G o y} is
+        dF(y) B dG(y), by the chain rule.
+        """
+        names, fn, (ji, jj) = self._psi_compiled
+        nfn, (ni, nj) = _invariant_moment_jacobian(self.pair)
+        m = self.h_dim
+        n = len(names)
+        x = sequence_values(names, point)
+        vals = np.asarray(fn(x))
+        J = np.zeros((m + 2, n, *vals.shape[1:]))
+        J[ni, nj] = nfn(x)
+        J[m, m] = x[m]
+        last = ji == n - 1
+        J[m + 1, jj[last]] = vals[n:][last]
+        JP = np.einsum("ki...,il->kl...", J, _action(self.pair).poisson_matrix)
+        return self._reduced(vals[:n]), np.einsum("ki...,li...->kl...", JP, J)
 
     @cached_property
     def chart_shift(self) -> dict[str, Expr]:
@@ -255,43 +305,59 @@ def make_connection(pair: BLieGroupPair, deformation: tuple | None = None) -> Co
     forms = tuple(BForm(ch, 1, c) for c in coeffs)
     theta = Connection(pair=pair, forms=forms, tag=tag, xi=xi, S=S)
     resid = _axiom_residual(theta, samples=40, seed=101)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise ValueError(f"connection axioms fail, residual {resid:.3e}")
     return theta
 
 
 def _axiom_residual(theta: Connection, samples: int, seed: int) -> float:
-    """Max residual of the reproducing and equivariance axioms on samples.
+    """Max residual of the reproducing and equivariance axioms on samples,
+    NaN if a sample's is.
+
+    Every sample is drawn first, in one seeded order, and each map reads
+    them all as columns.  If a map cannot be evaluated, the samples are
+    read again one at a time, so the DomainError is the first failing
+    sample's, naming its phi.
+    """
+    rng = random.Random(seed)
+    m = theta.h_dim
+    draws = []
+    for t in range(samples):
+        g = [rng.uniform(-0.7, 0.7) for _ in range(m + 1)]
+        if t % 3 == 0:
+            g[m] = 0.0
+        X = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
+        draws.append((g, X, h, [rng.uniform(-1.0, 1.0) for _ in range(m)]))
+    g, X, h, c = columns(draws)
+    try:
+        return _axiom_worst(theta, g, X, h, c)
+    except ex.DomainError:
+        for s in range(g.shape[1]):
+            try:
+                _axiom_worst(theta, *(part[:, s:s + 1] for part in (g, X, h, c)))
+            except ex.DomainError as err:
+                raise ex.DomainError(f"cannot be evaluated at {theta.pair.phi_name}="
+                                     f"{g[m, s]:.6g}: {err}") from err
+        raise
+
+
+def _axiom_worst(theta: Connection, g, X, h, c) -> float:
+    """The axioms' largest residual over columns of base points g, algebra
+    directions X, subgroup elements h and covectors c.
 
     Equivariance, Theta(hg) dL_h = Ad_h Theta(g), is read through the
     cotangent lift: it moves alpha = (c Ad_h) Theta(g) by dL_h^{-T}, so the
     moved covector must be c Theta(hg).
     """
     pair = theta.pair
-    act = _action(pair)
-    Adf = pair.h_group.adjoint_compiled
     m = theta.h_dim
-    rng = random.Random(seed)
-
-    worst = 0.0
-    for t in range(samples):
-        g = [rng.uniform(-0.7, 0.7) for _ in range(m + 1)]
-        if t % 3 == 0:
-            g[m] = 0.0
-        X = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-        h = [rng.uniform(-0.6, 0.6) for _ in range(m)]
-        c = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-        try:
-            rep = theta.theta(g, zeta(pair, g, X))
-            alpha = (c @ np.array(Adf(h)).reshape(m, m)) @ theta.theta_matrix(g)
-            moved = act.act(h, [*g, *alpha])
-            lhs = c @ theta.theta_matrix(moved[:m + 1])
-        except ex.DomainError as err:
-            raise ex.DomainError(
-                f"cannot be evaluated at {pair.phi_name}={g[m]:.6g}: {err}") from err
-        worst = max(worst, float(np.max(np.abs(rep - X))),
-                    float(np.max(np.abs(lhs - moved[m + 1:]))))
-    return worst
+    rep = theta.theta(g, zeta(pair, g, X))
+    Ad = np.asarray(pair.h_group.adjoint_compiled(h)).reshape(m, m, -1)
+    alpha = vecmat(vecmat(c, Ad), theta.theta_matrix(g))
+    moved = _action(pair).act(h, np.vstack([g, alpha]))
+    lhs = vecmat(c, theta.theta_matrix(moved[:m + 1]))
+    return float(np.max([np.max(np.abs(rep - X)), np.max(np.abs(lhs - moved[m + 1:]))]))
 
 
 def phi_theta(theta: Connection, point: Sequence[float],
@@ -315,24 +381,30 @@ def psi_theta(theta: Connection, point: Sequence[float],
               alpha: Sequence[float]) -> np.ndarray:
     """Split a covector (frame coefficients) at a base point into the
     coupled-chart point [k, phi, mu, p], read from the connection's compiled
-    psi_theta; alpha - mu Theta(x) must be its dphi leg alone."""
+    psi_theta; alpha - mu Theta(x) must be its dphi leg alone, else, or if
+    that test reads NaN, a SplittingError.  point and alpha may hold N
+    samples as columns; the points are then the result's columns."""
     names, fn, _ = theta._psi_compiled
     m = theta.h_dim
     point = sequence_values(theta.chart.names, point)
     alpha = sequence_values(names[m + 1:], alpha)
-    y = np.array(fn(point + alpha)[:len(names)])
-    beta = np.array(alpha) - y[m + 1:-1] @ theta.theta_matrix(point)
-    if np.max(np.abs(beta[:m])) > 1e-9 * (1.0 + np.max(np.abs(alpha))):
+    y = np.asarray(fn(joined(point, alpha)))[:len(names)]
+    alpha = np.asarray(alpha)
+    with np.errstate(invalid="ignore"):  # a NaN here fails the test below
+        beta = alpha - vecmat(y[m + 1:-1], theta.theta_matrix(point))
+    vertical = np.max(np.abs(beta[:m]), axis=0)
+    if not np.all(vertical <= 1e-9 * (1.0 + np.max(np.abs(alpha), axis=0))):
         raise SplittingError("annihilator part kept a vertical leg")
     return y
 
 
 def psi_theta_inverse(theta: Connection, y: Sequence[float]) -> np.ndarray:
     """The covector p e_m + mu Theta(x) of a coupled-chart point [k, phi, mu, p]:
-    the coupling form <mu, theta> plus the transverse leg."""
+    the coupling form <mu, theta> plus the transverse leg; y may hold N
+    points as columns."""
     m = theta.h_dim
-    y = sequence_values(coupled_chart(theta).names, y)
-    out = np.array(y[m + 1:-1]) @ theta.theta_matrix(y[:m + 1])
+    y = np.asarray(sequence_values(coupled_chart(theta).names, y))
+    out = vecmat(y[m + 1:-1], theta.theta_matrix(y[:m + 1]))
     out[m] += y[-1]
     return out
 
@@ -377,28 +449,31 @@ def coupling_rhs_form(theta: Connection) -> BForm:
 
 
 def coupling_identity_residual(theta: Connection, point: Sequence[float],
-                               v: Sequence[float], w: Sequence[float]) -> float:
-    """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point.
+                               v: Sequence[float], w: Sequence[float]) -> float | np.ndarray:
+    """|omega(v, w) - rhs(dpsi v, dpsi w)| at one cotangent-chart point, or
+    one residual per column when point, v and w hold N samples as columns.
 
-    Two compiled calls, then numpy contractions: the Jacobian is scattered
-    into a dense matrix J, the target form pairs J v with J w over its
-    coefficient index pairs, and omega(v, w) is v W w with the lifted
-    action's constant frame matrix W.
+    Two compiled calls, then numpy contractions: the Jacobian's nonzero
+    entries move v and w (J v and J w, scattered by row), the target form
+    pairs J v with J w over its coefficient index pairs, and omega(v, w) is
+    v W w with the lifted action's constant frame matrix W.
     """
     names, fn, (ji, jj) = theta._psi_compiled
     rfn, (ri, rk) = theta._coupling_compiled
     n = len(names)
     pt = sequence_values(names, point)
-    v = np.array(sequence_values(names, v))
-    w = np.array(sequence_values(names, w))
-    vals = fn(pt)
-    J = np.zeros((n, n))
-    J[ji, jj] = vals[n:]
-    pv = J @ v
-    pw = J @ w
-    rhs = np.array(rfn(vals[:n])) @ (pv[ri] * pw[rk] - pv[rk] * pw[ri])
-    lhs = v @ _action(theta.pair).omega_matrix @ w
-    return float(abs(lhs - rhs))
+    v = np.asarray(sequence_values(names, v))
+    w = np.asarray(sequence_values(names, w))
+    vals = np.asarray(fn(pt))
+    pv = np.zeros(v.shape)
+    pw = np.zeros(w.shape)
+    np.add.at(pv, ji, vals[n:] * v[jj])
+    np.add.at(pw, ji, vals[n:] * w[jj])
+    rhs = np.einsum("k...,k...->...", np.asarray(rfn(vals[:n])),
+                    pv[ri] * pw[rk] - pv[rk] * pw[ri])
+    lhs = np.einsum("i...,ij,j...->...", v, _action(theta.pair).omega_matrix, w)
+    out = np.abs(lhs - rhs)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +501,40 @@ def invariant_moment_exprs(pair: BLieGroupPair) -> tuple[Expr, ...]:
     return pair.memo("invariant_moments", build)
 
 
-def reduced_bracket_via_invariants(theta: Connection, F: Expr, G: Expr,
-                                   point: Sequence[float]) -> float:
+def _invariant_moment_jacobian(pair: BLieGroupPair):
+    """The nonzero frame coefficients of b_d(nu_b), every b, as one compiled
+    map over the cotangent chart, built once per pair: (the map, the
+    entries' row and column index arrays)."""
+    def build():
+        cch = _action(pair).cot.chart
+        jac = {(b, j): c for b, nu in enumerate(invariant_moment_exprs(pair))
+               for (j,), c in b_d(BForm(cch, 0, {(): nu})).coeffs.items()}
+        keys = sorted(jac)
+        return ex.compile_exprs([jac[k] for k in keys], list(cch.names)), _index_arrays(keys)
+
+    return pair.memo("invariant_moment_jacobian", build)
+
+
+def reduced_bracket_via_invariants(theta: Connection, F, G,
+                                   point: Sequence[float]) -> float | np.ndarray:
     """{F, G} of reduced F and G, lifted through the connection's checked
-    reduced coordinates and bracketed upstairs at a cotangent-chart point;
-    functions of orbit-invariant coordinates need no check of their own."""
-    lift = theta.reduced_coordinates
-    up = _action(theta.pair).upstairs_poisson
-    return up.bracket_value(ex.subs(F, lift), ex.subs(G, lift),
-                            [float(x) for x in point])
+    reduced coordinates y and bracketed upstairs at a cotangent-chart point:
+    dF(y) B dG(y) with (y, B) from `Connection.reduced_brackets`, the chain
+    rule over the one upstairs bivector.  Functions of orbit-invariant
+    coordinates need no check of their own.
+
+    point may hold N points as columns, with F and G sequences of N
+    expressions each: then one bracket per column, from one (y, B) call.
+    """
+    theta.reduced_coordinates  # the orbit-invariance check, on first use
+    names = (*dual_names(theta.pair.h_algebra), theta.pair.phi_name, "p")
+    y, B = theta.reduced_brackets(point)
+
+    def chain(F, G, y, B):
+        env = dict(zip(names, y.tolist()))
+        return float(np.asarray(ex.grad(F, names, env)) @ B @ np.asarray(ex.grad(G, names, env)))
+
+    if y.ndim == 1:
+        return chain(F, G, y, B)
+    return np.array([chain(*FG, y[:, s], B[:, :, s])
+                     for s, FG in enumerate(zip(F, G, strict=True))])

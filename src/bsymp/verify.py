@@ -14,6 +14,12 @@ canonical-layout, decide from an exact constant frame matrix and read
 Everything is seeded from one integer, so reruns of the same
 configuration produce the same bytes.
 
+The sampled sections draw every sample first, in one seeded order, and
+then read them all as columns: each compiled map is called once per
+section and connection, and the residuals come from einsum and scatter
+contractions over the sample axis.  A section's residual is the np.max
+of every sample's (`_worst`), so a NaN sample fails it.
+
 Groups given only by structure constants (no matrix chart) run the algebra
 sections, and commutator-match when a matrix basis comes with them, and
 skip everything that needs the group or its cotangent side.
@@ -218,22 +224,26 @@ def _sec_canonical_layout(pair, seed):
     return float(not (layout and bcalc.is_b_symplectic(act.omega))), 0.0
 
 
+def _worst(*residuals) -> float:
+    """The largest of every sample's residual; NaN if one is NaN, which
+    np.max keeps and a running max(0.0, nan) would drop."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+
+
 def _sec_action_law(pair, seed):
     act = red._action(pair)
     H = pair.h_group
     names = act.cot.chart.names
+    m = len(pair.h_names)
     rng = random.Random(seed * 13 + 4)
-    worst = 0.0
-    for _ in range(100):
-        h1 = [rng.uniform(-0.5, 0.5) for _ in range(len(pair.h_names))]
-        h2 = [rng.uniform(-0.5, 0.5) for _ in range(len(pair.h_names))]
-        x = [rng.uniform(-0.6, 0.6) for _ in names]
-        one = act.act(h1, act.act(h2, x))
-        two = act.act(lie.group_mul(H, h1, h2), x)
-        k_dist = lie.param_distance(H, one[:len(h1)], two[:len(h1)])
-        rest = max(abs(a - b) for a, b in zip(one[len(h1):], two[len(h1):]))
-        worst = max(worst, k_dist, rest)
-    return worst, 1e-9
+    h1, h2, x = bcalc.columns([
+        ([rng.uniform(-0.5, 0.5) for _ in range(m)],
+         [rng.uniform(-0.5, 0.5) for _ in range(m)],
+         [rng.uniform(-0.6, 0.6) for _ in names]) for _ in range(100)])
+    one = act.act(h1, act.act(h2, x))
+    two = act.act(lie.group_mul(H, h1, h2), x)
+    k_dist = lie.param_distance(H, one[:m], two[:m])
+    return _worst(k_dist, np.abs(one[m:] - two[m:])), 1e-9
 
 
 def _sec_moment_hamilton(pair, seed):
@@ -244,39 +254,36 @@ def _sec_moment_hamilton(pair, seed):
     m = len(pair.h_names)
     n = ch.dim
     # X# and d<mu, X> are linear in X: one compiled map gives the generator
-    # matrix G and the b-differential of each mu_a, and a sample contracts them
+    # matrix G and the b-differential of each mu_a, and the samples contract them
     fn = ex.compile_exprs([*(e for row in act.generator_exprs for e in row),
                            *(dmu.coeff((j,)) for dmu in act.moment_differentials
                              for j in range(n))],
                           list(ch.names))
     rng = random.Random(seed * 17 + 5)
-    worst = 0.0
+    draws = []
     for _ in range(25):
-        X = np.array([rng.uniform(-1, 1) for _ in range(m)])
+        X = [rng.uniform(-1, 1) for _ in range(m)]
         for t in range(4):
             x = [rng.uniform(-0.7, 0.7) for _ in ch.names]
             if t % 2 == 0:
                 x[m] = 0.0
-            G, dmu = np.array(fn(x)).reshape(2, m, n)
-            lhs = (X @ G) @ W
-            worst = max(worst, float(np.max(np.abs(lhs - X @ dmu))))
-    return worst, 1e-8
+            draws.append((X, x))
+    X, x = bcalc.columns(draws)
+    G, dmu = fn(x).reshape(2, m, n, -1)
+    lhs = np.einsum("as,ajs,jk->ks", X, G, W)
+    return _worst(np.abs(lhs - np.einsum("as,ajs->js", X, dmu))), 1e-8
 
 
 def _sec_moment_equivariance(pair, seed):
     act = red._action(pair)
-    H = pair.h_group
     names = act.cot.chart.names
     m = len(pair.h_names)
     rng = random.Random(seed * 19 + 6)
-    worst = 0.0
-    for _ in range(100):
-        h = [rng.uniform(-0.5, 0.5) for _ in range(m)]
-        x = [rng.uniform(-0.6, 0.6) for _ in names]
-        lhs = act.moment_vector(act.act(h, x))
-        rhs = lie.coadjoint_star(H, h, act.moment_vector(x))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-9
+    h, x = bcalc.columns([([rng.uniform(-0.5, 0.5) for _ in range(m)],
+                           [rng.uniform(-0.6, 0.6) for _ in names]) for _ in range(100)])
+    lhs = act.moment_vector(act.act(h, x))
+    rhs = lie.coadjoint_star(pair.h_group, h, act.moment_vector(x))
+    return _worst(np.abs(lhs - rhs)), 1e-9
 
 
 def _connection_cases(pair):
@@ -299,27 +306,24 @@ def _build_connection_cases(pair):
 
 
 def _sec_connection_axioms(pair, seed):
-    worst = 0.0
-    for theta in _connection_cases(pair):
-        worst = max(worst, red._axiom_residual(theta, 30, seed + 7))
-    return worst, 1e-9
+    return _worst([red._axiom_residual(theta, 30, seed + 7)
+                   for theta in _connection_cases(pair)]), 1e-9
 
 
 def _sec_splitting_roundtrip(pair, seed):
     rng = random.Random(seed * 23 + 8)
     m = len(pair.h_names)
-    worst = 0.0
+    worst = []
     for theta in _connection_cases(pair):
-        for _ in range(20):
-            g = [rng.uniform(-0.6, 0.6) for _ in range(m + 1)]
-            v = [rng.uniform(-1, 1) for _ in range(m + 1)]
-            u, X = red.phi_theta(theta, g, v)
-            back = red.phi_theta_inverse(theta, g, u, X)
-            worst = max(worst, float(np.max(np.abs(back - np.array(v)))))
-            alpha = [rng.uniform(-1, 1) for _ in range(m + 1)]
-            back2 = red.psi_theta_inverse(theta, red.psi_theta(theta, g, alpha))
-            worst = max(worst, float(np.max(np.abs(back2 - np.array(alpha)))))
-    return worst, 1e-12
+        g, v, alpha = bcalc.columns([([rng.uniform(-0.6, 0.6) for _ in range(m + 1)],
+                                      [rng.uniform(-1, 1) for _ in range(m + 1)],
+                                      [rng.uniform(-1, 1) for _ in range(m + 1)])
+                                     for _ in range(20)])
+        u, X = red.phi_theta(theta, g, v)
+        worst.append(np.abs(red.phi_theta_inverse(theta, g, u, X) - v))
+        back = red.psi_theta_inverse(theta, red.psi_theta(theta, g, alpha))
+        worst.append(np.abs(back - alpha))
+    return _worst(*worst), 1e-12
 
 
 def _sec_coupling_identity(pair, seed):
@@ -327,19 +331,19 @@ def _sec_coupling_identity(pair, seed):
     act = red._action(pair)
     names = act.cot.chart.names
     m = len(pair.h_names)
-    worst = 0.0
-    for theta in _connection_cases(pair):
-        for t in range(200):
-            x = [rng.uniform(-0.7, 0.7) for _ in names]
-            if t % 2 == 0:
-                x[m] = 0.0
-            else:
-                x[m] = math.copysign(rng.uniform(0.05, 1.0), x[m] or 1.0)
-            v = [rng.uniform(-1, 1) for _ in names]
-            w = [rng.uniform(-1, 1) for _ in names]
-            worst = max(worst,
-                        red.coupling_identity_residual(theta, x, v, w))
-    return worst, 1e-8
+
+    def draw(t):
+        x = [rng.uniform(-0.7, 0.7) for _ in names]
+        if t % 2 == 0:
+            x[m] = 0.0
+        else:
+            x[m] = math.copysign(rng.uniform(0.05, 1.0), x[m] or 1.0)
+        return x, [rng.uniform(-1, 1) for _ in names], [rng.uniform(-1, 1) for _ in names]
+
+    # the draws are arrays before the first call builds the coupling maps,
+    # whose compile sets the process's peak memory
+    return _worst(*(red.coupling_identity_residual(theta, *bcalc.columns(map(draw, range(200))))
+                    for theta in _connection_cases(pair))), 1e-8
 
 
 def _sec_connection_independence(pair, seed):
@@ -348,20 +352,24 @@ def _sec_connection_independence(pair, seed):
     m = len(pair.h_names)
     rp = red.reduced_poisson(pair)
     cases = _connection_cases(pair)
-    worst = 0.0
+    worst = []
     for theta in cases:
         tau = theta.chart_shift
+        draws = []
         for _ in range(50):
             F = _poly(rng, rp.names)
             G = _poly(rng, rp.names)
             x = [rng.uniform(-0.6, 0.6) for _ in cn]
             if rng.random() < 0.4:
                 x[m] = 0.0
-            up = red.reduced_bracket_via_invariants(theta, F, G, x)
-            want = rp.bracket_value(ex.subs(F, tau), ex.subs(G, tau),
-                                    cases[0].reduced_point(x))
-            worst = max(worst, abs(up - want))
-    return worst, 1e-8
+            draws.append((F, G, x))
+        F, G, x = zip(*draws)
+        x = np.array(x).T
+        up = red.reduced_bracket_via_invariants(theta, F, G, x)
+        want = [rp.bracket_value(ex.subs(f, tau), ex.subs(g, tau), y)
+                for f, g, y in zip(F, G, cases[0].reduced_point(x).T)]
+        worst.append(np.abs(up - want))
+    return _worst(*worst), 1e-8
 
 
 def _sec_reduced_jacobi(pair, seed):

@@ -3,6 +3,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bsymp import bcalc, expr
@@ -738,7 +739,7 @@ FAILURES = {
 
 
 ENTRIES = ("evaluate", "grad", "eval_exact", "compiled", "flow-start", "flow-mid-run",
-           "flow-invariant")
+           "flow-invariant", "columns")
 
 
 def _flow_error(vf, x0, **kw):
@@ -759,6 +760,8 @@ def _run_entry(entry, e, point):
         return eval_exact(e, {"x": Fraction(point)})
     if entry == "compiled":
         return compile_exprs([e], ["x"])([point])
+    if entry == "columns":
+        return compile_exprs([e], ["x"])(np.array([[point, point]]))
     if entry == "flow-start":
         err = _flow_error(dyn.VectorField(("x",), (e,)), [point])
         assert isinstance(err, dyn.ChartExitError) and err.time == 0.0
@@ -826,3 +829,94 @@ def test_a_constant_past_the_float_range_fails_where_it_is_evaluated():
     with pytest.raises(dyn.ChartExitError, match="^field evaluation failed at t=0: "
                        "float overflow$"):
         dyn.integrate(dyn.VectorField(("x",), (e,)), [1.0], 0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the column form of a compiled map
+# ---------------------------------------------------------------------------
+
+def test_columns_give_one_row_per_output_constants_broadcast():
+    f = compile_exprs([parse("x*y + 1"), parse("3/4"), Var("y"), parse("exp(2)*x")],
+                      ["x", "y"])
+    X = np.array([[0.5, -1.0, 2.0], [3.0, 0.25, -0.5]])
+    got = f(X)
+    assert got.shape == (4, 3) and got.dtype == np.float64
+    assert got[1].tolist() == [0.75] * 3
+    assert got.tolist() == np.array([f(col) for col in X.T.tolist()]).T.tolist()
+    assert f(np.array([0.5, 3.0])) == f([0.5, 3.0])  # a 1-D array is one point
+
+
+def test_columns_round_powers_and_functions_as_the_scalar_call():
+    # numpy's power, exp and log may round differently from math's; the
+    # column namespace applies the scalar functions element by element
+    e = [parse("x^2"), parse("x^3 - y^-2"), parse("exp(x) + log(y)"),
+         parse("sin(x)*cos(y)"), parse("(x*y + 1)^5/(y^2 + 1)")]
+    f = compile_exprs(e, ["x", "y"])
+    X = np.random.default_rng(5).uniform(0.1, 3.0, (2, 4000))
+    want = np.array([f(col) for col in X.T.tolist()]).T
+    assert np.array_equal(f(X), want)
+
+
+@pytest.mark.parametrize("text,cols,message", [
+    ("log(0 - x)", [[-1.0, 2.0, 3.0]], "log of a non-positive value"),
+    ("1/x", [[1.0, 0.0, 2.0]], "division by zero"),
+    ("exp(1000*x)", [[0.1, 0.5, 2.0]], "float overflow"),
+    ("sin(x*10^308*10)", [[0.0, 1.0, 2.0]], "sin or cos of an infinite value"),
+])
+def test_a_failing_column_raises_the_scalar_loops_first_error(text, cols, message):
+    f = compile_exprs([parse(text)], ["x"])
+    X = np.array(cols)
+    with pytest.raises(DomainError) as want:
+        for col in X.T.tolist():
+            f(col)
+    with pytest.raises(DomainError) as got:
+        f(X)
+    assert type(got.value) is DomainError
+    assert str(got.value) == str(want.value) == message
+
+
+def test_columns_report_the_first_failing_column_not_the_first_failing_line():
+    # numpy fails first on 1/x of the third column, but the scalar loop
+    # fails on log(y) of the second, which is the error a column call raises
+    f = compile_exprs([parse("1/x"), parse("log(y)")], ["x", "y"])
+    with pytest.raises(DomainError, match="^log of a non-positive value$"):
+        f(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]))
+
+
+def test_a_float_product_overflows_to_inf_in_both_forms():
+    f = compile_exprs([parse("x*10^308"), parse("x + 1")], ["x"])
+    X = np.array([[10.0, 0.5]])
+    assert f([10.0]) == [math.inf, 11.0]
+    assert f(X).tolist() == [[math.inf, 0.5e308], [11.0, 1.5]]
+
+
+@pytest.mark.parametrize("err,message", [
+    (FloatingPointError("overflow encountered in multiply"), "float overflow"),
+    (FloatingPointError("divide by zero encountered in divide"), "float divide by zero"),
+    (FloatingPointError("invalid value encountered in subtract"), "float invalid value"),
+    (ValueError("math domain error"), "sin or cos of an infinite value"),
+])
+def test_domain_error_names_the_kind_of_a_numpy_error(err, message):
+    got = expr.domain_error(err)
+    assert type(got) is DomainError and str(got) == message
+
+
+def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
+    # a chain of 400 products needs two names, the outputs keep theirs, and
+    # the lines still compute the walk's values
+    x = Var("x")
+    e = x
+    kept = []
+    for k in range(400):
+        e = e * x + Const(k)
+        if k in (7, 250):
+            kept.append(e)
+    lines, ids = expr.emit([e, *kept], {"x": "x[0]"}, "t")
+    assert len(lines) == sum(type(n) not in (Const, Var) for n in expr._postorder([e]))
+    names = {ln.split(" = ")[0].strip() for ln in lines}
+    assert len(names) <= 4
+    assert len(set(ids)) == 3
+    # an output's name is never taken again after its line, so the function
+    # returns every output's own value
+    f = compile_exprs([e, *kept], ["x"])
+    assert f([0.5]) == [evaluate(n, {"x": 0.5}) for n in (e, *kept)]

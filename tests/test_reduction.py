@@ -6,6 +6,7 @@ multiplication law inside the test, so they do not lean on the module's own
 cached Jacobians.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -977,3 +978,184 @@ def test_reduction_certificate_is_exact(name):
                 rhs = ex.subs(down, default.reduced_coordinates)
                 for pt in pts:
                     assert ex.eval_exact(lhs - rhs, pt) == 0, (theta.tag, a, b)
+
+
+# ---------------------------------------------------------------------------
+# column form: the sampled sections read every map once over columns
+
+
+def section_maps(pair):
+    """Every compiled map verify's sampled sections read, with its input
+    names: the lifted action's, the subgroup's, each connection's and the
+    pair's invariant-moment Jacobian."""
+    act = red._action(pair)
+    H = pair.h_group
+    cn = list(act.cot.chart.names)
+    maps = {"lift": (act._lift_compiled, [*act._h_names, *cn]),
+            "moment": (act._moment_compiled, cn),
+            "zeta": (act.zeta_compiled, list(pair.h_names)),
+            "Ad": (H.adjoint_compiled, list(H.param_names)),
+            "mul": (H._mul_compiled, [*H.param_names, *H.param_names]),
+            "inv": (H._inv_compiled, list(H.param_names)),
+            "nu-jacobian": (red._invariant_moment_jacobian(pair)[0], cn)}
+    for theta in connections(pair):
+        maps[theta.tag + " theta"] = (theta._theta_compiled, list(theta.chart.names))
+        maps[theta.tag + " psi"] = (theta._psi_compiled[1], cn)
+        maps[theta.tag + " coupling"] = (theta._coupling_compiled[0],
+                                         list(red.coupled_chart(theta).names))
+    return maps
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_column_maps_match_the_scalar_maps_bit_for_bit(name):
+    # numpy's own exp, log and power round differently from math's, so the
+    # column namespace applies math's element by element; every other node
+    # is one IEEE operation either way
+    rng = np.random.default_rng(23)
+    for label, (fn, names) in section_maps(lie.builtin(name)).items():
+        X = rng.uniform(-0.7, 0.7, (len(names), 9))
+        got = fn(X)
+        want = np.array([fn(col) for col in X.T.tolist()]).T
+        assert got.shape == want.shape and got.dtype == np.float64, label
+        assert np.array_equal(got, want), label
+
+
+def reference_bracket_via_invariants(theta, F, G, point):
+    """The bracket before the chain rule: F and G lifted by substitution into
+    the reduced coordinates, then bracketed from the upstairs bivector's
+    float gradients."""
+    lift = theta.reduced_coordinates
+    up = red._action(theta.pair).upstairs_poisson
+    return up.bracket_value(ex.subs(F, lift), ex.subs(G, lift), [float(x) for x in point])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_chain_rule_bracket_matches_the_substituted_reference(name):
+    pair = lie.builtin(name)
+    cn = red._action(pair).cot.chart.names
+    m = len(pair.h_names)
+    rp = red.reduced_poisson(pair)
+    rng = random.Random(41)
+    for theta in connections(pair):
+        F, G, xs = [], [], []
+        for t in range(6):
+            F.append(random_reduced_poly(rng, rp.names))
+            G.append(random_reduced_poly(rng, rp.names))
+            xs.append([rng.uniform(-0.6, 0.6) for _ in cn])
+            if t % 2 == 0:
+                xs[-1][m] = 0.0
+        cols = red.reduced_bracket_via_invariants(theta, F, G, np.array(xs).T)
+        for s, x in enumerate(xs):
+            got = red.reduced_bracket_via_invariants(theta, F[s], G[s], x)
+            assert abs(got - reference_bracket_via_invariants(theta, F[s], G[s], x)) <= 1e-12
+            assert abs(got - cols[s]) <= 1e-12, (name, theta.tag)
+
+
+def test_reduced_brackets_read_one_bivector():
+    # B = J P J^T holds the brackets of the reduced coordinates themselves:
+    # {phi, p} = phi, and the Lie-Poisson block in the invariant momenta
+    pair = lie.builtin("se2")
+    x = [0.3, -0.2, 0.4, 0.5, -0.1, 0.7]
+    for theta in connections(pair):
+        y, B = theta.reduced_brackets(x)
+        assert np.allclose(B, -B.T, atol=1e-15)
+        assert abs(B[2, 3] - x[2]) <= 1e-15
+        assert list(y) == theta.reduced_point(x)
+
+
+def test_psi_theta_splits_columns_like_points():
+    pair = lie.builtin("galilean")
+    m = len(pair.h_names)
+    rng = np.random.default_rng(3)
+    g = rng.uniform(-0.6, 0.6, (m + 1, 5))
+    alpha = rng.uniform(-1, 1, (m + 1, 5))
+    for theta in connections(pair):
+        y = red.psi_theta(theta, g, alpha)
+        back = red.psi_theta_inverse(theta, y)
+        for s in range(5):
+            ys = red.psi_theta(theta, g[:, s], alpha[:, s])
+            assert np.allclose(y[:, s], ys, rtol=0, atol=1e-15)
+            assert np.allclose(back[:, s], red.psi_theta_inverse(theta, ys), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [[math.inf, 0.6, 0.8], [math.nan, 0.6, 0.8],
+                                   [0.3, 0.6, math.nan]])
+def test_psi_theta_refuses_a_covector_it_cannot_split(alpha):
+    # a split whose vertical test reads NaN is no split
+    theta = red.make_connection(lie.builtin("se2"))
+    with pytest.raises(red.SplittingError):
+        red.psi_theta(theta, [0.2, -0.4, 0.5], alpha)
+
+
+def test_a_nan_axiom_residual_fails_the_connection(monkeypatch):
+    monkeypatch.setattr(red, "_axiom_residual", lambda theta, samples, seed: math.nan)
+    with pytest.raises(ValueError, match="connection axioms fail, residual nan"):
+        red.make_connection(lie.builtin("se2"))
+
+
+def test_a_nan_reduced_point_fails_the_orbit_check(monkeypatch):
+    pair = lie._se2()  # a fresh pair: its connection has no checked coordinates yet
+    theta = red.make_connection(pair)
+    real = red.Connection.reduced_point
+
+    def one_nan(self, point):
+        y = real(self, point)
+        y[0, 3] = math.nan
+        return y
+
+    monkeypatch.setattr(red.Connection, "reduced_point", one_nan)
+    with pytest.raises(ValueError, match="not orbit-invariant, residual nan"):
+        theta.reduced_coordinates
+
+
+def test_the_axiom_check_names_the_first_failing_sample():
+    # the samples are read as columns, then one at a time once a map fails:
+    # the error is the first failing sample's, as in a loop over samples
+    pair = lie.builtin("se2")
+    rng = random.Random(101)
+    first = None
+    for t in range(40):
+        g = [rng.uniform(-0.7, 0.7) for _ in range(3)]
+        if t % 3 == 0:
+            g[2] = 0.0
+        for _ in range(6):  # X, h and c: two values each on se2
+            rng.uniform(0, 1)
+        if first is None and g[2] >= 0.2:
+            first = g[2]
+    with pytest.raises(ex.DomainError) as info:
+        red.make_connection(pair, deformation=([0.3, 0.1], "log(1/5 - phi)", True))
+    assert str(info.value) == f"cannot be evaluated at phi={first:.6g}: log of a non-positive value"
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_entry_points_read_columns_as_points(name):
+    # each entry point the sections read gives, column by column, its value
+    # at the point; only the contractions' summation order may differ
+    pair = lie.builtin(name)
+    act = red._action(pair)
+    H = pair.h_group
+    m = len(pair.h_names)
+    n = 2 * m + 2
+    rng = np.random.default_rng(11)
+    x, v, w = (rng.uniform(-0.6, 0.6, (n, 4)) for _ in range(3))
+    h, k = (rng.uniform(-0.5, 0.5, (m, 4)) for _ in range(2))
+    theta = connections(pair)[1]
+    calls = {
+        "act": lambda c: act.act(h[:, c], x[:, c]),
+        "moment_vector": lambda c: act.moment_vector(x[:, c]),
+        "group_mul": lambda c: lie.group_mul(H, h[:, c], k[:, c]),
+        "group_inv": lambda c: lie.group_inv(H, h[:, c]),
+        "param_distance": lambda c: lie.param_distance(H, h[:, c], k[:, c]),
+        "coadjoint_star": lambda c: lie.coadjoint_star(H, h[:, c], x[m + 1:2 * m + 1, c]),
+        "zeta": lambda c: red.zeta(pair, x[:m + 1, c], h[:, c]),
+        "theta": lambda c: theta.theta(x[:m + 1, c], v[:m + 1, c]),
+        "phi_theta_inverse": lambda c: red.phi_theta_inverse(theta, x[:m + 1, c], v[:m + 1, c],
+                                                             h[:, c]),
+        "reduced_point": lambda c: theta.reduced_point(x[:, c]),
+        "coupling_identity_residual": lambda c: red.coupling_identity_residual(
+            theta, x[:, c], v[:, c], w[:, c]),
+    }
+    for label, call in calls.items():
+        cols = np.asarray(call(slice(None)))
+        for c in range(4):
+            assert np.allclose(cols[..., c], call(c), rtol=1e-14, atol=1e-15), (label, c)

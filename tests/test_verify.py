@@ -5,6 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bsymp.expr as ex
@@ -151,12 +152,13 @@ def test_connection_independence_compiles_per_connection_not_per_sample(monkeypa
     assert len(calls) <= 4
 
 
-def test_galilean_suite_compiles_at_most_16_maps(monkeypatch):
+def test_galilean_suite_compiles_at_most_17_maps(monkeypatch):
     # each connection compiles theta, psi with its Jacobian and its coupling
     # target, nothing more: reduced points read psi and the subgroup's Ad,
     # equivariance reads the lifted action, all three connections share
-    # the subgroup's one Maurer-Cartan build, and the two b-symplectic
-    # verdicts are exact, so they compile nothing
+    # the subgroup's one Maurer-Cartan build and the pair's one b_d of the
+    # invariant moments (the chain-rule bracket's nu rows), and the two
+    # b-symplectic verdicts are exact, so they compile nothing
     pair = lie._galilean()  # a fresh pair, nothing compiled for it yet
     calls = []
     compile_exprs = ex.compile_exprs
@@ -167,7 +169,7 @@ def test_galilean_suite_compiles_at_most_16_maps(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_exprs", counted)
     assert verify.run_suite(pair, 1).passed
-    assert len(calls) <= 16
+    assert len(calls) <= 17
     mc = pair.h_group.maurer_cartan_sym
     for theta in verify._connection_cases(pair):
         assert all(f.coeffs[(j,)] is mc[a][j] for a, f in enumerate(theta.forms)
@@ -277,3 +279,35 @@ def test_energy_drift_fails_cleanly_when_halvings_run_out(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL | dynamics: energy-drift | residual: inf" in out
     assert out.rstrip().endswith("result: fail: dynamics: energy-drift")
+
+
+def _one_nan(real, index):
+    """real, with its result's entry at index made NaN: one bad sample."""
+    def patched(*args):
+        out = np.array(real(*args), dtype=float)
+        out[index] = math.nan
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("section,module,name,index", [
+    ("blift: action-law", lie, "param_distance", (17,)),
+    ("blift: moment-equivariance", lie, "coadjoint_star", (0, 42)),
+    ("reduction: connection-axioms", red, "_axiom_residual", ()),
+    ("reduction: splitting-roundtrip", red, "psi_theta_inverse", (1, 5)),
+    ("reduction: coupling-identity", red, "coupling_identity_residual", (123,)),
+    ("reduction: connection-independence", red, "reduced_bracket_via_invariants", (9,)),
+])
+def test_a_nan_sample_fails_its_section(section, module, name, index, monkeypatch):
+    # the running maximum once started at 0.0, and max(0.0, nan) is 0.0
+    pair = lie.builtin("se2")
+    fn = dict(verify.GROUP_SECTIONS)[section]
+    monkeypatch.setattr(module, name, _one_nan(getattr(module, name), index))
+    resid, tol = fn(pair, 1)
+    assert math.isnan(resid)
+    assert not verify.SectionResult(section, resid, tol).ok
+
+
+def test_worst_keeps_nan():
+    assert verify._worst([0.0, 1e-16], np.array([[0.5, 0.25]])) == 0.5
+    assert math.isnan(verify._worst([0.0, 1e-16], np.array([[math.nan, 0.25]])))

@@ -90,9 +90,16 @@ def vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("a...,aj...->j...", v, M)
 
 
-def _sequence_env(names: Sequence[str], point: Sequence) -> dict[str, float]:
-    """Name -> value for a point given as one value per name (`sequence_values`)."""
-    return dict(zip(names, sequence_values(names, point)))
+def _point_env(names: Sequence[str], point) -> dict[str, float]:
+    """Name -> float value for a point given as a Mapping holding every name,
+    or as one value per name (`sequence_values`); a missing name raises
+    UnboundVariableError naming the first."""
+    if not isinstance(point, Mapping):
+        return dict(zip(names, sequence_values(names, point)))
+    missing = next((n for n in names if n not in point), None)
+    if missing is not None:
+        raise ex.UnboundVariableError(f"unknown name {missing!r}")
+    return {n: float(point[n]) for n in names}
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +128,7 @@ class BChart:
         return ONE
 
     def env(self, point) -> dict[str, float]:
-        if isinstance(point, Mapping):
-            return {n: float(point[n]) for n in self.names}
-        return _sequence_env(self.names, point)
+        return _point_env(self.names, point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,29 +363,18 @@ class PoissonBivector:
                       [dF[i] * dG[j] - dF[j] * dG[i] for i, j in self.entries])
 
     def bracket_value(self, F: Expr, G: Expr, point) -> float:
-        """{F, G} at one point from float gradients; `bracket` gives the tree."""
-        if isinstance(point, Mapping):
-            env = {k: float(v) for k, v in point.items()}
-        else:
-            env = _sequence_env(self.names, point)
-        dF = ex.grad(F, self.names, env)
-        dG = ex.grad(G, self.names, env)
-        total = 0.0
-        for (i, j), p in self.entries.items():
-            total += ex.evaluate(p, env) * (dF[i] * dG[j] - dF[j] * dG[i])
-        return total
+        """{F, G} at one point: the evaluated `bracket` tree."""
+        return ex.evaluate(self.bracket(F, G), _point_env(self.names, point))
 
-    def coordinate_jacobi_defect(self) -> Fraction:
-        """Largest |coefficient| of {{x_i, x_j}, x_k} + cyclic over i < j < k.
+    def affine_rows(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """P_ij as {m: d_m P_ij, n: P_ij at the origin}, n the number of
+        coordinates, for every entry in both orders, zeros dropped, exactly.
 
-        The Jacobiator is the trivector [P, P], so 0 decides that P is
-        Poisson.  Every entry must have `Const` partial derivatives, so it is
-        affine and so is each coordinate Jacobiator, with exact coefficients;
+        Every entry must have `Const` partial derivatives, so it is affine;
         any other entry is a ValueError naming it.
         """
         names, n = self.names, len(self.names)
         origin = dict.fromkeys(names, Fraction(0))
-        # P_ij as {m: d_m P_ij, n: P_ij at the origin}, both orders
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), e in self.entries.items():
             row = {n: ex.eval_exact(e, origin)}
@@ -392,7 +386,27 @@ class PoissonBivector:
                 row[m] = d.value
             rows[(i, j)] = {m: v for m, v in row.items() if v}
             rows[(j, i)] = {m: -v for m, v in rows[(i, j)].items()}
-        return _cyclic_defect(rows, n)
+        return rows
+
+    def affine_matrix(self, point) -> np.ndarray:
+        """[{x_i, x_j}] read from `affine_rows`: an (n, n) array at one point,
+        or (n, n, N) at N points given as columns (`sequence_values`)."""
+        n = len(self.names)
+        x = np.asarray(sequence_values(self.names, point))
+        A = np.zeros((n + 1, n, n))
+        for (i, j), row in self.affine_rows().items():
+            for m, v in row.items():
+                A[m, i, j] = v
+        return np.einsum("mij,m...->ij...", A, np.concatenate([x, np.ones((1, *x.shape[1:]))]))
+
+    def coordinate_jacobi_defect(self) -> Fraction:
+        """Largest |coefficient| of {{x_i, x_j}, x_k} + cyclic over i < j < k.
+
+        The Jacobiator is the trivector [P, P], so 0 decides that P is
+        Poisson.  Every entry must be affine (`affine_rows`), and so is each
+        coordinate Jacobiator, with exact coefficients.
+        """
+        return _cyclic_defect(self.affine_rows(), len(self.names))
 
     def table(self) -> list[tuple[str, str, str]]:
         out = []

@@ -244,8 +244,9 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
 
     The steps run in one generated function (`_generate_flow`), cached on
     vf by method, substitution and casimirs, so another dt or x0 reuses
-    it.  A failed field evaluation is a ChartExitError at the start time of
-    its step; a row that is not finite, a ChartExitError at its own time;
+    it.  A non-finite x0 is a ValueError naming its first such coordinate,
+    before any step.  A failed field evaluation is a ChartExitError at the
+    start time of its step; a row that is not finite, a ChartExitError at its own time;
     a row where H or a Casimir cannot be evaluated, an InvariantError.  Each has as its cause the DomainError
     `expr.evaluate` raises there (`expr.domain_error`), overflow included.
     """
@@ -256,6 +257,9 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     x = [float(v) for v in x0]
     if len(x) != n:
         raise ValueError("x0 does not match the chart dimension")
+    bad = next((i for i, v in enumerate(x) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"x0 has the non-finite value {x[bad]!r} for {vf.names[bad]}")
     m = vf.phi_slot
     sub = False
     sgn = 1.0

@@ -8,24 +8,22 @@ folds constant subtrees and absorbs 0/1 identities, so two mathematically
 equal expressions usually remain different trees.  Tests should compare
 values, not trees.
 
-Two kinds of derivative: `diff` builds the exact derivative tree, for
-identities whose claim is the tree itself (d∘d = 0, bracket tables,
-the constant partials that decide Jacobi, Hamiltonian vector fields);
-`grad` gives the float gradient at one point by reverse mode over the
-DAG (one forward sweep shared with `evaluate`, then one adjoint sweep),
-for values such as a point bracket.
+One derivative: `diff` builds the exact derivative tree.  The identities
+read it as a tree (d∘d = 0, bracket tables, the constant partials that
+decide Jacobi, Hamiltonian vector fields), and a value at a point, such
+as a point bracket, is that tree evaluated there.
 
 Expressions are DAGs of interned nodes (hash-consing, Filliâtre &
 Conchon 2006): a node class returns the live node with the same fields
 from a weak table, so structurally equal subtrees are one immutable node,
 and `ZERO`, `ONE` and `MINUS_ONE` are the only constants with their
-values, tested with `is`.  Every pass over them (`evaluate`, `grad`,
+values, tested with `is`.  Every pass over them (`evaluate`,
 `eval_exact`, `diff`, `subs`, `emit`) is a loop over one iterative walk,
 `_postorder`, which lists each reachable node once with its operands
 before it, the left operand first except that a quotient lists its
 denominator before its numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
-`grad`, `eval_exact` and a compiled function all raise the error of the
+`eval_exact` and a compiled function all raise the error of the
 first node of the walk that fails, named by one translation,
 `domain_error`, which the flow loop of `dynamics` uses too: a float
 failure, overflow included, is one DomainError wherever it happens.
@@ -98,7 +96,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
-    "Environment", "parse", "evaluate", "grad", "eval_exact", "diff", "subs",
+    "Environment", "parse", "evaluate", "eval_exact", "diff", "subs",
     "free_vars", "to_str", "compile_exprs", "as_expr", "is_zero", "dot",
     "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
     "ZERO", "ONE", "MINUS_ONE", "NAME",
@@ -732,12 +730,13 @@ def _postorder(roots: Iterable[Expr], enter: Callable[[Expr], bool] | None = Non
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _forward(e: Expr, env: Mapping, exact: bool = False) -> dict:
-    """The value of every node reachable from e, filled in walk order.
+def _forward(e: Expr, env: Mapping, exact: bool = False) -> float | Fraction:
+    """The value of e, from the value of every node it reaches, filled in
+    walk order.
 
-    Floats, or exact Fractions when `exact` (a transcendental node is then
-    an EvalError).  The adjoint sweep of `grad` walks the dict backwards.
-    The first node of the walk that fails raises, as `domain_error` names it.
+    A float, or an exact Fraction when `exact` (a transcendental node is
+    then an EvalError).  The first node of the walk that fails raises, as
+    `domain_error` names it.
     """
     val = {}
     try:
@@ -772,68 +771,18 @@ def _forward(e: Expr, env: Mapping, exact: bool = False) -> dict:
         if type(n) is Var:  # an input that does not convert is no domain failure
             raise
         raise domain_error(err) from None
-    return val
+    return val[e]
 
 
 def evaluate(e: Expr, env: Environment) -> float:
     """Float evaluation; raises UnboundVariableError, or `domain_error`'s
     DomainError (overflow included) for the first node that fails."""
-    return _forward(e, env)[e]
-
-
-def grad(e: Expr, names: Sequence[str], env: Environment) -> list[float]:
-    """Partial derivatives of e at a point, ordered like `names`.
-
-    Reverse mode: the forward sweep of `evaluate`, then one adjoint sweep
-    over the same nodes in reverse order.  Values and errors match
-    `evaluate`, though a power's derivative may overflow where the power
-    did not.  Variables outside `names` are constants but must still be bound.
-    """
-    val = _forward(e, env)
-    adj: dict[Expr, float] = {e: 1.0}
-    out = dict.fromkeys(names, 0.0)
-    try:
-        for n in reversed(val):
-            g = adj[n]
-            t = type(n)
-            if t is Mul:
-                adj[n.a] = adj.get(n.a, 0.0) + g * val[n.b]
-                adj[n.b] = adj.get(n.b, 0.0) + g * val[n.a]
-            elif t is Add:
-                adj[n.a] = adj.get(n.a, 0.0) + g
-                adj[n.b] = adj.get(n.b, 0.0) + g
-            elif t is Sub:
-                adj[n.a] = adj.get(n.a, 0.0) + g
-                adj[n.b] = adj.get(n.b, 0.0) - g
-            elif t is Var:
-                if n.name in out:
-                    out[n.name] += g
-            elif t is Div:
-                den = val[n.b]
-                adj[n.a] = adj.get(n.a, 0.0) + g / den
-                adj[n.b] = adj.get(n.b, 0.0) - g * val[n] / den
-            elif t is Pow:
-                k = n.n
-                adj[n.base] = adj.get(n.base, 0.0) + g * (k * val[n.base] ** (k - 1))
-            elif t is Fun:
-                arg = val[n.arg]
-                if n.name == "sin":
-                    d = math.cos(arg)
-                elif n.name == "cos":
-                    d = -math.sin(arg)
-                elif n.name == "exp":
-                    d = val[n]
-                else:
-                    d = 1.0 / arg
-                adj[n.arg] = adj.get(n.arg, 0.0) + g * d
-    except (ArithmeticError, ValueError) as err:
-        raise domain_error(err) from None
-    return [out[nm] for nm in names]
+    return _forward(e, env)
 
 
 def eval_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Exact rational evaluation; raises EvalError on transcendental nodes."""
-    return _forward(e, env, exact=True)[e]
+    return _forward(e, env, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +955,7 @@ def build(src: str, name: str, **extra) -> Callable:
 
 def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     """The error `evaluate` raises where arithmetic raised err; the one
-    translation behind `evaluate`, `grad`, compiled code and the flow loop.
+    translation behind `evaluate`, compiled code and the flow loop.
 
     An EvalError (log's own check, an unbound name) is returned as it is,
     and an OverflowError of `exp` or float `**` is a DomainError.  Float `/`

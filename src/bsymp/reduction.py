@@ -18,13 +18,13 @@ Conventions fixed here:
   frame coefficients of b_d(nu_b) for the bracket below.  Its equivariance
   check moves a covector by the cotangent lift, and its reduced points
   read psi_theta and the subgroup's compiled Ad.
-* every numeric entry point reads one point, or N points given as the
-  columns of a 2-D array (`bcalc.sequence_values`): each compiled map is
-  then called once over all of them (`expr.compile_exprs`), and the
-  contractions are einsums over the trailing sample axis
-  (`bcalc.matvec`, `bcalc.vecmat`).  The axiom and orbit-invariance
-  checks draw every sample first and read them so; a check whose
-  residual is NaN fails.
+* every numeric entry point but `reduced_bracket_via_invariants` reads one
+  point, or N points given as the columns of a 2-D array
+  (`bcalc.sequence_values`): each compiled map is then called once over
+  all of them (`expr.compile_exprs`), and the contractions are einsums
+  over the trailing sample axis (`bcalc.matvec`, `bcalc.vecmat`).  The
+  axiom and orbit-invariance checks draw every sample first and read them
+  so; a check whose residual is NaN fails.
 * the coupled chart carries coordinates (k, phi, mu_a, p): mu_a are the
   vertical momenta alpha(zeta_a), p is the annihilator coefficient of the
   covector on the dphi/phi slot.
@@ -45,11 +45,13 @@ Conventions fixed here:
   `chart_shift` tau: p -> p - S <xi, mu> takes that chart to the default
   one.  The theorem reads {F o lift_theta, G o lift_theta} =
   {F o tau, G o tau}_reduced o lift_default for reduced F and G.
-* the upstairs side of that theorem is one chain rule: with y the reduced
-  coordinates, {F o y, G o y} = dF(y) B dG(y) and B = J P J^T, P the
-  constant frame matrix of the upstairs bivector and J's rows b_d(y_k)
-  (`Connection.reduced_brackets`); so a reduced F is never substituted
-  into the lifted coordinates.
+* the upstairs side of that theorem is one matrix: B = J P J^T holds the
+  brackets of the reduced coordinates y_theta, P the constant frame
+  matrix of the upstairs bivector and J's rows b_d(y_k)
+  (`Connection.reduced_brackets`).  By the chain rule the theorem is
+  y_theta = tau(y) and B = Dtau P_red(y) Dtau^T at the default reduced
+  point y, entry by entry (`connection_independence_residual`), and a
+  reduced F is never substituted into the lifted coordinates.
 """
 
 from __future__ import annotations
@@ -152,10 +154,16 @@ class Connection:
 
     @cached_property
     def reduced_coordinates(self) -> dict[str, Expr]:
-        """mu_b -> nu_b, p -> p_theta as orbit-invariant functions on the
-        cotangent chart; phi, shared by both charts, maps to itself and has
-        no entry.  The first use checks `reduced_point` constant along the
-        lifted orbits on 20 seeded samples and raises ValueError if not."""
+        """mu_b -> nu_b, p -> p_theta as functions on the cotangent chart;
+        phi, shared by both charts, maps to itself and has no entry."""
+        nu = invariant_moment_exprs(self.pair)
+        return {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": psi_map_exprs(self)[-1]}
+
+    @cached_property
+    def _orbit_residual(self) -> float:
+        """How far `reduced_point` moves along the lifted orbits on 20 seeded
+        samples, relative to the points' size, computed once; NaN if a
+        sample's is."""
         act = _action(self.pair)
         names = act.cot.chart.names
         m = self.h_dim
@@ -168,14 +176,8 @@ class Connection:
             draws.append((x, [rng.uniform(-0.5, 0.5) for _ in range(m)]))
         x, h = columns(draws)
         a, b = self.reduced_point(x), self.reduced_point(act.act(h, x))
-        # np.max keeps a NaN, so a NaN sample fails the check
-        scale = np.max(np.abs(a), initial=1.0)
-        worst = np.max(np.abs(a - b))
-        if not worst <= 1e-8 * scale:
-            raise ValueError(f"reduced coordinates of the {self.tag} connection are "
-                             f"not orbit-invariant, residual {worst:.3e}")
-        nu = invariant_moment_exprs(self.pair)
-        return {**dict(zip(dual_names(self.pair.h_algebra), nu)), "p": psi_map_exprs(self)[-1]}
+        # np.max keeps a NaN
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(a), initial=1.0))
 
     def reduced_point(self, point: Sequence[float]) -> list[float] | np.ndarray:
         """The reduced point [nu, phi, p] of a cotangent-chart point, read
@@ -200,8 +202,12 @@ class Connection:
         J's rows the frame coefficients b_d(y_k): the nu rows from
         `_invariant_moment_jacobian`, phi's row phi on the defining slot, and
         p's row the last row of psi_theta's Jacobian.  So {F o y, G o y} is
-        dF(y) B dG(y), by the chain rule.
+        dF(y) B dG(y), by the chain rule.  The first call checks
+        `reduced_point` constant along the lifted orbits; a ValueError if not.
         """
+        if not self._orbit_residual <= 1e-8:
+            raise ValueError(f"reduced coordinates of the {self.tag} connection are "
+                             f"not orbit-invariant, residual {self._orbit_residual:.3e}")
         names, fn, (ji, jj) = self._psi_compiled
         nfn, (ni, nj) = _invariant_moment_jacobian(self.pair)
         m = self.h_dim
@@ -490,6 +496,36 @@ def reduced_poisson(pair: BLieGroupPair) -> PoissonBivector:
     return PoissonBivector(lp.names + (pair.phi_name, "p"), entries)
 
 
+def connection_independence_residual(theta: Connection, default: Connection,
+                                     point: Sequence[float]) -> float | np.ndarray:
+    """The reduction theorem, entry by entry, at one cotangent-chart point,
+    or one residual per column at N points given as columns: the largest
+    of |y_theta - tau(y)| and |B - Dtau P(y) Dtau^T|.
+
+    y is the default connection's reduced point, (y_theta, B) theta's
+    `reduced_brackets`, P the reduced bivector (`affine_matrix`), and
+    tau(y) and Dtau(y), the identity but for the p row, the evaluated
+    `chart_shift` and its `diff` trees.
+    """
+    rp = reduced_poisson(theta.pair)
+    x = np.asarray(sequence_values(_action(theta.pair).cot.chart.names, point))
+    cols = x if x.ndim == 2 else x[:, None]
+    y_theta, B = theta.reduced_brackets(cols)
+    y = default.reduced_point(cols)
+    ty = y.copy()
+    D = np.repeat(np.eye(len(y))[:, :, None], y.shape[1], axis=2)
+    for name, e in theta.chart_shift.items():
+        k = rp.names.index(name)
+        parts = [e, *(ex.diff(e, v) for v in rp.names)]
+        for s in range(y.shape[1]):
+            env = dict(zip(rp.names, y[:, s].tolist()))
+            vals = [ex.evaluate(part, env) for part in parts]
+            ty[k, s], D[k, :, s] = vals[0], vals[1:]
+    want = np.einsum("ak...,kl...,bl...->ab...", D, rp.affine_matrix(y), D)
+    out = np.maximum(np.max(np.abs(B - want), axis=(0, 1)), np.max(np.abs(y_theta - ty), axis=0))
+    return out if x.ndim == 2 else float(out[0])
+
+
 def invariant_moment_exprs(pair: BLieGroupPair) -> tuple[Expr, ...]:
     """nu_b = <mu, Ad_k E_b> on the cotangent chart, constant along orbits;
     built once per pair, so every connection lifts through them."""
@@ -515,26 +551,18 @@ def _invariant_moment_jacobian(pair: BLieGroupPair):
     return pair.memo("invariant_moment_jacobian", build)
 
 
-def reduced_bracket_via_invariants(theta: Connection, F, G,
-                                   point: Sequence[float]) -> float | np.ndarray:
-    """{F, G} of reduced F and G, lifted through the connection's checked
-    reduced coordinates y and bracketed upstairs at a cotangent-chart point:
+def reduced_bracket_via_invariants(theta: Connection, F: Expr, G: Expr,
+                                   point: Sequence[float]) -> float:
+    """{F, G} of reduced F and G, lifted through the connection's reduced
+    coordinates y and bracketed upstairs at one cotangent-chart point:
     dF(y) B dG(y) with (y, B) from `Connection.reduced_brackets`, the chain
-    rule over the one upstairs bivector.  Functions of orbit-invariant
-    coordinates need no check of their own.
-
-    point may hold N points as columns, with F and G sequences of N
-    expressions each: then one bracket per column, from one (y, B) call.
-    """
-    theta.reduced_coordinates  # the orbit-invariance check, on first use
+    rule over the one upstairs bivector, and dF(y) the evaluated `diff`
+    trees.  Functions of orbit-invariant coordinates need no check of their
+    own."""
     names = (*dual_names(theta.pair.h_algebra), theta.pair.phi_name, "p")
     y, B = theta.reduced_brackets(point)
-
-    def chain(F, G, y, B):
-        env = dict(zip(names, y.tolist()))
-        return float(np.asarray(ex.grad(F, names, env)) @ B @ np.asarray(ex.grad(G, names, env)))
-
-    if y.ndim == 1:
-        return chain(F, G, y, B)
-    return np.array([chain(*FG, y[:, s], B[:, :, s])
-                     for s, FG in enumerate(zip(F, G, strict=True))])
+    if y.ndim != 1:
+        raise ValueError("reduced_bracket_via_invariants reads one point, not columns")
+    env = dict(zip(names, y.tolist()))
+    dF, dG = (np.array([ex.evaluate(ex.diff(H, n), env) for n in names]) for H in (F, G))
+    return float(dF @ B @ dG)

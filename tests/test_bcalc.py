@@ -419,16 +419,22 @@ def test_bracket_value_matches_table():
     ([], ex.UnboundVariableError, "unknown name 'x1'"),
     ([2.0, -0.3, 9.9], ValueError, "point has 3 values for 2 coordinates"),
     (np.array([2.0, -0.3, 0.0, 0.0]), ValueError, "point has 4 values for 2 coordinates"),
-], ids=["short", "empty", "long", "long-array"])
+    ({"x1": 2.0}, ex.UnboundVariableError, "unknown name 'y1'"),
+    ({"y1": -0.3, "z": 1.0}, ex.UnboundVariableError, "unknown name 'x1'"),
+], ids=["short", "empty", "long", "long-array", "mapping-without-y1", "mapping-without-x1"])
 def test_sequence_point_must_list_one_value_per_coordinate(point, error, message):
-    # a short point names the first missing coordinate; a long one is refused
-    # rather than cut to length, by the bracket, the chart and a field alike
+    # a short point, or a mapping that lacks a coordinate, names the first
+    # missing coordinate; a long one is refused rather than cut to length,
+    # by the bracket, the chart, a field, a pairing and a b-function alike
     P = invert_to_poisson(bdarboux_model(1))
     x1, y1 = ex.Var("x1"), ex.Var("y1")
-    v = BVectorField(bdarboux_model(1).chart, (y1, x1))
+    ch = bdarboux_model(1).chart
+    v = BVectorField(ch, (y1, x1))
     for call in (lambda: P.bracket_value(x1, y1, point),
-                 lambda: v.chart.env(point),
-                 lambda: v.at(point)):
+                 lambda: ch.env(point),
+                 lambda: v.at(point),
+                 lambda: pair(BForm(ch, 1, {(0,): ex.ONE}), [v], point),
+                 lambda: BFunction(ch, Fraction(1), x1).value(point)):
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message
@@ -436,10 +442,29 @@ def test_sequence_point_must_list_one_value_per_coordinate(point, error, message
     assert list(v.at([2.0, -0.3])) == [-0.3, 2.0]
 
 
+def test_affine_matrix_reads_the_entries_at_points_and_columns():
+    # the galilean Lie-Poisson entries are linear in the momenta; a column
+    # read gives each point's matrix, and a non-affine entry is refused
+    from bsymp import lie
+    P = lie.builtin("galilean").group.algebra.lie_poisson
+    n = len(P.names)
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, (n, 5))
+    cols = P.affine_matrix(X)
+    assert cols.shape == (n, n, 5)
+    for s in range(5):
+        env = dict(zip(P.names, X[:, s]))
+        want = np.array([[ex.evaluate(P.entry(i, j), env) for j in range(n)] for i in range(n)])
+        assert np.allclose(P.affine_matrix(X[:, s]), want, rtol=0, atol=1e-15)
+        assert np.allclose(cols[..., s], want, rtol=0, atol=1e-15)
+    curved = PoissonBivector(("x", "y"), {(0, 1): ex.parse("x*y")})
+    with pytest.raises(ValueError, match=r"entry \(x, y\) = x\*y is not affine"):
+        curved.affine_matrix([1.0, 2.0])
+
+
 def test_bracket_value_matches_symbolic_bracket_on_galilean():
-    # the point bracket (float gradients) against the evaluated bracket tree,
-    # with the canonical b-symplectic structure of the galilean cotangent
-    # chart; every third point lies on the hypersurface s = 0
+    # the point bracket against the evaluated bracket tree, with the
+    # canonical b-symplectic structure of the galilean cotangent chart;
+    # every third point lies on the hypersurface s = 0
     from bsymp import blift, lie
     cot = blift.LiftedAction(lie.builtin("galilean")).cot
     P = invert_to_poisson(blift.canonical_bsymplectic(cot))

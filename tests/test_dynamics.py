@@ -76,8 +76,9 @@ def test_field_matches_bracket_numerically():
         for _ in range(5):
             x = [rng.uniform(-1, 1) for _ in rp.names]
             vx = vf(x)
+            env = dict(zip(rp.names, x))
             for i, n in enumerate(rp.names):
-                want = rp.bracket_value(Var(n), H, x)
+                want = ex.evaluate(rp.bracket(Var(n), H), env)
                 assert abs(vx[i] - want) <= 1e-12
 
 
@@ -403,6 +404,20 @@ def test_nonfinite_state_raises():
     vf = dyn.VectorField(names=("x",), components=(ex.parse("x^2"),))
     with pytest.raises(dyn.ChartExitError):
         dyn.integrate(vf, [1.0], 0.5, 400.0)
+
+
+@pytest.mark.parametrize("x0,message", [
+    ([0.0, math.nan, 1.0, 0.0], "x0 has the non-finite value nan for mu_P2"),
+    ([0.0, 0.0, math.inf, -math.inf], "x0 has the non-finite value inf for phi"),
+    ([0.0, 0.0, 1.0, -math.inf], "x0 has the non-finite value -inf for p"),
+])
+def test_a_nonfinite_start_is_refused_before_the_first_step(x0, message):
+    # it once surfaced as "<name> became non-finite at t=0.1", a time at
+    # which nothing had happened
+    rp, vf, m = reduced_field("se2", Var("p"))
+    with pytest.raises(ValueError) as info:
+        dyn.integrate(vf, x0, 0.1, 1.0)
+    assert str(info.value) == message
 
 
 def test_argument_validation():

@@ -9,7 +9,7 @@ import pytest
 from bsymp import bcalc, expr
 from bsymp import dynamics as dyn
 from bsymp.expr import (
-    Const, Var, parse, evaluate, grad, eval_exact, diff, subs, free_vars,
+    Const, Var, parse, evaluate, eval_exact, diff, subs, free_vars,
     to_str, compile_exprs, ExprSyntaxError, DomainError, UnboundVariableError,
 )
 
@@ -329,11 +329,10 @@ def test_domain_errors(text, env):
     ("1 + sin(x*x)", 1e200),  # x*x overflows to inf before sin
 ])
 def test_sin_and_cos_of_infinity_are_domain_errors(text, x):
-    # math.sin and math.cos raise a bare ValueError at inf; evaluate, grad and
-    # compiled code all report it as the same DomainError
+    # math.sin and math.cos raise a bare ValueError at inf; evaluate and
+    # compiled code both report it as the same DomainError
     e = parse(text)
-    for run in (lambda: evaluate(e, {"x": x}), lambda: grad(e, ["x"], {"x": x}),
-                lambda: compile_exprs([e], ["x"])([x])):
+    for run in (lambda: evaluate(e, {"x": x}), lambda: compile_exprs([e], ["x"])([x])):
         with pytest.raises(DomainError, match="^sin or cos of an infinite value$"):
             run()
 
@@ -405,7 +404,7 @@ def test_equal_text_shares_a_temporary():
 
 
 # ---------------------------------------------------------------------------
-# reverse-mode gradients
+# random DAGs; compiled errors against evaluate
 # ---------------------------------------------------------------------------
 
 def random_dag(rng, size, names=VARS):
@@ -439,37 +438,6 @@ def random_dag(rng, size, names=VARS):
     return pool[-1]
 
 
-def test_grad_matches_symbolic_derivative_on_shared_dags():
-    # reverse mode sums the chain rule in another order than the evaluated
-    # derivative tree, so agreement is relative to max(1, |derivative|):
-    # exactly-zero derivatives such as d(y/y)/dy evaluate to rounding noise
-    import random
-    rng = random.Random(5)
-    checked = 0
-    while checked < 500:
-        e = random_dag(rng, rng.randrange(4, 30))
-        env = {v: rng.uniform(-2.0, 2.0) for v in VARS}
-        try:
-            evaluate(e, env)
-            want = [evaluate(diff(e, v), env) for v in VARS]
-        except DomainError:
-            continue
-        if not all(math.isfinite(w) and abs(w) < 1e8 for w in want):
-            continue
-        got = grad(e, VARS, env)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (to_str(e), env)
-        checked += 1
-
-
-def test_grad_treats_other_names_as_constants():
-    e = parse("x*y + sin(y)*z")
-    env = {"x": 0.5, "y": -1.25, "z": 2.0}
-    assert grad(e, ["x"], env) == [-1.25]
-    assert grad(e, ["z", "w", "x"], env) == [math.sin(-1.25), 0.0, -1.25]
-    assert grad(parse("3"), ["x"], {}) == [0.0]
-
-
 @pytest.mark.parametrize("text,env,error", [
     ("x + q", {"x": 1.0}, UnboundVariableError),
     ("1/(x - y)", {"x": 0.5, "y": 0.5}, DomainError),
@@ -479,13 +447,10 @@ def test_grad_treats_other_names_as_constants():
     ("log(x)/(y - 1)", {"x": -1.0, "y": 1.0}, DomainError),
     ("log(x)/y + q", {"x": -1.0, "y": 1.0}, DomainError),
 ])
-def test_grad_errors_match_evaluate(text, env, error):
+def test_compiled_errors_match_evaluate(text, env, error):
     e = parse(text)
     with pytest.raises(error) as from_evaluate:
         evaluate(e, env)
-    with pytest.raises(error) as from_grad:
-        grad(e, ["x", "y"], env)
-    assert str(from_grad.value) == str(from_evaluate.value)
     # a compiled function binds its names when it is built, so an unbound
     # name fails there; any other error is raised by the first failing node
     if error is UnboundVariableError:
@@ -496,16 +461,6 @@ def test_grad_errors_match_evaluate(text, env, error):
         with pytest.raises(error) as from_compiled:
             compile_exprs([e], names)([env.get(n, 1.0) for n in names])
     assert str(from_compiled.value) == str(from_evaluate.value)
-
-
-def test_evaluate_and_grad_do_not_recurse():
-    e = Var("x")
-    for k in range(1, 5001):
-        e = e * Var("y") + Const(Fraction(1, k))
-    env = {"x": 0.5, "y": 0.999}
-    want = 0.5 * 0.999 ** 5000 + sum(0.999 ** (5000 - k) / k for k in range(1, 5001))
-    assert evaluate(e, env) == pytest.approx(want, rel=1e-12)
-    assert grad(e, ["x"], env) == [pytest.approx(0.999 ** 5000, rel=1e-12)]
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +618,15 @@ def test_free_vars_of_deep_chain_do_not_recurse():
     assert diff(e, "z") is expr.ZERO
     env = {"x": 0.5, "y": 0.999}
     want = evaluate(e, env)
+    assert want == pytest.approx(0.5 * 0.999 ** 5000 + sum(0.999 ** (5000 - k) / k
+                                                          for k in range(1, 5001)), rel=1e-12)
     assert evaluate(diff(e, "x"), env) == pytest.approx(0.999 ** 5000, rel=1e-12)
-    assert evaluate(diff(e, "y"), env) == pytest.approx(grad(e, ["y"], env)[0], rel=1e-12)
+    dy = sum((5000 - k) * 0.999 ** (4999 - k) / k for k in range(1, 5000)) \
+        + 0.5 * 5000 * 0.999 ** 4999
+    assert evaluate(diff(e, "y"), env) == pytest.approx(dy, rel=1e-12)
     assert evaluate(subs(e, {"x": Var("u")}), {"u": 0.5, "y": 0.999}) == want
     assert compile_exprs([e, diff(e, "y")], ["x", "y"])([0.5, 0.999]) == \
-        [want, pytest.approx(grad(e, ["y"], env)[0], rel=1e-12)]
+        [want, pytest.approx(dy, rel=1e-12)]
     harmonic = sum(Fraction(1, k) for k in range(1, 5001))
     assert eval_exact(e, {"x": Fraction(1, 2), "y": Fraction(1)}) == Fraction(1, 2) + harmonic
     assert eval_exact(subs(e, {"y": expr.ONE}), {"x": Fraction(0)}) == harmonic
@@ -738,7 +697,7 @@ FAILURES = {
 }
 
 
-ENTRIES = ("evaluate", "grad", "eval_exact", "compiled", "flow-start", "flow-mid-run",
+ENTRIES = ("evaluate", "eval_exact", "compiled", "flow-start", "flow-mid-run",
            "flow-invariant", "columns")
 
 
@@ -754,8 +713,6 @@ def _run_entry(entry, e, point):
     env = {"x": point}
     if entry == "evaluate":
         return evaluate(e, env)
-    if entry == "grad":
-        return grad(e, ["x"], env)
     if entry == "eval_exact":
         return eval_exact(e, {"x": Fraction(point)})
     if entry == "compiled":
@@ -800,7 +757,7 @@ def test_a_power_derivative_that_overflows_is_a_domain_error():
     e = parse("x^-2")
     assert evaluate(e, {"x": 1e-120}) == pytest.approx(1e240)
     with pytest.raises(DomainError, match="^float overflow$"):
-        grad(e, ["x"], {"x": 1e-120})
+        evaluate(diff(e, "x"), {"x": 1e-120})
 
 
 def test_input_conversion_errors_keep_their_type():

@@ -518,8 +518,8 @@ def test_lie_poisson_antisymmetry():
 
 
 def test_lie_poisson_matches_symbolic_tree():
-    # the point bracket (float gradients) against the evaluated tree of the
-    # same bivector's symbolic bracket
+    # the point bracket, read at a point given as a sequence, against the
+    # evaluated tree of the same bivector's symbolic bracket
     L = lie.builtin("galilean").group.algebra
     rng = random.Random(23)
     names = lie.dual_names(L)

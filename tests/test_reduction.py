@@ -724,7 +724,7 @@ def test_reduced_coordinates_reject_noninvariant_leg():
     xi = tuple(1.0 if a == j1 else 0.0 for a in range(m))
     bad = red.Connection(pair=pair, forms=forms, tag="constant-leg", xi=xi, S=ONE)
     with pytest.raises(ValueError, match="not orbit-invariant"):
-        bad.reduced_coordinates
+        bad.reduced_brackets([0.1] * (2 * m + 2))
     with pytest.raises(ValueError, match="not orbit-invariant"):
         red.reduced_bracket_via_invariants(bad, Var("mu_J1"), Var("p"), [0.1] * (2 * m + 2))
 
@@ -753,8 +753,9 @@ def test_reduced_point_matches_the_compiled_invariants(name):
 
 def test_reduced_point_and_coordinates_compile_nothing_after_psi(monkeypatch):
     # reduced points read the compiled psi and the subgroup's compiled Ad,
-    # and the orbit check moves points by the compiled lift: all are built
-    # once the connection has split a covector
+    # the orbit check moves points by the compiled lift, and the reduced
+    # coordinates are trees: all are built once the connection has split a
+    # covector
     pair = lie._se2()  # a fresh pair, nothing compiled for it yet
     theta = red.make_connection(pair, deformation=([0.3, -0.2], "1 + phi^2", True))
     red.psi_theta(theta, [0.2, -0.4, 0.5], [0.3, 0.6, 0.8])
@@ -768,6 +769,7 @@ def test_reduced_point_and_coordinates_compile_nothing_after_psi(monkeypatch):
     monkeypatch.setattr(ex, "compile_exprs", counted)
     x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6]
     before = theta.reduced_point(x)
+    assert theta._orbit_residual <= 1e-8
     assert list(theta.reduced_coordinates) == ["mu_P1", "mu_P2", "p"]
     assert theta.reduced_point(x) == before
     assert compiled == []
@@ -839,6 +841,12 @@ def test_via_invariants_transverse_pair():
         got = red.reduced_bracket_via_invariants(theta, Var("phi"), Var("p"), x)
         assert abs(got - x[2]) < 1e-12
         assert red.reduced_bracket_via_invariants(theta, Var("phi"), Var("phi"), x) == 0.0
+
+
+def test_via_invariants_reads_one_point_not_columns():
+    theta = red.make_connection(lie.builtin("se2"))
+    with pytest.raises(ValueError, match="reads one point, not columns"):
+        red.reduced_bracket_via_invariants(theta, Var("phi"), Var("p"), np.zeros((6, 3)))
 
 
 def test_via_invariants_moment_pullbacks_abelian():
@@ -917,8 +925,8 @@ def test_connection_independence():
                 if rng.random() < 0.4:
                     x[m] = 0.0
                 up = red.reduced_bracket_via_invariants(theta, F, G, x)
-                want = rp.bracket_value(ex.subs(F, tau), ex.subs(G, tau),
-                                        default.reduced_point(x))
+                want = ex.evaluate(rp.bracket(ex.subs(F, tau), ex.subs(G, tau)),
+                                   dict(zip(rp.names, default.reduced_point(x))))
                 worst = max(worst, abs(up - want))
             assert worst <= 1e-8, (name, theta.tag)
 
@@ -1022,11 +1030,12 @@ def test_column_maps_match_the_scalar_maps_bit_for_bit(name):
 
 def reference_bracket_via_invariants(theta, F, G, point):
     """The bracket before the chain rule: F and G lifted by substitution into
-    the reduced coordinates, then bracketed from the upstairs bivector's
-    float gradients."""
+    the reduced coordinates, then the upstairs bivector's bracket tree
+    evaluated at the point."""
     lift = theta.reduced_coordinates
     up = red._action(theta.pair).upstairs_poisson
-    return up.bracket_value(ex.subs(F, lift), ex.subs(G, lift), [float(x) for x in point])
+    return ex.evaluate(up.bracket(ex.subs(F, lift), ex.subs(G, lift)),
+                       dict(zip(up.names, map(float, point))))
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -1044,11 +1053,10 @@ def test_chain_rule_bracket_matches_the_substituted_reference(name):
             xs.append([rng.uniform(-0.6, 0.6) for _ in cn])
             if t % 2 == 0:
                 xs[-1][m] = 0.0
-        cols = red.reduced_bracket_via_invariants(theta, F, G, np.array(xs).T)
         for s, x in enumerate(xs):
             got = red.reduced_bracket_via_invariants(theta, F[s], G[s], x)
-            assert abs(got - reference_bracket_via_invariants(theta, F[s], G[s], x)) <= 1e-12
-            assert abs(got - cols[s]) <= 1e-12, (name, theta.tag)
+            want = reference_bracket_via_invariants(theta, F[s], G[s], x)
+            assert abs(got - want) <= 1e-12, (name, theta.tag)
 
 
 def test_reduced_brackets_read_one_bivector():
@@ -1105,7 +1113,7 @@ def test_a_nan_reduced_point_fails_the_orbit_check(monkeypatch):
 
     monkeypatch.setattr(red.Connection, "reduced_point", one_nan)
     with pytest.raises(ValueError, match="not orbit-invariant, residual nan"):
-        theta.reduced_coordinates
+        theta.reduced_brackets([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
 
 
 def test_the_axiom_check_names_the_first_failing_sample():
@@ -1154,6 +1162,8 @@ def test_entry_points_read_columns_as_points(name):
         "reduced_point": lambda c: theta.reduced_point(x[:, c]),
         "coupling_identity_residual": lambda c: red.coupling_identity_residual(
             theta, x[:, c], v[:, c], w[:, c]),
+        "connection_independence_residual": lambda c: red.connection_independence_residual(
+            theta, connections(pair)[0], x[:, c]),
     }
     for label, call in calls.items():
         cols = np.asarray(call(slice(None)))

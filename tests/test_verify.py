@@ -1,5 +1,6 @@
 """Suite runner: section coverage, signature, determinism."""
 
+import dataclasses
 import inspect
 import math
 import sys
@@ -152,6 +153,28 @@ def test_connection_independence_compiles_per_connection_not_per_sample(monkeypa
     assert len(calls) <= 4
 
 
+@pytest.mark.parametrize("name", ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"])
+def test_connection_independence_fails_a_wrong_bracket_or_a_missing_chart_shift(name, monkeypatch):
+    # the section compares every entry of the upstairs brackets and every
+    # reduced coordinate, so it sees {phi, p} = 2 phi in the reduced
+    # bivector, and deformed connections read without the shift of p
+    pair = lie.builtin(name)
+    rp = red.reduced_poisson(pair)
+    m = len(pair.h_names)
+    default, *deformed = verify._connection_cases(pair)
+    doubled = bcalc.PoissonBivector(
+        rp.names, {**rp.entries, (m, m + 1): ex.Const(2) * ex.Var(pair.phi_name)})
+    with monkeypatch.context() as patch:
+        patch.setattr(red, "reduced_poisson", lambda _: doubled)
+        resid, tol = verify._sec_connection_independence(pair, 1)
+    assert resid > 0.1 and not verify.SectionResult("", resid, tol).ok
+    unshifted = [dataclasses.replace(theta, xi=None, S=None) for theta in deformed]
+    assert all(theta.chart_shift == {} for theta in unshifted)
+    monkeypatch.setattr(verify, "_connection_cases", lambda _: (default, *unshifted))
+    resid, tol = verify._sec_connection_independence(pair, 1)
+    assert resid > 0.01 and not verify.SectionResult("", resid, tol).ok
+
+
 def test_galilean_suite_compiles_at_most_17_maps(monkeypatch):
     # each connection compiles theta, psi with its Jacobian and its coupling
     # target, nothing more: reduced points read psi and the subgroup's Ad,
@@ -296,7 +319,7 @@ def _one_nan(real, index):
     ("reduction: connection-axioms", red, "_axiom_residual", ()),
     ("reduction: splitting-roundtrip", red, "psi_theta_inverse", (1, 5)),
     ("reduction: coupling-identity", red, "coupling_identity_residual", (123,)),
-    ("reduction: connection-independence", red, "reduced_bracket_via_invariants", (9,)),
+    ("reduction: connection-independence", red, "connection_independence_residual", (9,)),
 ])
 def test_a_nan_sample_fails_its_section(section, module, name, index, monkeypatch):
     # the running maximum once started at 0.0, and max(0.0, nan) is 0.0

@@ -8,6 +8,10 @@ Subpackages:
     reduction  principal connections, minimal coupling, reduced Poisson structures
     dynamics   Hamiltonian vector fields and fixed-step flows
     cli        configuration-driven command line front end
+
+Every module that uses numpy reads it as `np` from the private loader
+`_numpy`, which imports it on first attribute access, so the exact paths
+(`describe`, `bracket-table`) never load it.
 """
 
 __version__ = "0.1.0"

@@ -34,8 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import expr as ex
 from .expr import Const, Expr, Var, ZERO, ONE
 

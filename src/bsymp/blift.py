@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import expr as ex
 from .expr import Expr, Var, ZERO
 from .bcalc import (BChart, BForm, BVectorField, PoissonBivector, b_d, frame_matrix,

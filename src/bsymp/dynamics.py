@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
+from bsymp._numpy import np
 import bsymp.expr as ex
 from bsymp.expr import Expr, Var, ZERO
 from bsymp.bcalc import PoissonBivector

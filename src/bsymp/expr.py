@@ -94,6 +94,8 @@ from fractions import Fraction
 from types import FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._numpy import np
+
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "Environment", "parse", "evaluate", "eval_exact", "diff", "subs",
@@ -984,8 +986,6 @@ def _column_namespace() -> dict:
     apply the scalar function element by element, so every value rounds as
     in the scalar call (numpy's own exp, log and power may not); a float
     from a constant subexpression is passed straight through."""
-    import numpy as np
-
     def each(fn, nargs):
         vec = np.frompyfunc(fn, nargs, 1)
 
@@ -1024,7 +1024,6 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
 
     def columns(X):
         nonlocal by_rows
-        import numpy as np
         if by_rows is None:
             by_rows = FunctionType(raw.__code__, _column_namespace())
         X = np.asarray(X, dtype=float)

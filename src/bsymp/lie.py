@@ -30,11 +30,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import expr as ex
 from .bcalc import PoissonBivector, _cyclic_defect, _fr_solve, joined, sequence_values, vecmat
 from .expr import Const, Expr, Var, ZERO, ONE
@@ -308,14 +307,16 @@ class MatrixGroup:
         out = np.array(params, dtype=float)
         for i, kind in enumerate(self.wrap):
             if kind == "angle":
-                out[i] = _remainder(out[i], 2 * math.pi)
+                out[i] = _remainder()(out[i], 2 * math.pi)
             elif kind == "mod1":
                 out[i] = out[i] % 1.0
         return out
 
 
-# math.remainder (IEEE, the quotient rounded to even) element by element
-_remainder = np.frompyfunc(math.remainder, 2, 1)
+@cache
+def _remainder():
+    """math.remainder (IEEE, the quotient rounded to even) element by element."""
+    return np.frompyfunc(math.remainder, 2, 1)
 
 
 def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> float | np.ndarray:
@@ -327,7 +328,7 @@ def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> fl
     d = np.abs(p - q)
     for i, kind in enumerate(G.wrap):
         if kind == "angle":
-            d[i] = np.abs(np.asarray(_remainder(p[i] - q[i], 2 * math.pi), dtype=float))
+            d[i] = np.abs(np.asarray(_remainder()(p[i] - q[i], 2 * math.pi), dtype=float))
         elif kind == "mod1":
             d[i] = np.minimum(d[i] % 1.0, 1.0 - d[i] % 1.0)
     return np.max(d, axis=0)

@@ -61,8 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import expr as ex
 from .expr import Expr, Var, ONE, ZERO
 from .bcalc import (BChart, BForm, PoissonBivector, b_d, columns, joined, matvec,

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
+from bsymp._numpy import np
 import bsymp.expr as ex
 from bsymp.expr import Const, Expr, Var
 from bsymp import bcalc, dynamics as dyn, lie

@@ -96,3 +96,97 @@ def test_verify_never_imports_scipy(tmp_path):
             "assert not loaded, loaded\n")
     res = _run_script(["-c", code], tmp_path)
     assert res.returncode == 0, res.stderr
+
+
+def test_missing_numpy_fails_at_import(tmp_path):
+    # -S hides site-packages, numpy with them: numpy is loaded on first use,
+    # but a missing numpy is still the error of `import bsymp.cli`
+    res = _run_script(["-S", "-c", "import bsymp.cli"], tmp_path)
+    assert res.returncode != 0
+    assert res.stderr.strip().splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
+# Run in a fresh interpreter on argv[1], a JSON list of [argv, out path or
+# null].  Prints as JSON the bsymp modules `import bsymp.cli` left out, the
+# numpy submodules loaded after that import and after building the four
+# built-ins, and per command its exit code, the numpy submodules then loaded
+# and the SHA-256 of its stdout (the out path read as OUT) and of its file.
+_FRESH_RUN = """\
+import contextlib, hashlib, io, json, pkgutil, sys
+from pathlib import Path
+import bsymp.cli
+from bsymp import cli, lie
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+report = {"unimported": [m.name for m in pkgutil.iter_modules(sys.modules["bsymp"].__path__)
+                         if "bsymp." + m.name not in sys.modules],
+          "import": numpy_modules()}
+for g in ("se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"):
+    lie.builtin(g)
+report["builtin"] = numpy_modules()
+report["runs"] = []
+for argv, out in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = cli.main(argv)
+    stdout = buf.getvalue().encode()
+    if out is not None:
+        stdout = stdout.replace(out.encode(), b"OUT")
+    report["runs"].append({"code": code, "numpy": numpy_modules(),
+                           "stdout_sha256": sha(stdout),
+                           "out_sha256": None if out is None else sha(Path(out).read_bytes())})
+print(json.dumps(report))
+"""
+
+REFS = json.loads((ROOT / "bench" / "ref" / "refs.json").read_text(encoding="utf-8"))
+GROUPS = ("se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean")
+
+
+def _fresh_run(runs, cwd) -> dict:
+    res = _run_script(["-c", _FRESH_RUN, json.dumps([[argv, out] for _, argv, out in runs])],
+                      cwd)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    for (label, argv, _), run in zip(runs, report["runs"], strict=True):
+        assert run["code"] == 0, argv
+        if label is not None:
+            ref = REFS["commands"][label]
+            assert run["stdout_sha256"] == ref["stdout_sha256"], label
+            assert run["out_sha256"] == ref.get("out_sha256"), label
+    return report
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    # describe and bracket-table print exact rationals, so they never pay
+    # for numpy; bench/tracer.py reads every bsymp module from sys.modules
+    # right after `import bsymp.cli`, so that import still loads them all
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    custom = readme.split("A custom group is an algebra-only object", 1)[1]
+    config = tmp_path / "basis.json"
+    config.write_text(custom.split("```json", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert "basis" in json.loads(config.read_text())["group"]
+    # (reference label or None, argv, out path): the custom group has no reference
+    runs = []
+    for group, source in [(g, ["--group", g]) for g in GROUPS] + [(None, ["--config", str(config)])]:
+        out = str(tmp_path / f"{len(runs)}.csv")
+        for command, tail, path in (("describe", [], None), ("bracket-table", ["--out", out], out)):
+            label = None if group is None else f"{command} {group}"
+            runs.append((label, [command, *source, *tail], path))
+    report = _fresh_run(runs, tmp_path)
+    assert report["unimported"] == []
+    assert report["import"] == report["builtin"] == []
+    assert [run["numpy"] for run in report["runs"]] == [[]] * len(runs)
+
+
+def test_float_commands_load_numpy_on_first_use(tmp_path):
+    # the in-process tests import numpy before bsymp, so only a fresh
+    # interpreter runs the deferred import
+    out = str(tmp_path / "flow.csv")
+    report = _fresh_run([(None, ["verify", "--group", "se2"], None),
+                         ("flow se2", ["flow", "--group", "se2", "--out", out], out)], tmp_path)
+    assert report["import"] == []
+    assert all(run["numpy"] for run in report["runs"])

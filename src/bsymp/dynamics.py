@@ -14,12 +14,14 @@ the sign frozen; it is never switched on silently.
 
 `integrate` runs the whole fixed-step loop in one generated function,
 written with `expr.emit`, the code generator of `compile_exprs`: every
-stage inlines the field, and each accepted row is checked, has H and the
-Casimirs evaluated and goes into arrays sized for the whole run, all in
-that function.  It is cached on the VectorField per method, substitution
-and Casimirs, so another dt or start reuses it.  The drifts are taken
-from the stored values, and the CSV's H and Casimir columns are those
-values: `write_csv` and `leaf_report` only read the trajectory.
+stage inlines the field, and each accepted row is checked finite, has H
+and the Casimirs evaluated and checked finite, and is appended to flat
+`array('d')` buffers, 8 bytes per stored value, all in that function.  It
+is cached on the VectorField per method, substitution and Casimirs, so
+another dt or start reuses it.  The drifts are taken from the stored
+values, and the CSV's H and Casimir columns are those values: `write_csv`
+and `leaf_report` only read the trajectory.  Every step computes in
+plain floats, so a flow never imports numpy.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
-from bsymp._numpy import np
 import bsymp.expr as ex
 from bsymp.expr import Expr, Var, ZERO
 from bsymp.bcalc import PoissonBivector
@@ -67,14 +67,6 @@ class VectorField:
     phi_slot: int | None = None
     flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def compiled(self):
-        """All components as one compiled function of the coordinates."""
-        return ex.compile_exprs(list(self.components), list(self.names))
-
-    def __call__(self, x: Sequence[float]) -> list[float]:
-        return self.compiled(list(map(float, x)))
-
 
 def hamiltonian_vf(P: PoissonBivector, H: Expr,
                    phi_slot: int | None = None) -> VectorField:
@@ -92,14 +84,15 @@ def hamiltonian_vf(P: PoissonBivector, H: Expr,
 
 @dataclass
 class Trajectory:
-    """Fixed-step integration output: a state row per step and, in the same
-    row of `invariants`, H there (0.0 without a Hamiltonian), then each Casimir."""
+    """Fixed-step integration output in flat, row-major array('d') buffers:
+    `rows` holds the state of step k at k * n .. k * n + n - 1 (n = len(names)), and
+    `invariants`, laid out the same way, H there (0.0 without a
+    Hamiltonian), then each Casimir."""
 
     dt: float
-    times: np.ndarray
     names: tuple[str, ...]
-    rows: np.ndarray
-    invariants: np.ndarray
+    rows: array.array
+    invariants: array.array
     method: str
     phi_slot: int | None = None
     energy_drift: float | None = None
@@ -107,18 +100,37 @@ class Trajectory:
     phi_floor: float | None = None
 
     @property
-    def final(self) -> np.ndarray:
-        return self.rows[-1]
+    def times(self) -> array.array:
+        """k * dt for each stored step k."""
+        return _doubles([k * self.dt for k in range(len(self.rows) // len(self.names))])
+
+    def column(self, i: int) -> array.array:
+        """Coordinate i at every step."""
+        return self.rows[i::len(self.names)]
+
+    @property
+    def final(self) -> array.array:
+        return self.rows[-len(self.names):]
+
+
+def _doubles(values=()) -> array.array:
+    """values as an array('d'); the array extension, which adds about 0.2 MiB
+    to a process's resident size, loads on a flow's first use."""
+    from array import array
+    return array("d", values)
 
 
 def _raise_invariant_error(exprs, names, x, t, err):
-    """An InvariantError naming the first expression that fails at x; err if none does."""
+    """An InvariantError naming the first expression that fails or is not
+    finite at x; err if none is."""
     point = dict(zip(names, x))
     for i, e in enumerate(exprs):
         try:
-            ex.evaluate(e, point)
+            value = ex.evaluate(e, point)
         except ex.DomainError as fail:
             raise InvariantError(f"cannot be evaluated at t={t:.6g}: {fail}", i) from fail
+        if not math.isfinite(value):
+            raise InvariantError(f"is not finite at t={t:.6g}: {value!r}", i)
     raise err
 
 
@@ -137,6 +149,12 @@ def step_count(dt: float, T: float) -> int:
 
 
 _BIG = sys.float_info.max
+
+
+def _finite(ids):
+    """Source testing that every value in ids is finite: within the largest
+    float, which nan is not."""
+    return " and ".join(f"{-_BIG!r} <= {v} <= {_BIG!r}" for v in ids)
 
 
 def _guarded(lines, indent, failure):
@@ -158,11 +176,12 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     is written as the rk4 and midpoint formulas read, `a + 0.5 * dt * b`
     and `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
     0.5 * dt and dt / 6.0 computed once.  Each accepted row is checked
-    finite, its invariants are evaluated, and both go straight into
-    `rows[k + 1]` and `values[k + 1]`.
+    finite, its invariants are evaluated and checked finite, and both are
+    appended to `rows` and `values`; row 0's invariants are too.
     Returns None when every step is accepted, else (k, where, row, err):
     the step, "field", "chart" or "invariant", the row (x for row 0,
-    k = -1) and the error caught.
+    k = -1; a "chart" row may go on with its invariants) and the error
+    caught, None for a value that is not finite.
     """
     n = len(vf.names)
     m = vf.phi_slot
@@ -201,14 +220,14 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     row = list(state)
     if sub:
         row[m] = "r"
-    # finite exactly when within the largest float, which nan is not
-    ok = [f"{-_BIG!r} <= {r} <= {_BIG!r}" for r in row]
     g0_lines, g0 = ex.emit(invariants, dict(zip(vf.names, state)), "g", " " * 8)
     g_lines, g = ex.emit(invariants, dict(zip(vf.names, row)), "g", ind)
     src = ["def _flow(x, rows, values, steps, dt, sgn):",
            f"    {', '.join(state)}, = x",
            *_guarded(g0_lines, "    ", "-1, 'invariant', x, err"),
-           f"    values[0] = ({', '.join(g0)},)"]
+           f"    if not ({_finite(g0)}):",
+           "        return -1, 'invariant', x, None",
+           f"    values.extend(({', '.join(g0)},))"]
     if sub:
         src.append(f"    s{m} = _log(abs(s{m}))")
     src += ["    half = 0.5 * dt",
@@ -220,11 +239,13 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
                 f"            r = sgn * _exp(s{m})",
                 "        except OverflowError:",
                 "            r = sgn * inf"]
-    src += [f"        if not ({' and '.join(ok)}):",
+    src += [f"        if not ({_finite(row)}):",
             f"            return k, 'chart', ({', '.join(row)},), None",
             *_guarded(g_lines, "        ", f"k, 'invariant', ({', '.join(row)},), err"),
-            f"        rows[k + 1] = ({', '.join(row)},)",
-            f"        values[k + 1] = ({', '.join(g)},)",
+            f"        if not ({_finite(g)}):",
+            f"            return k, 'chart', ({', '.join([*row, *g])},), None",
+            f"        rows.extend(({', '.join(row)},))",
+            f"        values.extend(({', '.join(g)},))",
             "    return None"]
     return ex.build("\n".join(src) + "\n", "_flow", inf=math.inf, nan=math.nan,
                     _ERRORS=(ArithmeticError, ValueError))
@@ -245,9 +266,13 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     vf by method, substitution and casimirs, so another dt or x0 reuses
     it.  A non-finite x0 is a ValueError naming its first such coordinate,
     before any step.  A failed field evaluation is a ChartExitError at the
-    start time of its step; a row that is not finite, a ChartExitError at its own time;
-    a row where H or a Casimir cannot be evaluated, an InvariantError.  Each has as its cause the DomainError
-    `expr.evaluate` raises there (`expr.domain_error`), overflow included.
+    start time of its step; a row, or H or a Casimir on it, that is not
+    finite, a ChartExitError at the row's time: the state has escaped
+    past where its values fit a float.  A row where H or a Casimir cannot
+    be evaluated, and a start where one is not finite, is an
+    InvariantError.  An evaluation error is the cause of each, as the
+    DomainError `expr.evaluate` raises there (`expr.domain_error`),
+    overflow included.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -273,9 +298,8 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     flow = vf.flows.get(key)
     if flow is None:
         flow = vf.flows[key] = _generate_flow(vf, invariants, method, sub)
-    rows = np.empty((steps + 1, n))
-    values = np.empty((steps + 1, len(invariants)))
-    rows[0] = x
+    rows = _doubles(x)
+    values = _doubles()
     failure = flow(x, rows, values, steps, dt, sgn)
     if failure is not None:
         k, where, row, err = failure
@@ -286,15 +310,16 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
                                  k * dt) from err
         t = (k + 1) * dt
         if where == "chart":  # the generated check fails only on a non-finite value
+            labels = [*vf.names, "H", *(f"Casimir {ex.to_str(c)}" for c in casimirs)]
             i = next(i for i, v in enumerate(row) if not math.isfinite(v))
-            raise ChartExitError(f"{vf.names[i]} became non-finite at t={t:.6g}", t)
+            raise ChartExitError(f"{labels[i]} became non-finite at t={t:.6g}", t)
         _raise_invariant_error(invariants, vf.names, row, t, err)
-    drifts = np.max(np.abs(values - values[0]), axis=0).tolist()
-    return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, names=vf.names,
-                      rows=rows, invariants=values, method=method, phi_slot=m,
-                      energy_drift=None if vf.hamiltonian is None else drifts[0],
+    nv = len(invariants)
+    drifts = [max(abs(v - col[0]) for v in col) for col in (values[i::nv] for i in range(nv))]
+    return Trajectory(dt=dt, names=vf.names, rows=rows, invariants=values, method=method,
+                      phi_slot=m, energy_drift=None if vf.hamiltonian is None else drifts[0],
                       casimir_drifts=tuple(drifts[1:]),
-                      phi_floor=None if m is None else float(np.min(np.abs(rows[:, m]))))
+                      phi_floor=None if m is None else min(map(abs, rows[m::n])))
 
 
 @dataclass(frozen=True)
@@ -339,15 +364,14 @@ def leaf_report(P: PoissonBivector, traj: Trajectory) -> LeafReport:
     sign_ok = True
     on_slice = False
     if m is not None:
-        col = traj.rows[:, m]
-        on_slice = bool(np.all(col == 0.0))
+        col = traj.column(m)
+        on_slice = all(v == 0.0 for v in col)
         if not on_slice:
-            s = np.sign(col)
-            sign_ok = bool(np.all(s == s[0]) and s[0] != 0)
+            sign_ok = all(v > 0.0 for v in col) or all(v < 0.0 for v in col)
     drifts = {}
     for k in _structural_casimir_slots(P):
-        col = traj.rows[:, k]
-        drifts[P.names[k]] = float(np.max(np.abs(col - col[0])))
+        col = traj.column(k)
+        drifts[P.names[k]] = max(abs(v - col[0]) for v in col)
     return LeafReport(sign_constant=sign_ok, on_slice=on_slice,
                       energy_drift=traj.energy_drift,
                       casimir_drifts=drifts, phi_floor=traj.phi_floor)
@@ -360,8 +384,11 @@ def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
     ones the drifts are read from.  Floats are written with repr, which
     round-trips IEEE-754 doubles.
     """
-    if len(labels) != traj.invariants.shape[1] - 1:
+    n, nv = len(traj.names), len(labels) + 1
+    rows, values = traj.rows, traj.invariants
+    if len(values) * n != len(rows) * nv:
         raise ValueError("write_csv needs one label per Casimir")
     fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
-    for t, row, vals in zip(traj.times, traj.rows, traj.invariants):
-        fh.write(",".join(map(repr, [float(t), *row.tolist(), *vals.tolist()])) + "\n")
+    for k, t in enumerate(traj.times):
+        fh.write(",".join(map(repr, [t, *rows[k * n:k * n + n],
+                                     *values[k * nv:k * nv + nv]])) + "\n")

@@ -400,7 +400,7 @@ def _sec_slice_hold(pair, seed):
     x0 = [rng.uniform(-0.5, 0.5) for _ in rp.names]
     x0[m] = 0.0
     tr = dyn.integrate(vf, x0, 1e-2, 2.0)
-    return float(np.max(np.abs(tr.rows[:, m]))), 0.0
+    return max(map(abs, tr.column(m))), 0.0
 
 
 def _sec_order_factor(pair, seed):
@@ -427,16 +427,20 @@ def _sec_energy_drift(pair, seed):
         x0 = [rng.uniform(-0.6, 0.6) for _ in rp.names]
         # quadratic terms can drive finite-time escape, and each halving of
         # the start only doubles the exit time; shrink it deterministically
-        # until the full horizon stays on the chart, else fail the section
+        # until the full horizon stays on the chart, else fail the section;
+        # an H that cannot be evaluated on a row, or is not finite at the
+        # start, fails it too
         for _ in range(_ENERGY_DRIFT_HALVINGS):
             try:
                 tr = dyn.integrate(vf, x0, 1e-3, 10.0)
                 break
             except dyn.ChartExitError:
                 x0 = [0.5 * v for v in x0]
+            except dyn.InvariantError:
+                return math.inf, 1e-6
         else:
             return math.inf, 1e-6
-        worst = max(worst, tr.energy_drift / (1.0 + abs(float(tr.invariants[0, 0]))))
+        worst = max(worst, tr.energy_drift / (1.0 + abs(tr.invariants[0])))
     return worst, 1e-6
 
 

@@ -426,6 +426,23 @@ def test_flow_invariant_failure_names_key_and_time(tmp_path, capsys):
     assert "log of a non-positive value" in err
 
 
+@pytest.mark.parametrize("flow,message", [
+    ({"hamiltonian": "p + 10^200*mu_P1*10^200*mu_P1"},
+     "flow.hamiltonian is not finite at t=0: inf"),
+    ({"casimirs": {"ok": "mu_P1", "big": "mu_P1*10^200*10^200 - 10^200*mu_P1*10^200"}},
+     "flow.casimirs.big is not finite at t=0: nan"),
+])
+def test_flow_invariant_not_finite_at_the_start_is_a_config_error(tmp_path, capsys, flow,
+                                                                  message):
+    # it once exited 0 with a nan drift and a numpy warning on stderr
+    cfg = write_config(tmp_path, {"group": "se2", "flow": {"x0": [1, 0, 1, 0], "T": 0.01,
+                                                           "dt": 0.001, **flow}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [{}, {"method": "midpoint"}, {"substitution": True}])
 def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
     # one generated function runs the field and [H, *casimirs] for the whole
@@ -465,9 +482,9 @@ def test_flow_evaluates_invariants_once(tmp_path, capsys, monkeypatch, extra):
     tr, = trajectories
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,mu_P1,mu_P2,phi,p,H,m1"
-    got = [[float(v) for v in ln.split(",")[-2:]] for ln in lines[1:]]
+    got = [float(v) for ln in lines[1:] for v in ln.split(",")[-2:]]
     assert got == tr.invariants.tolist()
-    assert tr.invariants.shape == (101, 2)
+    assert len(tr.invariants) == 101 * 2
 
 
 def test_flow_prints_configured_casimir_drifts(tmp_path, capsys, monkeypatch):

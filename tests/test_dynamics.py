@@ -9,8 +9,8 @@ the stepper (exact holds, drift bounds, convergence order).
 import io
 import math
 import random
+from array import array
 
-import numpy as np
 import pytest
 
 import bsymp.expr as ex
@@ -73,9 +73,10 @@ def test_field_matches_bracket_numerically():
         rp = red.reduced_poisson(lie.builtin(name))
         H = random_quadratic(rng, list(rp.names))
         vf = dyn.hamiltonian_vf(rp, H)
+        f = ex.compile_exprs(list(vf.components), list(vf.names))
         for _ in range(5):
             x = [rng.uniform(-1, 1) for _ in rp.names]
-            vx = vf(x)
+            vx = f(x)
             env = dict(zip(rp.names, x))
             for i, n in enumerate(rp.names):
                 want = ex.evaluate(rp.bracket(Var(n), H), env)
@@ -126,7 +127,7 @@ def test_slice_hold_is_exact():
         x0 = [rng.uniform(-1, 1) for _ in rp.names]
         x0[m] = 0.0
         tr = dyn.integrate(vf, x0, 1e-2, 2.0)
-        assert np.all(tr.rows[:, m] == 0.0), name
+        assert all(v == 0.0 for v in tr.column(m)), name
         assert tr.phi_floor == 0.0
 
 
@@ -141,7 +142,7 @@ def test_sign_never_flips():
             x0 = [rng.uniform(-0.5, 0.5) for _ in rp.names]
             x0[m] = 0.4 * sgn
             tr = dyn.integrate(vf, x0, 1e-2, 3.0)
-            assert np.all(np.sign(tr.rows[:, m]) == sgn), name
+            assert all(v * sgn > 0.0 for v in tr.column(m)), name
 
 
 def test_energy_drift_bound():
@@ -173,7 +174,7 @@ def test_substitution_holds_slice_start():
     rp, vf, m = reduced_field("se2", Var("p"))
     tr = dyn.integrate(vf, [0.1, 0.2, 0.0, 0.3], 1e-2, 1.0,
                        substitution=True)
-    assert np.all(tr.rows[:, m] == 0.0)
+    assert all(v == 0.0 for v in tr.column(m))
 
 
 def test_casimir_drift_reported():
@@ -191,7 +192,7 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
     """Reference for `integrate`: the same fixed-step loop in plain Python,
     over the compiled field and invariants, stages as list comprehensions."""
     steps = dyn.step_count(dt, T)
-    f = vf.compiled
+    f = ex.compile_exprs(list(vf.components), list(vf.names))
     n = len(vf.names)
     x = [float(v) for v in x0]
     invariants = [ex.ZERO if vf.hamiltonian is None else vf.hamiltonian, *casimirs]
@@ -215,9 +216,11 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
         v[m] = v[m] / y[m]
         return v
 
+    labels = [*vf.names, "H", *(f"Casimir {ex.to_str(c)}" for c in casimirs)]
+
     def invariants_at(xt, t):
         try:
-            return g(xt)
+            values = g(xt)
         except (OverflowError, ex.DomainError):
             point = dict(zip(vf.names, xt))
             for i, e in enumerate(invariants):
@@ -226,11 +229,16 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
                 except (OverflowError, ex.DomainError) as err:
                     raise dyn.InvariantError(f"cannot be evaluated at t={t:.6g}: {err}", i) from err
             raise
+        # not finite at the start is the invariant's fault; later, the state's
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                if t == 0.0:
+                    raise dyn.InvariantError(f"is not finite at t=0: {v!r}", i)
+                raise dyn.ChartExitError(f"{labels[n + i]} became non-finite at t={t:.6g}", t)
+        return values
 
-    rows = np.empty((steps + 1, n))
-    values = np.empty((steps + 1, len(invariants)))
-    rows[0] = x
-    values[0] = invariants_at(x, 0.0)
+    rows = array("d", x)
+    values = array("d", invariants_at(x, 0.0))
     state = list(x)
     if sub:
         state[m] = math.log(abs(x[m]))
@@ -255,14 +263,15 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
             if not math.isfinite(v):
                 t = (k + 1) * dt
                 raise dyn.ChartExitError(f"{vf.names[i]} became non-finite at t={t:.6g}", t)
-        rows[k + 1] = xt
-        values[k + 1] = invariants_at(xt, (k + 1) * dt)
-    drifts = np.max(np.abs(values - values[0]), axis=0).tolist()
-    return dyn.Trajectory(dt=dt, times=np.arange(steps + 1) * dt, names=vf.names,
-                          rows=rows, invariants=values, method=method, phi_slot=m,
+        values.extend(invariants_at(xt, (k + 1) * dt))
+        rows.extend(xt)
+    nv = len(invariants)
+    drifts = [max(abs(v - values[i]) for v in values[i::nv]) for i in range(nv)]
+    return dyn.Trajectory(dt=dt, names=vf.names, rows=rows, invariants=values, method=method,
+                          phi_slot=m,
                           energy_drift=None if vf.hamiltonian is None else drifts[0],
                           casimir_drifts=tuple(drifts[1:]),
-                          phi_floor=None if m is None else float(np.min(np.abs(rows[:, m]))))
+                          phi_floor=None if m is None else min(abs(v) for v in rows[m::n]))
 
 
 def outcome(run, *args, **kwargs):
@@ -296,9 +305,14 @@ def test_generated_loop_matches_reference(name):
                                    (0.0, True)):
             x0[m] = phi0
             for cas in ((), casimirs):
-                got = assert_same_as_reference(vf, x0, 1e-2, 1.5, method=method,
-                                               casimirs=cas, substitution=substitution)
+                kw = {"method": method, "casimirs": cas, "substitution": substitution}
+                got = assert_same_as_reference(vf, x0, 1e-2, 1.5, **kw)
                 assert isinstance(got[0], bytes), (method, phi0, substitution, got)
+                # 8 bytes per stored value, row after row
+                tr = dyn.integrate(vf, x0, 1e-2, 1.5, **kw)
+                assert tr.rows.itemsize == tr.invariants.itemsize == 8
+                assert len(tr.rows) == 151 * len(names)
+                assert len(tr.invariants) == 151 * (1 + len(cas))
 
 
 def test_errors_match_reference():
@@ -317,6 +331,14 @@ def test_errors_match_reference():
         # a Casimir fails on row 0, and later on
         (dyn.VectorField(x, (ex.ONE,)), [0.0], 0.1, 1.0, {"casimirs": [ex.parse("log(x)")]}),
         (dyn.VectorField(x, (ex.ONE,), ex.parse("1/(x - 0.5)")), [0.0], 0.1, 1.0, {}),
+        # H or a Casimir that is not finite at the start
+        (dyn.VectorField(x, (ex.ONE,), ex.parse("10^200*x*10^200")), [1.0], 0.1, 1.0, {}),
+        (dyn.VectorField(x, (ex.ONE,)), [1.0], 0.1, 1.0,
+         {"casimirs": [ex.ONE, ex.parse("x*10^200*10^200 - 10^200*x*10^200")]}),
+        # or that overflows later, on a finite row: the state escapes
+        (dyn.VectorField(x, (ex.ONE,), ex.parse("x*10^200*10^200")), [0.0], 0.1, 1.0, {}),
+        (dyn.VectorField(x, (ex.ONE,)), [0.0], 0.1, 1.0,
+         {"casimirs": [ex.parse("x*10^200*10^200")]}),
     ]
     for vf, x0, dt, T, kw in cases:
         got = assert_same_as_reference(vf, x0, dt, T, **kw)
@@ -490,7 +512,7 @@ def test_csv_round_trip():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,mu_P1,mu_P2,phi,p,H,mu_P1"
     assert len(lines) == 1 + len(tr.times)
-    for ln, t, row in zip(lines[1:], tr.times, tr.rows):
+    for ln, t, *row in zip(lines[1:], tr.times, *map(tr.column, range(4)), strict=True):
         vals = [float(v) for v in ln.split(",")]
         assert vals[0] == t
         assert vals[1:5] == [float(v) for v in row]
@@ -501,5 +523,5 @@ def test_csv_round_trip():
 def test_times_strictly_increasing_and_shapes():
     rp, vf, m = reduced_field("se2", Var("p"))
     tr = dyn.integrate(vf, [0, 0, 1.0, 0], 0.1, 1.0)
-    assert tr.rows.shape == (11, 4)
-    assert np.all(np.diff(tr.times) > 0)
+    assert len(tr.rows) == 11 * 4 and len(tr.times) == 11
+    assert all(a < b for a, b in zip(tr.times, tr.times[1:]))

@@ -304,6 +304,14 @@ def test_energy_drift_fails_cleanly_when_halvings_run_out(monkeypatch, capsys):
     assert out.rstrip().endswith("result: fail: dynamics: energy-drift")
 
 
+def test_energy_drift_fails_on_an_invariant_error(monkeypatch):
+    # an H that is not finite at the start once gave a nan drift, which the
+    # running max(0.0, nan) dropped, so the section passed
+    monkeypatch.setattr(verify, "_poly",
+                        lambda rng, names: ex.parse("p + mu_P1*10^200*mu_P1*10^200"))
+    assert verify._sec_energy_drift(lie.builtin("se2"), 1) == (math.inf, 1e-6)
+
+
 def _one_nan(real, index):
     """real, with its result's entry at index made NaN: one bad sample."""
     def patched(*args):

@@ -13,7 +13,7 @@ exactly can opt into a substitution that integrates u = log|phi| and keeps
 the sign frozen; it is never switched on silently.
 
 `integrate` runs the whole fixed-step loop in one generated function,
-written with `expr.emit`, the code generator of `compile_exprs`: every
+written with `expr.emit` and compiled by `expr.build`: every
 stage inlines the field, and each accepted row is checked finite, has H
 and the Casimirs evaluated and checked finite, and is appended to flat
 `array('d')` buffers, 8 bytes per stored value, all in that function.  It
@@ -267,12 +267,12 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     it.  A non-finite x0 is a ValueError naming its first such coordinate,
     before any step.  A failed field evaluation is a ChartExitError at the
     start time of its step; a row, or H or a Casimir on it, that is not
-    finite, a ChartExitError at the row's time: the state has escaped
-    past where its values fit a float.  A row where H or a Casimir cannot
-    be evaluated, and a start where one is not finite, is an
-    InvariantError.  An evaluation error is the cause of each, as the
-    DomainError `expr.evaluate` raises there (`expr.domain_error`),
-    overflow included.
+    finite, or overflows, a ChartExitError at the row's time: the state
+    has escaped past where its values fit a float.  A row where H or a
+    Casimir cannot be evaluated for another reason, and a start where one
+    fails or is not finite, is an InvariantError.  An evaluation error is
+    the cause of each, as the DomainError `expr.evaluate` raises there
+    (`expr.domain_error`), overflow included.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -302,18 +302,24 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     values = _doubles()
     failure = flow(x, rows, values, steps, dt, sgn)
     if failure is not None:
-        k, where, row, err = failure
-        if err is not None:
-            err = ex.domain_error(err)
+        k, where, row, raw = failure
+        err = None if raw is None else ex.domain_error(raw)
         if where == "field":
             raise ChartExitError(f"field evaluation failed at t={k * dt:.6g}: {err}",
                                  k * dt) from err
         t = (k + 1) * dt
+        labels = [*vf.names, "H", *(f"Casimir {ex.to_str(c)}" for c in casimirs)]
         if where == "chart":  # the generated check fails only on a non-finite value
-            labels = [*vf.names, "H", *(f"Casimir {ex.to_str(c)}" for c in casimirs)]
             i = next(i for i, v in enumerate(row) if not math.isfinite(v))
             raise ChartExitError(f"{labels[i]} became non-finite at t={t:.6g}", t)
-        _raise_invariant_error(invariants, vf.names, row, t, err)
+        try:
+            _raise_invariant_error(invariants, vf.names, row, t, err)
+        except InvariantError as fail:
+            if k < 0 or not isinstance(raw, OverflowError):
+                raise
+            # past the float range on an accepted row, as a product overflowing to inf
+            raise ChartExitError(f"{labels[n + fail.index]} became non-finite at t={t:.6g}",
+                                 t) from err
     nv = len(invariants)
     drifts = [max(abs(v - col[0]) for v in col) for col in (values[i::nv] for i in range(nv))]
     return Trajectory(dt=dt, names=vf.names, rows=rows, invariants=values, method=method,

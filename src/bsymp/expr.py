@@ -23,7 +23,7 @@ values, tested with `is`.  Every pass over them (`evaluate`,
 before it, the left operand first except that a quotient lists its
 denominator before its numerator.  A pass fills one dict in that order, so the depth of an
 expression costs no recursion.  Errors follow the walk: `evaluate`,
-`eval_exact` and a compiled function all raise the error of the
+`eval_exact` and a compiled map all raise the error of the
 first node of the walk that fails, named by one translation,
 `domain_error`, which the flow loop of `dynamics` uses too: a float
 failure, overflow included, is one DomainError wherever it happens.
@@ -34,18 +34,19 @@ so it does not recurse either.  `parse` recurses, but rejects input
 nested deeper than 100 levels of parentheses, function calls and unary
 minus signs with an ExprSyntaxError.
 
-`emit` is the one code generator: it writes the walk as straight-line
-Python, one assignment per node, so a structurally equal subtree, being
-one node, is computed once.  A temporary's name is taken again once its
-last reader is written, the outputs' names excepted, so the lines hold
-only as many values at once as the walk needs.
-`compile_exprs` wraps its lines in a function of a coordinate list;
-`dynamics` inlines them into a whole generated integration loop.  The
-function compiled from them also reads N points at once, as the columns
-of a 2-D numpy array: the same code object runs on numpy rows, with the
-scalar `math` functions (and `pow`) applied element by element, so a
-column's values are the scalar call's bit for bit.  numpy is imported
-only on the first such call.
+One allocator, `_schedule`, gives each node of the walk that is computed
+a numbered temporary, so a structurally equal subtree, being one node,
+is computed once.  A number is taken again once its last reader has one,
+the outputs' excepted, so only as many values are alive at once as the
+walk needs.  `compile_exprs` stores that
+schedule as a tape of (op, in, in, out) steps over one register list and
+runs it, with no generated source: on floats for a point, and on numpy
+rows for N points given as the columns of a 2-D array, with the scalar
+`math` functions (and `pow`) applied element by element, so a column's
+values are the scalar call's bit for bit.  numpy is imported only on the
+first such call.  `emit` writes the same schedule as straight-line
+Python, one assignment per node, which `dynamics` inlines into a whole
+generated integration loop, where the speed of each scalar step matters.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
@@ -88,10 +89,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import weakref
 from fractions import Fraction
-from types import FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._numpy import np
@@ -871,75 +872,100 @@ def _operands(n: Expr) -> tuple[Expr, ...]:
     return (n.a, n.b)
 
 
-def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
-         indent: str = "    ") -> tuple[list[str], list[str]]:
-    """Straight-line Python computing `exprs`: (assignment lines, id of each).
+def _fits(c: Const) -> bool:
+    """Whether c has a float value."""
+    try:
+        float(c.value)
+    except OverflowError:
+        return False
+    return True
 
-    `inputs` maps a variable name to the source text that reads its value;
-    a variable outside it is an UnboundVariableError.  A constant's id is
-    its float literal, a variable's is its input text, and any other
-    node's, or a constant's past the float range (its line divides and
-    overflows), is a temporary named `temp` plus a counter, assigned on one line
-    at `indent`: one line per node of the walk, so a structurally equal
-    subtree, being one node, is computed once.  The lines follow the walk,
-    so the first line that fails is the first node of the walk that fails,
-    as in `evaluate`.  The lines run in the namespace `build` gives them;
-    an integer power is a call `_pow(base, n)`, so that namespace decides
-    how powers round.
 
-    A temporary's name is free again once the line of its last reader is
-    written, and the next temporary takes the most recently freed name; the
-    temporaries of `exprs` themselves are never freed, so their ids hold
-    their values after the last line.  So the lines keep only as many
-    values alive as the walk needs at once, which is what a map evaluated
-    over numpy columns holds in memory.
+def _schedule(exprs: Sequence[Expr]) -> tuple[list[Expr], dict[Expr, int]]:
+    """The walk of exprs, and the numbered temporary each node it computes
+    writes: the one slot allocator, behind `emit`'s names and the tape's
+    registers.
+
+    Every node but a variable and a constant with a float value is
+    computed, in walk order; a constant past the float range is its
+    numerator over its denominator, which overflows where it runs.  A
+    temporary is free again once its last reader has been given one, and
+    the next node takes the most recently freed number, else a new one; a
+    node that reads one operand twice (`x * x`) frees it once.  The
+    temporaries of `exprs` themselves are never freed, so they hold their
+    values after the last node, and only as many values are alive at once
+    as the walk needs.
     """
     order = _postorder(exprs)
     last = {o: i for i, n in enumerate(order) for o in _operands(n)}
     pinned = set(exprs)
-    lines: list[str] = []
-    ids: dict[Expr, str] = {}
+    slot: dict[Expr, int] = {}
     freeable: set[Expr] = set()  # temporaries not among the outputs
-    free: list[str] = []
+    free: list[int] = []
     fresh = 0
     for i, n in enumerate(order):
         t = type(n)
-        if t is Const:
-            try:
-                ids[n] = repr(float(n.value))
-                continue
-            except OverflowError:
-                rhs = f"{n.value.numerator} / {n.value.denominator}"
-        elif t is Var:
+        if t is Var or t is Const and _fits(n):
+            continue
+        if free:
+            slot[n] = free.pop()
+        else:
+            slot[n] = fresh
+            fresh += 1
+        if n not in pinned:
+            freeable.add(n)
+        for o in _operands(n):
+            if last[o] == i and o in freeable:
+                freeable.remove(o)  # once, though x * x reads x twice
+                free.append(slot[o])
+    return order, slot
+
+
+# each binary node's operator and its symbol
+_BINARY = {Add: (operator.add, "+"), Sub: (operator.sub, "-"), Mul: (operator.mul, "*"),
+           Div: (operator.truediv, "/")}
+
+
+def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
+         indent: str = "    ") -> tuple[list[str], list[str]]:
+    """Straight-line Python computing `exprs`: (assignment lines, id of each).
+
+    The code generator of `dynamics`' flow loop, which inlines the lines
+    into one generated function.  `inputs` maps a variable name to the
+    source text that reads its value; a variable outside it is an
+    UnboundVariableError.  A constant's id is its float literal, a
+    variable's is its input text, and any other node's, or a constant's
+    past the float range (its line divides and overflows), is `temp` plus
+    the number `_schedule` gives it, assigned on one line at `indent`: one
+    line per node of the walk, so a structurally equal subtree, being one
+    node, is computed once, and the first line that fails is the first
+    node of the walk that fails, as in `evaluate`.  The lines run in the
+    namespace `build` gives them; an integer power is a call
+    `_pow(base, n)`, so that namespace decides how powers round.
+    """
+    order, slot = _schedule(exprs)
+    lines: list[str] = []
+    ids: dict[Expr, str] = {}
+    for n in order:
+        t = type(n)
+        if t is Var:
             if n.name not in inputs:
                 raise UnboundVariableError(f"unknown name {n.name!r}")
             ids[n] = inputs[n.name]
             continue
-        elif t is Add:
-            rhs = f"{ids[n.a]} + {ids[n.b]}"
-        elif t is Sub:
-            rhs = f"{ids[n.a]} - {ids[n.b]}"
-        elif t is Mul:
-            rhs = f"{ids[n.a]} * {ids[n.b]}"
-        elif t is Div:
-            rhs = f"{ids[n.a]} / {ids[n.b]}"
+        if t is Const:
+            if n not in slot:
+                ids[n] = repr(float(n.value))
+                continue
+            rhs = f"{n.value.numerator} / {n.value.denominator}"
         elif t is Pow:
             rhs = f"_pow({ids[n.base]}, {n.n})"
-        else:
+        elif t is Fun:
             rhs = f"_{n.name}({ids[n.arg]})"
-        if free:
-            name = free.pop()
         else:
-            name = f"{temp}{fresh}"
-            fresh += 1
-        ids[n] = name
-        if n not in pinned:
-            freeable.add(n)
-        lines.append(f"{indent}{name} = {rhs}")
-        for o in _operands(n):
-            if last[o] == i and o in freeable:
-                freeable.remove(o)  # once, though x * x reads x twice
-                free.append(ids[o])
+            rhs = f"{ids[n.a]} {_BINARY[t][1]} {ids[n.b]}"
+        ids[n] = f"{temp}{slot[n]}"
+        lines.append(f"{indent}{ids[n]} = {rhs}")
     return lines, [ids[e] for e in exprs]
 
 
@@ -957,16 +983,17 @@ def build(src: str, name: str, **extra) -> Callable:
 
 def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     """The error `evaluate` raises where arithmetic raised err; the one
-    translation behind `evaluate`, compiled code and the flow loop.
+    translation behind `evaluate`, a compiled map's point call and the
+    flow loop.
 
     An EvalError (log's own check, an unbound name) is returned as it is,
-    and an OverflowError of `exp` or float `**` is a DomainError.  Float `/`
-    by zero and `**` of 0 to a negative power both raise ZeroDivisionError,
-    told apart by message.  A bare ValueError comes from sin or cos of ±inf.
-    The other ArithmeticError, numpy's FloatingPointError, is named by its
-    kind ("overflow encountered in multiply" is "float overflow"); the
-    compiled maps never pass one here, since a failed column call is read
-    again one point at a time.
+    and an OverflowError of `exp`, float `**` or a constant past the float
+    range is a DomainError.  Float `/` by zero and `**` of 0 to a negative
+    power both raise ZeroDivisionError, told apart by message.  A bare
+    ValueError comes from sin or cos of ±inf.  The other ArithmeticError,
+    numpy's FloatingPointError, is named by its kind ("overflow encountered
+    in multiply" is "float overflow"); a compiled map never passes one
+    here, since a failed column call is read again one point at a time.
     """
     if isinstance(err, EvalError):
         return err
@@ -980,12 +1007,58 @@ def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     return DomainError("float " + str(err).split(" encountered")[0])
 
 
+def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], list, list[int]]:
+    """`_schedule`'s nodes as steps (op, in, in, out) over one register list.
+
+    The registers hold the values of `names`, in order, then the
+    constants, then the temporaries, one per number `_schedule` gives, so
+    a temporary's register counts back from the end.  An op is a `_BINARY`
+    operator, `pow` with its integer exponent's register, or a `_UNARY`
+    function with None for its second input; a constant past the float
+    range is `truediv` of its integer numerator and denominator.  Returns
+    (the steps, the registers with only the constants filled in, the
+    register of each output).
+    """
+    order, slot = _schedule(exprs)
+    temps = len(set(slot.values()))
+    at = {name: i for i, name in enumerate(names)}
+    regs: list = [None] * len(names)
+    reg: dict[Expr, int] = {}
+    steps = []
+
+    def const(v) -> int:
+        regs.append(v)
+        return len(regs) - 1
+
+    for n in order:
+        t = type(n)
+        if t is Var:
+            if n.name not in at:
+                raise UnboundVariableError(f"unknown name {n.name!r}")
+            reg[n] = at[n.name]
+            continue
+        if t is Const and n not in slot:
+            reg[n] = const(n.value.numerator / n.value.denominator)
+            continue
+        if t is Const:
+            step = (operator.truediv, const(n.value.numerator), const(n.value.denominator))
+        elif t is Pow:
+            step = (pow, reg[n.base], const(n.n))
+        elif t is Fun:
+            step = (_UNARY[n.name], reg[n.arg], None)
+        else:
+            step = (_BINARY[t][0], reg[n.a], reg[n.b])
+        reg[n] = slot[n] - temps
+        steps.append((*step, reg[n]))
+    return steps, regs + [None] * temps, [reg[e] for e in exprs]
+
+
 @functools.cache
-def _column_namespace() -> dict:
-    """`build`'s namespace for numpy rows: each unary function and `_pow`
-    apply the scalar function element by element, so every value rounds as
-    in the scalar call (numpy's own exp, log and power may not); a float
-    from a constant subexpression is passed straight through."""
+def _column_ops() -> dict:
+    """The tape's ops for numpy rows: each unary function and `pow` apply
+    the scalar function element by element, so every value rounds as in
+    the scalar call (numpy's own exp, log and power may not); a float from
+    a constant subexpression is passed straight through."""
     def each(fn, nargs):
         vec = np.frompyfunc(fn, nargs, 1)
 
@@ -993,59 +1066,67 @@ def _column_namespace() -> dict:
             return fn(a, *rest) if type(a) is float else vec(a, *rest).astype(float)
         return apply
 
-    return {f"_{f}": each(fn, 1) for f, fn in _UNARY.items()} | {"_pow": each(pow, 2)}
+    return {fn: each(fn, 1) for fn in _UNARY.values()} | {pow: each(pow, 2)}
 
 
 def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
     """Compile expressions into one function of a point or of columns.
 
-    Called with values ordered like `names` (a 1-D numpy array is read as
-    its floats), it returns a list of floats.  Each node is evaluated once,
-    so a structurally equal subtree is too.  Failures, overflow included,
-    raise `domain_error`'s DomainError for the first node that fails, as
-    `evaluate` does.
+    The map is a tape (`_tape`): the walk of `exprs` as a list of
+    operations over a list of registers, with no generated source.
+    Called with one value per name, in order (a 1-D numpy array is read
+    as its floats), it runs the tape on floats and returns a list of
+    floats; any other number of values is a ValueError.  Each node is
+    evaluated once, so a structurally equal subtree is too.  Failures,
+    overflow included, raise `domain_error`'s DomainError for the first
+    node that fails, as `evaluate` does.
 
     Called with a 2-D array of shape (len(names), N), it reads the N columns
     as N points and returns a (len(exprs), N) float array, a constant
-    output broadcast along its row.  The same code object runs on the rows,
-    with numpy arithmetic and `_column_namespace`'s element-wise functions,
-    so each column is bit for bit the scalar call's value.  The call runs
-    under `np.errstate(all="raise")`; if anything fails, the columns are
-    read again one at a time in order by the scalar call, which raises the
+    output broadcast along its row.  The same tape runs on the rows, with
+    numpy arithmetic and `_column_ops`' element-wise functions, so each
+    column is bit for bit the scalar call's value, and a temporary's row
+    is dropped once its register is taken again.  The call runs under
+    `np.errstate(all="raise")`; if anything fails, the columns are read
+    again one at a time in order by the scalar call, which raises the
     first failing column's DomainError, or, where numpy raised but plain
     floats do not (a `*` overflowing to inf, an underflow), gives the
     scalar values.
     """
-    lines, results = emit(exprs, {name: f"x[{i}]" for i, name in enumerate(names)}, "t")
-    src = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
-    del lines  # compile() of a long map sets a verify's peak memory; free them first
-    raw = build(src, "_compiled")
+    steps, consts, outs = _tape(exprs, names)
     by_rows = None
+
+    def run(x, steps) -> list:
+        regs = consts.copy()
+        regs[:len(names)] = x
+        for op, a, b, out in steps:
+            regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
+        return [regs[r] for r in outs]
 
     def columns(X):
         nonlocal by_rows
         if by_rows is None:
-            by_rows = FunctionType(raw.__code__, _column_namespace())
-        X = np.asarray(X, dtype=float)
+            ops = _column_ops()
+            by_rows = [(ops.get(op, op), *rest) for op, *rest in steps]
         try:
             with np.errstate(all="raise"):
-                rows = by_rows(X)
+                rows = run(X, by_rows)
         except (ArithmeticError, ValueError):
             points = [compiled(col) for col in X.T.tolist()]
-            return np.array(points, dtype=float).reshape(X.shape[1], len(results)).T
+            return np.array(points, dtype=float).reshape(X.shape[1], len(outs)).T
         out = np.empty((len(rows), X.shape[1]))
         for i, row in enumerate(rows):
             out[i] = row
         return out
 
     def compiled(x):
+        if len(x) != len(names):
+            raise ValueError(f"{len(x)} values for {len(names)} names")
         ndim = getattr(x, "ndim", None)
         if ndim == 2:
-            return columns(x)
-        if ndim is not None:
-            x = x.tolist()
+            return columns(np.asarray(x, dtype=float))
         try:
-            return raw(x)
+            return run(x.tolist() if ndim is not None else x, steps)
         except (ArithmeticError, ValueError) as err:
             raise domain_error(err) from None
 

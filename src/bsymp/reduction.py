@@ -13,8 +13,9 @@ Conventions fixed here:
   factor, `MatrixGroup.maurer_cartan_sym`, built once per subgroup on the
   chart of the lifted action's base; it has no dphi leg, so it kills the
   transverse frame field.
-* a connection compiles three maps and nothing more: theta, psi_theta with
-  its frame Jacobian, and the coupling target; the pair adds one, the
+* a connection compiles three maps and nothing more: theta (with the
+  chart shift's S and dS/dphi), psi_theta with its frame Jacobian, and
+  the coupling target; the pair adds one, the
   frame coefficients of b_d(nu_b) for the bracket below.  Its equivariance
   check moves a covector by the cotangent lift, and its reduced points
   read psi_theta and the subgroup's compiled Ad.
@@ -129,9 +130,12 @@ class Connection:
 
     @cached_property
     def _theta_compiled(self):
-        """point -> theta^a_j row-major: every coefficient in one call."""
+        """point -> theta^a_j row-major: every coefficient in one call, then,
+        if deformed, the scale S of `chart_shift` and dS/dphi."""
         names = self.chart.names
         flat = [form.coeff((j,)) for form in self.forms for j in range(len(names))]
+        if self.S is not None:
+            flat += [self.S, ex.diff(self.S, self.pair.phi_name)]
         return ex.compile_exprs(flat, list(names))
 
     def theta_matrix(self, point: Sequence[float]) -> np.ndarray:
@@ -139,7 +143,7 @@ class Connection:
         at N points given as columns, an (h, n, N) array."""
         names = self.chart.names
         vals = np.asarray(self._theta_compiled(sequence_values(names, point)))
-        return vals.reshape(self.h_dim, len(names), *vals.shape[1:])
+        return vals[:self.h_dim * len(names)].reshape(self.h_dim, len(names), *vals.shape[1:])
 
     def theta(self, point: Sequence[float], v: Sequence[float]) -> np.ndarray:
         """Apply theta to a b-tangent vector given in frame components; point
@@ -501,25 +505,27 @@ def connection_independence_residual(theta: Connection, default: Connection,
     or one residual per column at N points given as columns: the largest
     of |y_theta - tau(y)| and |B - Dtau P(y) Dtau^T|.
 
-    y is the default connection's reduced point, (y_theta, B) theta's
-    `reduced_brackets`, P the reduced bivector (`affine_matrix`), and
-    tau(y) and Dtau(y), the identity but for the p row, the evaluated
-    `chart_shift` and its `diff` trees.
+    y is the default connection's reduced point [nu, phi, p], (y_theta, B)
+    theta's `reduced_brackets`, P the reduced bivector (`affine_matrix`),
+    and tau and Dtau the identity but for p's row.  `chart_shift` is
+    affine in (nu, p), so that row needs only the values of S and S' =
+    dS/dphi, which theta's compiled map gives at every column at once:
+    tau_p = p - S <xi, nu>, and the row of Dtau is (-S xi, -S' <xi, nu>, 1).
     """
     rp = reduced_poisson(theta.pair)
+    m = theta.h_dim
     x = np.asarray(sequence_values(_action(theta.pair).cot.chart.names, point))
     cols = x if x.ndim == 2 else x[:, None]
     y_theta, B = theta.reduced_brackets(cols)
     y = default.reduced_point(cols)
     ty = y.copy()
     D = np.repeat(np.eye(len(y))[:, :, None], y.shape[1], axis=2)
-    for name, e in theta.chart_shift.items():
-        k = rp.names.index(name)
-        parts = [e, *(ex.diff(e, v) for v in rp.names)]
-        for s in range(y.shape[1]):
-            env = dict(zip(rp.names, y[:, s].tolist()))
-            vals = [ex.evaluate(part, env) for part in parts]
-            ty[k, s], D[k, :, s] = vals[0], vals[1:]
+    if theta.S is not None:
+        S, dS = np.asarray(theta._theta_compiled(cols[:m + 1]))[-2:]
+        xi_nu = sum(c * y[b] for b, c in enumerate(theta.xi) if c)  # left to right, as ex.dot
+        ty[m + 1] = y[m + 1] - S * xi_nu
+        D[m + 1, :m] = -np.multiply.outer(theta.xi, S)
+        D[m + 1, m] = -(dS * xi_nu)
     want = np.einsum("ak...,kl...,bl...->ab...", D, rp.affine_matrix(y), D)
     out = np.maximum(np.max(np.abs(B - want), axis=(0, 1)), np.max(np.abs(y_theta - ty), axis=0))
     return out if x.ndim == 2 else float(out[0])

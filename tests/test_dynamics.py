@@ -227,6 +227,9 @@ def reference_integrate(vf, x0, dt, T, method="rk4", casimirs=(), substitution=F
                 try:
                     ex.evaluate(e, point)
                 except (OverflowError, ex.DomainError) as err:
+                    if t > 0.0 and str(err) == "float overflow":  # the state escaped
+                        raise dyn.ChartExitError(
+                            f"{labels[n + i]} became non-finite at t={t:.6g}", t) from err
                     raise dyn.InvariantError(f"cannot be evaluated at t={t:.6g}: {err}", i) from err
             raise
         # not finite at the start is the invariant's fault; later, the state's
@@ -335,10 +338,14 @@ def test_errors_match_reference():
         (dyn.VectorField(x, (ex.ONE,), ex.parse("10^200*x*10^200")), [1.0], 0.1, 1.0, {}),
         (dyn.VectorField(x, (ex.ONE,)), [1.0], 0.1, 1.0,
          {"casimirs": [ex.ONE, ex.parse("x*10^200*10^200 - 10^200*x*10^200")]}),
-        # or that overflows later, on a finite row: the state escapes
+        # or that overflows later, on a finite row, however it is written:
+        # the state escapes
         (dyn.VectorField(x, (ex.ONE,), ex.parse("x*10^200*10^200")), [0.0], 0.1, 1.0, {}),
         (dyn.VectorField(x, (ex.ONE,)), [0.0], 0.1, 1.0,
          {"casimirs": [ex.parse("x*10^200*10^200")]}),
+        (dyn.VectorField(x, (ex.ONE,), ex.parse("x^1000")), [2.0], 0.1, 1.0, {}),
+        (dyn.VectorField(x, (ex.ONE,)), [1.9], 0.1, 1.0,
+         {"casimirs": [ex.ONE, ex.parse("exp(355*x)")]}),
     ]
     for vf, x0, dt, T, kw in cases:
         got = assert_same_as_reference(vf, x0, dt, T, **kw)

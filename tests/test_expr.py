@@ -739,6 +739,10 @@ def _run_entry(entry, e, point):
     else:  # flow-invariant: the Casimir fails on a row after the first
         err = _flow_error(dyn.VectorField(("x",), (expr.MINUS_ONE,)), [point + 1],
                           casimirs=[e])
+        if str(err.__cause__) == "float overflow":  # the state escaped
+            assert isinstance(err, dyn.ChartExitError) and err.time > 0.0
+            assert str(err) == f"Casimir {to_str(e)} became non-finite at t={err.time:.6g}"
+            raise err.__cause__
         assert isinstance(err, dyn.InvariantError) and err.index == 1
         prefix = str(err)[:str(err).index(": ") + 2]
         assert prefix.startswith("cannot be evaluated at t=") and prefix != \
@@ -782,16 +786,18 @@ def test_input_conversion_errors_keep_their_type():
 
 def test_a_constant_past_the_float_range_fails_where_it_is_evaluated():
     # parse bounds its constants, but diff folds 2 * 10^308 out of bounded
-    # ones; a compiled map builds, and when called fails at that constant,
-    # the first node of the walk to fail, as evaluate does; so does a flow
+    # ones; a compiled map builds, and when called on a point or on columns
+    # fails at that constant, the first node of the walk to fail, as
+    # evaluate does; so does a flow
     e = diff(parse("10^308*x^2"), "x")
     assert e.a.value == 2 * 10 ** 308
     env = {"x": 1.0, "y": 0.0}
     with pytest.raises(DomainError, match="^float overflow$"):
         evaluate(e, env)
     f = compile_exprs([e, parse("1/y")], ["x", "y"])
-    with pytest.raises(DomainError, match="^float overflow$"):
-        f([1.0, 0.0])
+    for point in ([1.0, 0.0], np.array([[1.0, 2.0], [1.0, 0.0]])):
+        with pytest.raises(DomainError, match="^float overflow$"):
+            f(point)
     with pytest.raises(dyn.ChartExitError, match="^field evaluation failed at t=0: "
                        "float overflow$"):
         dyn.integrate(dyn.VectorField(("x",), (e,)), [1.0], 0.1, 1.0)
@@ -883,6 +889,42 @@ def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
     assert len(names) <= 4
     assert len(set(ids)) == 3
     # an output's name is never taken again after its line, so the function
-    # returns every output's own value
+    # returns every output's own value; the tape takes its registers from
+    # the same allocator
     f = compile_exprs([e, *kept], ["x"])
     assert f([0.5]) == [evaluate(n, {"x": 0.5}) for n in (e, *kept)]
+    steps, _, outs = expr._tape([e, *kept], ["x"])
+    assert len({step[-1] for step in steps}) <= 4 and len(set(outs)) == 3
+
+
+def test_a_tape_node_reading_one_operand_twice_frees_it_once():
+    # x*x reads x twice and (x*x)*(x*x) reads the output x*x twice; s*s
+    # reads the temporary s = x + y twice, last: freeing its register twice
+    # would hand it to both s*s + x and s*s - y, live at once
+    x, y = Var("x"), Var("y")
+    xx = x * x
+    s = x + y
+    exprs = [xx, xx * xx, (s * s + x) * (s * s - y)]
+    f = compile_exprs(exprs, ["x", "y"])
+    X = np.array([[0.5, -1.5, 3.0, 1e-3], [2.0, 0.25, -0.75, 7.0]])
+    want = [[evaluate(e, {"x": a, "y": b}) for e in exprs] for a, b in X.T.tolist()]
+    assert [f(col) for col in X.T.tolist()] == want
+    assert f(X).T.tolist() == want
+
+
+def test_a_compiled_map_generates_no_source(monkeypatch):
+    # builds and calls, on a point and on columns, with compile and exec gone
+    import builtins
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_exprs generated source")
+
+    np.ones(1) + 1  # numpy is loaded before exec goes
+    e = parse("sin(x)^2 + log(y)/x - exp(x*y)")
+    monkeypatch.setattr(builtins, "compile", refuse)
+    monkeypatch.setattr(builtins, "exec", refuse)
+    f = compile_exprs([e, diff(e, "x")], ["x", "y"])
+    X = np.array([[0.5, 1.5], [2.0, 0.25]])
+    want = [[evaluate(n, {"x": a, "y": b}) for n in (e, diff(e, "x"))] for a, b in X.T.tolist()]
+    assert [f(col) for col in X.T.tolist()] == want
+    assert f(X).T.tolist() == want

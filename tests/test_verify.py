@@ -176,12 +176,14 @@ def test_connection_independence_fails_a_wrong_bracket_or_a_missing_chart_shift(
 
 
 def test_galilean_suite_compiles_at_most_17_maps(monkeypatch):
-    # each connection compiles theta, psi with its Jacobian and its coupling
-    # target, nothing more: reduced points read psi and the subgroup's Ad,
-    # equivariance reads the lifted action, all three connections share
-    # the subgroup's one Maurer-Cartan build and the pair's one b_d of the
-    # invariant moments (the chain-rule bracket's nu rows), and the two
-    # b-symplectic verdicts are exact, so they compile nothing
+    # counts tape builds, one per compile_exprs call: each connection
+    # compiles theta (with the chart shift's S and S'), psi with its
+    # Jacobian and its coupling target, nothing more: reduced points read
+    # psi and the subgroup's Ad, equivariance reads the lifted action, all
+    # three connections share the subgroup's one Maurer-Cartan build and
+    # the pair's one b_d of the invariant moments (the chain-rule bracket's
+    # nu rows), and the two b-symplectic verdicts are exact, so they
+    # compile nothing
     pair = lie._galilean()  # a fresh pair, nothing compiled for it yet
     calls = []
     compile_exprs = ex.compile_exprs

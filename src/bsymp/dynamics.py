@@ -267,12 +267,13 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     it.  A non-finite x0 is a ValueError naming its first such coordinate,
     before any step.  A failed field evaluation is a ChartExitError at the
     start time of its step; a row, or H or a Casimir on it, that is not
-    finite, or overflows, a ChartExitError at the row's time: the state
-    has escaped past where its values fit a float.  A row where H or a
-    Casimir cannot be evaluated for another reason, and a start where one
-    fails or is not finite, is an InvariantError.  An evaluation error is
-    the cause of each, as the DomainError `expr.evaluate` raises there
-    (`expr.domain_error`), overflow included.
+    finite, or overflows, or reads such an overflow in sin or cos, a
+    ChartExitError at the row's time: the state has escaped past where its
+    values fit a float.  A row where H or a Casimir cannot be evaluated for
+    another reason, and a start where one fails or is not finite, is an
+    InvariantError.  An evaluation error is the cause of each, as the
+    DomainError `expr.evaluate` raises there (`expr.domain_error`),
+    overflow included.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -315,9 +316,11 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
         try:
             _raise_invariant_error(invariants, vf.names, row, t, err)
         except InvariantError as fail:
-            if k < 0 or not isinstance(raw, OverflowError):
+            # past the float range on an accepted row, as a product overflowing
+            # to inf, or sin or cos reading such an inf (a bare ValueError: log's
+            # DomainError subclasses it and stays an InvariantError)
+            if k < 0 or not (isinstance(raw, OverflowError) or type(raw) is ValueError):
                 raise
-            # past the float range on an accepted row, as a product overflowing to inf
             raise ChartExitError(f"{labels[n + fail.index]} became non-finite at t={t:.6g}",
                                  t) from err
     nv = len(invariants)

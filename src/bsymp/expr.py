@@ -18,7 +18,7 @@ Conchon 2006): a node class returns the live node with the same fields
 from a weak table, so structurally equal subtrees are one immutable node,
 and `ZERO`, `ONE` and `MINUS_ONE` are the only constants with their
 values, tested with `is`.  Every pass over them (`evaluate`,
-`eval_exact`, `diff`, `subs`, `emit`) is a loop over one iterative walk,
+`eval_exact`, `diff`, `subs`, `_tape`) is a loop over one iterative walk,
 `_postorder`, which lists each reachable node once with its operands
 before it, the left operand first except that a quotient lists its
 denominator before its numerator.  A pass fills one dict in that order, so the depth of an
@@ -34,19 +34,19 @@ so it does not recurse either.  `parse` recurses, but rejects input
 nested deeper than 100 levels of parentheses, function calls and unary
 minus signs with an ExprSyntaxError.
 
-One allocator, `_schedule`, gives each node of the walk that is computed
-a numbered temporary, so a structurally equal subtree, being one node,
-is computed once.  A number is taken again once its last reader has one,
-the outputs' excepted, so only as many values are alive at once as the
-walk needs.  `compile_exprs` stores that
-schedule as a tape of (op, in, in, out) steps over one register list and
-runs it, with no generated source: on floats for a point, and on numpy
-rows for N points given as the columns of a 2-D array, with the scalar
-`math` functions (and `pow`) applied element by element, so a column's
-values are the scalar call's bit for bit.  numpy is imported only on the
-first such call.  `emit` writes the same schedule as straight-line
-Python, one assignment per node, which `dynamics` inlines into a whole
-generated integration loop, where the speed of each scalar step matters.
+One lowering, `_tape`, turns the walk into steps (op, in, in, out) over
+one register list, a numbered temporary for each node that is computed,
+so a structurally equal subtree, being one node, is computed once.  A
+temporary is taken again once its last reader has one, the outputs'
+excepted, so only as many values are alive at once as the walk needs.
+`compile_exprs` runs the tape, with no generated source: on floats for
+a point, and on numpy rows for N points given as the columns of a 2-D
+array, with the scalar `math` functions (and `pow`) applied element by
+element, so a column's values are the scalar call's bit for bit.  numpy
+is imported only on the first such call.  `emit` prints the same steps
+as straight-line Python, one assignment per step, which `dynamics`
+inlines into a whole generated integration loop, where the speed of
+each scalar step matters.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
@@ -872,58 +872,81 @@ def _operands(n: Expr) -> tuple[Expr, ...]:
     return (n.a, n.b)
 
 
-def _fits(c: Const) -> bool:
-    """Whether c has a float value."""
-    try:
-        float(c.value)
-    except OverflowError:
-        return False
-    return True
+def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], list, list[int]]:
+    """The walk of exprs as steps (op, in, in, out) over one register list:
+    the one lowering, which `compile_exprs` runs and `emit` prints.
 
-
-def _schedule(exprs: Sequence[Expr]) -> tuple[list[Expr], dict[Expr, int]]:
-    """The walk of exprs, and the numbered temporary each node it computes
-    writes: the one slot allocator, behind `emit`'s names and the tape's
-    registers.
-
-    Every node but a variable and a constant with a float value is
-    computed, in walk order; a constant past the float range is its
-    numerator over its denominator, which overflows where it runs.  A
-    temporary is free again once its last reader has been given one, and
-    the next node takes the most recently freed number, else a new one; a
-    node that reads one operand twice (`x * x`) frees it once.  The
-    temporaries of `exprs` themselves are never freed, so they hold their
-    values after the last node, and only as many values are alive at once
-    as the walk needs.
+    The registers hold the values of `names`, in order, then the
+    constants, then the temporaries, the k-th at register -(k + 1), so
+    they count back from the end.  Every node but a variable and a
+    constant with a float value is a step, in walk order.  An op is a
+    `_BINARY` operator, `pow` with its integer exponent's register, or a
+    `_UNARY` function with None for its second input; a constant past the
+    float range is `truediv` of its integer numerator and denominator,
+    which overflows where it runs.  A temporary is free again once its
+    last reader has been given one, and the next step takes the most
+    recently freed one, else a new one; a node that reads one operand
+    twice (`x * x`) frees it once.  The temporaries of `exprs` themselves
+    are never freed, so they hold their values after the last step, and
+    only as many values are alive at once as the walk needs.  Returns (the
+    steps, the registers with only the constants filled in, the register
+    of each output).
     """
     order = _postorder(exprs)
     last = {o: i for i, n in enumerate(order) for o in _operands(n)}
     pinned = set(exprs)
-    slot: dict[Expr, int] = {}
+    at = {name: i for i, name in enumerate(names)}
+    regs: list = [None] * len(names)
+    reg: dict[Expr, int] = {}
     freeable: set[Expr] = set()  # temporaries not among the outputs
     free: list[int] = []
-    fresh = 0
+    temps = 0
+    steps = []
+
+    def const(v) -> int:
+        regs.append(v)
+        return len(regs) - 1
+
     for i, n in enumerate(order):
         t = type(n)
-        if t is Var or t is Const and _fits(n):
+        if t is Var:
+            if n.name not in at:
+                raise UnboundVariableError(f"unknown name {n.name!r}")
+            reg[n] = at[n.name]
             continue
-        if free:
-            slot[n] = free.pop()
+        if t is Const:
+            try:
+                reg[n] = const(float(n.value))
+                continue
+            except OverflowError:
+                step = (operator.truediv, const(n.value.numerator), const(n.value.denominator))
+        elif t is Pow:
+            step = (pow, reg[n.base], const(n.n))
+        elif t is Fun:
+            step = (_UNARY[n.name], reg[n.arg], None)
         else:
-            slot[n] = fresh
-            fresh += 1
+            step = (_BINARY[t], reg[n.a], reg[n.b])
+        if free:
+            reg[n] = free.pop()
+        else:
+            temps += 1
+            reg[n] = -temps
+        steps.append((*step, reg[n]))
         if n not in pinned:
             freeable.add(n)
         for o in _operands(n):
             if last[o] == i and o in freeable:
                 freeable.remove(o)  # once, though x * x reads x twice
-                free.append(slot[o])
-    return order, slot
+                free.append(reg[o])
+    return steps, regs + [None] * temps, [reg[e] for e in exprs]
 
 
-# each binary node's operator and its symbol
-_BINARY = {Add: (operator.add, "+"), Sub: (operator.sub, "-"), Mul: (operator.mul, "*"),
-           Div: (operator.truediv, "/")}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+# each op of the tape as `emit` prints it, with its inputs' text
+_PRINTED = {operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+            operator.truediv: "{} / {}", pow: "_pow({}, {})",
+            **{fn: f"_{name}({{}})" for name, fn in _UNARY.items()}}
 
 
 def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
@@ -931,42 +954,31 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     """Straight-line Python computing `exprs`: (assignment lines, id of each).
 
     The code generator of `dynamics`' flow loop, which inlines the lines
-    into one generated function.  `inputs` maps a variable name to the
-    source text that reads its value; a variable outside it is an
-    UnboundVariableError.  A constant's id is its float literal, a
-    variable's is its input text, and any other node's, or a constant's
-    past the float range (its line divides and overflows), is `temp` plus
-    the number `_schedule` gives it, assigned on one line at `indent`: one
-    line per node of the walk, so a structurally equal subtree, being one
-    node, is computed once, and the first line that fails is the first
-    node of the walk that fails, as in `evaluate`.  The lines run in the
-    namespace `build` gives them; an integer power is a call
-    `_pow(base, n)`, so that namespace decides how powers round.
+    into one generated function.  It prints `_tape`'s steps, one line at
+    `indent` each, so a structurally equal subtree, being one node, is
+    computed once, and the first line that fails is the first node of the
+    walk that fails, as in `evaluate`.  `inputs` maps a variable name to
+    the source text that reads its value; a variable outside it is an
+    UnboundVariableError.  A register prints as its input text, as the
+    `repr` of its constant (a float literal, an exponent, or the integer
+    numerator or denominator of a constant past the float range), or as
+    `temp` plus the temporary's number.  An op prints as its operator
+    symbol, an integer power as a call `_pow(base, n)` and a function as
+    `_sin(a)` and so on; the lines run in the namespace `build` gives
+    them, so that namespace decides how powers round.
     """
-    order, slot = _schedule(exprs)
-    lines: list[str] = []
-    ids: dict[Expr, str] = {}
-    for n in order:
-        t = type(n)
-        if t is Var:
-            if n.name not in inputs:
-                raise UnboundVariableError(f"unknown name {n.name!r}")
-            ids[n] = inputs[n.name]
-            continue
-        if t is Const:
-            if n not in slot:
-                ids[n] = repr(float(n.value))
-                continue
-            rhs = f"{n.value.numerator} / {n.value.denominator}"
-        elif t is Pow:
-            rhs = f"_pow({ids[n.base]}, {n.n})"
-        elif t is Fun:
-            rhs = f"_{n.name}({ids[n.arg]})"
-        else:
-            rhs = f"{ids[n.a]} {_BINARY[t][1]} {ids[n.b]}"
-        ids[n] = f"{temp}{slot[n]}"
-        lines.append(f"{indent}{ids[n]} = {rhs}")
-    return lines, [ids[e] for e in exprs]
+    steps, regs, outs = _tape(exprs, list(inputs))
+    texts = list(inputs.values())
+
+    def text(r: int) -> str:
+        if r < 0:
+            return f"{temp}{-r - 1}"
+        return texts[r] if r < len(texts) else repr(regs[r])
+
+    lines = [f"{indent}{text(out)} = "
+             + _PRINTED[op].format(*(text(r) for r in (a, b) if r is not None))
+             for op, a, b, out in steps]
+    return lines, [text(r) for r in outs]
 
 
 def build(src: str, name: str, **extra) -> Callable:
@@ -1005,52 +1017,6 @@ def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     if isinstance(err, ValueError):
         return DomainError("sin or cos of an infinite value")
     return DomainError("float " + str(err).split(" encountered")[0])
-
-
-def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], list, list[int]]:
-    """`_schedule`'s nodes as steps (op, in, in, out) over one register list.
-
-    The registers hold the values of `names`, in order, then the
-    constants, then the temporaries, one per number `_schedule` gives, so
-    a temporary's register counts back from the end.  An op is a `_BINARY`
-    operator, `pow` with its integer exponent's register, or a `_UNARY`
-    function with None for its second input; a constant past the float
-    range is `truediv` of its integer numerator and denominator.  Returns
-    (the steps, the registers with only the constants filled in, the
-    register of each output).
-    """
-    order, slot = _schedule(exprs)
-    temps = len(set(slot.values()))
-    at = {name: i for i, name in enumerate(names)}
-    regs: list = [None] * len(names)
-    reg: dict[Expr, int] = {}
-    steps = []
-
-    def const(v) -> int:
-        regs.append(v)
-        return len(regs) - 1
-
-    for n in order:
-        t = type(n)
-        if t is Var:
-            if n.name not in at:
-                raise UnboundVariableError(f"unknown name {n.name!r}")
-            reg[n] = at[n.name]
-            continue
-        if t is Const and n not in slot:
-            reg[n] = const(n.value.numerator / n.value.denominator)
-            continue
-        if t is Const:
-            step = (operator.truediv, const(n.value.numerator), const(n.value.denominator))
-        elif t is Pow:
-            step = (pow, reg[n.base], const(n.n))
-        elif t is Fun:
-            step = (_UNARY[n.name], reg[n.arg], None)
-        else:
-            step = (_BINARY[t][0], reg[n.a], reg[n.b])
-        reg[n] = slot[n] - temps
-        steps.append((*step, reg[n]))
-    return steps, regs + [None] * temps, [reg[e] for e in exprs]
 
 
 @functools.cache

@@ -545,10 +545,12 @@ def test_flow_whose_field_overflows_mid_run_leaves_the_chart(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("casimir", ["phi^200", "phi^100*phi^100"])
+@pytest.mark.parametrize("casimir", ["phi^200", "phi^100*phi^100", "sin(phi^100*phi^100)",
+                                     "cos(phi^100*phi^100)", "sin(phi^200)"])
 def test_flow_whose_casimir_overflows_mid_run_leaves_the_chart(tmp_path, capsys, casimir):
-    # phi = 2 e^t passes 10^(308/200) at t = 2.86: float ** raises there and
-    # float * gives inf, and both spellings are the state escaping
+    # phi = 2 e^t passes 10^(308/200) at t = 2.86: float ** raises there,
+    # float * gives inf and sin or cos of that inf raises, and every
+    # spelling is the state escaping
     cfg = write_config(tmp_path, {"group": "se2", "flow": {
         "hamiltonian": "p", "x0": [0, 0, 2, 0], "T": 5, "dt": 0.01, "casimirs": {"c": casimir}}})
     out = tmp_path / "f.csv"

@@ -739,7 +739,8 @@ def _run_entry(entry, e, point):
     else:  # flow-invariant: the Casimir fails on a row after the first
         err = _flow_error(dyn.VectorField(("x",), (expr.MINUS_ONE,)), [point + 1],
                           casimirs=[e])
-        if str(err.__cause__) == "float overflow":  # the state escaped
+        # the state escaped, in a value or in sin or cos reading its inf
+        if str(err.__cause__) in ("float overflow", "sin or cos of an infinite value"):
             assert isinstance(err, dyn.ChartExitError) and err.time > 0.0
             assert str(err) == f"Casimir {to_str(e)} became non-finite at t={err.time:.6g}"
             raise err.__cause__
@@ -889,8 +890,8 @@ def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
     assert len(names) <= 4
     assert len(set(ids)) == 3
     # an output's name is never taken again after its line, so the function
-    # returns every output's own value; the tape takes its registers from
-    # the same allocator
+    # returns every output's own value; the lines print the tape, whose
+    # registers are those names
     f = compile_exprs([e, *kept], ["x"])
     assert f([0.5]) == [evaluate(n, {"x": 0.5}) for n in (e, *kept)]
     steps, _, outs = expr._tape([e, *kept], ["x"])
@@ -928,3 +929,59 @@ def test_a_compiled_map_generates_no_source(monkeypatch):
     want = [[evaluate(n, {"x": a, "y": b}) for n in (e, diff(e, "x"))] for a, b in X.T.tolist()]
     assert [f(col) for col in X.T.tolist()] == want
     assert f(X).T.tolist() == want
+
+
+def test_emit_prints_each_step_on_one_line():
+    # x*y is one node, computed once into t0, which as an output is never
+    # taken again; t1, t2 and t3 are; 0.5 is a float literal, 10^400/7 is
+    # past the float range and divides where it runs
+    big = Const(Fraction(10**400, 7))
+    e = parse("sin(x*y) + cos(x*y)^2 / exp(0.5*x) - log(x*y)*y") * big
+    lines, ids = expr.emit([e, parse("x*y")], {"x": "x[0]", "y": "x[1]"}, "t")
+    assert lines == [
+        "    t0 = x[0] * x[1]",
+        "    t1 = _sin(t0)",
+        "    t2 = 0.5 * x[0]",
+        "    t3 = _exp(t2)",
+        "    t2 = _cos(t0)",
+        "    t4 = _pow(t2, 2)",
+        "    t2 = t4 / t3",
+        "    t3 = t1 + t2",
+        "    t2 = _log(t0)",
+        "    t1 = t2 * x[1]",
+        "    t2 = t3 - t1",
+        f"    t1 = {10**400} / 7",
+        "    t3 = t2 * t1",
+    ]
+    assert ids == ["t3", "t0"]
+
+
+def test_emitted_lines_compute_what_the_tape_computes():
+    # `emit` prints the steps `compile_exprs` runs: built, its lines give the
+    # map's values bit for bit and, read by domain_error, its first error;
+    # the second output lies inside the first, so its temporary stays live
+    import random
+    rng = random.Random(27)
+    inputs = {v: f"x[{i}]" for i, v in enumerate(VARS)}
+    values = errors = 0
+    for k in range(400):
+        e = random_dag(rng, rng.randrange(4, 30))
+        exprs = [e, rng.choice(expr._postorder([e]))]
+        lines, ids = expr.emit(exprs, inputs, "t")
+        printed = expr.build("\n".join(["def f(x):", *lines, f"    return [{', '.join(ids)}]"])
+                             + "\n", "f")
+        compiled = compile_exprs(exprs, VARS)
+        for _ in range(5):
+            x = [rng.uniform(-2.0, 2.0) for _ in VARS]
+            try:
+                want = compiled(x)
+            except DomainError as err:
+                with pytest.raises((ArithmeticError, ValueError)) as got:
+                    printed(x)
+                assert type(expr.domain_error(got.value)) is type(err)
+                assert str(expr.domain_error(got.value)) == str(err)
+                errors += 1
+                continue
+            assert repr(printed(x)) == repr(want)
+            values += 1
+    assert values > 1000 and errors > 400  # 1496 and 504

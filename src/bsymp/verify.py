@@ -32,12 +32,30 @@ skip everything that needs the group or its cotangent side.
 The sections of one pair share its lifted action and its three checked
 connections, both kept on the pair, so a rerun on the same pair builds
 neither again.
+
+Where os.fork exists, `run_suite` on a group pair forks once before its
+first section.  The child runs the four dynamics sections (flow-endpoint,
+slice-hold, order-factor, energy-drift), which integrate plain floats and
+never load numpy, while this process runs the other sections on the second
+processor.  The child writes each (residual, tolerance) to a pipe as
+8-byte doubles and leaves through os._exit, so it runs no atexit handler
+and flushes no inherited stdio buffer; the report is assembled in the
+fixed section order and is byte-identical to the serial one.  A child that
+exits non-zero or reports incompletely leaves its sections to this
+process, which runs them again: they are deterministic, so one that raised
+there raises here with its real traceback.  If a section here raises, or
+a KeyboardInterrupt arrives, the child is killed and reaped before the
+exception propagates, so no process outlives `run_suite`.  Without
+os.fork every section runs here, the flow sections last, as they are
+listed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,9 +483,17 @@ GROUP_SECTIONS: list[tuple[str, Callable]] = [
 ]
 
 
+def _run_section(fn, arg, seed) -> tuple[float, float]:
+    resid, tol = fn(arg, seed)
+    # an exact residual past the float range reads inf, and fails
+    return (math.inf if resid > sys.float_info.max else float(resid)), float(tol)
+
+
 def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
     """Run every applicable section for a group pair or a bare algebra; a
-    bare algebra's matrix `basis`, if given, adds commutator-match last."""
+    bare algebra's matrix `basis`, if given, adds commutator-match last.
+    Where os.fork exists, a forked child runs the dynamics sections while
+    this process runs the rest (see the module docstring)."""
     if isinstance(subject, lie.LieAlgebra):
         label, algebra, rest = "algebra(" + ",".join(subject.labels) + ")", subject, []
         if basis is not None:
@@ -475,11 +501,51 @@ def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
                      lambda _, s: (commutator_defect(algebra, basis), 0.0))]
     else:
         label, algebra, rest = subject.name, subject.group.algebra, GROUP_SECTIONS
-    results = []
-    for name, fn, arg in [*((n, f, algebra) for n, f in ALGEBRA_SECTIONS),
-                          *((n, f, subject) for n, f in rest)]:
-        resid, tol = fn(arg, seed)
-        # an exact residual past the float range reads inf, and fails
-        resid = math.inf if resid > sys.float_info.max else float(resid)
-        results.append(SectionResult(name, resid, float(tol)))
-    return VerifyReport(label, seed, tuple(results))
+    sections = [*((n, f, algebra) for n, f in ALGEBRA_SECTIONS),
+                *((n, f, subject) for n, f in rest)]
+    flows = [k for k, (n, _, _) in enumerate(sections) if n.startswith("dynamics: ")]
+    results: dict[int, tuple[float, float]] = {}
+    doubles = struct.Struct(f"{2 * len(flows)}d")
+    pid = pipe = None
+    if flows and hasattr(os, "fork"):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # the child: its results as 8-byte doubles in one write, then
+            # out through os._exit, which runs no atexit handler and flushes
+            # no inherited stdio buffer; an exception leaves with status 1
+            status = 1
+            try:
+                os.close(r)
+                os.write(w, doubles.pack(*(x for k in flows
+                                           for x in _run_section(*sections[k][1:], seed))))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        pipe = os.fdopen(r, "rb")
+    try:
+        for k, (_, fn, arg) in enumerate(sections):
+            if k not in flows:
+                results[k] = _run_section(fn, arg, seed)
+        if pid is not None:
+            data = pipe.read()
+            status, pid = os.waitpid(pid, 0)[1], None
+            if status == 0 and len(data) == doubles.size:
+                values = doubles.unpack(data)
+                results.update(zip(flows, zip(values[::2], values[1::2])))
+        # the flow sections come last; here run those no child reported,
+        # which are deterministic, so one that raised there raises again
+        # with its traceback
+        for k in flows:
+            if k not in results:
+                results[k] = _run_section(*sections[k][1:], seed)
+    finally:
+        if pipe is not None:
+            pipe.close()
+        if pid is not None:
+            import signal  # only here: `import bsymp.cli` does not load it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return VerifyReport(label, seed, tuple(SectionResult(n, *results[k])
+                                            for k, (n, _, _) in enumerate(sections)))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import bsymp
-from bsymp import cli
+from bsymp import cli, lie, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -202,6 +202,37 @@ def test_flows_never_load_numpy(tmp_path):
              (None, ["flow", "--config", str(escape), "--out", out], None)]
     report = _fresh_run(runs, tmp_path)
     assert [(run["code"], run["numpy"]) for run in report["runs"]] == [(0, [])] * 5 + [(1, [])]
+
+
+def test_verify_flow_sections_never_load_numpy(tmp_path):
+    # verify's forked child runs these four: without numpy it stays small
+    # and starts no BLAS thread
+    code = ("import json, sys\n"
+            "from bsymp import cli, lie, verify\n"
+            "pair = lie.builtin('galilean')\n"
+            "ran = []\n"
+            "for name, fn in verify.GROUP_SECTIONS:\n"
+            "    if name.startswith('dynamics: '):\n"
+            "        fn(pair, 1)\n"
+            "        ran.append(name)\n"
+            "print(json.dumps([ran, sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n")
+    res = _run_script(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [["dynamics: flow-endpoint", "dynamics: slice-hold",
+                                       "dynamics: order-factor", "dynamics: energy-drift"], []]
+
+
+def test_verify_through_a_pipe_prints_one_report(tmp_path):
+    # stdout as a pipe is block-buffered, so the line printed first is still
+    # buffered when verify forks; the child leaves through os._exit and
+    # writes none of it
+    want = verify.run_suite(lie.builtin("se2"), 1).text() + "\n"
+    argv = ["verify", "--group", "se2", "--seed", "1"]
+    res = _run_script(["-m", "bsymp.cli", *argv], tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (0, want, "")
+    code = f"from bsymp import cli\nprint('first')\nraise SystemExit(cli.main({argv!r}))\n"
+    res = _run_script(["-c", code], tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "first\n" + want, "")
 
 
 def test_float_commands_load_numpy_on_first_use(tmp_path):

@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import math
+import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -214,8 +216,106 @@ def test_galilean_suite_generates_5_flow_loops(monkeypatch):
         return generate(*args)
 
     monkeypatch.setattr(dyn, "_generate_flow", counted)
+    # without os.fork the flow sections run in this process, which counts them
+    monkeypatch.delattr(os, "fork")
     assert verify.run_suite(pair, 1).passed
     assert generated == [("rk4", False)] * 5
+
+
+GROUPS = ("se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean")
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _replace_section(monkeypatch, name, fn):
+    assert name in dict(verify.GROUP_SECTIONS)
+    monkeypatch.setattr(verify, "GROUP_SECTIONS", [(n, fn if n == name else f)
+                                                   for n, f in verify.GROUP_SECTIONS])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_forked_and_serial_reports_are_byte_identical(group, monkeypatch):
+    # the forked child returns the flow sections' residuals as exact doubles
+    pair = lie.builtin(group)
+    forks = _counted_forks(monkeypatch)
+    forked = [verify.run_suite(pair, seed).text() for seed in (1, 42, 106)]
+    assert len(forks) == 3
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert [verify.run_suite(pair, seed).text() for seed in (1, 42, 106)] == forked
+
+
+def test_custom_algebra_forks_nothing(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    so3 = lie.structure_constants_from_matrices(SO3_BASIS)
+    assert verify.run_suite(so3).passed
+    assert verify.run_suite(so3, 42, SO3_BASIS).passed
+    assert forks == []
+    _no_child_left()
+
+
+def test_flow_section_raising_in_the_child_raises_here(monkeypatch):
+    def boom(pair, seed):
+        raise ValueError("boom")
+
+    _replace_section(monkeypatch, "dynamics: slice-hold", boom)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        verify.run_suite(lie.builtin("se2"), 1)
+    assert type(err.value) is ValueError and err.value.args == ("boom",)
+    assert err.traceback[-1].name == "boom"
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_flow_sections_rerun_here_when_the_child_dies(monkeypatch):
+    # a child killed before it reports leaves its sections to this process
+    here = os.getpid()
+    energy_drift = verify._sec_energy_drift
+
+    def killed_in_child(pair, seed):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return energy_drift(pair, seed)
+
+    pair = lie.builtin("se2")
+    monkeypatch.delattr(os, "fork")
+    serial = verify.run_suite(pair, 1).text()
+    monkeypatch.undo()
+    _replace_section(monkeypatch, "dynamics: energy-drift", killed_in_child)
+    forks = _counted_forks(monkeypatch)
+    assert verify.run_suite(pair, 1).text() == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("blift"), KeyboardInterrupt()])
+def test_section_raising_here_reaps_the_child(monkeypatch, exc):
+    # the child is still integrating when action-law raises, and is killed
+    def raises(pair, seed):
+        raise exc
+
+    _replace_section(monkeypatch, "blift: action-law", raises)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(type(exc)):
+        verify.run_suite(lie.builtin("galilean"), 1)
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def test_moment_hamilton_compiles_once_per_pair_not_per_sample(monkeypatch):

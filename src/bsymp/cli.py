@@ -279,8 +279,9 @@ def _connection(cfg: RunConfig):
         raise ConfigError(f"bad connection: {e}") from e
 
 
-def _out_path(args, command: str, cfg: RunConfig) -> str:
-    """The output file, checked before any work: a file in an existing directory."""
+def _out_path(args, command: str, cfg: RunConfig) -> tuple[str, str]:
+    """The output file, checked before any work: a file in an existing
+    directory, with the flag, key or variable that named it."""
     if args.out is not None:
         key, path = "--out", args.out
     else:
@@ -291,7 +292,17 @@ def _out_path(args, command: str, cfg: RunConfig) -> str:
         raise ConfigError(f"{key}: no such directory {folder!r}")
     if os.path.isdir(path):
         raise ConfigError(f"{key}: {path!r} is a directory")
-    return path
+    return key, path
+
+
+def _write_out(key: str, path: str, write) -> None:
+    """write(fh) on the output file; an OSError opening or writing it (a full
+    disk, a file that takes no writes) is a ConfigError naming its key."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as e:
+        raise ConfigError(f"{key}: cannot write {path!r}: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +351,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_reduce(cfg: RunConfig, args) -> int:
     pair = cfg.pair
-    path = _out_path(args, "reduce", cfg)
+    key, path = _out_path(args, "reduce", cfg)
     _connection(cfg)  # built to refuse a bad config: every connection gives this table
     rp = red.reduced_poisson(pair)
     names = rp.names
@@ -350,8 +361,7 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
         for j in range(i + 1, len(names)):
             e = rp.entry(i, j)
             buf.write(f"{names[i]},{names[j]},{ex.to_str(e)}\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_out(key, path, lambda fh: fh.write(buf.getvalue()))
     print(f"coordinates: {','.join(names)}")
     print(f"wrote: {path}")
     return 0
@@ -359,7 +369,7 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
 
 def cmd_flow(cfg: RunConfig, args) -> int:
     pair = cfg.pair
-    path = _out_path(args, "flow", cfg)
+    key, path = _out_path(args, "flow", cfg)
     rp = red.reduced_poisson(pair)
     names = rp.names
     m = len(names) - 2
@@ -392,8 +402,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     except dyn.ChartExitError as e:
         print(f"flow left the chart: {e}", file=sys.stderr)
         return 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        dyn.write_csv(tr, fh, [label for label, _ in casimirs])
+    _write_out(key, path, lambda fh: dyn.write_csv(tr, fh, [label for label, _ in casimirs]))
     rep = dyn.leaf_report(rp, tr)
     print("\n".join(rep.lines()))
     for (label, _), drift in zip(casimirs, tr.casimir_drifts):
@@ -419,7 +428,7 @@ def cmd_bracket_table(cfg: RunConfig, args) -> int:
         alg = cfg.pair.group.algebra
     else:
         alg = cfg.algebra
-    path = _out_path(args, "bracket-table", cfg)
+    key, path = _out_path(args, "bracket-table", cfg)
     buf = io.StringIO()
     buf.write("i,j," + ",".join(alg.labels) + "\n")
     for i in range(alg.dim):
@@ -427,8 +436,7 @@ def cmd_bracket_table(cfg: RunConfig, args) -> int:
             row = alg.c(i, j)
             buf.write(f"{alg.labels[i]},{alg.labels[j]},"
                       + ",".join(str(v) for v in row) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_out(key, path, lambda fh: fh.write(buf.getvalue()))
     print(f"wrote: {path}")
     return 0
 

@@ -22,6 +22,10 @@ another dt or start reuses it.  The drifts are taken from the stored
 values, and the CSV's H and Casimir columns are those values: `write_csv`
 and `leaf_report` only read the trajectory.  Every step computes in
 plain floats, so a flow never imports numpy.
+
+`write_csv` formats the second half of the rows in a child forked
+through `_fork`, on the second processor, while this process writes the
+first half; the bytes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import bsymp.expr as ex
+from bsymp import _fork
 from bsymp.expr import Expr, Var, ZERO
 from bsymp.bcalc import PoissonBivector
 
@@ -386,18 +391,53 @@ def leaf_report(P: PoissonBivector, traj: Trajectory) -> LeafReport:
                       casimir_drifts=drifts, phi_floor=traj.phi_floor)
 
 
+def _csv_lines(traj: Trajectory, nv: int, start: int, stop: int):
+    """The CSV lines of steps start .. stop - 1, each ending in a newline;
+    t is k * dt, as `Trajectory.times` computes it."""
+    n, dt, rows, values = len(traj.names), traj.dt, traj.rows, traj.invariants
+    for k in range(start, stop):
+        yield ",".join(map(repr, [k * dt, *rows[k * n:k * n + n],
+                                  *values[k * nv:k * nv + nv]])) + "\n"
+
+
 def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
     """One row per step: t, coordinates, H, then one column per Casimir label.
 
     The H and Casimir columns are the values `integrate` stored, the same
     ones the drifts are read from.  Floats are written with repr, which
     round-trips IEEE-754 doubles.
+
+    A child forked through `_fork` formats the second half of the rows
+    while this process writes the header and the first half to fh; then
+    the child's lines are copied into fh as they arrive, in 64 KiB reads.
+    Every write to fh is made here, and the bytes equal a serial run's.
+    The rows the child did not deliver whole (there is no os.fork, or the
+    child failed) are formatted here, from the first one missing; if a
+    write raises, the child is killed and reaped before the exception
+    propagates.
     """
     n, nv = len(traj.names), len(labels) + 1
-    rows, values = traj.rows, traj.invariants
-    if len(values) * n != len(rows) * nv:
+    if len(traj.invariants) * n != len(traj.rows) * nv:
         raise ValueError("write_csv needs one label per Casimir")
+    steps = len(traj.rows) // n
+    half = steps // 2
+
+    def second_half() -> list[bytes]:
+        # in the child, encoded 1024 rows at a time and never joined, so
+        # the child holds its lines once
+        return ["".join(_csv_lines(traj, nv, k, min(k + 1024, steps))).encode()
+                for k in range(half, steps, 1024)]
+
     fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
-    for k, t in enumerate(traj.times):
-        fh.write(",".join(map(repr, [t, *rows[k * n:k * n + n],
-                                     *values[k * nv:k * nv + nv]])) + "\n")
+    with _fork.Fork(second_half) as child:
+        for line in _csv_lines(traj, nv, 0, half):
+            fh.write(line)
+        done, part = half, b""
+        while piece := child.read(1 << 16):
+            part += piece
+            whole = part.rfind(b"\n") + 1
+            fh.write(part[:whole].decode())
+            done += part.count(b"\n", 0, whole)
+            part = part[whole:]
+    for line in _csv_lines(traj, nv, done, steps):
+        fh.write(line)

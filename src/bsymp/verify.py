@@ -34,26 +34,25 @@ connections, both kept on the pair, so a rerun on the same pair builds
 neither again.
 
 Where os.fork exists, `run_suite` on a group pair forks once before its
-first section.  The child runs the four dynamics sections (flow-endpoint,
-slice-hold, order-factor, energy-drift), which integrate plain floats and
-never load numpy, while this process runs the other sections on the second
-processor.  The child writes each (residual, tolerance) to a pipe as
-8-byte doubles and leaves through os._exit, so it runs no atexit handler
-and flushes no inherited stdio buffer; the report is assembled in the
-fixed section order and is byte-identical to the serial one.  A child that
-exits non-zero or reports incompletely leaves its sections to this
-process, which runs them again: they are deterministic, so one that raised
-there raises here with its real traceback.  If a section here raises, or
-a KeyboardInterrupt arrives, the child is killed and reaped before the
-exception propagates, so no process outlives `run_suite`.  Without
-os.fork every section runs here, the flow sections last, as they are
-listed.
+first section, through `_fork.Fork`.  The child runs the four dynamics
+sections (flow-endpoint, slice-hold, order-factor, energy-drift), which
+integrate plain floats and never load numpy, while this process runs the
+other sections on the second processor.  The child returns each
+(residual, tolerance) as 8-byte doubles, which `_fork` sends through a
+pipe before the child leaves by os._exit, flushing no inherited stdio
+buffer; the report is assembled in the fixed section order and is
+byte-identical to the serial one.  A child that fails or reports
+incompletely leaves its sections to this process, which runs them again:
+they are deterministic, so one that raised there raises here with its
+real traceback.  If a section here raises, or a KeyboardInterrupt
+arrives, `_fork` kills and reaps the child before the exception
+propagates, so no process outlives `run_suite`.  Without os.fork every
+section runs here, the flow sections last, as they are listed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import struct
 import sys
@@ -64,7 +63,7 @@ from typing import Callable
 from bsymp._numpy import np
 import bsymp.expr as ex
 from bsymp.expr import Const, Expr, Var
-from bsymp import bcalc, dynamics as dyn, lie
+from bsymp import _fork, bcalc, dynamics as dyn, lie
 from bsymp import reduction as red
 
 
@@ -506,46 +505,23 @@ def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
     flows = [k for k, (n, _, _) in enumerate(sections) if n.startswith("dynamics: ")]
     results: dict[int, tuple[float, float]] = {}
     doubles = struct.Struct(f"{2 * len(flows)}d")
-    pid = pipe = None
-    if flows and hasattr(os, "fork"):
-        r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # the child: its results as 8-byte doubles in one write, then
-            # out through os._exit, which runs no atexit handler and flushes
-            # no inherited stdio buffer; an exception leaves with status 1
-            status = 1
-            try:
-                os.close(r)
-                os.write(w, doubles.pack(*(x for k in flows
-                                           for x in _run_section(*sections[k][1:], seed))))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        pipe = os.fdopen(r, "rb")
-    try:
+
+    def run_flows() -> list[bytes]:  # in the child: the results as 8-byte doubles
+        return [doubles.pack(*(x for k in flows for x in _run_section(*sections[k][1:], seed)))]
+
+    with _fork.Fork(run_flows if flows else None) as child:
         for k, (_, fn, arg) in enumerate(sections):
             if k not in flows:
                 results[k] = _run_section(fn, arg, seed)
-        if pid is not None:
-            data = pipe.read()
-            status, pid = os.waitpid(pid, 0)[1], None
-            if status == 0 and len(data) == doubles.size:
-                values = doubles.unpack(data)
-                results.update(zip(flows, zip(values[::2], values[1::2])))
-        # the flow sections come last; here run those no child reported,
-        # which are deterministic, so one that raised there raises again
-        # with its traceback
-        for k in flows:
-            if k not in results:
-                results[k] = _run_section(*sections[k][1:], seed)
-    finally:
-        if pipe is not None:
-            pipe.close()
-        if pid is not None:
-            import signal  # only here: `import bsymp.cli` does not load it
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        data = child.read()
+        if len(data) == doubles.size:
+            values = doubles.unpack(data)
+            results.update(zip(flows, zip(values[::2], values[1::2])))
+    # the flow sections come last; here run those no child reported, which
+    # are deterministic, so one that raised there raises again with its
+    # traceback
+    for k in flows:
+        if k not in results:
+            results[k] = _run_section(*sections[k][1:], seed)
     return VerifyReport(label, seed, tuple(SectionResult(n, *results[k])
                                             for k, (n, _, _) in enumerate(sections)))

@@ -592,3 +592,43 @@ def test_env_var_sets_output_dir(tmp_path, capsys, monkeypatch):
     assert cli.main(["bracket-table"]) == 0
     capsys.readouterr()
     assert (tmp_path / "bracket_table.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# output files that cannot be written
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+WRITERS = [["flow", "--group", "galilean"], ["reduce", "--group", "galilean"],
+           ["bracket-table", "--group", "galilean"]]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda a: a[0])
+def test_full_out_file_exits_2_naming_the_flag(argv, capsys):
+    # flow's writer child is killed and reaped on this path too
+    assert cli.main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr() == ("", "config error: --out: cannot write '/dev/full': "
+                                       "No space left on device\n")
+    _no_child_left()
+
+
+@needs_dev_full
+@pytest.mark.parametrize("source", ["out_dir", cli.ENV_OUT_DIR])
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda a: a[0])
+def test_full_out_file_names_the_directory_key(source, argv, tmp_path, capsys, monkeypatch):
+    path = tmp_path / cli._DEFAULT_NAMES[argv[0]]
+    path.symlink_to("/dev/full")
+    data = {}
+    if source == "out_dir":
+        data["out_dir"] = str(tmp_path)
+    else:
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
+    assert cli.main([*argv, "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (f"config error: {source}: cannot write '{path}': "
+                                       "No space left on device\n")
+    _no_child_left()

@@ -6,9 +6,12 @@ phi' = phi p with p frozen.  Everything else is a structural property of
 the stepper (exact holds, drift bounds, convergence order).
 """
 
+import errno
 import io
 import math
+import os
 import random
+import signal
 from array import array
 
 import pytest
@@ -538,3 +541,181 @@ def test_times_strictly_increasing_and_shapes():
     tr = dyn.integrate(vf, [0, 0, 1.0, 0], 0.1, 1.0)
     assert len(tr.rows) == 11 * 4 and len(tr.times) == 11
     assert all(a < b for a, b in zip(tr.times, tr.times[1:]))
+
+
+# ---------------------------------------------------------------------------
+# write_csv: the second half of the rows is formatted in a forked child
+
+
+def serial_csv(tr, labels=()):
+    """The CSV as one process writes it, row after row."""
+    n, nv = len(tr.names), len(labels) + 1
+    out = ["t," + ",".join([*tr.names, "H", *labels]) + "\n"]
+    for k, t in enumerate(tr.times):
+        out.append(",".join(map(repr, [t, *tr.rows[k * n:k * n + n],
+                                       *tr.invariants[k * nv:k * nv + nv]])) + "\n")
+    return "".join(out)
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def csv_text(tr, labels=()):
+    buf = io.StringIO()
+    dyn.write_csv(tr, buf, labels)
+    return buf.getvalue()
+
+
+def default_flow(name, dt=1e-3, T=1.0):
+    rp, vf, m = reduced_field(name, Var("p"))
+    return dyn.integrate(vf, [0.0] * m + [1.0, 0.0], dt, T), ()
+
+
+def se2_midpoint_substitution():
+    rp, vf, m = reduced_field("se2", ex.parse("p^2/2 + 0.3*phi*mu_P1 + mu_P2"))
+    tr = dyn.integrate(vf, [0.4, -0.2, -0.5, 0.3], 0.01, 1.0, method="midpoint",
+                       casimirs=[ex.parse("mu_P1^2"), Var("mu_P2")], substitution=True)
+    return tr, ("m1", "m2")
+
+
+def galilean_2000_steps():
+    rp = red.reduced_poisson(lie.builtin("galilean"))
+    m = len(rp.names) - 2
+    rng = random.Random(7)
+    vf = dyn.hamiltonian_vf(rp, random_quadratic(rng, rp.names), phi_slot=m)
+    x0 = [rng.uniform(-0.1, 0.1) for _ in rp.names]
+    return dyn.integrate(vf, x0, 1e-3, 2.0, casimirs=[ex.parse("mu_P1^2 + mu_P2^2 + mu_P3^2")]), \
+        ("c1",)
+
+
+CSV_CASES = {
+    **{f"default {g}": (lambda g=g: default_flow(g)) for g in BUILTINS},
+    "se2 midpoint substitution casimirs": se2_midpoint_substitution,
+    "galilean 2000 steps": galilean_2000_steps,
+    "2 rows": lambda: default_flow("se2", 0.5, 0.5),
+    "3 rows": lambda: default_flow("se2", 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_forked_and_serial_csv_are_byte_identical(case, monkeypatch):
+    tr, labels = CSV_CASES[case]()
+    if case.endswith("rows"):
+        assert len(tr.times) == int(case[0])
+    forks = counted_forks(monkeypatch)
+    forked = csv_text(tr, labels)
+    assert len(forks) == 1
+    no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert csv_text(tr, labels) == forked == serial_csv(tr, labels)
+
+
+@pytest.mark.parametrize("how", ["killed", "raised"])
+def test_csv_child_that_fails_leaves_its_half_here(how, monkeypatch):
+    tr, labels = galilean_2000_steps()
+    here = os.getpid()
+    lines = dyn._csv_lines
+
+    def failing_in_child(*args):
+        if os.getpid() != here:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("in the child")
+        return lines(*args)
+
+    monkeypatch.setattr(dyn, "_csv_lines", failing_in_child)
+    forks = counted_forks(monkeypatch)
+    assert csv_text(tr, labels) == serial_csv(tr, labels)
+    assert len(forks) == 1
+    no_child_left()
+
+
+def test_csv_child_killed_mid_copy_leaves_the_rest_here(monkeypatch):
+    # the child has formatted its 1001 rows, about 280 kB, and is blocked
+    # writing them to the pipe when it is killed, after the first 64 KiB
+    # piece was copied: this process formats the rows from the first one
+    # that did not arrive whole
+    tr, labels = galilean_2000_steps()
+    here = os.getpid()
+    starts = []
+    lines = dyn._csv_lines
+
+    def recorded(traj, nv, start, stop):
+        if os.getpid() == here:
+            starts.append(start)
+        return lines(traj, nv, start, stop)
+
+    monkeypatch.setattr(dyn, "_csv_lines", recorded)
+    pids = []
+    fork = os.fork
+
+    def forked():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", forked)
+
+    class KillingFile(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 1002:  # the header and 1000 rows came first
+                os.kill(pids[0], signal.SIGKILL)
+            return super().write(text)
+
+    fh = KillingFile()
+    dyn.write_csv(tr, fh, labels)
+    assert fh.getvalue() == serial_csv(tr, labels)
+    assert len(pids) == 1 and starts[0] == 0 and 1000 < starts[1] < 2001
+    no_child_left()
+
+
+def test_csv_refused_fork_is_written_here(monkeypatch):
+    tr, labels = galilean_2000_steps()
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert csv_text(tr, labels) == serial_csv(tr, labels)
+
+
+class FailingFile(io.StringIO):
+    def __init__(self, exc, after):
+        super().__init__()
+        self.exc, self.left = exc, after
+
+    def write(self, text):
+        self.left -= 1
+        if self.left < 0:
+            raise self.exc
+        return super().write(text)
+
+
+@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                 KeyboardInterrupt()])
+@pytest.mark.parametrize("after", [5, 1002])
+def test_failed_csv_write_reaps_the_child(exc, after, monkeypatch):
+    # the header and 1000 rows are 1001 writes: after 5 the child is still
+    # formatting; after 1002 its second 64 KiB piece is being copied
+    tr, labels = galilean_2000_steps()
+    forks = counted_forks(monkeypatch)
+    with pytest.raises(type(exc)):
+        dyn.write_csv(tr, FailingFile(exc, after), labels)
+    assert len(forks) == 1
+    no_child_left()

@@ -235,6 +235,21 @@ def test_verify_through_a_pipe_prints_one_report(tmp_path):
     assert (res.returncode, res.stdout, res.stderr) == (0, "first\n" + want, "")
 
 
+def test_flow_to_dev_stdout_through_a_pipe_prints_each_part_once(tmp_path):
+    # the CSV file's buffer holds the header when write_csv forks, and
+    # stdout is a block-buffered pipe; a child that flushed either would
+    # print it twice.  The serial run has no os.fork
+    argv = ["flow", "--group", "galilean", "--out", "/dev/stdout"]
+    forked = _run_script(["-m", "bsymp.cli", *argv], tmp_path)
+    code = f"import os, sys\ndel os.fork\nfrom bsymp import cli\nsys.exit(cli.main({argv!r}))\n"
+    serial = _run_script(["-c", code], tmp_path)
+    assert (forked.returncode, forked.stderr) == (serial.returncode, serial.stderr) == (0, "")
+    assert forked.stdout == serial.stdout
+    assert forked.stdout.count("t,mu_") == forked.stdout.count("sign-constant:") == 1
+    assert forked.stdout.endswith("wrote: /dev/stdout\n")
+    assert len(forked.stdout.splitlines()) == 1 + 1001 + 5
+
+
 def test_float_commands_load_numpy_on_first_use(tmp_path):
     # the in-process tests import numpy before bsymp, so only a fresh
     # interpreter runs the deferred import

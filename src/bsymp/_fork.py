@@ -12,7 +12,8 @@ end.  The child writes only after work() has returned, so the caller
 judges completeness from the bytes alone (verify: every double came;
 write_csv: whole lines) and finishes what did not come itself, on its one
 fallback path.  That path also covers there being no child: os.fork is
-missing (looked up on entry) or refused it, and read() gives b"".
+missing (looked up on entry), or os.pipe or os.fork refused, and read()
+gives b"".
 Leaving the block kills (SIGKILL) and reaps the child, done or not, so no
 process outlives it, whether the block raised or a KeyboardInterrupt
 arrived.
@@ -33,7 +34,10 @@ class Fork:
     def __enter__(self) -> Fork:
         if self._work is None or not hasattr(os, "fork"):
             return self
-        r, w = os.pipe()
+        try:
+            r, w = os.pipe()
+        except OSError:  # no descriptor left: the caller does the work
+            return self
         try:
             pid = os.fork()
         except OSError:  # refused, as at a process limit: the caller does the work

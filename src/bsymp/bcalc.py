@@ -459,15 +459,14 @@ def invert_to_poisson(omega: BForm) -> PoissonBivector:
     return PoissonBivector(ch.names, entries)
 
 
-def _fr_solve(A: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = RHS exactly (A square nonsingular); columns in, columns out."""
+def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Columns of A^-1, exactly: [j][i] = (A^-1)[i][j]; a singular A is a ValueError."""
     n = len(A)
-    m = len(rhs_cols)
-    aug = [list(A[i]) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
+    aug = [list(A[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise ValueError("singular system in exact solve")
+            raise ValueError("frame matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
@@ -475,13 +474,4 @@ def _fr_solve(A: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[l
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(m)]
-
-
-def _fr_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(A)
-    eye = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    try:
-        return _fr_solve(A, eye)
-    except ValueError:
-        raise ValueError("frame matrix is singular") from None
+    return [[aug[i][n + j] for i in range(n)] for j in range(n)]

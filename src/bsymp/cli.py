@@ -10,7 +10,8 @@ Subcommands:
 Configuration is a JSON file (--config); command line flags override the
 matching fields.  All randomness is drawn from the single seed field, so a
 fixed config and seed reproduce every output byte for byte.  Exit codes:
-0 success, 1 verification failure, 2 configuration error.
+0 success, 1 verification failure, 2 configuration error or an output
+that cannot be written (an --out file, or stdout).
 
 Output files go to --out when given, otherwise to the configured output
 directory (config key "out_dir", overridden by the BSYMP_OUT_DIR
@@ -478,9 +479,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg.builtin = args.group
             cfg.algebra = None
             cfg.basis = None
-        return _DISPATCH[args.command](cfg, args)
+        code = _DISPATCH[args.command](cfg, args)
+        sys.stdout.flush()
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # the commands report a failure on a file they open as a ConfigError,
+        # so this is stdout's: full, or a pipe whose reader has gone.  fd 1
+        # goes to devnull, so the flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"config error: stdout: cannot write: {e.strerror}", file=sys.stderr)
         return 2
 
 

@@ -124,6 +124,18 @@ def test_matrix_basis_cross_check(tmp_path, capsys):
     assert "lie: commutator-match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["describe"], ["verify"]])
+@pytest.mark.parametrize("basis", [[[[0, 1], [0, 0]], [[0, 2], [0, 0]]],
+                                   [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]],
+                         ids=["dependent", "zero-matrix"])
+def test_dependent_basis_exits_2(tmp_path, argv, basis, capsys):
+    cfg = write_config(tmp_path, {"group": {"labels": ["X", "Y"], "constants": [],
+                                            "basis": basis}})
+    assert cli.main([*argv, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", "config error: group.basis: "
+                                       "basis matrices are linearly dependent\n")
+
+
 @pytest.mark.parametrize("data", [
     {"group": 7},
     {"group": {"labels": ["X"], "constants": "nope"}},

@@ -15,7 +15,7 @@ import pytest
 
 import bsymp.expr as ex
 from bsymp import lie
-from bsymp.bcalc import sequence_values
+from bsymp.bcalc import _fr_inv, sequence_values
 
 ALL_BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
 
@@ -61,11 +61,50 @@ def test_oracle_span_error():
         assert str(err.value) == f"matrix not in basis span (residual {shown})"
 
 
+def test_span_residual_reads_entries_the_expansion_adds():
+    # M agrees with the expansion J = [[0,-1],[1,0]] on its own nonzero
+    # entry; only entry (1, 0), where M is 0, shows that M is not J
+    span = lie._Span([[[0, -1], [1, 0]]])
+    M = {(0, 1): Fraction(-1)}
+    for tol in (0, 1e-10):
+        with pytest.raises(lie.SpanError) as err:
+            span.coords(M, tol)
+        assert str(err.value) == "matrix not in basis span (residual 1.000e+00)"
+
+
+@pytest.mark.parametrize("basis", [
+    [[[0, 1], [0, 0]], [[0, 2], [0, 0]]],
+    [[[0, 1], [0, 0]], [[0, 0], [0, 0]]],
+    [[[0, 0], [0, 0]]],
+], ids=["dependent", "zero-matrix", "only-zero"])
+def test_dependent_basis_is_a_value_error(basis):
+    with pytest.raises(ValueError, match="^basis matrices are linearly dependent$"):
+        lie.structure_constants_from_matrices(basis)
+
+
+def exact(v):
+    """v as a Fraction, or an int when integral: the same exact value, and
+    the dense references below multiply ints far faster."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def normal_equations(basis):
+    """Reference left inverse of the vectorized basis over every entry, zeros
+    included: (B^T B)^-1 B^T, the d x d Gram system inverted exactly."""
+    m = len(basis[0])
+    cols = [[exact(M[r][c]) for r in range(m) for c in range(m)] for M in basis]
+    gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in cols] for u in cols]
+    ginv = _fr_inv(gram)  # its columns; the Gram matrix is symmetric, so also its rows
+    return [[exact(sum(g * col[q] for g, col in zip(row, cols))) for q in range(m * m)]
+            for row in ginv]
+
+
 def dense_structure_constants(basis):
     """Reference: every product and weight, zeros included."""
-    mats = [tuple(tuple(Fraction(v) for v in row) for row in M) for M in basis]
+    mats = [tuple(tuple(exact(v) for v in row) for row in M) for M in basis]
     d, m = len(mats), len(mats[0])
-    pinv = lie._basis_pinv(mats)
+    pinv = normal_equations(mats)
     constants = {}
     for i in range(d):
         for j in range(d):
@@ -80,7 +119,7 @@ def dense_structure_constants(basis):
     return constants
 
 
-@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("name", [*ALL_BUILTINS, "heisenberg_q(8)"])
 def test_sparse_structure_constants_equal_dense(name):
     pair = lie.builtin(name)
     for G in (pair.group, pair.h_group):
@@ -419,11 +458,39 @@ def test_coadjoint_pairing(name):
 
 def test_adjoint_span_error():
     G = lie.builtin("se2").group
-    pinv = G.basis_pinv
-    basis = G.basis
-    bad = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]  # not in the algebra
+    bad = {(2, 0): 1.0}  # not in the algebra
     with pytest.raises(lie.SpanError):
-        lie._expand_in_basis(bad, basis, pinv)
+        G.span.coords(bad)
+
+
+def fraction_matmul(A, B):
+    return [[sum(x * B[t][c] for t, x in enumerate(row) if x) for c in range(len(B[0]))]
+            for row in A]
+
+
+@pytest.mark.parametrize("name", ["heisenberg_q(1)", "heisenberg_q(2)", "heisenberg_q(8)",
+                                  "galilean"])
+def test_adjoint_sym_is_exact_conjugation(name):
+    # on a rational chart, Ad at a rational point g is g E_a g^-1 in
+    # Fractions, expanded by the normal equations
+    G = lie.builtin(name).group
+    m, d = G.matrix_dim, G.dim
+    pinv = normal_equations(G.basis)
+    rng = random.Random(30)
+    for _ in range(3):
+        env = {n: Fraction(rng.randrange(-8, 9), rng.randrange(1, 7)) for n in G.param_names}
+        g = [[ex.eval_exact(e, env) for e in row] for row in G.chart_fn(G.param_vars)]
+        g_inv = [[exact(v) for v in row] for row in zip(*_fr_inv(g))]
+        g = [[exact(v) for v in row] for row in g]
+        got = [[ex.eval_exact(e, env) for e in row] for row in G.adjoint_sym]
+        for a, E in enumerate(G.basis):
+            conj = fraction_matmul(fraction_matmul(g, E), g_inv)
+            flat = [conj[r][c] for r in range(m) for c in range(m)]
+            want = [sum(w * v for w, v in zip(pinv[b], flat) if w) for b in range(d)]
+            back = [sum(x * B[r][c] for x, B in zip(want, G.basis) if x)
+                    for r in range(m) for c in range(m)]
+            assert back == flat
+            assert [got[b][a] for b in range(d)] == want
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bsymp
 from bsymp import cli, lie, verify
 
@@ -56,10 +58,13 @@ def test_readme_config_block_loads(tmp_path):
     assert cfg.flow["casimirs"] == {"c1": "mu_P1"}
 
 
-def _run_script(args, cwd):
+def _env(**extra):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path),
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _run_script(args, cwd):
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=_env(),
                           capture_output=True, text=True, timeout=600)
 
 
@@ -248,6 +253,41 @@ def test_flow_to_dev_stdout_through_a_pipe_prints_each_part_once(tmp_path):
     assert forked.stdout.count("t,mu_") == forked.stdout.count("sign-constant:") == 1
     assert forked.stdout.endswith("wrote: /dev/stdout\n")
     assert len(forked.stdout.splitlines()) == 1 + 1001 + 5
+
+
+STDOUT_WRITERS = [["describe"], ["verify", "--seed", "1"], ["reduce", "--out", "r.csv"],
+                  ["flow", "--out", "f.csv"], ["bracket-table", "--out", "b.csv"]]
+
+
+def _run_cli(argv, cwd, stdout, unbuffered=""):
+    """bsymp.cli in a fresh interpreter with the given stdout; PYTHONUNBUFFERED
+    empty leaves stdout block-buffered, so only main's flush writes it."""
+    return subprocess.Popen([sys.executable, "-m", "bsymp.cli", *argv], cwd=cwd,
+                            env=_env(PYTHONUNBUFFERED=unbuffered),
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDOUT_WRITERS, ids=lambda a: a[0])
+def test_full_stdout_exits_2_with_one_line(argv, unbuffered, tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _run_cli([*argv, "--group", "se2"], tmp_path, full, unbuffered)
+    _, err = proc.communicate(timeout=600)
+    assert (proc.returncode, err) == (2, "config error: stdout: cannot write: "
+                                         "No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_verify_into_a_pipe_whose_reader_left_exits_2(unbuffered, tmp_path):
+    # verify writes its report once every section has run, long after the
+    # reader end is closed here, so each write meets a broken pipe
+    r, w = os.pipe()
+    proc = _run_cli(["verify", "--group", "galilean", "--seed", "1"], tmp_path, w, unbuffered)
+    os.close(w)
+    os.close(r)
+    _, err = proc.communicate(timeout=600)
+    assert (proc.returncode, err) == (2, "config error: stdout: cannot write: Broken pipe\n")
 
 
 def test_float_commands_load_numpy_on_first_use(tmp_path):

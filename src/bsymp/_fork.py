@@ -5,7 +5,9 @@ it forks a child that calls work() and writes the bytes it returns, an
 iterable of bytes objects, to a pipe, then leaves through os._exit: it
 runs no atexit handler and flushes no file or stdio buffer it inherited,
 so nothing this process had buffered is written twice.  An exception in
-the child leaves with status 1.
+the child leaves with status 1.  Several may be open at once: a flow
+enters one per finished block of steps on its `dynamics.Handoff`, and
+each child works on the snapshot of memory it was forked with.
 
 `read()` hands over the child's bytes as they arrive, and b"" at their
 end.  The child writes only after work() has returned, so the caller
@@ -13,7 +15,7 @@ judges completeness from the bytes alone (verify: every double came;
 write_csv: whole lines) and finishes what did not come itself, on its one
 fallback path.  That path also covers there being no child: os.fork is
 missing (looked up on entry), or os.pipe or os.fork refused, and read()
-gives b"".
+gives b"", as it does after the block was left.
 Leaving the block kills (SIGKILL) and reaps the child, done or not, so no
 process outlives it, whether the block raised or a KeyboardInterrupt
 arrived.
@@ -66,6 +68,7 @@ class Fork:
     def __exit__(self, *exc) -> None:
         if self._pipe is not None:
             self._pipe.close()
+            self._pipe = None
         if self._pid is not None:
             import signal  # only here: `import bsymp.cli` does not load it
             os.kill(self._pid, signal.SIGKILL)

@@ -393,17 +393,19 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     casimirs = [(str(label), _coordinate_expr(f"flow.casimirs.{label}", text, names))
                 for label, text in fl.get("casimirs", {}).items()]
     vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
-    try:
-        tr = dyn.integrate(vf, x0, dt, T, method=fl.get("method", "rk4"),
-                           casimirs=[e for _, e in casimirs],
-                           substitution=fl.get("substitution", False))
-    except dyn.InvariantError as e:
-        key = "flow.hamiltonian" if e.index == 0 else f"flow.casimirs.{casimirs[e.index - 1][0]}"
-        raise ConfigError(f"{key} {e}") from e
-    except dyn.ChartExitError as e:
-        print(f"flow left the chart: {e}", file=sys.stderr)
-        return 1
-    _write_out(key, path, lambda fh: dyn.write_csv(tr, fh, [label for label, _ in casimirs]))
+    with dyn.Handoff() as handoff:  # children format finished blocks while the loop runs
+        try:
+            tr = dyn.integrate(vf, x0, dt, T, method=fl.get("method", "rk4"),
+                               casimirs=[e for _, e in casimirs],
+                               substitution=fl.get("substitution", False), handoff=handoff)
+        except dyn.InvariantError as e:
+            key = ("flow.hamiltonian" if e.index == 0
+                   else f"flow.casimirs.{casimirs[e.index - 1][0]}")
+            raise ConfigError(f"{key} {e}") from e
+        except dyn.ChartExitError as e:
+            print(f"flow left the chart: {e}", file=sys.stderr)
+            return 1
+        _write_out(key, path, lambda fh: dyn.write_csv(tr, fh, [label for label, _ in casimirs]))
     rep = dyn.leaf_report(rp, tr)
     print("\n".join(rep.lines()))
     for (label, _), drift in zip(casimirs, tr.casimir_drifts):

@@ -23,13 +23,19 @@ values, and the CSV's H and Casimir columns are those values: `write_csv`
 and `leaf_report` only read the trajectory.  Every step computes in
 plain floats, so a flow never imports numpy.
 
-`write_csv` formats the second half of the rows in a child forked
-through `_fork`, on the second processor, while this process writes the
-first half; the bytes are those of a serial run.
+Given a `Handoff`, `integrate` runs the loop in blocks of steps and forks
+a child through `_fork` for each finished block but the last, which
+formats the block's CSV lines on the second processor while the loop goes
+on; `write_csv` copies them and formats the last block here.  Without one
+(as in `verify`), or when the flow is too short for two blocks,
+`write_csv` forks a child for the second half of the rows.  Either way
+the bytes are those of a serial run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -103,6 +109,9 @@ class Trajectory:
     energy_drift: float | None = None
     casimir_drifts: tuple[float, ...] = ()
     phi_floor: float | None = None
+    # (start, stop, child): rows start .. stop - 1, handed in order to a
+    # `_fork.Fork` child that formats their CSV lines (see write_csv)
+    handed_off: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def times(self) -> array.array:
@@ -140,6 +149,22 @@ def _raise_invariant_error(exprs, names, x, t, err):
 
 
 MAX_STEPS = 10**6  # every row is kept in memory
+BLOCKS = 8  # a flow run with a Handoff: at most BLOCKS - 1 children at once
+# the fewest steps in a handed-off block: formatting 1000 rows takes 7-21 ms
+# on a 2-processor host, and forking a flow process about 1 ms
+BLOCK_STEPS = 1000
+
+
+class Handoff(contextlib.ExitStack):
+    """The owner of the children a flow hands its finished blocks of rows to.
+
+    `integrate(..., handoff=h)` enters a `_fork.Fork` child on h for each
+    block of steps but the last, which formats that block's CSV lines
+    while the loop goes on; `write_csv` copies them.  Leaving h kills
+    (SIGKILL) and reaps every child, done or not, whether the CSV was
+    written, the flow left the chart, a write failed or a
+    KeyboardInterrupt arrived, so no process outlives it.
+    """
 
 
 def step_count(dt: float, T: float) -> int:
@@ -172,21 +197,26 @@ def _guarded(lines, indent, failure):
 
 def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
                    sub: bool):
-    """The whole fixed-step loop as one function, built with `expr.emit`.
+    """The fixed-step loop over a range of steps as one function, built
+    with `expr.emit`.
 
-    `flow(x, rows, values, steps, dt, sgn)` holds the state in locals
-    s0..s{n-1}.  Each stage inlines the field once; with `sub`, the slot
-    `phi_slot` holds u = log|phi|, the field reads sgn * exp(u) there and
-    its component there is divided by that value.  The stage arithmetic
-    is written as the rk4 and midpoint formulas read, `a + 0.5 * dt * b`
-    and `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
+    `flow(s, rows, values, k0, k1, dt, sgn)` runs steps k0 .. k1 - 1 from
+    the state s, held in locals s0..s{n-1}, and returns (state, None) with
+    the state it ends in, so a run split into ranges computes what one
+    whole range does, bit for bit.  Each stage inlines the field once;
+    with `sub`, the slot `phi_slot` of the state holds u = log|phi|, the
+    field reads sgn * exp(u) there and its component there is divided by
+    that value.  The stage arithmetic is written as the rk4 and midpoint
+    formulas read, `a + 0.5 * dt * b` and
+    `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
     0.5 * dt and dt / 6.0 computed once.  Each accepted row is checked
     finite, its invariants are evaluated and checked finite, and both are
-    appended to `rows` and `values`; row 0's invariants are too.
-    Returns None when every step is accepted, else (k, where, row, err):
-    the step, "field", "chart" or "invariant", the row (x for row 0,
-    k = -1; a "chart" row may go on with its invariants) and the error
-    caught, None for a value that is not finite.
+    appended to `rows` and `values`; with k0 == 0, row 0's invariants are
+    too, at the start row stored in `rows`.  A step that is not accepted
+    returns (None, (k, where, row, err)): the step, "field", "chart" or
+    "invariant", the row (row 0 for k = -1; a "chart" row may go on with
+    its invariants) and the error caught, None for a value that is not
+    finite.
     """
     n = len(vf.names)
     m = vf.phi_slot
@@ -225,40 +255,40 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     row = list(state)
     if sub:
         row[m] = "r"
-    g0_lines, g0 = ex.emit(invariants, dict(zip(vf.names, state)), "g", " " * 8)
+    tup = f"({', '.join(row)},)"
     g_lines, g = ex.emit(invariants, dict(zip(vf.names, row)), "g", ind)
-    src = ["def _flow(x, rows, values, steps, dt, sgn):",
-           f"    {', '.join(state)}, = x",
-           *_guarded(g0_lines, "    ", "-1, 'invariant', x, err"),
-           f"    if not ({_finite(g0)}):",
-           "        return -1, 'invariant', x, None",
-           f"    values.extend(({', '.join(g0)},))"]
-    if sub:
-        src.append(f"    s{m} = _log(abs(s{m}))")
-    src += ["    half = 0.5 * dt",
-            "    sixth = dt / 6.0",
-            "    for k in range(steps):",
-            *_guarded(body, "        ", "k, 'field', None, err")]
+    src = ["def _flow(s, rows, values, k0, k1, dt, sgn):",
+           f"    {', '.join(state)}, = s",
+           "    if k0 == 0:",
+           *([f"        r = rows[{m}]"] if sub else []),
+           *_guarded(g_lines, "        ", f"None, (-1, 'invariant', {tup}, err)"),
+           f"        if not ({_finite(g)}):",
+           f"            return None, (-1, 'invariant', {tup}, None)",
+           f"        values.extend(({', '.join(g)},))",
+           "    half = 0.5 * dt",
+           "    sixth = dt / 6.0",
+           "    for k in range(k0, k1):",
+           *_guarded(body, "        ", "None, (k, 'field', None, err)")]
     if sub:
         src += ["        try:",
                 f"            r = sgn * _exp(s{m})",
                 "        except OverflowError:",
                 "            r = sgn * inf"]
     src += [f"        if not ({_finite(row)}):",
-            f"            return k, 'chart', ({', '.join(row)},), None",
-            *_guarded(g_lines, "        ", f"k, 'invariant', ({', '.join(row)},), err"),
+            f"            return None, (k, 'chart', {tup}, None)",
+            *_guarded(g_lines, "        ", f"None, (k, 'invariant', {tup}, err)"),
             f"        if not ({_finite(g)}):",
-            f"            return k, 'chart', ({', '.join([*row, *g])},), None",
-            f"        rows.extend(({', '.join(row)},))",
+            f"            return None, (k, 'chart', ({', '.join([*row, *g])},), None)",
+            f"        rows.extend({tup})",
             f"        values.extend(({', '.join(g)},))",
-            "    return None"]
+            f"    return ({', '.join(state)},), None"]
     return ex.build("\n".join(src) + "\n", "_flow", inf=math.inf, nan=math.nan,
                     _ERRORS=(ArithmeticError, ValueError))
 
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
               method: str = "rk4", casimirs: Sequence[Expr] = (),
-              substitution: bool = False) -> Trajectory:
+              substitution: bool = False, handoff: Handoff | None = None) -> Trajectory:
     """Integrate vf from x0 over [0, T] with a fixed step.
 
     With substitution=True (requires phi_slot and a nonzero start there)
@@ -279,6 +309,14 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     InvariantError.  An evaluation error is the cause of each, as the
     DomainError `expr.evaluate` raises there (`expr.domain_error`),
     overflow included.
+
+    With `handoff`, the function runs BLOCKS equal blocks of steps, fewer
+    when a block would have less than BLOCK_STEPS, each from the state the
+    one before ended in, so the rows are a whole run's bit for bit and a
+    step's time is its own.  After each block but the last, a child entered on `handoff`
+    formats the CSV lines of the rows finished since the block before;
+    the trajectory lists them in `handed_off`, for `write_csv`.  A raise
+    after some blocks leaves their children to `handoff`.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -304,9 +342,22 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     flow = vf.flows.get(key)
     if flow is None:
         flow = vf.flows[key] = _generate_flow(vf, invariants, method, sub)
-    rows = _doubles(x)
-    values = _doubles()
-    failure = flow(x, rows, values, steps, dt, sgn)
+    tr = Trajectory(dt=dt, names=vf.names, rows=_doubles(x), invariants=_doubles(),
+                    method=method, phi_slot=m)
+    rows, values, nv = tr.rows, tr.invariants, len(invariants)
+    state = list(x)
+    if sub:
+        state[m] = math.log(abs(x[m]))
+    blocks = 1 if handoff is None else max(1, min(BLOCKS, steps // BLOCK_STEPS))
+    ends = [steps * b // blocks for b in range(1, blocks + 1)]
+    for k0, k1 in zip([0, *ends], ends):
+        state, failure = flow(state, rows, values, k0, k1, dt, sgn)
+        if failure is not None:
+            break
+        if k1 < steps:  # rows up to k1 are final: a child formats those not handed off yet
+            start = tr.handed_off[-1][1] if tr.handed_off else 0
+            work = functools.partial(_csv_chunks, tr, nv, start, k1 + 1)
+            tr.handed_off.append((start, k1 + 1, handoff.enter_context(_fork.Fork(work))))
     if failure is not None:
         k, where, row, raw = failure
         err = None if raw is None else ex.domain_error(raw)
@@ -328,12 +379,11 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
                 raise
             raise ChartExitError(f"{labels[n + fail.index]} became non-finite at t={t:.6g}",
                                  t) from err
-    nv = len(invariants)
     drifts = [max(abs(v - col[0]) for v in col) for col in (values[i::nv] for i in range(nv))]
-    return Trajectory(dt=dt, names=vf.names, rows=rows, invariants=values, method=method,
-                      phi_slot=m, energy_drift=None if vf.hamiltonian is None else drifts[0],
-                      casimir_drifts=tuple(drifts[1:]),
-                      phi_floor=None if m is None else min(map(abs, rows[m::n])))
+    tr.energy_drift = None if vf.hamiltonian is None else drifts[0]
+    tr.casimir_drifts = tuple(drifts[1:])
+    tr.phi_floor = None if m is None else min(map(abs, rows[m::n]))
+    return tr
 
 
 @dataclass(frozen=True)
@@ -400,6 +450,13 @@ def _csv_lines(traj: Trajectory, nv: int, start: int, stop: int):
                                   *values[k * nv:k * nv + nv]])) + "\n"
 
 
+def _csv_chunks(traj: Trajectory, nv: int, start: int, stop: int) -> list[bytes]:
+    """The CSV lines of steps start .. stop - 1 as a child sends them:
+    encoded 1024 rows at a time and never joined, so it holds them once."""
+    return ["".join(_csv_lines(traj, nv, k, min(k + 1024, stop))).encode()
+            for k in range(start, stop, 1024)]
+
+
 def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
     """One row per step: t, coordinates, H, then one column per Casimir label.
 
@@ -407,37 +464,36 @@ def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
     ones the drifts are read from.  Floats are written with repr, which
     round-trips IEEE-754 doubles.
 
-    A child forked through `_fork` formats the second half of the rows
-    while this process writes the header and the first half to fh; then
-    the child's lines are copied into fh as they arrive, in 64 KiB reads.
-    Every write to fh is made here, and the bytes equal a serial run's.
-    The rows the child did not deliver whole (there is no os.fork, or the
-    child failed) are formatted here, from the first one missing; if a
-    write raises, the child is killed and reaped before the exception
-    propagates.
+    The rows come in parts, in order.  A flow run with a `Handoff` may
+    have handed each block but the last to a child, which formatted it
+    while the loop went on; this process formats the last block.  If
+    nothing was handed off, a child forked here through `_fork` formats
+    the second half while this process writes the first.  A child's lines
+    are copied into fh as they arrive, in 64 KiB reads, so every write to
+    fh is made here and the bytes equal a serial run's.  The rows a child did not deliver whole
+    (there is no os.fork, the child failed or its owner has ended it) are
+    formatted here, from the first one missing.  The child forked here is
+    killed and reaped before this returns or raises.
     """
     n, nv = len(traj.names), len(labels) + 1
     if len(traj.invariants) * n != len(traj.rows) * nv:
         raise ValueError("write_csv needs one label per Casimir")
-    steps = len(traj.rows) // n
-    half = steps // 2
-
-    def second_half() -> list[bytes]:
-        # in the child, encoded 1024 rows at a time and never joined, so
-        # the child holds its lines once
-        return ["".join(_csv_lines(traj, nv, k, min(k + 1024, steps))).encode()
-                for k in range(half, steps, 1024)]
-
-    fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
-    with _fork.Fork(second_half) as child:
-        for line in _csv_lines(traj, nv, 0, half):
-            fh.write(line)
-        done, part = half, b""
-        while piece := child.read(1 << 16):
-            part += piece
-            whole = part.rfind(b"\n") + 1
-            fh.write(part[:whole].decode())
-            done += part.count(b"\n", 0, whole)
-            part = part[whole:]
-    for line in _csv_lines(traj, nv, done, steps):
-        fh.write(line)
+    count = len(traj.rows) // n
+    handed, half = traj.handed_off, count // 2
+    work = None if handed else functools.partial(_csv_chunks, traj, nv, half, count)
+    with _fork.Fork(work) as mine:
+        if handed:  # the children's blocks, then the last block here
+            parts = [*handed, (handed[-1][1], count, None)]
+        else:  # the first half here while this process's child formats the second
+            parts = [(0, half, None), (half, count, mine)]
+        fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
+        for start, stop, child in parts:
+            done, part = start, b""
+            while child is not None and (piece := child.read(1 << 16)):
+                part += piece
+                whole = part.rfind(b"\n") + 1
+                fh.write(part[:whole].decode())
+                done += part.count(b"\n", 0, whole)
+                part = part[whole:]
+            for line in _csv_lines(traj, nv, done, stop):
+                fh.write(line)

@@ -131,15 +131,14 @@ class LieAlgebra:
         return self.constants.get((i, j), zero)
 
     def antisymmetry_defect(self) -> Fraction:
+        """Max |c^k_ij + c^k_ji| over all i, j, k; exact.
+
+        Only a stored row can be nonzero, so this reads each stored (i, j)
+        against its transpose, zero when that is not stored; a stored
+        diagonal row (i, i) reads as 2 c^k_ii."""
         worst = Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ci, cj = self.c(i, j), self.c(j, i)
-                for k in range(self.dim):
-                    worst = max(worst, abs(ci[k] + cj[k]))
-                if i == j:
-                    for k in range(self.dim):
-                        worst = max(worst, abs(ci[k]))
+        for (i, j), row in self.constants.items():
+            worst = max([worst, *(abs(a + b) for a, b in zip(row, self.c(j, i)))])
         return worst
 
     def jacobi_defect(self) -> Fraction:

@@ -532,6 +532,76 @@ def test_flow_chart_exit_returns_1(tmp_path, capsys):
     assert "left the chart" in capsys.readouterr().err
 
 
+def test_flow_chart_exit_after_handed_off_blocks_leaves_no_child(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 8000 steps in blocks of 1000; the flow escapes in the sixth block,
+    # after five were handed to children that format their rows
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    cfg = write_config(tmp_path, {
+        "flow": {"hamiltonian": "phi * p", "x0": [0.0, 0.0, 2.0, 2.0],
+                 "dt": 0.0001, "T": 0.8}})
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "flow left the chart: H became non-finite at t=0.5002\n")
+    assert len(forks) == 5 and not out.exists()
+    _no_child_left()
+
+
+FLOW_CSV_CASES = {
+    "default galilean": {"group": "galilean"},
+    "galilean 9000 steps": {"group": "galilean", "flow": {"T": 9.0}},
+    "se2 midpoint substitution": {"flow": {"hamiltonian": "p^2/2 + 0.3*phi*mu_P1 + mu_P2",
+                                           "x0": [0.4, -0.2, 0.5, 0.3], "dt": 0.001,
+                                           "T": 3.0, "method": "midpoint",
+                                           "substitution": True,
+                                           "casimirs": {"m1": "mu_P1^2", "m2": "mu_P2"}}},
+    "2 rows": {"flow": {"dt": 0.5, "T": 0.5}},
+    "3 rows": {"flow": {"dt": 0.5, "T": 1.0}},
+}
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no fork"])
+@pytest.mark.parametrize("case", FLOW_CSV_CASES)
+def test_flow_csv_is_the_serial_csv(case, fork, tmp_path, capsys, monkeypatch):
+    # a flow forks a child per block but the last while it runs, blocks of
+    # at least BLOCK_STEPS, at most BLOCKS of them; a flow too short for two
+    # hands nothing off, and write_csv forks one for its second half
+    from test_dynamics import serial_csv
+    trajectories, forks = [], []
+    integrate, fork_ = dyn.integrate, getattr(os, "fork", None)
+
+    def kept(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    def counted():
+        forks.append(os.getpid())
+        return fork_()
+
+    monkeypatch.setattr(dyn, "integrate", kept)
+    if fork:
+        monkeypatch.setattr(os, "fork", counted)
+    else:
+        monkeypatch.delattr(os, "fork")
+    data = FLOW_CSV_CASES[case]
+    out = tmp_path / "f.csv"
+    assert cli.main(["flow", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    tr, = trajectories
+    labels = list(data.get("flow", {}).get("casimirs", {}))
+    assert out.read_text() == serial_csv(tr, labels)
+    blocks = max(1, min(dyn.BLOCKS, (len(tr.times) - 1) // dyn.BLOCK_STEPS))
+    assert len(forks) == (0 if not fork else 1 if blocks == 1 else blocks - 1)
+    _no_child_left()
+
+
 def test_flow_through_sin_of_infinity_leaves_the_chart(tmp_path, capsys):
     # p overflows within the first step and sin(p) reads the inf; this used
     # to end in a ValueError traceback instead of a chart exit

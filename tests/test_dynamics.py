@@ -18,7 +18,7 @@ import pytest
 
 import bsymp.expr as ex
 from bsymp.expr import Const, Var
-from bsymp import dynamics as dyn, lie, reduction as red, verify
+from bsymp import _fork, dynamics as dyn, lie, reduction as red, verify
 
 GROUPS = ["se2", "heisenberg_q(1)", "galilean"]
 BUILTINS = ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"]
@@ -544,7 +544,8 @@ def test_times_strictly_increasing_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# write_csv: the second half of the rows is formatted in a forked child
+# write_csv: rows formatted in forked children, the blocks a flow handed
+# off while it ran or else the second half
 
 
 def serial_csv(tr, labels=()):
@@ -592,14 +593,14 @@ def se2_midpoint_substitution():
     return tr, ("m1", "m2")
 
 
-def galilean_2000_steps():
+def galilean_2000_steps(handoff=None):
     rp = red.reduced_poisson(lie.builtin("galilean"))
     m = len(rp.names) - 2
     rng = random.Random(7)
     vf = dyn.hamiltonian_vf(rp, random_quadratic(rng, rp.names), phi_slot=m)
     x0 = [rng.uniform(-0.1, 0.1) for _ in rp.names]
-    return dyn.integrate(vf, x0, 1e-3, 2.0, casimirs=[ex.parse("mu_P1^2 + mu_P2^2 + mu_P3^2")]), \
-        ("c1",)
+    return dyn.integrate(vf, x0, 1e-3, 2.0, casimirs=[ex.parse("mu_P1^2 + mu_P2^2 + mu_P3^2")],
+                         handoff=handoff), ("c1",)
 
 
 CSV_CASES = {
@@ -718,4 +719,183 @@ def test_failed_csv_write_reaps_the_child(exc, after, monkeypatch):
     with pytest.raises(type(exc)):
         dyn.write_csv(tr, FailingFile(exc, after), labels)
     assert len(forks) == 1
+    no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# integrate with a Handoff: the loop runs in blocks, and a child formats
+# each finished block but the last while the next ones run
+
+FLOW_KINDS = {"rk4": {}, "midpoint": {"method": "midpoint"},
+              "substitution": {"substitution": True},
+              "midpoint substitution": {"method": "midpoint", "substitution": True}}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of at least 250 steps: galilean_2000_steps runs 8 of them."""
+    monkeypatch.setattr(dyn, "BLOCK_STEPS", 250)
+
+
+# (steps, BLOCK_STEPS): blocks of one step, then the constant's own blocks
+BLOCKINGS = [(1, 1), (2, 1), (3, 1), (9, 1), (1003, 1),
+             (1999, dyn.BLOCK_STEPS), (2500, dyn.BLOCK_STEPS), (9003, dyn.BLOCK_STEPS)]
+
+
+@pytest.mark.parametrize("steps,block_steps", BLOCKINGS)
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_blocked_run_is_the_whole_run(kind, steps, block_steps, monkeypatch):
+    rp, vf, m = reduced_field("se2", ex.parse("p^2/2 + 0.3*phi*mu_P1 + mu_P2"))
+    args = (vf, [0.4, -0.2, -0.5, 0.3], 5e-4, steps * 5e-4)
+    kw = {"casimirs": [ex.parse("mu_P1^2"), Var("mu_P2")], **FLOW_KINDS[kind]}
+    whole = dyn.integrate(*args, **kw)
+    monkeypatch.setattr(dyn, "BLOCK_STEPS", block_steps)
+    forks = counted_forks(monkeypatch)
+    with dyn.Handoff() as handoff:
+        blocked = dyn.integrate(*args, handoff=handoff, **kw)
+        parts = [(start, stop) for start, stop, _ in blocked.handed_off]
+    no_child_left()
+    assert whole.handed_off == [] and len(whole.rows) == 4 * (steps + 1)
+    for a, b in [(blocked.rows, whole.rows), (blocked.invariants, whole.invariants)]:
+        assert a.tobytes() == b.tobytes()
+    assert (blocked.energy_drift, blocked.casimir_drifts, blocked.phi_floor) == \
+        (whole.energy_drift, whole.casimir_drifts, whole.phi_floor)
+    # contiguous parts from row 0, one per block but the last, each forked
+    assert len(forks) == len(parts) == max(1, min(dyn.BLOCKS, steps // block_steps)) - 1
+    assert [start for start, _ in parts] == [0, *(stop for _, stop in parts)][:len(parts)]
+    assert all(start < stop <= steps for start, stop in parts)
+    assert csv_text(blocked, ("m1", "m2")) == serial_csv(whole, ("m1", "m2"))
+
+
+def test_blocked_run_without_fork_is_the_whole_run(small_blocks, monkeypatch):
+    tr, labels = galilean_2000_steps()
+    monkeypatch.delattr(os, "fork")
+    with dyn.Handoff() as handoff:
+        blocked, _ = galilean_2000_steps(handoff)
+        assert len(blocked.handed_off) == dyn.BLOCKS - 1
+        assert csv_text(blocked, labels) == serial_csv(tr, labels)
+    assert blocked.rows.tobytes() == tr.rows.tobytes()
+
+
+def test_chart_exit_after_handed_off_blocks_leaves_no_child(monkeypatch):
+    # phi' = phi^2 from phi = 2 escapes near t = 1/2, at step 5002 of 8000
+    # in blocks of 1000 steps: five blocks were handed off by then
+    rp, vf, m = reduced_field("se2", ex.parse("phi * p"))
+    args = (vf, [0.0, 0.0, 2.0, 2.0], 1e-4, 0.8)
+    with pytest.raises(dyn.ChartExitError) as whole:
+        dyn.integrate(*args)
+    forks = counted_forks(monkeypatch)
+    with pytest.raises(dyn.ChartExitError) as blocked:
+        with dyn.Handoff() as handoff:
+            dyn.integrate(*args, handoff=handoff)
+    assert (str(blocked.value), blocked.value.time) == (str(whole.value), whole.value.time)
+    assert whole.value.time == pytest.approx(0.5002) and len(forks) == 5
+    no_child_left()
+
+
+def test_interrupt_during_blocked_run_reaps_every_child(small_blocks, monkeypatch):
+    # Ctrl-C in the loop, after three blocks were handed off
+    entered = []
+
+    class Interrupted(_fork.Fork):
+        def __enter__(self):
+            if len(entered) == 3:
+                raise KeyboardInterrupt
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(_fork, "Fork", Interrupted)
+    forks = counted_forks(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        with dyn.Handoff() as handoff:
+            galilean_2000_steps(handoff)
+    assert len(forks) == 3
+    no_child_left()
+
+
+def handed_off_csv(fh=None):
+    """galilean_2000_steps run with a Handoff, and its CSV written while
+    the children are alive."""
+    with dyn.Handoff() as handoff:
+        tr, labels = galilean_2000_steps(handoff)
+        fh = io.StringIO() if fh is None else fh
+        dyn.write_csv(tr, fh, labels)
+    return tr, labels, fh.getvalue()
+
+
+@pytest.mark.parametrize("how", ["killed", "raised"])
+def test_block_child_that_fails_leaves_its_rows_here(how, small_blocks, monkeypatch):
+    here = os.getpid()
+    lines = dyn._csv_lines
+
+    def failing_in_child(traj, nv, start, stop):
+        if os.getpid() != here and start >= 500:  # the third block on
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("in the child")
+        return lines(traj, nv, start, stop)
+
+    monkeypatch.setattr(dyn, "_csv_lines", failing_in_child)
+    forks = counted_forks(monkeypatch)
+    tr, labels, text = handed_off_csv()
+    assert text == serial_csv(tr, labels)
+    assert len(forks) == dyn.BLOCKS - 1
+    no_child_left()
+
+
+def test_block_child_killed_mid_copy_leaves_the_rest_here(small_blocks, monkeypatch):
+    # each block is 250 steps, about 70 kB: the second child is blocked on
+    # the pipe when it is killed, before its first 64 KiB are read
+    here = os.getpid()
+    starts = []
+    lines = dyn._csv_lines
+
+    def recorded(traj, nv, start, stop):
+        if os.getpid() == here:
+            starts.append(start)
+        return lines(traj, nv, start, stop)
+
+    monkeypatch.setattr(dyn, "_csv_lines", recorded)
+    pids = []
+    fork = os.fork
+
+    def forked():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", forked)
+
+    class KillingFile(io.StringIO):
+        def write(self, text):
+            if self.tell() == 0:  # the header
+                os.kill(pids[1], signal.SIGKILL)
+            return super().write(text)
+
+    tr, labels, text = handed_off_csv(fh=KillingFile())
+    assert text == serial_csv(tr, labels)
+    assert len(pids) == dyn.BLOCKS - 1
+    # the first child's rows came whole; the second's from its first missing row
+    assert starts[0] == 251 and 251 <= starts[1] < 501
+    no_child_left()
+
+
+def test_refused_block_fork_is_written_here(small_blocks, monkeypatch):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    tr, labels, text = handed_off_csv()
+    assert text == serial_csv(tr, labels) and len(tr.handed_off) == dyn.BLOCKS - 1
+
+
+@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                 KeyboardInterrupt()])
+@pytest.mark.parametrize("after", [1, 4])
+def test_failed_copy_of_handed_off_blocks_reaps_every_child(exc, after, small_blocks, monkeypatch):
+    # the header is one write and each 64 KiB piece a child sends is one:
+    # after 1 the first piece fails, after 4 the second child's second
+    forks = counted_forks(monkeypatch)
+    with pytest.raises(type(exc)):
+        handed_off_csv(fh=FailingFile(exc, after))
+    assert len(forks) == dyn.BLOCKS - 1
     no_child_left()

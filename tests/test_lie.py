@@ -140,6 +140,35 @@ def test_antisymmetry_defect_catches_corruption():
     assert L.antisymmetry_defect() == 0
 
 
+def reference_antisymmetry_defect(L):
+    """Max |c^k_ij + c^k_ji| and, on the diagonal, |c^k_ii| over all d^3
+    entries: the dense loop `antisymmetry_defect` replaced."""
+    worst = Fraction(0)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            ci, cj = L.c(i, j), L.c(j, i)
+            for k in range(L.dim):
+                worst = max(worst, abs(ci[k] + cj[k]))
+                if i == j:
+                    worst = max(worst, abs(ci[k]))
+    return worst
+
+
+def test_antisymmetry_defect_matches_the_dense_loop():
+    for name in [*ALL_BUILTINS, "heisenberg_q(8)"]:
+        for L in (lie.builtin(name).group.algebra, lie.builtin(name).h_algebra):
+            assert L.antisymmetry_defect() == reference_antisymmetry_defect(L) == 0
+    z, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
+    missing = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): (z, z, one), (1, 0): (z, z, -one),
+                                               (1, 2): (-half, z, z)})
+    diagonal = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): (z, z, one), (1, 0): (z, z, -one),
+                                                (2, 2): (z, -half, z)})
+    for L, want in [(missing, half), (diagonal, one), *((L, None) for L in corrupted_tables())]:
+        got = L.antisymmetry_defect()
+        assert got == reference_antisymmetry_defect(L), L.constants
+        assert want is None or got == want
+
+
 def test_jacobi_defect_catches_corruption():
     L = lie.builtin("galilean").group.algebra
     bad = dict(L.constants)

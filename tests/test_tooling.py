@@ -241,9 +241,10 @@ def test_verify_through_a_pipe_prints_one_report(tmp_path):
 
 
 def test_flow_to_dev_stdout_through_a_pipe_prints_each_part_once(tmp_path):
-    # the CSV file's buffer holds the header when write_csv forks, and
-    # stdout is a block-buffered pipe; a child that flushed either would
-    # print it twice.  The serial run has no os.fork
+    # the flow forks a child per finished block while its loop runs, and
+    # stdout is a block-buffered pipe, which also carries the CSV: a child
+    # that flushed a buffer it inherited would print its contents twice.
+    # The serial run has no os.fork
     argv = ["flow", "--group", "galilean", "--out", "/dev/stdout"]
     forked = _run_script(["-m", "bsymp.cli", *argv], tmp_path)
     code = f"import os, sys\ndel os.fork\nfrom bsymp import cli\nsys.exit(cli.main({argv!r}))\n"

@@ -6,8 +6,10 @@ iterable of bytes objects, to a pipe, then leaves through os._exit: it
 runs no atexit handler and flushes no file or stdio buffer it inherited,
 so nothing this process had buffered is written twice.  An exception in
 the child leaves with status 1.  Several may be open at once: a flow
-enters one per finished block of steps on its `dynamics.Handoff`, and
-each child works on the snapshot of memory it was forked with.
+enters one per finished block of steps on its `dynamics.Handoff`, verify
+one for its first sections and one for coupling-identity, and each child
+works on the snapshot of memory it was forked with.  `forked` tells
+whether there is a child.
 
 `read()` hands over the child's bytes as they arrive, and b"" at their
 end.  The child writes only after work() has returned, so the caller
@@ -59,6 +61,11 @@ class Fork:
         os.close(w)
         self._pipe = os.fdopen(r, "rb")
         return self
+
+    @property
+    def forked(self) -> bool:
+        """Whether a child was forked, until the block is left."""
+        return self._pid is not None
 
     def read(self, size: int = -1) -> bytes:
         """Up to size of the child's bytes, all of them by default; b"" at

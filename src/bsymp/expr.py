@@ -59,11 +59,21 @@ decisions in one place.
 
 Every node fixes its set of free variable names when it is built, from
 its operands' sets (it shares an operand's set that already holds every
-name), so `free_vars` does no walk.  `diff` uses it to skip work: the derivative of an
-expression without the variable is `ZERO` at once, and the walk never
-enters a subtree without it.  That is the tree the full walk builds,
-whose derivatives of variable-free subtrees fold to value-0 constants
-anyway.
+name), so `free_vars` does no walk.  `diff` uses it to skip work: the
+derivative of an expression without the variable is `ZERO` at once, and
+the walk never enters a subtree without it.  That is the tree the full
+walk builds, whose derivatives of variable-free subtrees fold to value-0
+constants anyway.
+
+`diff` keeps each derivative it builds on its node, in the node's `_d`
+slot, by variable name, and does not enter a node whose derivative by
+that variable is kept: the forms of verify's three connections of one
+pair share every slot but phi's, so a later walk often ends at kept
+nodes.  Nodes are interned, so a kept derivative is the very node a
+fresh walk would build.  The cache goes with its node; there is no
+module table of derivatives.  The intern table keys an operand by its
+id, not by reference, so a derivative that refers back to its node
+(exp's does) is a cycle the garbage collector frees with the node.
 
 Grammar (EBNF), also the canonical serialization used in config files::
 
@@ -143,18 +153,22 @@ _UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _checked_log
 # nodes
 # ---------------------------------------------------------------------------
 
-# every live node by (class, *fields): nodes hash and compare by identity,
-# so an operand is keyed by identity and any other field by value
+# every live node by (class, *fields), with an operand keyed by its id and
+# any other field by value.  A key holds no node: an entry goes with its
+# node, which holds its operands, so an id in a key names a live operand.
+# A key that held its operands would keep alive a node reachable from a
+# derivative cached on it, such as exp's, which refers back to the node
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NO_VARS: frozenset[str] = frozenset()
 _init = object.__setattr__
 
 
-def _interned(cls, fv: frozenset[str], *fields):
-    """The live `cls` node with these fields, else a new one with free variables fv."""
-    key = (cls, *fields)
+def _interned(key: tuple, fv: frozenset[str], *fields):
+    """The live node under key, (class, *fields with operands by id), else a
+    new one of that class with these fields and free variables fv."""
     n = _NODES.get(key)
     if n is None:
+        cls = key[0]
         n = _NODES[key] = object.__new__(cls)
         for name, v in zip(cls._fields, fields):
             _init(n, name, v)
@@ -166,7 +180,8 @@ class Expr:
     """An immutable node: its constructor returns the live node with the
     same fields if there is one, so structurally equal is identical."""
 
-    __slots__ = ("_fv", "__weakref__")  # _fv: free variable names
+    # _fv: free variable names; _d: derivatives by variable name, set by diff
+    __slots__ = ("_fv", "_d", "__weakref__")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -216,14 +231,14 @@ class Const(Expr):
 
     def __new__(cls, value):
         value = value if type(value) is Fraction else Fraction(value)
-        return _interned(cls, _NO_VARS, value)
+        return _interned((cls, value), _NO_VARS, value)
 
 
 class Var(Expr):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name):
-        return _interned(cls, frozenset((name,)), name)
+        return _interned((cls, name), frozenset((name,)), name)
 
 
 class _Binary(Expr):
@@ -232,7 +247,7 @@ class _Binary(Expr):
     def __new__(cls, a, b):
         fa, fb = a._fv, b._fv
         fv = fa if fb <= fa else fb if fa <= fb else fa | fb
-        return _interned(cls, fv, a, b)
+        return _interned((cls, id(a), id(b)), fv, a, b)
 
 
 class Add(_Binary):
@@ -255,14 +270,14 @@ class Pow(Expr):
     __slots__ = _fields = ("base", "n")
 
     def __new__(cls, base, n):
-        return _interned(cls, base._fv, base, n)
+        return _interned((cls, id(base), n), base._fv, base, n)
 
 
 class Fun(Expr):
     __slots__ = _fields = ("name", "arg")  # name: sin | cos | exp | log
 
     def __new__(cls, name, arg):
-        return _interned(cls, arg._fv, name, arg)
+        return _interned((cls, name, id(arg)), arg._fv, name, arg)
 
 
 # the only nodes with these values
@@ -796,10 +811,21 @@ def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to the named variable."""
     if var not in e._fv:
         return ZERO
-    # a subtree without var is never entered and its derivative is ZERO
+    # a subtree without var is never entered and its derivative is ZERO; a
+    # node whose derivative by var is cached is not entered either
     d: dict[Expr, Expr] = {}
     dof = d.get
-    for n in _postorder((e,), lambda n: var in n._fv):
+
+    def enter(n: Expr) -> bool:
+        if var not in n._fv:
+            return False
+        cached = getattr(n, "_d", None)
+        if cached is None or var not in cached:
+            return True
+        d[n] = cached[var]
+        return False
+
+    for n in _postorder((e,), enter):
         t = type(n)
         if t is Var:
             r = ONE
@@ -824,6 +850,11 @@ def diff(e: Expr, var: str) -> Expr:
             else:  # log
                 r = div(da, n.arg)
         d[n] = r
+        cached = getattr(n, "_d", None)
+        if cached is None:
+            _init(n, "_d", {var: r})
+        else:
+            cached[var] = r
     return d[e]
 
 

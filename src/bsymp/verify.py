@@ -33,25 +33,36 @@ The sections of one pair share its lifted action and its three checked
 connections, both kept on the pair, so a rerun on the same pair builds
 neither again.
 
-Where os.fork exists, `run_suite` on a group pair forks once before its
-first section, through `_fork.Fork`.  The child runs the four dynamics
-sections (flow-endpoint, slice-hold, order-factor, energy-drift), which
-integrate plain floats and never load numpy, while this process runs the
-other sections on the second processor.  The child returns each
-(residual, tolerance) as 8-byte doubles, which `_fork` sends through a
-pipe before the child leaves by os._exit, flushing no inherited stdio
-buffer; the report is assembled in the fixed section order and is
-byte-identical to the serial one.  A child that fails or reports
-incompletely leaves its sections to this process, which runs them again:
-they are deterministic, so one that raised there raises here with its
-real traceback.  If a section here raises, or a KeyboardInterrupt
-arrives, `_fork` kills and reaps the child before the exception
-propagates, so no process outlives `run_suite`.  Without os.fork every
-section runs here, the flow sections last, as they are listed.
+Where os.fork exists, `run_suite` on a group pair runs its sections in
+three processes, by each section's place in the section table
+(`_GROUP_TABLE`: FIRST, OWN or HERE), all forked through `_fork.Fork`:
+- FIRST: a child forked before the first section runs every section that
+  needs no numpy and reads nothing the sampled sections build: the exact
+  lie, commutator-match, bcalc and reduced-Jacobi sections and the four
+  dynamics ones, which integrate plain floats.  It never loads numpy,
+  so it stays small and starts no BLAS thread.
+- OWN: coupling-identity, the largest sampled section, whose coupling
+  maps nothing after it reads, runs in a second child, forked on reaching
+  it, so that child inherits the connections and splitting maps the two
+  sections before it built, and compiles the coupling maps away from
+  this process.
+- HERE: this process runs the other six sampled sections meanwhile.
+A bare algebra has no flows to run beside the rest: it forks nothing.
+Each child returns each (residual, tolerance) as 8-byte doubles, which
+`_fork` sends through a pipe before the child leaves by os._exit,
+flushing no inherited stdio buffer; the report is assembled in the fixed
+section order and is byte-identical to the serial one.  A child that
+fails or reports incompletely leaves its sections to this process, which
+runs them again: they are deterministic, so one that raised there raises
+here with its real traceback.  If a section here raises, or a
+KeyboardInterrupt arrives, `_fork` kills and reaps each child before the
+exception propagates, so no process outlives `run_suite`.  Without
+os.fork every section runs here, in order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import struct
@@ -132,11 +143,17 @@ def _sec_lp_jacobi(L: lie.LieAlgebra, seed):
     return L.lie_poisson.coordinate_jacobi_defect(), 1e-9
 
 
-ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
-    ("lie: antisymmetry", _sec_antisymmetry),
-    ("lie: Jacobi", _sec_jacobi),
-    ("lie: Lie-Poisson-Jacobi", _sec_lp_jacobi),
+# Where a group pair runs a section (see the module docstring): in the child
+# forked before the first section, in a child of its own forked on reaching
+# it, or here.  A bare algebra runs every section here.
+FIRST, OWN, HERE = "first child", "own child", "here"
+
+_ALGEBRA_TABLE = [  # title, section, where a group pair runs it
+    ("lie: antisymmetry", _sec_antisymmetry, FIRST),
+    ("lie: Jacobi", _sec_jacobi, FIRST),
+    ("lie: Lie-Poisson-Jacobi", _sec_lp_jacobi, FIRST),
 ]
+ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [(t, fn) for t, fn, _ in _ALGEBRA_TABLE]
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +162,14 @@ ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [
 
 def commutator_defect(L: lie.LieAlgebra, basis) -> Fraction:
     """Largest |c^k_ij| difference between L and the constants recomputed
-    from the commutators of basis matrices; exact, so a match is 0."""
+    from the commutators of basis matrices; exact, so a match is 0.
+
+    Only a stored row can be nonzero, so this reads the rows stored in
+    either algebra, an absent one as zero."""
     redone = lie.structure_constants_from_matrices(basis)
     worst = Fraction(0)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            a, b = L.c(i, j), redone.c(i, j)
-            worst = max([worst] + [abs(x - y) for x, y in zip(a, b)])
+    for i, j in L.constants.keys() | redone.constants.keys():
+        worst = max([worst, *(abs(x - y) for x, y in zip(L.c(i, j), redone.c(i, j)))])
     return worst
 
 
@@ -461,25 +479,29 @@ def _sec_energy_drift(pair, seed):
     return worst, 1e-6
 
 
-GROUP_SECTIONS: list[tuple[str, Callable]] = [
-    ("lie: commutator-match", _sec_commutator_match),
-    ("bcalc: derivative-squared", _sec_d_squared),
-    ("bcalc: log-derivative", _sec_log_derivative),
-    ("bcalc: normal-form-model", _sec_normal_form_model),
-    ("bcalc: canonical-layout", _sec_canonical_layout),
-    ("blift: action-law", _sec_action_law),
-    ("blift: moment-Hamilton", _sec_moment_hamilton),
-    ("blift: moment-equivariance", _sec_moment_equivariance),
-    ("reduction: connection-axioms", _sec_connection_axioms),
-    ("reduction: splitting-roundtrip", _sec_splitting_roundtrip),
-    ("reduction: coupling-identity", _sec_coupling_identity),
-    ("reduction: connection-independence", _sec_connection_independence),
-    ("reduction: reduced-Jacobi", _sec_reduced_jacobi),
-    ("dynamics: flow-endpoint", _sec_flow_endpoint),
-    ("dynamics: slice-hold", _sec_slice_hold),
-    ("dynamics: order-factor", _sec_order_factor),
-    ("dynamics: energy-drift", _sec_energy_drift),
+_GROUP_TABLE = [  # title, section, where a group pair runs it
+    ("lie: commutator-match", _sec_commutator_match, FIRST),
+    ("bcalc: derivative-squared", _sec_d_squared, FIRST),
+    ("bcalc: log-derivative", _sec_log_derivative, FIRST),
+    ("bcalc: normal-form-model", _sec_normal_form_model, FIRST),
+    ("bcalc: canonical-layout", _sec_canonical_layout, FIRST),
+    ("blift: action-law", _sec_action_law, HERE),
+    ("blift: moment-Hamilton", _sec_moment_hamilton, HERE),
+    ("blift: moment-equivariance", _sec_moment_equivariance, HERE),
+    ("reduction: connection-axioms", _sec_connection_axioms, HERE),
+    ("reduction: splitting-roundtrip", _sec_splitting_roundtrip, HERE),
+    ("reduction: coupling-identity", _sec_coupling_identity, OWN),
+    ("reduction: connection-independence", _sec_connection_independence, HERE),
+    ("reduction: reduced-Jacobi", _sec_reduced_jacobi, FIRST),
+    ("dynamics: flow-endpoint", _sec_flow_endpoint, FIRST),
+    ("dynamics: slice-hold", _sec_slice_hold, FIRST),
+    ("dynamics: order-factor", _sec_order_factor, FIRST),
+    ("dynamics: energy-drift", _sec_energy_drift, FIRST),
 ]
+# the (title, section) rows run_suite reads: a test or a tracer may replace
+# a section, which keeps the place of its title
+GROUP_SECTIONS: list[tuple[str, Callable]] = [(t, fn) for t, fn, _ in _GROUP_TABLE]
+_PLACE = {t: place for t, _, place in _ALGEBRA_TABLE + _GROUP_TABLE}
 
 
 def _run_section(fn, arg, seed) -> tuple[float, float]:
@@ -488,11 +510,31 @@ def _run_section(fn, arg, seed) -> tuple[float, float]:
     return (math.inf if resid > sys.float_info.max else float(resid)), float(tol)
 
 
+@contextlib.contextmanager
+def _child(run: Callable[[int], tuple[float, float]], ks: list[int],
+           results: dict[int, tuple[float, float]]):
+    """A `_fork.Fork` child that runs sections ks, none if ks is empty.  The
+    block gets whether one was forked; at its end, each (residual,
+    tolerance) the child reported as two 8-byte doubles goes into results."""
+    doubles = struct.Struct(f"{2 * len(ks)}d")
+
+    def work() -> list[bytes]:
+        return [doubles.pack(*(x for k in ks for x in run(k)))]
+
+    with _fork.Fork(work if ks else None) as child:
+        yield child.forked
+        data = child.read()
+    if len(data) == doubles.size:
+        values = doubles.unpack(data)
+        results.update(zip(ks, zip(values[::2], values[1::2])))
+
+
 def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
     """Run every applicable section for a group pair or a bare algebra; a
     bare algebra's matrix `basis`, if given, adds commutator-match last.
-    Where os.fork exists, a forked child runs the dynamics sections while
-    this process runs the rest (see the module docstring)."""
+    Where os.fork exists, a group pair's sections run in two forked
+    children and here, by their place in the section table (see the module
+    docstring)."""
     if isinstance(subject, lie.LieAlgebra):
         label, algebra, rest = "algebra(" + ",".join(subject.labels) + ")", subject, []
         if basis is not None:
@@ -502,26 +544,26 @@ def run_suite(subject, seed: int = 42, basis=None) -> VerifyReport:
         label, algebra, rest = subject.name, subject.group.algebra, GROUP_SECTIONS
     sections = [*((n, f, algebra) for n, f in ALGEBRA_SECTIONS),
                 *((n, f, subject) for n, f in rest)]
-    flows = [k for k, (n, _, _) in enumerate(sections) if n.startswith("dynamics: ")]
+    places = [HERE if subject is algebra else _PLACE[n] for n, _, _ in sections]
     results: dict[int, tuple[float, float]] = {}
-    doubles = struct.Struct(f"{2 * len(flows)}d")
 
-    def run_flows() -> list[bytes]:  # in the child: the results as 8-byte doubles
-        return [doubles.pack(*(x for k in flows for x in _run_section(*sections[k][1:], seed)))]
+    def run(k: int) -> tuple[float, float]:
+        return _run_section(*sections[k][1:], seed)
 
-    with _fork.Fork(run_flows if flows else None) as child:
-        for k, (_, fn, arg) in enumerate(sections):
-            if k not in flows:
-                results[k] = _run_section(fn, arg, seed)
-        data = child.read()
-        if len(data) == doubles.size:
-            values = doubles.unpack(data)
-            results.update(zip(flows, zip(values[::2], values[1::2])))
-    # the flow sections come last; here run those no child reported, which
-    # are deterministic, so one that raised there raises again with its
-    # traceback
-    for k in flows:
+    with contextlib.ExitStack() as children:
+        first = children.enter_context(
+            _child(run, [k for k, place in enumerate(places) if place is FIRST], results))
+        for k, place in enumerate(places):
+            if place is OWN:
+                forked = children.enter_context(_child(run, [k], results))
+            else:
+                forked = place is FIRST and first
+            if not forked:
+                results[k] = run(k)
+    # here run those no child reported, in order; they are deterministic,
+    # so one that raised there raises again with its traceback
+    for k in range(len(sections)):
         if k not in results:
-            results[k] = _run_section(*sections[k][1:], seed)
+            results[k] = run(k)
     return VerifyReport(label, seed, tuple(SectionResult(n, *results[k])
                                             for k, (n, _, _) in enumerate(sections)))

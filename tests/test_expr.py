@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -619,6 +620,39 @@ def test_diff_matches_full_walk_on_shared_dags():
             assert evaluate(got, env) == value or (math.isnan(value)
                                                   and math.isnan(evaluate(got, env)))
     assert absent > 500 and present > 500
+
+
+def test_cached_diff_is_the_object_an_uncached_walk_builds():
+    # diff caches each node's derivative by variable on the node; nodes are
+    # interned, so the cached tree is the very object a fresh walk builds.
+    # Random inner nodes are differentiated first, so each root's walk
+    # starts from a different set of cached nodes
+    import random
+    rng = random.Random(32)
+    kinds = set()
+    for k in range(300):
+        e = random_dag(rng, rng.randrange(4, 40))
+        nodes = expr._postorder((e,))
+        kinds.update(n.name if isinstance(n, expr.Fun) else type(n).__name__ for n in nodes)
+        for n in rng.sample(nodes, len(nodes) // 3):
+            v = rng.choice(VARS)
+            assert diff(n, v) is full_walk_diff(n, v)
+        for v in rng.sample(VARS, len(VARS)):
+            assert diff(e, v) is full_walk_diff(e, v)
+            assert diff(e, v) is full_walk_diff(e, v)
+    assert {"Div", "Pow", "sin", "cos", "exp", "log"} <= kinds
+
+
+def test_a_dropped_node_with_cached_derivatives_is_collected():
+    # exp's derivative refers back to the node through its cache: a cycle,
+    # which the collector frees once nothing else holds the node
+    e = expr.exp(Var("cached_x") * Var("cached_y"))
+    d = diff(e, "cached_x")
+    assert d is expr.Mul(e, Var("cached_y")) and diff(e, "cached_x") is d
+    dead = weakref.ref(e)
+    del e, d
+    gc.collect()
+    assert dead() is None
 
 
 def test_free_vars_of_deep_chain_do_not_recurse():

@@ -227,6 +227,32 @@ def test_verify_flow_sections_never_load_numpy(tmp_path):
                                        "dynamics: order-factor", "dynamics: energy-drift"], []]
 
 
+def test_verify_first_child_sections_never_load_numpy(tmp_path):
+    # verify's first child runs every section placed there: the exact
+    # sections and the four dynamics ones, none of which needs numpy
+    code = ("import json, sys\n"
+            "from bsymp import cli, lie, verify\n"
+            "pair = lie.builtin('galilean')\n"
+            "ran = []\n"
+            "for table, arg in ((verify.ALGEBRA_SECTIONS, pair.group.algebra),\n"
+            "                   (verify.GROUP_SECTIONS, pair)):\n"
+            "    for name, fn in table:\n"
+            "        if verify._PLACE[name] is verify.FIRST:\n"
+            "            fn(arg, 1)\n"
+            "            ran.append(name)\n"
+            "print(json.dumps([ran, sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n")
+    res = _run_script(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    ran, loaded = json.loads(res.stdout)
+    assert ran == ["lie: antisymmetry", "lie: Jacobi", "lie: Lie-Poisson-Jacobi",
+                   "lie: commutator-match", "bcalc: derivative-squared",
+                   "bcalc: log-derivative", "bcalc: normal-form-model",
+                   "bcalc: canonical-layout", "reduction: reduced-Jacobi",
+                   "dynamics: flow-endpoint", "dynamics: slice-hold",
+                   "dynamics: order-factor", "dynamics: energy-drift"]
+    assert loaded == []
+
+
 def test_verify_through_a_pipe_prints_one_report(tmp_path):
     # stdout as a pipe is block-buffered, so the line printed first is still
     # buffered when verify forks; the child leaves through os._exit and

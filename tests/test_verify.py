@@ -254,7 +254,7 @@ def test_forked_and_serial_reports_are_byte_identical(group, monkeypatch):
     pair = lie.builtin(group)
     forks = _counted_forks(monkeypatch)
     forked = [verify.run_suite(pair, seed).text() for seed in (1, 42, 106)]
-    assert len(forks) == 3
+    assert len(forks) == 6
     _no_child_left()
     monkeypatch.delattr(os, "fork")
     assert [verify.run_suite(pair, seed).text() for seed in (1, 42, 106)] == forked
@@ -279,7 +279,7 @@ def test_flow_section_raising_in_the_child_raises_here(monkeypatch):
         verify.run_suite(lie.builtin("se2"), 1)
     assert type(err.value) is ValueError and err.value.args == ("boom",)
     assert err.traceback[-1].name == "boom"
-    assert len(forks) == 1
+    assert len(forks) == 2
     _no_child_left()
 
 
@@ -300,7 +300,61 @@ def test_flow_sections_rerun_here_when_the_child_dies(monkeypatch):
     _replace_section(monkeypatch, "dynamics: energy-drift", killed_in_child)
     forks = _counted_forks(monkeypatch)
     assert verify.run_suite(pair, 1).text() == serial
-    assert len(forks) == 1
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def _logged_coupling(monkeypatch, tmp_path, fail):
+    """coupling-identity replaced by one that appends its process id to a
+    file, then calls fail(in_child); the file's path."""
+    here, calls = os.getpid(), tmp_path / "calls"
+    coupling = verify._sec_coupling_identity
+
+    def logged(pair, seed):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        fail(os.getpid() != here)
+        return coupling(pair, seed)
+
+    _replace_section(monkeypatch, "reduction: coupling-identity", logged)
+    return calls
+
+
+def _ran_in_its_child_then_here(calls):
+    child, parent = map(int, calls.read_text().split())
+    assert child != parent == os.getpid()
+
+
+def test_coupling_identity_reruns_here_when_its_child_is_killed(monkeypatch, tmp_path):
+    # coupling-identity runs in a second child, forked on reaching it
+    def killed_in_child(in_child):
+        if in_child:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    pair = lie.builtin("se2")
+    monkeypatch.delattr(os, "fork")
+    serial = verify.run_suite(pair, 1).text()
+    monkeypatch.undo()
+    calls = _logged_coupling(monkeypatch, tmp_path, killed_in_child)
+    forks = _counted_forks(monkeypatch)
+    assert verify.run_suite(pair, 1).text() == serial
+    assert len(forks) == 2
+    _ran_in_its_child_then_here(calls)
+    _no_child_left()
+
+
+def test_coupling_identity_raising_in_its_child_raises_here(monkeypatch, tmp_path):
+    def boom(in_child):
+        raise ValueError("coupling")
+
+    calls = _logged_coupling(monkeypatch, tmp_path, boom)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        verify.run_suite(lie.builtin("se2"), 1)
+    assert type(err.value) is ValueError and err.value.args == ("coupling",)
+    assert err.traceback[-1].name == "boom"
+    assert len(forks) == 2
+    _ran_in_its_child_then_here(calls)
     _no_child_left()
 
 

@@ -21,7 +21,7 @@ print()
 print("structure constants:")
 for i in range(len(alg.labels)):
     for j in range(i + 1, len(alg.labels)):
-        terms = [f"{v}*{alg.labels[k]}" for k, v in enumerate(alg.c(i, j)) if v]
+        terms = [f"{v}*{alg.labels[k]}" for k, v in sorted(alg.c(i, j).items())]
         print(f"  [{alg.labels[i]}, {alg.labels[j]}] = {' + '.join(terms) or '0'}")
 
 # lift left translation by the subgroup of translations to T*(chart)

@@ -6,7 +6,7 @@ iterable of bytes objects, to a pipe, then leaves through os._exit: it
 runs no atexit handler and flushes no file or stdio buffer it inherited,
 so nothing this process had buffered is written twice.  An exception in
 the child leaves with status 1.  Several may be open at once: a flow
-enters one per finished block of steps on its `dynamics.Handoff`, verify
+enters one per finished block of steps on its `contextlib.ExitStack`, verify
 one for its first sections and one for coupling-identity, and each child
 works on the snapshot of memory it was forked with.  `forked` tells
 whether there is a child.

@@ -21,6 +21,7 @@ environment variable) under a fixed per-command file name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -143,7 +144,7 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
     rows = spec.get("constants")
     if not isinstance(rows, list):
         raise ConfigError("group.constants must be a list of [i, j, k, value] rows")
-    constants: dict[tuple[int, int], list[Fraction]] = {}
+    constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for r, row in enumerate(rows):
         key = f"group.constants[{r}]"
         if not (isinstance(row, list) and len(row) == 4):
@@ -152,14 +153,14 @@ def _algebra_from_config(spec: dict) -> tuple[lie.LieAlgebra, list | None]:
         for idx in (i, j, k):
             if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < n:
                 raise ConfigError(f"{key}: index out of range in {row!r}")
-        constants.setdefault((i, j), [Fraction(0)] * n)[k] += _fraction(key, val)
+        got = constants.setdefault((i, j), {})
+        got[k] = got.get(k, 0) + _fraction(key, val)
     # fill the unstated orientation so sparse input stays antisymmetric
     for (i, j), rowv in list(constants.items()):
         if (j, i) not in constants:
-            constants[(j, i)] = [-v for v in rowv]
-    alg = lie.LieAlgebra(
-        labels=tuple(labels),
-        constants={k: tuple(v) for k, v in constants.items()})
+            constants[(j, i)] = {k: -v for k, v in rowv.items()}
+    alg = lie.LieAlgebra(labels=tuple(labels), constants={
+        key: {k: rowv[k] for k in sorted(rowv) if rowv[k]} for key, rowv in constants.items()})
     basis = None
     if "basis" in spec:
         raw = spec["basis"]
@@ -335,8 +336,7 @@ def cmd_describe(cfg: RunConfig, args) -> int:
         ]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            row = alg.c(i, j)
-            terms = [f"{v}*{alg.labels[k]}" for k, v in enumerate(row) if v]
+            terms = [f"{v}*{alg.labels[k]}" for k, v in sorted(alg.c(i, j).items()) if v]
             lines.append(
                 f"bracket[{alg.labels[i]},{alg.labels[j]}]: "
                 + (" + ".join(terms) if terms else "0"))
@@ -393,7 +393,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     casimirs = [(str(label), _coordinate_expr(f"flow.casimirs.{label}", text, names))
                 for label, text in fl.get("casimirs", {}).items()]
     vf = dyn.hamiltonian_vf(rp, H, phi_slot=m)
-    with dyn.Handoff() as handoff:  # children format finished blocks while the loop runs
+    with contextlib.ExitStack() as handoff:  # children format finished blocks while the loop runs
         try:
             tr = dyn.integrate(vf, x0, dt, T, method=fl.get("method", "rk4"),
                                casimirs=[e for _, e in casimirs],
@@ -438,7 +438,7 @@ def cmd_bracket_table(cfg: RunConfig, args) -> int:
         for j in range(i + 1, alg.dim):
             row = alg.c(i, j)
             buf.write(f"{alg.labels[i]},{alg.labels[j]},"
-                      + ",".join(str(v) for v in row) + "\n")
+                      + ",".join(str(row.get(k, 0)) for k in range(alg.dim)) + "\n")
     _write_out(key, path, lambda fh: fh.write(buf.getvalue()))
     print(f"wrote: {path}")
     return 0

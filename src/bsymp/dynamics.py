@@ -23,13 +23,13 @@ values, and the CSV's H and Casimir columns are those values: `write_csv`
 and `leaf_report` only read the trajectory.  Every step computes in
 plain floats, so a flow never imports numpy.
 
-Given a `Handoff`, `integrate` runs the loop in blocks of steps and forks
-a child through `_fork` for each finished block but the last, which
-formats the block's CSV lines on the second processor while the loop goes
-on; `write_csv` copies them and formats the last block here.  Without one
-(as in `verify`), or when the flow is too short for two blocks,
-`write_csv` forks a child for the second half of the rows.  Either way
-the bytes are those of a serial run.
+Given a `contextlib.ExitStack` as `handoff`, `integrate` runs the loop in
+blocks of steps and forks a child through `_fork` for each finished block
+but the last, which formats the block's CSV lines on the second processor
+while the loop goes on; `write_csv` copies them and formats the rest here.
+Without one (as in `verify`), or when the flow is too short for two
+blocks, `write_csv` formats every row here.  Either way the bytes are
+those of a serial run.
 """
 
 from __future__ import annotations
@@ -149,22 +149,10 @@ def _raise_invariant_error(exprs, names, x, t, err):
 
 
 MAX_STEPS = 10**6  # every row is kept in memory
-BLOCKS = 8  # a flow run with a Handoff: at most BLOCKS - 1 children at once
+BLOCKS = 8  # a flow run with a handoff: at most BLOCKS - 1 children at once
 # the fewest steps in a handed-off block: formatting 1000 rows takes 7-21 ms
 # on a 2-processor host, and forking a flow process about 1 ms
 BLOCK_STEPS = 1000
-
-
-class Handoff(contextlib.ExitStack):
-    """The owner of the children a flow hands its finished blocks of rows to.
-
-    `integrate(..., handoff=h)` enters a `_fork.Fork` child on h for each
-    block of steps but the last, which formats that block's CSV lines
-    while the loop goes on; `write_csv` copies them.  Leaving h kills
-    (SIGKILL) and reaps every child, done or not, whether the CSV was
-    written, the flow left the chart, a write failed or a
-    KeyboardInterrupt arrived, so no process outlives it.
-    """
 
 
 def step_count(dt: float, T: float) -> int:
@@ -288,7 +276,8 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
               method: str = "rk4", casimirs: Sequence[Expr] = (),
-              substitution: bool = False, handoff: Handoff | None = None) -> Trajectory:
+              substitution: bool = False,
+              handoff: contextlib.ExitStack | None = None) -> Trajectory:
     """Integrate vf from x0 over [0, T] with a fixed step.
 
     With substitution=True (requires phi_slot and a nonzero start there)
@@ -313,10 +302,12 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     With `handoff`, the function runs BLOCKS equal blocks of steps, fewer
     when a block would have less than BLOCK_STEPS, each from the state the
     one before ended in, so the rows are a whole run's bit for bit and a
-    step's time is its own.  After each block but the last, a child entered on `handoff`
-    formats the CSV lines of the rows finished since the block before;
-    the trajectory lists them in `handed_off`, for `write_csv`.  A raise
-    after some blocks leaves their children to `handoff`.
+    step's time is its own.  After each block but the last, a `_fork.Fork`
+    child entered on `handoff` formats the CSV lines of the rows finished
+    since the block before; the trajectory lists them in `handed_off`, for
+    `write_csv`.  Leaving `handoff` kills (SIGKILL) and reaps every child,
+    done or not, whether the CSV was written, the flow left the chart, a
+    write failed or a KeyboardInterrupt arrived, so no process outlives it.
     """
     steps = step_count(dt, T)
     if method not in ("rk4", "midpoint"):
@@ -464,36 +455,28 @@ def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
     ones the drifts are read from.  Floats are written with repr, which
     round-trips IEEE-754 doubles.
 
-    The rows come in parts, in order.  A flow run with a `Handoff` may
-    have handed each block but the last to a child, which formatted it
-    while the loop went on; this process formats the last block.  If
-    nothing was handed off, a child forked here through `_fork` formats
-    the second half while this process writes the first.  A child's lines
-    are copied into fh as they arrive, in 64 KiB reads, so every write to
-    fh is made here and the bytes equal a serial run's.  The rows a child did not deliver whole
-    (there is no os.fork, the child failed or its owner has ended it) are
-    formatted here, from the first one missing.  The child forked here is
-    killed and reaped before this returns or raises.
+    The rows come in parts, in order.  A flow run with a handoff may have
+    handed each block but the last to a child, which formatted it while
+    the loop went on; the rows not handed off are formatted here.  A
+    child's lines are copied into fh as they arrive, in 64 KiB reads, so
+    every write to fh is made here and the bytes equal a serial run's.
+    The rows a child did not deliver whole (there is no os.fork, the child
+    failed or its owner has ended it) are formatted here, from the first
+    one missing.  This function forks nothing itself.
     """
     n, nv = len(traj.names), len(labels) + 1
     if len(traj.invariants) * n != len(traj.rows) * nv:
         raise ValueError("write_csv needs one label per Casimir")
-    count = len(traj.rows) // n
-    handed, half = traj.handed_off, count // 2
-    work = None if handed else functools.partial(_csv_chunks, traj, nv, half, count)
-    with _fork.Fork(work) as mine:
-        if handed:  # the children's blocks, then the last block here
-            parts = [*handed, (handed[-1][1], count, None)]
-        else:  # the first half here while this process's child formats the second
-            parts = [(0, half, None), (half, count, mine)]
-        fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
-        for start, stop, child in parts:
-            done, part = start, b""
-            while child is not None and (piece := child.read(1 << 16)):
-                part += piece
-                whole = part.rfind(b"\n") + 1
-                fh.write(part[:whole].decode())
-                done += part.count(b"\n", 0, whole)
-                part = part[whole:]
-            for line in _csv_lines(traj, nv, done, stop):
-                fh.write(line)
+    handed = traj.handed_off
+    rest = (handed[-1][1] if handed else 0, len(traj.rows) // n, None)
+    fh.write("t," + ",".join([*traj.names, "H", *labels]) + "\n")
+    for start, stop, child in [*handed, rest]:
+        done, part = start, b""
+        while child is not None and (piece := child.read(1 << 16)):
+            part += piece
+            whole = part.rfind(b"\n") + 1
+            fh.write(part[:whole].decode())
+            done += part.count(b"\n", 0, whole)
+            part = part[whole:]
+        for line in _csv_lines(traj, nv, done, stop):
+            fh.write(line)

@@ -1,7 +1,10 @@
 """Lie algebras and matrix group charts with exact rational skeletons.
 
 Structure constants are always exact Fractions, derived from matrix
-commutators read at the pivot entries of the basis span.  Group charts are
+commutators read at the pivot entries of the basis span, and stored in one
+sparse row form: `LieAlgebra.constants[(i, j)]` is {k: c^k_ij}, and an
+absent pair or k reads as zero, so every reader walks the stored entries
+only.  Group charts are
 expression-valued matrices; multiplication, inversion and the splittings
 used downstream are closed-form expression maps, so every derived object
 (infinitesimal generators, connections, momenta) comes out of exact
@@ -117,52 +120,52 @@ class _Span:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Structure constants c^k_ij (exact) over a labelled basis."""
+    """Structure constants c^k_ij (exact) over a labelled basis.
+
+    `constants` maps (i, j) to the row {k: c^k_ij}, so [e_i, e_j] =
+    sum_k c^k_ij e_k; an absent pair, or an absent k, reads as zero."""
 
     labels: tuple[str, ...]
-    constants: dict[tuple[int, int], tuple[Fraction, ...]]  # (i, j) -> c^._ij
+    constants: dict[tuple[int, int], dict[int, Fraction]]  # (i, j) -> {k: c^k_ij}
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def c(self, i: int, j: int) -> tuple[Fraction, ...]:
-        zero = tuple([Fraction(0)] * self.dim)
-        return self.constants.get((i, j), zero)
+    def c(self, i: int, j: int) -> dict[int, Fraction]:
+        """The stored row {k: c^k_ij}, or {} when [e_i, e_j] = 0."""
+        return self.constants.get((i, j), {})
 
     def antisymmetry_defect(self) -> Fraction:
         """Max |c^k_ij + c^k_ji| over all i, j, k; exact.
 
         Only a stored row can be nonzero, so this reads each stored (i, j)
-        against its transpose, zero when that is not stored; a stored
-        diagonal row (i, i) reads as 2 c^k_ii."""
+        against its transpose over the union of their k; a stored diagonal
+        row (i, i) reads as 2 c^k_ii."""
         worst = Fraction(0)
         for (i, j), row in self.constants.items():
-            worst = max([worst, *(abs(a + b) for a, b in zip(row, self.c(j, i)))])
+            back = self.c(j, i)
+            worst = max([worst, *(abs(row.get(k, 0) + back.get(k, 0))
+                                  for k in row.keys() | back.keys())])
         return worst
 
     def jacobi_defect(self) -> Fraction:
-        """Max |coefficient| of [[e_i,e_j],e_k] + cyclic over all triples; exact.
-
-        [e_a, e_b] is the constants row c(a, b), read with its zeros skipped."""
-        rows = {key: {k: v for k, v in enumerate(row) if v}
-                for key, row in self.constants.items()}
-        return _cyclic_defect(rows, self.dim)
+        """Max |coefficient| of [[e_i,e_j],e_k] + cyclic over all triples; exact."""
+        return _cyclic_defect(self.constants, self.dim)
 
     @cached_property
     def lie_poisson(self) -> PoissonBivector:
         """The minus Lie-Poisson bivector on the dual, over `dual_names`:
-        {mu_i, mu_j} = -sum_k c^k_ij mu_k."""
+        {mu_i, mu_j} = -sum_k c^k_ij mu_k, the stored pairs i < j in order."""
         names = dual_names(self)
         entries: dict[tuple[int, int], Expr] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                acc = ZERO
-                for k, ck in enumerate(self.c(i, j)):
-                    if ck:
-                        acc = acc - Const(Fraction(ck)) * Var(names[k])
-                if not ex.is_zero(acc):
-                    entries[(i, j)] = acc
+        for i, j in sorted(key for key in self.constants if key[0] < key[1]):
+            acc = ZERO
+            for k, ck in sorted(self.c(i, j).items()):
+                if ck:
+                    acc = acc - Const(Fraction(ck)) * Var(names[k])
+            if not ex.is_zero(acc):
+                entries[(i, j)] = acc
         return PoissonBivector(names, entries)
 
 
@@ -180,7 +183,7 @@ def structure_constants_from_matrices(basis: Sequence | _Span) -> LieAlgebra:
     for E, by_row in zip(span.basis, rows):
         for (t, c), w in E.items():
             by_row.setdefault(t, []).append((c, w))
-    constants: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(d):
         for j in range(d):
             if i == j:
@@ -191,9 +194,8 @@ def structure_constants_from_matrices(basis: Sequence | _Span) -> LieAlgebra:
                 for (r, t), v in span.basis[a].items():
                     for c, w in rows[b].get(t, ()):
                         comm[r, c] = comm.get((r, c), 0) + sign * v * w
-            coeffs = span.coords(comm)
-            if any(v != 0 for v in coeffs):
-                constants[(i, j)] = tuple(coeffs)
+            if row := {k: v for k, v in enumerate(span.coords(comm)) if v}:
+                constants[(i, j)] = row
     labels = tuple(f"e{i + 1}" for i in range(d))
     return LieAlgebra(labels=labels, constants=constants)
 
@@ -354,15 +356,25 @@ def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
 
 def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr]]:
     """[Ad_g]^b_a with Ad_g e_a = sum_b [Ad]_{b,a} e_b, entries as expressions,
-    read from the pivot entries of g E_a g^-1 (`_Span`)."""
+    read from the pivot entries of g E_a g^-1 (`_Span`).
+
+    g E_a is formed over E_a's nonzero entries only: column t of row r is
+    the sum over the rows s of E_a's column t, in ascending order.  A zero
+    term drops out of `ex.dot` and nodes are interned, so every entry is
+    the very node the dense product builds."""
     chart = G.chart_fn(list(params))
     chart_inv = G.chart_fn(G.inv_fn(list(params)))
     span = G.span
-    m = G.matrix_dim
     cols = []
-    for Ea in G.basis:
-        left = _emat_mul(chart, [[Const(v) for v in row] for row in Ea])
-        at = [ex.dot(left[r], [chart_inv[t][c] for t in range(m)]) for r, c in span.pivots]
+    for E in span.basis:
+        by_col: dict[int, list] = {}  # t -> [(s, E_a[s][t])], t and s ascending
+        for (s, t), w in sorted(E.items(), key=lambda kv: kv[0][::-1]):
+            by_col.setdefault(t, []).append((s, Const(w)))
+        at = []
+        for r, c in span.pivots:
+            left = [ex.dot([chart[r][s] for s, _ in col], [w for _, w in col])
+                    for col in by_col.values()]
+            at.append(ex.dot(left, [chart_inv[t][c] for t in by_col]))
         cols.append([ex.dot([w for _, w in row], [at[i] for i, _ in row]) for row in span.weights])
     return [list(col) for col in zip(*cols)]  # [b][a]
 

@@ -165,11 +165,12 @@ def commutator_defect(L: lie.LieAlgebra, basis) -> Fraction:
     from the commutators of basis matrices; exact, so a match is 0.
 
     Only a stored row can be nonzero, so this reads the rows stored in
-    either algebra, an absent one as zero."""
+    either algebra over the union of their k, an absent one as zero."""
     redone = lie.structure_constants_from_matrices(basis)
     worst = Fraction(0)
     for i, j in L.constants.keys() | redone.constants.keys():
-        worst = max([worst, *(abs(x - y) for x, y in zip(L.c(i, j), redone.c(i, j)))])
+        a, b = L.c(i, j), redone.c(i, j)
+        worst = max([worst, *(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys())])
     return worst
 
 

@@ -92,7 +92,7 @@ def test_criterion_5_exact_algebra():
     # the translation subalgebra of the plane motions is abelian, so the
     # dual structure on it vanishes identically
     h = lie.builtin("se2").h_algebra
-    assert all(v == 0 for row in h.constants.values() for v in row)
+    assert all(v == 0 for row in h.constants.values() for v in row.values())
     names = lie.dual_names(h)
     sym = h.lie_poisson.bracket(Var(names[0]), Var(names[1]))
     assert isinstance(sym, Const) and sym.value == 0

@@ -49,6 +49,25 @@ def test_describe_custom_algebra(tmp_path, capsys):
     assert "bracket[X,Y]: 1*Z" in out
 
 
+def test_cancelling_constants_read_as_zero(tmp_path, capsys):
+    # [X,Y] is stated twice and sums to 0: it prints as 0, its table row is
+    # zeros, the Lie-Poisson bivector has no (X, Y) entry, and verify passes
+    spec = {"labels": ["X", "Y", "Z"], "constants": [[0, 1, 2, 1], [0, 1, 2, -1], [0, 2, 1, "1/2"]]}
+    cfg = write_config(tmp_path, {"group": spec})
+    assert cli.main(["describe", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        "name: algebra(X,Y,Z)\nsummary: dim g=3, no group chart\nlabels: X,Y,Z\n"
+        "bracket[X,Y]: 0\nbracket[X,Z]: 1/2*Y\nbracket[Y,Z]: 0\n")
+    out = tmp_path / "t.csv"
+    assert cli.main(["bracket-table", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == "i,j,X,Y,Z\nX,Y,0,0,0\nX,Z,0,1/2,0\nY,Z,0,0,0\n"
+    alg, _ = cli._algebra_from_config(spec)
+    assert list(alg.lie_poisson.entries) == [(0, 2)]
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out.endswith("result: pass\n")
+
+
 def test_group_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"group": SO3})
     assert cli.main(["describe", "--config", cfg, "--group", "galilean"]) == 0
@@ -572,7 +591,7 @@ FLOW_CSV_CASES = {
 def test_flow_csv_is_the_serial_csv(case, fork, tmp_path, capsys, monkeypatch):
     # a flow forks a child per block but the last while it runs, blocks of
     # at least BLOCK_STEPS, at most BLOCKS of them; a flow too short for two
-    # hands nothing off, and write_csv forks one for its second half
+    # hands nothing off and forks nothing
     from test_dynamics import serial_csv
     trajectories, forks = [], []
     integrate, fork_ = dyn.integrate, getattr(os, "fork", None)
@@ -598,7 +617,7 @@ def test_flow_csv_is_the_serial_csv(case, fork, tmp_path, capsys, monkeypatch):
     labels = list(data.get("flow", {}).get("casimirs", {}))
     assert out.read_text() == serial_csv(tr, labels)
     blocks = max(1, min(dyn.BLOCKS, (len(tr.times) - 1) // dyn.BLOCK_STEPS))
-    assert len(forks) == (0 if not fork else 1 if blocks == 1 else blocks - 1)
+    assert len(forks) == (0 if not fork else blocks - 1)
     _no_child_left()
 
 

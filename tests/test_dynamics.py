@@ -6,6 +6,7 @@ phi' = phi p with p frozen.  Everything else is a structural property of
 the stepper (exact holds, drift bounds, convergence order).
 """
 
+import contextlib
 import errno
 import io
 import math
@@ -544,8 +545,8 @@ def test_times_strictly_increasing_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# write_csv: rows formatted in forked children, the blocks a flow handed
-# off while it ran or else the second half
+# write_csv: rows formatted here, after those a flow handed off to its
+# children while it ran
 
 
 def serial_csv(tr, labels=()):
@@ -619,81 +620,10 @@ def test_forked_and_serial_csv_are_byte_identical(case, monkeypatch):
         assert len(tr.times) == int(case[0])
     forks = counted_forks(monkeypatch)
     forked = csv_text(tr, labels)
-    assert len(forks) == 1
+    assert len(forks) == 0
     no_child_left()
     monkeypatch.delattr(os, "fork")
     assert csv_text(tr, labels) == forked == serial_csv(tr, labels)
-
-
-@pytest.mark.parametrize("how", ["killed", "raised"])
-def test_csv_child_that_fails_leaves_its_half_here(how, monkeypatch):
-    tr, labels = galilean_2000_steps()
-    here = os.getpid()
-    lines = dyn._csv_lines
-
-    def failing_in_child(*args):
-        if os.getpid() != here:
-            if how == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ValueError("in the child")
-        return lines(*args)
-
-    monkeypatch.setattr(dyn, "_csv_lines", failing_in_child)
-    forks = counted_forks(monkeypatch)
-    assert csv_text(tr, labels) == serial_csv(tr, labels)
-    assert len(forks) == 1
-    no_child_left()
-
-
-def test_csv_child_killed_mid_copy_leaves_the_rest_here(monkeypatch):
-    # the child has formatted its 1001 rows, about 280 kB, and is blocked
-    # writing them to the pipe when it is killed, after the first 64 KiB
-    # piece was copied: this process formats the rows from the first one
-    # that did not arrive whole
-    tr, labels = galilean_2000_steps()
-    here = os.getpid()
-    starts = []
-    lines = dyn._csv_lines
-
-    def recorded(traj, nv, start, stop):
-        if os.getpid() == here:
-            starts.append(start)
-        return lines(traj, nv, start, stop)
-
-    monkeypatch.setattr(dyn, "_csv_lines", recorded)
-    pids = []
-    fork = os.fork
-
-    def forked():
-        pids.append(fork())
-        return pids[-1]
-
-    monkeypatch.setattr(os, "fork", forked)
-
-    class KillingFile(io.StringIO):
-        writes = 0
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes == 1002:  # the header and 1000 rows came first
-                os.kill(pids[0], signal.SIGKILL)
-            return super().write(text)
-
-    fh = KillingFile()
-    dyn.write_csv(tr, fh, labels)
-    assert fh.getvalue() == serial_csv(tr, labels)
-    assert len(pids) == 1 and starts[0] == 0 and 1000 < starts[1] < 2001
-    no_child_left()
-
-
-def test_csv_refused_fork_is_written_here(monkeypatch):
-    tr, labels = galilean_2000_steps()
-
-    def refused():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refused)
-    assert csv_text(tr, labels) == serial_csv(tr, labels)
 
 
 class FailingFile(io.StringIO):
@@ -708,22 +638,8 @@ class FailingFile(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
-                                 KeyboardInterrupt()])
-@pytest.mark.parametrize("after", [5, 1002])
-def test_failed_csv_write_reaps_the_child(exc, after, monkeypatch):
-    # the header and 1000 rows are 1001 writes: after 5 the child is still
-    # formatting; after 1002 its second 64 KiB piece is being copied
-    tr, labels = galilean_2000_steps()
-    forks = counted_forks(monkeypatch)
-    with pytest.raises(type(exc)):
-        dyn.write_csv(tr, FailingFile(exc, after), labels)
-    assert len(forks) == 1
-    no_child_left()
-
-
 # ---------------------------------------------------------------------------
-# integrate with a Handoff: the loop runs in blocks, and a child formats
+# integrate with a handoff: the loop runs in blocks, and a child formats
 # each finished block but the last while the next ones run
 
 FLOW_KINDS = {"rk4": {}, "midpoint": {"method": "midpoint"},
@@ -751,7 +667,7 @@ def test_blocked_run_is_the_whole_run(kind, steps, block_steps, monkeypatch):
     whole = dyn.integrate(*args, **kw)
     monkeypatch.setattr(dyn, "BLOCK_STEPS", block_steps)
     forks = counted_forks(monkeypatch)
-    with dyn.Handoff() as handoff:
+    with contextlib.ExitStack() as handoff:
         blocked = dyn.integrate(*args, handoff=handoff, **kw)
         parts = [(start, stop) for start, stop, _ in blocked.handed_off]
     no_child_left()
@@ -770,7 +686,7 @@ def test_blocked_run_is_the_whole_run(kind, steps, block_steps, monkeypatch):
 def test_blocked_run_without_fork_is_the_whole_run(small_blocks, monkeypatch):
     tr, labels = galilean_2000_steps()
     monkeypatch.delattr(os, "fork")
-    with dyn.Handoff() as handoff:
+    with contextlib.ExitStack() as handoff:
         blocked, _ = galilean_2000_steps(handoff)
         assert len(blocked.handed_off) == dyn.BLOCKS - 1
         assert csv_text(blocked, labels) == serial_csv(tr, labels)
@@ -786,7 +702,7 @@ def test_chart_exit_after_handed_off_blocks_leaves_no_child(monkeypatch):
         dyn.integrate(*args)
     forks = counted_forks(monkeypatch)
     with pytest.raises(dyn.ChartExitError) as blocked:
-        with dyn.Handoff() as handoff:
+        with contextlib.ExitStack() as handoff:
             dyn.integrate(*args, handoff=handoff)
     assert (str(blocked.value), blocked.value.time) == (str(whole.value), whole.value.time)
     assert whole.value.time == pytest.approx(0.5002) and len(forks) == 5
@@ -807,16 +723,16 @@ def test_interrupt_during_blocked_run_reaps_every_child(small_blocks, monkeypatc
     monkeypatch.setattr(_fork, "Fork", Interrupted)
     forks = counted_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
-        with dyn.Handoff() as handoff:
+        with contextlib.ExitStack() as handoff:
             galilean_2000_steps(handoff)
     assert len(forks) == 3
     no_child_left()
 
 
 def handed_off_csv(fh=None):
-    """galilean_2000_steps run with a Handoff, and its CSV written while
+    """galilean_2000_steps run with a handoff, and its CSV written while
     the children are alive."""
-    with dyn.Handoff() as handoff:
+    with contextlib.ExitStack() as handoff:
         tr, labels = galilean_2000_steps(handoff)
         fh = io.StringIO() if fh is None else fh
         dyn.write_csv(tr, fh, labels)

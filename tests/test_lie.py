@@ -34,9 +34,10 @@ def test_oracle_sl2():
     f = [[0, 0], [1, 0]]
     h = [[1, 0], [0, -1]]
     L = lie.structure_constants_from_matrices([e, f, h])
-    assert L.c(2, 0) == (Fraction(2), Fraction(0), Fraction(0))
-    assert L.c(2, 1) == (Fraction(0), Fraction(-2), Fraction(0))
-    assert L.c(0, 1) == (Fraction(0), Fraction(0), Fraction(1))
+    assert L.c(2, 0) == {0: Fraction(2)}
+    assert L.c(2, 1) == {1: Fraction(-2)}
+    assert L.c(0, 1) == {2: Fraction(1)}
+    assert L.c(0, 0) == {}
     assert L.antisymmetry_defect() == 0
     assert L.jacobi_defect() == 0
 
@@ -48,7 +49,7 @@ def test_oracle_rational_entries():
     h = [[Fraction(1, 2), 0], [0, Fraction(-1, 2)]]
     L = lie.structure_constants_from_matrices([e, f, h])
     # [e,f] = (2/15) diag(1,-1) = (4/15) h
-    assert L.c(0, 1) == (Fraction(0), Fraction(0), Fraction(4, 15))
+    assert L.c(0, 1) == {2: Fraction(4, 15)}
     assert L.jacobi_defect() == 0
 
 
@@ -115,7 +116,7 @@ def dense_structure_constants(basis):
                     for r in range(m) for c in range(m)]
             coeffs = [sum(pinv[a][q] * flat[q] for q in range(m * m)) for a in range(d)]
             if any(v != 0 for v in coeffs):
-                constants[(i, j)] = tuple(coeffs)
+                constants[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
     return constants
 
 
@@ -126,7 +127,7 @@ def test_sparse_structure_constants_equal_dense(name):
         got = lie.structure_constants_from_matrices(G.basis).constants
         want = dense_structure_constants(G.basis)
         assert got == want
-        assert all(type(v) is Fraction for row in got.values() for v in row)
+        assert all(type(v) is Fraction for row in got.values() for v in row.values())
 
 
 def test_antisymmetry_defect_catches_corruption():
@@ -148,9 +149,9 @@ def reference_antisymmetry_defect(L):
         for j in range(L.dim):
             ci, cj = L.c(i, j), L.c(j, i)
             for k in range(L.dim):
-                worst = max(worst, abs(ci[k] + cj[k]))
+                worst = max(worst, abs(ci.get(k, 0) + cj.get(k, 0)))
                 if i == j:
-                    worst = max(worst, abs(ci[k]))
+                    worst = max(worst, abs(ci.get(k, 0)))
     return worst
 
 
@@ -158,11 +159,11 @@ def test_antisymmetry_defect_matches_the_dense_loop():
     for name in [*ALL_BUILTINS, "heisenberg_q(8)"]:
         for L in (lie.builtin(name).group.algebra, lie.builtin(name).h_algebra):
             assert L.antisymmetry_defect() == reference_antisymmetry_defect(L) == 0
-    z, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
-    missing = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): (z, z, one), (1, 0): (z, z, -one),
-                                               (1, 2): (-half, z, z)})
-    diagonal = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): (z, z, one), (1, 0): (z, z, -one),
-                                                (2, 2): (z, -half, z)})
+    one, half = Fraction(1), Fraction(1, 2)
+    missing = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): {2: one}, (1, 0): {2: -one},
+                                               (1, 2): {0: -half}})
+    diagonal = lie.LieAlgebra(("X", "Y", "Z"), {(0, 1): {2: one}, (1, 0): {2: -one},
+                                                (2, 2): {1: -half}})
     for L, want in [(missing, half), (diagonal, one), *((L, None) for L in corrupted_tables())]:
         got = L.antisymmetry_defect()
         assert got == reference_antisymmetry_defect(L), L.constants
@@ -172,11 +173,9 @@ def test_antisymmetry_defect_matches_the_dense_loop():
 def test_jacobi_defect_catches_corruption():
     L = lie.builtin("galilean").group.algebra
     bad = dict(L.constants)
-    row = list(L.c(0, 1))  # [J1,J2] = J3
-    row[2] = Fraction(0)
-    row[3] = Fraction(1)  # pretend [J1,J2] = K1
-    bad[(0, 1)] = tuple(row)
-    bad[(1, 0)] = tuple(-v for v in row)
+    assert L.c(0, 1) == {2: 1}  # [J1,J2] = J3
+    bad[(0, 1)] = {3: Fraction(1)}  # pretend [J1,J2] = K1
+    bad[(1, 0)] = {3: Fraction(-1)}
     corrupted = lie.LieAlgebra(labels=L.labels, constants=bad)
     assert corrupted.jacobi_defect() > 0
 
@@ -187,9 +186,8 @@ def bracket(L, X, Y):
     for (i, j), row in L.constants.items():
         coef = X[i] * Y[j]
         if coef:
-            for k, v in enumerate(row):
-                if v:
-                    out[k] = out[k] + coef * v
+            for k, v in row.items():
+                out[k] = out[k] + coef * v
     return out
 
 
@@ -216,17 +214,16 @@ def corrupted_tables():
     one with constants of 10^200, one with a diagonal entry [Y,Y]."""
     gal = lie.builtin("galilean").group.algebra
     swapped = dict(gal.constants)
-    row = list(gal.c(0, 1))
-    row[2], row[3] = Fraction(0), Fraction(1)
-    swapped[(0, 1)] = tuple(row)
-    swapped[(1, 0)] = tuple(-v for v in row)
+    assert gal.c(0, 1) == {2: 1}
+    swapped[(0, 1)] = {3: Fraction(1)}
+    swapped[(1, 0)] = {3: Fraction(-1)}
     one_sign = dict(gal.constants)
     one_sign[(4, 0)] = gal.c(0, 4)
-    c, z, one, third = Fraction(10 ** 200), Fraction(0), Fraction(1), Fraction(1, 3)
-    big = {(0, 1): (c, z, z), (1, 0): (-c, z, z), (1, 2): (z, c, z), (2, 1): (z, -c, z)}
-    diagonal = {(0, 1): (z, z, one), (1, 0): (z, z, -one),
-                (1, 2): (one, z, third), (2, 1): (-one, z, -third),
-                (2, 0): (z, one, z), (0, 2): (z, -one, z), (1, 1): (third, z, z)}
+    c, one, third = Fraction(10 ** 200), Fraction(1), Fraction(1, 3)
+    big = {(0, 1): {0: c}, (1, 0): {0: -c}, (1, 2): {1: c}, (2, 1): {1: -c}}
+    diagonal = {(0, 1): {2: one}, (1, 0): {2: -one},
+                (1, 2): {0: one, 2: third}, (2, 1): {0: -one, 2: -third},
+                (2, 0): {1: one}, (0, 2): {1: -one}, (1, 1): {0: third}}
     return [lie.LieAlgebra(gal.labels, swapped), lie.LieAlgebra(gal.labels, one_sign),
             lie.LieAlgebra(("X", "Y", "Z"), big), lie.LieAlgebra(("X", "Y", "Z"), diagonal)]
 
@@ -520,6 +517,52 @@ def test_adjoint_sym_is_exact_conjugation(name):
                     for r in range(m) for c in range(m)]
             assert back == flat
             assert [got[b][a] for b in range(d)] == want
+
+
+def dense_adjoint_sym(G):
+    """[Ad_g]^b_a with every entry of chart * E_a formed by `ex.dot` over
+    all m terms, zeros included, then read at the pivots of its product
+    with chart^-1: the dense product `adjoint_matrix_sym` replaced."""
+    chart = G.chart_fn(G.param_vars)
+    chart_inv = G.chart_fn(G.inv_fn(G.param_vars))
+    m = G.matrix_dim
+    cols = []
+    for E in G.basis:
+        left = [[ex.dot(chart[r], [ex.Const(E[t][c]) for t in range(m)]) for c in range(m)]
+                for r in range(m)]
+        at = [ex.dot(left[r], [chart_inv[t][c] for t in range(m)]) for r, c in G.span.pivots]
+        cols.append([ex.dot([w for _, w in row], [at[i] for i, _ in row])
+                     for row in G.span.weights])
+    return [list(col) for col in zip(*cols)]
+
+
+def sheared_se2():
+    """se2 with the translation basis E_02, E_02 + E_12: the second has two
+    entries in one column, so the order its rows are summed in shows."""
+    se2 = lie.builtin("se2").group
+    to = lambda p: [p[0] + p[1], p[1], p[2]]
+    back = lambda q: [q[0] - q[1], q[1], q[2]]
+    return lie.MatrixGroup(
+        name="sheared se2", param_names=("s1", "s2", "phi"), labels=("A", "B", "J"),
+        chart_fn=lambda p: se2.chart_fn(to(p)), mul_fn=lambda p, q: back(se2.mul_fn(to(p), to(q))),
+        inv_fn=lambda p: back(se2.inv_fn(to(p))),
+        params_from_matrix=lambda M: np.array(back(list(se2.params_from_matrix(M)))),
+        wrap=se2.wrap, box=se2.box)
+
+
+@pytest.mark.parametrize("name", [*ALL_BUILTINS, "heisenberg_q(8)", "sheared se2"])
+def test_adjoint_sym_entries_are_the_dense_product_nodes(name):
+    # E_a's zero entries drop out of ex.dot and nodes are interned, so the
+    # product over E_a's nonzero entries builds the very same nodes
+    groups = ([sheared_se2()] if name == "sheared se2"
+              else [lie.builtin(name).group, lie.builtin(name).h_group])
+    for G in groups:
+        got, want = G.adjoint_sym, dense_adjoint_sym(G)
+        assert len(got) == len(want) == G.dim
+        for row, ref in zip(got, want):
+            assert len(row) == len(ref) and all(a is b for a, b in zip(row, ref))
+    if name == "sheared se2":
+        assert G.span.basis[1] == {(0, 2): 1, (1, 2): 1}
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,10 @@ def test_exact_residual_past_the_float_range_fails():
     # [X, Y] = cX, [Y, Z] = cY: both the algebra's Jacobi defect and the
     # Lie-Poisson bivector's coordinate Jacobiator carry c^2, past the float
     # range; each reads inf and fails, with no OverflowError
-    c, z = Fraction(10 ** 200), Fraction(0)
+    c = Fraction(10 ** 200)
     alg = lie.LieAlgebra(labels=("X", "Y", "Z"),
-                         constants={(0, 1): (c, z, z), (1, 0): (-c, z, z),
-                                    (1, 2): (z, c, z), (2, 1): (z, -c, z)})
+                         constants={(0, 1): {0: c}, (1, 0): {0: -c},
+                                    (1, 2): {1: c}, (2, 1): {1: -c}})
     assert alg.jacobi_defect() == c * c
     rep = verify.run_suite(alg, 42)
     assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
@@ -84,7 +84,7 @@ def test_exact_residual_past_the_float_range_fails():
     # coordinate triple, so it is Poisson and only antisymmetry fails
     c = Fraction(17 * 10 ** 307)
     alg = lie.LieAlgebra(labels=("X", "Y"),
-                         constants={(0, 1): (c, Fraction(0)), (1, 0): (c, Fraction(0))})
+                         constants={(0, 1): {0: c}, (1, 0): {0: c}})
     rep = verify.run_suite(alg, 42)
     assert [(s.name, s.residual) for s in rep.sections if not s.ok] == [
         ("lie: antisymmetry", math.inf)]
@@ -429,12 +429,12 @@ def test_failing_section_is_named():
     bad = lie.LieAlgebra(
         labels=("X", "Y", "Z"),
         constants={
-            (0, 1): (Fraction(0), Fraction(0), Fraction(1)),
-            (1, 0): (Fraction(0), Fraction(0), Fraction(-1)),
-            (1, 2): (Fraction(1), Fraction(0), Fraction(1)),
-            (2, 1): (Fraction(-1), Fraction(0), Fraction(-1)),
-            (2, 0): (Fraction(0), Fraction(1), Fraction(0)),
-            (0, 2): (Fraction(0), Fraction(-1), Fraction(0)),
+            (0, 1): {2: Fraction(1)},
+            (1, 0): {2: Fraction(-1)},
+            (1, 2): {0: Fraction(1), 2: Fraction(1)},
+            (2, 1): {0: Fraction(-1), 2: Fraction(-1)},
+            (2, 0): {1: Fraction(1)},
+            (0, 2): {1: Fraction(-1)},
         })
     rep = verify.run_suite(bad)
     assert not rep.passed

@@ -1,11 +1,12 @@
 """numpy, imported at its first attribute access.
 
 Importing numpy is most of the start-up of `import bsymp.cli`, yet the
-exact commands (`describe`, `bracket-table`) never read a float array,
-and `flow` computes and stores plain floats.  Every bsymp module that
-uses numpy takes it from here, `from ._numpy import np`, so the import
-runs only when a float path first reads an attribute of `np` (`verify`,
-`reduce`); after that `np` is numpy itself.
+exact commands (`describe`, `bracket-table`, a default `reduce`) never
+read a float array, and `flow` computes and stores plain floats.  Every
+bsymp module that uses numpy takes it from here, `from ._numpy import
+np`, so the import runs only when a float path first reads an attribute
+of `np` (`verify`, a `reduce` that checks a configured connection);
+after that `np` is numpy itself.
 """
 
 from __future__ import annotations

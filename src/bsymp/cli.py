@@ -262,9 +262,9 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _connection(cfg: RunConfig):
+    """The configured connection, built and axiom-checked; a ConfigError if
+    it does not fit the group or fails its axioms."""
     pair = cfg.pair
-    if cfg.connection is None:
-        return red.make_connection(pair)
     spec = cfg.connection
     xi = spec["xi"]
     if len(xi) != len(pair.h_names):
@@ -353,7 +353,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_reduce(cfg: RunConfig, args) -> int:
     pair = cfg.pair
     key, path = _out_path(args, "reduce", cfg)
-    _connection(cfg)  # built to refuse a bad config: every connection gives this table
+    if cfg.connection is not None:
+        # every connection gives this table, so a configured one is built
+        # only to refuse a bad config; the default one is not built at all
+        _connection(cfg)
     rp = red.reduced_poisson(pair)
     names = rp.names
     buf = io.StringIO()

@@ -39,7 +39,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 import bsymp.expr as ex
 from bsymp import _fork
@@ -102,8 +102,8 @@ class Trajectory:
 
     dt: float
     names: tuple[str, ...]
-    rows: array.array
-    invariants: array.array
+    rows: MutableSequence[float]
+    invariants: MutableSequence[float]
     method: str
     phi_slot: int | None = None
     energy_drift: float | None = None
@@ -114,20 +114,20 @@ class Trajectory:
     handed_off: list = field(default_factory=list, repr=False, compare=False)
 
     @property
-    def times(self) -> array.array:
+    def times(self) -> MutableSequence[float]:
         """k * dt for each stored step k."""
         return _doubles([k * self.dt for k in range(len(self.rows) // len(self.names))])
 
-    def column(self, i: int) -> array.array:
+    def column(self, i: int) -> MutableSequence[float]:
         """Coordinate i at every step."""
         return self.rows[i::len(self.names)]
 
     @property
-    def final(self) -> array.array:
+    def final(self) -> MutableSequence[float]:
         return self.rows[-len(self.names):]
 
 
-def _doubles(values=()) -> array.array:
+def _doubles(values=()) -> MutableSequence[float]:
     """values as an array('d'); the array extension, which adds about 0.2 MiB
     to a process's resident size, loads on a flow's first use."""
     from array import array

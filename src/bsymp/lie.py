@@ -1,10 +1,12 @@
 """Lie algebras and matrix group charts with exact rational skeletons.
 
 Structure constants are always exact Fractions, derived from matrix
-commutators read at the pivot entries of the basis span, and stored in one
-sparse row form: `LieAlgebra.constants[(i, j)]` is {k: c^k_ij}, and an
-absent pair or k reads as zero, so every reader walks the stored entries
-only.  Group charts are
+commutators read at the pivot entries of the basis span, one commutator
+per pair i < j with row (j, i) its negation, and stored in one sparse row
+form: `LieAlgebra.constants[(i, j)]` is {k: c^k_ij}, and an absent pair or
+k reads as zero, so every reader walks the stored entries only.  verify's
+commutator-match checks the stored rows against the basis matrices
+themselves, with a product of its own.  Group charts are
 expression-valued matrices; multiplication, inversion and the splittings
 used downstream are closed-form expression maps, so every derived object
 (infinitesimal generators, connections, momenta) comes out of exact
@@ -172,10 +174,13 @@ class LieAlgebra:
 def structure_constants_from_matrices(basis: Sequence | _Span) -> LieAlgebra:
     """Exact structure constants from commutators of rational basis matrices.
 
-    This is the reference oracle for every built-in algebra: commutators are
-    computed in exact arithmetic and re-expanded in the basis's span (a
-    group passes its own, a raw basis gets one); any nonzero residual is an
-    error.
+    This is the builder of every built-in algebra: each commutator
+    [E_i, E_j], i < j, is computed in exact arithmetic and re-expanded in the
+    basis's span (a group passes its own, a raw basis gets one); any nonzero
+    residual is an error.  Row (j, i) is the negated row (i, j), which is
+    exact because `coords` has checked the expansion on every entry;
+    verify's commutator-match reads every stored row back against the
+    matrices (`verify.commutator_defect`).
     """
     span = basis if isinstance(basis, _Span) else _Span(basis)
     d = len(span.basis)
@@ -188,13 +193,17 @@ def structure_constants_from_matrices(basis: Sequence | _Span) -> LieAlgebra:
         for j in range(d):
             if i == j:
                 continue
-            # E_i E_j - E_j E_i over the nonzero entries only
-            comm: dict[tuple[int, int], Fraction] = {}
-            for a, b, sign in ((i, j, 1), (j, i, -1)):
-                for (r, t), v in span.basis[a].items():
-                    for c, w in rows[b].get(t, ()):
-                        comm[r, c] = comm.get((r, c), 0) + sign * v * w
-            if row := {k: v for k, v in enumerate(span.coords(comm)) if v}:
+            if i > j:
+                row = {k: -v for k, v in constants.get((j, i), {}).items()}
+            else:
+                # E_i E_j - E_j E_i over the nonzero entries only
+                comm: dict[tuple[int, int], Fraction] = {}
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    for (r, t), v in span.basis[a].items():
+                        for c, w in rows[b].get(t, ()):
+                            comm[r, c] = comm.get((r, c), 0) + sign * v * w
+                row = {k: v for k, v in enumerate(span.coords(comm)) if v}
+            if row:
                 constants[(i, j)] = row
     labels = tuple(f"e{i + 1}" for i in range(d))
     return LieAlgebra(labels=labels, constants=constants)

@@ -28,6 +28,8 @@ reduced point, moved by the chart shift
 Groups given only by structure constants (no matrix chart) run the algebra
 sections, and commutator-match when a matrix basis comes with them, and
 skip everything that needs the group or its cotangent side.
+commutator-match reads the stored constants against the matrices with a
+product of its own (`commutator_defect`); it never rebuilds the algebra.
 
 The sections of one pair share its lifted action and its three checked
 connections, both kept on the pair, so a rerun on the same pair builds
@@ -161,16 +163,34 @@ ALGEBRA_SECTIONS: list[tuple[str, Callable]] = [(t, fn) for t, fn, _ in _ALGEBRA
 
 
 def commutator_defect(L: lie.LieAlgebra, basis) -> Fraction:
-    """Largest |c^k_ij| difference between L and the constants recomputed
-    from the commutators of basis matrices; exact, so a match is 0.
+    """Largest |entry| of [E_i, E_j] - sum_k c^k_ij E_k over every ordered
+    pair (i, j), with c read from L's stored rows and E the basis matrices
+    as given; exact, so a match is 0.
 
-    Only a stored row can be nonzero, so this reads the rows stored in
-    either algebra over the union of their k, an absent one as zero."""
-    redone = lie.structure_constants_from_matrices(basis)
+    The commutators come from a sparse product of this function's own, not
+    from the builder or its span (`lie.structure_constants_from_matrices`,
+    `lie._Span`), so a fault in either shows here, in a (j, i) row too.
+    [E_j, E_i] is read as -[E_i, E_j], formed once per pair i <= j."""
+    mats = [{(r, c): Fraction(v) for r, row in enumerate(M) for c, v in enumerate(row) if v}
+            for M in basis]
+    rows = [{} for _ in mats]  # rows[b][t]: row t of E_b as (column, value)
+    for E, by_row in zip(mats, rows):
+        for (t, c), w in E.items():
+            by_row.setdefault(t, []).append((c, w))
     worst = Fraction(0)
-    for i, j in L.constants.keys() | redone.constants.keys():
-        a, b = L.c(i, j), redone.c(i, j)
-        worst = max([worst, *(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys())])
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            comm: dict[tuple[int, int], Fraction] = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for (r, t), v in mats[a].items():
+                    for c, w in rows[b].get(t, ()):
+                        comm[r, c] = comm.get((r, c), 0) + sign * v * w
+            for (p, q), sign in (((i, j), 1), ((j, i), -1)):
+                resid = {key: sign * v for key, v in comm.items()}
+                for k, ck in L.c(p, q).items():
+                    for key, w in mats[k].items():
+                        resid[key] = resid.get(key, 0) - ck * w
+                worst = max([worst, *map(abs, resid.values())])
     return worst
 
 

@@ -7,12 +7,14 @@ so these tests run both scripts the way the benchmark does.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,29 @@ def test_every_exported_name_resolves():
         assert [n for n in names if not hasattr(mod, n)] == [], info.name
         exporting += bool(names)
     assert exporting >= 4
+
+
+def test_every_type_hint_resolves():
+    # each annotation names something the module can see at run time, so
+    # typing.get_type_hints reads every class and function bsymp defines
+    checked = 0
+    for info in pkgutil.iter_modules(bsymp.__path__):
+        mod = importlib.import_module("bsymp." + info.name)
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            targets = [obj]
+            if isinstance(obj, type):
+                for member in vars(obj).values():
+                    member = getattr(member, "fget", getattr(member, "func", member))
+                    if inspect.isfunction(member):
+                        targets.append(member)
+            elif not callable(obj):
+                continue
+            for target in targets:
+                typing.get_type_hints(target)
+                checked += 1
+    assert checked > 100
 
 
 def test_readme_usage_names_exactly_the_parser_flags():
@@ -169,9 +194,10 @@ def _fresh_run(runs, cwd) -> dict:
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
-    # describe and bracket-table print exact rationals, so they never pay
-    # for numpy; bench/tracer.py reads every bsymp module from sys.modules
-    # right after `import bsymp.cli`, so that import still loads them all
+    # describe, bracket-table and a default reduce print exact rationals, so
+    # they never pay for numpy; bench/tracer.py reads every bsymp module from
+    # sys.modules right after `import bsymp.cli`, so that import still loads
+    # them all
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     custom = readme.split("A custom group is an algebra-only object", 1)[1]
     config = tmp_path / "basis.json"
@@ -184,6 +210,9 @@ def test_exact_commands_never_load_numpy(tmp_path):
         for command, tail, path in (("describe", [], None), ("bracket-table", ["--out", out], out)):
             label = None if group is None else f"{command} {group}"
             runs.append((label, [command, *source, *tail], path))
+        if group is not None:
+            out = str(tmp_path / f"{len(runs)}.csv")
+            runs.append((f"reduce {group}", ["reduce", *source, "--out", out], out))
     report = _fresh_run(runs, tmp_path)
     assert report["unimported"] == []
     assert report["import"] == report["builtin"] == []
@@ -319,10 +348,15 @@ def test_verify_into_a_pipe_whose_reader_left_exits_2(unbuffered, tmp_path):
 
 def test_float_commands_load_numpy_on_first_use(tmp_path):
     # the in-process tests import numpy before bsymp, so only a fresh
-    # interpreter runs the deferred import
+    # interpreter runs the deferred import; reduce checks a configured
+    # connection's axioms on float samples, and still writes the table that
+    # every connection gives
     out = str(tmp_path / "reduce.csv")
+    config = tmp_path / "connection.json"
+    config.write_text(json.dumps({"connection": {"xi": [0.3, -0.2], "scale": "1 + phi^2"}}),
+                      encoding="utf-8")
     report = _fresh_run([(None, ["verify", "--group", "se2"], None),
-                         ("reduce se2", ["reduce", "--group", "se2", "--out", out], out)],
+                         ("reduce se2", ["reduce", "--config", str(config), "--out", out], out)],
                         tmp_path)
     assert report["import"] == []
     assert [run["code"] for run in report["runs"]] == [0, 0]

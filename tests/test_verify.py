@@ -61,10 +61,48 @@ def test_custom_basis_appends_commutator_match():
     rep = verify.run_suite(so3, 42, SO3_BASIS)
     assert [s.name for s in rep.sections] == names + ["lie: commutator-match"]
     assert rep.passed and rep.sections[-1].residual == 0.0
-    # the same matrices, one scaled: the constants no longer match
-    scaled = [SO3_BASIS[0], SO3_BASIS[1], [[2 * v for v in row] for row in SO3_BASIS[2]]]
-    rep = verify.run_suite(so3, 42, scaled)
-    assert rep.failing() == ["lie: commutator-match"]
+    # the same matrices, one scaled: the constants no longer match, and the
+    # residual is the largest entry of [E_i, E_j] - sum_k c^k_ij E_k
+    for factor, residual in ((2, 1.0), (Fraction(1, 3), 2 / 3)):
+        scaled = [SO3_BASIS[0], SO3_BASIS[1], [[factor * v for v in row] for row in SO3_BASIS[2]]]
+        rep = verify.run_suite(so3, 42, scaled)
+        assert rep.failing() == ["lie: commutator-match"]
+        assert rep.sections[-1].residual == residual
+
+
+@pytest.mark.parametrize("name", ["se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean",
+                                  "heisenberg_q(8)"])
+def test_commutator_defect_sees_each_corrupted_row(name, monkeypatch):
+    # the checker reads the stored rows against the matrices with a product
+    # of its own: it builds no algebra and no span, and every corruption of
+    # the table shows, a (j, i) row too
+    pair = lie.builtin(name)
+    cases = [(G.algebra.constants, G.basis) for G in (pair.group, pair.h_group)]
+
+    def refuse(*args):
+        raise AssertionError("commutator_defect rebuilt the algebra")
+
+    monkeypatch.setattr(lie, "structure_constants_from_matrices", refuse)
+    monkeypatch.setattr(lie, "_Span", refuse)
+    corrupted = 0
+    for constants, basis in cases:
+        d = len(basis)
+        check = lambda table: verify.commutator_defect(lie.LieAlgebra(("e",) * d, table), basis)
+        assert check(dict(constants)) == 0
+        tables = []
+        lower = [key for key in constants if key[0] > key[1]]
+        if lower:
+            i, j = lower[0]
+            tables.append({**constants, (i, j): {k: 2 * v for k, v in constants[i, j].items()}})
+            tables.append({key: row for key, row in constants.items() if key != (i, j)})
+        free = next((i, j) for i in range(d) for j in range(d)
+                    if i != j and (i, j) not in constants)
+        tables.append({**constants, free: {0: Fraction(1)}})
+        tables.append({**constants, (0, 0): {d - 1: Fraction(1)}})
+        for table in tables:
+            assert check(table) > 0
+        corrupted += len(tables)
+    assert corrupted >= 6
 
 
 def test_exact_residual_past_the_float_range_fails():

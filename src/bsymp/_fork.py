@@ -21,10 +21,20 @@ gives b"", as it does after the block was left.
 Leaving the block kills (SIGKILL) and reaps the child, done or not, so no
 process outlives it, whether the block raised or a KeyboardInterrupt
 arrived.
+
+The child calls gc.freeze() before work(): every object it inherited moves
+to the collector's permanent generation, so its collections traverse only
+what the child allocates.  Nothing is lost: the child leaves through
+os._exit, which finalizes nothing, so an inherited cycle that stays
+uncollected only keeps pages it still shares with this process.  A
+collection that walked the inherited heap would write each object's GC
+header and so copy every page that holds one.  This process's collector
+is untouched.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Callable, Iterable
 
@@ -51,6 +61,7 @@ class Fork:
         if pid == 0:
             status = 1
             try:
+                gc.freeze()
                 os.close(r)
                 with os.fdopen(w, "wb") as out:
                     out.writelines(self._work())

@@ -21,7 +21,9 @@ environment variable) under a fixed per-command file name.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import io
 import json
 import math
@@ -471,6 +473,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    At interpreter exit, before finalization, the command's heap is frozen
+    (gc.freeze, registered once however often main runs): the collections
+    finalization makes then walk none of the objects the command built.
+    Their cyclic garbage is left to the process's end, which frees its
+    memory anyway; every file a command opens is closed by a with block,
+    not by a collection.  During the run the collector is left as it was.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,6 +6,7 @@ A renamed function or member would silently drop its span or its count,
 so these tests run both scripts the way the benchmark does.
 """
 
+import gc
 import importlib
 import inspect
 import json
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import bsymp
-from bsymp import cli, lie, verify
+from bsymp import _fork, cli, lie, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -309,6 +310,46 @@ def test_flow_to_dev_stdout_through_a_pipe_prints_each_part_once(tmp_path):
     assert forked.stdout.count("t,mu_") == forked.stdout.count("sign-constant:") == 1
     assert forked.stdout.endswith("wrote: /dev/stdout\n")
     assert len(forked.stdout.splitlines()) == 1 + 1001 + 5
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_child_freezes_what_it_inherited():
+    # the child's collections skip the heap it inherited; this process's
+    # collector is left as it was
+    before = _collector_state()
+    with _fork.Fork(lambda: [str(gc.get_freeze_count()).encode()]) as child:
+        assert child.forked
+        frozen = int(child.read())
+    assert frozen > before[2]
+    assert _collector_state() == before
+
+
+def test_command_freezes_its_heap_at_exit(tmp_path):
+    # main registers gc.freeze with atexit, once however often it runs
+    # (counted through a wrapper in its place); the probe, registered
+    # first, runs after it (atexit is LIFO) and sees a frozen heap.
+    # Nothing is frozen while the commands run
+    code = ("import atexit, contextlib, gc, io, json\n"
+            "from bsymp import cli\n"
+            "calls, freeze = [], gc.freeze\n"
+            "gc.freeze = lambda: calls.append(freeze())\n"
+            "atexit.register(lambda: print(json.dumps([len(calls), gc.get_freeze_count() > 0])))\n"
+            "state = lambda: [gc.isenabled(), list(gc.get_threshold()), gc.get_freeze_count()]\n"
+            "before = state()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['describe', '--group', 'se2']) for _ in range(2)]\n"
+            "print(json.dumps([codes, before, state()]))\n")
+    res = _run_script(["-c", code], tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    run, probe = map(json.loads, res.stdout.splitlines())
+    codes, before, after = run
+    assert codes == [0, 0]
+    assert before == after == [True, list(gc.get_threshold()), 0]
+    assert probe == [1, True]
 
 
 STDOUT_WRITERS = [["describe"], ["verify", "--seed", "1"], ["reduce", "--out", "r.csv"],

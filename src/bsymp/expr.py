@@ -39,14 +39,16 @@ one register list, a numbered temporary for each node that is computed,
 so a structurally equal subtree, being one node, is computed once.  A
 temporary is taken again once its last reader has one, the outputs'
 excepted, so only as many values are alive at once as the walk needs.
-`compile_exprs` runs the tape, with no generated source: on floats for
-a point, and on numpy rows for N points given as the columns of a 2-D
-array, with the scalar `math` functions (and `pow`) applied element by
-element, so a column's values are the scalar call's bit for bit.  numpy
-is imported only on the first such call.  `emit` prints the same steps
-as straight-line Python, one assignment per step, which `dynamics`
-inlines into a whole generated integration loop, where the speed of
-each scalar step matters.
+A compiled map keeps one list of steps, and one op table, `_OPS`,
+decides what each step runs and how it prints.  `compile_exprs` runs
+the steps in one loop, with no generated source: on floats for a point,
+and on numpy rows for N points given as the columns of a 2-D array.
+A power or function op runs the scalar `math` function (or `pow`) on a
+float and applies it element by element to a row, so a column's values
+are the scalar call's bit for bit.  numpy is imported only on the first
+such call.  `emit` prints the same steps as straight-line Python, one
+assignment per step, which `dynamics` inlines into a whole generated
+integration loop, where the speed of each scalar step matters.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
@@ -97,7 +99,6 @@ there is no implicit absolute value.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -903,6 +904,32 @@ def _operands(n: Expr) -> tuple[Expr, ...]:
     return (n.a, n.b)
 
 
+def _each(fn: Callable, nargs: int) -> Callable:
+    """fn as a tape op: fn on a number, and fn element by element on a
+    numpy row, so a row rounds as the scalar call (numpy's own exp, log and
+    power may not).  `np.frompyfunc` is built on the first row only."""
+    vec = None
+
+    def op(a, *rest):
+        nonlocal vec
+        if not getattr(a, "ndim", 0):
+            return fn(a, *rest)
+        if vec is None:
+            vec = np.frompyfunc(fn, nargs, 1)
+        return vec(a, *rest).astype(float)
+    return op
+
+
+# the one op table: the op a tape step of each node type (a function, by
+# its name) runs, on floats and on numpy rows alike, and how `emit` prints
+# it, with its inputs' text
+_OPS = {Add: (operator.add, "{} + {}"), Sub: (operator.sub, "{} - {}"),
+        Mul: (operator.mul, "{} * {}"), Div: (operator.truediv, "{} / {}"),
+        Pow: (_each(pow, 2), "_pow({}, {})"),
+        **{name: (_each(fn, 1), f"_{name}({{}})") for name, fn in _UNARY.items()}}
+_PRINTED = dict(_OPS.values())
+
+
 def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], list, list[int]]:
     """The walk of exprs as steps (op, in, in, out) over one register list:
     the one lowering, which `compile_exprs` runs and `emit` prints.
@@ -910,18 +937,18 @@ def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], lis
     The registers hold the values of `names`, in order, then the
     constants, then the temporaries, the k-th at register -(k + 1), so
     they count back from the end.  Every node but a variable and a
-    constant with a float value is a step, in walk order.  An op is a
-    `_BINARY` operator, `pow` with its integer exponent's register, or a
-    `_UNARY` function with None for its second input; a constant past the
-    float range is `truediv` of its integer numerator and denominator,
-    which overflows where it runs.  A temporary is free again once its
-    last reader has been given one, and the next step takes the most
-    recently freed one, else a new one; a node that reads one operand
-    twice (`x * x`) frees it once.  The temporaries of `exprs` themselves
-    are never freed, so they hold their values after the last step, and
-    only as many values are alive at once as the walk needs.  Returns (the
-    steps, the registers with only the constants filled in, the register
-    of each output).
+    constant with a float value is a step, in walk order, running its
+    node's op from `_OPS`: an arithmetic operator, the power with its
+    integer exponent's register, or a function with None for its second
+    input.  A constant past the float range is the quotient of its integer
+    numerator and denominator, which overflows where it runs.  A
+    temporary is free again once its last reader has been given one, and
+    the next step takes the most recently freed one, else a new one; a
+    node that reads one operand twice (`x * x`) frees it once.  The
+    temporaries of `exprs` themselves are never freed, so they hold their
+    values after the last step, and only as many values are alive at once
+    as the walk needs.  Returns (the steps, the registers with only the
+    constants filled in, the register of each output).
     """
     order = _postorder(exprs)
     last = {o: i for i, n in enumerate(order) for o in _operands(n)}
@@ -950,13 +977,13 @@ def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], lis
                 reg[n] = const(float(n.value))
                 continue
             except OverflowError:
-                step = (operator.truediv, const(n.value.numerator), const(n.value.denominator))
+                step = (_OPS[Div][0], const(n.value.numerator), const(n.value.denominator))
         elif t is Pow:
-            step = (pow, reg[n.base], const(n.n))
+            step = (_OPS[t][0], reg[n.base], const(n.n))
         elif t is Fun:
-            step = (_UNARY[n.name], reg[n.arg], None)
+            step = (_OPS[n.name][0], reg[n.arg], None)
         else:
-            step = (_BINARY[t], reg[n.a], reg[n.b])
+            step = (_OPS[t][0], reg[n.a], reg[n.b])
         if free:
             reg[n] = free.pop()
         else:
@@ -972,14 +999,6 @@ def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], lis
     return steps, regs + [None] * temps, [reg[e] for e in exprs]
 
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
-# each op of the tape as `emit` prints it, with its inputs' text
-_PRINTED = {operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
-            operator.truediv: "{} / {}", pow: "_pow({}, {})",
-            **{fn: f"_{name}({{}})" for name, fn in _UNARY.items()}}
-
-
 def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
          indent: str = "    ") -> tuple[list[str], list[str]]:
     """Straight-line Python computing `exprs`: (assignment lines, id of each).
@@ -993,10 +1012,10 @@ def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
     UnboundVariableError.  A register prints as its input text, as the
     `repr` of its constant (a float literal, an exponent, or the integer
     numerator or denominator of a constant past the float range), or as
-    `temp` plus the temporary's number.  An op prints as its operator
-    symbol, an integer power as a call `_pow(base, n)` and a function as
-    `_sin(a)` and so on; the lines run in the namespace `build` gives
-    them, so that namespace decides how powers round.
+    `temp` plus the temporary's number.  An op prints as `_OPS` gives
+    it: its operator symbol, an integer power as a call `_pow(base, n)`
+    and a function as `_sin(a)` and so on; the lines run in the namespace
+    `build` gives them, so that namespace decides how powers round.
     """
     steps, regs, outs = _tape(exprs, list(inputs))
     texts = list(inputs.values())
@@ -1050,40 +1069,25 @@ def domain_error(err: ArithmeticError | ValueError) -> EvalError:
     return DomainError("float " + str(err).split(" encountered")[0])
 
 
-@functools.cache
-def _column_ops() -> dict:
-    """The tape's ops for numpy rows: each unary function and `pow` apply
-    the scalar function element by element, so every value rounds as in
-    the scalar call (numpy's own exp, log and power may not); a float from
-    a constant subexpression is passed straight through."""
-    def each(fn, nargs):
-        vec = np.frompyfunc(fn, nargs, 1)
-
-        def apply(a, *rest):
-            return fn(a, *rest) if type(a) is float else vec(a, *rest).astype(float)
-        return apply
-
-    return {fn: each(fn, 1) for fn in _UNARY.values()} | {pow: each(pow, 2)}
-
-
 def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
     """Compile expressions into one function of a point or of columns.
 
-    The map is a tape (`_tape`): the walk of `exprs` as a list of
-    operations over a list of registers, with no generated source.
-    Called with one value per name, in order (a 1-D numpy array is read
-    as its floats), it runs the tape on floats and returns a list of
-    floats; any other number of values is a ValueError.  Each node is
-    evaluated once, so a structurally equal subtree is too.  Failures,
-    overflow included, raise `domain_error`'s DomainError for the first
-    node that fails, as `evaluate` does.
+    The map is a tape (`_tape`): the walk of `exprs` as one list of
+    steps over a list of registers, with no generated source, and one
+    loop runs it for every call.  Called with one value per name, in
+    order (a 1-D numpy array is read as its floats), it runs the steps on
+    floats and returns a list of floats; any other number of values is a
+    ValueError.  Each node is evaluated once, so a structurally equal
+    subtree is too.  Failures, overflow included, raise `domain_error`'s
+    DomainError for the first node that fails, as `evaluate` does.
 
     Called with a 2-D array of shape (len(names), N), it reads the N columns
     as N points and returns a (len(exprs), N) float array, a constant
-    output broadcast along its row.  The same tape runs on the rows, with
-    numpy arithmetic and `_column_ops`' element-wise functions, so each
-    column is bit for bit the scalar call's value, and a temporary's row
-    is dropped once its register is taken again.  The call runs under
+    output broadcast along its row.  The same steps run on the rows: the
+    arithmetic is numpy's, and each power and function op of `_OPS`
+    applies the scalar function element by element, so each column is
+    bit for bit the scalar call's value.  A temporary's row is dropped
+    once its register is taken again.  The call runs under
     `np.errstate(all="raise")`; if anything fails, the columns are read
     again one at a time in order by the scalar call, which raises the
     first failing column's DomainError, or, where numpy raised but plain
@@ -1091,23 +1095,27 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
     scalar values.
     """
     steps, consts, outs = _tape(exprs, names)
-    by_rows = None
 
-    def run(x, steps) -> list:
+    def run(x) -> list:
         regs = consts.copy()
         regs[:len(names)] = x
         for op, a, b, out in steps:
             regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
         return [regs[r] for r in outs]
 
-    def columns(X):
-        nonlocal by_rows
-        if by_rows is None:
-            ops = _column_ops()
-            by_rows = [(ops.get(op, op), *rest) for op, *rest in steps]
+    def compiled(x):
+        if len(x) != len(names):
+            raise ValueError(f"{len(x)} values for {len(names)} names")
+        ndim = getattr(x, "ndim", None)
+        if ndim != 2:
+            try:
+                return run(x.tolist() if ndim is not None else x)
+            except (ArithmeticError, ValueError) as err:
+                raise domain_error(err) from None
+        X = np.asarray(x, dtype=float)
         try:
             with np.errstate(all="raise"):
-                rows = run(X, by_rows)
+                rows = run(X)
         except (ArithmeticError, ValueError):
             points = [compiled(col) for col in X.T.tolist()]
             return np.array(points, dtype=float).reshape(X.shape[1], len(outs)).T
@@ -1115,16 +1123,5 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
         for i, row in enumerate(rows):
             out[i] = row
         return out
-
-    def compiled(x):
-        if len(x) != len(names):
-            raise ValueError(f"{len(x)} values for {len(names)} names")
-        ndim = getattr(x, "ndim", None)
-        if ndim == 2:
-            return columns(np.asarray(x, dtype=float))
-        try:
-            return run(x.tolist() if ndim is not None else x, steps)
-        except (ArithmeticError, ValueError) as err:
-            raise domain_error(err) from None
 
     return compiled

@@ -47,7 +47,9 @@ three processes, by each section's place in the section table
   maps nothing after it reads, runs in a second child, forked on reaching
   it, so that child inherits the connections and splitting maps the two
   sections before it built, and compiles the coupling maps away from
-  this process.
+  this process.  That saves memory, not time: run here, it left a cold
+  galilean verify at 0.423 s against 0.427 s, but raised the peak RSS
+  from 34.0 to 36.0 MiB (2 processors, Python 3.11.7).
 - HERE: this process runs the other six sampled sections meanwhile.
 A bare algebra has no flows to run beside the rest: it forks nothing.
 Each child returns each (residual, tolerance) as 8-byte doubles, which

@@ -908,6 +908,32 @@ def test_domain_error_names_the_kind_of_a_numpy_error(err, message):
     assert type(got) is DomainError and str(got) == message
 
 
+def test_a_column_call_keeps_no_second_copy_of_the_tape():
+    # a column call runs the very steps a point call runs: a map of
+    # thousands of steps holds no more after its first column call than
+    # before it, once the ops have built their element-wise forms
+    import tracemalloc
+    warm = compile_exprs([parse("sin(x)^2")], ["x"])
+    warm(np.array([[0.5, 1.5]]))
+    x, y = Var("x"), Var("y")
+    e = x
+    for k in range(600):
+        e = expr.sin(e * y + Const(k)) ** 2
+    steps = len(expr._tape([e], ["x", "y"])[0])
+    assert steps >= 2000
+    f = compile_exprs([e], ["x", "y"])
+    X = np.array([[0.5, 1.5, -0.25], [0.3, -0.7, 1.1]])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = f(X)
+        del got
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * steps, kept
+
+
 def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
     # a chain of 400 products needs two names, the outputs keep theirs, and
     # the lines still compute the walk's values

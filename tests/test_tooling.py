@@ -6,6 +6,7 @@ A renamed function or member would silently drop its span or its count,
 so these tests run both scripts the way the benchmark does.
 """
 
+import ast
 import gc
 import importlib
 import inspect
@@ -57,6 +58,15 @@ def test_every_type_hint_resolves():
                 typing.get_type_hints(target)
                 checked += 1
     assert checked > 100
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml allows Python 3.10, so no module may use a later form
+    # such as `except*`; CI's 3.10 run checks the same, remotely
+    modules = sorted((ROOT / "src" / "bsymp").glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_readme_usage_names_exactly_the_parser_flags():

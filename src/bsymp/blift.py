@@ -62,10 +62,6 @@ class BCotangentChart:
     def chart(self) -> BChart:
         return BChart(self.base.names + self.fiber_names, self.base.defining)
 
-    def split(self, point) -> tuple[np.ndarray, np.ndarray]:
-        pt = np.asarray(point, dtype=float)
-        return pt[: self.n], pt[self.n:]
-
 
 def liouville(c: BCotangentChart) -> BForm:
     """p_f df/f + sum p_i dz_i: fiber momenta against the base coframe."""
@@ -239,10 +235,6 @@ class LiftedAction:
         if not np.isfinite(out).all():
             raise ex.DomainError("translated point leaves the chart")
         return out
-
-    def moment(self, point: Sequence[float], X: Sequence[float]) -> float:
-        mu = self._moment_compiled(sequence_values(self.cot.chart.names, point))
-        return float(sum(x * m for x, m in zip(sequence_values(self._h_names, X), mu)))
 
     def moment_vector(self, point: Sequence[float]) -> np.ndarray:
         """mu at a point, or at N points given as columns."""

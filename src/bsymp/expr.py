@@ -1075,11 +1075,13 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
     The map is a tape (`_tape`): the walk of `exprs` as one list of
     steps over a list of registers, with no generated source, and one
     loop runs it for every call.  Called with one value per name, in
-    order (a 1-D numpy array is read as its floats), it runs the steps on
-    floats and returns a list of floats; any other number of values is a
-    ValueError.  Each node is evaluated once, so a structurally equal
-    subtree is too.  Failures, overflow included, raise `domain_error`'s
-    DomainError for the first node that fails, as `evaluate` does.
+    order, it converts each with float() (so an int runs in float
+    arithmetic, as in `evaluate`, and a value that does not convert raises
+    its own TypeError or ValueError), runs the steps on floats and returns
+    a list of floats; any other number of values is a ValueError.  Each
+    node is evaluated once, so a structurally equal subtree is too.
+    Failures, overflow included, raise `domain_error`'s DomainError for
+    the first node that fails, as `evaluate` does.
 
     Called with a 2-D array of shape (len(names), N), it reads the N columns
     as N points and returns a (len(exprs), N) float array, a constant
@@ -1106,10 +1108,10 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable:
     def compiled(x):
         if len(x) != len(names):
             raise ValueError(f"{len(x)} values for {len(names)} names")
-        ndim = getattr(x, "ndim", None)
-        if ndim != 2:
+        if getattr(x, "ndim", None) != 2:
+            x = [float(v) for v in x]
             try:
-                return run(x.tolist() if ndim is not None else x)
+                return run(x)
             except (ArithmeticError, ValueError) as err:
                 raise domain_error(err) from None
         X = np.asarray(x, dtype=float)

@@ -24,9 +24,9 @@ The rotation block of the Galilean chart uses a Cayley parametrization
 (R(u) = I + (4*hat(u) + 2*hat(u)^2)/(4 + |u|^2)) so that the group
 multiplication stays inside the expression grammar; it covers a
 neighbourhood of the identity, which is all the semilocal constructions
-need.  The compact coordinates (the planar rotation angle, the Heisenberg
-central coordinate) are wrapped only by the numeric group operations;
-symbolic maps work on the universal-cover lift.
+need.  No coordinate is wrapped: the planar rotation angle and the
+Heisenberg central coordinate are read on the universal-cover lift of the
+chart, by the symbolic maps and the numeric group operations alike.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ._numpy import np
@@ -50,7 +50,6 @@ __all__ = [
     "builtin",
     "group_mul", "group_inv",
     "adjoint", "coadjoint_star", "dual_names",
-    "param_distance",
 ]
 
 FrMatrix = tuple[tuple[Fraction, ...], ...]
@@ -227,9 +226,8 @@ class MatrixGroup:
     """A matrix Lie group presented by an expression-valued chart.
 
     chart_fn / mul_fn / inv_fn are pure maps on expression lists, usable
-    both symbolically and (through compilation) numerically.  `wrap` lists
-    per-parameter compactifications applied by numeric group operations:
-    None, "angle" (wrap to (-pi, pi]) or "mod1" (wrap to [0, 1)).
+    both symbolically and (through compilation) numerically, on the
+    universal-cover lift of the chart: no parameter is wrapped.
 
     The exact basis, the algebra, the symbolic adjoint and Maurer-Cartan
     rows and the compiled maps (chart, product, inverse, adjoint) are
@@ -245,7 +243,6 @@ class MatrixGroup:
     mul_fn: Callable = field(repr=False)
     inv_fn: Callable = field(repr=False)
     params_from_matrix: Callable = field(repr=False)
-    wrap: tuple = ()
     box: tuple = ()
 
     @property
@@ -318,49 +315,19 @@ class MatrixGroup:
     def span(self) -> _Span:
         return _Span(self.basis)
 
-    def wrap_params(self, params: np.ndarray) -> np.ndarray:
-        """params with each compact coordinate wrapped; a row of columns
-        is wrapped element by element."""
-        out = np.array(params, dtype=float)
-        for i, kind in enumerate(self.wrap):
-            if kind == "angle":
-                out[i] = _remainder()(out[i], 2 * math.pi)
-            elif kind == "mod1":
-                out[i] = out[i] % 1.0
-        return out
-
-
-@cache
-def _remainder():
-    """math.remainder (IEEE, the quotient rounded to even) element by element."""
-    return np.frompyfunc(math.remainder, 2, 1)
-
-
-def param_distance(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> float | np.ndarray:
-    """Max coordinate distance, measured around the seam on circle
-    coordinates; NaN if a coordinate is NaN.  p and q may also hold N
-    points as columns (`sequence_values`): then one distance per column."""
-    p = np.asarray(sequence_values(G.param_names, p))
-    q = np.asarray(sequence_values(G.param_names, q))
-    d = np.abs(p - q)
-    for i, kind in enumerate(G.wrap):
-        if kind == "angle":
-            d[i] = np.abs(np.asarray(_remainder()(p[i] - q[i], 2 * math.pi), dtype=float))
-        elif kind == "mod1":
-            d[i] = np.minimum(d[i] % 1.0, 1.0 - d[i] % 1.0)
-    return np.max(d, axis=0)
-
 
 def group_mul(G: MatrixGroup, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
-    """The product's parameters, wrapped; p and q may hold N points as columns."""
+    """The product's parameters, as the compiled product gives them (no
+    coordinate wrapped); p and q may hold N points as columns."""
     names = G.param_names
-    return G.wrap_params(G._mul_compiled(joined(sequence_values(names, p),
-                                                sequence_values(names, q))))
+    return np.asarray(G._mul_compiled(joined(sequence_values(names, p),
+                                             sequence_values(names, q))))
 
 
 def group_inv(G: MatrixGroup, p: Sequence[float]) -> np.ndarray:
-    """The inverse's parameters, wrapped; p may hold N points as columns."""
-    return G.wrap_params(G._inv_compiled(sequence_values(G.param_names, p)))
+    """The inverse's parameters, as the compiled inverse gives them (no
+    coordinate wrapped); p may hold N points as columns."""
+    return np.asarray(G._inv_compiled(sequence_values(G.param_names, p)))
 
 
 def adjoint_matrix_sym(G: MatrixGroup, params: Sequence[Expr]) -> list[list[Expr]]:
@@ -501,7 +468,6 @@ class BLieGroupPair:
             mul_fn=lambda p, q: self.triv_fn(G.mul_fn(embed(p), embed(q)))[0],
             inv_fn=lambda p: self.triv_fn(G.inv_fn(embed(p)))[0],
             params_from_matrix=h_pfm,
-            wrap=tuple(G.wrap[i] for i in hi),
             box=tuple(G.box[i] for i in hi),
         )
 
@@ -552,7 +518,6 @@ def _se2() -> BLieGroupPair:
     G = MatrixGroup(
         name="se2", param_names=names, labels=("P1", "P2", "J"),
         chart_fn=chart, mul_fn=mul, inv_fn=inv, params_from_matrix=pfm,
-        wrap=(None, None, "angle"),
         box=((-1.5, 1.5), (-1.5, 1.5), (-1.2, 1.2)),
     )
     ident = lambda p: ([p[0], p[1]], p[2])
@@ -601,7 +566,6 @@ def _heisenberg_q(n: int) -> BLieGroupPair:
     G = MatrixGroup(
         name=f"heisenberg_q({n})", param_names=names, labels=labels,
         chart_fn=chart, mul_fn=mul, inv_fn=inv, params_from_matrix=pfm,
-        wrap=(None,) * 2 * n + ("mod1",),
         box=((-1.5, 1.5),) * 2 * n + ((0.05, 0.95),),
     )
     # transverse coordinate a1; subgroup {a1 = 0}
@@ -694,7 +658,6 @@ def _galilean() -> BLieGroupPair:
     G = MatrixGroup(
         name="galilean", param_names=names, labels=labels,
         chart_fn=chart, mul_fn=mul, inv_fn=inv, params_from_matrix=pfm,
-        wrap=(None,) * 10,
         box=((-0.8, 0.8),) * 3 + ((-1.5, 1.5),) * 6 + ((-1.2, 1.2),),
     )
 

@@ -819,6 +819,25 @@ def test_input_conversion_errors_keep_their_type():
         assert not isinstance(info.value, expr.EvalError)
 
 
+def test_a_point_call_reads_ints_as_floats_as_evaluate_does():
+    # exact int arithmetic once gave [30, 0], where evaluate overflows
+    prod, cancel = parse("x*y"), parse("x^400 - x^400")
+    env = {"x": 10, "y": 3}
+    got = compile_exprs([prod], ["x", "y"])([10, 3])
+    assert got == [evaluate(prod, env)] == [30.0]
+    assert type(got[0]) is float
+    with pytest.raises(DomainError, match="^float overflow$"):
+        evaluate(cancel, env)
+    with pytest.raises(DomainError, match="^float overflow$"):
+        compile_exprs([prod, cancel], ["x", "y"])([10, 3])
+    # an input that does not convert is no node of the walk failing
+    f = compile_exprs([prod], ["x", "y"])
+    for bad, error in ((["one", 3], ValueError), ([None, 3], TypeError)):
+        with pytest.raises(error) as info:
+            f(bad)
+        assert not isinstance(info.value, expr.EvalError)
+
+
 def test_a_constant_past_the_float_range_fails_where_it_is_evaluated():
     # parse bounds its constants, but diff folds 2 * 10^308 out of bounded
     # ones; a compiled map builds, and when called on a point or on columns

@@ -1153,7 +1153,6 @@ def test_entry_points_read_columns_as_points(name):
         "moment_vector": lambda c: act.moment_vector(x[:, c]),
         "group_mul": lambda c: lie.group_mul(H, h[:, c], k[:, c]),
         "group_inv": lambda c: lie.group_inv(H, h[:, c]),
-        "param_distance": lambda c: lie.param_distance(H, h[:, c], k[:, c]),
         "coadjoint_star": lambda c: lie.coadjoint_star(H, h[:, c], x[m + 1:2 * m + 1, c]),
         "zeta": lambda c: red.zeta(pair, x[:m + 1, c], h[:, c]),
         "theta": lambda c: theta.theta(x[:m + 1, c], v[:m + 1, c]),

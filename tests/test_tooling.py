@@ -69,6 +69,35 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names the module imports (not from __future__) and neither reads
+    nor lists in its __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports("from __future__ import annotations\nimport os\n"
+                          "from functools import cache, cached_property as cp\n"
+                          "from x import y\n__all__ = ['y']\ncp\n") == ["os", "cache"]
+    modules = sorted((ROOT / "src" / "bsymp").glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def test_readme_usage_names_exactly_the_parser_flags():
     # the usage block under "## Command line" is the flag list readers see;
     # a flag added to or removed from the parser must change it too

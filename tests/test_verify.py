@@ -215,6 +215,24 @@ def test_connection_independence_fails_a_wrong_bracket_or_a_missing_chart_shift(
     assert resid > 0.01 and not verify.SectionResult("", resid, tol).ok
 
 
+def test_splitting_roundtrip_tangent_half_fails_a_doubled_connection():
+    # doubling theta breaks theta(zeta_a) = e_a; the round trip still reads
+    # 0, but the horizontal part leaves ker theta.  The covector half raises
+    # SplittingError on this form, so the tangent half is read on its own
+    pair = lie.builtin("galilean")
+    default = verify._connection_cases(pair)[0]
+    doubled = red.Connection(pair=pair, forms=tuple(f.scaled(2) for f in default.forms),
+                             tag="doubled")
+    n = len(pair.h_names) + 1
+    rng = np.random.default_rng(1)
+    g, v = rng.uniform(-0.6, 0.6, (n, 20)), rng.uniform(-1, 1, (n, 20))
+    roundtrip, kernel = verify._tangent_split_residuals(doubled, g, v)
+    assert verify._worst(roundtrip) <= 1e-12
+    assert verify._worst(kernel) > 1e-12
+    for theta in verify._connection_cases(pair):
+        assert verify._worst(*verify._tangent_split_residuals(theta, g, v)) <= 1e-12
+
+
 def test_galilean_suite_compiles_at_most_17_maps(monkeypatch):
     # counts tape builds, one per compile_exprs call: each connection
     # compiles theta (with the chart shift's S and S'), psi with its
@@ -516,7 +534,6 @@ def _one_nan(real, index):
 
 
 @pytest.mark.parametrize("section,module,name,index", [
-    ("blift: action-law", lie, "param_distance", (17,)),
     ("blift: moment-equivariance", lie, "coadjoint_star", (0, 42)),
     ("reduction: connection-axioms", red, "_axiom_residual", ()),
     ("reduction: splitting-roundtrip", red, "psi_theta_inverse", (1, 5)),
@@ -527,10 +544,21 @@ def test_a_nan_sample_fails_its_section(section, module, name, index, monkeypatc
     # the running maximum once started at 0.0, and max(0.0, nan) is 0.0
     pair = lie.builtin("se2")
     fn = dict(verify.GROUP_SECTIONS)[section]
+    # the connections are built, and their axioms checked, before the patch
+    verify._connection_cases(pair)
     monkeypatch.setattr(module, name, _one_nan(getattr(module, name), index))
     resid, tol = fn(pair, 1)
     assert math.isnan(resid)
     assert not verify.SectionResult(section, resid, tol).ok
+
+
+def test_a_nan_product_fails_action_law(monkeypatch):
+    # the lifted action refuses a non-finite point, so one NaN product
+    # fails the section by raising; it never reaches the residual as NaN
+    monkeypatch.setattr(lie, "group_mul", _one_nan(lie.group_mul, (0, 17)))
+    fn = dict(verify.GROUP_SECTIONS)["blift: action-law"]
+    with pytest.raises(ex.DomainError, match="translated point leaves the chart"):
+        fn(lie.builtin("se2"), 1)
 
 
 def test_worst_keeps_nan():

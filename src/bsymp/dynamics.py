@@ -196,8 +196,9 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     field reads sgn * exp(u) there and its component there is divided by
     that value.  The stage arithmetic is written as the rk4 and midpoint
     formulas read, `a + 0.5 * dt * b` and
-    `a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)`, with the products
-    0.5 * dt and dt / 6.0 computed once.  Each accepted row is checked
+    `a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)`, with the products
+    0.5 * dt and dt / 6.0 computed once; the weights are float literals,
+    so every product runs in float arithmetic.  Each accepted row is checked
     finite, its invariants are evaluated and checked finite, and both are
     appended to `rows` and `values`; with k0 == 0, row 0's invariants are
     too, at the start row stored in `rows`.  A step that is not accepted
@@ -234,7 +235,7 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     if method == "rk4":
         k3 = stage(3, shifted(3, "half", k2))
         k4 = stage(4, shifted(4, "dt", k3))
-        new = [f"{s} + sixth * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+        new = [f"{s} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
                for s, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
     else:
         new = [f"{s} + dt * {b}" for s, b in zip(state, k2)]
@@ -433,19 +434,25 @@ def leaf_report(P: PoissonBivector, traj: Trajectory) -> LeafReport:
 
 
 def _csv_lines(traj: Trajectory, nv: int, start: int, stop: int):
-    """The CSV lines of steps start .. stop - 1, each ending in a newline;
-    t is k * dt, as `Trajectory.times` computes it."""
+    """The CSV lines of steps start .. stop - 1, one string per at most 1024
+    rows, each line ending in a newline; t is k * dt, as `Trajectory.times`
+    computes it.  A string is formatted by columns: t, each coordinate,
+    then H and each Casimir go through repr as one run each, and the
+    columns are zipped into lines."""
     n, dt, rows, values = len(traj.names), traj.dt, traj.rows, traj.invariants
-    for k in range(start, stop):
-        yield ",".join(map(repr, [k * dt, *rows[k * n:k * n + n],
-                                  *values[k * nv:k * nv + nv]])) + "\n"
+    for a in range(start, stop, 1024):
+        b = min(a + 1024, stop)
+        cols = [map(repr, [k * dt for k in range(a, b)]),
+                *(map(repr, rows[a * n + i:b * n:n]) for i in range(n)),
+                *(map(repr, values[a * nv + i:b * nv:nv]) for i in range(nv))]
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def _csv_chunks(traj: Trajectory, nv: int, start: int, stop: int) -> list[bytes]:
     """The CSV lines of steps start .. stop - 1 as a child sends them:
-    encoded 1024 rows at a time and never joined, so it holds them once."""
-    return ["".join(_csv_lines(traj, nv, k, min(k + 1024, stop))).encode()
-            for k in range(start, stop, 1024)]
+    `_csv_lines`' strings, each encoded and never joined, so it holds
+    them once."""
+    return [text.encode() for text in _csv_lines(traj, nv, start, stop)]
 
 
 def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
@@ -457,7 +464,8 @@ def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
 
     The rows come in parts, in order.  A flow run with a handoff may have
     handed each block but the last to a child, which formatted it while
-    the loop went on; the rows not handed off are formatted here.  A
+    the loop went on; the rows not handed off are formatted here, one
+    write per `_csv_lines` string of at most 1024 rows.  A
     child's lines are copied into fh as they arrive, in 64 KiB reads, so
     every write to fh is made here and the bytes equal a serial run's.
     The rows a child did not deliver whole (there is no os.fork, the child
@@ -478,5 +486,5 @@ def write_csv(traj: Trajectory, fh, labels: Sequence[str] = ()) -> None:
             fh.write(part[:whole].decode())
             done += part.count(b"\n", 0, whole)
             part = part[whole:]
-        for line in _csv_lines(traj, nv, done, stop):
-            fh.write(line)
+        for text in _csv_lines(traj, nv, done, stop):
+            fh.write(text)

@@ -46,9 +46,10 @@ and on numpy rows for N points given as the columns of a 2-D array.
 A power or function op runs the scalar `math` function (or `pow`) on a
 float and applies it element by element to a row, so a column's values
 are the scalar call's bit for bit.  numpy is imported only on the first
-such call.  `emit` prints the same steps as straight-line Python, one
-assignment per step, which `dynamics` inlines into a whole generated
-integration loop, where the speed of each scalar step matters.
+such call.  `emit` prints the same steps as straight-line Python, which
+`dynamics` inlines into a whole generated integration loop, where the
+speed of each scalar step matters: a `+`, `-` or `*` step read once is
+nested into its reader's line, and every other step is an assignment.
 
 Structural zeros and linear combinations have one owner each.
 `is_zero(e)` is `e is ZERO`: a constant 0 is the only zero the
@@ -999,35 +1000,83 @@ def _tape(exprs: Sequence[Expr], names: Sequence[str]) -> tuple[list[tuple], lis
     return steps, regs + [None] * temps, [reg[e] for e in exprs]
 
 
+# ops a step may be nested into its reader with: on floats they cannot raise
+_NESTED = {_OPS[t][0] for t in (Add, Sub, Mul)}
+# the most nested parentheses `emit` writes around inner steps; CPython
+# refuses more than 200 in one line
+_NEST_DEPTH = 16
+
+
 def emit(exprs: Sequence[Expr], inputs: Mapping[str, str], temp: str,
          indent: str = "    ") -> tuple[list[str], list[str]]:
     """Straight-line Python computing `exprs`: (assignment lines, id of each).
 
     The code generator of `dynamics`' flow loop, which inlines the lines
-    into one generated function.  It prints `_tape`'s steps, one line at
-    `indent` each, so a structurally equal subtree, being one node, is
-    computed once, and the first line that fails is the first node of the
-    walk that fails, as in `evaluate`.  `inputs` maps a variable name to
-    the source text that reads its value; a variable outside it is an
-    UnboundVariableError.  A register prints as its input text, as the
-    `repr` of its constant (a float literal, an exponent, or the integer
-    numerator or denominator of a constant past the float range), or as
-    `temp` plus the temporary's number.  An op prints as `_OPS` gives
-    it: its operator symbol, an integer power as a call `_pow(base, n)`
-    and a function as `_sin(a)` and so on; the lines run in the namespace
-    `build` gives them, so that namespace decides how powers round.
+    into one generated function.  It prints `_tape`'s steps in walk order,
+    so a structurally equal subtree, being one node, is computed once.  A
+    `+`, `-` or `*` step that is not an output and whose value exactly one
+    operand slot of a later step reads is nested, in parentheses, into
+    that reader's line, at most _NEST_DEPTH deep; every other step is an
+    assignment line at `indent`.  So each division, power, function, node
+    read twice and output keeps its own line and temporary, and since a
+    nested step cannot raise, the first line that fails is the first node
+    of the walk that fails, as in `evaluate`.  A nested step whose
+    temporaries are written again before its reader runs is printed on its
+    own line just before that write.  Nesting moves no rounding: each
+    operator still applies to the values the tape gives it.
+
+    `inputs` maps a variable name to the source text that reads its value;
+    a variable outside it is an UnboundVariableError.  A register prints as
+    its input text, as the `repr` of its constant (a float literal, an
+    exponent, or the integer numerator or denominator of a constant past
+    the float range), or as `temp` plus the temporary's number.  An op
+    prints as `_OPS` gives it: its operator symbol, an integer power as a
+    call `_pow(base, n)` and a function as `_sin(a)` and so on; the lines
+    run in the namespace `build` gives them, so that namespace decides how
+    powers round.
     """
     steps, regs, outs = _tape(exprs, list(inputs))
     texts = list(inputs.values())
+    reads = [0] * len(steps)  # operand slots reading each step's value
+    writer: dict[int, int] = {}  # a temporary's register: the step whose value it holds
+    for i, (op, a, b, out) in enumerate(steps):
+        for r in (a, b):
+            if r in writer:
+                reads[writer[r]] += 1
+        writer[out] = i
+    final = {writer[r] for r in outs if r in writer}
 
     def text(r: int) -> str:
         if r < 0:
             return f"{temp}{-r - 1}"
         return texts[r] if r < len(texts) else repr(regs[r])
 
-    lines = [f"{indent}{text(out)} = "
-             + _PRINTED[op].format(*(text(r) for r in (a, b) if r is not None))
-             for op, a, b, out in steps]
+    lines: list[str] = []
+    # a nested step's register: (its text, its depth, the temporaries it reads)
+    nested: dict[int, tuple[str, int, set[int]]] = {}
+
+    def write(out: int, rhs: str) -> None:
+        for r in [r for r, (_, _, used) in nested.items() if out in used]:
+            if r in nested:  # its value reads out's old one: printed first
+                write(r, nested.pop(r)[0])
+        lines.append(f"{indent}{text(out)} = {rhs}")
+
+    for i, (op, a, b, out) in enumerate(steps):
+        args, depth, used = [], 0, set()
+        for r in (a, b):
+            if r in nested:
+                inner, d, u = nested.pop(r)
+                args.append(f"({inner})")
+                depth, used = max(depth, d + 1), used | u
+            elif r is not None:
+                args.append(text(r))
+                if r < 0:
+                    used.add(r)
+        rhs = _PRINTED[op].format(*args)
+        if op in _NESTED and reads[i] == 1 and i not in final and depth < _NEST_DEPTH:
+            nested[out] = (rhs, depth, used)
+        else:
+            write(out, rhs)
     return lines, [text(r) for r in outs]
 
 

@@ -6,6 +6,7 @@ phi' = phi p with p frozen.  Everything else is a structural property of
 the stepper (exact holds, drift bounds, convergence order).
 """
 
+import ast
 import contextlib
 import errno
 import io
@@ -415,6 +416,30 @@ def test_flow_is_generated_once_per_field_and_options(monkeypatch):
     assert generated == [("rk4", False), ("rk4", True), ("midpoint", False)]
 
 
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("sub", [False, True])
+def test_generated_loop_multiplies_no_int_literal(method, sub, monkeypatch):
+    # an int operand makes CPython leave its specialised float arithmetic
+    # for the generic path, though 2 and 2.0 give the same product; only
+    # _pow's exponent, a call argument, is an int
+    sources = []
+    build = ex.build
+
+    def kept(src, name, **extra):
+        sources.append(src)
+        return build(src, name, **extra)
+
+    monkeypatch.setattr(ex, "build", kept)
+    rp, vf, m = reduced_field("galilean", ex.parse("p^2/2 + 0.3*s*mu_P1 + mu_K2*mu_P2"))
+    dyn._generate_flow(vf, [vf.hamiltonian, ex.parse("mu_P1^2 + mu_P2^2")], method, sub)
+    binops = [n for n in ast.walk(ast.parse(sources[0])) if isinstance(n, ast.BinOp)]
+    assert len(binops) > 50
+    for n in binops:
+        for side in (n.left, n.right):
+            assert not (isinstance(side, ast.Constant) and type(side.value) is int), \
+                ast.unparse(n)
+
+
 @pytest.mark.parametrize("name,seed", [("se2", 107), ("heisenberg_q(2)", 103),
                                        ("galilean", 106)])
 def test_energy_drift_halvings_still_pass(monkeypatch, name, seed):
@@ -535,6 +560,21 @@ def test_csv_round_trip():
         assert vals[1:5] == [float(v) for v in row]
         assert vals[5] == row[3]            # H = p along the flow
         assert vals[6] == row[0]
+    # values whose repr takes every form (a signed zero, a subnormal,
+    # exponent and plain notation), in ranges around the 1024-row strings
+    # `_csv_lines` formats, each from an odd start
+    special = [-0.0, 5e-324, 1e16, 1e-5, -2.5e-310, 0.1, -1e16, 1 / 3, 123456.789, -1e-5]
+    rng = random.Random(11)
+    tr = dyn.Trajectory(dt=1e-3, names=("a", "b", "c"), method="rk4",
+                        rows=array("d", (rng.choice(special) for _ in range(3 * 3001))),
+                        invariants=array("d", (rng.choice(special) for _ in range(2 * 3001))))
+    serial = serial_csv(tr, ("c1",))
+    assert csv_text(tr, ("c1",)) == serial
+    lines = serial.splitlines(keepends=True)[1:]
+    for start, count in [(1, 0), (3, 1), (7, 1023), (1, 1024), (5, 1025), (951, 2049)]:
+        text = "".join(dyn._csv_lines(tr, 2, start, start + count))
+        assert text == "".join(lines[start:start + count])
+        assert b"".join(dyn._csv_chunks(tr, 2, start, start + count)) == text.encode()
 
 
 def test_times_strictly_increasing_and_shapes():

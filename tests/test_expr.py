@@ -1,5 +1,7 @@
+import ast
 import gc
 import math
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -374,19 +376,53 @@ def test_compiled_domain_error():
         f([0.0])
 
 
+def raising_lines(lines) -> int:
+    """How many emitted lines run an op that can raise (a call or a
+    division), checking that such an op is always its line's whole
+    right-hand side, never nested inside other arithmetic."""
+    count = 0
+    for ln in lines:
+        rhs = ast.parse(ln.strip()).body[0].value
+        raising = [n for n in ast.walk(rhs) if isinstance(n, ast.Call)
+                   or isinstance(getattr(n, "op", None), ast.Div)]
+        assert raising in ([], [rhs]), ln
+        count += len(raising)
+    return count
+
+
+def raising_nodes(exprs) -> int:
+    """How many nodes of the walk of exprs can raise: divisions, powers,
+    functions and constants past the float range."""
+    def raises(n):
+        if type(n) is Const:
+            return abs(n.value) > Fraction(sys.float_info.max)
+        return type(n) in (expr.Div, expr.Pow, expr.Fun)
+    return sum(map(raises, expr._postorder(exprs)))
+
+
+def built(lines, ids):
+    """emit's lines as a function of the input list x, returning the outputs."""
+    return expr.build("\n".join(["def f(x):", *lines, f"    return [{', '.join(ids)}]"])
+                      + "\n", "f")
+
+
 def test_equal_text_shares_a_temporary():
-    # the four uses of x*y are one node, and the two of 0.738*x one; emit
-    # writes one line per internal node, so the generated code computes each
-    # once and still equals `evaluate` bit for bit, the error of the first
+    # the four uses of x*y are one node, and the two of 0.738*x one; each is
+    # read more than once, so emit computes it once on its own line, and
+    # every raising node keeps a line of its own; the generated code and the
+    # compiled map equal `evaluate` bit for bit, the error of the first
     # failing node included
     e = parse("(x*y + sin(x*y)) / (x*y - 1) + log(x*y) - 0.738*x*(1 - 0.738*x)^2")
     order = expr._postorder([e])
-    internal = [n for n in order if type(n) not in (Const, Var)]
     assert [to_str(n) for n in order].count("x*y") == 1
     assert len({to_str(n) for n in order}) == len(order)  # no two equal subtrees
     lines, ids = expr.emit([e], {"x": "x[0]", "y": "x[1]"}, "t")
-    assert len(lines) == len(internal)
-    assert sum(ln.endswith("= x[0] * x[1]") for ln in lines) == 1
+    assert lines[0] == "    t0 = x[0] * x[1]"
+    assert sum(ln.count("x[0] * x[1]") for ln in lines) == 1
+    assert sum(ln.count("0.738 * x[0]") for ln in lines) == 1
+    assert raising_lines(lines) == raising_nodes([e]) == 4  # sin, /, log, ^2
+    assert len(lines) < sum(type(n) not in (Const, Var) for n in order)
+    printed = built(lines, ids)
     f = compile_exprs([e], ["x", "y"])
     outcomes = set()
     for x, y in [(0.5, 3.0), (2.0, 0.5), (0.5, -1.0), (-1.5, 0.25), (1.25, 0.8), (3.0, 0.0)]:
@@ -397,9 +433,12 @@ def test_equal_text_shares_a_temporary():
             with pytest.raises(DomainError) as got:
                 f([x, y])
             assert str(got.value) == str(err)
+            with pytest.raises((ArithmeticError, ValueError)) as raw:
+                printed([x, y])
+            assert str(expr.domain_error(raw.value)) == str(err)
             outcomes.add(str(err))
             continue
-        assert f([x, y]) == [want]
+        assert f([x, y]) == printed([x, y]) == [want]
         outcomes.add("value")
     assert outcomes == {"value", "division by zero", "log of a non-positive value"}
 
@@ -954,8 +993,9 @@ def test_a_column_call_keeps_no_second_copy_of_the_tape():
 
 
 def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
-    # a chain of 400 products needs two names, the outputs keep theirs, and
-    # the lines still compute the walk's values
+    # a chain of 400 products, each read once, nests into lines at most
+    # _NEST_DEPTH deep that need few names; the outputs keep theirs, and the
+    # lines still compute the walk's values
     x = Var("x")
     e = x
     kept = []
@@ -964,17 +1004,41 @@ def test_emit_reuses_a_temporary_once_its_last_reader_is_written():
         if k in (7, 250):
             kept.append(e)
     lines, ids = expr.emit([e, *kept], {"x": "x[0]"}, "t")
-    assert len(lines) == sum(type(n) not in (Const, Var) for n in expr._postorder([e]))
+    steps = sum(type(n) not in (Const, Var) for n in expr._postorder([e]))
+    assert steps == 799 and len(lines) < steps // expr._NEST_DEPTH + 4
+    assert max(ln.count("(") for ln in lines) == expr._NEST_DEPTH
+    assert raising_lines(lines) == raising_nodes([e]) == 0
     names = {ln.split(" = ")[0].strip() for ln in lines}
     assert len(names) <= 4
     assert len(set(ids)) == 3
-    # an output's name is never taken again after its line, so the function
-    # returns every output's own value; the lines print the tape, whose
-    # registers are those names
+    # an output is never nested and its name is never taken again after its
+    # line, so the function returns every output's own value; the lines
+    # print the tape, whose registers are those names
+    assert set(ids) <= names
     f = compile_exprs([e, *kept], ["x"])
-    assert f([0.5]) == [evaluate(n, {"x": 0.5}) for n in (e, *kept)]
+    want = [evaluate(n, {"x": 0.5}) for n in (e, *kept)]
+    assert f([0.5]) == built(lines, ids)([0.5]) == want
     steps, _, outs = expr._tape([e, *kept], ["x"])
     assert len({step[-1] for step in steps}) <= 4 and len(set(outs)) == 3
+
+
+def test_emit_nesting_stops_at_its_depth_cap():
+    # a chain of 400 products and a sum of 1000 single-use terms would nest
+    # hundreds of parentheses deep, more than CPython compiles; capped at
+    # _NEST_DEPTH, the lines build and give the tape's values bit for bit
+    x = Var("x")
+    chain = x
+    for k in range(400):
+        chain = chain * x + Const(k)
+    total = Const(0)
+    for k in range(1, 1001):
+        total = total + Const(Fraction(k, 10**6)) * x
+    for e in (chain, total):
+        lines, ids = expr.emit([e], {"x": "x[0]"}, "t")
+        assert len(lines) < len(expr._tape([e], ["x"])[0]) // expr._NEST_DEPTH + 4
+        printed, tape = built(lines, ids), compile_exprs([e], ["x"])
+        for v in (0.5, -1.25, 1.0 + 2**-40, 3e-9, 1.0001):
+            assert repr(printed([v])) == repr(tape([v]))
 
 
 def test_a_tape_node_reading_one_operand_twice_frees_it_once():
@@ -1011,28 +1075,29 @@ def test_a_compiled_map_generates_no_source(monkeypatch):
 
 
 def test_emit_prints_each_step_on_one_line():
-    # x*y is one node, computed once into t0, which as an output is never
-    # taken again; t1, t2 and t3 are; 0.5 is a float literal, 10^400/7 is
-    # past the float range and divides where it runs
+    # x*y is one node, read three times, computed once into t0, which as an
+    # output is never taken again; 0.5*x, read once, nests into exp's line;
+    # every call and division keeps its own line.  t1 + t2 is read once too,
+    # but _log's line writes t2 before its reader runs, so it is printed on
+    # its own line first; 0.5 is a float literal, 10^400/7 is past the float
+    # range and divides where it runs
     big = Const(Fraction(10**400, 7))
     e = parse("sin(x*y) + cos(x*y)^2 / exp(0.5*x) - log(x*y)*y") * big
     lines, ids = expr.emit([e, parse("x*y")], {"x": "x[0]", "y": "x[1]"}, "t")
     assert lines == [
         "    t0 = x[0] * x[1]",
         "    t1 = _sin(t0)",
-        "    t2 = 0.5 * x[0]",
-        "    t3 = _exp(t2)",
+        "    t3 = _exp((0.5 * x[0]))",
         "    t2 = _cos(t0)",
         "    t4 = _pow(t2, 2)",
         "    t2 = t4 / t3",
         "    t3 = t1 + t2",
         "    t2 = _log(t0)",
-        "    t1 = t2 * x[1]",
-        "    t2 = t3 - t1",
         f"    t1 = {10**400} / 7",
-        "    t3 = t2 * t1",
+        "    t3 = (t3 - (t2 * x[1])) * t1",
     ]
     assert ids == ["t3", "t0"]
+    assert raising_lines(lines) == raising_nodes([e]) == 7
 
 
 def test_emitted_lines_compute_what_the_tape_computes():

@@ -30,9 +30,14 @@ failure, overflow included, is one DomainError wherever it happens.
 Printing (`to_str`) walks the tree, not the DAG: it prints a shared
 subtree at every use, since a memo of printed strings would hold every
 intermediate string.  It keeps its pending pieces on an explicit stack,
-so it does not recurse either.  `parse` recurses, but rejects input
-nested deeper than 100 levels of parentheses, function calls and unary
-minus signs with an ExprSyntaxError.
+so it does not recurse either.  `parse` recurses, at most seven frames
+per level, but rejects input nested deeper than 100 levels of
+parentheses, function calls and unary minus signs with an ExprSyntaxError.
+
+One table, `_BINARY`, names each binary operator's text, precedence,
+folding constructor and arithmetic.  The printer, the parser (one
+precedence-climbing loop for `expr` and `term` below), `subs`, evaluation
+and the tape's `_OPS` all read it.
 
 One lowering, `_tape`, turns the walk into steps (op, in, in, out) over
 one register list, a numbered temporary for each node that is computed,
@@ -93,6 +98,8 @@ Grammar (EBNF), also the canonical serialization used in config files::
     letter  = "A" | ... | "Z" | "a" | ... | "z" ;
     digit   = "0" | ... | "9" ;
 
+One compiled regex, built from `NAME` and the number pattern, splits the
+text into tokens; a token's line and column come from its offset.
 Decimal literals are converted to exact rationals, so `0.25` parses to the
 constant 1/4 and prints back as `1/4`.  log takes its argument as written:
 there is no implicit absolute value.
@@ -421,57 +428,55 @@ def log(x) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# the binary operators
+# ---------------------------------------------------------------------------
+
+_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 10, 15, 20, 30, 40
+
+# the one table of binary operators: each node type's printed text, its
+# precedence (left-associative, so a right operand must bind tighter), its
+# folding constructor, and its arithmetic on floats, Fractions and numpy
+# rows.  The printer, the parser, `subs`, evaluation and the tape read it
+_BINARY = {Add: (" + ", _PREC_ADD, add, operator.add),
+           Sub: (" - ", _PREC_ADD, sub, operator.sub),
+           Mul: ("*", _PREC_MUL, mul, operator.mul),
+           Div: ("/", _PREC_MUL, div, operator.truediv)}
+
+
+# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
-# the grammar's `name`, and `number` with an unfinished fraction allowed,
-# which the tokenizer refuses as malformed
+# the grammar's `name`, and one token at a time: blanks, a `number` with an
+# unfinished fraction allowed, which the tokenizer refuses as malformed, a
+# name, an operator or parenthesis, else the one character it refuses
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"[0-9]+(\.[0-9]*)?")
+_TOKEN = re.compile(rf"[ \t\r\n]+|(?P<num>[0-9]+(?:\.[0-9]*)?)|(?P<name>{NAME.pattern})"
+                    r"|(?P<op>[-+*/^()])|(?P<char>.)", re.DOTALL)
+# a binary operator's token: its precedence and constructor
+_BY_SYMBOL = {text.strip(): (prec, build) for text, prec, build, _ in _BINARY.values()}
 
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
+        for m in _TOKEN.finditer(text):
+            kind, val, at = m.lastgroup, m.group(), m.start()
+            if kind == "char":
+                raise self.error(f"unexpected character {val!r}", at)
+            if kind == "num" and val.endswith("."):
+                raise self.error("malformed number", at)
+            if kind is not None:
+                self.tokens.append((kind, val, at))
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.depth = 0  # nesting levels open, bounded by _MAX_DEPTH
 
-    def _advance(self, n: int):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch in "+-*/^()":
-                self.tokens.append(("op", ch, line, col))
-                self._advance(1)
-            elif m := _NUMBER.match(text, self.pos):
-                if m.group().endswith("."):
-                    raise ExprSyntaxError("malformed number", line, col)
-                self.tokens.append(("num", m.group(), line, col))
-                self._advance(m.end() - self.pos)
-            elif m := NAME.match(text, self.pos):
-                self.tokens.append(("name", m.group(), line, col))
-                self._advance(m.end() - self.pos)
-            else:
-                raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("end", "", self.line, self.col))
+    def error(self, message: str, at: int) -> ExprSyntaxError:
+        """The syntax error at text offset `at`, by its line and column."""
+        line_start = self.text.rfind("\n", 0, at) + 1
+        return ExprSyntaxError(message, self.text.count("\n", 0, at) + 1, at - line_start + 1)
 
     def peek(self):
         return self.tokens[self.i]
@@ -483,7 +488,10 @@ class _Tokenizer:
 
 
 # levels of parentheses, function calls and unary minus signs open at
-# once; the recursive descent spends up to six frames per level
+# once; the recursive descent spends up to seven frames per level, as in
+# `x+y*(`: `_parse_binary` at precedence 0, then for the right operands of
+# `+` and of `*`, then `_parse_factor`, `_parse_power`, `_parse_atom` and
+# `_nested`
 _MAX_DEPTH = 100
 
 # a constant power is refused once its numerator or denominator must pass
@@ -506,148 +514,119 @@ def parse(text: str) -> Expr:
     |n| >= _MAX_POWER_BITS, at its exponent.
     """
     tz = _Tokenizer(text)
-    e = _parse_expr(tz)
-    kind, val, line, col = tz.peek()
+    e = _parse_binary(tz)
+    kind, val, at = tz.peek()
     if kind != "end":
-        raise ExprSyntaxError(f"unexpected {val!r} after expression", line, col)
+        raise tz.error(f"unexpected {val!r} after expression", at)
     return e
 
 
-def _nested(tz: _Tokenizer, parse_inner, line: int, col: int) -> Expr:
-    """parse_inner(tz) one nesting level down, the level opened at (line, col)."""
+def _nested(tz: _Tokenizer, parse_inner, at: int) -> Expr:
+    """parse_inner(tz) one nesting level down, the level opened at offset at."""
     if tz.depth == _MAX_DEPTH:
-        raise ExprSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", line, col)
+        raise tz.error(f"nested deeper than {_MAX_DEPTH} levels", at)
     tz.depth += 1
     e = parse_inner(tz)
     tz.depth -= 1
     return e
 
 
-def _int(val: str, line: int, col: int) -> int:
+def _int(tz: _Tokenizer, val: str, at: int) -> int:
     try:
         return int(val)
     except ValueError:  # more digits than int() converts
-        raise ExprSyntaxError("number has too many digits", line, col) from None
+        raise tz.error("number has too many digits", at) from None
 
 
-def _finite(e: Expr, line: int, col: int) -> Expr:
-    """e, unless it is a constant whose float overflows."""
-    if type(e) is Const:
-        try:
+def _fold(tz: _Tokenizer, at: int, build: Callable, *args) -> Expr:
+    """build(*args), the node folded at the token at offset at: a
+    DomainError, or a constant whose float overflows, is a syntax error
+    there."""
+    try:
+        e = build(*args)
+        if type(e) is Const:
             float(e.value)
-        except OverflowError:
-            raise ExprSyntaxError("constant too large for a float", line, col) from None
+    except DomainError as err:
+        raise tz.error(str(err), at) from None
+    except OverflowError:
+        raise tz.error("constant too large for a float", at) from None
     return e
 
 
-def _parse_expr(tz: _Tokenizer) -> Expr:
-    e = _parse_term(tz)
-    while True:
-        kind, val, line, col = tz.peek()
-        if kind == "op" and val in "+-":
-            tz.next()
-            rhs = _parse_term(tz)
-            e = _finite(add(e, rhs) if val == "+" else sub(e, rhs), line, col)
-        else:
-            return e
-
-
-def _parse_term(tz: _Tokenizer) -> Expr:
+def _parse_binary(tz: _Tokenizer, min_prec: int = 0) -> Expr:
+    """Factors joined by binary operators of precedence min_prec or more,
+    left-associative (precedence climbing over `_BINARY`)."""
     e = _parse_factor(tz)
     while True:
-        kind, val, line, col = tz.peek()
-        if kind == "op" and val in "*/":
-            tz.next()
-            rhs = _parse_factor(tz)
-            try:
-                e = _finite(mul(e, rhs) if val == "*" else div(e, rhs), line, col)
-            except DomainError as err:
-                raise ExprSyntaxError(str(err), line, col) from None
-        else:
+        _, val, at = tz.peek()
+        row = _BY_SYMBOL.get(val)
+        if row is None or row[0] < min_prec:
             return e
+        tz.next()
+        prec, build = row
+        e = _fold(tz, at, build, e, _parse_binary(tz, prec + 1))
 
 
 def _parse_factor(tz: _Tokenizer) -> Expr:
-    kind, val, line, col = tz.peek()
-    if kind == "op" and val == "-":
+    _, val, at = tz.peek()
+    if val == "-":
         tz.next()
-        return mul(MINUS_ONE, _nested(tz, _parse_factor, line, col))
+        return mul(MINUS_ONE, _nested(tz, _parse_factor, at))
     return _parse_power(tz)
 
 
 def _parse_power(tz: _Tokenizer) -> Expr:
     base = _parse_atom(tz)
-    kind, val, _, _ = tz.peek()
-    if kind == "op" and val == "^":
-        tz.next()
-        sign = 1
-        kind, val, line, col = tz.next()
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, line, col = tz.next()
-        if kind != "num" or "." in val:
-            raise ExprSyntaxError("exponent must be an integer", line, col)
-        n = sign * _int(val, line, col)
-        if type(base) is Const:
-            v = base.value
-            bits = max(abs(v.numerator).bit_length(), v.denominator.bit_length()) - 1
-            if abs(n) * bits >= _MAX_POWER_BITS:
-                raise ExprSyntaxError(f"constant power of over {_MAX_POWER_BITS} bits",
-                                      line, col)
-        elif abs(n) >= _MAX_POWER_BITS:
-            raise ExprSyntaxError(f"exponent of a variable power must be below "
-                                  f"{_MAX_POWER_BITS}", line, col)
-        try:
-            return _finite(pow_(base, n), line, col)
-        except DomainError as err:
-            raise ExprSyntaxError(str(err), line, col) from None
-    return base
+    if tz.peek()[1] != "^":
+        return base
+    tz.next()
+    sign = 1
+    kind, val, at = tz.next()
+    if val == "-":
+        sign = -1
+        kind, val, at = tz.next()
+    if kind != "num" or "." in val:
+        raise tz.error("exponent must be an integer", at)
+    n = sign * _int(tz, val, at)
+    if type(base) is Const:
+        v = base.value
+        bits = max(abs(v.numerator).bit_length(), v.denominator.bit_length()) - 1
+        if abs(n) * bits >= _MAX_POWER_BITS:
+            raise tz.error(f"constant power of over {_MAX_POWER_BITS} bits", at)
+    elif abs(n) >= _MAX_POWER_BITS:
+        raise tz.error(f"exponent of a variable power must be below {_MAX_POWER_BITS}", at)
+    return _fold(tz, at, pow_, base, n)
 
 
 def _parse_atom(tz: _Tokenizer) -> Expr:
-    kind, val, line, col = tz.next()
+    kind, val, at = tz.next()
     if kind == "num":
         if "." in val:
             whole, frac = val.split(".")
             denom = 10 ** len(frac)
-            value = Fraction(_int(whole, line, col) * denom + _int(frac, line, col), denom)
+            value = Fraction(_int(tz, whole, at) * denom + _int(tz, frac, at), denom)
         else:
-            value = _int(val, line, col)
-        return _finite(Const(value), line, col)
+            value = _int(tz, val, at)
+        return _fold(tz, at, Const, value)
     if kind == "name":
-        pk, pv, _, _ = tz.peek()
-        if pk == "op" and pv == "(":
-            if val not in _UNARY:
-                raise ExprSyntaxError(f"unknown function {val!r}", line, col)
-            tz.next()
-            arg = _nested(tz, _parse_expr, line, col)
-            k2, v2, l2, c2 = tz.next()
-            if not (k2 == "op" and v2 == ")"):
-                raise ExprSyntaxError("expected ')'", l2, c2)
-            try:
-                return fun(val, arg)
-            except DomainError as err:
-                raise ExprSyntaxError(str(err), line, col) from None
-        return Var(val)
-    if kind == "op" and val == "(":
-        e = _nested(tz, _parse_expr, line, col)
-        k2, v2, l2, c2 = tz.next()
-        if not (k2 == "op" and v2 == ")"):
-            raise ExprSyntaxError("expected ')'", l2, c2)
-        return e
-    raise ExprSyntaxError(f"unexpected {val or 'end of input'!r}", line, col)
+        if tz.peek()[1] != "(":
+            return Var(val)
+        if val not in _UNARY:
+            raise tz.error(f"unknown function {val!r}", at)
+        tz.next()
+    elif val != "(":
+        raise tz.error(f"unexpected {val or 'end of input'!r}", at)
+    # a function call's argument or a parenthesized expression
+    e = _nested(tz, _parse_binary, at)
+    _, close, close_at = tz.next()
+    if close != ")":
+        raise tz.error("expected ')'", close_at)
+    return e if val == "(" else _fold(tz, at, fun, val, e)
 
 
 # ---------------------------------------------------------------------------
 # printing (canonical serialization)
 # ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 10, 15, 20, 30, 40
-
-
-_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
-          Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
-
 
 def _layout(e: Expr) -> tuple[int, tuple]:
     """A node's precedence and its pieces in print order: text, or an
@@ -665,8 +644,8 @@ def _layout(e: Expr) -> tuple[int, tuple]:
     if t is Mul and e.a is MINUS_ONE:
         # after '-', the parser consumes a single power/atom
         return _PREC_NEG, ("-", (e.b, _PREC_POW))
-    if t in _INFIX:
-        op, prec = _INFIX[t]
+    if t in _BINARY:
+        op, prec, _, _ = _BINARY[t]
         return prec, ((e.a, prec), op, (e.b, prec + 1))
     if t is Pow:
         return _PREC_POW, ((e.base, _PREC_POW + 1), f"^{e.n}")
@@ -762,12 +741,9 @@ def _forward(e: Expr, env: Mapping, exact: bool = False) -> float | Fraction:
     try:
         for n in _postorder((e,)):
             t = type(n)
-            if t is Mul:
-                v = val[n.a] * val[n.b]
-            elif t is Add:
-                v = val[n.a] + val[n.b]
-            elif t is Sub:
-                v = val[n.a] - val[n.b]
+            row = _BINARY.get(t)
+            if row is not None:
+                v = row[3](val[n.a], val[n.b])
             elif t is Var:
                 if n.name not in env:
                     raise UnboundVariableError(f"unknown name {n.name!r}")
@@ -775,8 +751,6 @@ def _forward(e: Expr, env: Mapping, exact: bool = False) -> float | Fraction:
             elif t is Const:
                 # float(Fraction) rounds numerator / denominator too, but slower
                 v = n.value if exact else n.value.numerator / n.value.denominator
-            elif t is Div:
-                v = val[n.a] / val[n.b]
             elif t is Pow:
                 base = val[n.base]
                 if base == 0 and n.n < 0:  # Fraction(0) ** -1 reports Fraction(1, 0)
@@ -869,14 +843,8 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             v = n
         elif t is Var:
             v = mapping.get(n.name, n)
-        elif t is Add:
-            v = add(r[n.a], r[n.b])
-        elif t is Sub:
-            v = sub(r[n.a], r[n.b])
-        elif t is Mul:
-            v = mul(r[n.a], r[n.b])
-        elif t is Div:
-            v = div(r[n.a], r[n.b])
+        elif t in _BINARY:
+            v = _BINARY[t][2](r[n.a], r[n.b])
         elif t is Pow:
             v = pow_(r[n.base], n.n)
         else:
@@ -923,9 +891,8 @@ def _each(fn: Callable, nargs: int) -> Callable:
 
 # the one op table: the op a tape step of each node type (a function, by
 # its name) runs, on floats and on numpy rows alike, and how `emit` prints
-# it, with its inputs' text
-_OPS = {Add: (operator.add, "{} + {}"), Sub: (operator.sub, "{} - {}"),
-        Mul: (operator.mul, "{} * {}"), Div: (operator.truediv, "{} / {}"),
+# it, with its inputs' text; a binary operator's comes from `_BINARY`
+_OPS = {**{t: (apply, f"{{}} {text.strip()} {{}}") for t, (text, _, _, apply) in _BINARY.items()},
         Pow: (_each(pow, 2), "_pow({}, {})"),
         **{name: (_each(fn, 1), f"_{name}({{}})") for name, fn in _UNARY.items()}}
 _PRINTED = dict(_OPS.values())

@@ -209,6 +209,11 @@ def test_constant_folding():
     ("٣", 1, 1),
     ("1.٣", 1, 1),
     ("²", 1, 1),
+    # a line starts after each "\n"; "\r" and a tab are one column each
+    ("x +\n", 2, 1),
+    ("x\r\n+\ty é", 2, 5),
+    ("\n\n  x)", 3, 4),
+    ("x *\r\n\r\n\t5.", 3, 2),
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ExprSyntaxError) as info:
@@ -293,6 +298,8 @@ def test_print_parse_round_trip_random(seed):
     e = random_expr(random.Random(seed), 4)
     canon = to_str(e)
     assert to_str(parse(canon)) == canon
+    # nodes are interned: the printer and the parser agree on the tree
+    assert parse(canon) is e
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -758,6 +765,14 @@ def test_parse_accepts_nesting_at_the_bound():
     # nesting is what is open at once, not what the whole text contains
     flat = " + ".join(["(-(x))"] * 300)
     assert evaluate(parse(flat), {"x": 1.0}) == -300.0
+
+
+@pytest.mark.parametrize("opener", ["x*(", "x+(", "x+y*(", "x-y/(", "x+y*sin("])
+def test_nesting_bound_holds_in_right_operands(opener):
+    # a right operand of mixed precedence costs the most frames per level
+    assert parse(opener * 100 + "x" + ")" * 100) is not None
+    with pytest.raises(ExprSyntaxError, match="^nested deeper than 100 levels "):
+        parse(opener * 101 + "x" + ")" * 101)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -101,16 +100,13 @@ def _point_env(names: Sequence[str], point) -> dict[str, float]:
     return {n: float(point[n]) for n in names}
 
 
-@dataclass(frozen=True, eq=False)
-class BChart:
+class BChart(ex.Frozen):
     """Coordinate names and the index of the defining coordinate."""
 
-    names: tuple[str, ...]
-    defining: int
-
-    def __post_init__(self):
-        if not 0 <= self.defining < len(self.names):
+    def __init__(self, names: tuple[str, ...], defining: int):
+        if not 0 <= defining < len(names):
             raise ValueError("defining index out of range")
+        self.__dict__.update(names=names, defining=defining)
 
     @property
     def dim(self) -> int:
@@ -130,16 +126,13 @@ class BChart:
         return _point_env(self.names, point)
 
 
-@dataclass(frozen=True, eq=False)
-class BVectorField:
+class BVectorField(ex.Frozen):
     """Components in the rescaled frame: comps[d]*(f d/df) + comps[i]*d/dz_i."""
 
-    chart: BChart
-    comps: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: BChart, comps: tuple[Expr, ...]):
+        if len(comps) != chart.dim:
             raise ValueError("component count must match chart dimension")
+        self.__dict__.update(chart=chart, comps=comps)
 
     @cached_property
     def _compiled(self):
@@ -150,22 +143,21 @@ class BVectorField:
         return np.array(self._compiled(list(self.chart.env(point).values())))
 
 
-@dataclass(frozen=True, eq=False)
-class BForm:
+class BForm(ex.Frozen):
     """Degree-k form: coefficients over strictly increasing frame multi-indices.
 
     Indices containing the defining slot make up the df/f-part (alpha);
-    the rest is the smooth part (beta).
+    the rest is the smooth part (beta).  Without coeffs the form is zero,
+    with a dict of its own.
     """
 
-    chart: BChart
-    degree: int
-    coeffs: dict[tuple[int, ...], Expr] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for idx in self.coeffs:
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad multi-index {idx} for degree {self.degree}")
+    def __init__(self, chart: BChart, degree: int,
+                 coeffs: dict[tuple[int, ...], Expr] | None = None):
+        coeffs = {} if coeffs is None else coeffs
+        for idx in coeffs:
+            if len(idx) != degree or list(idx) != sorted(set(idx)):
+                raise ValueError(f"bad multi-index {idx} for degree {degree}")
+        self.__dict__.update(chart=chart, degree=degree, coeffs=coeffs)
 
     def coeff(self, idx: tuple[int, ...]) -> Expr:
         return self.coeffs.get(idx, ZERO)
@@ -191,13 +183,11 @@ def _prune(coeffs: dict) -> dict:
     return {i: c for i, c in coeffs.items() if not ex.is_zero(c)}
 
 
-@dataclass(frozen=True, eq=False)
-class BFunction:
+class BFunction(ex.Frozen):
     """c*log|f| + g with constant c and smooth g; never evaluated on {f=0}."""
 
-    chart: BChart
-    c: Fraction
-    smooth: Expr
+    def __init__(self, chart: BChart, c: Fraction, smooth: Expr):
+        self.__dict__.update(chart=chart, c=c, smooth=smooth)
 
     def value(self, point) -> float:
         env = self.chart.env(point)
@@ -340,12 +330,13 @@ def bdarboux_model(n: int) -> BForm:
 # Poisson bivectors and inversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PoissonBivector:
-    """Pi^{ij} over coordinate (not frame) vector fields, i < j."""
+class PoissonBivector(ex.Frozen):
+    """Pi^{ij} over coordinate (not frame) vector fields, i < j; without
+    entries it is zero, with a dict of its own."""
 
-    names: tuple[str, ...]
-    entries: dict[tuple[int, int], Expr] = field(default_factory=dict)
+    def __init__(self, names: tuple[str, ...],
+                 entries: dict[tuple[int, int], Expr] | None = None):
+        self.__dict__.update(names=names, entries={} if entries is None else entries)
 
     def entry(self, i: int, j: int) -> Expr:
         if i == j:

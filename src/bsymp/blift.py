@@ -27,7 +27,6 @@ section decides its nondegeneracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -44,11 +43,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class BCotangentChart:
+class BCotangentChart(ex.Frozen):
     """A base chart plus fiber momenta dual to its rescaled frame."""
 
-    base: BChart
+    def __init__(self, base: BChart):
+        self.__dict__["base"] = base
 
     @property
     def n(self) -> int:
@@ -80,8 +79,7 @@ def trivialized_base_chart(pair: BLieGroupPair) -> BChart:
     return BChart(names, len(names) - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedAction:
+class LiftedAction(ex.Frozen):
     """Left translation by the subgroup, lifted to the cotangent chart,
     whose momenta are dual to the rescaled frame with phi defining.
 
@@ -91,7 +89,8 @@ class LiftedAction:
     use.
     """
 
-    pair: BLieGroupPair
+    def __init__(self, pair: BLieGroupPair):
+        self.__dict__["pair"] = pair
 
     @cached_property
     def cot(self) -> BCotangentChart:

@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,17 +49,20 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    """Validated run configuration; exactly one group source."""
+    """Validated run configuration; exactly one group source.  `flow` is a
+    dict of the config's own unless one is given."""
 
-    builtin: str | None = None
-    algebra: lie.LieAlgebra | None = None
-    basis: list | None = None
-    connection: dict | None = None
-    seed: int = 42
-    flow: dict = field(default_factory=dict)
-    out_dir: str = "."
+    def __init__(self, builtin: str | None = None, algebra: lie.LieAlgebra | None = None,
+                 basis: list | None = None, connection: dict | None = None, seed: int = 42,
+                 flow: dict | None = None, out_dir: str = "."):
+        self.builtin = builtin
+        self.algebra = algebra
+        self.basis = basis
+        self.connection = connection
+        self.seed = seed
+        self.flow = {} if flow is None else flow
+        self.out_dir = out_dir
 
     @property
     def pair(self):

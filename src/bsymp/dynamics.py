@@ -37,8 +37,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import struct
 import sys
-from dataclasses import dataclass, field
 from typing import MutableSequence, Sequence
 
 import bsymp.expr as ex
@@ -63,20 +63,22 @@ class InvariantError(ValueError):
         self.index = index
 
 
-@dataclass
 class VectorField:
     """Coordinate components of a vector field, with optional bookkeeping.
 
     `hamiltonian` is carried along so integrators can report energy drift;
     `phi_slot` marks the transverse coordinate for slice diagnostics and
     the multiplicative substitution.  Neither affects the field itself.
+    `flows` holds the generated integration loops (`integrate`).
     """
 
-    names: tuple[str, ...]
-    components: tuple[Expr, ...]
-    hamiltonian: Expr | None = None
-    phi_slot: int | None = None
-    flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, names: tuple[str, ...], components: tuple[Expr, ...],
+                 hamiltonian: Expr | None = None, phi_slot: int | None = None):
+        self.names = names
+        self.components = components
+        self.hamiltonian = hamiltonian
+        self.phi_slot = phi_slot
+        self.flows = {}
 
 
 def hamiltonian_vf(P: PoissonBivector, H: Expr,
@@ -93,25 +95,31 @@ def hamiltonian_vf(P: PoissonBivector, H: Expr,
                        hamiltonian=H, phi_slot=phi_slot)
 
 
-@dataclass
 class Trajectory:
     """Fixed-step integration output in flat, row-major array('d') buffers:
     `rows` holds the state of step k at k * n .. k * n + n - 1 (n = len(names)), and
     `invariants`, laid out the same way, H there (0.0 without a
-    Hamiltonian), then each Casimir."""
+    Hamiltonian), then each Casimir.
 
-    dt: float
-    names: tuple[str, ...]
-    rows: MutableSequence[float]
-    invariants: MutableSequence[float]
-    method: str
-    phi_slot: int | None = None
-    energy_drift: float | None = None
-    casimir_drifts: tuple[float, ...] = ()
-    phi_floor: float | None = None
-    # (start, stop, child): rows start .. stop - 1, handed in order to a
-    # `_fork.Fork` child that formats their CSV lines (see write_csv)
-    handed_off: list = field(default_factory=list, repr=False, compare=False)
+    `handed_off` lists (start, stop, child): rows start .. stop - 1,
+    handed in order to a `_fork.Fork` child that formats their CSV lines
+    (see write_csv); a list of the trajectory's own unless one is given."""
+
+    def __init__(self, dt: float, names: tuple[str, ...], rows: MutableSequence[float],
+                 invariants: MutableSequence[float], method: str,
+                 phi_slot: int | None = None, energy_drift: float | None = None,
+                 casimir_drifts: tuple[float, ...] = (), phi_floor: float | None = None,
+                 handed_off: list | None = None):
+        self.dt = dt
+        self.names = names
+        self.rows = rows
+        self.invariants = invariants
+        self.method = method
+        self.phi_slot = phi_slot
+        self.energy_drift = energy_drift
+        self.casimir_drifts = casimir_drifts
+        self.phi_floor = phi_floor
+        self.handed_off = [] if handed_off is None else handed_off
 
     @property
     def times(self) -> MutableSequence[float]:
@@ -199,8 +207,10 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     `a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)`, with the products
     0.5 * dt and dt / 6.0 computed once; the weights are float literals,
     so every product runs in float arithmetic.  Each accepted row is checked
-    finite, its invariants are evaluated and checked finite, and both are
-    appended to `rows` and `values`; with k0 == 0, row 0's invariants are
+    finite, its invariants are evaluated and checked finite, and each is
+    packed by one `struct.Struct.pack` and added to `rows` and `values`
+    by one `frombytes` (`extend` from a tuple converts each value on its
+    own, about four times slower); with k0 == 0, row 0's invariants are
     too, at the start row stored in `rows`.  A step that is not accepted
     returns (None, (k, where, row, err)): the step, "field", "chart" or
     "invariant", the row (row 0 for k = -1; a "chart" row may go on with
@@ -248,12 +258,14 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
     g_lines, g = ex.emit(invariants, dict(zip(vf.names, row)), "g", ind)
     src = ["def _flow(s, rows, values, k0, k1, dt, sgn):",
            f"    {', '.join(state)}, = s",
+           "    put_row = rows.frombytes",
+           "    put_values = values.frombytes",
            "    if k0 == 0:",
            *([f"        r = rows[{m}]"] if sub else []),
            *_guarded(g_lines, "        ", f"None, (-1, 'invariant', {tup}, err)"),
            f"        if not ({_finite(g)}):",
            f"            return None, (-1, 'invariant', {tup}, None)",
-           f"        values.extend(({', '.join(g)},))",
+           f"        put_values(_pvalues({', '.join(g)}))",
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
            "    for k in range(k0, k1):",
@@ -268,11 +280,13 @@ def _generate_flow(vf: VectorField, invariants: Sequence[Expr], method: str,
             *_guarded(g_lines, "        ", f"None, (k, 'invariant', {tup}, err)"),
             f"        if not ({_finite(g)}):",
             f"            return None, (k, 'chart', ({', '.join([*row, *g])},), None)",
-            f"        rows.extend({tup})",
-            f"        values.extend(({', '.join(g)},))",
+            f"        put_row(_prow({', '.join(row)}))",
+            f"        put_values(_pvalues({', '.join(g)}))",
             f"    return ({', '.join(state)},), None"]
     return ex.build("\n".join(src) + "\n", "_flow", inf=math.inf, nan=math.nan,
-                    _ERRORS=(ArithmeticError, ValueError))
+                    _ERRORS=(ArithmeticError, ValueError),
+                    _prow=struct.Struct(f"{n}d").pack,
+                    _pvalues=struct.Struct(f"{len(invariants)}d").pack)
 
 
 def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
@@ -378,13 +392,14 @@ def integrate(vf: VectorField, x0: Sequence[float], dt: float, T: float,
     return tr
 
 
-@dataclass(frozen=True)
-class LeafReport:
-    sign_constant: bool
-    on_slice: bool
-    energy_drift: float | None
-    casimir_drifts: dict[str, float]
-    phi_floor: float | None
+class LeafReport(ex.Frozen):
+    """What a flow shows of its symplectic leaf, as `lines` prints it."""
+
+    def __init__(self, sign_constant: bool, on_slice: bool, energy_drift: float | None,
+                 casimir_drifts: dict[str, float], phi_floor: float | None):
+        self.__dict__.update(sign_constant=sign_constant, on_slice=on_slice,
+                             energy_drift=energy_drift, casimir_drifts=casimir_drifts,
+                             phi_floor=phi_floor)
 
     def lines(self) -> list[str]:
         out = [f"sign-constant: {str(self.sign_constant).lower()}",

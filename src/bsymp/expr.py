@@ -185,17 +185,26 @@ def _interned(key: tuple, fv: frozenset[str], *fields):
     return n
 
 
-class Expr:
+class Frozen:
+    """Refuses attribute assignment and deletion, for the nodes here and
+    the immutable records of the other modules.  A subclass sets its
+    fields once, in its constructor, through `_init` or its instance
+    `__dict__`, where a `functools.cached_property` keeps its value too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Expr(Frozen):
     """An immutable node: its constructor returns the live node with the
     same fields if there is one, so structurally equal is identical."""
 
     # _fv: free variable names; _d: derivatives by variable name, set by diff
     __slots__ = ("_fv", "_d", "__weakref__")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    __delattr__ = __setattr__
 
     def __add__(self, other):
         return add(self, as_expr(other))

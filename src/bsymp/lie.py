@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -119,15 +118,15 @@ class _Span:
 # Lie algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LieAlgebra:
+class LieAlgebra(ex.Frozen):
     """Structure constants c^k_ij (exact) over a labelled basis.
 
     `constants` maps (i, j) to the row {k: c^k_ij}, so [e_i, e_j] =
     sum_k c^k_ij e_k; an absent pair, or an absent k, reads as zero."""
 
-    labels: tuple[str, ...]
-    constants: dict[tuple[int, int], dict[int, Fraction]]  # (i, j) -> {k: c^k_ij}
+    def __init__(self, labels: tuple[str, ...],
+                 constants: dict[tuple[int, int], dict[int, Fraction]]):
+        self.__dict__.update(labels=labels, constants=constants)
 
     @property
     def dim(self) -> int:
@@ -221,8 +220,7 @@ def lie_poisson_sym(L: LieAlgebra, F: Expr, G: Expr) -> Expr:
 # matrix groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MatrixGroup:
+class MatrixGroup(ex.Frozen):
     """A matrix Lie group presented by an expression-valued chart.
 
     chart_fn / mul_fn / inv_fn are pure maps on expression lists, usable
@@ -234,16 +232,15 @@ class MatrixGroup:
     cached properties: each is built once per group, on first use.  The
     numeric entry points take one value per parameter name, or per basis
     label for an algebra or dual vector (`bcalc.sequence_values`).
+    `box` bounds each parameter's sample draws in the tests.
     """
 
-    name: str
-    param_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    chart_fn: Callable = field(repr=False)
-    mul_fn: Callable = field(repr=False)
-    inv_fn: Callable = field(repr=False)
-    params_from_matrix: Callable = field(repr=False)
-    box: tuple = ()
+    def __init__(self, name: str, param_names: tuple[str, ...], labels: tuple[str, ...],
+                 chart_fn: Callable, mul_fn: Callable, inv_fn: Callable,
+                 params_from_matrix: Callable, box: tuple = ()):
+        self.__dict__.update(name=name, param_names=param_names, labels=labels,
+                             chart_fn=chart_fn, mul_fn=mul_fn, inv_fn=inv_fn,
+                             params_from_matrix=params_from_matrix, box=box)
 
     @property
     def dim(self) -> int:
@@ -385,26 +382,27 @@ def _emat_mul(A, B):
 # group pairs (closed codimension-one subgroup, transverse coordinate)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BLieGroupPair:
+class BLieGroupPair(ex.Frozen):
     """A group with a marked codimension-one subgroup and a split chart.
 
     The trivialization maps group parameters to (subgroup parameters,
     transverse coordinate) equivariantly: left translation by the subgroup
     acts on the first factor only.  All reduction-side work happens in the
-    trivialized chart.
+    trivialized chart: `triv_fn` maps params to (h_params, phi) and
+    `triv_inv_fn` maps (h_params, phi) back to params.
+
+    `_cache` holds the per-pair objects built in other modules (the lifted
+    action and its invariant momenta, verify's connection cases and flow
+    field), each under a string key (`memo`), in a dict of the pair's own
+    unless one is given; objects lie derives itself are cached properties.
     """
 
-    name: str
-    group: MatrixGroup
-    phi_index: int
-    triv_fn: Callable = field(repr=False)       # params -> (h_params, phi)
-    triv_inv_fn: Callable = field(repr=False)   # (h_params, phi) -> params
-    quotient: str = "line (R^1)"
-    # per-pair objects built in other modules (the lifted action and its
-    # invariant momenta, verify's connection cases and flow field), each
-    # under a string key; objects lie derives itself are cached properties
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, name: str, group: MatrixGroup, phi_index: int,
+                 triv_fn: Callable, triv_inv_fn: Callable,
+                 quotient: str = "line (R^1)", _cache: dict | None = None):
+        self.__dict__.update(name=name, group=group, phi_index=phi_index, triv_fn=triv_fn,
+                             triv_inv_fn=triv_inv_fn, quotient=quotient,
+                             _cache={} if _cache is None else _cache)
 
     def memo(self, key, build: Callable):
         """The per-pair object under key, made by build() on first use."""

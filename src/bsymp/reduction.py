@@ -58,7 +58,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -106,19 +105,16 @@ def _action(pair: BLieGroupPair) -> LiftedAction:
 # connections
 
 
-@dataclass(frozen=True, eq=False)
-class Connection:
+class Connection(ex.Frozen):
     """Algebra-valued 1-form on the split chart, one BForm per generator.
 
     Its dphi-frame slot is S * Ad_k xi (xi, S None for the default).  Its
     compiled maps, reduced coordinates and chart shift are cached on it.
     """
 
-    pair: BLieGroupPair
-    forms: tuple[BForm, ...]
-    tag: str
-    xi: tuple[float, ...] | None = None
-    S: Expr | None = None
+    def __init__(self, pair: BLieGroupPair, forms: tuple[BForm, ...], tag: str,
+                 xi: tuple[float, ...] | None = None, S: Expr | None = None):
+        self.__dict__.update(pair=pair, forms=forms, tag=tag, xi=xi, S=S)
 
     @property
     def chart(self) -> BChart:

@@ -71,7 +71,6 @@ import math
 import random
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -82,22 +81,22 @@ from bsymp import _fork, bcalc, dynamics as dyn, lie
 from bsymp import reduction as red
 
 
-@dataclass(frozen=True)
-class SectionResult:
-    name: str
-    residual: float
-    tolerance: float
+class SectionResult(ex.Frozen):
+    """One section's name, residual and tolerance; it passes at or under the tolerance."""
+
+    def __init__(self, name: str, residual: float, tolerance: float):
+        self.__dict__.update(name=name, residual=residual, tolerance=tolerance)
 
     @property
     def ok(self) -> bool:
         return self.residual <= self.tolerance
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    subject: str
-    seed: int
-    sections: tuple[SectionResult, ...]
+class VerifyReport(ex.Frozen):
+    """A suite's sections in order, for one subject and seed."""
+
+    def __init__(self, subject: str, seed: int, sections: tuple[SectionResult, ...]):
+        self.__dict__.update(subject=subject, seed=seed, sections=sections)
 
     @property
     def passed(self) -> bool:

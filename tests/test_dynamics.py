@@ -416,12 +416,8 @@ def test_flow_is_generated_once_per_field_and_options(monkeypatch):
     assert generated == [("rk4", False), ("rk4", True), ("midpoint", False)]
 
 
-@pytest.mark.parametrize("method", ["rk4", "midpoint"])
-@pytest.mark.parametrize("sub", [False, True])
-def test_generated_loop_multiplies_no_int_literal(method, sub, monkeypatch):
-    # an int operand makes CPython leave its specialised float arithmetic
-    # for the generic path, though 2 and 2.0 give the same product; only
-    # _pow's exponent, a call argument, is an int
+def galilean_loop_source(method, sub, monkeypatch) -> ast.Module:
+    """The parsed source of a galilean flow loop with H and one Casimir."""
     sources = []
     build = ex.build
 
@@ -432,12 +428,67 @@ def test_generated_loop_multiplies_no_int_literal(method, sub, monkeypatch):
     monkeypatch.setattr(ex, "build", kept)
     rp, vf, m = reduced_field("galilean", ex.parse("p^2/2 + 0.3*s*mu_P1 + mu_K2*mu_P2"))
     dyn._generate_flow(vf, [vf.hamiltonian, ex.parse("mu_P1^2 + mu_P2^2")], method, sub)
-    binops = [n for n in ast.walk(ast.parse(sources[0])) if isinstance(n, ast.BinOp)]
+    return ast.parse(sources[0])
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("sub", [False, True])
+def test_generated_loop_multiplies_no_int_literal(method, sub, monkeypatch):
+    # an int operand makes CPython leave its specialised float arithmetic
+    # for the generic path, though 2 and 2.0 give the same product; only
+    # _pow's exponent, a call argument, is an int
+    tree = galilean_loop_source(method, sub, monkeypatch)
+    binops = [n for n in ast.walk(tree) if isinstance(n, ast.BinOp)]
     assert len(binops) > 50
     for n in binops:
         for side in (n.left, n.right):
             assert not (isinstance(side, ast.Constant) and type(side.value) is int), \
                 ast.unparse(n)
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("sub", [False, True])
+def test_generated_loop_stores_by_packed_writes(method, sub, monkeypatch):
+    # array.extend from a tuple converts each value on its own; the loop
+    # packs a row, and its invariants, and adds each with one frombytes
+    tree = galilean_loop_source(method, sub, monkeypatch)
+    attrs = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    assert "extend" not in attrs
+    assert sorted(attrs) == ["frombytes", "frombytes"]
+    calls = [n.func.id for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    # one row, and the invariants of row 0 and of each later row
+    assert (calls.count("put_row"), calls.count("put_values")) == (1, 2)
+    assert (calls.count("_prow"), calls.count("_pvalues")) == (1, 2)
+
+
+EDGE_STARTS = [[-0.0, 5e-324, 1e300, -1e300, 0.5], [5e-324, -0.0, -1e300, 1e300, -0.25],
+               [1e300, -1e300, -0.0, 5e-324, 5e-324], [-1e300, 1e300, 5e-324, -0.0, -1e300]]
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("substitution", [False, True])
+@pytest.mark.parametrize("x0", EDGE_STARTS, ids=range(len(EDGE_STARTS)))
+def test_packed_rows_are_the_reference_bytes(x0, method, substitution):
+    # a' = a and b' = b keep a signed zero and a subnormal as they are, and
+    # c' = -c/1000 keeps a value near the float range finite; the phi slot
+    # holds each kind of start too, with and without its substitution
+    a, b, c, d, phi = map(Var, ("a", "b", "c", "d", "phi"))
+    vf = dyn.VectorField(("a", "b", "c", "d", "phi"),
+                         (a, b, c * ex.parse("-1/1000"), d, phi * ex.parse("1/2")),
+                         hamiltonian=a, phi_slot=4)
+    casimirs = [b, c, d * ex.parse("1/2"), phi]
+    got = assert_same_as_reference(vf, x0, 0.01, 0.2, method=method, casimirs=casimirs,
+                                   substitution=substitution)
+    rows = array("d")
+    rows.frombytes(got[1])
+    values = array("d")
+    values.frombytes(got[2])
+    assert len(rows) == 21 * 5 and len(values) == 21 * 5
+    stored = [*rows[5:], *values]  # every value a packed write stored
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in stored)
+    assert 5e-324 in stored
+    assert any(abs(v) > 1e299 for v in stored)
 
 
 @pytest.mark.parametrize("name,seed", [("se2", 107), ("heisenberg_q(2)", 103),

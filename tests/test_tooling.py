@@ -23,7 +23,10 @@ from pathlib import Path
 import pytest
 
 import bsymp
-from bsymp import _fork, cli, lie, verify
+import bsymp.expr as ex
+from bsymp import _fork, bcalc, blift, cli, lie, verify
+from bsymp import dynamics as dyn
+from bsymp import reduction as red
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +106,149 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) >= 10
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+REQUIRED = inspect.Parameter.empty
+
+# every record constructor's parameters, in order, with the defaults the
+# dataclasses generated; None stands where a default factory gave each
+# instance a container of its own (test_unset_containers_are_fresh)
+RECORD_SIGNATURES = {
+    "bcalc.BChart": [("names", REQUIRED), ("defining", REQUIRED)],
+    "bcalc.BVectorField": [("chart", REQUIRED), ("comps", REQUIRED)],
+    "bcalc.BForm": [("chart", REQUIRED), ("degree", REQUIRED), ("coeffs", None)],
+    "bcalc.BFunction": [("chart", REQUIRED), ("c", REQUIRED), ("smooth", REQUIRED)],
+    "bcalc.PoissonBivector": [("names", REQUIRED), ("entries", None)],
+    "blift.BCotangentChart": [("base", REQUIRED)],
+    "blift.LiftedAction": [("pair", REQUIRED)],
+    "cli.RunConfig": [("builtin", None), ("algebra", None), ("basis", None),
+                      ("connection", None), ("seed", 42), ("flow", None), ("out_dir", ".")],
+    "dynamics.VectorField": [("names", REQUIRED), ("components", REQUIRED),
+                             ("hamiltonian", None), ("phi_slot", None)],
+    "dynamics.Trajectory": [("dt", REQUIRED), ("names", REQUIRED), ("rows", REQUIRED),
+                            ("invariants", REQUIRED), ("method", REQUIRED), ("phi_slot", None),
+                            ("energy_drift", None), ("casimir_drifts", ()),
+                            ("phi_floor", None), ("handed_off", None)],
+    "dynamics.LeafReport": [("sign_constant", REQUIRED), ("on_slice", REQUIRED),
+                            ("energy_drift", REQUIRED), ("casimir_drifts", REQUIRED),
+                            ("phi_floor", REQUIRED)],
+    "lie.LieAlgebra": [("labels", REQUIRED), ("constants", REQUIRED)],
+    "lie.MatrixGroup": [("name", REQUIRED), ("param_names", REQUIRED), ("labels", REQUIRED),
+                        ("chart_fn", REQUIRED), ("mul_fn", REQUIRED), ("inv_fn", REQUIRED),
+                        ("params_from_matrix", REQUIRED), ("box", ())],
+    "lie.BLieGroupPair": [("name", REQUIRED), ("group", REQUIRED), ("phi_index", REQUIRED),
+                          ("triv_fn", REQUIRED), ("triv_inv_fn", REQUIRED),
+                          ("quotient", "line (R^1)"), ("_cache", None)],
+    "reduction.Connection": [("pair", REQUIRED), ("forms", REQUIRED), ("tag", REQUIRED),
+                             ("xi", None), ("S", None)],
+    "verify.SectionResult": [("name", REQUIRED), ("residual", REQUIRED),
+                             ("tolerance", REQUIRED)],
+    "verify.VerifyReport": [("subject", REQUIRED), ("seed", REQUIRED), ("sections", REQUIRED)],
+}
+
+
+@pytest.mark.parametrize("where", sorted(RECORD_SIGNATURES))
+def test_record_constructors_keep_their_parameters(where):
+    module, name = where.split(".")
+    params = inspect.signature(getattr(importlib.import_module("bsymp." + module), name)).parameters
+    assert [(p.name, p.default) for p in params.values()] == RECORD_SIGNATURES[where]
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_unset_containers_are_fresh():
+    ch = bcalc.BChart(("x", "f"), 1)
+    made = [
+        (lambda: bcalc.BForm(ch, 1), "coeffs", {}),
+        (lambda: bcalc.PoissonBivector(("x",)), "entries", {}),
+        (lambda: cli.RunConfig(), "flow", {}),
+        (lambda: dyn.Trajectory(0.1, ("x",), [0.0], [0.0], "rk4"), "handed_off", []),
+        (lambda: lie.BLieGroupPair("p", None, 0, None, None), "_cache", {}),
+    ]
+    for build, field, empty in made:
+        a, b = build(), build()
+        assert getattr(a, field) == empty and type(getattr(a, field)) is type(empty)
+        assert getattr(a, field) is not getattr(b, field), field
+
+
+def _fresh_galilean():
+    # not lie.builtin's shared pair: no cached property of it is filled yet
+    return lie._BUILTINS["galilean"]()
+
+
+def _leaf_report():
+    rp = red.reduced_poisson(_fresh_galilean())
+    vf = dyn.hamiltonian_vf(rp, ex.parse("p^2/2"), phi_slot=len(rp.names) - 2)
+    return dyn.leaf_report(rp, dyn.integrate(vf, [0.1] * len(rp.names), 0.1, 0.2))
+
+
+def _xsharp():
+    act = blift.LiftedAction(_fresh_galilean())
+    return act.xsharp([1.0] * act.h_dim)
+
+
+# each immutable record: a fresh instance from galilean, a field and a
+# cached property (None where it has none)
+IMMUTABLE_RECORDS = {
+    "BLieGroupPair": (_fresh_galilean, "group", "h_group"),
+    "MatrixGroup": (lambda: _fresh_galilean().group, "param_names", "algebra"),
+    "LieAlgebra": (lambda: _fresh_galilean().group.algebra, "constants", "lie_poisson"),
+    "LiftedAction": (lambda: blift.LiftedAction(_fresh_galilean()), "pair", "cot"),
+    "BCotangentChart": (lambda: blift.BCotangentChart(
+        blift.trivialized_base_chart(_fresh_galilean())), "base", "chart"),
+    "Connection": (lambda: red.make_connection(_fresh_galilean()), "forms",
+                   "reduced_coordinates"),
+    "BForm": (lambda: blift.canonical_bsymplectic(blift.LiftedAction(_fresh_galilean()).cot),
+              "coeffs", None),
+    "PoissonBivector": (lambda: _fresh_galilean().group.algebra.lie_poisson, "entries", None),
+    "BChart": (lambda: blift.trivialized_base_chart(_fresh_galilean()), "names", None),
+    "BVectorField": (_xsharp, "comps", "_compiled"),
+    "BFunction": (lambda: bcalc.BFunction(blift.trivialized_base_chart(_fresh_galilean()), 1,
+                                          ex.parse("phi^2")), "c", None),
+    "LeafReport": (_leaf_report, "on_slice", None),
+    "SectionResult": (lambda: verify.SectionResult("s", 0.0, 1.0), "residual", None),
+    "VerifyReport": (lambda: verify.VerifyReport("galilean", 1, ()), "sections", None),
+}
+
+
+def test_every_immutable_record_is_checked():
+    records = set()
+    for info in pkgutil.iter_modules(bsymp.__path__):
+        mod = importlib.import_module("bsymp." + info.name)
+        records |= {obj.__name__ for obj in vars(mod).values()
+                    if isinstance(obj, type) and obj.__module__ == mod.__name__
+                    and issubclass(obj, ex.Frozen) and not issubclass(obj, ex.Expr)}
+    records.discard("Frozen")
+    assert records == set(IMMUTABLE_RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE_RECORDS))
+def test_immutable_records_refuse_changes_and_cache_once(name, monkeypatch):
+    build, field, cached = IMMUTABLE_RECORDS[name]
+    obj = build()
+    assert type(obj).__name__ == name
+    kept = getattr(obj, field)
+    for attr in (field, cached, "extra"):
+        if attr is None:
+            continue
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(obj, attr)
+    assert getattr(obj, field) is kept and not hasattr(obj, "extra")
+    if cached is None:
+        return
+    prop = vars(type(obj))[cached]
+    calls = []
+
+    def counted(self, func=prop.func):
+        calls.append(self)
+        return func(self)
+
+    monkeypatch.setattr(prop, "func", counted)
+    assert cached not in vars(obj)
+    first = getattr(obj, cached)
+    assert getattr(obj, cached) is first and vars(obj)[cached] is first
+    assert calls == [obj]
 
 
 def test_readme_usage_names_exactly_the_parser_flags():
@@ -187,11 +333,15 @@ def test_missing_numpy_fails_at_import(tmp_path):
 
 # Run in a fresh interpreter on argv[1], a JSON list of [argv, out path or
 # null].  Prints as JSON the bsymp modules `import bsymp.cli` left out, the
-# numpy submodules loaded after that import and after building the four
-# built-ins, and per command its exit code, the numpy submodules then loaded
-# and the SHA-256 of its stdout (the out path read as OUT) and of its file.
+# numpy submodules, and which of `dataclasses` and `inspect`, are loaded
+# after that import and after building the four built-ins, and per command
+# its exit code, the same modules then loaded and the SHA-256 of its stdout
+# (the out path read as OUT) and of its file.  `dataclasses` generates and
+# execs each record class's methods at import, and it and numpy import
+# `inspect`, which imports `ast`, `dis` and `tokenize`: a command that loads
+# none of them starts in about half the time.
 _FRESH_RUN = """\
-import contextlib, hashlib, io, json, pkgutil, sys
+import contextlib, hashlib, io, json, sys
 from pathlib import Path
 import bsymp.cli
 from bsymp import cli, lie
@@ -199,15 +349,20 @@ from bsymp import cli, lie
 def numpy_modules():
     return sorted(m for m in sys.modules if m.startswith("numpy."))
 
+def class_tooling():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
-report = {"unimported": [m.name for m in pkgutil.iter_modules(sys.modules["bsymp"].__path__)
-                         if "bsymp." + m.name not in sys.modules],
-          "import": numpy_modules()}
+# the package's modules read from its folder: pkgutil.iter_modules imports inspect
+report = {"unimported": [p.stem for p in Path(sys.modules["bsymp"].__path__[0]).glob("*.py")
+                         if "bsymp." + p.stem not in sys.modules and p.stem != "__init__"],
+          "import": numpy_modules(), "import_tooling": class_tooling()}
 for g in ("se2", "heisenberg_q(1)", "heisenberg_q(2)", "galilean"):
     lie.builtin(g)
 report["builtin"] = numpy_modules()
+report["builtin_tooling"] = class_tooling()
 report["runs"] = []
 for argv, out in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
@@ -215,7 +370,7 @@ for argv, out in json.loads(sys.argv[1]):
     stdout = buf.getvalue().encode()
     if out is not None:
         stdout = stdout.replace(out.encode(), b"OUT")
-    report["runs"].append({"code": code, "numpy": numpy_modules(),
+    report["runs"].append({"code": code, "numpy": numpy_modules(), "tooling": class_tooling(),
                            "stdout_sha256": sha(stdout),
                            "out_sha256": None if out is None else sha(Path(out).read_bytes())})
 print(json.dumps(report))
@@ -263,7 +418,9 @@ def test_exact_commands_never_load_numpy(tmp_path):
     report = _fresh_run(runs, tmp_path)
     assert report["unimported"] == []
     assert report["import"] == report["builtin"] == []
-    assert [(run["code"], run["numpy"]) for run in report["runs"]] == [(0, [])] * len(runs)
+    assert report["import_tooling"] == report["builtin_tooling"] == []
+    assert [(run["code"], run["numpy"], run["tooling"]) for run in report["runs"]] == \
+        [(0, [], [])] * len(runs)
 
 
 def test_flows_never_load_numpy(tmp_path):
@@ -282,7 +439,9 @@ def test_flows_never_load_numpy(tmp_path):
     runs += [(None, ["flow", "--config", str(options), "--out", out], out),
              (None, ["flow", "--config", str(escape), "--out", out], None)]
     report = _fresh_run(runs, tmp_path)
-    assert [(run["code"], run["numpy"]) for run in report["runs"]] == [(0, [])] * 5 + [(1, [])]
+    assert report["import_tooling"] == report["builtin_tooling"] == []
+    assert [(run["code"], run["numpy"], run["tooling"]) for run in report["runs"]] == \
+        [(0, [], [])] * 5 + [(1, [], [])]
 
 
 def test_verify_flow_sections_never_load_numpy(tmp_path):

@@ -1,6 +1,5 @@
 """Suite runner: section coverage, signature, determinism."""
 
-import dataclasses
 import inspect
 import math
 import os
@@ -208,7 +207,7 @@ def test_connection_independence_fails_a_wrong_bracket_or_a_missing_chart_shift(
         patch.setattr(red, "reduced_poisson", lambda _: doubled)
         resid, tol = verify._sec_connection_independence(pair, 1)
     assert resid > 0.1 and not verify.SectionResult("", resid, tol).ok
-    unshifted = [dataclasses.replace(theta, xi=None, S=None) for theta in deformed]
+    unshifted = [red.Connection(theta.pair, theta.forms, theta.tag) for theta in deformed]
     assert all(theta.chart_shift == {} for theta in unshifted)
     monkeypatch.setattr(verify, "_connection_cases", lambda _: (default, *unshifted))
     resid, tol = verify._sec_connection_independence(pair, 1)
